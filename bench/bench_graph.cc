@@ -77,7 +77,6 @@ void BM_Ppr(benchmark::State& state) {
   const auto& gen = SharedKg();
   static const GraphView& view =
       *new GraphView(GraphView::Build(gen.kg, ViewDefinition()));
-  view.Adjacency();  // pre-build
   PprEngine ppr(&view);
   Rng rng(7);
   for (auto _ : state) {
@@ -92,7 +91,6 @@ void BM_RandomWalks(benchmark::State& state) {
   const auto& gen = SharedKg();
   static const GraphView& view =
       *new GraphView(GraphView::Build(gen.kg, ViewDefinition()));
-  view.Adjacency();
   RandomWalkSampler::Options opts;
   opts.walks_per_node = 1;
   opts.walk_length = 8;

@@ -1,38 +1,22 @@
 #include "ann/brute_force_index.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace saga::ann {
 
 void BruteForceIndex::Add(uint64_t label, const std::vector<float>& vec) {
   assert(static_cast<int>(vec.size()) == dim_);
-  labels_.push_back(label);
-  data_.insert(data_.end(), vec.begin(), vec.end());
+  rows_.Add(label, vec);
 }
 
 std::vector<Neighbor> BruteForceIndex::Search(const std::vector<float>& query,
                                               size_t k) const {
-  std::vector<Neighbor> heap;  // min-heap on similarity
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return a.similarity > b.similarity;
-  };
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    const double sim =
-        Similarity(metric_, query.data(), data_.data() + i * dim_, dim_);
-    if (heap.size() < k) {
-      heap.push_back(Neighbor{labels_[i], sim});
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    } else if (!heap.empty() && sim > heap.front().similarity) {
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      heap.back() = Neighbor{labels_[i], sim};
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    }
+  const QueryScorer scorer(metric_, query);
+  ScanTopK top(k);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    top.Offer(i, scorer.Score(rows_, i));
   }
-  // The heap is a min-heap under `cmp`; sort_heap yields highest
-  // similarity first.
-  std::sort_heap(heap.begin(), heap.end(), cmp);
-  return heap;
+  return top.Take(rows_.labels());
 }
 
 }  // namespace saga::ann

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ann/index.h"
+#include "ann/scan.h"
 
 namespace saga::ann {
 
@@ -11,20 +12,20 @@ namespace saga::ann {
 /// benchmarked against.
 class BruteForceIndex : public VectorIndex {
  public:
-  BruteForceIndex(int dim, Metric metric) : dim_(dim), metric_(metric) {}
+  BruteForceIndex(int dim, Metric metric)
+      : dim_(dim), metric_(metric), rows_(dim) {}
 
   void Add(uint64_t label, const std::vector<float>& vec) override;
   void Build() override {}
   std::vector<Neighbor> Search(const std::vector<float>& query,
                                size_t k) const override;
-  size_t size() const override { return labels_.size(); }
+  size_t size() const override { return rows_.size(); }
   Metric metric() const override { return metric_; }
 
  private:
   int dim_;
   Metric metric_;
-  std::vector<uint64_t> labels_;
-  std::vector<float> data_;  // row-major
+  RowMatrix rows_;
 };
 
 }  // namespace saga::ann

@@ -10,19 +10,18 @@ IvfIndex::IvfIndex(int dim, Metric metric)
     : IvfIndex(dim, metric, Options()) {}
 
 IvfIndex::IvfIndex(int dim, Metric metric, Options options)
-    : dim_(dim), metric_(metric), options_(options) {}
+    : dim_(dim), metric_(metric), options_(options), rows_(dim) {}
 
 void IvfIndex::Add(uint64_t label, const std::vector<float>& vec) {
   assert(static_cast<int>(vec.size()) == dim_);
   assert(!built_);
-  labels_.push_back(label);
-  data_.insert(data_.end(), vec.begin(), vec.end());
+  rows_.Add(label, vec);
 }
 
 void IvfIndex::Build() {
   if (built_) return;
   built_ = true;
-  const size_t n = labels_.size();
+  const size_t n = rows_.size();
   const int k = std::max(1, std::min<int>(options_.num_lists,
                                           static_cast<int>(n)));
   options_.num_lists = k;
@@ -34,7 +33,7 @@ void IvfIndex::Build() {
   Rng rng(options_.seed);
   std::vector<size_t> seeds = rng.SampleWithoutReplacement(n, k);
   for (int c = 0; c < k; ++c) {
-    std::copy(Vec(seeds[c]), Vec(seeds[c]) + dim_,
+    std::copy(rows_.row(seeds[c]), rows_.row(seeds[c]) + dim_,
               centroids_.begin() + static_cast<size_t>(c) * dim_);
   }
 
@@ -47,9 +46,9 @@ void IvfIndex::Build() {
       double best = std::numeric_limits<double>::max();
       int best_c = 0;
       for (int c = 0; c < k; ++c) {
-        const double d =
-            L2Sq(Vec(i), centroids_.data() + static_cast<size_t>(c) * dim_,
-                 dim_);
+        const double d = L2Sq(
+            rows_.row(i), centroids_.data() + static_cast<size_t>(c) * dim_,
+            dim_);
         if (d < best) {
           best = d;
           best_c = c;
@@ -67,7 +66,7 @@ void IvfIndex::Build() {
       const int c = assign[i];
       ++counts[c];
       for (int d = 0; d < dim_; ++d) {
-        sums[static_cast<size_t>(c) * dim_ + d] += Vec(i)[d];
+        sums[static_cast<size_t>(c) * dim_ + d] += rows_.row(i)[d];
       }
     }
     for (int c = 0; c < k; ++c) {
@@ -101,25 +100,14 @@ std::vector<Neighbor> IvfIndex::Search(const std::vector<float>& query,
   }
   std::sort(centroid_order.begin(), centroid_order.end());
 
-  std::vector<Neighbor> heap;
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return a.similarity > b.similarity;
-  };
+  const QueryScorer scorer(metric_, query);
+  ScanTopK top(k);
   for (int p = 0; p < nprobe; ++p) {
     for (uint32_t i : lists_[centroid_order[p].second]) {
-      const double sim = Similarity(metric_, query.data(), Vec(i), dim_);
-      if (heap.size() < k) {
-        heap.push_back(Neighbor{labels_[i], sim});
-        std::push_heap(heap.begin(), heap.end(), cmp);
-      } else if (!heap.empty() && sim > heap.front().similarity) {
-        std::pop_heap(heap.begin(), heap.end(), cmp);
-        heap.back() = Neighbor{labels_[i], sim};
-        std::push_heap(heap.begin(), heap.end(), cmp);
-      }
+      top.Offer(i, scorer.Score(rows_, i));
     }
   }
-  std::sort_heap(heap.begin(), heap.end(), cmp);
-  return heap;
+  return top.Take(rows_.labels());
 }
 
 }  // namespace saga::ann

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ann/index.h"
+#include "ann/scan.h"
 #include "common/rng.h"
 
 namespace saga::ann {
@@ -28,7 +29,7 @@ class IvfIndex : public VectorIndex {
   void Build() override;
   std::vector<Neighbor> Search(const std::vector<float>& query,
                                size_t k) const override;
-  size_t size() const override { return labels_.size(); }
+  size_t size() const override { return rows_.size(); }
   Metric metric() const override { return metric_; }
 
   void set_nprobe(int nprobe) { options_.nprobe = nprobe; }
@@ -36,13 +37,10 @@ class IvfIndex : public VectorIndex {
   int num_lists() const { return options_.num_lists; }
 
  private:
-  const float* Vec(size_t i) const { return data_.data() + i * dim_; }
-
   int dim_;
   Metric metric_;
   Options options_;
-  std::vector<uint64_t> labels_;
-  std::vector<float> data_;
+  RowMatrix rows_;
   std::vector<float> centroids_;            // num_lists x dim
   std::vector<std::vector<uint32_t>> lists_;  // item indexes per centroid
   bool built_ = false;

@@ -1,8 +1,9 @@
 #include "ann/quantized_index.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "ann/scan.h"
 
 namespace saga::ann {
 
@@ -36,23 +37,11 @@ std::vector<Neighbor> QuantizedBruteForceIndex::Search(
       for (float& x : prepared) x *= inv;
     }
   }
-  std::vector<Neighbor> heap;
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return a.similarity > b.similarity;
-  };
+  ScanTopK top(k);
   for (size_t i = 0; i < labels_.size(); ++i) {
-    const double sim = DotQuantized(prepared, vectors_[i]);
-    if (heap.size() < k) {
-      heap.push_back(Neighbor{labels_[i], sim});
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    } else if (!heap.empty() && sim > heap.front().similarity) {
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      heap.back() = Neighbor{labels_[i], sim};
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    }
+    top.Offer(i, DotQuantized(prepared, vectors_[i]));
   }
-  std::sort_heap(heap.begin(), heap.end(), cmp);
-  return heap;
+  return top.Take(labels_);
 }
 
 size_t QuantizedBruteForceIndex::PayloadBytes() const {

@@ -14,6 +14,11 @@ namespace saga::graph_engine {
 /// Personalized PageRank over a graph view, via the Andersen-Chung-Lang
 /// forward-push approximation. Serves as the classical (non-embedding)
 /// related-entities baseline and as a graph-signal feature.
+///
+/// Thread-safe: calls share only the immutable view. The push loop runs
+/// on dense per-thread scratch arrays sized to the view, which every
+/// call leaves zeroed on every exit path (success, deadline, injected
+/// fault), so a failed call never leaks state into the next one.
 class PprEngine {
  public:
   struct Options {
@@ -43,9 +48,6 @@ class PprEngine {
       uint32_t source, size_t k, const RequestContext& ctx) const;
 
  private:
-  Status PprImpl(uint32_t source, const RequestContext* ctx,
-                 std::unordered_map<uint32_t, double>* p) const;
-
   const GraphView* view_;
   Options options_;
 };

@@ -8,7 +8,6 @@ RandomWalkSampler::RandomWalkSampler(Options options) : options_(options) {}
 
 std::vector<std::vector<uint32_t>> RandomWalkSampler::GenerateWalks(
     const GraphView& view, Rng* rng) const {
-  const auto& adj = view.Adjacency();
   std::vector<std::vector<uint32_t>> walks;
   walks.reserve(view.num_entities() *
                 static_cast<size_t>(options_.walks_per_node));
@@ -17,7 +16,7 @@ std::vector<std::vector<uint32_t>> RandomWalkSampler::GenerateWalks(
       std::vector<uint32_t> walk{start};
       uint32_t cur = start;
       for (int step = 1; step < options_.walk_length; ++step) {
-        const auto& nbrs = adj[cur];
+        const std::span<const uint32_t> nbrs = view.Neighbors(cur);
         if (nbrs.empty()) break;
         cur = nbrs[rng->Uniform(nbrs.size())];
         walk.push_back(cur);

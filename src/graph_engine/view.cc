@@ -71,11 +71,13 @@ GraphView GraphView::Build(const kg::KnowledgeGraph& kg,
     e.dst = view.InternEntity(t.object.entity());
     view.edges_.push_back(e);
   }
+  view.BuildAdjacency();
   return view;
 }
 
 void GraphView::ApplyDelta(const kg::KnowledgeGraph& kg,
                            const std::vector<kg::TripleIdx>& added) {
+  const size_t edges_before = edges_.size();
   for (kg::TripleIdx idx : added) {
     if (!kg.triples().IsLive(idx)) continue;
     const kg::Triple& t = kg.triples().triple(idx);
@@ -87,8 +89,8 @@ void GraphView::ApplyDelta(const kg::KnowledgeGraph& kg,
     e.relation = InternRelation(t.predicate);
     e.dst = InternEntity(t.object.entity());
     edges_.push_back(e);
-    adjacency_valid_ = false;
   }
+  if (edges_.size() != edges_before) BuildAdjacency();
 }
 
 uint32_t GraphView::local_entity(kg::EntityId e) const {
@@ -101,16 +103,21 @@ uint32_t GraphView::local_relation(kg::PredicateId p) const {
   return it == relation_to_local_.end() ? kNotInView : it->second;
 }
 
-const std::vector<std::vector<uint32_t>>& GraphView::Adjacency() const {
-  if (!adjacency_valid_) {
-    adjacency_.assign(num_entities(), {});
-    for (const ViewEdge& e : edges_) {
-      adjacency_[e.src].push_back(e.dst);
-      adjacency_[e.dst].push_back(e.src);
-    }
-    adjacency_valid_ = true;
+void GraphView::BuildAdjacency() {
+  // Counting sort of both edge directions by endpoint; filling in edge
+  // order keeps each neighbour list in edge order.
+  offsets_.assign(num_entities() + 1, 0);
+  for (const ViewEdge& e : edges_) {
+    ++offsets_[e.src + 1];
+    ++offsets_[e.dst + 1];
   }
-  return adjacency_;
+  for (size_t u = 0; u < num_entities(); ++u) offsets_[u + 1] += offsets_[u];
+  neighbors_.resize(offsets_.back());
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const ViewEdge& e : edges_) {
+    neighbors_[cursor[e.src]++] = e.dst;
+    neighbors_[cursor[e.dst]++] = e.src;
+  }
 }
 
 }  // namespace saga::graph_engine

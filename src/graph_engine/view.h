@@ -2,6 +2,7 @@
 #define SAGA_GRAPH_ENGINE_VIEW_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -39,6 +40,10 @@ struct ViewEdge {
 /// Materialized filtered projection with dense local ids for entities
 /// and relations — the exact shape embedding trainers consume.
 /// Supports incremental maintenance (the KG is continuously growing).
+///
+/// Immutable between Build/ApplyDelta: the undirected adjacency is a
+/// CSR array rebuilt eagerly by both, so const readers on any number of
+/// threads never write shared state.
 class GraphView {
  public:
   /// Filters `kg` by `def` and assigns dense local ids.
@@ -66,8 +71,12 @@ class GraphView {
   uint32_t local_entity(kg::EntityId e) const;
   uint32_t local_relation(kg::PredicateId p) const;
 
-  /// Undirected adjacency over view edges (built lazily, cached).
-  const std::vector<std::vector<uint32_t>>& Adjacency() const;
+  /// Undirected neighbours of `local`: for each edge touching it, in
+  /// edge order, the edge's other end (a self-loop lists `local` twice).
+  std::span<const uint32_t> Neighbors(uint32_t local) const {
+    return {neighbors_.data() + offsets_[local],
+            neighbors_.data() + offsets_[local + 1]};
+  }
 
   static constexpr uint32_t kNotInView = 0xFFFFFFFFu;
 
@@ -75,6 +84,7 @@ class GraphView {
   bool TriplePasses(const kg::KnowledgeGraph& kg, const kg::Triple& t) const;
   uint32_t InternEntity(kg::EntityId e);
   uint32_t InternRelation(kg::PredicateId p);
+  void BuildAdjacency();
 
   ViewDefinition def_;
   std::vector<ViewEdge> edges_;
@@ -83,8 +93,9 @@ class GraphView {
   std::unordered_map<kg::EntityId, uint32_t> entity_to_local_;
   std::unordered_map<kg::PredicateId, uint32_t> relation_to_local_;
   std::unordered_map<kg::PredicateId, uint64_t> predicate_counts_;
-  mutable std::vector<std::vector<uint32_t>> adjacency_;
-  mutable bool adjacency_valid_ = false;
+  /// CSR adjacency: Neighbors(u) is neighbors_[offsets_[u], offsets_[u+1]).
+  std::vector<size_t> offsets_{0};
+  std::vector<uint32_t> neighbors_;
 };
 
 }  // namespace saga::graph_engine

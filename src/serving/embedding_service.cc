@@ -92,13 +92,19 @@ void EmbeddingService::BuildIndexWithFallback() {
   (void)BuildIndexOnce(IndexKind::kExact);
 }
 
+namespace {
+
+Status NoEmbedding(kg::EntityId id) {
+  return Status::NotFound("no embedding for entity " +
+                          std::to_string(id.value()));
+}
+
+}  // namespace
+
 Result<std::vector<float>> EmbeddingService::GetEmbedding(
     kg::EntityId id) const {
   const std::vector<float>* vec = store_.Get(id);
-  if (vec == nullptr) {
-    return Status::NotFound("no embedding for entity " +
-                            std::to_string(id.value()));
-  }
+  if (vec == nullptr) return NoEmbedding(id);
   return *vec;
 }
 
@@ -138,8 +144,9 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter) const {
   obs::ScopedSpan span("serving.embedding.topk_neighbors");
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> query, GetEmbedding(id));
-  auto hits = TopKForVector(query, k + 1, type_filter);
+  const std::vector<float>* query = store_.Get(id);
+  if (query == nullptr) return NoEmbedding(id);
+  auto hits = TopKForVector(*query, k + 1, type_filter);
   std::vector<std::pair<kg::EntityId, double>> out;
   for (const auto& [e, sim] : hits) {
     if (e == id) continue;
@@ -173,9 +180,10 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
   obs::ScopedSpan span("serving.embedding.topk_neighbors");
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.topk"));
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> query, GetEmbedding(id));
+  const std::vector<float>* query = store_.Get(id);
+  if (query == nullptr) return NoEmbedding(id);
   SAGA_ASSIGN_OR_RETURN(auto hits,
-                        TopKForVector(query, k + 1, type_filter, ctx));
+                        TopKForVector(*query, k + 1, type_filter, ctx));
   std::vector<std::pair<kg::EntityId, double>> out;
   for (const auto& [e, sim] : hits) {
     if (e == id) continue;

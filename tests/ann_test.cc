@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -7,6 +8,7 @@
 #include "ann/distance.h"
 #include "ann/ivf_index.h"
 #include "ann/quantization.h"
+#include "ann/quantized_index.h"
 #include "common/rng.h"
 
 namespace saga::ann {
@@ -99,6 +101,135 @@ TEST(BruteForceTest, EmptyIndexReturnsNothing) {
   BruteForceIndex index(2, Metric::kDot);
   index.Build();
   EXPECT_TRUE(index.Search({1.0f, 0.0f}, 5).empty());
+}
+
+// ---------- Exact-scan oracle ----------
+
+// Gaussian rows plus the ties a scan must break by row order: zero
+// rows, duplicates, and power-of-two rescalings (equal cosine exactly),
+// shuffled so copies land before and after their originals.
+std::vector<std::vector<float>> TieHeavyRows(int dim, uint64_t seed) {
+  auto rows = RandomVectors(80, dim, seed);
+  rows.push_back(std::vector<float>(dim, 0.0f));
+  rows.push_back(std::vector<float>(dim, 0.0f));
+  for (size_t src : {3, 3, 10, 41}) rows.push_back(rows[src]);
+  for (size_t src : {10, 20}) {
+    std::vector<float> scaled = rows[src];
+    for (float& x : scaled) x *= 2.0f;
+    rows.push_back(scaled);
+  }
+  Rng rng(seed + 1);
+  rng.Shuffle(&rows);
+  return rows;
+}
+
+// Scores every row with Similarity() and stable-sorts: the earlier row
+// wins a tie.
+std::vector<Neighbor> OracleSearch(const std::vector<std::vector<float>>& rows,
+                                   Metric metric,
+                                   const std::vector<float>& query, size_t k) {
+  std::vector<Neighbor> all;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    all.push_back({1000 + 7 * i, Similarity(metric, query.data(),
+                                            rows[i].data(), query.size())});
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Neighbor& a, const Neighbor& b) {
+                     return a.similarity > b.similarity;
+                   });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+void ExpectSameHits(const std::vector<Neighbor>& got,
+                    const std::vector<Neighbor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label) << "rank " << i;
+    EXPECT_EQ(got[i].similarity, want[i].similarity) << "rank " << i;
+  }
+}
+
+// Random queries, a duplicated row (ties at the top) and the zero
+// vector (every cosine 0, so the whole ranking is row order).
+std::vector<std::vector<float>> OracleQueries(
+    const std::vector<std::vector<float>>& rows, int dim) {
+  auto queries = RandomVectors(4, dim, 123);
+  for (const auto& row : rows) {
+    if (std::count(rows.begin(), rows.end(), row) > 1) {
+      queries.push_back(row);
+      break;
+    }
+  }
+  queries.push_back(std::vector<float>(dim, 0.0f));
+  return queries;
+}
+
+TEST(ExactScanTest, MatchesStableSortOracleUnderEachMetric) {
+  // 37 exercises the dot product's tail after the 8-wide blocks.
+  for (int dim : {32, 37}) {
+    const auto rows = TieHeavyRows(dim, 17);
+    const auto queries = OracleQueries(rows, dim);
+    for (Metric metric : {Metric::kDot, Metric::kCosine, Metric::kL2}) {
+      BruteForceIndex exact(dim, metric);
+      IvfIndex::Options opts;
+      opts.num_lists = 8;
+      opts.nprobe = 8;  // every list: exact
+      IvfIndex ivf(dim, metric, opts);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        exact.Add(1000 + 7 * i, rows[i]);
+        ivf.Add(1000 + 7 * i, rows[i]);
+      }
+      ivf.Build();
+      for (const auto& query : queries) {
+        for (size_t k : {1, 5, 17, 200}) {
+          SCOPED_TRACE(testing::Message() << "dim " << dim << " metric "
+                                          << static_cast<int>(metric)
+                                          << " k " << k);
+          const auto want = OracleSearch(rows, metric, query, k);
+          ExpectSameHits(exact.Search(query, k), want);
+          ExpectSameHits(ivf.Search(query, k), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExactScanTest, QuantizedMatchesStableSortOracle) {
+  const int dim = 37;
+  const auto rows = TieHeavyRows(dim, 29);
+  const auto queries = OracleQueries(rows, dim);
+  for (Metric metric : {Metric::kDot, Metric::kCosine}) {
+    // What the index stores and searches with: cosine rows and queries
+    // are unit-normalized in float before int8 quantization.
+    auto prepare = [&](std::vector<float> v) {
+      const double norm = Norm(v.data(), v.size());
+      if (metric == Metric::kCosine && norm > 0.0) {
+        const float inv = static_cast<float>(1.0 / norm);
+        for (float& x : v) x *= inv;
+      }
+      return v;
+    };
+    QuantizedBruteForceIndex index(dim, metric);
+    std::vector<QuantizedVector> codes;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      index.Add(1000 + 7 * i, rows[i]);
+      codes.push_back(QuantizeInt8(prepare(rows[i])));
+    }
+    for (const auto& query : queries) {
+      const std::vector<float> q = prepare(query);
+      std::vector<Neighbor> want;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        want.push_back({1000 + 7 * i, DotQuantized(q, codes[i])});
+      }
+      std::stable_sort(want.begin(), want.end(),
+                       [](const Neighbor& a, const Neighbor& b) {
+                         return a.similarity > b.similarity;
+                       });
+      want.resize(10);
+      ExpectSameHits(index.Search(query, 10), want);
+    }
+  }
 }
 
 // ---------- IVF ----------

@@ -447,5 +447,39 @@ TEST(WebLinkerTest, IndexMapsEntitiesToDocs) {
   }
 }
 
+TEST(AnnotationIndexTest, SetAndRemoveMaintainEntityDocsInDocOrder) {
+  auto doc = [](websim::DocId id, std::vector<uint64_t> entities) {
+    AnnotatedDocument d;
+    d.doc = id;
+    for (uint64_t e : entities) {
+      Annotation a;
+      a.entity = kg::EntityId(e);
+      d.annotations.push_back(a);
+    }
+    return d;
+  };
+  using Docs = std::vector<websim::DocId>;
+  AnnotationIndex index;
+  index.Set(doc(7, {1, 2, 1}));
+  index.Set(doc(3, {1}));
+  index.Set(doc(5, {2, 3}));
+  EXPECT_EQ(index.DocsMentioning(kg::EntityId(1)), (Docs{3, 7}));
+  EXPECT_EQ(index.DocsMentioning(kg::EntityId(2)), (Docs{5, 7}));
+  EXPECT_EQ(index.num_entity_doc_edges(), 6u);
+
+  // Re-annotating a doc replaces its edges.
+  index.Set(doc(7, {3}));
+  EXPECT_EQ(index.DocsMentioning(kg::EntityId(1)), (Docs{3}));
+  EXPECT_EQ(index.DocsMentioning(kg::EntityId(2)), (Docs{5}));
+  EXPECT_EQ(index.DocsMentioning(kg::EntityId(3)), (Docs{5, 7}));
+
+  index.Remove(5);
+  index.Remove(5);  // absent: no-op
+  EXPECT_TRUE(index.DocsMentioning(kg::EntityId(2)).empty());
+  EXPECT_EQ(index.DocsMentioning(kg::EntityId(3)), (Docs{7}));
+  EXPECT_EQ(index.num_entity_doc_edges(), 2u);
+  EXPECT_EQ(index.num_annotated_docs(), 2u);
+}
+
 }  // namespace
 }  // namespace saga::annotation

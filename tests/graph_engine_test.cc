@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
+#include <unordered_map>
 
+#include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/request_context.h"
 #include "graph_engine/partitioner.h"
 #include "graph_engine/ppr.h"
 #include "graph_engine/query.h"
@@ -26,6 +31,26 @@ kg::GeneratedKg MakeKg() {
 }
 
 // ---------- GraphView ----------
+
+// The undirected adjacency the view served before it kept a CSR array:
+// per node, the other end of each incident edge, in edge order.
+std::vector<std::vector<uint32_t>> EdgeOrderAdjacency(const GraphView& view) {
+  std::vector<std::vector<uint32_t>> adj(view.num_entities());
+  for (const ViewEdge& e : view.edges()) {
+    adj[e.src].push_back(e.dst);
+    adj[e.dst].push_back(e.src);
+  }
+  return adj;
+}
+
+void ExpectNeighborsInEdgeOrder(const GraphView& view) {
+  const auto adj = EdgeOrderAdjacency(view);
+  for (uint32_t u = 0; u < view.num_entities(); ++u) {
+    const auto nbrs = view.Neighbors(u);
+    EXPECT_EQ(std::vector<uint32_t>(nbrs.begin(), nbrs.end()), adj[u])
+        << "node " << u;
+  }
+}
 
 TEST(GraphViewTest, FiltersLiteralsAndIrrelevantPredicates) {
   kg::GeneratedKg gen = MakeKg();
@@ -105,6 +130,7 @@ TEST(GraphViewTest, MinPredicateFrequencyDropsRarePredicates) {
 TEST(GraphViewTest, ApplyDeltaAddsNewEdges) {
   kg::GeneratedKg gen = MakeKg();
   GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  ExpectNeighborsInEdgeOrder(view);
   const size_t before = view.edges().size();
   const size_t entities_before = view.num_entities();
 
@@ -121,15 +147,16 @@ TEST(GraphViewTest, ApplyDeltaAddsNewEdges) {
   EXPECT_EQ(view.edges().size(), before + 1);
   EXPECT_EQ(view.num_entities(), entities_before + 1);
   EXPECT_NE(view.local_entity(fresh), GraphView::kNotInView);
+  ExpectNeighborsInEdgeOrder(view);
 }
 
 TEST(GraphViewTest, AdjacencyIsSymmetric) {
   kg::GeneratedKg gen = MakeKg();
   GraphView view = GraphView::Build(gen.kg, ViewDefinition());
-  const auto& adj = view.Adjacency();
-  ASSERT_EQ(adj.size(), view.num_entities());
   size_t total_degree = 0;
-  for (const auto& nbrs : adj) total_degree += nbrs.size();
+  for (uint32_t u = 0; u < view.num_entities(); ++u) {
+    total_degree += view.Neighbors(u).size();
+  }
   EXPECT_EQ(total_degree, view.edges().size() * 2);
 }
 
@@ -349,7 +376,6 @@ TEST(TraversalTest, CommonNeighbors) {
 TEST(SamplerTest, WalksStayOnEdges) {
   kg::GeneratedKg gen = MakeKg();
   GraphView view = GraphView::Build(gen.kg, ViewDefinition());
-  const auto& adj = view.Adjacency();
   RandomWalkSampler::Options opts;
   opts.walks_per_node = 1;
   opts.walk_length = 5;
@@ -360,7 +386,7 @@ TEST(SamplerTest, WalksStayOnEdges) {
   for (const auto& walk : walks) {
     ASSERT_FALSE(walk.empty());
     for (size_t i = 1; i < walk.size(); ++i) {
-      const auto& nbrs = adj[walk[i - 1]];
+      const auto nbrs = view.Neighbors(walk[i - 1]);
       EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), walk[i]) !=
                   nbrs.end());
     }
@@ -454,9 +480,8 @@ TEST(PprTest, ScoresConcentrateNearSource) {
   PprEngine ppr(&view);
   // Pick a node with neighbors.
   uint32_t source = 0;
-  const auto& adj = view.Adjacency();
   for (uint32_t i = 0; i < view.num_entities(); ++i) {
-    if (adj[i].size() >= 2) {
+    if (view.Neighbors(i).size() >= 2) {
       source = i;
       break;
     }
@@ -489,10 +514,9 @@ TEST(PprTest, TopKExcludesSourceAndIsSorted) {
 TEST(PprTest, NeighborsOutrankDistantNodes) {
   kg::GeneratedKg gen = MakeKg();
   GraphView view = GraphView::Build(gen.kg, ViewDefinition());
-  const auto& adj = view.Adjacency();
   uint32_t source = 0;
   for (uint32_t i = 0; i < view.num_entities(); ++i) {
-    if (adj[i].size() >= 3) {
+    if (view.Neighbors(i).size() >= 3) {
       source = i;
       break;
     }
@@ -504,7 +528,8 @@ TEST(PprTest, NeighborsOutrankDistantNodes) {
   size_t nbr_n = 0;
   double other_sum = 0.0;
   size_t other_n = 0;
-  std::set<uint32_t> nbrs(adj[source].begin(), adj[source].end());
+  const auto adjacent = view.Neighbors(source);
+  std::set<uint32_t> nbrs(adjacent.begin(), adjacent.end());
   for (const auto& [node, score] : scores) {
     if (node == source) continue;
     if (nbrs.count(node)) {
@@ -519,6 +544,146 @@ TEST(PprTest, NeighborsOutrankDistantNodes) {
   if (other_n > 0) {
     EXPECT_GT(nbr_sum / nbr_n, other_sum / other_n);
   }
+}
+
+// The hash-map forward push PprEngine ran before it moved to dense
+// scratch arrays, kept as the oracle. It pops in the same FIFO order,
+// so the engine must reproduce its scores bit for bit.
+struct OraclePpr {
+  std::unordered_map<uint32_t, double> p;
+  size_t steps = 0;  // queue pops, as the engine's deadline stride counts
+};
+
+OraclePpr HashMapPpr(const GraphView& view, uint32_t source,
+                     const PprEngine::Options& o) {
+  const auto adj = EdgeOrderAdjacency(view);
+  OraclePpr out;
+  std::unordered_map<uint32_t, double>& p = out.p;
+  std::unordered_map<uint32_t, double> r;
+  r[source] = 1.0;
+  std::deque<uint32_t> queue{source};
+  std::unordered_map<uint32_t, bool> queued;
+  queued[source] = true;
+  size_t pushes = 0;
+  while (!queue.empty() && pushes < o.max_pushes) {
+    ++out.steps;
+    const uint32_t u = queue.front();
+    queue.pop_front();
+    queued[u] = false;
+    const double ru = r[u];
+    const size_t deg = adj[u].size();
+    if (deg == 0) {
+      p[u] += ru;
+      r[u] = 0.0;
+      continue;
+    }
+    if (ru / static_cast<double>(deg) < o.epsilon) continue;
+    ++pushes;
+    p[u] += o.alpha * ru;
+    const double push = (1.0 - o.alpha) * ru / static_cast<double>(deg);
+    r[u] = 0.0;
+    for (uint32_t v : adj[u]) {
+      r[v] += push;
+      if (!queued[v] &&
+          r[v] / std::max<size_t>(1, adj[v].size()) >= o.epsilon) {
+        queue.push_back(v);
+        queued[v] = true;
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<std::pair<uint32_t, double>> OracleTopK(
+    const std::unordered_map<uint32_t, double>& scores, uint32_t source,
+    size_t k) {
+  std::vector<std::pair<uint32_t, double>> out;
+  for (const auto& [node, score] : scores) {
+    if (node != source) out.emplace_back(node, score);
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  if (out.size() > k) out.resize(k);
+  return out;
+}
+
+TEST(PprTest, MatchesHashMapOracleForEverySource) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  const PprEngine::Options opts;
+  PprEngine ppr(&view, opts);
+  const RequestContext ctx;
+  for (uint32_t s = 0; s < view.num_entities(); ++s) {
+    const OraclePpr want = HashMapPpr(view, s, opts);
+    EXPECT_EQ(ppr.Ppr(s), want.p) << "source " << s;
+    EXPECT_EQ(ppr.TopKRelated(s, 10), OracleTopK(want.p, s, 10))
+        << "source " << s;
+    auto all = ppr.TopKRelated(s, view.num_entities(), ctx);
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(*all, OracleTopK(want.p, s, view.num_entities()))
+        << "source " << s;
+  }
+}
+
+TEST(PprTest, FailedCallsLeaveNoStateForTheNext) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  // A fine threshold gives long push loops, so faults land mid-run.
+  PprEngine::Options opts;
+  opts.epsilon = 1e-7;
+  PprEngine ppr(&view, opts);
+  uint32_t source = 0;
+  OraclePpr want = HashMapPpr(view, 0, opts);
+  for (uint32_t s = 1; s < view.num_entities() && want.steps < 2000; ++s) {
+    OraclePpr o = HashMapPpr(view, s, opts);
+    if (o.steps > want.steps) {
+      source = s;
+      want = std::move(o);
+    }
+  }
+  ASSERT_GE(want.steps, 600u);
+  const uint32_t other = source == 0 ? 1 : 0;
+  const OraclePpr want_other = HashMapPpr(view, other, opts);
+  auto expect_clean = [&](const char* after) {
+    EXPECT_EQ(ppr.Ppr(source), want.p) << after;
+    EXPECT_EQ(ppr.Ppr(other), want_other.p) << after;
+    auto top = ppr.TopKRelated(source, 10, RequestContext());
+    ASSERT_TRUE(top.ok()) << after;
+    EXPECT_EQ(*top, OracleTopK(want.p, source, 10)) << after;
+  };
+
+  // Already expired: fails at the first step.
+  auto dead =
+      ppr.TopKRelated(source, 10, RequestContext::WithTimeoutMillis(-1.0));
+  ASSERT_FALSE(dead.ok());
+  EXPECT_TRUE(dead.status().IsDeadlineExceeded());
+  expect_clean("expired context");
+
+  {
+    // Expires partway: step 100 stalls past the budget, and the strided
+    // check at step 256 gives up with residuals spread over the graph.
+    FaultSpec stall;
+    stall.kind = FaultKind::kDelay;
+    stall.fail_nth = 100;
+    stall.delay_ms = 40.0;
+    ScopedFault fault("graph.traverse", stall);
+    auto late = ppr.Ppr(source, RequestContext::WithTimeoutMillis(20.0));
+    ASSERT_FALSE(late.ok());
+    EXPECT_TRUE(late.status().IsDeadlineExceeded());
+  }
+  expect_clean("deadline expired mid-run");
+
+  {
+    FaultSpec fail;
+    fail.fail_nth = 300;
+    ScopedFault fault("graph.traverse", fail);
+    auto failed = ppr.TopKRelated(source, 10, RequestContext());
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsIOError());
+  }
+  expect_clean("injected traverse failure");
 }
 
 }  // namespace
