@@ -10,6 +10,7 @@
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "common/request_context.h"
 #include "embedding/embedding_store.h"
 #include "embedding/evaluator.h"
 #include "embedding/trainer.h"
@@ -114,7 +115,8 @@ int main() {
   // Stage 6: serve a query on the grown graph.
   sw.Reset();
   serving::RelatedEntitiesService related(&gen.kg, &view, &service);
-  auto hits = related.Related(view.global_entity(5), 5);
+  auto hits = related.Related(view.global_entity(5), 5, kg::TypeId::Invalid(),
+                              RequestContext());
   stages.AddRow({"serving (related entities)", Fmt(sw.ElapsedSeconds(), 3),
                  hits.ok() ? std::to_string(hits->size()) + " results"
                            : hits.status().ToString()});

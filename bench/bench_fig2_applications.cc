@@ -9,6 +9,7 @@
 #include "annotation/annotator.h"
 #include "bench_util.h"
 #include "common/metrics.h"
+#include "common/request_context.h"
 #include "embedding/embedding_store.h"
 #include "embedding/evaluator.h"
 #include "embedding/trainer.h"
@@ -193,6 +194,7 @@ void BenchRelatedEntities(const Env& env,
   }
 
   Table table({"engine", "precision@5", "avg latency ms"});
+  const RequestContext ctx;
   for (const auto& mode : modes) {
     serving::RelatedEntitiesService::Options opts;
     opts.mode = mode.mode;
@@ -203,7 +205,7 @@ void BenchRelatedEntities(const Env& env,
     for (kg::EntityId q : queries) {
       const auto two_hop = graph_engine::KHopNeighbors(env.gen.kg, q, 2);
       Stopwatch sw;
-      auto hits = related.Related(q, 5);
+      auto hits = related.Related(q, 5, kg::TypeId::Invalid(), ctx);
       latency.Add(sw.ElapsedMillis());
       if (!hits.ok() || hits->empty()) continue;
       size_t relevant = 0;

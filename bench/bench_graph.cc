@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/request_context.h"
 #include "graph_engine/ppr.h"
 #include "graph_engine/query.h"
 #include "graph_engine/sampler.h"
@@ -78,10 +79,11 @@ void BM_Ppr(benchmark::State& state) {
   static const GraphView& view =
       *new GraphView(GraphView::Build(gen.kg, ViewDefinition()));
   PprEngine ppr(&view);
+  const RequestContext ctx;
   Rng rng(7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ppr.TopKRelated(
-        static_cast<uint32_t>(rng.Uniform(view.num_entities())), 10));
+        static_cast<uint32_t>(rng.Uniform(view.num_entities())), 10, ctx));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "common/request_context.h"
 #include "embedding/embedding_store.h"
 #include "embedding/evaluator.h"
 #include "embedding/trainer.h"
@@ -58,7 +59,8 @@ int main() {
   const kg::EntityId probe = view.global_entity(42);
   std::printf("\nRelated to \"%s\":\n",
               gen.kg.catalog().name(probe).c_str());
-  auto hits = related.Related(probe, 5);
+  auto hits = related.Related(probe, 5, kg::TypeId::Invalid(),
+                              RequestContext());
   if (hits.ok()) {
     for (const auto& [e, score] : *hits) {
       std::printf("  %-30s  %.4f\n", gen.kg.catalog().name(e).c_str(),

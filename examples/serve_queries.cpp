@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "annotation/query_answering.h"
+#include "common/request_context.h"
 #include "common/string_util.h"
 #include "embedding/trainer.h"
 #include "graph_engine/view.h"
@@ -50,7 +51,13 @@ int main() {
   }
 
   for (const std::string& query : queries) {
-    const auto answer = answerer.Ask(query);
+    auto result = answerer.Ask(query, RequestContext());
+    if (!result.ok()) {
+      std::printf("Q: %s\n   %s\n\n", query.c_str(),
+                  result.status().ToString().c_str());
+      continue;
+    }
+    const auto& answer = *result;
     std::printf("Q: %s\n   %s\n", query.c_str(),
                 answer.explanation.c_str());
     if (!answer.answered) {
@@ -73,9 +80,10 @@ int main() {
     const auto& group = gen.ambiguous_groups[0];
     const std::string name = ToLower(gen.kg.catalog().name(group[0]));
     for (const char* suffix : {" team", " movies", " university"}) {
-      const auto answer = answerer.Ask(name + suffix);
+      auto answer = answerer.Ask(name + suffix, RequestContext());
       std::printf("Q: %s%s\n   %s\n\n", name.c_str(), suffix,
-                  answer.explanation.c_str());
+                  answer.ok() ? answer->explanation.c_str()
+                              : answer.status().ToString().c_str());
     }
   }
   return 0;

@@ -51,29 +51,13 @@ kg::PredicateId QueryAnswerer::ResolvePredicate(
   return best_score >= 0.99 ? best : kg::PredicateId::Invalid();
 }
 
-QueryAnswerer::Answer QueryAnswerer::Ask(std::string_view query) const {
-  Answer answer;
-  (void)AskImpl(query, nullptr, &answer);
-  return answer;
-}
-
 Result<QueryAnswerer::Answer> QueryAnswerer::Ask(
     std::string_view query, const RequestContext& ctx) const {
-  Answer answer;
-  SAGA_RETURN_IF_ERROR(AskImpl(query, &ctx, &answer));
-  return answer;
-}
-
-Status QueryAnswerer::AskImpl(std::string_view query,
-                              const RequestContext* ctx,
-                              Answer* out) const {
   obs::ScopedSpan span("serving.qa.ask");
   obs::ScopedLatency timer(SAGA_LATENCY("serving.qa.ask_ns"));
   SAGA_COUNTER("serving.qa.queries").Add();
-  Answer& answer = *out;
-  if (ctx != nullptr) {
-    SAGA_RETURN_IF_ERROR(ctx->Check("serving.qa.annotate"));
-  }
+  Answer answer;
+  SAGA_RETURN_IF_ERROR(ctx.Check("serving.qa.annotate"));
 
   // 1. Link the entity mention with full contextual annotation (the
   //    query text itself is the disambiguation context: "michael
@@ -81,7 +65,7 @@ Status QueryAnswerer::AskImpl(std::string_view query,
   const std::vector<Annotation> annotations = annotator_.Annotate(query);
   if (annotations.empty()) {
     answer.explanation = "no entity mention recognized";
-    return Status::OK();
+    return answer;
   }
   const Annotation* subject_ann = &annotations[0];
   for (const Annotation& a : annotations) {
@@ -91,10 +75,8 @@ Status QueryAnswerer::AskImpl(std::string_view query,
   }
   answer.subject = subject_ann->entity;
   answer.subject_score = subject_ann->score;
-  if (ctx != nullptr) {
-    // Stage boundary: annotation (the expensive stage) is done.
-    SAGA_RETURN_IF_ERROR(ctx->Check("serving.qa.resolve"));
-  }
+  // Stage boundary: annotation (the expensive stage) is done.
+  SAGA_RETURN_IF_ERROR(ctx.Check("serving.qa.resolve"));
 
   // 2. Resolve the relation from the tokens outside the mention span.
   std::vector<std::string> remainder;
@@ -110,13 +92,11 @@ Status QueryAnswerer::AskImpl(std::string_view query,
                        kg_->catalog().name(answer.subject);
   if (!answer.predicate.valid()) {
     answer.explanation += " | no relation resolved";
-    return Status::OK();
+    return answer;
   }
   answer.explanation +=
       " | relation: " + kg_->ontology().predicate_name(answer.predicate);
-  if (ctx != nullptr) {
-    SAGA_RETURN_IF_ERROR(ctx->Check("serving.qa.rank"));
-  }
+  SAGA_RETURN_IF_ERROR(ctx.Check("serving.qa.rank"));
 
   // 3. Retrieve + rank facts.
   if (ranker_ != nullptr) {
@@ -131,7 +111,7 @@ Status QueryAnswerer::AskImpl(std::string_view query,
     }
   }
   answer.answered = !answer.facts.empty();
-  return Status::OK();
+  return answer;
 }
 
 }  // namespace saga::annotation

@@ -38,18 +38,14 @@ class QueryAnswerer {
   QueryAnswerer(const kg::KnowledgeGraph* kg,
                 const serving::FactRanker* ranker);
 
-  Answer Ask(std::string_view query) const;
-
-  /// Deadline-aware variant: checks the budget between pipeline stages
-  /// (annotate -> resolve relation -> retrieve/rank) and returns
+  /// Annotates the query, resolves the relation, then retrieves and
+  /// ranks facts. Checks the budget between those stages and returns
   /// DeadlineExceeded rather than a half-computed answer. Annotation is
   /// the expensive stage; a budget that survives it usually finishes.
+  /// Under `RequestContext()` (no deadline) it always answers.
   Result<Answer> Ask(std::string_view query, const RequestContext& ctx) const;
 
  private:
-  /// Shared pipeline; `ctx` null for the deadline-less overload.
-  Status AskImpl(std::string_view query, const RequestContext* ctx,
-                 Answer* answer) const;
   /// Best predicate whose surface form / name tokens appear in the
   /// query remainder; ties break toward longer surface matches and
   /// predicates the subject actually holds. Invalid() if none match.

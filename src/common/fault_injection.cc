@@ -257,7 +257,7 @@ const std::vector<FaultPointInfo>& KnownFaultPoints() {
           {"serving.index_build", "op", "ANN index construction"},
           {"ann.search", "op", "accelerated ANN search (latency/fault)"},
           {"kv.read", "op", "KvStore serving read (latency/fault)"},
-          {"graph.traverse", "op", "graph traversal step (latency/fault)"},
+          {"graph.traverse", "op", "PPR push-loop step (latency/fault)"},
           {"transport.send", "transport",
            "replication message send (drop/duplicate/reorder/delay/"
            "partition)"},

@@ -149,9 +149,6 @@ class RequestContext {
   /// was cancelled). `where` names the loop for the error message.
   Status Check(std::string_view where) const;
 
-  /// Spelled-out alias used at API boundaries.
-  Status CheckDeadline(std::string_view where) const { return Check(where); }
-
   /// Trace identity captured at construction (or set explicitly when a
   /// context is built away from the request thread). Install on the
   /// far side with obs::ScopedTraceContext to stitch cross-thread work

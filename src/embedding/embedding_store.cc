@@ -11,49 +11,36 @@
 namespace saga::embedding {
 
 namespace {
-/// v2 files open with this magic and close with a fixed32 CRC over the
-/// payload between them. v1 files start directly with the dim varint
-/// (dims are small, so a real v1 file can never begin with these four
-/// bytes) and carry no checksum.
-constexpr uint32_t kEmbMagicV2 = 0x32424D45u;  // "EMB2"
+/// Files open with this magic and close with a fixed32 CRC over the
+/// payload between them.
+constexpr uint32_t kEmbMagic = 0x32424D45u;  // "EMB2"
 
-struct RawFile {
-  std::string buf;
-  /// Payload view [begin, end) inside buf; CRC-verified for v2.
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// Reads `path`, applies the `embedding.load` read fault, and for v2
-/// files verifies the trailing CRC (kDataLoss on mismatch).
-Result<RawFile> ReadAndVerify(const std::string& path) {
-  RawFile raw;
-  SAGA_ASSIGN_OR_RETURN(raw.buf, ReadFileToString(path));
-  if (Faults().armed() && !raw.buf.empty()) {
+/// Reads `path`, applies the `embedding.load` read fault, checks the
+/// magic (Corruption) and the trailing CRC (kDataLoss), and returns the
+/// file image. The payload is buf[4, size - 4).
+Result<std::string> ReadAndVerify(const std::string& path) {
+  SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
+  if (Faults().armed() && !buf.empty()) {
     SAGA_RETURN_IF_ERROR(
-        Faults().InjectRead("embedding.load", raw.buf.data(), raw.buf.size()));
+        Faults().InjectRead("embedding.load", buf.data(), buf.size()));
   }
-  raw.begin = 0;
-  raw.end = raw.buf.size();
-  if (raw.buf.size() >= 8) {
-    uint32_t magic = 0;
-    BinaryReader m(raw.buf);
-    SAGA_RETURN_IF_ERROR(m.GetFixed32(&magic));
-    if (magic == kEmbMagicV2) {
-      uint32_t stored = 0;
-      BinaryReader c(std::string_view(raw.buf).substr(raw.buf.size() - 4));
-      SAGA_RETURN_IF_ERROR(c.GetFixed32(&stored));
-      raw.begin = 4;
-      raw.end = raw.buf.size() - 4;
-      const std::string_view payload(raw.buf.data() + raw.begin,
-                                     raw.end - raw.begin);
-      if (storage::Crc32(payload) != stored) {
-        SAGA_COUNTER("integrity.corruption.detected").Add();
-        return Status::DataLoss("embedding file crc mismatch: " + path);
-      }
-    }
+  if (buf.size() < 8) {
+    return Status::Corruption("embedding file too small: " + path);
   }
-  return raw;
+  uint32_t magic = 0;
+  uint32_t stored = 0;
+  SAGA_RETURN_IF_ERROR(BinaryReader(buf).GetFixed32(&magic));
+  if (magic != kEmbMagic) {
+    return Status::Corruption("bad embedding file magic: " + path);
+  }
+  const std::string_view tail = std::string_view(buf).substr(buf.size() - 4);
+  SAGA_RETURN_IF_ERROR(BinaryReader(tail).GetFixed32(&stored));
+  if (storage::Crc32(std::string_view(buf).substr(4, buf.size() - 8)) !=
+      stored) {
+    SAGA_COUNTER("integrity.corruption.detected").Add();
+    return Status::DataLoss("embedding file crc mismatch: " + path);
+  }
+  return buf;
 }
 
 }  // namespace
@@ -90,7 +77,7 @@ std::vector<kg::EntityId> EmbeddingStore::Ids() const {
 Status EmbeddingStore::Save(const std::string& path) const {
   std::string buf;
   BinaryWriter w(&buf);
-  w.PutFixed32(kEmbMagicV2);
+  w.PutFixed32(kEmbMagic);
   w.PutVarint64(static_cast<uint64_t>(dim_));
   w.PutVarint64(vectors_.size());
   for (kg::EntityId id : Ids()) {
@@ -105,9 +92,8 @@ Status EmbeddingStore::Save(const std::string& path) const {
 }
 
 Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
-  SAGA_ASSIGN_OR_RETURN(RawFile raw, ReadAndVerify(path));
-  BinaryReader r(
-      std::string_view(raw.buf.data() + raw.begin, raw.end - raw.begin));
+  SAGA_ASSIGN_OR_RETURN(std::string buf, ReadAndVerify(path));
+  BinaryReader r(std::string_view(buf).substr(4, buf.size() - 8));
   EmbeddingStore store;
   uint64_t dim = 0;
   uint64_t n = 0;
@@ -125,11 +111,7 @@ Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
 }
 
 Status EmbeddingStore::Verify(const std::string& path) {
-  SAGA_ASSIGN_OR_RETURN(RawFile raw, ReadAndVerify(path));
-  if (raw.begin != 0) return Status::OK();  // v2: CRC already checked
-  // Legacy v1 file: no checksum on disk, so the best available check
-  // is a full structural parse.
-  return EmbeddingStore::Load(path).status();
+  return ReadAndVerify(path).status();
 }
 
 }  // namespace saga::embedding

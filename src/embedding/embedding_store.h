@@ -36,15 +36,16 @@ class EmbeddingStore {
   /// index building).
   std::vector<kg::EntityId> Ids() const;
 
-  /// Writes the v2 checksummed format (magic + payload + trailing CRC)
-  /// atomically and durably.
+  /// Writes the checksummed format ("EMB2" magic + payload + trailing
+  /// CRC) atomically and durably.
   Status Save(const std::string& path) const;
-  /// Loads v2 (CRC-verified; kDataLoss on mismatch) or legacy v1
-  /// (unchecksummed) files. Fault point: `embedding.load` (kCorrupt
-  /// flips a bit in the file image before verification).
+  /// Loads a file written by Save. Corruption when the magic is wrong,
+  /// kDataLoss when the CRC does not match. Fault point:
+  /// `embedding.load` (kCorrupt flips a bit in the file image before
+  /// verification).
   static Result<EmbeddingStore> Load(const std::string& path);
-  /// Integrity check without keeping the data: CRC verification for v2
-  /// files, full structural parse for legacy v1. Scrubber entry point.
+  /// The checks Load makes (magic, then CRC) without decoding the
+  /// vectors. Scrubber entry point.
   static Status Verify(const std::string& path);
 
  private:

@@ -73,10 +73,10 @@ class ScratchLease {
 };
 
 /// Andersen-Chung-Lang forward push from `source` into `s`, FIFO order.
-/// With a context, checks the deadline every 256 steps and consults the
+/// Checks the deadline every 256 steps and consults the
 /// `graph.traverse` fault point every step.
 Status Push(const GraphView& view, const PprEngine::Options& o,
-            uint32_t source, const RequestContext* ctx, PprScratch& s) {
+            uint32_t source, const RequestContext& ctx, PprScratch& s) {
   const size_t cap = s.queue.size();
   size_t head = 0;
   size_t queued = 0;
@@ -91,15 +91,13 @@ Status Push(const GraphView& view, const PprEngine::Options& o,
   size_t pushes = 0;
   size_t steps = 0;
   while (queued > 0 && pushes < o.max_pushes) {
-    if (ctx != nullptr) {
-      // Push-loop boundary: cooperative deadline check (strided — a
-      // push touches at most one adjacency list) + fault consultation.
-      if ((steps++ & 255) == 0) {
-        SAGA_RETURN_IF_ERROR(ctx->Check("graph_engine.ppr"));
-      }
-      if (Faults().armed()) {
-        SAGA_RETURN_IF_ERROR(Faults().InjectOp("graph.traverse"));
-      }
+    // Push-loop boundary: cooperative deadline check (strided — a push
+    // touches at most one adjacency list) + fault consultation.
+    if ((steps++ & 255) == 0) {
+      SAGA_RETURN_IF_ERROR(ctx.Check("graph_engine.ppr"));
+    }
+    if (Faults().armed()) {
+      SAGA_RETURN_IF_ERROR(Faults().InjectOp("graph.traverse"));
     }
     const uint32_t u = s.queue[head];
     head = head + 1 == cap ? 0 : head + 1;
@@ -169,28 +167,16 @@ std::vector<std::pair<uint32_t, double>> RankEstimates(const PprScratch& s,
 
 std::unordered_map<uint32_t, double> PprEngine::Ppr(uint32_t source) const {
   ScratchLease lease(view_->num_entities());
-  (void)Push(*view_, options_, source, nullptr, lease.get());
+  if (!Push(*view_, options_, source, RequestContext(), lease.get()).ok()) {
+    return {};
+  }
   return Estimates(lease.get());
-}
-
-Result<std::unordered_map<uint32_t, double>> PprEngine::Ppr(
-    uint32_t source, const RequestContext& ctx) const {
-  ScratchLease lease(view_->num_entities());
-  SAGA_RETURN_IF_ERROR(Push(*view_, options_, source, &ctx, lease.get()));
-  return Estimates(lease.get());
-}
-
-std::vector<std::pair<uint32_t, double>> PprEngine::TopKRelated(
-    uint32_t source, size_t k) const {
-  ScratchLease lease(view_->num_entities());
-  (void)Push(*view_, options_, source, nullptr, lease.get());
-  return RankEstimates(lease.get(), source, k);
 }
 
 Result<std::vector<std::pair<uint32_t, double>>> PprEngine::TopKRelated(
     uint32_t source, size_t k, const RequestContext& ctx) const {
   ScratchLease lease(view_->num_entities());
-  SAGA_RETURN_IF_ERROR(Push(*view_, options_, source, &ctx, lease.get()));
+  SAGA_RETURN_IF_ERROR(Push(*view_, options_, source, ctx, lease.get()));
   return RankEstimates(lease.get(), source, k);
 }
 

@@ -30,22 +30,19 @@ class PprEngine {
   explicit PprEngine(const GraphView* view);
   PprEngine(const GraphView* view, Options options);
 
-  /// Approximate PPR vector from `source` (local id); only nonzero
-  /// entries are returned.
-  std::unordered_map<uint32_t, double> Ppr(uint32_t source) const;
-
-  /// Deadline-aware serving variant: checks `ctx` at push-loop
-  /// boundaries (forward-push is the PPR hot loop) and returns
+  /// Top-k highest-PPR entities (local ids) excluding the source
+  /// itself, score descending then id. Checks `ctx` at push-loop
+  /// boundaries (forward push is the PPR hot loop) and returns
   /// DeadlineExceeded once the budget is spent. Consults the
   /// `graph.traverse` fault point for latency/failure injection.
-  Result<std::unordered_map<uint32_t, double>> Ppr(
-      uint32_t source, const RequestContext& ctx) const;
-
-  /// Top-k highest-PPR entities excluding the source itself.
-  std::vector<std::pair<uint32_t, double>> TopKRelated(uint32_t source,
-                                                       size_t k) const;
   Result<std::vector<std::pair<uint32_t, double>>> TopKRelated(
       uint32_t source, size_t k, const RequestContext& ctx) const;
+
+  /// Offline accessor: the full approximate PPR vector from `source`
+  /// (local id), nonzero entries only. Runs the same push loop under
+  /// `RequestContext()`, which never expires, so only an armed
+  /// `graph.traverse` fault can stop it; it then returns an empty map.
+  std::unordered_map<uint32_t, double> Ppr(uint32_t source) const;
 
  private:
   const GraphView* view_;

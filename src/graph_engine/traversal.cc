@@ -4,62 +4,27 @@
 #include <deque>
 #include <unordered_set>
 
-#include "common/fault_injection.h"
-
 namespace saga::graph_engine {
-
-namespace {
-
-/// Shared BFS core. `ctx` may be null (legacy batch callers): then no
-/// deadline checks and no fault-point consultation happen and the
-/// traversal cannot fail.
-Status KHopImpl(const kg::KnowledgeGraph& kg, kg::EntityId start, int k,
-                size_t max_nodes, const RequestContext* ctx,
-                std::unordered_map<kg::EntityId, int>* dist) {
-  std::deque<kg::EntityId> frontier{start};
-  (*dist)[start] = 0;
-  size_t steps = 0;
-  while (!frontier.empty() && dist->size() < max_nodes) {
-    if (ctx != nullptr) {
-      // Cooperative cancellation at the loop boundary; stride keeps the
-      // steady-state cost to one counter increment per popped node.
-      if ((steps++ & 63) == 0) {
-        SAGA_RETURN_IF_ERROR(ctx->Check("graph_engine.khop"));
-      }
-      if (Faults().armed()) {
-        SAGA_RETURN_IF_ERROR(Faults().InjectOp("graph.traverse"));
-      }
-    }
-    const kg::EntityId cur = frontier.front();
-    frontier.pop_front();
-    const int d = (*dist)[cur];
-    if (d >= k) continue;
-    for (kg::EntityId nb : kg.Neighbors(cur)) {
-      if (dist->emplace(nb, d + 1).second) {
-        frontier.push_back(nb);
-        if (dist->size() >= max_nodes) break;
-      }
-    }
-  }
-  dist->erase(start);
-  return Status::OK();
-}
-
-}  // namespace
 
 std::unordered_map<kg::EntityId, int> KHopNeighbors(
     const kg::KnowledgeGraph& kg, kg::EntityId start, int k,
     size_t max_nodes) {
   std::unordered_map<kg::EntityId, int> dist;
-  (void)KHopImpl(kg, start, k, max_nodes, nullptr, &dist);
-  return dist;
-}
-
-Result<std::unordered_map<kg::EntityId, int>> KHopNeighbors(
-    const kg::KnowledgeGraph& kg, kg::EntityId start, int k,
-    const RequestContext& ctx, size_t max_nodes) {
-  std::unordered_map<kg::EntityId, int> dist;
-  SAGA_RETURN_IF_ERROR(KHopImpl(kg, start, k, max_nodes, &ctx, &dist));
+  std::deque<kg::EntityId> frontier{start};
+  dist[start] = 0;
+  while (!frontier.empty() && dist.size() < max_nodes) {
+    const kg::EntityId cur = frontier.front();
+    frontier.pop_front();
+    const int d = dist[cur];
+    if (d >= k) continue;
+    for (kg::EntityId nb : kg.Neighbors(cur)) {
+      if (dist.emplace(nb, d + 1).second) {
+        frontier.push_back(nb);
+        if (dist.size() >= max_nodes) break;
+      }
+    }
+  }
+  dist.erase(start);
   return dist;
 }
 

@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/request_context.h"
-#include "common/result.h"
 #include "kg/knowledge_graph.h"
 
 namespace saga::graph_engine {
@@ -16,15 +14,6 @@ namespace saga::graph_engine {
 std::unordered_map<kg::EntityId, int> KHopNeighbors(
     const kg::KnowledgeGraph& kg, kg::EntityId start, int k,
     size_t max_nodes = 100000);
-
-/// Deadline-aware serving variant: checks `ctx` cooperatively at BFS
-/// loop boundaries and fails with DeadlineExceeded once the budget is
-/// spent (instead of burning CPU finishing an answer nobody will wait
-/// for). Also consults the `graph.traverse` fault point, so the chaos /
-/// overload harnesses can slow traversal down or fail it outright.
-Result<std::unordered_map<kg::EntityId, int>> KHopNeighbors(
-    const kg::KnowledgeGraph& kg, kg::EntityId start, int k,
-    const RequestContext& ctx, size_t max_nodes = 100000);
 
 /// Undirected shortest-path length between a and b, or -1 if no path is
 /// found within `max_depth` hops.

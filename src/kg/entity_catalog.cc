@@ -129,6 +129,11 @@ Status EntityCatalog::Deserialize(BinaryReader* r, EntityCatalog* out) {
     SAGA_RETURN_IF_ERROR(r->GetDouble(&popularity));
     uint64_t num_types = 0;
     SAGA_RETURN_IF_ERROR(r->GetVarint64(&num_types));
+    // Each type id takes at least one byte, so a count beyond the bytes
+    // left is corrupt, and reserving it could throw.
+    if (num_types > r->remaining()) {
+      return Status::Corruption("entity type count exceeds input");
+    }
     std::vector<TypeId> types;
     types.reserve(num_types);
     for (uint64_t t = 0; t < num_types; ++t) {

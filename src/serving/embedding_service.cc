@@ -141,40 +141,6 @@ bool EmbeddingService::PassesTypeFilter(kg::EntityId id,
 
 Result<std::vector<std::pair<kg::EntityId, double>>>
 EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
-                                kg::TypeId type_filter) const {
-  obs::ScopedSpan span("serving.embedding.topk_neighbors");
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
-  const std::vector<float>* query = store_.Get(id);
-  if (query == nullptr) return NoEmbedding(id);
-  auto hits = TopKForVector(*query, k + 1, type_filter);
-  std::vector<std::pair<kg::EntityId, double>> out;
-  for (const auto& [e, sim] : hits) {
-    if (e == id) continue;
-    out.emplace_back(e, sim);
-    if (out.size() == k) break;
-  }
-  return out;
-}
-
-std::vector<std::pair<kg::EntityId, double>> EmbeddingService::TopKForVector(
-    const std::vector<float>& query, size_t k,
-    kg::TypeId type_filter) const {
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.search_ns"));
-  SAGA_COUNTER("serving.embedding.searches").Add();
-  // Over-fetch when filtering so enough survivors remain.
-  const size_t fetch = type_filter.valid() ? k * 8 + 16 : k;
-  std::vector<std::pair<kg::EntityId, double>> out;
-  for (const ann::Neighbor& n : index_->Search(query, fetch)) {
-    const kg::EntityId id(n.label);
-    if (!PassesTypeFilter(id, type_filter)) continue;
-    out.emplace_back(id, n.similarity);
-    if (out.size() == k) break;
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<kg::EntityId, double>>>
-EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter,
                                 const RequestContext& ctx) const {
   obs::ScopedSpan span("serving.embedding.topk_neighbors");
@@ -200,6 +166,7 @@ EmbeddingService::TopKForVector(const std::vector<float>& query, size_t k,
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.search_ns"));
   SAGA_COUNTER("serving.embedding.searches").Add();
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.search"));
+  // Over-fetch when filtering so enough survivors remain.
   const size_t fetch = type_filter.valid() ? k * 8 + 16 : k;
   SAGA_ASSIGN_OR_RETURN(std::vector<ann::Neighbor> hits,
                         SearchWithPolicies(query, fetch, ctx));

@@ -27,7 +27,7 @@ namespace saga::serving {
 /// reduced throughput. The degradation is observable via degraded()
 /// and the `serving.degraded` counter.
 ///
-/// Overload safety (deadline-carrying overloads only):
+/// Overload safety (accelerated IVF / quantized indexes only):
 /// - A circuit breaker guards the accelerated index: injected or real
 ///   search failures, and searches slower than `breaker_slow_call_ms`,
 ///   count as failures; once tripped, searches fall back to the exact
@@ -72,8 +72,8 @@ class EmbeddingService {
     /// owned; must outlive the service.
     MetricsRegistry* metrics = nullptr;
     /// Circuit breaker for the accelerated search path (metrics under
-    /// `serving.breaker.ann_*`). Only consulted by deadline-carrying
-    /// calls.
+    /// `serving.breaker.ann_*`). Consulted by every search; exact-index
+    /// searches have nothing to guard and skip it.
     bool enable_breaker = false;
     CircuitBreaker::Options breaker;
     /// Searches slower than this count as breaker failures (0 = only
@@ -100,22 +100,14 @@ class EmbeddingService {
   std::vector<double> BatchSimilarity(
       const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const;
 
-  /// k most similar entities to `id`, excluding itself. `type_filter`
-  /// (optional) restricts hits to entities with that type or a subtype.
-  Result<std::vector<std::pair<kg::EntityId, double>>> TopKNeighbors(
-      kg::EntityId id, size_t k,
-      kg::TypeId type_filter = kg::TypeId::Invalid()) const;
-
-  /// k-NN for an arbitrary query vector.
-  std::vector<std::pair<kg::EntityId, double>> TopKForVector(
-      const std::vector<float>& query, size_t k,
-      kg::TypeId type_filter = kg::TypeId::Invalid()) const;
-
-  /// Deadline-aware serving variants: cooperative deadline checks, the
-  /// `ann.search` fault point, the ANN circuit breaker, and hedged
-  /// reads (all per Options). DeadlineExceeded when the budget is spent
-  /// before a useful answer exists; Unavailable when the breaker is
-  /// open and no exact backup can serve.
+  /// k most similar entities to `id`, excluding itself (TopKNeighbors),
+  /// or to an arbitrary query vector (TopKForVector). A valid
+  /// `type_filter` restricts hits to entities with that type or a
+  /// subtype. Both run cooperative deadline checks, the `ann.search`
+  /// fault point, the ANN circuit breaker, and hedged reads (all per
+  /// Options). DeadlineExceeded when the budget is spent before a
+  /// useful answer exists; Unavailable when the breaker is open and no
+  /// exact backup can serve.
   Result<std::vector<std::pair<kg::EntityId, double>>> TopKNeighbors(
       kg::EntityId id, size_t k, kg::TypeId type_filter,
       const RequestContext& ctx) const;

@@ -36,22 +36,16 @@ class RelatedEntitiesService {
                          const graph_engine::GraphView* view,
                          const EmbeddingService* embeddings, Options options);
 
-  /// Top-k related entities, optionally restricted by type.
-  Result<std::vector<std::pair<kg::EntityId, double>>> Related(
-      kg::EntityId id, size_t k,
-      kg::TypeId type_filter = kg::TypeId::Invalid()) const;
-
-  /// Deadline-aware variant: the budget propagates into both engines
-  /// (embedding k-NN inherits the ANN breaker/hedging, PPR checks the
-  /// deadline at push-loop boundaries). In blend mode the embedding leg
-  /// runs first; PPR spends whatever budget remains.
+  /// Top-k related entities; a valid `type_filter` restricts hits to
+  /// that type. The budget propagates into both engines (embedding k-NN
+  /// inherits the ANN breaker/hedging, PPR checks the deadline at
+  /// push-loop boundaries). In blend mode the embedding leg runs first;
+  /// PPR spends whatever budget remains.
   Result<std::vector<std::pair<kg::EntityId, double>>> Related(
       kg::EntityId id, size_t k, kg::TypeId type_filter,
       const RequestContext& ctx) const;
 
  private:
-  std::vector<std::pair<kg::EntityId, double>> PprRelated(
-      kg::EntityId id, size_t k, kg::TypeId type_filter) const;
   Result<std::vector<std::pair<kg::EntityId, double>>> PprRelated(
       kg::EntityId id, size_t k, kg::TypeId type_filter,
       const RequestContext& ctx) const;

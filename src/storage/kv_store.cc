@@ -628,7 +628,7 @@ Status KvStore::SealActiveMemtableLocked() {
 }
 
 Result<std::string> KvStore::Get(std::string_view key) {
-  return GetImpl(key, nullptr);
+  return Get(key, RequestContext());
 }
 
 Result<std::string> KvStore::Get(std::string_view key,
@@ -639,7 +639,69 @@ Result<std::string> KvStore::Get(std::string_view key,
   if (read_breaker_ != nullptr) {
     SAGA_RETURN_IF_ERROR(read_breaker_->Allow());
   }
-  auto result = GetImpl(key, &ctx);
+  // The read proper, whatever its exit path, yields one breaker outcome.
+  Result<std::string> result = [&]() -> Result<std::string> {
+    // Span before timer: the timer's destructor runs first, so the
+    // latency sample (and its exemplar) records while the get span is
+    // still the ambient trace context.
+    obs::ScopedSpan span("storage.kv.get");
+    obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.get_ns"));
+    stats_.gets.fetch_add(1, std::memory_order_relaxed);
+    SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.get"));
+    if (Faults().armed()) {
+      // `kv.read` models a slow or failing storage device / replica;
+      // the deadline re-check right after surfaces an injected stall
+      // as DeadlineExceeded exactly like a real one.
+      Status injected = Faults().InjectOp("kv.read");
+      if (!injected.ok()) {
+        obs::MarkSpanError(injected);
+        return injected;
+      }
+      SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.get"));
+    }
+    // Snapshot once, then probe newest-to-oldest. Only the active
+    // memtable needs a lock (writers mutate it); the immutable
+    // memtables and tables are frozen by construction.
+    const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
+    std::optional<MemTable::Entry> entry;
+    {
+      std::shared_lock<std::shared_mutex> ml(mem_mu_);
+      entry = sv->mem->Get(key);
+    }
+    if (!entry.has_value()) {
+      for (auto it = sv->imm.rbegin(); it != sv->imm.rend(); ++it) {
+        entry = it->mem->Get(key);
+        if (entry.has_value()) break;
+      }
+    }
+    if (entry.has_value()) {
+      if (entry->is_tombstone) return Status::NotFound(std::string(key));
+      return std::move(entry->value);
+    }
+    for (auto it = sv->tables.rbegin(); it != sv->tables.rend(); ++it) {
+      SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.probe"));
+      if ((*it)->DefinitelyMissing(key)) {
+        stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      stats_.sstable_probes.fetch_add(1, std::memory_order_relaxed);
+      // Checked probe: a CRC-failing block surfaces as kDataLoss here
+      // instead of reading as a miss and falling through to an older
+      // (stale) version of the key in a deeper table.
+      Result<std::optional<SSTableReader::Entry>> probe =
+          (*it)->GetChecked(key);
+      if (!probe.ok()) {
+        obs::MarkSpanError(probe.status());
+        return probe.status();
+      }
+      std::optional<SSTableReader::Entry> found = std::move(*probe);
+      if (found.has_value()) {
+        if (found->is_tombstone) return Status::NotFound(std::string(key));
+        return std::move(found->value);
+      }
+    }
+    return Status::NotFound(std::string(key));
+  }();
   if (read_breaker_ != nullptr) {
     if (!result.ok() && CircuitBreaker::IsFailure(result.status())) {
       read_breaker_->RecordFailure();
@@ -648,75 +710,6 @@ Result<std::string> KvStore::Get(std::string_view key,
     }
   }
   return result;
-}
-
-Result<std::string> KvStore::GetImpl(std::string_view key,
-                                     const RequestContext* ctx) {
-  // Span before timer: the timer's destructor runs first, so the
-  // latency sample (and its exemplar) records while the get span is
-  // still the ambient trace context.
-  obs::ScopedSpan span("storage.kv.get");
-  obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.get_ns"));
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  if (ctx != nullptr) {
-    SAGA_RETURN_IF_ERROR(ctx->Check("storage.kv.get"));
-    if (Faults().armed()) {
-      // `kv.read` models a slow or failing storage device / replica;
-      // the deadline re-check right after surfaces an injected stall as
-      // DeadlineExceeded exactly like a real one.
-      Status injected = Faults().InjectOp("kv.read");
-      if (!injected.ok()) {
-        obs::MarkSpanError(injected);
-        return injected;
-      }
-      SAGA_RETURN_IF_ERROR(ctx->Check("storage.kv.get"));
-    }
-  }
-  // Snapshot once, then probe newest-to-oldest. Only the active
-  // memtable needs a lock (writers mutate it); the immutable memtables
-  // and tables are frozen by construction.
-  const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
-  std::optional<MemTable::Entry> entry;
-  {
-    std::shared_lock<std::shared_mutex> ml(mem_mu_);
-    entry = sv->mem->Get(key);
-  }
-  if (!entry.has_value()) {
-    for (auto it = sv->imm.rbegin(); it != sv->imm.rend(); ++it) {
-      entry = it->mem->Get(key);
-      if (entry.has_value()) break;
-    }
-  }
-  if (entry.has_value()) {
-    if (entry->is_tombstone) {
-      return Status::NotFound(std::string(key));
-    }
-    return std::move(entry->value);
-  }
-  for (auto it = sv->tables.rbegin(); it != sv->tables.rend(); ++it) {
-    if (ctx != nullptr) {
-      SAGA_RETURN_IF_ERROR(ctx->Check("storage.kv.probe"));
-    }
-    if ((*it)->DefinitelyMissing(key)) {
-      stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    stats_.sstable_probes.fetch_add(1, std::memory_order_relaxed);
-    // Checked probe: a CRC-failing block surfaces as kDataLoss here
-    // instead of reading as a miss and falling through to an older
-    // (stale) version of the key in a deeper table.
-    Result<std::optional<SSTableReader::Entry>> probe = (*it)->GetChecked(key);
-    if (!probe.ok()) {
-      obs::MarkSpanError(probe.status());
-      return probe.status();
-    }
-    std::optional<SSTableReader::Entry> found = std::move(*probe);
-    if (found.has_value()) {
-      if (found->is_tombstone) return Status::NotFound(std::string(key));
-      return std::move(found->value);
-    }
-  }
-  return Status::NotFound(std::string(key));
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> KvStore::ScanPrefix(

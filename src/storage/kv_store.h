@@ -79,9 +79,8 @@ class KvStore {
     RetryPolicy::Options retry;
     /// Guard the read path with a circuit breaker: repeated read
     /// failures (or injected `kv.read` faults / stalls blowing request
-    /// deadlines) trip it, and deadline-carrying Gets then fail fast
-    /// with Unavailable instead of piling onto a struggling store.
-    /// Serving-tier callers (the embedding cache) opt in.
+    /// deadlines) trip it, and Gets then fail fast with Unavailable
+    /// instead of piling onto a struggling store. Off by default.
     bool enable_read_breaker = false;
     CircuitBreaker::Options read_breaker;
     /// Metric stem for the read breaker (see CircuitBreaker docs);
@@ -183,13 +182,15 @@ class KvStore {
 
   Status Put(std::string_view key, std::string_view value);
   Status Delete(std::string_view key);
+  /// Point read under `RequestContext()` (no deadline): the same path
+  /// as the overload below.
   Result<std::string> Get(std::string_view key);
 
-  /// Deadline-aware serving read: consults the `kv.read` fault point
-  /// (latency/failure injection), checks the request deadline before
-  /// each SSTable probe, and — when the read breaker is enabled — fails
-  /// fast with Unavailable while the breaker is open. NotFound is a
-  /// business outcome, not a breaker failure.
+  /// The read path: consults the `kv.read` fault point (latency/failure
+  /// injection), checks the request deadline before each SSTable probe,
+  /// and — when the read breaker is enabled — fails fast with
+  /// Unavailable while the breaker is open. NotFound is a business
+  /// outcome, not a breaker failure.
   Result<std::string> Get(std::string_view key, const RequestContext& ctx);
 
   /// Key/value pairs whose key starts with `prefix`, in key order.
@@ -350,9 +351,6 @@ class KvStore {
   /// Recover can truncate a damaged log before appending behind the
   /// damage). Accumulates into recovery_stats_ across multiple logs.
   uint64_t ReplayWal(const WalReadResult& wal, bool* stopped_early);
-  /// Shared read path; `ctx` null for legacy deadline-less Gets (which
-  /// skip injection and breaker accounting entirely).
-  Result<std::string> GetImpl(std::string_view key, const RequestContext* ctx);
 
   std::string dir_;
   Options options_;

@@ -12,9 +12,7 @@
 namespace saga::storage {
 
 namespace {
-constexpr uint32_t kSstMagicV1 = 0x53535431u;  // "SST1"
 constexpr uint32_t kSstMagicV2 = 0x53535432u;  // "SST2"
-constexpr size_t kFooterSizeV1 = 8 * 5 + 4 + 4;
 constexpr size_t kFooterSizeV2 = 8 * 7 + 4 + 4;
 constexpr uint8_t kTypeValue = 0;
 constexpr uint8_t kTypeTombstone = 1;
@@ -143,65 +141,38 @@ Status SSTableReader::ParseFooterAndIndex() {
     BinaryReader m(std::string_view(data_).substr(data_.size() - 4));
     SAGA_RETURN_IF_ERROR(m.GetFixed32(&magic));
   }
+  if (magic != kSstMagicV2) {
+    return Status::Corruption("bad SSTable magic: " + path_);
+  }
+  if (data_.size() < kFooterSizeV2) {
+    return Status::Corruption("SSTable too small: " + path_);
+  }
   uint64_t index_off = 0;
   uint64_t index_len = 0;
   uint64_t bloom_off = 0;
   uint64_t bloom_len = 0;
   uint64_t blockcrc_off = 0;
   uint64_t blockcrc_len = 0;
-
-  if (magic == kSstMagicV2) {
-    if (data_.size() < kFooterSizeV2) {
-      return Status::Corruption("SSTable too small: " + path_);
-    }
-    BinaryReader r(
-        std::string_view(data_).substr(data_.size() - kFooterSizeV2));
-    uint32_t crc = 0;
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&index_off));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&index_len));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&bloom_off));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&bloom_len));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&blockcrc_off));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&blockcrc_len));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&num_entries_));
-    SAGA_RETURN_IF_ERROR(r.GetFixed32(&crc));
-    const uint64_t footer_start = data_.size() - kFooterSizeV2;
-    if (index_off + index_len > footer_start ||
-        bloom_off + bloom_len > footer_start ||
-        blockcrc_off + blockcrc_len > footer_start) {
-      return Status::Corruption("SSTable footer offsets out of range: " +
-                                path_);
-    }
-    // The v2 CRC covers every byte before the crc field itself —
-    // entries, index, bloom, block-CRC table AND the footer offsets.
-    if (Crc32(std::string_view(data_.data(), data_.size() - 8)) != crc) {
-      return Status::Corruption("SSTable data crc mismatch: " + path_);
-    }
-  } else if (magic == kSstMagicV1) {
-    if (data_.size() < kFooterSizeV1) {
-      return Status::Corruption("SSTable too small: " + path_);
-    }
-    BinaryReader r(
-        std::string_view(data_).substr(data_.size() - kFooterSizeV1));
-    uint32_t crc = 0;
-    uint32_t magic_again = 0;
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&index_off));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&index_len));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&bloom_off));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&bloom_len));
-    SAGA_RETURN_IF_ERROR(r.GetFixed64(&num_entries_));
-    SAGA_RETURN_IF_ERROR(r.GetFixed32(&crc));
-    SAGA_RETURN_IF_ERROR(r.GetFixed32(&magic_again));
-    if (index_off + index_len > data_.size() ||
-        bloom_off + bloom_len > data_.size()) {
-      return Status::Corruption("SSTable footer offsets out of range: " +
-                                path_);
-    }
-    if (Crc32(std::string_view(data_.data(), index_off)) != crc) {
-      return Status::Corruption("SSTable data crc mismatch: " + path_);
-    }
-  } else {
-    return Status::Corruption("bad SSTable magic: " + path_);
+  uint32_t crc = 0;
+  BinaryReader r(std::string_view(data_).substr(data_.size() - kFooterSizeV2));
+  SAGA_RETURN_IF_ERROR(r.GetFixed64(&index_off));
+  SAGA_RETURN_IF_ERROR(r.GetFixed64(&index_len));
+  SAGA_RETURN_IF_ERROR(r.GetFixed64(&bloom_off));
+  SAGA_RETURN_IF_ERROR(r.GetFixed64(&bloom_len));
+  SAGA_RETURN_IF_ERROR(r.GetFixed64(&blockcrc_off));
+  SAGA_RETURN_IF_ERROR(r.GetFixed64(&blockcrc_len));
+  SAGA_RETURN_IF_ERROR(r.GetFixed64(&num_entries_));
+  SAGA_RETURN_IF_ERROR(r.GetFixed32(&crc));
+  const uint64_t footer_start = data_.size() - kFooterSizeV2;
+  if (index_off + index_len > footer_start ||
+      bloom_off + bloom_len > footer_start ||
+      blockcrc_off + blockcrc_len > footer_start) {
+    return Status::Corruption("SSTable footer offsets out of range: " + path_);
+  }
+  // The CRC covers every byte before the crc field itself — entries,
+  // index, bloom, block-CRC table AND the footer offsets.
+  if (Crc32(std::string_view(data_.data(), data_.size() - 8)) != crc) {
+    return Status::Corruption("SSTable data crc mismatch: " + path_);
   }
 
   entries_end_ = index_off;
@@ -218,31 +189,17 @@ Status SSTableReader::ParseFooterAndIndex() {
 
   block_starts_.reserve(index_.size());
   for (const auto& [key, off] : index_) block_starts_.push_back(off);
-  if (magic == kSstMagicV2) {
-    BinaryReader bc(
-        std::string_view(data_.data() + blockcrc_off, blockcrc_len));
-    uint64_t n = 0;
-    SAGA_RETURN_IF_ERROR(bc.GetVarint64(&n));
-    if (n != block_starts_.size()) {
-      return Status::Corruption("SSTable block-crc count mismatch: " + path_);
-    }
-    block_crcs_.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      uint32_t crc = 0;
-      SAGA_RETURN_IF_ERROR(bc.GetFixed32(&crc));
-      block_crcs_.push_back(crc);
-    }
-  } else {
-    // v1: no stored block CRCs. The whole file just passed its CRC, so
-    // computing them here still anchors later reads to known-good data.
-    block_crcs_.reserve(block_starts_.size());
-    for (size_t i = 0; i < block_starts_.size(); ++i) {
-      const uint64_t begin = block_starts_[i];
-      const uint64_t end =
-          (i + 1 < block_starts_.size()) ? block_starts_[i + 1] : entries_end_;
-      block_crcs_.push_back(
-          Crc32(std::string_view(data_.data() + begin, end - begin)));
-    }
+  BinaryReader bc(std::string_view(data_.data() + blockcrc_off, blockcrc_len));
+  uint64_t n = 0;
+  SAGA_RETURN_IF_ERROR(bc.GetVarint64(&n));
+  if (n != block_starts_.size()) {
+    return Status::Corruption("SSTable block-crc count mismatch: " + path_);
+  }
+  block_crcs_.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    uint32_t block_crc = 0;
+    SAGA_RETURN_IF_ERROR(bc.GetFixed32(&block_crc));
+    block_crcs_.push_back(block_crc);
   }
   if (!block_starts_.empty()) {
     verified_ = std::make_unique<std::atomic<uint8_t>[]>(block_starts_.size());
@@ -324,19 +281,6 @@ uint64_t SSTableReader::SeekOffset(std::string_view key) const {
   return std::prev(it)->second;
 }
 
-std::optional<SSTableReader::Entry> SSTableReader::Get(
-    std::string_view key) const {
-  if (!bloom_.MayContain(key)) return std::nullopt;
-  uint64_t off = SeekOffset(key);
-  Entry e;
-  while (off < entries_end_) {
-    if (!DecodeEntry(&off, &e).ok()) return std::nullopt;
-    if (e.key == key) return e;
-    if (std::string_view(e.key) > key) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 Result<std::optional<SSTableReader::Entry>> SSTableReader::GetChecked(
     std::string_view key) const {
   if (!bloom_.MayContain(key)) return std::optional<Entry>();
@@ -355,36 +299,6 @@ Result<std::optional<SSTableReader::Entry>> SSTableReader::GetChecked(
     if (std::string_view(e.key) > key) return std::optional<Entry>();
   }
   return std::optional<Entry>();
-}
-
-std::vector<SSTableReader::Entry> SSTableReader::ScanPrefix(
-    std::string_view prefix) const {
-  std::vector<Entry> out;
-  uint64_t off = prefix.empty() ? 0 : SeekOffset(prefix);
-  Entry e;
-  while (off < entries_end_) {
-    if (!DecodeEntry(&off, &e).ok()) break;
-    if (std::string_view(e.key) >= prefix) {
-      if (e.key.compare(0, prefix.size(), prefix) != 0) {
-        if (std::string_view(e.key) > prefix) break;
-      } else {
-        out.push_back(e);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<SSTableReader::Entry> SSTableReader::ScanAll() const {
-  std::vector<Entry> out;
-  out.reserve(num_entries_);
-  uint64_t off = 0;
-  Entry e;
-  while (off < entries_end_) {
-    if (!DecodeEntry(&off, &e).ok()) break;
-    out.push_back(e);
-  }
-  return out;
 }
 
 Result<std::vector<SSTableReader::Entry>> SSTableReader::ScanPrefixChecked(

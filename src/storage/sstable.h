@@ -30,7 +30,7 @@ enum class ReadVerifyMode {
 
 /// Immutable sorted string table.
 ///
-/// File layout (v2, magic "SST2"):
+/// File layout (magic "SST2"):
 ///   entries:  (u8 type | varint klen | key | varint vlen | value)*
 ///   sparse index: (varint klen | key | varint offset)*   every Nth key
 ///   bloom: raw bloom bytes
@@ -41,9 +41,7 @@ enum class ReadVerifyMode {
 ///           fixed32 crc(every preceding byte, footer fields included) |
 ///           fixed32 magic
 ///
-/// v1 files (magic "SST1", no block-CRC section, footer CRC covering
-/// only the entry bytes) are still readable; their block CRCs are
-/// computed at open time from the whole-file-verified data.
+/// Any other magic is rejected as Corruption at open.
 class SSTableBuilder {
  public:
   struct Options {
@@ -76,12 +74,10 @@ class SSTableBuilder {
 /// Reader over one SSTable. Loads the file once; lookups binary-search
 /// the sparse index then scan at most `index_interval` entries.
 ///
-/// Integrity: the checked accessors (GetChecked / Scan*Checked /
-/// VerifyChecksums) verify per-block CRCs per the configured
-/// ReadVerifyMode and answer kDataLoss on mismatch — corruption is
-/// surfaced, never silently decoded or treated as a miss. The legacy
-/// unchecked accessors keep their historical "decode failure looks
-/// like a miss" behavior for non-serving callers.
+/// Integrity: every accessor (GetChecked / Scan*Checked /
+/// VerifyChecksums) verifies per-block CRCs per the configured
+/// ReadVerifyMode and answers kDataLoss on mismatch — corruption is
+/// surfaced, never silently decoded or treated as a miss.
 class SSTableReader {
  public:
   struct Entry {
@@ -98,24 +94,16 @@ class SSTableReader {
   static Result<std::shared_ptr<SSTableReader>> Open(const std::string& path,
                                                      OpenOptions options);
 
-  /// nullopt when the key is not in this table. Tombstones are returned
-  /// (caller decides visibility). Unchecked (see class comment).
-  std::optional<Entry> Get(std::string_view key) const;
-
-  /// Checksum-verified point lookup: kDataLoss when the bytes backing
-  /// the key's block fail their CRC. Fault point: `sstable.read_block`
-  /// (kCorrupt flips a bit in the block about to be verified).
+  /// Point lookup: nullopt when the key is not in this table.
+  /// Tombstones are returned (caller decides visibility). kDataLoss
+  /// when the bytes backing the key's block fail their CRC. Fault
+  /// point: `sstable.read_block` (kCorrupt flips a bit in the block
+  /// about to be verified).
   Result<std::optional<Entry>> GetChecked(std::string_view key) const;
 
-  /// All entries with the given prefix, in key order (tombstones
-  /// included). Unchecked.
-  std::vector<Entry> ScanPrefix(std::string_view prefix) const;
-
-  /// All entries in key order. Unchecked.
-  std::vector<Entry> ScanAll() const;
-
-  /// Checksum-verified scans: kDataLoss on a bad block, kCorruption on
-  /// an undecodable entry inside a CRC-clean block.
+  /// Entries with the given prefix / all entries, in key order
+  /// (tombstones included). kDataLoss on a bad block, kCorruption on an
+  /// undecodable entry inside a CRC-clean block.
   Result<std::vector<Entry>> ScanPrefixChecked(std::string_view prefix) const;
   Result<std::vector<Entry>> ScanAllChecked() const;
 

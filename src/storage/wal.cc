@@ -271,11 +271,6 @@ Result<WalReadResult> ReadWalRecordsDetailed(const std::string& path) {
   return out;
 }
 
-Result<std::vector<std::string>> ReadWalRecords(const std::string& path) {
-  SAGA_ASSIGN_OR_RETURN(WalReadResult result, ReadWalRecordsDetailed(path));
-  return std::move(result.records);
-}
-
 std::string EncodeSequencedRecord(const SequencedRecord& record) {
   std::string out;
   BinaryWriter w(&out);

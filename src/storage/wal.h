@@ -119,10 +119,6 @@ struct WalReadResult {
 /// the stop-at-damage path).
 Result<WalReadResult> ReadWalRecordsDetailed(const std::string& path);
 
-/// Legacy convenience wrapper around ReadWalRecordsDetailed that keeps
-/// only the records.
-Result<std::vector<std::string>> ReadWalRecords(const std::string& path);
-
 /// A WAL payload carrying replication metadata: the leader-assigned
 /// monotonic sequence number, the epoch under which it was appended,
 /// and the opaque application payload. The replication tier ships

@@ -19,6 +19,7 @@
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/request_context.h"
 #include "common/rng.h"
 #include "embedding/trainer.h"
 #include "graph_engine/view.h"
@@ -456,8 +457,10 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
     EXPECT_GE(metrics.counter("retry.attempts"), 1);
 
     const kg::EntityId a = view.global_entity(1);
-    auto degraded_hits = service.TopKNeighbors(a, 5);
-    auto exact_hits = exact.TopKNeighbors(a, 5);
+    const RequestContext ctx;
+    auto degraded_hits =
+        service.TopKNeighbors(a, 5, kg::TypeId::Invalid(), ctx);
+    auto exact_hits = exact.TopKNeighbors(a, 5, kg::TypeId::Invalid(), ctx);
     ASSERT_TRUE(degraded_hits.ok());
     ASSERT_TRUE(exact_hits.ok());
     ASSERT_EQ(degraded_hits->size(), exact_hits->size());

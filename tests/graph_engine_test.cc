@@ -503,11 +503,14 @@ TEST(PprTest, TopKExcludesSourceAndIsSorted) {
   kg::GeneratedKg gen = MakeKg();
   GraphView view = GraphView::Build(gen.kg, ViewDefinition());
   PprEngine ppr(&view);
-  const auto top = ppr.TopKRelated(0, 10);
-  EXPECT_LE(top.size(), 10u);
-  for (size_t i = 0; i < top.size(); ++i) {
-    EXPECT_NE(top[i].first, 0u);
-    if (i > 0) EXPECT_GE(top[i - 1].second, top[i].second);
+  const auto top = ppr.TopKRelated(0, 10, RequestContext());
+  ASSERT_TRUE(top.ok());
+  EXPECT_LE(top->size(), 10u);
+  for (size_t i = 0; i < top->size(); ++i) {
+    EXPECT_NE((*top)[i].first, 0u);
+    if (i > 0) {
+      EXPECT_GE((*top)[i - 1].second, (*top)[i].second);
+    }
   }
 }
 
@@ -618,8 +621,9 @@ TEST(PprTest, MatchesHashMapOracleForEverySource) {
   for (uint32_t s = 0; s < view.num_entities(); ++s) {
     const OraclePpr want = HashMapPpr(view, s, opts);
     EXPECT_EQ(ppr.Ppr(s), want.p) << "source " << s;
-    EXPECT_EQ(ppr.TopKRelated(s, 10), OracleTopK(want.p, s, 10))
-        << "source " << s;
+    auto top = ppr.TopKRelated(s, 10, ctx);
+    ASSERT_TRUE(top.ok());
+    EXPECT_EQ(*top, OracleTopK(want.p, s, 10)) << "source " << s;
     auto all = ppr.TopKRelated(s, view.num_entities(), ctx);
     ASSERT_TRUE(all.ok());
     EXPECT_EQ(*all, OracleTopK(want.p, s, view.num_entities()))
@@ -669,7 +673,8 @@ TEST(PprTest, FailedCallsLeaveNoStateForTheNext) {
     stall.fail_nth = 100;
     stall.delay_ms = 40.0;
     ScopedFault fault("graph.traverse", stall);
-    auto late = ppr.Ppr(source, RequestContext::WithTimeoutMillis(20.0));
+    auto late = ppr.TopKRelated(source, view.num_entities(),
+                                RequestContext::WithTimeoutMillis(20.0));
     ASSERT_FALSE(late.ok());
     EXPECT_TRUE(late.status().IsDeadlineExceeded());
   }
@@ -684,6 +689,18 @@ TEST(PprTest, FailedCallsLeaveNoStateForTheNext) {
     EXPECT_TRUE(failed.status().IsIOError());
   }
   expect_clean("injected traverse failure");
+
+  {
+    // The offline accessor runs the same push loop: an injected failure
+    // yields an empty map, never a partial one.
+    FaultSpec fail;
+    fail.fail_nth = 300;
+    ScopedFault fault("graph.traverse", fail);
+    const uint64_t fired = Faults().fires("graph.traverse");
+    EXPECT_TRUE(ppr.Ppr(source).empty());
+    EXPECT_EQ(Faults().fires("graph.traverse"), fired + 1);
+  }
+  expect_clean("injected failure in the offline accessor");
 }
 
 }  // namespace

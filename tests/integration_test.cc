@@ -8,6 +8,7 @@
 #include "annotation/web_linker.h"
 #include "common/file_util.h"
 #include "common/hash.h"
+#include "common/request_context.h"
 #include "embedding/embedding_store.h"
 #include "embedding/evaluator.h"
 #include "embedding/trainer.h"
@@ -62,7 +63,8 @@ TEST(PlatformIntegrationTest, FullPipelineGrowsAndServesTheKg) {
       embedding::EmbeddingStore::FromTrained(emb, view), &gen.kg);
   serving::RelatedEntitiesService related(&gen.kg, &view, &service);
   const kg::EntityId probe = view.global_entity(0);
-  auto related_hits = related.Related(probe, 5);
+  auto related_hits = related.Related(probe, 5, kg::TypeId::Invalid(),
+                                      RequestContext());
   ASSERT_TRUE(related_hits.ok());
   EXPECT_FALSE(related_hits->empty());
 

@@ -267,9 +267,28 @@ TEST_F(IntegrityTest, EmbeddingLoadFaultPointFires) {
   Faults().Seed(7);
   ScopedFault rot("embedding.load", FaultSpec{FaultKind::kCorrupt});
   auto loaded = embedding::EmbeddingStore::Load(path);
-  // Wherever the flipped bit lands (payload -> kDataLoss, magic ->
-  // failed legacy parse), the load must fail loudly.
+  // Wherever the flipped bit lands (payload or CRC -> kDataLoss,
+  // magic -> Corruption), the load must fail loudly.
   ASSERT_FALSE(loaded.ok());
+}
+
+TEST_F(IntegrityTest, EmbeddingMagicBitFlipsAreRejected) {
+  const std::string path = JoinPath(dir_, "emb.bin");
+  // At 50 vectors of dim 16, a file with bit 14 flipped also parses as
+  // 13 vectors of dim 69 when the magic is not required.
+  ASSERT_TRUE(MakeEmbeddings(50, /*dim=*/16).Save(path).ok());
+  auto clean = ReadFileToString(path);
+  ASSERT_TRUE(clean.ok());
+  for (int bit = 0; bit < 32; ++bit) {
+    std::string bytes = *clean;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+    const Status verified = embedding::EmbeddingStore::Verify(path);
+    EXPECT_TRUE(verified.IsCorruption()) << "bit " << bit << ": " << verified;
+    auto loaded = embedding::EmbeddingStore::Load(path);
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << "bit " << bit << ": " << loaded.status();
+  }
 }
 
 // ---------------------------------------------------------------------------

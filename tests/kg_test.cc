@@ -387,5 +387,29 @@ TEST(KnowledgeGraphTest, LoadRejectsGarbage) {
   EXPECT_TRUE(RemoveDirRecursively(*dir).ok());
 }
 
+TEST(KnowledgeGraphTest, LoadRejectsOversizedTypeCount) {
+  auto dir = MakeTempDir("saga_kg_types");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = JoinPath(*dir, "bad.kg");
+  // A snapshot header, an empty ontology, then one catalog entity that
+  // claims 2^61 types with a few bytes of input left.
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutFixed32(0x5341474Bu);  // "SAGK"
+  w.PutFixed32(1);            // snapshot version
+  w.PutVarint64(0);           // ontology types
+  w.PutVarint64(0);           // ontology predicates
+  w.PutVarint64(1);           // catalog entities
+  w.PutString("Alice");
+  w.PutString("");
+  w.PutDouble(0.5);
+  w.PutVarint64(uint64_t{1} << 61);
+  w.PutVarint64(0);
+  ASSERT_TRUE(WriteStringToFile(path, buf).ok());
+  auto loaded = KnowledgeGraph::Load(path);
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_TRUE(RemoveDirRecursively(*dir).ok());
+}
+
 }  // namespace
 }  // namespace saga::kg

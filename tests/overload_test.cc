@@ -19,7 +19,6 @@
 #include "common/threadpool.h"
 #include "embedding/trainer.h"
 #include "graph_engine/ppr.h"
-#include "graph_engine/traversal.h"
 #include "graph_engine/view.h"
 #include "kg/kg_generator.h"
 #include "serving/admission_controller.h"
@@ -119,22 +118,6 @@ TEST_F(OverloadTest, CancellationPropagatesAcrossCopies) {
 
 // ---------- Deadline propagation through engines ----------
 
-TEST_F(OverloadTest, TraversalHonorsDeadline) {
-  Fixture f = Fixture::Make();
-  const kg::EntityId start = f.view.global_entity(0);
-
-  RequestContext expired = RequestContext::WithTimeoutMillis(-1.0);
-  auto dead = graph_engine::KHopNeighbors(f.gen.kg, start, 2, expired);
-  ASSERT_FALSE(dead.ok());
-  EXPECT_TRUE(dead.status().IsDeadlineExceeded());
-
-  RequestContext generous = RequestContext::WithTimeoutMillis(60'000.0);
-  auto alive = graph_engine::KHopNeighbors(f.gen.kg, start, 2, generous);
-  ASSERT_TRUE(alive.ok());
-  // Same answer as the deadline-less legacy path.
-  EXPECT_EQ(*alive, graph_engine::KHopNeighbors(f.gen.kg, start, 2));
-}
-
 TEST_F(OverloadTest, PprHonorsDeadline) {
   Fixture f = Fixture::Make();
   graph_engine::PprEngine ppr(&f.view);
@@ -147,21 +130,10 @@ TEST_F(OverloadTest, PprHonorsDeadline) {
   RequestContext generous = RequestContext::WithTimeoutMillis(60'000.0);
   auto alive = ppr.TopKRelated(0, 10, generous);
   ASSERT_TRUE(alive.ok());
-  EXPECT_EQ(*alive, ppr.TopKRelated(0, 10));
-}
-
-TEST_F(OverloadTest, TraversalDeadlineBlownByInjectedDelay) {
-  Fixture f = Fixture::Make();
-  const kg::EntityId start = f.view.global_entity(0);
-  // Every traversal step stalls 5ms; a 1ms budget cannot survive.
-  Faults().InjectDelay("graph.traverse", 5.0);
-  RequestContext ctx = RequestContext::WithTimeoutMillis(1.0);
-  auto r = graph_engine::KHopNeighbors(f.gen.kg, start, 3, ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsDeadlineExceeded());
-  // The legacy path ignores serving faults entirely.
-  Faults().DisarmAll();
-  EXPECT_FALSE(graph_engine::KHopNeighbors(f.gen.kg, start, 1).empty());
+  // Same answer as under a context with no deadline.
+  auto unbounded = ppr.TopKRelated(0, 10, RequestContext());
+  ASSERT_TRUE(unbounded.ok());
+  EXPECT_EQ(*alive, *unbounded);
 }
 
 TEST_F(OverloadTest, QueryAnsweringHonorsDeadline) {
@@ -200,6 +172,25 @@ TEST_F(OverloadTest, KvStoreGetHonorsDeadline) {
   auto slow = (*store)->Get("k", tight);
   ASSERT_FALSE(slow.ok());
   EXPECT_TRUE(slow.status().IsDeadlineExceeded());
+  (void)RemoveDirRecursively(*dir);
+}
+
+TEST_F(OverloadTest, KvStoreGetWithoutDeadlineConsultsReadFault) {
+  auto dir = MakeTempDir("saga_overload_kvfault");
+  ASSERT_TRUE(dir.ok());
+  auto store = storage::KvStore::Open(*dir);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Put("k", "v").ok());
+
+  // The deadline-free overload is the production read (embedding
+  // cache, version canary); it runs the same path, fault point included.
+  const uint64_t fired = Faults().fires("kv.read");
+  Faults().Arm("kv.read", FaultSpec{FaultKind::kFail});
+  EXPECT_TRUE((*store)->Get("k").status().IsIOError());
+  EXPECT_EQ(Faults().fires("kv.read"), fired + 1);
+  auto healed = (*store)->Get("k");
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(*healed, "v");
   (void)RemoveDirRecursively(*dir);
 }
 

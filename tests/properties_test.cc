@@ -10,6 +10,7 @@
 #include "ann/brute_force_index.h"
 #include "ann/quantized_index.h"
 #include "common/file_util.h"
+#include "common/request_context.h"
 #include "common/rng.h"
 #include "graph_engine/view.h"
 #include "kg/kg_generator.h"
@@ -109,12 +110,12 @@ TEST(WalFuzzTest, AnyTruncationYieldsAValidPrefix) {
   for (int trial = 0; trial < 100; ++trial) {
     const size_t cut = rng.Uniform(full->size() + 1);
     ASSERT_TRUE(WriteStringToFile(path, full->substr(0, cut)).ok());
-    auto replayed = storage::ReadWalRecords(path);
+    auto replayed = storage::ReadWalRecordsDetailed(path);
     ASSERT_TRUE(replayed.ok());
     // Replay must be an exact prefix of the written records.
-    ASSERT_LE(replayed->size(), records.size());
-    for (size_t i = 0; i < replayed->size(); ++i) {
-      EXPECT_EQ((*replayed)[i], records[i]);
+    ASSERT_LE(replayed->records.size(), records.size());
+    for (size_t i = 0; i < replayed->records.size(); ++i) {
+      EXPECT_EQ(replayed->records[i], records[i]);
     }
   }
   (void)RemoveDirRecursively(*dir);
@@ -231,7 +232,8 @@ TEST(QuantizedIndexTest, ServesThroughEmbeddingService) {
   serving::EmbeddingService::Options opts;
   opts.index = serving::EmbeddingService::IndexKind::kQuantized;
   serving::EmbeddingService service(std::move(store), &gen.kg, opts);
-  auto hits = service.TopKNeighbors(kg::EntityId(5), 4);
+  auto hits = service.TopKNeighbors(kg::EntityId(5), 4, kg::TypeId::Invalid(),
+                                    RequestContext());
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), 4u);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "annotation/query_answering.h"
+#include "common/request_context.h"
 #include "common/string_util.h"
 #include "embedding/trainer.h"
 #include "graph_engine/view.h"
@@ -35,6 +36,14 @@ struct QaFixture {
   }
 };
 
+/// Asks under `RequestContext()`: no deadline, so Ask always answers.
+QueryAnswerer::Answer AskUnbounded(const QueryAnswerer& answerer,
+                                   std::string_view query) {
+  auto answer = answerer.Ask(query, RequestContext());
+  EXPECT_TRUE(answer.ok()) << answer.status();
+  return answer.ok() ? std::move(answer).value() : QueryAnswerer::Answer();
+}
+
 kg::EntityId FindUnambiguous(const QaFixture& f, kg::TypeId type,
                              kg::PredicateId must_have) {
   for (const auto& rec : f.gen.kg.catalog().records()) {
@@ -56,8 +65,8 @@ TEST(QueryAnsweringTest, AnswersActorMoviesQuery) {
   const kg::EntityId actor =
       FindUnambiguous(f, f.gen.schema.actor, f.gen.schema.acted_in);
   ASSERT_TRUE(actor.valid());
-  const auto answer =
-      answerer.Ask(ToLower(f.gen.kg.catalog().name(actor)) + " movies");
+  const auto answer = AskUnbounded(
+      answerer, ToLower(f.gen.kg.catalog().name(actor)) + " movies");
   ASSERT_TRUE(answer.answered) << answer.explanation;
   EXPECT_EQ(answer.subject, actor);
   EXPECT_EQ(answer.predicate, f.gen.schema.acted_in);
@@ -84,8 +93,8 @@ TEST(QueryAnsweringTest, AnswersLiteralFactQuery) {
     }
   }
   ASSERT_TRUE(subject.valid());
-  const auto answer = answerer.Ask(
-      ToLower(f.gen.kg.catalog().name(subject)) + " date of birth");
+  const auto answer = AskUnbounded(
+      answerer, ToLower(f.gen.kg.catalog().name(subject)) + " date of birth");
   ASSERT_TRUE(answer.answered) << answer.explanation;
   EXPECT_EQ(answer.predicate, f.gen.schema.date_of_birth);
   ASSERT_EQ(answer.facts.size(), 1u);
@@ -110,12 +119,13 @@ TEST(QueryAnsweringTest, QueryContextDisambiguatesNamesakes) {
   kg.AddFact(professor, h.works_at, kg::Value::Entity(uni), src);
 
   QueryAnswerer answerer(&kg, nullptr);
-  const auto team_answer = answerer.Ask("michael jordan team");
+  const auto team_answer = AskUnbounded(answerer, "michael jordan team");
   ASSERT_TRUE(team_answer.answered) << team_answer.explanation;
   EXPECT_EQ(team_answer.subject, player);
   EXPECT_EQ(team_answer.facts[0].object, kg::Value::Entity(team));
 
-  const auto uni_answer = answerer.Ask("michael jordan university");
+  const auto uni_answer =
+      AskUnbounded(answerer, "michael jordan university");
   ASSERT_TRUE(uni_answer.answered) << uni_answer.explanation;
   EXPECT_EQ(uni_answer.subject, professor);
   EXPECT_EQ(uni_answer.facts[0].object, kg::Value::Entity(uni));
@@ -124,7 +134,8 @@ TEST(QueryAnsweringTest, QueryContextDisambiguatesNamesakes) {
 TEST(QueryAnsweringTest, UnknownEntityIsUnanswered) {
   QaFixture f = QaFixture::Make();
   QueryAnswerer answerer(&f.gen.kg, nullptr);
-  const auto answer = answerer.Ask("glorbnik the unheard of movies");
+  const auto answer =
+      AskUnbounded(answerer, "glorbnik the unheard of movies");
   EXPECT_FALSE(answer.answered);
   EXPECT_NE(answer.explanation.find("no entity"), std::string::npos);
 }
@@ -137,7 +148,7 @@ TEST(QueryAnsweringTest, EntityWithoutRelationIsUnanswered) {
   ASSERT_TRUE(actor.valid());
   // No relation words at all.
   const auto answer =
-      answerer.Ask(ToLower(f.gen.kg.catalog().name(actor)));
+      AskUnbounded(answerer, ToLower(f.gen.kg.catalog().name(actor)));
   EXPECT_FALSE(answer.answered);
   EXPECT_TRUE(answer.subject.valid());
 }
@@ -154,8 +165,8 @@ TEST(QueryAnsweringTest, RankerOrdersMultiValuedAnswers) {
     if (f.gen.kg.ObjectsOf(rec.id, f.gen.schema.occupation).size() < 2) {
       continue;
     }
-    const auto answer = answerer.Ask(
-        ToLower(rec.canonical_name) + " occupation");
+    const auto answer =
+        AskUnbounded(answerer, ToLower(rec.canonical_name) + " occupation");
     ASSERT_TRUE(answer.answered) << answer.explanation;
     for (size_t i = 1; i < answer.facts.size(); ++i) {
       EXPECT_GE(answer.facts[i - 1].score, answer.facts[i].score);

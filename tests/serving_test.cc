@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/file_util.h"
+#include "common/request_context.h"
 #include "embedding/trainer.h"
 #include "graph_engine/traversal.h"
 #include "kg/kg_generator.h"
@@ -180,7 +181,8 @@ TEST(EmbeddingServiceTest, SimilarityAndNeighbors) {
   ASSERT_TRUE(self_sim.ok());
   EXPECT_NEAR(*self_sim, 1.0, 1e-6);
 
-  auto nbrs = service.TopKNeighbors(a, 5);
+  auto nbrs =
+      service.TopKNeighbors(a, 5, kg::TypeId::Invalid(), RequestContext());
   ASSERT_TRUE(nbrs.ok());
   EXPECT_EQ(nbrs->size(), 5u);
   for (const auto& [e, s] : *nbrs) {
@@ -203,7 +205,8 @@ TEST(EmbeddingServiceTest, TypeFilterRestrictsHits) {
     }
   }
   ASSERT_TRUE(person.valid());
-  auto hits = service.TopKNeighbors(person, 8, f.gen.schema.person);
+  auto hits = service.TopKNeighbors(person, 8, f.gen.schema.person,
+                                    RequestContext());
   ASSERT_TRUE(hits.ok());
   EXPECT_FALSE(hits->empty());
   for (const auto& [e, s] : *hits) {
@@ -227,7 +230,8 @@ TEST(EmbeddingServiceTest, IvfIndexServesQueries) {
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
   const kg::EntityId a = f.view.global_entity(2);
-  auto nbrs = service.TopKNeighbors(a, 3);
+  auto nbrs =
+      service.TopKNeighbors(a, 3, kg::TypeId::Invalid(), RequestContext());
   ASSERT_TRUE(nbrs.ok());
   EXPECT_EQ(nbrs->size(), 3u);
 }
@@ -344,7 +348,8 @@ TEST(RelatedEntitiesTest, AllModesReturnResults) {
     RelatedEntitiesService::Options opts;
     opts.mode = mode;
     RelatedEntitiesService related(&f.gen.kg, &f.view, &service, opts);
-    auto hits = related.Related(query, 5);
+    auto hits =
+        related.Related(query, 5, kg::TypeId::Invalid(), RequestContext());
     ASSERT_TRUE(hits.ok());
     EXPECT_FALSE(hits->empty());
     for (const auto& [e, s] : *hits) {
@@ -362,7 +367,8 @@ TEST(RelatedEntitiesTest, ExcludeDirectNeighborsWorks) {
   opts.exclude_direct_neighbors = true;
   RelatedEntitiesService related(&f.gen.kg, &f.view, &service, opts);
   const kg::EntityId query = f.view.global_entity(0);
-  auto hits = related.Related(query, 8);
+  auto hits =
+      related.Related(query, 8, kg::TypeId::Invalid(), RequestContext());
   ASSERT_TRUE(hits.ok());
   const auto nbrs = f.gen.kg.Neighbors(query);
   const std::set<kg::EntityId> nbr_set(nbrs.begin(), nbrs.end());
@@ -388,7 +394,8 @@ TEST(RelatedEntitiesTest, PprModeSurfacesGraphNeighborhood) {
     }
   }
   ASSERT_TRUE(query.valid());
-  auto hits = related.Related(query, 10);
+  auto hits =
+      related.Related(query, 10, kg::TypeId::Invalid(), RequestContext());
   ASSERT_TRUE(hits.ok());
   // Top PPR hits should be within 2 hops.
   const auto two_hop = graph_engine::KHopNeighbors(f.gen.kg, query, 2);

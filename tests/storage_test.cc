@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/file_util.h"
 #include "common/rng.h"
 #include "storage/bloom.h"
@@ -83,18 +88,19 @@ TEST_F(WalTest, AppendAndReplay) {
     ASSERT_TRUE(wal.Append("record three").ok());
     ASSERT_TRUE(wal.Sync().ok());
   }
-  auto records = ReadWalRecords(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 3u);
-  EXPECT_EQ((*records)[0], "record one");
-  EXPECT_EQ((*records)[1], "");
-  EXPECT_EQ((*records)[2], "record three");
+  auto read = ReadWalRecordsDetailed(path);
+  ASSERT_TRUE(read.ok());
+  const std::vector<std::string>& records = read->records;
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0], "record one");
+  EXPECT_EQ(records[1], "");
+  EXPECT_EQ(records[2], "record three");
 }
 
 TEST_F(WalTest, MissingFileMeansEmpty) {
-  auto records = ReadWalRecords(JoinPath(dir_, "absent.log"));
-  ASSERT_TRUE(records.ok());
-  EXPECT_TRUE(records->empty());
+  auto read = ReadWalRecordsDetailed(JoinPath(dir_, "absent.log"));
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->records.empty());
 }
 
 TEST_F(WalTest, TornTailIsDropped) {
@@ -110,10 +116,11 @@ TEST_F(WalTest, TornTailIsDropped) {
   ASSERT_TRUE(content.ok());
   ASSERT_TRUE(
       WriteStringToFile(path, content->substr(0, content->size() - 5)).ok());
-  auto records = ReadWalRecords(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0], "good");
+  auto read = ReadWalRecordsDetailed(path);
+  ASSERT_TRUE(read.ok());
+  const std::vector<std::string>& records = read->records;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], "good");
 }
 
 TEST_F(WalTest, CorruptPayloadStopsReplay) {
@@ -129,10 +136,11 @@ TEST_F(WalTest, CorruptPayloadStopsReplay) {
   std::string bytes = *content;
   bytes[bytes.size() - 2] ^= 0x5A;  // flip a bit inside "second"
   ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
-  auto records = ReadWalRecords(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0], "first");
+  auto read = ReadWalRecordsDetailed(path);
+  ASSERT_TRUE(read.ok());
+  const std::vector<std::string>& records = read->records;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], "first");
 }
 
 TEST_F(WalTest, DetailedReadReportsDroppedBytes) {
@@ -166,10 +174,11 @@ TEST_F(WalTest, SyncedRecordsSurviveWithoutDestructorFlush) {
   ASSERT_TRUE(wal->Sync().ok());
   // After Sync the record must be on disk even though the writer is
   // still open (nothing pending in the userspace buffer).
-  auto records = ReadWalRecords(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0], "durable");
+  auto read = ReadWalRecordsDetailed(path);
+  ASSERT_TRUE(read.ok());
+  const std::vector<std::string>& records = read->records;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], "durable");
   delete wal;
 }
 
@@ -180,9 +189,9 @@ TEST_F(WalTest, ResetTruncates) {
   ASSERT_TRUE(wal.Append("data").ok());
   ASSERT_TRUE(wal.Reset().ok());
   EXPECT_EQ(wal.bytes_written(), 0u);
-  auto records = ReadWalRecords(path);
-  ASSERT_TRUE(records.ok());
-  EXPECT_TRUE(records->empty());
+  auto read = ReadWalRecordsDetailed(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->records.empty());
   // Still usable after reset.
   ASSERT_TRUE(wal.Append("fresh").ok());
 }
@@ -308,6 +317,22 @@ TEST(MemTableTest, EntriesAreSorted) {
 
 // ---------- SSTable ----------
 
+/// Checksum-verified point lookup; a read error fails the test.
+std::optional<SSTableReader::Entry> Lookup(const SSTableReader& reader,
+                                           std::string_view key) {
+  auto got = reader.GetChecked(key);
+  EXPECT_TRUE(got.ok()) << got.status();
+  return got.ok() ? std::move(*got) : std::nullopt;
+}
+
+/// Checksum-verified prefix scan; a read error fails the test.
+std::vector<SSTableReader::Entry> Scan(const SSTableReader& reader,
+                                       std::string_view prefix) {
+  auto got = reader.ScanPrefixChecked(prefix);
+  EXPECT_TRUE(got.ok()) << got.status();
+  return got.ok() ? std::move(*got) : std::vector<SSTableReader::Entry>();
+}
+
 class SSTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -335,13 +360,13 @@ TEST_F(SSTableTest, BuildAndGet) {
   for (int i = 0; i < 100; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "key%04d", i);
-    auto entry = (*reader)->Get(key);
+    auto entry = Lookup(**reader, key);
     ASSERT_TRUE(entry.has_value()) << key;
     EXPECT_EQ(entry->value, "value" + std::to_string(i));
   }
-  EXPECT_FALSE((*reader)->Get("key9999").has_value());
-  EXPECT_FALSE((*reader)->Get("aaa").has_value());
-  EXPECT_FALSE((*reader)->Get("zzz").has_value());
+  EXPECT_FALSE(Lookup(**reader, "key9999").has_value());
+  EXPECT_FALSE(Lookup(**reader, "aaa").has_value());
+  EXPECT_FALSE(Lookup(**reader, "zzz").has_value());
 }
 
 TEST_F(SSTableTest, RejectsOutOfOrderKeys) {
@@ -359,10 +384,10 @@ TEST_F(SSTableTest, TombstonesSurvive) {
   ASSERT_TRUE(builder.Finish(path, 2).ok());
   auto reader = SSTableReader::Open(path);
   ASSERT_TRUE(reader.ok());
-  auto dead = (*reader)->Get("dead");
+  auto dead = Lookup(**reader, "dead");
   ASSERT_TRUE(dead.has_value());
   EXPECT_TRUE(dead->is_tombstone);
-  EXPECT_FALSE((*reader)->Get("alive")->is_tombstone);
+  EXPECT_FALSE(Lookup(**reader, "alive")->is_tombstone);
 }
 
 TEST_F(SSTableTest, ScanPrefix) {
@@ -376,13 +401,15 @@ TEST_F(SSTableTest, ScanPrefix) {
   auto reader = SSTableReader::Open(path);
   ASSERT_TRUE(reader.ok());
 
-  auto ap = (*reader)->ScanPrefix("ap");
+  auto ap = Scan(**reader, "ap");
   ASSERT_EQ(ap.size(), 2u);
   EXPECT_EQ(ap[0].key, "apple");
   EXPECT_EQ(ap[1].key, "apricot");
-  EXPECT_TRUE((*reader)->ScanPrefix("zz").empty());
-  EXPECT_EQ((*reader)->ScanPrefix("").size(), 4u);
-  EXPECT_EQ((*reader)->ScanAll().size(), 4u);
+  EXPECT_TRUE(Scan(**reader, "zz").empty());
+  EXPECT_EQ(Scan(**reader, "").size(), 4u);
+  auto all = (*reader)->ScanAllChecked();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), 4u);
 }
 
 TEST_F(SSTableTest, CorruptFileIsRejected) {
@@ -417,13 +444,13 @@ TEST_F(SSTableTest, LargeTableWithRandomLookups) {
   ASSERT_TRUE(reader.ok());
   for (int trial = 0; trial < 200; ++trial) {
     const size_t i = rng.Uniform(keys.size());
-    auto entry = (*reader)->Get(keys[i]);
+    auto entry = Lookup(**reader, keys[i]);
     ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->value, std::to_string(i));
     // Keys between stored keys must miss.
     char missing[24];
     std::snprintf(missing, sizeof(missing), "user:%08zu", i * 3 + 1);
-    EXPECT_FALSE((*reader)->Get(missing).has_value());
+    EXPECT_FALSE(Lookup(**reader, missing).has_value());
   }
 }
 
@@ -450,13 +477,15 @@ TEST_P(SstIndexIntervalTest, GetAndScanAgreeAtAnyStride) {
   for (int i = 0; i < n; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05d", i * 2);
-    auto hit = (*reader)->Get(key);
+    auto hit = Lookup(**reader, key);
     ASSERT_TRUE(hit.has_value()) << key;
     EXPECT_EQ(hit->value, std::to_string(i));
     std::snprintf(key, sizeof(key), "k%05d", i * 2 + 1);
-    EXPECT_FALSE((*reader)->Get(key).has_value());
+    EXPECT_FALSE(Lookup(**reader, key).has_value());
   }
-  EXPECT_EQ((*reader)->ScanAll().size(), static_cast<size_t>(n));
+  auto all = (*reader)->ScanAllChecked();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), static_cast<size_t>(n));
   (void)RemoveDirRecursively(*dir);
 }
 

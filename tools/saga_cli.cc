@@ -40,6 +40,7 @@
 #include "common/health_section.h"
 #include "common/history.h"
 #include "common/metrics.h"
+#include "common/request_context.h"
 #include "common/slo.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -614,7 +615,7 @@ void TopWorkload(annotation::QueryAnswerer& answerer, int round) {
   };
   constexpr int kNum = sizeof(kQueries) / sizeof(kQueries[0]);
   for (int i = 0; i < kNum; ++i) {
-    (void)answerer.Ask(kQueries[(round + i) % kNum]);
+    (void)answerer.Ask(kQueries[(round + i) % kNum], RequestContext());
   }
 }
 
@@ -868,7 +869,12 @@ int CmdAsk(int argc, char** argv) {
     return 1;
   }
   annotation::QueryAnswerer answerer(&*kg, nullptr);
-  const auto answer = answerer.Ask(JoinArgs(argc, argv, 3));
+  auto result = answerer.Ask(JoinArgs(argc, argv, 3), RequestContext());
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 1;
+  }
+  const auto& answer = *result;
   std::printf("%s\n", answer.explanation.c_str());
   if (!answer.answered) {
     std::printf("(no answer)\n");
@@ -930,7 +936,8 @@ int CmdRelated(int argc, char** argv) {
   opts.mode = serving::RelatedEntitiesService::Mode::kPpr;
   serving::RelatedEntitiesService related(&*kg, &view, &empty_service,
                                           opts);
-  auto hits = related.Related(*entity, k);
+  auto hits =
+      related.Related(*entity, k, kg::TypeId::Invalid(), RequestContext());
   if (!hits.ok()) {
     std::fprintf(stderr, "%s\n", hits.status().ToString().c_str());
     return 1;
