@@ -1,15 +1,10 @@
 #include "annotation/mention_detector.h"
 
 #include <algorithm>
-#include <cctype>
+
+#include "text/tokenizer.h"
 
 namespace saga::annotation {
-
-namespace {
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
-}  // namespace
 
 MentionDetector::MentionDetector(const kg::EntityCatalog* catalog)
     : MentionDetector(catalog, Options()) {}
@@ -26,12 +21,10 @@ MentionDetector::MentionDetector(const kg::EntityCatalog* catalog,
 }
 
 std::vector<Mention> MentionDetector::Detect(std::string_view text) const {
-  // Aliases are stored lowercased; scan a lowercased copy (byte-level
-  // tolower preserves offsets).
+  // Aliases are stored lowercased; scan a lowercased copy (the
+  // byte-level ASCII fold preserves offsets).
   std::string lowered(text);
-  for (char& c : lowered) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  for (char& c : lowered) c = text::AsciiLower(c);
   std::vector<text::AhoCorasick::Match> matches =
       automaton_.FindAll(lowered);
 
@@ -40,9 +33,11 @@ std::vector<Mention> MentionDetector::Detect(std::string_view text) const {
         std::remove_if(matches.begin(), matches.end(),
                        [&](const text::AhoCorasick::Match& m) {
                          const bool left_ok =
-                             m.begin == 0 || !IsWordChar(lowered[m.begin - 1]);
-                         const bool right_ok = m.end >= lowered.size() ||
-                                               !IsWordChar(lowered[m.end]);
+                             m.begin == 0 ||
+                             !text::IsAsciiAlnum(lowered[m.begin - 1]);
+                         const bool right_ok =
+                             m.end >= lowered.size() ||
+                             !text::IsAsciiAlnum(lowered[m.end]);
                          return !(left_ok && right_ok);
                        }),
         matches.end());

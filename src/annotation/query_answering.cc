@@ -1,8 +1,5 @@
 #include "annotation/query_answering.h"
 
-#include <algorithm>
-#include <set>
-
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "text/tokenizer.h"
@@ -14,26 +11,22 @@ QueryAnswerer::QueryAnswerer(const kg::KnowledgeGraph* kg,
     : kg_(kg), ranker_(ranker), annotator_(kg, nullptr) {}
 
 kg::PredicateId QueryAnswerer::ResolvePredicate(
-    const std::vector<std::string>& tokens, kg::EntityId subject) const {
-  const std::set<std::string> token_set(tokens.begin(), tokens.end());
+    const std::set<std::string, std::less<>>& tokens,
+    kg::EntityId subject) const {
   kg::PredicateId best;
   double best_score = 0.0;
   for (const kg::PredicateMeta& meta : kg_->ontology().predicates()) {
     // Base score: fraction of the predicate's surface-form tokens
-    // present in the query remainder (raw name as a fallback).
-    double score = 0.0;
+    // present in the query remainder; only full matches qualify.
+    size_t total = 0;
     size_t hits = 0;
-    const auto surface_tokens = text::Tokenize(meta.surface_form);
-    if (!surface_tokens.empty()) {
-      for (const auto& t : surface_tokens) {
-        if (token_set.count(t.text)) ++hits;
-      }
-      score = static_cast<double>(hits) /
-              static_cast<double>(surface_tokens.size());
-    }
-    for (const auto& t : text::Tokenize(meta.name)) {
-      if (token_set.count(t.text)) score = std::max(score, 0.9);
-    }
+    text::ForEachToken(meta.surface_form,
+                       [&](std::string_view tok, size_t, size_t, bool) {
+                         ++total;
+                         if (tokens.find(tok) != tokens.end()) ++hits;
+                       });
+    if (total == 0) continue;
+    double score = static_cast<double>(hits) / static_cast<double>(total);
     if (score < 0.99) continue;
     // Tiebreakers among full matches: prefer longer surface matches
     // ("movies directed" beats "movies") and relations the linked
@@ -79,14 +72,14 @@ Result<QueryAnswerer::Answer> QueryAnswerer::Ask(
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.qa.resolve"));
 
   // 2. Resolve the relation from the tokens outside the mention span.
-  std::vector<std::string> remainder;
-  for (const text::Token& t : text::Tokenize(query)) {
-    if (t.begin >= subject_ann->mention.begin &&
-        t.end <= subject_ann->mention.end) {
-      continue;
+  std::set<std::string, std::less<>> remainder;
+  text::ForEachToken(query, [&](std::string_view tok, size_t begin,
+                                size_t end, bool) {
+    if (begin < subject_ann->mention.begin ||
+        end > subject_ann->mention.end) {
+      remainder.emplace(tok);
     }
-    remainder.push_back(t.text);
-  }
+  });
   answer.predicate = ResolvePredicate(remainder, answer.subject);
   answer.explanation = "\"" + subject_ann->mention.surface + "\" -> " +
                        kg_->catalog().name(answer.subject);

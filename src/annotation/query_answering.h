@@ -1,6 +1,8 @@
 #ifndef SAGA_ANNOTATION_QUERY_ANSWERING_H_
 #define SAGA_ANNOTATION_QUERY_ANSWERING_H_
 
+#include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,11 +48,12 @@ class QueryAnswerer {
   Result<Answer> Ask(std::string_view query, const RequestContext& ctx) const;
 
  private:
-  /// Best predicate whose surface form / name tokens appear in the
-  /// query remainder; ties break toward longer surface matches and
+  /// Best predicate whose surface-form tokens all appear in the query
+  /// remainder `tokens`; ties break toward longer surface matches and
   /// predicates the subject actually holds. Invalid() if none match.
-  kg::PredicateId ResolvePredicate(const std::vector<std::string>& tokens,
-                                   kg::EntityId subject) const;
+  kg::PredicateId ResolvePredicate(
+      const std::set<std::string, std::less<>>& tokens,
+      kg::EntityId subject) const;
 
   const kg::KnowledgeGraph* kg_;
   const serving::FactRanker* ranker_;

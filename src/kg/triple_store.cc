@@ -2,31 +2,27 @@
 
 #include <cassert>
 
-#include "common/hash.h"
-
 namespace saga::kg {
 
-uint64_t TripleStore::SpKey(EntityId s, PredicateId p) {
-  return HashCombine(s.value(), p.value());
-}
-
 TripleIdx TripleStore::Add(Triple t) {
-  assert(triples_.size() < kInvalidTripleIdx);
-  const TripleIdx idx = static_cast<TripleIdx>(triples_.size());
+  assert(size() < kInvalidTripleIdx);
+  const TripleIdx idx = static_cast<TripleIdx>(size());
   by_subject_[t.subject].push_back(idx);
-  by_sp_[SpKey(t.subject, t.predicate)].push_back(idx);
   by_predicate_[t.predicate].push_back(idx);
   if (t.object.is_entity()) {
     by_object_entity_[t.object.entity()].push_back(idx);
   }
-  triples_.push_back(std::move(t));
+  if (blocks_.empty() || blocks_.back().size() == kBlockSize) {
+    blocks_.emplace_back().reserve(kBlockSize);
+  }
+  blocks_.back().push_back(std::move(t));
   deleted_.push_back(false);
   ++live_count_;
   return idx;
 }
 
 void TripleStore::Remove(TripleIdx idx) {
-  assert(idx < triples_.size());
+  assert(idx < size());
   if (!deleted_[idx]) {
     deleted_[idx] = true;
     --live_count_;
@@ -51,16 +47,13 @@ std::vector<TripleIdx> TripleStore::BySubject(EntityId s) const {
 
 std::vector<TripleIdx> TripleStore::BySubjectPredicate(EntityId s,
                                                        PredicateId p) const {
-  auto it = by_sp_.find(SpKey(s, p));
-  if (it == by_sp_.end()) return {};
-  // SpKey is a hash; verify match to guard against collisions.
+  // A subject holds few triples, so filtering its list costs little and
+  // saves a (subject, predicate) index: a map entry and a vector per pair.
   std::vector<TripleIdx> out;
-  out.reserve(it->second.size());
+  auto it = by_subject_.find(s);
+  if (it == by_subject_.end()) return out;
   for (TripleIdx i : it->second) {
-    if (!deleted_[i] && triples_[i].subject == s &&
-        triples_[i].predicate == p) {
-      out.push_back(i);
-    }
+    if (!deleted_[i] && triple(i).predicate == p) out.push_back(i);
   }
   return out;
 }
@@ -77,7 +70,7 @@ std::vector<TripleIdx> TripleStore::ByObjectEntity(EntityId o) const {
 
 bool TripleStore::Contains(EntityId s, PredicateId p, const Value& o) const {
   for (TripleIdx i : BySubjectPredicate(s, p)) {
-    if (triples_[i].object == o) return true;
+    if (triple(i).object == o) return true;
   }
   return false;
 }

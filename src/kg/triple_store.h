@@ -12,7 +12,8 @@
 
 namespace saga::kg {
 
-/// Indexed in-memory triple store with SP / P / O-entity access paths.
+/// Indexed in-memory triple store with subject / predicate / object-entity
+/// access paths.
 /// Triples are appended; deletions tombstone in place so TripleIdx stays
 /// stable (views and annotation indexes hold TripleIdx references).
 class TripleStore {
@@ -31,8 +32,10 @@ class TripleStore {
   void Remove(TripleIdx idx);
 
   bool IsLive(TripleIdx idx) const { return !deleted_[idx]; }
-  const Triple& triple(TripleIdx idx) const { return triples_[idx]; }
-  size_t size() const { return triples_.size(); }
+  const Triple& triple(TripleIdx idx) const {
+    return blocks_[idx >> kBlockBits][idx & (kBlockSize - 1)];
+  }
+  size_t size() const { return deleted_.size(); }
   size_t live_size() const { return live_count_; }
 
   /// Live triple indexes with the given subject.
@@ -54,8 +57,8 @@ class TripleStore {
   /// Invokes fn(idx, triple) for every live triple.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (TripleIdx i = 0; i < triples_.size(); ++i) {
-      if (!deleted_[i]) fn(i, triples_[i]);
+    for (TripleIdx i = 0; i < size(); ++i) {
+      if (!deleted_[i]) fn(i, triple(i));
     }
   }
 
@@ -63,15 +66,18 @@ class TripleStore {
   static Status Deserialize(BinaryReader* r, TripleStore* out);
 
  private:
-  static uint64_t SpKey(EntityId s, PredicateId p);
   std::vector<TripleIdx> Filtered(const std::vector<TripleIdx>* v) const;
 
-  std::vector<Triple> triples_;
+  /// Triples live in blocks of kBlockSize that are reserved once and
+  /// never move, so a growing store copies nothing and leaves no freed
+  /// buffers behind in the heap.
+  static constexpr size_t kBlockBits = 12;
+  static constexpr size_t kBlockSize = size_t{1} << kBlockBits;
+  std::vector<std::vector<Triple>> blocks_;
   std::vector<bool> deleted_;
   size_t live_count_ = 0;
 
   std::unordered_map<EntityId, std::vector<TripleIdx>> by_subject_;
-  std::unordered_map<uint64_t, std::vector<TripleIdx>> by_sp_;
   std::unordered_map<PredicateId, std::vector<TripleIdx>> by_predicate_;
   std::unordered_map<EntityId, std::vector<TripleIdx>> by_object_entity_;
 };

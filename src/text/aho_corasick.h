@@ -12,6 +12,8 @@ namespace saga::text {
 /// Multi-pattern string matcher (Aho-Corasick over bytes). The mention
 /// detector compiles the KG alias gazetteer (hundreds of thousands of
 /// surface forms) into one automaton and scans each document once.
+/// Once built, the automaton is flat arrays: 12 bytes per trie node plus
+/// 5 bytes per edge and 4 per node of CSR offsets.
 class AhoCorasick {
  public:
   struct Match {
@@ -37,13 +39,25 @@ class AhoCorasick {
 
  private:
   struct Node {
-    std::unordered_map<uint8_t, int32_t> next;
     int32_t fail = 0;
-    std::vector<uint32_t> outputs;
+    int32_t output = -1;  // first pattern ending here; more via next_output_
+    int32_t dict = -1;    // nearest node on the fail chain with an output
   };
 
+  /// Child of `node` on byte `c`, or -1. Valid after Build().
+  int32_t Child(int32_t node, uint8_t c) const;
+
   std::vector<Node> nodes_{1};
+  /// AddPattern's trie edges, (parent << 8 | byte) -> child. Build()
+  /// moves them into the CSR arrays below and frees the map.
+  std::unordered_map<uint64_t, int32_t> trie_;
+  /// Node n's edges are [edge_offsets_[n], edge_offsets_[n + 1]), sorted
+  /// by byte.
+  std::vector<uint32_t> edge_offsets_;
+  std::vector<uint8_t> edge_bytes_;
+  std::vector<int32_t> edge_child_;
   std::vector<std::string> patterns_;
+  std::vector<int32_t> next_output_;  // per pattern; -1 ends the list
   bool built_ = false;
 };
 

@@ -16,8 +16,10 @@ HashingVectorizer::HashingVectorizer(Options options) : options_(options) {}
 void HashingVectorizer::FitDf(const std::vector<std::string_view>& docs) {
   for (std::string_view doc : docs) {
     std::set<std::string> seen;
-    for (const Token& t : Tokenize(doc)) seen.insert(t.text);
-    for (const auto& tok : seen) ++df_[tok];
+    ForEachToken(doc, [&](std::string_view tok, size_t, size_t, bool) {
+      const auto [it, inserted] = seen.emplace(tok);
+      if (inserted) ++df_[*it];
+    });
     ++num_docs_;
   }
 }
@@ -27,32 +29,32 @@ void HashingVectorizer::FitDf(const std::vector<std::string>& docs) {
   FitDf(views);
 }
 
-double HashingVectorizer::IdfWeight(const std::string& token) const {
+double HashingVectorizer::IdfWeight(std::string_view token) const {
   if (!options_.use_idf || num_docs_ == 0) return 1.0;
   auto it = df_.find(token);
   const double df = it == df_.end() ? 0.0 : static_cast<double>(it->second);
   return std::log((1.0 + num_docs_) / (1.0 + df)) + 0.1;
 }
 
-void HashingVectorizer::AddTokenWeight(std::string_view token, double weight,
-                                       std::vector<float>* vec) const {
-  const uint64_t h = Hash64(token);
-  const uint32_t dim = static_cast<uint32_t>(options_.dim);
-  const uint32_t idx = static_cast<uint32_t>(h % dim);
-  const double sign = (Mix64(h) & 1) ? 1.0 : -1.0;
-  (*vec)[idx] += static_cast<float>(sign * weight);
-}
-
 std::vector<float> HashingVectorizer::Embed(std::string_view text) const {
   std::vector<float> vec(options_.dim, 0.0f);
-  const std::vector<Token> tokens = Tokenize(text);
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    AddTokenWeight(tokens[i].text, IdfWeight(tokens[i].text), &vec);
-    if (options_.use_bigrams && i + 1 < tokens.size()) {
-      const std::string bigram = tokens[i].text + "_" + tokens[i + 1].text;
-      AddTokenWeight(bigram, 0.5, &vec);
+  const uint32_t dim = static_cast<uint32_t>(options_.dim);
+  auto add = [&](uint64_t h, double weight) {
+    const double sign = (Mix64(h) & 1) ? 1.0 : -1.0;
+    vec[static_cast<uint32_t>(h % dim)] += static_cast<float>(sign * weight);
+  };
+  // Float adds keep the order unigram 0, bigram 0-1, unigram 1, ...
+  bool first = true;
+  uint64_t prev = 0;
+  ForEachToken(text, [&](std::string_view tok, size_t, size_t, bool) {
+    const uint64_t h = Hash64(tok);
+    if (options_.use_bigrams && !first) {
+      add(Hash64(tok, Hash64(std::string_view("_"), prev)), 0.5);
     }
-  }
+    add(h, IdfWeight(tok));
+    prev = h;
+    first = false;
+  });
   double norm_sq = 0.0;
   for (float v : vec) norm_sq += static_cast<double>(v) * v;
   if (norm_sq > 0.0) {

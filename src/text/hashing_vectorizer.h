@@ -2,6 +2,7 @@
 #define SAGA_TEXT_HASHING_VECTORIZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,7 +35,10 @@ class HashingVectorizer {
   void FitDf(const std::vector<std::string_view>& docs);
   void FitDf(const std::vector<std::string>& docs);
 
-  /// Dense L2-normalized embedding of `text`.
+  /// Dense L2-normalized embedding of `text`. Tokens are hashed in
+  /// place as the tokenizer yields them; each bigram hash continues the
+  /// first token's FNV-1a state over "_" and the second token, so it
+  /// equals Hash64(a + "_" + b) without building that string.
   std::vector<float> Embed(std::string_view text) const;
 
   /// Cosine similarity of two vectors from this vectorizer (assumes
@@ -45,12 +49,18 @@ class HashingVectorizer {
   int dim() const { return options_.dim; }
 
  private:
-  void AddTokenWeight(std::string_view token, double weight,
-                      std::vector<float>* vec) const;
-  double IdfWeight(const std::string& token) const;
+  /// Transparent hash so `df_` is probed with a token's string_view.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+
+  double IdfWeight(std::string_view token) const;
 
   Options options_;
-  std::unordered_map<std::string, uint32_t> df_;
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>> df_;
   uint32_t num_docs_ = 0;
 };
 

@@ -4,32 +4,12 @@
 
 namespace saga::text {
 
-namespace {
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '\'';
-}
-}  // namespace
-
 std::vector<Token> Tokenize(std::string_view text) {
   std::vector<Token> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !IsWordChar(text[i])) ++i;
-    if (i >= text.size()) break;
-    const size_t begin = i;
-    while (i < text.size() && IsWordChar(text[i])) ++i;
-    Token tok;
-    tok.begin = begin;
-    tok.end = i;
-    tok.capitalized =
-        std::isupper(static_cast<unsigned char>(text[begin])) != 0;
-    tok.text.reserve(i - begin);
-    for (size_t j = begin; j < i; ++j) {
-      tok.text.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(text[j]))));
-    }
-    tokens.push_back(std::move(tok));
-  }
+  ForEachToken(text, [&](std::string_view lowered, size_t begin, size_t end,
+                         bool capitalized) {
+    tokens.push_back(Token{std::string(lowered), begin, end, capitalized});
+  });
   return tokens;
 }
 

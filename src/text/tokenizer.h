@@ -7,6 +7,49 @@
 
 namespace saga::text {
 
+/// ASCII-only character classes. The program never calls `setlocale`,
+/// so these agree with `std::isalnum`/`std::tolower` in the "C" locale:
+/// bytes 0x80-0xFF are neither letters nor digits and fold to
+/// themselves.
+inline bool IsAsciiUpper(char c) { return c >= 'A' && c <= 'Z'; }
+inline bool IsAsciiAlnum(char c) {
+  return (c >= 'a' && c <= 'z') || IsAsciiUpper(c) || (c >= '0' && c <= '9');
+}
+inline char AsciiLower(char c) {
+  return IsAsciiUpper(c) ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// Word characters are ASCII [A-Za-z0-9'].
+inline bool IsWordChar(char c) { return IsAsciiAlnum(c) || c == '\''; }
+
+/// The one tokenizer loop. Calls `fn(lowered, begin, end, capitalized)`
+/// once per maximal run of word characters, in text order: `lowered` is
+/// the ASCII-lowercased token, `[begin, end)` its byte span in `text`,
+/// and `capitalized` whether it starts with an uppercase letter.
+/// `lowered` views a buffer reused for the next token, so `fn` must copy
+/// what it keeps. No heap allocation unless a token is longer than the
+/// inline buffer.
+template <typename Fn>
+void ForEachToken(std::string_view text, Fn&& fn) {
+  char inline_buf[64];
+  std::string long_buf;
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !IsWordChar(text[i])) ++i;
+    if (i >= text.size()) break;
+    const size_t begin = i;
+    while (i < text.size() && IsWordChar(text[i])) ++i;
+    const size_t len = i - begin;
+    char* out = inline_buf;
+    if (len > sizeof(inline_buf)) {
+      long_buf.resize(len);
+      out = long_buf.data();
+    }
+    for (size_t j = 0; j < len; ++j) out[j] = AsciiLower(text[begin + j]);
+    fn(std::string_view(out, len), begin, i, IsAsciiUpper(text[begin]));
+  }
+}
+
 /// One token with its byte span in the original text. Spans let the
 /// mention detector map token matches back to character offsets.
 struct Token {
@@ -16,9 +59,9 @@ struct Token {
   bool capitalized = false;  // original form started with an uppercase letter
 };
 
-/// ASCII word tokenizer: splits on non-alphanumeric characters, records
-/// spans and capitalization. Multilingual tokenization is out of scope
-/// (the paper's service is multilingual; see DESIGN.md substitutions).
+/// ASCII word tokenizer: ForEachToken collected into Tokens.
+/// Multilingual tokenization is out of scope (the paper's service is
+/// multilingual; see DESIGN.md substitutions).
 std::vector<Token> Tokenize(std::string_view text);
 
 /// Splits text into sentence strings on [.!?] followed by whitespace.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "annotation/annotator.h"
@@ -9,6 +10,7 @@
 #include "annotation/web_linker.h"
 #include "common/file_util.h"
 #include "kg/kg_generator.h"
+#include "reference_text.h"
 #include "websim/corpus_generator.h"
 
 namespace saga::annotation {
@@ -190,6 +192,28 @@ TEST(ContextRerankerTest, CachedProfilesMatchOnTheFly) {
     EXPECT_NEAR(cached[i].score, fresh[i].score, 1e-6);
   }
   (void)RemoveDirRecursively(*dir);
+}
+
+TEST(ContextRerankerTest, ProfileEmbeddingsMatchReferenceBitForBit) {
+  // The serving benchmark's KG size.
+  kg::KgGeneratorConfig config;
+  config.num_persons = 8000;
+  kg::GeneratedKg gen = kg::GenerateKg(config);
+  ContextReranker reranker(&gen.kg);
+  const text::reference::Vectorizer ref(
+      text::HashingVectorizer::Options{});
+  size_t mismatches = 0;
+  for (const auto& rec : gen.kg.catalog().records()) {
+    const std::string profile = reranker.EntityProfileText(rec.id);
+    const std::vector<float> got = reranker.vectorizer().Embed(profile);
+    const std::vector<float> want = ref.Embed(profile);
+    ASSERT_EQ(got.size(), want.size());
+    if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_GT(gen.kg.catalog().records().size(), 8000u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------- Annotator end-to-end ----------

@@ -299,6 +299,27 @@ TEST_F(TripleStoreTest, RemoveTombstones) {
   EXPECT_EQ(store.triple(hits[0]).object, Value::Int(2));
 }
 
+TEST_F(TripleStoreTest, AccessPathsMatchAScanAcrossStorageBlocks) {
+  TripleStore store;
+  constexpr uint64_t kTriples = 10000;  // spans several storage blocks
+  for (uint64_t i = 0; i < kTriples; ++i) {
+    EXPECT_EQ(store.Add(Make(i % 97, i % 7, Value::Int(i))), i);
+  }
+  for (TripleIdx i = 0; i < kTriples; i += 5) store.Remove(i);
+  for (TripleIdx i = 0; i < kTriples; ++i) {
+    EXPECT_EQ(store.triple(i).object, Value::Int(i));
+  }
+  for (uint64_t s = 0; s < 97; ++s) {
+    for (uint64_t p = 0; p < 7; ++p) {
+      std::vector<TripleIdx> want;
+      for (TripleIdx i = 0; i < kTriples; ++i) {
+        if (store.IsLive(i) && i % 97 == s && i % 7 == p) want.push_back(i);
+      }
+      EXPECT_EQ(store.BySubjectPredicate(EntityId(s), PredicateId(p)), want);
+    }
+  }
+}
+
 TEST_F(TripleStoreTest, PredicateFrequenciesCountLiveOnly) {
   TripleStore store;
   store.Add(Make(1, 0, Value::Int(1)));

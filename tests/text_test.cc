@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <random>
 #include <set>
 #include <string>
 
+#include "common/hash.h"
+#include "reference_text.h"
 #include "text/aho_corasick.h"
 #include "text/hashing_vectorizer.h"
 #include "text/similarity.h"
@@ -151,6 +156,140 @@ TEST(VectorizerTest, DimensionIsConfigurable) {
   EXPECT_EQ(vec.dim(), 64);
 }
 
+// ---------- Oracle: tokenizer and embedder vs the reference ----------
+
+// Seeded text mixing both letter cases, digits, apostrophes,
+// punctuation, bytes 0x80-0xFF and tokens longer than the tokenizer's
+// inline buffer; zero pieces give the empty text.
+std::string RandomText(std::mt19937_64& rng) {
+  static constexpr std::string_view kLetters =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  static constexpr std::string_view kLower = kLetters.substr(0, 26);
+  static constexpr std::string_view kPunct = " \t\n.,;:!?-_()\"/&";
+  auto pick = [&](std::string_view from) { return from[rng() % from.size()]; };
+  std::string s;
+  const size_t pieces = rng() % 40;
+  for (size_t p = 0; p < pieces; ++p) {
+    const size_t len = 1 + rng() % 9;
+    switch (rng() % 10) {
+      case 0:  // lowercase word
+        for (size_t i = 0; i < len; ++i) s.push_back(pick(kLower));
+        break;
+      case 1:  // capitalized word
+        s.push_back(pick(kLetters.substr(26)));
+        for (size_t i = 0; i < len; ++i) s.push_back(pick(kLower));
+        break;
+      case 2:  // mixed case with digits
+        for (size_t i = 0; i < len; ++i) {
+          s.push_back(rng() % 3 == 0 ? pick("0123456789") : pick(kLetters));
+        }
+        break;
+      case 3:  // apostrophes
+        s += rng() % 2 ? "O'Brien's" : "'tis'";
+        break;
+      case 4:  // punctuation run
+        for (size_t i = 0; i < len % 3 + 1; ++i) s.push_back(pick(kPunct));
+        break;
+      case 5:  // high bytes, alone or glued to letters
+        for (size_t i = 0; i < len % 4 + 1; ++i) {
+          s.push_back(static_cast<char>(0x80 + rng() % 0x80));
+          if (rng() % 2) s.push_back(pick(kLetters));
+        }
+        break;
+      case 6:  // around and beyond the inline buffer (64 bytes)
+        for (size_t i = 0, n = 60 + rng() % 150; i < n; ++i) {
+          s.push_back(pick(kLetters));
+        }
+        break;
+      case 7:  // digits
+        for (size_t i = 0; i < len; ++i) s.push_back(pick("0123456789"));
+        break;
+      default: {  // repeats from a small vocabulary pile many adds onto
+                  // a few dimensions, where the float add order shows
+        static constexpr std::string_view kVocab[] = {
+            "the", "film", "Team", "of", "born", "in", "city", "song"};
+        for (size_t i = 0; i < len; ++i) {
+          s += kVocab[rng() % std::size(kVocab)];
+          s.push_back(' ');
+        }
+        break;
+      }
+    }
+    if (rng() % 3 != 0) s.push_back(rng() % 2 ? ' ' : pick(kPunct));
+  }
+  return s;
+}
+
+std::vector<std::string> RandomTexts(uint64_t seed, size_t n) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::string> texts = {"", "   ", std::string(64, 'A'),
+                                    std::string(65, 'b'),
+                                    "a" + std::string(300, 'Z')};
+  while (texts.size() < n) texts.push_back(RandomText(rng));
+  return texts;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(TextOracleTest, TokenizeMatchesReference) {
+  for (const std::string& text : RandomTexts(17, 3000)) {
+    const std::vector<Token> got = Tokenize(text);
+    const std::vector<Token> want = reference::Tokenize(text);
+    ASSERT_EQ(got.size(), want.size()) << text;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].text, want[i].text);
+      EXPECT_EQ(got[i].begin, want[i].begin);
+      EXPECT_EQ(got[i].end, want[i].end);
+      EXPECT_EQ(got[i].capitalized, want[i].capitalized);
+    }
+  }
+}
+
+TEST(TextOracleTest, BigramHashStreamsFnv) {
+  for (const auto& [a, b] : {std::pair<std::string, std::string>{"x", "y"},
+                             {"michael", "jordan"},
+                             {"", "z"},
+                             {"o'brien", ""}}) {
+    EXPECT_EQ(Hash64(a + "_" + b),
+              Hash64(b, Hash64(std::string_view("_"), Hash64(a))));
+    EXPECT_EQ(Hash64(a + "_" + b),
+              Hash64(b, (Hash64(a) ^ '_') * 0x100000001B3ULL));
+  }
+}
+
+// Unfitted, every weight is +-1 or +-0.5 and the sums are exact in any
+// order; only the fitted idf weights pin the float add order.
+TEST(TextOracleTest, EmbedMatchesReferenceBitForBit) {
+  const std::vector<std::string> corpus = RandomTexts(5, 300);
+  const std::vector<std::string> texts = RandomTexts(29, 1500);
+  enum class Idf { kUnfitted, kFitted, kFittedButOff };
+  for (int dim : {64, 100, 256}) {
+    for (bool bigrams : {true, false}) {
+      for (Idf idf : {Idf::kUnfitted, Idf::kFitted, Idf::kFittedButOff}) {
+        HashingVectorizer::Options opts;
+        opts.dim = dim;
+        opts.use_bigrams = bigrams;
+        opts.use_idf = idf != Idf::kFittedButOff;
+        HashingVectorizer vec(opts);
+        reference::Vectorizer ref(opts);
+        if (idf != Idf::kUnfitted) {
+          vec.FitDf(corpus);
+          ref.FitDf(corpus);
+        }
+        size_t mismatches = 0;
+        for (const std::string& text : texts) {
+          if (!SameBits(vec.Embed(text), ref.Embed(text))) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams
+                                  << " idf " << static_cast<int>(idf);
+      }
+    }
+  }
+}
+
 // ---------- AhoCorasick ----------
 
 TEST(AhoCorasickTest, FindsAllOccurrences) {
@@ -172,6 +311,20 @@ TEST(AhoCorasickTest, FindsAllOccurrences) {
   EXPECT_TRUE(found.count(he));
   EXPECT_TRUE(found.count(she));
   EXPECT_TRUE(found.count(hers));
+}
+
+TEST(AhoCorasickTest, DuplicatePatternsEachMatchInAddOrder) {
+  AhoCorasick ac;
+  const uint32_t first = ac.AddPattern("ab");
+  const uint32_t b = ac.AddPattern("b");
+  const uint32_t second = ac.AddPattern("ab");
+  ac.Build();
+  const auto matches = ac.FindAll("xab");
+  ASSERT_EQ(matches.size(), 3u);
+  EXPECT_EQ(matches[0].pattern, first);
+  EXPECT_EQ(matches[1].pattern, second);
+  EXPECT_EQ(matches[2].pattern, b);
+  for (const auto& m : matches) EXPECT_EQ(m.end, 3u);
 }
 
 TEST(AhoCorasickTest, NoMatchesInUnrelatedText) {
