@@ -1,13 +1,10 @@
 #!/usr/bin/env bash
 # Lint metric and span names against the scheme documented in DESIGN.md
 # ("Observability"): every name passed to SAGA_COUNTER / SAGA_GAUGE /
-# SAGA_LATENCY / obs::ScopedSpan must have exactly three
+# SAGA_LATENCY / SAGA_STAGE / obs::ScopedSpan, or as a string literal to
+# Registry::Global().counter / gauge / latency, must have exactly three
 # lower_snake_case segments, `subsystem.component.metric`, and latency
 # histogram names must end in `_ns`.
-#
-# Legacy two-segment names that go through the per-run MetricsRegistry
-# (e.g. "retry.attempts") are grandfathered: this lint only inspects
-# obs macro / ScopedSpan call sites.
 #
 # Usage: scripts/check_metric_names.sh [repo-root]
 set -u
@@ -40,6 +37,7 @@ extract() {
 check() {
   local call="$1" extra_re="${2:-}"
   local label="${call%% *}"  # strip the identifier regex from the message
+  label="${label//\\/}"     # and the regex escapes
   while IFS= read -r hit; do
     [ -n "$hit" ] || continue
     local name="${hit##*:}"
@@ -60,6 +58,10 @@ check() {
 check 'SAGA_COUNTER'
 check 'SAGA_GAUGE'
 check 'SAGA_LATENCY' '_ns$'
+check 'SAGA_STAGE'                   # its histogram is the name + "_ns"
+check 'Registry::Global\(\)\.counter'
+check 'Registry::Global\(\)\.gauge'
+check 'Registry::Global\(\)\.latency' '_ns$'
 check 'obs::ScopedSpan [a-zA-Z_]+'   # named locals: obs::ScopedSpan span("...")
 check 'obs::ScopedSpan'              # temporaries / ctor-style
 

@@ -1,7 +1,6 @@
 #include "annotation/query_answering.h"
 
 #include "common/metrics.h"
-#include "common/trace.h"
 #include "text/tokenizer.h"
 
 namespace saga::annotation {
@@ -46,9 +45,7 @@ kg::PredicateId QueryAnswerer::ResolvePredicate(
 
 Result<QueryAnswerer::Answer> QueryAnswerer::Ask(
     std::string_view query, const RequestContext& ctx) const {
-  obs::ScopedSpan span("serving.qa.ask");
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.qa.ask_ns"));
-  SAGA_COUNTER("serving.qa.queries").Add();
+  auto stage = SAGA_STAGE("serving.qa.ask");
   Answer answer;
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.qa.annotate"));
 

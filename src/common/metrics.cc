@@ -9,7 +9,7 @@
 namespace saga {
 
 // ---------------------------------------------------------------------------
-// Legacy per-run Histogram.
+// Per-run Histogram.
 
 void Histogram::Merge(const Histogram& other) {
   samples_.insert(samples_.end(), other.samples_.begin(),
@@ -380,54 +380,5 @@ std::string DumpAll(DumpFormat format) {
 }
 
 }  // namespace obs
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry: per-run thin view over the global subsystem.
-
-void MetricsRegistry::IncrCounter(const std::string& name, int64_t delta) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters_[name] += delta;
-  }
-  // Mirror into the platform-wide surface so per-run robustness
-  // counters show up in obs::DumpAll(). Legacy two-segment names are
-  // grandfathered (the lint only checks obs macro call sites).
-  obs::Registry::Global().counter(name).Add(delta);
-}
-
-int64_t MetricsRegistry::counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-Histogram* MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return &histograms_[name];
-}
-
-void MetricsRegistry::MergeHistogram(const std::string& name,
-                                     const Histogram& h) {
-  std::lock_guard<std::mutex> lock(mu_);
-  histograms_[name].Merge(h);
-}
-
-std::string MetricsRegistry::Report() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    out += name + " = " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out += name + " : " + hist.Summary() + "\n";
-  }
-  return out;
-}
-
-void MetricsRegistry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  histograms_.clear();
-}
 
 }  // namespace saga

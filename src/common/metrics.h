@@ -13,6 +13,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/trace.h"
+
 namespace saga {
 
 /// Wall-clock stopwatch used by benchmarks and pipeline stage timing.
@@ -269,6 +271,37 @@ class ScopedLatency {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// RAII traced stage: span `name` (only while tracing is on) plus a
+/// sample in `hist`, both from one pair of MonotonicNowNs() reads, so
+/// the span's duration and the sample are the same number. Use it
+/// through SAGA_STAGE, which caches the `<name>_ns` histogram.
+class ScopedStage {
+ public:
+  ScopedStage(std::string_view name, LatencyHistogram& hist)
+      : hist_(internal::EnabledFast() ? &hist : nullptr) {
+    const bool traced = span_.Open(name);
+    if (hist_ == nullptr && !traced) return;
+    start_ns_ = MonotonicNowNs();
+    if (traced) span_.node_->start_ns = start_ns_;
+  }
+  ~ScopedStage() {
+    if (hist_ == nullptr && span_.node_ == nullptr) return;
+    const uint64_t end_ns = MonotonicNowNs();
+    // Sample before the span closes: a span that began its trace
+    // clears the thread's trace context on close, and the exemplar
+    // would lose the trace id.
+    if (hist_ != nullptr) hist_->Record(end_ns - start_ns_);
+    if (span_.node_ != nullptr) span_.Close(end_ns);
+  }
+  ScopedStage(const ScopedStage&) = delete;
+  ScopedStage& operator=(const ScopedStage&) = delete;
+
+ private:
+  LatencyHistogram* hist_;
+  ScopedSpan span_;
+  uint64_t start_ns_ = 0;
+};
+
 enum class DumpFormat { kPrometheus, kJson };
 
 /// Process-global metric registry. Lookup takes a mutex; call sites
@@ -327,40 +360,6 @@ std::string DumpAll(DumpFormat format = DumpFormat::kPrometheus);
 
 }  // namespace obs
 
-/// Named counters + histograms for one pipeline run. Since the obs
-/// rewrite this is a thin per-run view over the process-global
-/// subsystem: counter increments also land in `obs::Registry::Global()`
-/// (same name), so robustness counters from PR 1 show up in DumpAll()
-/// while per-run assertions keep reading the local copy. All mutating
-/// entry points are mutex-guarded; the accessors returning references
-/// are for after-run reporting once writers have quiesced.
-class MetricsRegistry {
- public:
-  void IncrCounter(const std::string& name, int64_t delta = 1);
-  int64_t counter(const std::string& name) const;
-
-  /// Per-run histogram handle. The returned Histogram follows the
-  /// single-writer contract above; workers should own a local Histogram
-  /// and aggregate through MergeHistogram instead of sharing one.
-  Histogram* histogram(const std::string& name);
-  /// Merge-based aggregation path: folds a worker-local histogram into
-  /// the named per-run histogram under the registry lock.
-  void MergeHistogram(const std::string& name, const Histogram& h);
-
-  const std::map<std::string, int64_t>& counters() const { return counters_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  std::string Report() const;
-  void Clear();
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, int64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
-};
-
 }  // namespace saga
 
 /// Cached global-metric accessors: first evaluation registers the
@@ -387,5 +386,11 @@ class MetricsRegistry {
         ::saga::obs::Registry::Global().latency(name);           \
     return latency_ref;                                          \
   }())
+
+/// Traced stage `name`: `auto stage = SAGA_STAGE("serving.qa.ask");`
+/// opens span `name` while tracing is on and records histogram
+/// `name "_ns"` (see obs::ScopedStage).
+#define SAGA_STAGE(name) \
+  ::saga::obs::ScopedStage((name), SAGA_LATENCY(name "_ns"))
 
 #endif  // SAGA_COMMON_METRICS_H_

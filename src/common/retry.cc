@@ -6,6 +6,7 @@
 
 #include "common/circuit_breaker.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 
 namespace saga {
 
@@ -25,7 +26,6 @@ double RetryPolicy::BackoffMs(int attempt) {
 
 Status RetryPolicy::Run(const std::string& op_name,
                         const std::function<Status()>& op,
-                        MetricsRegistry* metrics,
                         const RetryablePredicate& retryable) {
   const int attempts = std::max(1, options_.max_attempts);
   Status last;
@@ -36,7 +36,7 @@ Status RetryPolicy::Run(const std::string& op_name,
         !NeverRetryable(last) && (retryable ? retryable(last) : IsRetryable(last));
     if (!worth_retry || attempt == attempts) return last;
     ++total_retries_;
-    if (metrics != nullptr) metrics->IncrCounter("retry.attempts");
+    SAGA_COUNTER("resource.retry.attempts").Add();
     const double backoff = BackoffMs(attempt);
     SAGA_LOG(Warning) << op_name << " attempt " << attempt << "/" << attempts
                       << " failed (" << last.ToString() << "); retrying in "
@@ -52,13 +52,13 @@ Status RetryPolicy::Run(const std::string& op_name,
 
 Status RetryPolicy::Run(const std::string& op_name,
                         const std::function<Status()>& op,
-                        CircuitBreaker* breaker, MetricsRegistry* metrics,
+                        CircuitBreaker* breaker,
                         const RetryablePredicate& retryable) {
-  if (breaker == nullptr) return Run(op_name, op, metrics, retryable);
+  if (breaker == nullptr) return Run(op_name, op, retryable);
   const RetryablePredicate base =
       retryable ? retryable : RetryablePredicate(&RetryPolicy::IsRetryable);
   return Run(
-      op_name, [&] { return breaker->Run(op); }, metrics,
+      op_name, [&] { return breaker->Run(op); },
       [&base](const Status& s) {
         // An open breaker means "stop calling" — never retry through it.
         return !s.IsUnavailable() && base(s);

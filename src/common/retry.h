@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -42,10 +41,9 @@ class RetryPolicy {
 
   /// Runs `op` until it succeeds, fails with a non-retryable status, or
   /// attempts are exhausted; returns the last status. Each retry (not
-  /// first attempts) bumps the `retry.attempts` counter on `metrics`
-  /// when provided. `retryable` defaults to IsRetryable.
+  /// first attempts) bumps the global `resource.retry.attempts`
+  /// counter. `retryable` defaults to IsRetryable.
   Status Run(const std::string& op_name, const std::function<Status()>& op,
-             MetricsRegistry* metrics = nullptr,
              const RetryablePredicate& retryable = nullptr);
 
   /// Breaker-aware variant: every attempt (including retries) first
@@ -55,7 +53,7 @@ class RetryPolicy {
   /// overload the breaker exists to relieve. Unavailable is never
   /// retryable. Null `breaker` degrades to the plain Run above.
   Status Run(const std::string& op_name, const std::function<Status()>& op,
-             CircuitBreaker* breaker, MetricsRegistry* metrics = nullptr,
+             CircuitBreaker* breaker,
              const RetryablePredicate& retryable = nullptr);
 
   /// Backoff for the given 1-based completed attempt, jitter included.

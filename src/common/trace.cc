@@ -133,11 +133,14 @@ ScopedTraceContext::~ScopedTraceContext() {
 }
 
 ScopedSpan::ScopedSpan(std::string_view name) {
-  if (!TracingEnabled()) return;
-  if (t_ctx.valid() && !t_ctx.sampled) return;  // head-unsampled trace
+  if (Open(name)) node_->start_ns = MonotonicNowNs();
+}
+
+bool ScopedSpan::Open(std::string_view name) {
+  if (!TracingEnabled()) return false;
+  if (t_ctx.valid() && !t_ctx.sampled) return false;  // head-unsampled
   auto node = std::make_unique<SpanNode>();
   node->name = std::string(name);
-  node->start_ns = MonotonicNowNs();
   node->thread_id = internal::ThreadId();
   if (!t_ctx.valid()) {
     // No ambient context: this span initiates a new trace.
@@ -160,11 +163,15 @@ ScopedSpan::ScopedSpan(std::string_view name) {
     t_span_stack.back()->children.push_back(std::move(node));
   }
   t_span_stack.push_back(node_);
+  return true;
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (node_ == nullptr) return;
-  node_->duration_ns = MonotonicNowNs() - node_->start_ns;
+  if (node_ != nullptr) Close(MonotonicNowNs());
+}
+
+void ScopedSpan::Close(uint64_t end_ns) {
+  node_->duration_ns = end_ns - node_->start_ns;
   // Tracing may have been toggled mid-span; only pop if we are still
   // the innermost open span of this thread.
   if (!t_span_stack.empty() && t_span_stack.back() == node_) {
@@ -175,6 +182,7 @@ ScopedSpan::~ScopedSpan() {
     CollectFragment(std::move(root_));
   }
   if (started_trace_) t_ctx = TraceContext{};
+  node_ = nullptr;
 }
 
 void MarkSpanError(StatusCode code) {

@@ -119,6 +119,15 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  /// ScopedStage opens and closes its span with its own clock reads.
+  friend class ScopedStage;
+  ScopedSpan() = default;
+  /// Opens span `name` unless tracing is off or the ambient trace is
+  /// head-unsampled; the caller stamps `node_->start_ns`.
+  bool Open(std::string_view name);
+  /// Closes the open span at `end_ns` (a MonotonicNowNs() reading).
+  void Close(uint64_t end_ns);
+
   SpanNode* node_ = nullptr;          // null when tracing was disabled
   std::unique_ptr<SpanNode> root_;    // set only for segment roots
   uint64_t prev_parent_span_id_ = 0;  // ambient span id to restore

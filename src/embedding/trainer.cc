@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace saga::embedding {
 
@@ -133,9 +132,7 @@ TrainedEmbeddings InMemoryTrainer::TrainEdgesFrom(
   NegativeSampler sampler(view, config_.filtered_negatives);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    obs::ScopedSpan epoch_span("embedding.trainer.epoch");
-    obs::ScopedLatency epoch_timer(SAGA_LATENCY("embedding.trainer.epoch_ns"));
-    SAGA_COUNTER("embedding.trainer.epochs").Add();
+    auto epoch_stage = SAGA_STAGE("embedding.trainer.epoch");
     rng.Shuffle(&train);
     double epoch_loss = 0.0;
     bool corrupt_tail = true;

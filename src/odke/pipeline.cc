@@ -103,8 +103,7 @@ std::vector<CandidateFact> OdkePipeline::ExtractCandidates(
 }
 
 GapResult OdkePipeline::HarvestGap(const FactGap& gap) const {
-  obs::ScopedSpan span("odke.pipeline.harvest_gap");
-  obs::ScopedLatency timer(SAGA_LATENCY("odke.pipeline.harvest_ns"));
+  auto stage = SAGA_STAGE("odke.pipeline.harvest");
   GapResult result;
   result.gap = gap;
   std::vector<CandidateFact> candidates =

@@ -9,7 +9,6 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace saga::serving {
 
@@ -79,16 +78,14 @@ void EmbeddingService::BuildIndexWithFallback() {
   RetryPolicy retry(options_.retry);
   const Status s = retry.Run(
       "serving.index_build",
-      [&] { return BuildIndexOnce(options_.index); }, options_.metrics);
+      [&] { return BuildIndexOnce(options_.index); });
   if (s.ok()) return;
   // Degraded mode: serve exact brute-force results rather than not
   // serving at all.
   SAGA_LOG(Warning) << "accelerated index build failed (" << s
                     << "); serving degraded to exact search";
   degraded_ = true;
-  if (options_.metrics != nullptr) {
-    options_.metrics->IncrCounter("serving.degraded");
-  }
+  SAGA_COUNTER("serving.embedding.degraded_builds").Add();
   (void)BuildIndexOnce(IndexKind::kExact);
 }
 
@@ -143,8 +140,7 @@ Result<std::vector<std::pair<kg::EntityId, double>>>
 EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter,
                                 const RequestContext& ctx) const {
-  obs::ScopedSpan span("serving.embedding.topk_neighbors");
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
+  auto stage = SAGA_STAGE("serving.embedding.topk");
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.topk"));
   const std::vector<float>* query = store_.Get(id);
   if (query == nullptr) return NoEmbedding(id);
@@ -164,7 +160,6 @@ EmbeddingService::TopKForVector(const std::vector<float>& query, size_t k,
                                 kg::TypeId type_filter,
                                 const RequestContext& ctx) const {
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.search_ns"));
-  SAGA_COUNTER("serving.embedding.searches").Add();
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.search"));
   // Over-fetch when filtering so enough survivors remain.
   const size_t fetch = type_filter.valid() ? k * 8 + 16 : k;
@@ -233,7 +228,11 @@ Result<std::vector<ann::Neighbor>> EmbeddingService::SearchWithPolicies(
   if (s.ok()) hits = index_->Search(query, fetch);
   RecordAnnOutcome(s, sw.ElapsedMillis(), ctx);
   if (!s.ok()) {
-    if (exact_backup_ != nullptr) return exact_backup_->Search(query, fetch);
+    if (exact_backup_ != nullptr) {
+      // Closed breaker, failed search: the exact backup masks it.
+      SAGA_COUNTER("serving.embedding.exact_fallbacks").Add();
+      return exact_backup_->Search(query, fetch);
+    }
     return s;
   }
   return hits;

@@ -8,7 +8,6 @@
 
 #include "ann/index.h"
 #include "common/circuit_breaker.h"
-#include "common/metrics.h"
 #include "common/request_context.h"
 #include "common/result.h"
 #include "common/retry.h"
@@ -25,7 +24,7 @@ namespace saga::serving {
 /// repeatedly fails to build, the service degrades gracefully to exact
 /// brute-force search instead of refusing to serve — correct answers,
 /// reduced throughput. The degradation is observable via degraded()
-/// and the `serving.degraded` counter.
+/// and the `serving.embedding.degraded_builds` counter.
 ///
 /// Overload safety (accelerated IVF / quantized indexes only):
 /// - A circuit breaker guards the accelerated index: injected or real
@@ -68,9 +67,6 @@ class EmbeddingService {
     int ivf_nprobe = 4;
     /// Backoff schedule for transient index-build failures.
     RetryPolicy::Options retry;
-    /// Optional sink for `serving.degraded` / `retry.attempts`. Not
-    /// owned; must outlive the service.
-    MetricsRegistry* metrics = nullptr;
     /// Circuit breaker for the accelerated search path (metrics under
     /// `serving.breaker.ann_*`). Consulted by every search; exact-index
     /// searches have nothing to guard and skip it.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace saga::serving {
 
@@ -21,8 +20,7 @@ FactRanker::FactRanker(const kg::KnowledgeGraph* kg,
 
 std::vector<FactRanker::RankedFact> FactRanker::Rank(
     kg::EntityId subject, kg::PredicateId predicate) const {
-  obs::ScopedSpan span("serving.ranker.rank");
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.ranker.rank_ns"));
+  auto stage = SAGA_STAGE("serving.ranker.rank");
   std::vector<RankedFact> ranked;
   const uint32_t ls = view_->local_entity(subject);
   const uint32_t lr = view_->local_relation(predicate);

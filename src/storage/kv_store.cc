@@ -181,8 +181,7 @@ Status KvStore::WriteManifest(
   payload += "crc:" + std::to_string(Crc32(payload)) + "\n";
   return retry_.Run(
       "kv.manifest",
-      [&] { return WriteStringToFile(ManifestPath(), payload, true); },
-      options_.metrics);
+      [&] { return WriteStringToFile(ManifestPath(), payload, true); });
 }
 
 void KvStore::QuarantineFile(const std::string& name) {
@@ -195,9 +194,7 @@ void KvStore::QuarantineFile(const std::string& name) {
   if (!s.ok()) {
     SAGA_LOG(Warning) << "could not quarantine " << from << ": " << s;
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->IncrCounter("sst.quarantined");
-  }
+  SAGA_COUNTER("storage.kv.sst_quarantined").Add();
 }
 
 uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
@@ -239,13 +236,6 @@ uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
     SAGA_LOG(Warning) << "WAL replay in " << dir_ << " dropped "
                       << (wal.records.size() - replayed) << " records and "
                       << bytes_dropped << " trailing bytes";
-  }
-  if (options_.metrics != nullptr) {
-    options_.metrics->IncrCounter(
-        "wal.records_dropped",
-        static_cast<int64_t>(wal.records.size() - replayed));
-    options_.metrics->IncrCounter("wal.bytes_dropped",
-                                  static_cast<int64_t>(bytes_dropped));
   }
   return keep_bytes;
 }
@@ -352,8 +342,7 @@ Status KvStore::Recover() {
           if (!r.ok()) return r.status();
           reader = std::move(*r);
           return Status::OK();
-        },
-        options_.metrics);
+        });
     if (!s.ok()) {
       SAGA_LOG(Warning) << "quarantining unreadable table " << path << ": "
                         << s;
@@ -415,6 +404,10 @@ Status KvStore::Recover() {
         SAGA_RETURN_IF_ERROR(TruncateFile(WalPath(), keep_bytes));
       }
     }
+    SAGA_COUNTER("storage.kv.wal_records_dropped")
+        .Add(static_cast<int64_t>(rs.wal_records_dropped));
+    SAGA_COUNTER("storage.kv.wal_bytes_dropped")
+        .Add(static_cast<int64_t>(rs.wal_bytes_dropped));
     wal_ = std::make_unique<WalWriter>(WalPath());
     SAGA_RETURN_IF_ERROR(wal_->Open());
   }
@@ -641,11 +634,7 @@ Result<std::string> KvStore::Get(std::string_view key,
   }
   // The read proper, whatever its exit path, yields one breaker outcome.
   Result<std::string> result = [&]() -> Result<std::string> {
-    // Span before timer: the timer's destructor runs first, so the
-    // latency sample (and its exemplar) records while the get span is
-    // still the ambient trace context.
-    obs::ScopedSpan span("storage.kv.get");
-    obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.get_ns"));
+    auto stage = SAGA_STAGE("storage.kv.get");
     stats_.gets.fetch_add(1, std::memory_order_relaxed);
     SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.get"));
     if (Faults().armed()) {
@@ -781,7 +770,6 @@ Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
         reader = std::move(*r);
         return Status::OK();
       },
-      options_.metrics,
       [](const Status& st) {
         return RetryPolicy::IsRetryable(st) || st.IsCorruption();
       });
@@ -830,8 +818,7 @@ Status KvStore::FlushOneImmLocked() {
     target = sv_->imm.front();  // flush strictly oldest-first
     drop_tombstones = sv_->tables.empty();
   }
-  obs::ScopedSpan span("storage.kv.flush");
-  obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.flush_ns"));
+  auto stage = SAGA_STAGE("storage.kv.flush");
   if (Faults().armed()) {
     // `sstable.flush` models the flush's table write hitting the
     // device's ENOSPC (or failing outright) before any bytes land.

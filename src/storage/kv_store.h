@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/circuit_breaker.h"
-#include "common/metrics.h"
 #include "common/request_context.h"
 #include "common/result.h"
 #include "common/retry.h"
@@ -86,10 +85,6 @@ class KvStore {
     /// Metric stem for the read breaker (see CircuitBreaker docs);
     /// overridable when several stores coexist in one process.
     std::string read_breaker_stem = "serving.breaker.kv";
-    /// Optional sink for robustness counters (sst.quarantined,
-    /// wal.records_dropped, wal.bytes_dropped, retry.attempts). Not
-    /// owned; must outlive the store.
-    MetricsRegistry* metrics = nullptr;
     /// Optional disk-space governor. When set, every write path
     /// reserves bytes before touching disk (WAL append, memtable
     /// flush, compaction output), ENOSPC-shaped failures trip the

@@ -82,6 +82,10 @@ TEST_F(ChaosTest, CrashReplayLoopLosesNoSyncedWrite) {
   int crashes = 0;
   int64_t total_quarantined = 0;
   int64_t total_wal_dropped = 0;
+  obs::Counter& quarantined = SAGA_COUNTER("storage.kv.sst_quarantined");
+  obs::Counter& wal_dropped = SAGA_COUNTER("storage.kv.wal_bytes_dropped");
+  const int64_t quarantined_before = quarantined.Value();
+  const int64_t wal_dropped_before = wal_dropped.Value();
 
   for (int iter = 0; iter < kIterations; ++iter) {
     SCOPED_TRACE("iteration " + std::to_string(iter));
@@ -89,7 +93,6 @@ TEST_F(ChaosTest, CrashReplayLoopLosesNoSyncedWrite) {
     Faults().Seed(rng.NextUint64());
     auto dir = MakeTempDir("saga_chaos");
     ASSERT_TRUE(dir.ok());
-    MetricsRegistry metrics;
     KvStore::Options opts;
     opts.memtable_max_bytes = 1024 + rng.Uniform(2048);
     opts.sync_every_write = true;  // an OK op is a durable op
@@ -97,7 +100,6 @@ TEST_F(ChaosTest, CrashReplayLoopLosesNoSyncedWrite) {
     opts.retry.max_attempts = 2;
     opts.retry.initial_backoff_ms = 0.0;
     opts.retry.max_backoff_ms = 0.0;
-    opts.metrics = &metrics;
 
     // State after every acknowledged op; the single failing op (if
     // any) is indeterminate — it may or may not have reached disk.
@@ -189,6 +191,10 @@ TEST_F(ChaosTest, CrashReplayLoopLosesNoSyncedWrite) {
   // crash artifacts (quarantines, torn WAL tails) should show up.
   EXPECT_GT(crashes, kIterations / 3);
   EXPECT_GT(total_wal_dropped + total_quarantined, 0);
+  // Only the reopens recover anything, so the global counters move by
+  // exactly what their recovery_stats() report.
+  EXPECT_EQ(quarantined.Value() - quarantined_before, total_quarantined);
+  EXPECT_EQ(wal_dropped.Value() - wal_dropped_before, total_wal_dropped);
 }
 
 /// Recovery directly on top of every torn-artifact combination the
@@ -439,10 +445,12 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
   for (EmbeddingService::IndexKind kind :
        {EmbeddingService::IndexKind::kIvf,
         EmbeddingService::IndexKind::kQuantized}) {
-    MetricsRegistry metrics;
+    obs::Counter& degraded = SAGA_COUNTER("serving.embedding.degraded_builds");
+    obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
+    const int64_t degraded_before = degraded.Value();
+    const int64_t retries_before = retries.Value();
     EmbeddingService::Options opts;
     opts.index = kind;
-    opts.metrics = &metrics;
     opts.retry.max_attempts = 2;
     opts.retry.initial_backoff_ms = 0.0;
     opts.retry.max_backoff_ms = 0.0;
@@ -453,8 +461,8 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
     EmbeddingService service(
         embedding::EmbeddingStore::FromTrained(emb, view), &gen.kg, opts);
     EXPECT_TRUE(service.degraded());
-    EXPECT_EQ(metrics.counter("serving.degraded"), 1);
-    EXPECT_GE(metrics.counter("retry.attempts"), 1);
+    EXPECT_EQ(degraded.Value() - degraded_before, 1);
+    EXPECT_GE(retries.Value() - retries_before, 1);
 
     const kg::EntityId a = view.global_entity(1);
     const RequestContext ctx;
@@ -482,14 +490,14 @@ TEST(ChaosServingTest, HealthyBuildIsNotDegraded) {
   tc.dim = 8;
   tc.epochs = 2;
   embedding::TrainedEmbeddings emb = embedding::InMemoryTrainer(tc).Train(view);
-  MetricsRegistry metrics;
+  obs::Counter& degraded = SAGA_COUNTER("serving.embedding.degraded_builds");
+  const int64_t degraded_before = degraded.Value();
   EmbeddingService::Options opts;
   opts.index = EmbeddingService::IndexKind::kIvf;
-  opts.metrics = &metrics;
   EmbeddingService service(embedding::EmbeddingStore::FromTrained(emb, view),
                            &gen.kg, opts);
   EXPECT_FALSE(service.degraded());
-  EXPECT_EQ(metrics.counter("serving.degraded"), 0);
+  EXPECT_EQ(degraded.Value() - degraded_before, 0);
 }
 
 }  // namespace

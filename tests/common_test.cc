@@ -434,18 +434,6 @@ TEST(MetricsTest, MergeCombinesSamples) {
   EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
 }
 
-TEST(MetricsTest, RegistryCounters) {
-  MetricsRegistry reg;
-  reg.IncrCounter("docs", 5);
-  reg.IncrCounter("docs");
-  EXPECT_EQ(reg.counter("docs"), 6);
-  EXPECT_EQ(reg.counter("missing"), 0);
-  reg.histogram("lat")->Add(1.5);
-  EXPECT_NE(reg.Report().find("docs = 6"), std::string::npos);
-  reg.Clear();
-  EXPECT_EQ(reg.counter("docs"), 0);
-}
-
 TEST(MetricsTest, StopwatchAdvances) {
   Stopwatch sw;
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -645,7 +633,7 @@ TEST(RetryPolicyTest, DataLossIsNeverRetriedEvenWithCustomPredicate) {
         ++calls;
         return Status::DataLoss("crc mismatch");
       },
-      /*metrics=*/nullptr, [](const Status&) { return true; });
+      [](const Status&) { return true; });
   EXPECT_TRUE(s.IsDataLoss());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(slept.empty());
@@ -681,7 +669,7 @@ TEST(RetryPolicyTest, PartitionedReplicaUnavailableRespectsBreakerGate) {
         ++calls;
         return Status::Unavailable("replica partitioned");
       },
-      &breaker, /*metrics=*/nullptr,
+      &breaker,
       [](const Status& st) { return st.IsUnavailable(); });
   EXPECT_TRUE(s.IsUnavailable());
   EXPECT_EQ(calls, 1);
@@ -723,7 +711,7 @@ TEST(RetryPolicyTest, PartitionedReplicaUnavailableRespectsBreakerGate) {
         ++dl_calls;
         return Status::DataLoss("diverged beyond repair");
       },
-      &fresh, /*metrics=*/nullptr, [](const Status&) { return true; });
+      &fresh, [](const Status&) { return true; });
   EXPECT_TRUE(dl.IsDataLoss());
   EXPECT_EQ(dl_calls, 1);
 }

@@ -193,19 +193,17 @@ TEST(RetryPolicyTest, SucceedsAfterTransientFailures) {
   opts.max_attempts = 4;
   std::vector<double> sleeps;
   RetryPolicy policy(opts, [&](double ms) { sleeps.push_back(ms); });
-  MetricsRegistry metrics;
+  obs::Counter& attempts = SAGA_COUNTER("resource.retry.attempts");
+  const int64_t attempts_before = attempts.Value();
   int calls = 0;
-  Status s = policy.Run(
-      "op",
-      [&] {
-        ++calls;
-        return calls < 3 ? Status::IOError("transient") : Status::OK();
-      },
-      &metrics);
+  Status s = policy.Run("op", [&] {
+    ++calls;
+    return calls < 3 ? Status::IOError("transient") : Status::OK();
+  });
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(sleeps.size(), 2u);
-  EXPECT_EQ(metrics.counter("retry.attempts"), 2);
+  EXPECT_EQ(attempts.Value() - attempts_before, 2);
   EXPECT_EQ(policy.total_retries(), 2u);
 }
 
@@ -244,7 +242,7 @@ TEST(RetryPolicyTest, CustomPredicateWidensRetries) {
         ++calls;
         return calls < 2 ? Status::Corruption("rebuildable") : Status::OK();
       },
-      nullptr, [](const Status& st) { return st.IsCorruption(); });
+      [](const Status& st) { return st.IsCorruption(); });
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls, 2);
 }

@@ -4,6 +4,7 @@
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/serialization.h"
 #include "storage/kv_store.h"
@@ -336,13 +337,12 @@ TEST_F(KvStoreRecoveryTest, CorruptTableIsQuarantinedNotFatal) {
   (*data)[2] ^= 0xFF;
   ASSERT_TRUE(WriteStringToFile(table_path, *data).ok());
 
-  MetricsRegistry metrics;
-  KvStore::Options opts;
-  opts.metrics = &metrics;
-  auto reopened = KvStore::Open(dir_, opts);
+  obs::Counter& quarantined = SAGA_COUNTER("storage.kv.sst_quarantined");
+  const int64_t quarantined_before = quarantined.Value();
+  auto reopened = KvStore::Open(dir_);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->recovery_stats().sstables_quarantined, 1u);
-  EXPECT_EQ(metrics.counter("sst.quarantined"), 1);
+  EXPECT_EQ(quarantined.Value() - quarantined_before, 1);
   EXPECT_TRUE(HasFileWithSuffix(".quarantined"));
   // Data in the healthy table still serves; the corrupt table's data is
   // gone but the store is open and writable.
@@ -430,16 +430,20 @@ TEST_F(KvStoreRecoveryTest, BadWalOpStopsReplayAndCountsDrops) {
     ASSERT_TRUE(wal.Append(record(1, "c", "3")).ok());   // unreachable
     ASSERT_TRUE(wal.Sync().ok());
   }
-  MetricsRegistry metrics;
-  KvStore::Options opts;
-  opts.metrics = &metrics;
-  auto store = KvStore::Open(dir_, opts);
+  obs::Counter& records_dropped =
+      SAGA_COUNTER("storage.kv.wal_records_dropped");
+  obs::Counter& bytes_dropped = SAGA_COUNTER("storage.kv.wal_bytes_dropped");
+  const int64_t records_before = records_dropped.Value();
+  const int64_t bytes_before = bytes_dropped.Value();
+  auto store = KvStore::Open(dir_);
   ASSERT_TRUE(store.ok()) << store.status();
   const auto& rs = (*store)->recovery_stats();
   EXPECT_EQ(rs.wal_records_replayed, 1u);
   EXPECT_EQ(rs.wal_records_dropped, 2u);
   EXPECT_GT(rs.wal_bytes_dropped, 0u);
-  EXPECT_EQ(metrics.counter("wal.records_dropped"), 2);
+  EXPECT_EQ(records_dropped.Value() - records_before, 2);
+  EXPECT_EQ(bytes_dropped.Value() - bytes_before,
+            static_cast<int64_t>(rs.wal_bytes_dropped));
   EXPECT_EQ((*store)->Get("a").value(), "1");
   EXPECT_TRUE((*store)->Get("c").status().IsNotFound());
 }
@@ -563,12 +567,12 @@ TEST_F(KvStoreRecoveryTest, TransientOpenFaultIsRetriedNotQuarantined) {
     ASSERT_TRUE((*store)->Put("a", "1").ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
-  MetricsRegistry metrics;
+  obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
+  const int64_t retries_before = retries.Value();
   KvStore::Options opts;
   opts.retry.max_attempts = 3;
   opts.retry.initial_backoff_ms = 0.0;
   opts.retry.max_backoff_ms = 0.0;
-  opts.metrics = &metrics;
   FaultSpec spec;
   spec.fail_nth = 1;  // first open attempt fails, retry succeeds
   Faults().Arm("sst.open", spec);
@@ -577,7 +581,7 @@ TEST_F(KvStoreRecoveryTest, TransientOpenFaultIsRetriedNotQuarantined) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->recovery_stats().sstables_quarantined, 0u);
   EXPECT_EQ((*reopened)->recovery_stats().sstables_loaded, 1u);
-  EXPECT_GE(metrics.counter("retry.attempts"), 1);
+  EXPECT_GE(retries.Value() - retries_before, 1);
   EXPECT_EQ((*reopened)->Get("a").value(), "1");
 }
 

@@ -1,10 +1,12 @@
 // Tests for the saga::obs observability subsystem: thread-safe metric
-// primitives, span-tree tracing, export formats, and the legacy
-// Histogram / MetricsRegistry thin-view contracts. The multi-threaded
-// cases are meant to run under the `tsan` CMake preset as well as
-// asan-ubsan (see CMakePresets.json).
+// primitives, span-tree tracing, traced stages, export formats, and the
+// per-run Histogram's read contract. The multi-threaded cases are meant
+// to run under the `tsan` CMake preset as well as asan-ubsan (see
+// CMakePresets.json).
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,6 +234,110 @@ TEST_F(ObsTest, SpanReportListsAllNames) {
   EXPECT_NE(report.find("incl ms"), std::string::npos);
 }
 
+// ---------- Traced stages ----------
+
+/// What one timed region left behind: spans named `span` (and whether
+/// each nests under "test.stage.outer"), plus samples in `hist`.
+struct StageTrail {
+  uint64_t spans = 0;
+  uint64_t nested = 0;
+  uint64_t samples = 0;
+  bool operator==(const StageTrail&) const = default;
+};
+
+StageTrail TrailOf(const std::string& span, obs::LatencyHistogram& hist) {
+  StageTrail trail;
+  obs::VisitCollectedTraces([&](const obs::SpanNode& root) {
+    if (root.name == span) ++trail.spans;
+    for (const auto& child : root.children) {
+      if (child->name == span) {
+        ++trail.spans;
+        if (root.name == "test.stage.outer") ++trail.nested;
+      }
+    }
+  });
+  trail.samples = hist.Count();
+  return trail;
+}
+
+TEST_F(ObsTest, StageMatchesSpanPlusLatencyAcrossSwitches) {
+  for (const bool obs_on : {false, true}) {
+    for (const bool tracing_on : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "obs " << obs_on << " tracing "
+                                      << tracing_on);
+      for (const bool nested : {false, true}) {
+        obs::Registry::Global().ResetAll();
+        obs::ClearTraces();
+        obs::SetEnabled(obs_on);
+        obs::SetTracingEnabled(tracing_on);
+        {
+          std::optional<obs::ScopedSpan> outer;
+          if (nested) outer.emplace("test.stage.outer");
+          obs::ScopedSpan span("test.stage.pair");
+          obs::ScopedLatency timer(SAGA_LATENCY("test.stage.pair_ns"));
+        }
+        {
+          std::optional<obs::ScopedSpan> outer;
+          if (nested) outer.emplace("test.stage.outer");
+          auto stage = SAGA_STAGE("test.stage.single");
+        }
+        const StageTrail pair =
+            TrailOf("test.stage.pair", SAGA_LATENCY("test.stage.pair_ns"));
+        const StageTrail single = TrailOf(
+            "test.stage.single", SAGA_LATENCY("test.stage.single_ns"));
+        EXPECT_EQ(single, pair) << "nested " << nested;
+        EXPECT_EQ(single.spans, tracing_on ? 1u : 0u);
+        EXPECT_EQ(single.nested, tracing_on && nested ? 1u : 0u);
+        EXPECT_EQ(single.samples, obs_on ? 1u : 0u);
+      }
+    }
+  }
+  obs::SetEnabled(true);
+}
+
+TEST_F(ObsTest, StageSampleAndSpanShareOneClockPair) {
+  obs::SetTracingEnabled(true);
+  obs::LatencyHistogram& hist = SAGA_LATENCY("test.stage.exemplar_ns");
+  for (int i = 0; i < 20; ++i) {
+    hist.Reset();
+    obs::ClearTraces();
+    {
+      // The stage starts its own trace: closing its span clears the
+      // thread's trace context, so only a sample recorded first keeps
+      // the trace id.
+      auto stage = SAGA_STAGE("test.stage.exemplar");
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    const obs::Exemplar ex = hist.exemplar();
+    ASSERT_TRUE(ex.valid()) << "iteration " << i;
+    ASSERT_EQ(obs::NumCollectedTraces(), 1u);
+    obs::VisitCollectedTraces([&](const obs::SpanNode& root) {
+      EXPECT_EQ(root.name, "test.stage.exemplar");
+      EXPECT_EQ(ex.ns, root.duration_ns) << "iteration " << i;
+      EXPECT_EQ(ex.trace_id_hi, root.trace_id_hi);
+      EXPECT_EQ(ex.trace_id_lo, root.trace_id_lo);
+    });
+  }
+}
+
+TEST_F(ObsTest, ConcurrentStagesRecordEverySpanAndSample) {
+  obs::SetTracingEnabled(true);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kPerThread; ++i) {
+        auto stage = SAGA_STAGE("test.stage.concurrent");
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(obs::NumCollectedTraces(), uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(SAGA_LATENCY("test.stage.concurrent_ns").Count(),
+            uint64_t{kThreads} * kPerThread);
+}
+
 // ---------- Export formats ----------
 
 TEST_F(ObsTest, PrometheusExportGolden) {
@@ -268,7 +374,7 @@ TEST_F(ObsTest, JsonExportGolden) {
       << dump;
 }
 
-// ---------- Legacy Histogram contract ----------
+// ---------- Per-run Histogram contract ----------
 
 TEST_F(ObsTest, HistogramSnapshotConcurrentReadsAreSafe) {
   // Regression for the mutable-lazy-sort footgun: after writes
@@ -290,46 +396,6 @@ TEST_F(ObsTest, HistogramSnapshotConcurrentReadsAreSafe) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-}
-
-TEST_F(ObsTest, MetricsRegistryMergeHistogramAggregation) {
-  // Merge-based aggregation: each worker owns a local histogram and
-  // folds it in under the registry lock.
-  MetricsRegistry reg;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&reg, t] {
-      Histogram local;
-      for (int i = 0; i < 100; ++i) {
-        local.Add(static_cast<double>(t * 100 + i));
-      }
-      reg.MergeHistogram("worker.latency", local);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(reg.histograms().at("worker.latency").count(), 400u);
-}
-
-// ---------- MetricsRegistry thin view ----------
-
-TEST_F(ObsTest, MetricsRegistryMirrorsIntoGlobal) {
-  MetricsRegistry reg;
-  reg.IncrCounter("serving.degraded");
-  reg.IncrCounter("serving.degraded", 2);
-  EXPECT_EQ(reg.counter("serving.degraded"), 3);
-  EXPECT_EQ(obs::Registry::Global().counter("serving.degraded").Value(), 3);
-}
-
-TEST_F(ObsTest, MetricsRegistryConcurrentIncrements) {
-  MetricsRegistry reg;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&reg] {
-      for (int i = 0; i < 1000; ++i) reg.IncrCounter("race.counter");
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(reg.counter("race.counter"), 8000);
 }
 
 // ---------- History ----------

@@ -14,6 +14,7 @@
 #include "common/circuit_breaker.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/metrics.h"
 #include "common/request_context.h"
 #include "common/retry.h"
 #include "common/threadpool.h"
@@ -459,20 +460,29 @@ TEST_F(OverloadTest, AnnBreakerFallsBackToExactAndRecovers) {
   fail.fail_nth = 0;
   fail.repeat = true;
   Faults().Arm("ann.search", fail);
+  obs::Counter& masked = SAGA_COUNTER("serving.embedding.exact_fallbacks");
+  obs::Counter& bypassed = SAGA_COUNTER("serving.breaker.fallbacks");
+  const int64_t masked_before = masked.Value();
+  const int64_t bypassed_before = bypassed.Value();
   // Injected ANN failures are masked by the exact backup — callers
-  // still get answers — while the breaker counts them.
+  // still get answers — while the breaker counts them. The first two
+  // fail while it is closed and trip it; the third finds it open.
   for (int i = 0; i < 3; ++i) {
     auto r = service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r->empty());
   }
   EXPECT_EQ(service.ann_breaker()->state(), CircuitBreaker::State::kOpen);
+  EXPECT_EQ(masked.Value() - masked_before, 2);
+  EXPECT_EQ(bypassed.Value() - bypassed_before, 1);
 
   // While open, searches bypass the (still-faulty) ANN index entirely.
   const uint64_t fires_before = Faults().fires("ann.search");
   auto open_r = service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx);
   ASSERT_TRUE(open_r.ok());
   EXPECT_EQ(Faults().fires("ann.search"), fires_before);
+  EXPECT_EQ(masked.Value() - masked_before, 2);
+  EXPECT_EQ(bypassed.Value() - bypassed_before, 2);
 
   // Heal + cool-down: the half-open probe closes the breaker.
   Faults().DisarmAll();

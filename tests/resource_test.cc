@@ -269,7 +269,7 @@ TEST_F(ResourceTest, StorageExhaustionIsNeverRetriedEvenWithCustomPredicate) {
         ++calls;
         return Status::StorageExhausted("disk full");
       },
-      /*metrics=*/nullptr, [](const Status&) { return true; });
+      [](const Status&) { return true; });
   EXPECT_TRUE(s.IsStorageExhausted());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(slept.empty());
@@ -300,7 +300,7 @@ TEST_F(ResourceTest, FsyncGateIsNeverRetriedEvenWithCustomPredicate) {
         ++calls;
         return Status::FsyncGate("fsync failed");
       },
-      /*metrics=*/nullptr, [](const Status&) { return true; });
+      [](const Status&) { return true; });
   EXPECT_TRUE(s.IsFsyncGate());
   EXPECT_TRUE(s.IsIOError());
   EXPECT_EQ(calls, 1);
