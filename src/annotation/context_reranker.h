@@ -42,8 +42,8 @@ class ContextReranker {
   ContextReranker(const kg::KnowledgeGraph* kg);
   ContextReranker(const kg::KnowledgeGraph* kg, Options options);
 
-  /// Builds the textual profile text of an entity (name + description +
-  /// type names + neighbor names + literal facts).
+  /// Builds the textual profile text of an entity: its profile pieces
+  /// (see ForEachProfilePiece) joined with " ".
   std::string EntityProfileText(kg::EntityId id) const;
 
   /// Precomputes every entity's profile embedding into the given cache
@@ -52,19 +52,35 @@ class ContextReranker {
 
   /// Reranks candidates for a mention given the surrounding document
   /// text. When `cache` is non-null, profile vectors are fetched from
-  /// it; otherwise they are computed on the fly (the expensive path the
-  /// Fig-4 ablation measures).
+  /// it; otherwise they are computed on the fly (the path the Fig-4
+  /// ablation measures) as sparse vectors straight from the KG, with
+  /// the scores of Cosine(context, Embed(EntityProfileText(id))).
   std::vector<Scored> Rerank(const std::vector<Candidate>& candidates,
                              std::string_view document_text,
                              const Mention& mention,
                              serving::EmbeddingKvCache* cache) const;
 
+  /// The on-the-fly context similarity Rerank gives `id` without a
+  /// cache: `context_vec` (an Embed of vectorizer()) against the
+  /// profile embedding, built as a sparse vector straight from the KG.
+  /// Bit-identical to Cosine(context_vec, Embed(EntityProfileText(id))).
+  double ProfileSimilarity(kg::EntityId id,
+                           const std::vector<float>& context_vec) const;
+
   const text::HashingVectorizer& vectorizer() const { return vectorizer_; }
 
  private:
-  std::vector<float> ProfileVector(kg::EntityId id) const;
-  std::string ContextText(std::string_view document_text,
-                          const Mention& mention) const;
+  /// Calls fn(piece) for each piece of the entity's profile, in order:
+  /// name, description, type names, then (unless name_only_profiles)
+  /// the predicate surface form of each of its first 24 live triples,
+  /// each followed by the object's name when the object is an entity.
+  template <typename Fn>
+  void ForEachProfilePiece(kg::EntityId id, Fn&& fn) const;
+  /// Sparse profile embedding of `id` in this thread's scratch storage,
+  /// valid until the thread's next call.
+  const text::SparseVector& ProfileSparse(kg::EntityId id) const;
+  std::string_view ContextText(std::string_view document_text,
+                               const Mention& mention) const;
 
   const kg::KnowledgeGraph* kg_;
   Options options_;

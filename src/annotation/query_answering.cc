@@ -31,8 +31,7 @@ kg::PredicateId QueryAnswerer::ResolvePredicate(
     // ("movies directed" beats "movies") and relations the linked
     // subject actually holds.
     score += 0.01 * static_cast<double>(hits);
-    if (subject.valid() &&
-        !kg_->triples().BySubjectPredicate(subject, meta.id).empty()) {
+    if (subject.valid() && kg_->triples().HasFact(subject, meta.id)) {
       score += 0.005;
     }
     if (score > best_score) {

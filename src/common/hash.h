@@ -12,7 +12,7 @@ namespace saga {
 /// used for blocking keys, feature hashing, and bloom filters, so it must
 /// never change. `seed` is the running state, so for string_views a, b
 /// hashing streams: Hash64(a + b) == Hash64(b, Hash64(a)).
-/// HashingVectorizer::Embed relies on this to hash a bigram without
+/// HashingVectorizer::EmbedPieces relies on this to hash a bigram without
 /// building it: Hash64(a + "_" + b) ==
 /// Hash64(b, (Hash64(a) ^ '_') * 0x100000001B3) (DESIGN.md, text path).
 inline uint64_t Hash64(const void* data, size_t len,

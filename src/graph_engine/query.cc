@@ -13,7 +13,8 @@ std::vector<kg::TripleIdx> Match(const kg::KnowledgeGraph& kg,
     candidates = store.BySubjectPredicate(*pattern.subject,
                                           *pattern.predicate);
   } else if (pattern.subject) {
-    candidates = store.BySubject(*pattern.subject);
+    const auto live = store.BySubject(*pattern.subject);
+    candidates.assign(live.begin(), live.end());
   } else if (pattern.object && pattern.object->is_entity()) {
     candidates = store.ByObjectEntity(pattern.object->entity());
   } else if (pattern.predicate) {

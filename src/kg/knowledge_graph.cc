@@ -44,8 +44,9 @@ TripleIdx KnowledgeGraph::AddFact(EntityId s, PredicateId p, Value o,
 
 std::vector<Value> KnowledgeGraph::ObjectsOf(EntityId s, PredicateId p) const {
   std::vector<Value> out;
-  for (TripleIdx idx : triples_.BySubjectPredicate(s, p)) {
-    out.push_back(triples_.triple(idx).object);
+  for (TripleIdx idx : triples_.BySubject(s)) {
+    const Triple& t = triples_.triple(idx);
+    if (t.predicate == p) out.push_back(t.object);
   }
   return out;
 }

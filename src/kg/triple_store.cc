@@ -1,5 +1,6 @@
 #include "kg/triple_store.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace saga::kg {
@@ -23,10 +24,13 @@ TripleIdx TripleStore::Add(Triple t) {
 
 void TripleStore::Remove(TripleIdx idx) {
   assert(idx < size());
-  if (!deleted_[idx]) {
-    deleted_[idx] = true;
-    --live_count_;
-  }
+  if (deleted_[idx]) return;
+  deleted_[idx] = true;
+  --live_count_;
+  // Add appends ascending indexes, and erasing keeps the order.
+  std::vector<TripleIdx>& live =
+      by_subject_.find(triple(idx).subject)->second;
+  live.erase(std::lower_bound(live.begin(), live.end(), idx));
 }
 
 std::vector<TripleIdx> TripleStore::Filtered(
@@ -40,9 +44,10 @@ std::vector<TripleIdx> TripleStore::Filtered(
   return out;
 }
 
-std::vector<TripleIdx> TripleStore::BySubject(EntityId s) const {
+std::span<const TripleIdx> TripleStore::BySubject(EntityId s) const {
   auto it = by_subject_.find(s);
-  return Filtered(it == by_subject_.end() ? nullptr : &it->second);
+  if (it == by_subject_.end()) return {};
+  return it->second;
 }
 
 std::vector<TripleIdx> TripleStore::BySubjectPredicate(EntityId s,
@@ -50,10 +55,8 @@ std::vector<TripleIdx> TripleStore::BySubjectPredicate(EntityId s,
   // A subject holds few triples, so filtering its list costs little and
   // saves a (subject, predicate) index: a map entry and a vector per pair.
   std::vector<TripleIdx> out;
-  auto it = by_subject_.find(s);
-  if (it == by_subject_.end()) return out;
-  for (TripleIdx i : it->second) {
-    if (!deleted_[i] && triple(i).predicate == p) out.push_back(i);
+  for (TripleIdx i : BySubject(s)) {
+    if (triple(i).predicate == p) out.push_back(i);
   }
   return out;
 }
@@ -68,9 +71,17 @@ std::vector<TripleIdx> TripleStore::ByObjectEntity(EntityId o) const {
   return Filtered(it == by_object_entity_.end() ? nullptr : &it->second);
 }
 
+bool TripleStore::HasFact(EntityId s, PredicateId p) const {
+  for (TripleIdx i : BySubject(s)) {
+    if (triple(i).predicate == p) return true;
+  }
+  return false;
+}
+
 bool TripleStore::Contains(EntityId s, PredicateId p, const Value& o) const {
-  for (TripleIdx i : BySubjectPredicate(s, p)) {
-    if (triple(i).object == o) return true;
+  for (TripleIdx i : BySubject(s)) {
+    const Triple& t = triple(i);
+    if (t.predicate == p && t.object == o) return true;
   }
   return false;
 }

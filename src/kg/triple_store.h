@@ -2,6 +2,7 @@
 #define SAGA_KG_TRIPLE_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -28,7 +29,8 @@ class TripleStore {
   /// Appends a triple; duplicates are allowed (multi-source facts).
   TripleIdx Add(Triple t);
 
-  /// Tombstones a triple. Safe to call twice.
+  /// Tombstones a triple and drops it from its subject's list. Safe to
+  /// call twice.
   void Remove(TripleIdx idx);
 
   bool IsLive(TripleIdx idx) const { return !deleted_[idx]; }
@@ -38,8 +40,9 @@ class TripleStore {
   size_t size() const { return deleted_.size(); }
   size_t live_size() const { return live_count_; }
 
-  /// Live triple indexes with the given subject.
-  std::vector<TripleIdx> BySubject(EntityId s) const;
+  /// Live triple indexes with the given subject, in insertion order.
+  /// Valid until the next Add or Remove; allocates nothing.
+  std::span<const TripleIdx> BySubject(EntityId s) const;
   /// Live triple indexes with the given subject and predicate.
   std::vector<TripleIdx> BySubjectPredicate(EntityId s, PredicateId p) const;
   /// Live triple indexes with the given predicate.
@@ -47,6 +50,8 @@ class TripleStore {
   /// Live triple indexes whose object is the given entity.
   std::vector<TripleIdx> ByObjectEntity(EntityId o) const;
 
+  /// True if a live triple (s, p, *) exists. Allocates nothing.
+  bool HasFact(EntityId s, PredicateId p) const;
   /// True if a live triple (s, p, o) exists.
   bool Contains(EntityId s, PredicateId p, const Value& o) const;
 
@@ -77,6 +82,8 @@ class TripleStore {
   std::vector<bool> deleted_;
   size_t live_count_ = 0;
 
+  /// Holds live triples only (Remove erases), so BySubject is a span.
+  /// The predicate and object lists keep tombstones and are filtered.
   std::unordered_map<EntityId, std::vector<TripleIdx>> by_subject_;
   std::unordered_map<PredicateId, std::vector<TripleIdx>> by_predicate_;
   std::unordered_map<EntityId, std::vector<TripleIdx>> by_object_entity_;

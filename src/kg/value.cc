@@ -1,5 +1,6 @@
 #include "kg/value.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdio>
 
@@ -35,135 +36,165 @@ bool Date::Parse(std::string_view s, Date* out) {
   return true;
 }
 
+Value::Value(const Value& other) : kind_(other.kind_), bits_(other.bits_) {
+  if (const std::string* s = other.owned_string()) {
+    bits_ = std::bit_cast<uint64_t>(new std::string(*s));
+  }
+}
+
+Value::Value(Value&& other) noexcept : kind_(other.kind_), bits_(other.bits_) {
+  other.kind_ = Kind::kString;
+  other.bits_ = 0;
+}
+
+Value& Value::operator=(const Value& other) {
+  if (this != &other) *this = Value(other);
+  return *this;
+}
+
+Value& Value::operator=(Value&& other) noexcept {
+  if (this != &other) {
+    Release();
+    kind_ = other.kind_;
+    bits_ = other.bits_;
+    other.kind_ = Kind::kString;
+    other.bits_ = 0;
+  }
+  return *this;
+}
+
+Value::~Value() { Release(); }
+
+std::string* Value::owned_string() const {
+  return kind_ == Kind::kString ? std::bit_cast<std::string*>(bits_)
+                                : nullptr;
+}
+
+void Value::Release() {
+  delete owned_string();
+  bits_ = 0;
+}
+
 Value Value::Entity(EntityId id) {
   Value v;
   v.kind_ = Kind::kEntity;
-  v.entity_ = id;
+  v.bits_ = id.value();
   return v;
 }
 
 Value Value::String(std::string s) {
   Value v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
+  if (!s.empty()) {
+    v.bits_ = std::bit_cast<uint64_t>(new std::string(std::move(s)));
+  }
   return v;
 }
 
 Value Value::Int(int64_t i) {
   Value v;
   v.kind_ = Kind::kInt;
-  v.int_ = i;
+  v.bits_ = static_cast<uint64_t>(i);
   return v;
 }
 
 Value Value::Double(double d) {
   Value v;
   v.kind_ = Kind::kDouble;
-  v.double_ = d;
+  v.bits_ = std::bit_cast<uint64_t>(d);
   return v;
 }
 
 Value Value::OfDate(Date d) {
   Value v;
   v.kind_ = Kind::kDate;
-  v.int_ = d.ymd;
+  v.bits_ = static_cast<uint64_t>(int64_t{d.ymd});
   return v;
 }
 
 Value Value::Bool(bool b) {
   Value v;
   v.kind_ = Kind::kBool;
-  v.int_ = b ? 1 : 0;
+  v.bits_ = b ? 1 : 0;
   return v;
 }
 
 EntityId Value::entity() const {
   assert(kind_ == Kind::kEntity);
-  return entity_;
+  return EntityId(bits_);
 }
 
 const std::string& Value::string_value() const {
   assert(kind_ == Kind::kString);
-  return string_;
+  static const std::string kEmpty;
+  const std::string* s = owned_string();
+  return s != nullptr ? *s : kEmpty;
 }
 
 int64_t Value::int_value() const {
   assert(kind_ == Kind::kInt);
-  return int_;
+  return static_cast<int64_t>(bits_);
 }
 
 double Value::double_value() const {
   assert(kind_ == Kind::kDouble);
-  return double_;
+  return std::bit_cast<double>(bits_);
 }
 
 Date Value::date_value() const {
   assert(kind_ == Kind::kDate);
-  return Date{static_cast<int32_t>(int_)};
+  return Date{static_cast<int32_t>(bits_)};
 }
 
 bool Value::bool_value() const {
   assert(kind_ == Kind::kBool);
-  return int_ != 0;
+  return bits_ != 0;
 }
 
 std::string Value::ToString() const {
   switch (kind_) {
     case Kind::kEntity:
-      return "E" + std::to_string(entity_.value());
+      return "E" + std::to_string(bits_);
     case Kind::kString:
-      return string_;
+      return string_value();
     case Kind::kInt:
-      return std::to_string(int_);
+      return std::to_string(static_cast<int64_t>(bits_));
     case Kind::kDouble: {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", double_);
+      std::snprintf(buf, sizeof(buf), "%g", std::bit_cast<double>(bits_));
       return buf;
     }
     case Kind::kDate:
-      return Date{static_cast<int32_t>(int_)}.ToString();
+      return Date{static_cast<int32_t>(bits_)}.ToString();
     case Kind::kBool:
-      return int_ ? "true" : "false";
+      return bits_ != 0 ? "true" : "false";
   }
   return "?";
 }
 
 uint64_t Value::Hash() const {
-  uint64_t h = static_cast<uint64_t>(kind_);
-  switch (kind_) {
-    case Kind::kEntity:
-      return HashCombine(h, entity_.value());
-    case Kind::kString:
-      return HashCombine(h, Hash64(string_));
-    case Kind::kInt:
-    case Kind::kDate:
-    case Kind::kBool:
-      return HashCombine(h, static_cast<uint64_t>(int_));
-    case Kind::kDouble: {
-      uint64_t bits;
-      std::memcpy(&bits, &double_, sizeof(bits));
-      return HashCombine(h, bits);
-    }
-  }
-  return h;
+  const uint64_t h = static_cast<uint64_t>(kind_);
+  // Every kind but kString hashes its slot: the entity id, the int64 or
+  // the double's bits.
+  if (kind_ == Kind::kString) return HashCombine(h, Hash64(string_value()));
+  return HashCombine(h, bits_);
 }
 
 void Value::Serialize(BinaryWriter* w) const {
   w->PutU8(static_cast<uint8_t>(kind_));
   switch (kind_) {
     case Kind::kEntity:
-      w->PutVarint64(entity_.value());
+      w->PutVarint64(bits_);
       break;
     case Kind::kString:
-      w->PutString(string_);
+      w->PutString(string_value());
       break;
     case Kind::kInt:
     case Kind::kDate:
     case Kind::kBool:
-      w->PutVarint64Signed(int_);
+      w->PutVarint64Signed(static_cast<int64_t>(bits_));
       break;
     case Kind::kDouble:
-      w->PutDouble(double_);
+      w->PutDouble(std::bit_cast<double>(bits_));
       break;
   }
 }
@@ -219,18 +250,13 @@ Status Value::Deserialize(BinaryReader* r, Value* out) {
 bool operator==(const Value& a, const Value& b) {
   if (a.kind_ != b.kind_) return false;
   switch (a.kind_) {
-    case Value::Kind::kEntity:
-      return a.entity_ == b.entity_;
     case Value::Kind::kString:
-      return a.string_ == b.string_;
-    case Value::Kind::kInt:
-    case Value::Kind::kDate:
-    case Value::Kind::kBool:
-      return a.int_ == b.int_;
-    case Value::Kind::kDouble:
-      return a.double_ == b.double_;
+      return a.string_value() == b.string_value();
+    case Value::Kind::kDouble:  // as doubles: 0.0 == -0.0, NaN != NaN
+      return std::bit_cast<double>(a.bits_) == std::bit_cast<double>(b.bits_);
+    default:
+      return a.bits_ == b.bits_;
   }
-  return false;
 }
 
 }  // namespace saga::kg

@@ -33,7 +33,9 @@ struct Date {
 };
 
 /// Object position of a triple: either a link to another entity or a
-/// typed literal. Small tagged union with value semantics.
+/// typed literal. A 16-byte tagged union with value semantics: the kind
+/// and one 8-byte slot, which holds the scalar payload or owns the
+/// string of a kString (a copy copies the string).
 class Value {
  public:
   enum class Kind : uint8_t {
@@ -46,6 +48,11 @@ class Value {
   };
 
   Value() : kind_(Kind::kString) {}
+  Value(const Value& other);
+  Value(Value&& other) noexcept;
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value();
 
   static Value Entity(EntityId id);
   static Value String(std::string s);
@@ -83,11 +90,16 @@ class Value {
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
  private:
+  /// The string a kString owns; null for the empty string.
+  std::string* owned_string() const;
+  /// Frees the owned string, if any, leaving the slot 0.
+  void Release();
+
   Kind kind_;
-  EntityId entity_;
-  int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
+  /// The payload, read only as the kind's type: an entity id, an int64
+  /// (kInt, kDate, kBool), the bits of a double, or a kString's owned
+  /// `std::string*`. One slot keeps every triple's object at 16 bytes.
+  uint64_t bits_ = 0;
 };
 
 }  // namespace saga::kg

@@ -40,7 +40,7 @@ double KgProfiler::Coverage(kg::TypeId t, kg::PredicateId p) const {
   if (entities.empty()) return 0.0;
   size_t have = 0;
   for (kg::EntityId e : entities) {
-    if (!kg_->triples().BySubjectPredicate(e, p).empty()) ++have;
+    if (kg_->triples().HasFact(e, p)) ++have;
   }
   return static_cast<double>(have) / static_cast<double>(entities.size());
 }
@@ -59,7 +59,7 @@ std::vector<FactGap> KgProfiler::FindCoverageGaps() const {
     size_t have = 0;
     std::vector<kg::EntityId> missing;
     for (kg::EntityId e : entities) {
-      if (kg_->triples().BySubjectPredicate(e, meta.id).empty()) {
+      if (!kg_->triples().HasFact(e, meta.id)) {
         missing.push_back(e);
       } else {
         ++have;

@@ -45,7 +45,7 @@ std::vector<FactGap> FindUnansweredQueries(
   // (subject, predicate) -> ask count, for unanswered queries only.
   std::map<std::pair<kg::EntityId, kg::PredicateId>, size_t> unanswered;
   for (const FactQuery& q : log) {
-    if (kg.triples().BySubjectPredicate(q.subject, q.predicate).empty()) {
+    if (!kg.triples().HasFact(q.subject, q.predicate)) {
       ++unanswered[{q.subject, q.predicate}];
     }
   }
@@ -84,7 +84,7 @@ std::vector<FactGap> FindTrendingGaps(const kg::KnowledgeGraph& kg,
         it == old_counts.end() ? 0.0 : static_cast<double>(it->second);
     const double growth = static_cast<double>(count) / (old_count + 1.0);
     if (growth < min_growth) continue;
-    if (!kg.triples().BySubjectPredicate(key.first, key.second).empty()) {
+    if (kg.triples().HasFact(key.first, key.second)) {
       continue;  // already covered
     }
     trending.emplace_back(growth, key);

@@ -1,6 +1,7 @@
 #ifndef SAGA_TEXT_TOKENIZER_H_
 #define SAGA_TEXT_TOKENIZER_H_
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,16 +12,31 @@ namespace saga::text {
 /// so these agree with `std::isalnum`/`std::tolower` in the "C" locale:
 /// bytes 0x80-0xFF are neither letters nor digits and fold to
 /// themselves.
-inline bool IsAsciiUpper(char c) { return c >= 'A' && c <= 'Z'; }
-inline bool IsAsciiAlnum(char c) {
+constexpr bool IsAsciiUpper(char c) { return c >= 'A' && c <= 'Z'; }
+constexpr bool IsAsciiAlnum(char c) {
   return (c >= 'a' && c <= 'z') || IsAsciiUpper(c) || (c >= '0' && c <= '9');
 }
-inline char AsciiLower(char c) {
+constexpr char AsciiLower(char c) {
   return IsAsciiUpper(c) ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-/// Word characters are ASCII [A-Za-z0-9'].
-inline bool IsWordChar(char c) { return IsAsciiAlnum(c) || c == '\''; }
+/// Byte c lowercased when it is a word character (ASCII [A-Za-z0-9']),
+/// 0 when it is not; no word character is 0. One load both classifies
+/// and folds a byte.
+inline constexpr std::array<unsigned char, 256> kLoweredWordByte = [] {
+  std::array<unsigned char, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    if (IsAsciiAlnum(ch) || ch == '\'') {
+      table[c] = static_cast<unsigned char>(AsciiLower(ch));
+    }
+  }
+  return table;
+}();
+
+inline bool IsWordChar(char c) {
+  return kLoweredWordByte[static_cast<unsigned char>(c)] != 0;
+}
 
 /// The one tokenizer loop. Calls `fn(lowered, begin, end, capitalized)`
 /// once per maximal run of word characters, in text order: `lowered` is
@@ -45,7 +61,10 @@ void ForEachToken(std::string_view text, Fn&& fn) {
       long_buf.resize(len);
       out = long_buf.data();
     }
-    for (size_t j = 0; j < len; ++j) out[j] = AsciiLower(text[begin + j]);
+    for (size_t j = 0; j < len; ++j) {
+      out[j] = static_cast<char>(
+          kLoweredWordByte[static_cast<unsigned char>(text[begin + j])]);
+    }
     fn(std::string_view(out, len), begin, i, IsAsciiUpper(text[begin]));
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <set>
 
 #include "annotation/annotator.h"
@@ -214,6 +215,187 @@ TEST(ContextRerankerTest, ProfileEmbeddingsMatchReferenceBitForBit) {
   }
   EXPECT_GT(gen.kg.catalog().records().size(), 8000u);
   EXPECT_EQ(mismatches, 0u);
+}
+
+// ---------- ContextReranker vs the old scoring code ----------
+
+/// Seeded documents stitched from profile texts, so most candidates
+/// share tokens with them and the scores are not trivially zero.
+std::vector<std::string> SeededContexts(const ContextReranker& reranker,
+                                        const kg::KnowledgeGraph& kg,
+                                        uint64_t seed, size_t n) {
+  std::mt19937_64 rng(seed);
+  const size_t entities = kg.catalog().records().size();
+  std::vector<std::string> out;
+  for (size_t i = 0; i < n; ++i) {
+    std::string text;
+    for (int k = 0; k < 3; ++k) {
+      const std::string profile =
+          reranker.EntityProfileText(kg::EntityId(rng() % entities));
+      text += profile.substr(0, 40 + rng() % 120);
+      text += ". ";
+    }
+    out.push_back(std::move(text));
+  }
+  return out;
+}
+
+struct ScoreCheck {
+  size_t compared = 0;
+  size_t nonzero = 0;
+  size_t mismatches = 0;
+};
+
+/// Reranks every entity of `kg` against each context (the mention spans
+/// the whole context, so the window is all of it) and compares each
+/// context similarity, by its bits, with the old code's
+/// Cosine(ref.Embed(context), ref.Embed(EntityProfileText(id))).
+ScoreCheck CheckScoresAgainstReference(
+    const ContextReranker& reranker, const kg::KnowledgeGraph& kg,
+    const std::vector<std::string>& contexts) {
+  const text::reference::Vectorizer ref(text::HashingVectorizer::Options{});
+  std::vector<Candidate> all;
+  std::vector<std::vector<float>> profiles;
+  for (const auto& rec : kg.catalog().records()) {
+    all.push_back(Candidate{rec.id, 0.5});
+    profiles.push_back(ref.Embed(reranker.EntityProfileText(rec.id)));
+  }
+  ScoreCheck check;
+  for (const std::string& context : contexts) {
+    const Mention whole{0, context.size(), context};
+    const std::vector<float> context_vec = ref.Embed(context);
+    for (const auto& s : reranker.Rerank(all, context, whole, nullptr)) {
+      const double want = text::HashingVectorizer::Cosine(
+          context_vec, profiles[s.candidate.entity.value()]);
+      ++check.compared;
+      if (want != 0.0) ++check.nonzero;
+      if (std::memcmp(&want, &s.context_similarity, sizeof(want)) != 0) {
+        ++check.mismatches;
+      }
+    }
+  }
+  return check;
+}
+
+TEST(ContextRerankerTest, RerankScoresMatchReferenceOnServingKg) {
+  kg::KgGeneratorConfig config;
+  config.num_persons = 8000;  // the serving benchmark's KG
+  const kg::GeneratedKg gen = kg::GenerateKg(config);
+  ASSERT_GT(gen.kg.catalog().records().size(), 8000u);
+  for (bool name_only : {false, true}) {
+    ContextReranker::Options options;
+    options.name_only_profiles = name_only;
+    const ContextReranker reranker(&gen.kg, options);
+    const ScoreCheck check = CheckScoresAgainstReference(
+        reranker, gen.kg, SeededContexts(reranker, gen.kg, 2023, 17));
+    EXPECT_EQ(check.compared, 17 * gen.kg.catalog().records().size());
+    EXPECT_GT(check.nonzero, check.compared / 4) << "name_only " << name_only;
+    EXPECT_EQ(check.mismatches, 0u) << "name_only " << name_only;
+  }
+}
+
+TEST(ContextRerankerTest, RerankScoresMatchReferenceOnEdgeCases) {
+  kg::KnowledgeGraph kg;
+  const kg::SchemaHandles h = kg::InstallStandardSchema(&kg);
+  const kg::SourceId src = kg.AddSource("test", 1.0);
+  const std::string long_token(100, 'q');  // past the tokenizer's buffer
+  const kg::EntityId no_description =
+      kg.catalog().AddEntity("Ada Quill", {h.person}, 0.5, "");
+  const kg::EntityId long_word = kg.catalog().AddEntity(
+      "Bo " + long_token, {h.person, h.athlete}, 0.5,
+      "plays " + long_token + "X ball");
+  const kg::EntityId team =
+      kg.catalog().AddEntity("Riverfield Bulls", {h.sports_team}, 0.5);
+  // More than the 24 profiled triples; removing early ones shifts which
+  // triples make the cut.
+  std::vector<kg::TripleIdx> hub_facts;
+  for (int i = 0; i < 30; ++i) {
+    const kg::EntityId movie = kg.catalog().AddEntity(
+        "Movie Number " + std::to_string(i), {h.movie}, 0.1);
+    hub_facts.push_back(kg.AddFact(long_word, h.acted_in,
+                                   kg::Value::Entity(movie), src));
+  }
+  kg.AddFact(long_word, h.plays_for, kg::Value::Entity(team), src);
+  kg.AddFact(no_description, h.plays_for, kg::Value::Entity(team), src);
+  const kg::TripleIdx removed =
+      kg.AddFact(no_description, h.height_cm, kg::Value::Int(170), src);
+  kg.triples().Remove(hub_facts[0]);
+  kg.triples().Remove(hub_facts[7]);
+  kg.triples().Remove(removed);
+
+  const ContextReranker reranker(&kg);
+  const std::string profile = reranker.EntityProfileText(long_word);
+  EXPECT_EQ(profile.find("Movie Number 0 "), std::string::npos);
+  EXPECT_NE(profile.find("Movie Number 25"), std::string::npos);
+  const std::vector<std::string> contexts = {
+      "Bo " + long_token + " plays for the Riverfield Bulls",
+      long_token + "X ball and Movie Number 3 acted in",
+      "Ada Quill plays for Riverfield Bulls, 170 cm tall",
+      "",
+  };
+  const ScoreCheck check = CheckScoresAgainstReference(reranker, kg, contexts);
+  EXPECT_GT(check.nonzero, 0u);
+  EXPECT_EQ(check.mismatches, 0u);
+}
+
+/// The kernel under an idf-fitted vectorizer and a dimension that is
+/// not a power of two (a modulo bucket, not a mask). Each profile is
+/// split at every space, so the pieces join back to the profile text
+/// and every word boundary is a piece boundary.
+TEST(ContextRerankerTest, ProfilePiecesMatchReferenceWithIdfAndOddDim) {
+  kg::KgGeneratorConfig config;
+  config.num_persons = 8000;
+  const kg::GeneratedKg gen = kg::GenerateKg(config);
+  const ContextReranker reranker(&gen.kg);
+  std::vector<std::string> profiles;
+  for (const auto& rec : gen.kg.catalog().records()) {
+    profiles.push_back(reranker.EntityProfileText(rec.id));
+  }
+  const std::vector<std::string> contexts =
+      SeededContexts(reranker, gen.kg, 9001, 5);
+  struct Variant {
+    int dim;
+    bool fitted;
+  };
+  for (const Variant v : {Variant{256, true}, Variant{100, false},
+                          Variant{100, true}}) {
+    text::HashingVectorizer::Options options;
+    options.dim = v.dim;
+    text::HashingVectorizer vec(options);
+    text::reference::Vectorizer ref(options);
+    if (v.fitted) {
+      vec.FitDf(profiles);
+      ref.FitDf(profiles);
+    }
+    std::vector<std::vector<float>> context_vecs;
+    std::vector<std::vector<float>> ref_context_vecs;
+    for (const std::string& c : contexts) {
+      context_vecs.push_back(vec.Embed(c));
+      ref_context_vecs.push_back(ref.Embed(c));
+    }
+    size_t mismatches = 0;
+    text::SparseVector sparse;
+    std::vector<std::string_view> pieces;
+    for (const std::string& profile : profiles) {
+      pieces.clear();
+      for (size_t begin = 0;;) {
+        const size_t end = std::min(profile.find(' ', begin), profile.size());
+        pieces.emplace_back(profile.data() + begin, end - begin);
+        if (end == profile.size()) break;
+        begin = end + 1;
+      }
+      vec.EmbedPieces(pieces, &sparse);
+      const std::vector<float> want_profile = ref.Embed(profile);
+      for (size_t c = 0; c < contexts.size(); ++c) {
+        const double want = text::HashingVectorizer::Cosine(
+            ref_context_vecs[c], want_profile);
+        const double got =
+            text::HashingVectorizer::Dot(sparse, context_vecs[c]);
+        if (std::memcmp(&want, &got, sizeof(want)) != 0) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "dim " << v.dim << " fitted " << v.fitted;
+  }
 }
 
 // ---------- Annotator end-to-end ----------

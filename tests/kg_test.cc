@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/file_util.h"
 #include "kg/entity_catalog.h"
 #include "kg/kg_generator.h"
@@ -104,6 +106,34 @@ TEST(ValueTest, SerializationRoundTrip) {
     EXPECT_EQ(got, expected);
   }
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(ValueTest, CopiesOwnTheirStrings) {
+  Value a = Value::String("a string past the inline buffer of std::string");
+  Value b = a;  // deep copy
+  EXPECT_EQ(b, a);
+  EXPECT_NE(&b.string_value(), &a.string_value());
+  Value c = std::move(a);  // moved-from is the empty string
+  EXPECT_EQ(c, b);
+  EXPECT_EQ(a, Value::String(""));
+  EXPECT_EQ(Value().string_value(), "");
+  a = c;
+  EXPECT_EQ(a, c);
+  const Value& alias = a;
+  a = alias;  // self-assignment keeps the string
+  EXPECT_EQ(a, c);
+  b = Value::Int(7);  // drops the string
+  EXPECT_EQ(b, Value::Int(7));
+  c = std::move(b);
+  EXPECT_EQ(c.int_value(), 7);
+  // Strings and scalars share one 8-byte slot beside the kind.
+  EXPECT_EQ(sizeof(Value), 16u);
+}
+
+TEST(ValueTest, DoublesCompareAsDoubles) {
+  EXPECT_EQ(Value::Double(0.0), Value::Double(-0.0));
+  EXPECT_NE(Value::Double(std::nan("")), Value::Double(std::nan("")));
+  EXPECT_EQ(Value::Double(-2.25).ToString(), "-2.25");
 }
 
 TEST(ValueTest, DeserializeRejectsBadKind) {
@@ -316,8 +346,39 @@ TEST_F(TripleStoreTest, AccessPathsMatchAScanAcrossStorageBlocks) {
         if (store.IsLive(i) && i % 97 == s && i % 7 == p) want.push_back(i);
       }
       EXPECT_EQ(store.BySubjectPredicate(EntityId(s), PredicateId(p)), want);
+      EXPECT_EQ(store.HasFact(EntityId(s), PredicateId(p)), !want.empty());
     }
+    std::vector<TripleIdx> want;
+    for (TripleIdx i = 0; i < kTriples; ++i) {
+      if (store.IsLive(i) && i % 97 == s) want.push_back(i);
+    }
+    const auto live = store.BySubject(EntityId(s));
+    EXPECT_EQ(std::vector<TripleIdx>(live.begin(), live.end()), want);
   }
+}
+
+TEST_F(TripleStoreTest, RemoveKeepsSubjectListLiveAndOrdered) {
+  TripleStore store;
+  std::vector<TripleIdx> added;
+  for (int i = 0; i < 6; ++i) {
+    added.push_back(store.Add(Make(1, i % 2, Value::Int(i))));
+  }
+  store.Add(Make(2, 1, Value::Int(9)));
+  store.Remove(added[0]);
+  store.Remove(added[3]);
+  store.Remove(added[3]);
+  const auto live = store.BySubject(EntityId(1));
+  EXPECT_EQ(std::vector<TripleIdx>(live.begin(), live.end()),
+            (std::vector<TripleIdx>{added[1], added[2], added[4], added[5]}));
+  EXPECT_TRUE(store.HasFact(EntityId(1), PredicateId(1)));
+  store.Remove(added[1]);
+  store.Remove(added[5]);
+  EXPECT_FALSE(store.HasFact(EntityId(1), PredicateId(1)));
+  EXPECT_TRUE(store.HasFact(EntityId(1), PredicateId(0)));
+  EXPECT_TRUE(store.HasFact(EntityId(2), PredicateId(1)));
+  EXPECT_FALSE(store.HasFact(EntityId(3), PredicateId(0)));
+  EXPECT_FALSE(store.Contains(EntityId(1), PredicateId(0), Value::Int(0)));
+  EXPECT_TRUE(store.Contains(EntityId(1), PredicateId(0), Value::Int(2)));
 }
 
 TEST_F(TripleStoreTest, PredicateFrequenciesCountLiveOnly) {

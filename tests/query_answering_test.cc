@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <bit>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "annotation/annotator.h"
+#include "annotation/context_reranker.h"
 #include "annotation/query_answering.h"
 #include "common/request_context.h"
 #include "common/string_util.h"
@@ -174,6 +182,88 @@ TEST(QueryAnsweringTest, RankerOrdersMultiValuedAnswers) {
     return;
   }
   FAIL() << "no multi-occupation person found";
+}
+
+/// Everything an answer says, doubles by their bits.
+std::string Digest(const QueryAnswerer::Answer& a) {
+  std::string out = std::to_string(a.answered) + " " +
+                    std::to_string(a.subject.value()) + " " +
+                    std::to_string(a.predicate.value()) + " " +
+                    std::to_string(std::bit_cast<uint64_t>(a.subject_score)) +
+                    " " + a.explanation;
+  for (const auto& f : a.facts) {
+    out += " " + f.object.ToString() + ":" +
+           std::to_string(std::bit_cast<uint64_t>(f.score));
+  }
+  return out;
+}
+
+std::string Digest(const std::vector<Annotation>& annotations) {
+  std::string out;
+  for (const Annotation& a : annotations) {
+    out += std::to_string(a.mention.begin) + "-" +
+           std::to_string(a.mention.end) + ":" +
+           std::to_string(a.entity.value()) + ":" +
+           std::to_string(std::bit_cast<uint64_t>(a.score)) + ":" +
+           std::to_string(a.type.value()) + " ";
+  }
+  return out;
+}
+
+// The annotation read path keeps per-call and thread_local scratch
+// (profile pieces, sparse vectors, the hashing accumulator). Threads
+// sharing one answerer and one annotator must each get exactly the
+// single-threaded answers; the TSan build checks the sharing is clean.
+TEST(QueryAnsweringTest, ConcurrentReadersMatchSerialAnswers) {
+  QaFixture f = QaFixture::Make();
+  serving::FactRanker ranker(&f.gen.kg, &f.view, &f.emb);
+  const QueryAnswerer answerer(&f.gen.kg, &ranker);
+  Annotator::Options options;
+  options.preset = DeploymentPreset::kAccurate;
+  options.rerank_only_ambiguous = false;  // rerank every mention
+  const Annotator annotator(&f.gen.kg, /*cache=*/nullptr, options);
+  const ContextReranker profiles(&f.gen.kg);
+
+  std::vector<std::string> queries;
+  std::vector<std::string> documents;
+  const auto& records = f.gen.kg.catalog().records();
+  for (size_t i = 0; i < records.size(); i += 7) {
+    for (kg::TripleIdx idx : f.gen.kg.triples().BySubject(records[i].id)) {
+      const kg::PredicateId p = f.gen.kg.triples().triple(idx).predicate;
+      queries.push_back(ToLower(records[i].canonical_name) + " " +
+                        f.gen.kg.ontology().predicate(p).surface_form);
+      break;
+    }
+    documents.push_back(profiles.EntityProfileText(records[i].id) + ". " +
+                        profiles.EntityProfileText(records[i / 2].id));
+  }
+  ASSERT_GT(queries.size(), 20u);
+
+  auto serve = [&](std::vector<std::string>* out) {
+    for (const std::string& q : queries) {
+      out->push_back(Digest(AskUnbounded(answerer, q)));
+    }
+    for (const std::string& d : documents) {
+      out->push_back(Digest(annotator.Annotate(d)));
+    }
+  };
+  std::vector<std::string> serial;
+  serve(&serial);
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::barrier start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      serve(&got[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], serial) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 
 // Reference tokenizer and embedder for oracle tests: the straightforward
 // versions that allocate a string per token and concatenate each bigram.
-// text::Tokenize and HashingVectorizer::Embed must agree with them
-// exactly (same tokens, bit-identical vectors).
+// text::Tokenize, HashingVectorizer::Embed and EmbedPieces (over pieces
+// that join to the text with " ") must agree with them exactly (same
+// tokens, bit-identical vectors).
 
 #include <cctype>
 #include <cmath>

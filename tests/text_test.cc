@@ -290,6 +290,63 @@ TEST(TextOracleTest, EmbedMatchesReferenceBitForBit) {
   }
 }
 
+/// `text` cut at a seeded choice of its spaces, which the cuts drop:
+/// the pieces join back to `text` with " ".
+std::vector<std::string_view> PiecesAtSpaces(std::string_view text,
+                                             std::mt19937_64& rng) {
+  std::vector<std::string_view> pieces;
+  size_t begin = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == ' ' && rng() % 2 == 0) {
+      pieces.push_back(text.substr(begin, i - begin));
+      begin = i + 1;
+    }
+  }
+  pieces.push_back(text.substr(begin));
+  return pieces;
+}
+
+// The sparse kernel over pieces against the reference over the joined
+// text: the same vector (as ToDense), ascending indexes, and Dot equal
+// to the dense Cosine bit for bit.
+TEST(TextOracleTest, EmbedPiecesMatchesJoinedReference) {
+  const std::vector<std::string> corpus = RandomTexts(5, 300);
+  const std::vector<std::string> texts = RandomTexts(31, 1500);
+  for (int dim : {64, 100, 256}) {
+    for (bool bigrams : {true, false}) {
+      for (bool fitted : {false, true}) {
+        HashingVectorizer::Options opts;
+        opts.dim = dim;
+        opts.use_bigrams = bigrams;
+        HashingVectorizer vec(opts);
+        reference::Vectorizer ref(opts);
+        if (fitted) {
+          vec.FitDf(corpus);
+          ref.FitDf(corpus);
+        }
+        std::mt19937_64 rng(dim * 4 + bigrams * 2 + fitted);
+        size_t mismatches = 0;
+        SparseVector sparse;
+        for (size_t t = 0; t < texts.size(); ++t) {
+          vec.EmbedPieces(PiecesAtSpaces(texts[t], rng), &sparse);
+          const std::vector<float> want = ref.Embed(texts[t]);
+          const std::vector<float> context =
+              ref.Embed(texts[(t * 7 + 1) % texts.size()]);
+          const double want_dot = HashingVectorizer::Cosine(context, want);
+          const double got_dot = HashingVectorizer::Dot(sparse, context);
+          if (!SameBits(vec.ToDense(sparse), want) ||
+              !std::is_sorted(sparse.index.begin(), sparse.index.end()) ||
+              std::memcmp(&want_dot, &got_dot, sizeof(want_dot)) != 0) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams
+                                  << " fitted " << fitted;
+      }
+    }
+  }
+}
+
 // ---------- AhoCorasick ----------
 
 TEST(AhoCorasickTest, FindsAllOccurrences) {
