@@ -14,8 +14,14 @@
 //                      accelerated search blow the slow-call SLO; the
 //                      breaker trips, searches fall back to the exact
 //                      backup, and after the fault clears the half-open
-//                      probe closes the breaker again.
+//                      probe closes the breaker again. Then the same
+//                      fault under hedged reads: the hedge pool's queue
+//                      stays bounded, searches that find it full shed
+//                      to the exact backup, and queued primaries whose
+//                      backup already answered skip their search.
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -234,5 +240,75 @@ int main() {
               static_cast<unsigned long long>(bstats.rejected),
               static_cast<unsigned long long>(bstats.failures),
               static_cast<unsigned long long>(bstats.successes));
+
+  // Hedged reads under the same fault: 8 clients against 2 hedge
+  // workers that each stall 20ms per primary.
+  serving::EmbeddingService::Options hopts;
+  hopts.index = serving::EmbeddingService::IndexKind::kIvf;
+  hopts.ivf_lists = 16;
+  hopts.hedge.enabled = true;
+  hopts.hedge.fixed_hedge_ms = 2.0;
+  hopts.hedge.threads = 2;
+  auto hedged = std::make_unique<serving::EmbeddingService>(
+      stack.service->store(), &stack.gen.kg, hopts);
+  const size_t queue_limit = static_cast<size_t>(hopts.hedge.threads) *
+                             serving::EmbeddingService::kHedgeQueuePerThread;
+  auto& reg = obs::Registry::Global();
+  const int64_t shed_before = reg.counter("serving.hedge.shed").Value();
+  const int64_t skipped_before =
+      reg.counter("serving.hedge.primary_skipped").Value();
+  Faults().InjectDelay("ann.search", 20.0);
+  std::atomic<bool> done{false};
+  size_t max_depth = 0;
+  std::thread monitor([&] {
+    while (!done.load()) {
+      max_depth = std::max(max_depth, hedged->HedgeQueueDepth());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<ClassStats> hedge_stats(8);
+  {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 8; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < 100; ++i) {
+          RequestContext ctx = RequestContext::WithTimeoutMillis(250.0);
+          const kg::EntityId probe = stack.view.global_entity(
+              static_cast<uint32_t>((300 + c * 100 + i * 31) % 400));
+          Stopwatch sw;
+          if (hedged->TopKNeighbors(probe, 10, kg::TypeId::Invalid(), ctx)
+                  .ok()) {
+            hedge_stats[static_cast<size_t>(c)].latency_ms.Add(
+                sw.ElapsedMillis());
+            ++hedge_stats[static_cast<size_t>(c)].served;
+          }
+        }
+      });
+    }
+    for (auto& c : clients) c.join();
+  }
+  done.store(true);
+  monitor.join();
+  hedged.reset();  // drains the queued primaries
+  Faults().DisarmAll();
+  ClassStats all;
+  for (const auto& cs : hedge_stats) {
+    all.latency_ms.Merge(cs.latency_ms);
+    all.served += cs.served;
+  }
+  Table t4({"clients", "served", "p99 ms", "max queue", "queue limit",
+            "shed", "primary skipped"});
+  t4.AddRow({"8", std::to_string(all.served),
+             Fmt(all.latency_ms.Percentile(99.0)), std::to_string(max_depth),
+             std::to_string(queue_limit),
+             std::to_string(reg.counter("serving.hedge.shed").Value() -
+                            shed_before),
+             std::to_string(
+                 reg.counter("serving.hedge.primary_skipped").Value() -
+                 skipped_before)});
+  t4.Print();
+  std::printf("hedge queue depth peaked at %zu of %zu (ann +20ms, 2 hedge "
+              "workers)\n",
+              max_depth, queue_limit);
   return 0;
 }

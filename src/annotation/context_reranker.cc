@@ -90,9 +90,8 @@ std::vector<ContextReranker::Scored> ContextReranker::Rerank(
 
   auto similarity = [&](kg::EntityId id) {
     if (cache != nullptr) {
-      const auto cached = cache->Get(id);
-      if (cached.ok()) {
-        return text::HashingVectorizer::Cosine(context_vec, cached.value());
+      if (const auto stored = cache->Find(id)) {
+        return text::HashingVectorizer::Dot(stored->sparse, context_vec);
       }
     }
     return ProfileSimilarity(id, context_vec);

@@ -51,10 +51,11 @@ class ContextReranker {
   Status PrecomputeProfiles(serving::EmbeddingKvCache* cache) const;
 
   /// Reranks candidates for a mention given the surrounding document
-  /// text. When `cache` is non-null, profile vectors are fetched from
-  /// it; otherwise they are computed on the fly (the path the Fig-4
-  /// ablation measures) as sparse vectors straight from the KG, with
-  /// the scores of Cosine(context, Embed(EntityProfileText(id))).
+  /// text. When `cache` is non-null, a candidate it holds is scored by
+  /// a sparse dot product against its stored profile; any other is
+  /// computed on the fly (the path the Fig-4 ablation measures) as a
+  /// sparse vector straight from the KG. Either way the score is
+  /// Cosine(context, profile) bit for bit.
   std::vector<Scored> Rerank(const std::vector<Candidate>& candidates,
                              std::string_view document_text,
                              const Mention& mention,

@@ -31,8 +31,9 @@ EmbeddingService::EmbeddingService(embedding::EmbeddingStore store,
     exact_backup_ = MakeIndex(IndexKind::kExact);
   }
   if (options_.hedge.enabled && exact_backup_ != nullptr) {
-    hedge_pool_ =
-        std::make_unique<ThreadPool>(std::max(1, options_.hedge.threads));
+    const int threads = std::max(1, options_.hedge.threads);
+    hedge_pool_ = std::make_unique<ThreadPool>(
+        threads, static_cast<size_t>(threads) * kHedgeQueuePerThread);
   }
 }
 
@@ -261,7 +262,16 @@ Result<std::vector<ann::Neighbor>> EmbeddingService::HedgedSearch(
   // Raw pointer is safe: hedge_pool_ is declared after index_ and thus
   // destroyed (drained) before it.
   const ann::VectorIndex* idx = index_.get();
-  hedge_pool_->Submit([st, idx, query, fetch] {
+  const Status submitted = hedge_pool_->TrySubmit([st, idx, query, fetch] {
+    {
+      // The backup already answered: a queued primary has no one to
+      // race, so it frees the worker for the next request.
+      std::lock_guard<std::mutex> lock(st->mu);
+      if (st->claimed) {
+        SAGA_COUNTER("serving.hedge.primary_skipped").Add();
+        return;
+      }
+    }
     Status s = Faults().armed() ? Faults().InjectOp("ann.search")
                                 : Status::OK();
     std::vector<ann::Neighbor> hits;
@@ -275,6 +285,12 @@ Result<std::vector<ann::Neighbor>> EmbeddingService::HedgedSearch(
     }
     st->cv.notify_all();
   });
+  if (!submitted.ok()) {
+    // The pool's queue is full: primaries are already backed up behind
+    // slow searches, so answer with the exact backup straight away.
+    SAGA_COUNTER("serving.hedge.shed").Add();
+    return exact_backup_->Search(query, fetch);
+  }
 
   double wait_ms = HedgeDelayMs();
   if (!ctx.deadline().infinite()) {

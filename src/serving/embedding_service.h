@@ -56,7 +56,8 @@ class EmbeddingService {
     /// Adaptive timer before enough samples exist.
     double default_hedge_ms = 5.0;
     uint64_t min_samples = 50;
-    /// Workers running primary searches so the caller can hedge.
+    /// Workers running primary searches so the caller can hedge. At
+    /// most kHedgeQueuePerThread primaries per worker wait for one.
     int threads = 2;
   };
 
@@ -123,6 +124,13 @@ class EmbeddingService {
 
   /// Current hedge timer (for tests / the overload bench).
   double HedgeDelayMs() const;
+  /// Primary searches waiting for a hedge worker (0 without hedging).
+  /// The queue holds at most kHedgeQueuePerThread per hedge thread; a
+  /// hedged search that finds it full sheds to the exact backup.
+  size_t HedgeQueueDepth() const {
+    return hedge_pool_ != nullptr ? hedge_pool_->queue_depth() : 0;
+  }
+  static constexpr size_t kHedgeQueuePerThread = 4;
 
  private:
   bool PassesTypeFilter(kg::EntityId id, kg::TypeId type) const;

@@ -1,9 +1,10 @@
 #include "serving/kv_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <functional>
 
+#include "common/hash.h"
 #include "common/metrics.h"
 #include "common/serialization.h"
 
@@ -31,8 +32,8 @@ EmbeddingKvCache::EmbeddingKvCache(std::unique_ptr<storage::KvStore> kv,
   }
 }
 
-EmbeddingKvCache::Shard& EmbeddingKvCache::ShardFor(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % kShards];
+EmbeddingKvCache::Shard& EmbeddingKvCache::ShardFor(kg::EntityId id) {
+  return *shards_[Mix64(id.value()) % kShards];
 }
 
 std::string EmbeddingKvCache::KeyFor(kg::EntityId id) {
@@ -42,19 +43,90 @@ std::string EmbeddingKvCache::KeyFor(kg::EntityId id) {
   return buf;
 }
 
-std::string EmbeddingKvCache::Encode(const std::vector<float>& vec) {
-  std::string out;
-  BinaryWriter w(&out);
-  w.PutFloatVector(vec);
+namespace {
+
+/// First byte of every value. The dense format this replaced began
+/// with a length, so its values fail Decode and count as misses.
+constexpr uint8_t kSparseFormat = 0x53;
+constexpr size_t kHeaderBytes = 1 + 4 + 4;
+constexpr size_t kEntryBytes = sizeof(uint16_t) + sizeof(float);
+
+}  // namespace
+
+StoredVector EmbeddingKvCache::FromDense(const std::vector<float>& vec) {
+  StoredVector out;
+  out.length = static_cast<uint32_t>(vec.size());
+  for (size_t i = 0; i < vec.size(); ++i) {
+    if (std::bit_cast<uint32_t>(vec[i]) != 0) {
+      out.sparse.index.push_back(static_cast<uint16_t>(i));
+      out.sparse.value.push_back(vec[i]);
+    }
+  }
   return out;
 }
 
-Result<std::vector<float>> EmbeddingKvCache::Decode(
-    const std::string& bytes) {
+std::vector<float> EmbeddingKvCache::ToDense(const StoredVector& value) {
+  std::vector<float> out(value.length, 0.0f);
+  for (size_t k = 0; k < value.sparse.index.size(); ++k) {
+    out[value.sparse.index[k]] = value.sparse.value[k];
+  }
+  return out;
+}
+
+std::string EmbeddingKvCache::Encode(const StoredVector& value) {
+  const size_t n = value.sparse.index.size();
+  std::string out;
+  out.reserve(kHeaderBytes + n * kEntryBytes);
+  BinaryWriter w(&out);
+  w.PutU8(kSparseFormat);
+  w.PutFixed32(value.length);
+  w.PutFixed32(static_cast<uint32_t>(n));
+  for (uint16_t i : value.sparse.index) {
+    w.PutU8(static_cast<uint8_t>(i));
+    w.PutU8(static_cast<uint8_t>(i >> 8));
+  }
+  for (float v : value.sparse.value) w.PutFloat(v);
+  return out;
+}
+
+Result<StoredVector> EmbeddingKvCache::Decode(std::string_view bytes) {
   BinaryReader r(bytes);
-  std::vector<float> vec;
-  SAGA_RETURN_IF_ERROR(r.GetFloatVector(&vec));
-  return vec;
+  uint8_t format = 0;
+  uint32_t length = 0;
+  uint32_t n = 0;
+  SAGA_RETURN_IF_ERROR(r.GetU8(&format));
+  if (format != kSparseFormat) {
+    return Status::Corruption("cached vector: unknown format byte");
+  }
+  SAGA_RETURN_IF_ERROR(r.GetFixed32(&length));
+  SAGA_RETURN_IF_ERROR(r.GetFixed32(&n));
+  if (length > kMaxLength || n > length) {
+    return Status::Corruption("cached vector: length or count out of range");
+  }
+  if (r.remaining() != size_t{n} * kEntryBytes) {
+    return Status::Corruption("cached vector: size does not match count");
+  }
+  StoredVector out;
+  out.length = length;
+  out.sparse.index.resize(n);
+  out.sparse.value.resize(n);
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data()) +
+                  kHeaderBytes;
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t i = p[2 * k] | (uint32_t{p[2 * k + 1]} << 8);
+    if (i >= length || (k > 0 && i <= out.sparse.index[k - 1])) {
+      return Status::Corruption("cached vector: index out of order or range");
+    }
+    out.sparse.index[k] = static_cast<uint16_t>(i);
+  }
+  SAGA_RETURN_IF_ERROR(r.Skip(size_t{n} * sizeof(uint16_t)));
+  for (size_t k = 0; k < n; ++k) {
+    SAGA_RETURN_IF_ERROR(r.GetFloat(&out.sparse.value[k]));
+    if (std::bit_cast<uint32_t>(out.sparse.value[k]) == 0) {
+      return Status::Corruption("cached vector: stored entry is +0");
+    }
+  }
+  return out;
 }
 
 Status EmbeddingKvCache::PutAll(const embedding::EmbeddingStore& store) {
@@ -69,52 +141,73 @@ Status EmbeddingKvCache::PutAll(const embedding::EmbeddingStore& store) {
 }
 
 Status EmbeddingKvCache::Put(kg::EntityId id, const std::vector<float>& vec) {
-  const std::string key = KeyFor(id);
-  std::string encoded = Encode(vec);
-  SAGA_RETURN_IF_ERROR(kv_->Put(key, encoded));
+  if (vec.size() > kMaxLength) {
+    return Status::InvalidArgument("cached vector longer than 65536");
+  }
+  auto value = std::make_shared<const StoredVector>(FromDense(vec));
+  const std::string encoded = Encode(*value);
+  SAGA_RETURN_IF_ERROR(kv_->Put(KeyFor(id), encoded));
   // Refresh the in-memory tier if the key is resident: leaving the old
-  // bytes in the LRU would serve a stale embedding forever to any
+  // value in the LRU would serve a stale embedding forever to any
   // entity read before this update. Absent keys are not write-
   // allocated — the LRU stays read-driven (bulk precompute would
   // otherwise wipe the hot working set).
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.lru.Contains(key)) {
-    (void)shard.lru.Put(key, std::move(encoded));
+  ++shard.write_seq;
+  if (shard.lru.Contains(id.value()) &&
+      !shard.lru.Put(id.value(), std::move(value), encoded.size())) {
+    shard.lru.Erase(id.value());  // too big to refresh: drop, never stale
   }
   return Status::OK();
 }
 
-Result<std::vector<float>> EmbeddingKvCache::Get(kg::EntityId id) {
+std::shared_ptr<const StoredVector> EmbeddingKvCache::Find(kg::EntityId id) {
   obs::ScopedLatency timer(SAGA_LATENCY("serving.kv_cache.get_ns"));
-  const std::string key = KeyFor(id);
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(id);
+  uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (auto cached = shard.lru.Get(key)) {
+    if (LruCache::Value hit = shard.lru.Get(id.value())) {
       memory_hits_.fetch_add(1, std::memory_order_relaxed);
       SAGA_COUNTER("serving.kv_cache.memory_hits").Add();
       UpdateHitRateGauges();
-      return Decode(*cached);
+      return hit;
     }
+    seq = shard.write_seq;
   }
   // Disk probe outside any shard lock: a slow or compacting store must
-  // not serialize unrelated reads behind this one.
-  auto from_disk = kv_->Get(key);
-  if (!from_disk.ok()) {
+  // not serialize unrelated reads behind this one. A value that does
+  // not decode (torn, corrupt, or an older format) is a miss: the
+  // caller recomputes it.
+  auto from_disk = kv_->Get(KeyFor(id));
+  Result<StoredVector> decoded = from_disk.ok()
+                                     ? Decode(*from_disk)
+                                     : Result<StoredVector>(from_disk.status());
+  if (!decoded.ok()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     SAGA_COUNTER("serving.kv_cache.misses").Add();
     UpdateHitRateGauges();
-    return from_disk.status();
+    return nullptr;
   }
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("serving.kv_cache.disk_hits").Add();
+  auto value =
+      std::make_shared<const StoredVector>(std::move(decoded).value());
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    (void)shard.lru.Put(key, from_disk.value());
+    if (shard.write_seq == seq) {
+      (void)shard.lru.Put(id.value(), value, from_disk->size());
+    }
   }
   UpdateHitRateGauges();
-  return Decode(from_disk.value());
+  return value;
+}
+
+Result<std::vector<float>> EmbeddingKvCache::Get(kg::EntityId id) {
+  const std::shared_ptr<const StoredVector> stored = Find(id);
+  if (stored == nullptr) return Status::NotFound("embedding not cached");
+  return ToDense(*stored);
 }
 
 EmbeddingKvCache::Stats EmbeddingKvCache::stats() const {

@@ -2,38 +2,44 @@
 
 namespace saga::serving {
 
-bool LruCache::Put(const std::string& key, std::string value) {
-  if (key.size() + value.size() > capacity_bytes_) {
+bool LruCache::Put(uint64_t key, Value value, size_t value_bytes) {
+  const size_t charge = kKeyBytes + value_bytes;
+  if (charge > capacity_bytes_) {
     return false;
   }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    size_bytes_ -= it->second.value.size();
-    size_bytes_ += value.size();
-    it->second.value = std::move(value);
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(key);
-    it->second.lru_it = lru_.begin();
+    Node& node = *it->second;
+    size_bytes_ -= node.charge;
+    node.value = std::move(value);
+    node.charge = charge;
+    lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(key);
-    size_bytes_ += key.size() + value.size();
-    entries_.emplace(key, Entry{std::move(value), lru_.begin()});
+    lru_.push_front(Node{key, std::move(value), charge});
+    entries_.emplace(key, lru_.begin());
   }
+  size_bytes_ += charge;
   EvictIfNeeded();
   return true;
 }
 
-std::optional<std::string> LruCache::Get(const std::string& key) {
+LruCache::Value LruCache::Get(uint64_t key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(key);
-  it->second.lru_it = lru_.begin();
-  return it->second.value;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->value;
+}
+
+void LruCache::Erase(uint64_t key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  size_bytes_ -= it->second->charge;
+  lru_.erase(it->second);
+  entries_.erase(it);
 }
 
 void LruCache::EvictIfNeeded() {
@@ -41,10 +47,9 @@ void LruCache::EvictIfNeeded() {
   // lru_.front(), and by the oversized-reject above always within
   // budget on its own).
   while (size_bytes_ > capacity_bytes_ && lru_.size() > 1) {
-    const std::string& victim = lru_.back();
-    auto it = entries_.find(victim);
-    size_bytes_ -= victim.size() + it->second.value.size();
-    entries_.erase(it);
+    const Node& victim = lru_.back();
+    size_bytes_ -= victim.charge;
+    entries_.erase(victim.key);
     lru_.pop_back();
   }
 }

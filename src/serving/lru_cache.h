@@ -3,32 +3,49 @@
 
 #include <cstdint>
 #include <list>
-#include <optional>
-#include <string>
+#include <memory>
 #include <unordered_map>
+
+#include "text/hashing_vectorizer.h"
 
 namespace saga::serving {
 
-/// Byte-budgeted LRU cache of string blobs. The in-memory tier in front
-/// of the KV-store embedding cache. Not thread-safe; callers shard and
-/// lock (see EmbeddingKvCache).
+/// A decoded cache value, immutable once built: a vector of `length`
+/// floats held as its entries whose bits are not all zero, in
+/// ascending index order. Readers share it through a
+/// `shared_ptr<const StoredVector>`; an update installs a new one.
+struct StoredVector {
+  uint32_t length = 0;
+  text::SparseVector sparse;
+};
+
+/// Byte-budgeted LRU cache of immutable stored vectors, keyed by entity
+/// id. The in-memory tier in front of the KV-store embedding cache. Not
+/// thread-safe; callers shard and lock (see EmbeddingKvCache).
 class LruCache {
  public:
+  using Value = std::shared_ptr<const StoredVector>;
+  /// Bytes charged per entry besides its value: the id.
+  static constexpr size_t kKeyBytes = sizeof(uint64_t);
+
   explicit LruCache(size_t capacity_bytes)
       : capacity_bytes_(capacity_bytes) {}
 
   LruCache(const LruCache&) = delete;
   LruCache& operator=(const LruCache&) = delete;
 
-  /// Inserts or updates. Returns false — without touching the cache —
-  /// when key+value alone exceed the byte budget: admitting an entry
-  /// that can never fit would evict the whole working set and then be
-  /// evicted itself, churning the list for nothing.
-  bool Put(const std::string& key, std::string value);
-  std::optional<std::string> Get(const std::string& key);
-  bool Contains(const std::string& key) const {
-    return entries_.count(key) > 0;
-  }
+  /// Inserts or replaces the value of `key`, charging kKeyBytes +
+  /// `value_bytes` (the value's encoded size). Returns false — without
+  /// touching the cache — when that alone exceeds the byte budget:
+  /// admitting an entry that can never fit would evict the whole
+  /// working set and then be evicted itself, churning the list for
+  /// nothing.
+  bool Put(uint64_t key, Value value, size_t value_bytes);
+  /// The value of `key`, now the most recent entry; nullptr when
+  /// absent. A hit allocates nothing.
+  Value Get(uint64_t key);
+  void Erase(uint64_t key);
+  bool Contains(uint64_t key) const { return entries_.count(key) > 0; }
 
   size_t size_bytes() const { return size_bytes_; }
   size_t size() const { return entries_.size(); }
@@ -36,10 +53,13 @@ class LruCache {
   uint64_t misses() const { return misses_; }
 
  private:
-  struct Entry {
-    std::string value;
-    std::list<std::string>::iterator lru_it;
+  struct Node {
+    uint64_t key;
+    Value value;
+    /// kKeyBytes + the value's encoded size.
+    size_t charge;
   };
+  using List = std::list<Node>;
 
   /// Evicts from the cold end until back under budget, but never the
   /// most-recently-touched entry — evicting what Put just wrote would
@@ -50,8 +70,8 @@ class LruCache {
   size_t size_bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  std::list<std::string> lru_;  // front = most recent
-  std::unordered_map<std::string, Entry> entries_;
+  List lru_;  // front = most recent
+  std::unordered_map<uint64_t, List::iterator> entries_;
 };
 
 }  // namespace saga::serving

@@ -173,7 +173,11 @@ double HashingVectorizer::Dot(const SparseVector& sparse,
                               const std::vector<float>& dense) {
   double dot = 0.0;
   for (size_t k = 0; k < sparse.index.size(); ++k) {
-    dot += static_cast<double>(dense[sparse.index[k]]) * sparse.value[k];
+    const size_t i = sparse.index[k];
+    // Ascending indices: the rest are past the end too, where Cosine's
+    // min(a.size(), b.size()) stops.
+    if (i >= dense.size()) break;
+    dot += static_cast<double>(dense[i]) * sparse.value[k];
   }
   return dot;
 }

@@ -65,9 +65,11 @@ class HashingVectorizer {
   static double Cosine(const std::vector<float>& a,
                        const std::vector<float>& b);
 
-  /// Cosine(dense, ToDense(sparse)) bit for bit: the same products,
-  /// summed into a double in the same ascending index order, less the
-  /// terms that are exact zeros.
+  /// Cosine(dense, v) bit for bit, where `v` is any dense vector whose
+  /// entries are `sparse` and zeros: the same products, summed into a
+  /// double in the same ascending index order, less the terms that are
+  /// exact zeros. Stops at the first index >= dense.size(), so `v` may
+  /// be shorter or longer than `dense`, as in Cosine.
   static double Dot(const SparseVector& sparse,
                     const std::vector<float>& dense);
 

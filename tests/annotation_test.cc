@@ -10,6 +10,7 @@
 #include "annotation/mention_detector.h"
 #include "annotation/web_linker.h"
 #include "common/file_util.h"
+#include "common/serialization.h"
 #include "kg/kg_generator.h"
 #include "reference_text.h"
 #include "websim/corpus_generator.h"
@@ -336,6 +337,135 @@ TEST(ContextRerankerTest, RerankScoresMatchReferenceOnEdgeCases) {
   const ScoreCheck check = CheckScoresAgainstReference(reranker, kg, contexts);
   EXPECT_GT(check.nonzero, 0u);
   EXPECT_EQ(check.mismatches, 0u);
+}
+
+// ---------- ContextReranker: cached profiles vs on the fly ----------
+
+/// Reranks every entity of `kg` against each context, once through
+/// `cache` and once on the fly, and counts the context similarities
+/// whose bits differ.
+size_t CachedScoreMismatches(const ContextReranker& reranker,
+                             const kg::KnowledgeGraph& kg,
+                             const std::vector<std::string>& contexts,
+                             serving::EmbeddingKvCache* cache) {
+  std::vector<Candidate> all;
+  for (const auto& rec : kg.catalog().records()) {
+    all.push_back(Candidate{rec.id, 0.5});
+  }
+  size_t mismatches = 0;
+  std::vector<double> fresh(all.size());
+  for (const std::string& context : contexts) {
+    const Mention whole{0, context.size(), context};
+    for (const auto& s : reranker.Rerank(all, context, whole, nullptr)) {
+      fresh[s.candidate.entity.value()] = s.context_similarity;
+    }
+    for (const auto& s : reranker.Rerank(all, context, whole, cache)) {
+      const double want = fresh[s.candidate.entity.value()];
+      if (std::memcmp(&want, &s.context_similarity, sizeof(want)) != 0) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Every profile of the serving benchmark's KG, full and distilled,
+// scored from memory hits (a budget that holds them all) and from disk
+// hits (a budget that holds about 1%): bit-identical to on the fly.
+TEST(ContextRerankerTest, CachedScoresMatchOnTheFlyOnServingKg) {
+  kg::KgGeneratorConfig config;
+  config.num_persons = 8000;
+  const kg::GeneratedKg gen = kg::GenerateKg(config);
+  const uint64_t profiles = gen.kg.catalog().records().size();
+  for (bool name_only : {false, true}) {
+    ContextReranker::Options options;
+    options.name_only_profiles = name_only;
+    const ContextReranker reranker(&gen.kg, options);
+    const std::vector<std::string> contexts =
+        SeededContexts(reranker, gen.kg, 2023, 5);
+    for (size_t budget : {size_t{32} << 20, size_t{24} << 10}) {
+      auto dir = MakeTempDir("saga_profile_cache_oracle");
+      ASSERT_TRUE(dir.ok());
+      auto cache = serving::EmbeddingKvCache::Open(*dir, budget);
+      ASSERT_TRUE(cache.ok());
+      ASSERT_TRUE(reranker.PrecomputeProfiles(cache->get()).ok());
+      EXPECT_EQ(CachedScoreMismatches(reranker, gen.kg, contexts,
+                                      cache->get()),
+                0u)
+          << "name_only " << name_only << " budget " << budget;
+      const auto stats = (*cache)->stats();
+      EXPECT_EQ(stats.misses, 0u);
+      if (budget > (size_t{1} << 20)) {
+        EXPECT_EQ(stats.disk_hits, profiles);  // the first context only
+        EXPECT_EQ(stats.memory_hits, profiles * (contexts.size() - 1));
+      } else {
+        EXPECT_GT(stats.disk_hits, profiles * contexts.size() * 9 / 10);
+      }
+      (void)RemoveDirRecursively(*dir);
+    }
+  }
+}
+
+// Stored vectors the precompute step never writes still score like
+// Cosine(context, stored): shorter and longer than the context, with
+// -0.0f entries, all zero; and a value in the old dense format counts
+// as a miss, so its candidate is scored on the fly.
+TEST(ContextRerankerTest, CachedScoresMatchCosineOnEdgeCases) {
+  kg::GeneratedKg gen = MakeKg();
+  const ContextReranker reranker(&gen.kg);
+  auto dir = MakeTempDir("saga_profile_cache_edges");
+  ASSERT_TRUE(dir.ok());
+  auto cache = serving::EmbeddingKvCache::Open(*dir, 1 << 20);
+  ASSERT_TRUE(cache.ok());
+
+  const std::string context = reranker.EntityProfileText(kg::EntityId(1)) +
+                              " " + reranker.EntityProfileText(kg::EntityId(2));
+  const Mention whole{0, context.size(), context};
+  const std::vector<float> context_vec = reranker.vectorizer().Embed(context);
+  ASSERT_EQ(context_vec.size(), 256u);
+
+  std::vector<float> shorter(context_vec.begin(), context_vec.begin() + 100);
+  std::vector<float> longer = context_vec;
+  for (int i = 0; i < 44; ++i) longer.push_back(0.5f);
+  std::vector<float> negative_zeros = context_vec;
+  for (size_t i = 0; i < negative_zeros.size(); i += 3) {
+    negative_zeros[i] = -0.0f;
+  }
+  const std::vector<std::vector<float>> stored = {
+      shorter, longer, negative_zeros, std::vector<float>(256, 0.0f),
+      std::vector<float>(256, -0.0f)};
+  std::vector<Candidate> candidates;
+  for (size_t i = 0; i < stored.size(); ++i) {
+    const kg::EntityId id(i + 1);
+    ASSERT_TRUE((*cache)->Put(id, stored[i]).ok());
+    candidates.push_back(Candidate{id, 0.5});
+  }
+  // Entity 7 holds the dense format this cache used to write.
+  std::string dense;
+  BinaryWriter w(&dense);
+  w.PutFloatVector(std::vector<float>(256, 1.0f));
+  ASSERT_TRUE((*cache)->kv()->Put("emb:0000000000000007", dense).ok());
+  candidates.push_back(Candidate{kg::EntityId(7), 0.5});
+
+  std::vector<double> fresh(gen.kg.catalog().records().size());
+  for (const auto& s : reranker.Rerank(candidates, context, whole, nullptr)) {
+    fresh[s.candidate.entity.value()] = s.context_similarity;
+  }
+  for (int pass = 0; pass < 2; ++pass) {  // disk hits, then memory hits
+    for (const auto& s :
+         reranker.Rerank(candidates, context, whole, cache->get())) {
+      const size_t i = s.candidate.entity.value();
+      const double want =
+          i == 7 ? fresh[7]
+                 : text::HashingVectorizer::Cosine(context_vec, stored[i - 1]);
+      EXPECT_EQ(std::memcmp(&want, &s.context_similarity, sizeof(want)), 0)
+          << "entity " << i << " pass " << pass << ": " << want << " vs "
+          << s.context_similarity;
+    }
+  }
+  EXPECT_NE(fresh[7], 0.0);
+  EXPECT_EQ((*cache)->stats().misses, 2u);  // entity 7, once a pass
+  (void)RemoveDirRecursively(*dir);
 }
 
 /// The kernel under an idf-fitted vectorizer and a dimension that is

@@ -483,5 +483,82 @@ TEST_F(KvConcurrencyTest, EmbeddingCacheServesDuringConcurrentRebuild) {
   (void)RemoveDirRecursively(*dir);
 }
 
+
+// Regression: a memory miss reads the disk tier outside the shard lock
+// and then fills the LRU. A Put landing between that read and the fill
+// found the key not resident and skipped the refresh, so the fill
+// installed the older vector and served it until the next Put or an
+// eviction. With a small budget most reads miss to disk. A Get that
+// starts after Put(e, v) returned must see version v or newer; once the
+// writer stops, every Get must return each entity's last version.
+TEST_F(KvConcurrencyTest, DiskFillNeverInstallsAValueOlderThanAPut) {
+  const uint64_t base_seed = ChaosBaseSeed(4242);
+  SCOPED_TRACE("replay with SAGA_CHAOS_SEED=" + std::to_string(base_seed));
+  auto dir = MakeTempDir("saga_kvcache_fill");
+  ASSERT_TRUE(dir.ok());
+  constexpr int kEntities = 32;
+  constexpr int kVersions = 300;
+  // 41 bytes an entry (8 id + 9 header + 4 * 6): about 2 per shard, so
+  // about half the entities are resident at a time.
+  auto cache = serving::EmbeddingKvCache::Open(*dir, 8 * 2 * 41);
+  ASSERT_TRUE(cache.ok()) << cache.status();
+  auto vec_for = [](int version) {
+    return std::vector<float>(4, static_cast<float>(version));
+  };
+  std::vector<std::atomic<int>> acked(kEntities);
+  for (int e = 0; e < kEntities; ++e) {
+    ASSERT_TRUE((*cache)->Put(kg::EntityId(e + 1), vec_for(0)).ok());
+    acked[static_cast<size_t>(e)].store(0);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> read_errors{0};
+  std::atomic<uint64_t> stale_reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(base_seed + static_cast<uint64_t>(t));
+      while (!stop.load(std::memory_order_acquire)) {
+        const size_t e = rng.Uniform(kEntities);
+        const int floor = acked[e].load(std::memory_order_acquire);
+        auto got = (*cache)->Get(kg::EntityId(e + 1));
+        if (!got.ok()) {
+          read_errors.fetch_add(1);
+        } else if ((*got)[0] < static_cast<float>(floor)) {
+          stale_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  Rng rng(base_seed ^ 0x9E3779B97F4A7C15ULL);
+  std::vector<int> order(kEntities);
+  for (int e = 0; e < kEntities; ++e) order[static_cast<size_t>(e)] = e;
+  for (int version = 1; version <= kVersions; ++version) {
+    for (int e = kEntities - 1; e > 0; --e) {
+      std::swap(order[static_cast<size_t>(e)],
+                order[rng.Uniform(static_cast<uint64_t>(e) + 1)]);
+    }
+    for (int e : order) {
+      ASSERT_TRUE((*cache)->Put(kg::EntityId(e + 1), vec_for(version)).ok());
+      acked[static_cast<size_t>(e)].store(version, std::memory_order_release);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(read_errors.load(), 0u);
+  EXPECT_EQ(stale_reads.load(), 0u)
+      << "Gets returned a version older than an acknowledged Put";
+
+  int stale = 0;
+  for (int e = 0; e < kEntities; ++e) {
+    auto got = (*cache)->Get(kg::EntityId(e + 1));
+    ASSERT_TRUE(got.ok());
+    if ((*got)[0] != static_cast<float>(kVersions)) ++stale;
+  }
+  EXPECT_EQ(stale, 0) << "entities served an older version after the "
+                         "last Put";
+  (void)RemoveDirRecursively(*dir);
+}
+
 }  // namespace
 }  // namespace saga::storage

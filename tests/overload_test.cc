@@ -525,6 +525,68 @@ TEST_F(OverloadTest, HedgedReadMasksSlowPrimary) {
   EXPECT_LT(elapsed_ms, 150.0);
 }
 
+// A slow primary holds its hedge worker, so under load the queued
+// primaries would pile up without bound. The queue is bounded: a search
+// that finds it full sheds straight to the exact backup, and a queued
+// primary whose backup already answered skips its search.
+TEST_F(OverloadTest, HedgePoolQueueStaysBoundedUnderSlowPrimaries) {
+  Fixture f = Fixture::Make();
+  serving::EmbeddingService::Options opts;
+  opts.index = serving::EmbeddingService::IndexKind::kIvf;
+  opts.ivf_lists = 8;
+  opts.hedge.enabled = true;
+  opts.hedge.fixed_hedge_ms = 1.0;
+  opts.hedge.threads = 1;
+  auto service = std::make_unique<serving::EmbeddingService>(
+      embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
+      opts);
+  ASSERT_FALSE(service->degraded());
+  const size_t limit = serving::EmbeddingService::kHedgeQueuePerThread;
+
+  auto& reg = obs::Registry::Global();
+  const int64_t shed_before = reg.counter("serving.hedge.shed").Value();
+  const int64_t skipped_before =
+      reg.counter("serving.hedge.primary_skipped").Value();
+  Faults().InjectDelay("ann.search", 30.0);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> max_depth{0};
+  std::thread monitor([&] {
+    while (!done.load()) {
+      const size_t d = service->HedgeQueueDepth();
+      if (d > max_depth.load()) max_depth.store(d);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::atomic<int> ok_count{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 8; ++t) {
+    clients.emplace_back([&, t] {
+      RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
+      for (int i = 0; i < 10; ++i) {
+        const kg::EntityId probe = f.view.global_entity(
+            static_cast<uint32_t>((t * 10 + i) % 50));
+        if (service->TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok()) {
+          ++ok_count;
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  done.store(true);
+  monitor.join();
+  EXPECT_LE(service->HedgeQueueDepth(), limit);
+  // Destruction drains the queue: every queued primary has run or
+  // skipped by the time the counters are read.
+  service.reset();
+  Faults().DisarmAll();
+
+  EXPECT_EQ(ok_count.load(), 80);
+  EXPECT_LE(max_depth.load(), limit);
+  EXPECT_GT(reg.counter("serving.hedge.shed").Value(), shed_before);
+  EXPECT_GT(reg.counter("serving.hedge.primary_skipped").Value(),
+            skipped_before);
+}
+
 TEST_F(OverloadTest, RelatedEntitiesHonorsDeadline) {
   Fixture f = Fixture::Make();
   serving::EmbeddingService embeddings(

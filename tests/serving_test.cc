@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/file_util.h"
 #include "common/request_context.h"
+#include "common/rng.h"
+#include "common/serialization.h"
 #include "embedding/trainer.h"
 #include "graph_engine/traversal.h"
 #include "kg/kg_generator.h"
@@ -46,70 +53,93 @@ struct Fixture {
 
 // ---------- LruCache ----------
 
+/// A distinct value; the tests tell values apart by pointer.
+LruCache::Value Stored(uint32_t length) {
+  auto v = std::make_shared<StoredVector>();
+  v->length = length;
+  return v;
+}
+
+// Each entry is charged LruCache::kKeyBytes (8) plus its value bytes.
+
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache cache(50);
-  cache.Put("a", std::string(20, 'x'));
-  cache.Put("b", std::string(20, 'y'));
-  ASSERT_TRUE(cache.Get("a").has_value());  // touch a -> b becomes LRU
-  cache.Put("c", std::string(20, 'z'));     // evicts b
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
+  cache.Put(1, Stored(1), 12);
+  cache.Put(2, Stored(2), 12);
+  ASSERT_NE(cache.Get(1), nullptr);  // touch 1 -> 2 becomes LRU
+  cache.Put(3, Stored(3), 12);       // evicts 2
+  EXPECT_NE(cache.Get(1), nullptr);
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_NE(cache.Get(3), nullptr);
 }
 
 TEST(LruCacheTest, OverwriteUpdatesBytes) {
   LruCache cache(1000);
-  cache.Put("k", std::string(100, 'a'));
+  cache.Put(7, Stored(100), 100);
   const size_t big = cache.size_bytes();
-  cache.Put("k", "tiny");
+  const LruCache::Value tiny = Stored(4);
+  cache.Put(7, tiny, 4);
   EXPECT_LT(cache.size_bytes(), big);
-  EXPECT_EQ(*cache.Get("k"), "tiny");
+  EXPECT_EQ(cache.Get(7), tiny);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(LruCacheTest, TracksHitsAndMisses) {
   LruCache cache(100);
-  cache.Put("k", "v");
-  (void)cache.Get("k");
-  (void)cache.Get("absent");
+  cache.Put(7, Stored(1), 1);
+  (void)cache.Get(7);
+  (void)cache.Get(8);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(LruCacheTest, RejectsOversizedInsertUpFront) {
   LruCache cache(50);
-  ASSERT_TRUE(cache.Put("a", std::string(20, 'x')));
-  ASSERT_TRUE(cache.Put("b", std::string(20, 'y')));
+  ASSERT_TRUE(cache.Put(1, Stored(1), 12));
+  ASSERT_TRUE(cache.Put(2, Stored(2), 12));
   // An entry that can never fit is refused without evicting anything.
-  EXPECT_FALSE(cache.Put("huge", std::string(60, 'z')));
+  EXPECT_FALSE(cache.Put(3, Stored(3), 43));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Contains("a"));
-  EXPECT_TRUE(cache.Contains("b"));
-  EXPECT_FALSE(cache.Contains("huge"));
-  EXPECT_EQ(cache.size_bytes(), 42u);  // 2 * (1 + 20)
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(2));
+  EXPECT_FALSE(cache.Contains(3));
+  EXPECT_EQ(cache.size_bytes(), 40u);  // 2 * (8 + 12)
 }
 
 TEST(LruCacheTest, OversizedUpdateOfExistingKeyIsRejected) {
   LruCache cache(50);
-  ASSERT_TRUE(cache.Put("k", std::string(10, 'a')));
+  const LruCache::Value old_value = Stored(10);
+  ASSERT_TRUE(cache.Put(7, old_value, 10));
   const size_t before = cache.size_bytes();
-  EXPECT_FALSE(cache.Put("k", std::string(60, 'b')));
+  EXPECT_FALSE(cache.Put(7, Stored(60), 60));
   // The old entry survives untouched.
   EXPECT_EQ(cache.size_bytes(), before);
-  EXPECT_EQ(*cache.Get("k"), std::string(10, 'a'));
+  EXPECT_EQ(cache.Get(7), old_value);
 }
 
 TEST(LruCacheTest, EvictionSparesTheJustUpdatedEntry) {
   LruCache cache(50);
-  ASSERT_TRUE(cache.Put("a", std::string(20, 'x')));
-  ASSERT_TRUE(cache.Put("b", std::string(20, 'y')));  // 42 bytes total
-  // Growing b to 40 bytes pushes the total to 62: eviction must take
-  // the cold entry (a), never the entry this Put just touched.
-  ASSERT_TRUE(cache.Put("b", std::string(40, 'Y')));
-  EXPECT_FALSE(cache.Contains("a"));
-  ASSERT_TRUE(cache.Contains("b"));
-  EXPECT_EQ(*cache.Get("b"), std::string(40, 'Y'));
-  EXPECT_EQ(cache.size_bytes(), 41u);  // 1 + 40
+  ASSERT_TRUE(cache.Put(1, Stored(1), 12));
+  ASSERT_TRUE(cache.Put(2, Stored(2), 12));  // 40 bytes total
+  // Growing 2 to 40 bytes pushes the total to 60: eviction must take
+  // the cold entry (1), never the entry this Put just touched.
+  const LruCache::Value grown = Stored(32);
+  ASSERT_TRUE(cache.Put(2, grown, 32));
+  EXPECT_FALSE(cache.Contains(1));
+  ASSERT_TRUE(cache.Contains(2));
+  EXPECT_EQ(cache.Get(2), grown);
+  EXPECT_EQ(cache.size_bytes(), 40u);  // 8 + 32
+}
+
+TEST(LruCacheTest, EraseReleasesTheEntryBytes) {
+  LruCache cache(100);
+  ASSERT_TRUE(cache.Put(1, Stored(1), 12));
+  ASSERT_TRUE(cache.Put(2, Stored(2), 30));
+  cache.Erase(1);
+  cache.Erase(9);  // absent: no effect
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.size_bytes(), 38u);
 }
 
 // ---------- EmbeddingKvCache ----------
@@ -163,6 +193,260 @@ TEST(EmbeddingKvCacheTest, PutRefreshesResidentLruEntry) {
   // than invalidating it.
   EXPECT_EQ((*cache)->stats().memory_hits, 1u);
   (void)RemoveDirRecursively(*dir);
+}
+
+// Put keeps every entry whose bits are not all zero, so -0.0f and an
+// all-zero vector come back from both tiers exactly as stored.
+TEST(EmbeddingKvCacheTest, GetReturnsExactlyWhatPutStored) {
+  auto dir = MakeTempDir("saga_kv_cache_exact");
+  ASSERT_TRUE(dir.ok());
+  auto cache = EmbeddingKvCache::Open(*dir, 1 << 16);
+  ASSERT_TRUE(cache.ok());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> vectors = {
+      {0.0f, -0.0f, 1.5f, 0.0f, -0.0f},
+      std::vector<float>(32, 0.0f),
+      {},
+      {nan, 0.0f, -std::numeric_limits<float>::infinity(), 1e-45f},
+      std::vector<float>(300, -0.0f),
+  };
+  for (size_t i = 0; i < vectors.size(); ++i) {
+    ASSERT_TRUE((*cache)->Put(kg::EntityId(i + 1), vectors[i]).ok());
+  }
+  for (int pass = 0; pass < 2; ++pass) {  // disk hits, then memory hits
+    for (size_t i = 0; i < vectors.size(); ++i) {
+      auto got = (*cache)->Get(kg::EntityId(i + 1));
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), vectors[i].size());
+      if (got->empty()) continue;  // memcmp of a null data() is UB
+      EXPECT_EQ(std::memcmp(got->data(), vectors[i].data(),
+                            vectors[i].size() * sizeof(float)),
+                0)
+          << "vector " << i << " pass " << pass;
+    }
+  }
+  EXPECT_EQ((*cache)->stats().disk_hits, vectors.size());
+  EXPECT_EQ((*cache)->stats().memory_hits, vectors.size());
+  (void)RemoveDirRecursively(*dir);
+}
+
+TEST(EmbeddingKvCacheTest, EncodesSixBytesPerStoredEntry) {
+  std::vector<float> v(256, 0.0f);
+  for (size_t i = 0; i < 41; ++i) v[i * 6] = 0.25f;
+  const StoredVector stored = EmbeddingKvCache::FromDense(v);
+  EXPECT_EQ(stored.length, 256u);
+  EXPECT_EQ(stored.sparse.index.size(), 41u);
+  const std::string bytes = EmbeddingKvCache::Encode(stored);
+  EXPECT_EQ(bytes.size(), 9u + 41u * 6u);
+  auto decoded = EmbeddingKvCache::Decode(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(EmbeddingKvCache::ToDense(*decoded), v);
+}
+
+TEST(EmbeddingKvCacheTest, PutRejectsVectorsLongerThanTheFormat) {
+  auto dir = MakeTempDir("saga_kv_cache_long");
+  ASSERT_TRUE(dir.ok());
+  auto cache = EmbeddingKvCache::Open(*dir, 1 << 16);
+  ASSERT_TRUE(cache.ok());
+  const kg::EntityId id(5);
+  EXPECT_TRUE((*cache)
+                  ->Put(id, std::vector<float>(EmbeddingKvCache::kMaxLength,
+                                               1.0f))
+                  .ok());
+  EXPECT_TRUE((*cache)
+                  ->Put(id, std::vector<float>(
+                                EmbeddingKvCache::kMaxLength + 1, 1.0f))
+                  .IsInvalidArgument());
+  auto got = (*cache)->Get(id);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->size(), EmbeddingKvCache::kMaxLength);
+  (void)RemoveDirRecursively(*dir);
+}
+
+// The value format this cache used to write (a dense float vector) does
+// not decode: Find counts it as a miss and the caller recomputes.
+TEST(EmbeddingKvCacheTest, OldDenseValueCountsAsMiss) {
+  auto dir = MakeTempDir("saga_kv_cache_old");
+  ASSERT_TRUE(dir.ok());
+  auto cache = EmbeddingKvCache::Open(*dir, 1 << 16);
+  ASSERT_TRUE(cache.ok());
+  std::string dense;
+  BinaryWriter w(&dense);
+  w.PutFloatVector(std::vector<float>(256, 0.5f));
+  ASSERT_TRUE((*cache)->kv()->Put("emb:000000000000002a", dense).ok());
+  EXPECT_EQ((*cache)->Find(kg::EntityId(42)), nullptr);
+  EXPECT_TRUE((*cache)->Get(kg::EntityId(42)).status().IsNotFound());
+  EXPECT_EQ((*cache)->stats().misses, 2u);
+  EXPECT_EQ((*cache)->stats().disk_hits, 0u);
+  (void)RemoveDirRecursively(*dir);
+}
+
+// A refresh too big for its shard's budget drops the resident entry
+// rather than leave the old value in memory.
+TEST(EmbeddingKvCacheTest, OversizedRefreshDropsTheStaleEntry) {
+  auto dir = MakeTempDir("saga_kv_cache_grow");
+  ASSERT_TRUE(dir.ok());
+  auto cache = EmbeddingKvCache::Open(*dir, 8 * 200);  // 200 B a shard
+  ASSERT_TRUE(cache.ok());
+  const kg::EntityId id(3);
+  ASSERT_TRUE((*cache)->Put(id, std::vector<float>(4, 1.0f)).ok());
+  ASSERT_TRUE((*cache)->Get(id).ok());  // now resident
+  const std::vector<float> big(100, 2.0f);  // 609 encoded bytes
+  ASSERT_TRUE((*cache)->Put(id, big).ok());
+  auto got = (*cache)->Get(id);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, big);
+  EXPECT_EQ((*cache)->stats().memory_hits, 0u);
+  (void)RemoveDirRecursively(*dir);
+}
+
+/// Checks that `bytes` decodes to a valid value or fails with a Status.
+/// A decoded value must satisfy the format's invariants, and since the
+/// decoder accepts only the encoder's output, re-encoding it gives back
+/// `bytes`.
+void ExpectDecodesOrFails(const std::string& bytes, uint64_t* accepted) {
+  auto decoded = EmbeddingKvCache::Decode(bytes);
+  if (!decoded.ok()) {
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+    return;
+  }
+  ++*accepted;
+  const StoredVector& v = *decoded;
+  ASSERT_LE(v.length, EmbeddingKvCache::kMaxLength);
+  ASSERT_EQ(v.sparse.index.size(), v.sparse.value.size());
+  ASSERT_LE(v.sparse.index.size(), v.length);
+  for (size_t k = 0; k < v.sparse.index.size(); ++k) {
+    ASSERT_LT(v.sparse.index[k], v.length);
+    if (k > 0) {
+      ASSERT_LT(v.sparse.index[k - 1], v.sparse.index[k]);
+    }
+    ASSERT_NE(std::bit_cast<uint32_t>(v.sparse.value[k]), 0u);
+  }
+  EXPECT_EQ(EmbeddingKvCache::Encode(v), bytes);
+}
+
+void PutFixed32At(std::string* bytes, size_t pos, uint32_t v) {
+  for (int b = 0; b < 4; ++b) {
+    (*bytes)[pos + static_cast<size_t>(b)] =
+        static_cast<char>((v >> (8 * b)) & 0xFF);
+  }
+}
+
+// Seeded mutation harness over the value decoder: truncations at every
+// length, bit flips, counts and lengths past the bytes or the format's
+// limit, unsorted, duplicate and out-of-range indices, and random
+// bytes. Every input must give a Status or a valid value.
+TEST(EmbeddingKvCacheTest, DecoderIsTotalUnderMutation) {
+  const char* env = std::getenv("SAGA_CHAOS_SEED");
+  const uint64_t seed =
+      env != nullptr && *env != '\0' ? std::strtoull(env, nullptr, 10) : 1809;
+  SCOPED_TRACE("replay with SAGA_CHAOS_SEED=" + std::to_string(seed));
+  std::printf("decoder mutation harness: SAGA_CHAOS_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+
+  std::vector<std::string> valid;
+  for (int i = 0; i < 40; ++i) {
+    const size_t length = i == 0 ? 0 : i == 1 ? EmbeddingKvCache::kMaxLength
+                                              : rng.Uniform(300) + 1;
+    std::vector<float> v(length, 0.0f);
+    for (float& x : v) {
+      const uint64_t r = rng.Uniform(10);
+      x = r < 6    ? 0.0f
+          : r == 6 ? -0.0f
+                   : static_cast<float>(rng.NextGaussian());
+    }
+    valid.push_back(EmbeddingKvCache::Encode(EmbeddingKvCache::FromDense(v)));
+  }
+
+  uint64_t inputs = 0;
+  uint64_t accepted = 0;
+  auto check = [&](const std::string& bytes) {
+    ++inputs;
+    ExpectDecodesOrFails(bytes, &accepted);
+  };
+  for (const std::string& bytes : valid) check(bytes);
+  ASSERT_EQ(accepted, valid.size()) << "the encoder's output must decode";
+
+  // Truncation at every length (the 65536-long value at a sample).
+  for (const std::string& bytes : valid) {
+    const size_t step = bytes.size() > 4096 ? 97 : 1;
+    for (size_t n = 0; n < bytes.size(); n += step) {
+      auto decoded = EmbeddingKvCache::Decode(bytes.substr(0, n));
+      ++inputs;
+      EXPECT_FALSE(decoded.ok()) << "prefix of " << n << " bytes decoded";
+    }
+  }
+  for (int i = 0; i < 6000; ++i) {
+    std::string bytes = valid[rng.Uniform(valid.size())];
+    if (bytes.size() > 4096) continue;
+    const int flips = static_cast<int>(rng.Uniform(4)) + 1;
+    for (int f = 0; f < flips; ++f) {
+      bytes[rng.Uniform(bytes.size())] ^=
+          static_cast<char>(1u << rng.Uniform(8));
+    }
+    check(bytes);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    std::string bytes = valid[2 + rng.Uniform(valid.size() - 2)];
+    uint32_t length = 0;
+    uint32_t count = 0;
+    std::memcpy(&length, bytes.data() + 1, 4);
+    std::memcpy(&count, bytes.data() + 5, 4);
+    switch (i % 4) {
+      case 0:  // a count past the bytes
+        PutFixed32At(&bytes, 5,
+                     count + 1 + static_cast<uint32_t>(rng.Uniform(1000)));
+        break;
+      case 1:  // a count or length past everything
+        PutFixed32At(&bytes, rng.Bernoulli(0.5) ? 5 : 1,
+                     0xFFFFFFFFu - static_cast<uint32_t>(rng.Uniform(4)));
+        break;
+      case 2:  // a length above the format's limit
+        PutFixed32At(&bytes, 1,
+                     65537u + static_cast<uint32_t>(rng.Uniform(1u << 20)));
+        break;
+      case 3:  // a length below the largest index
+        PutFixed32At(&bytes, 1,
+                     static_cast<uint32_t>(rng.Uniform(length)));
+        break;
+    }
+    check(bytes);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    std::string bytes = valid[2 + rng.Uniform(valid.size() - 2)];
+    uint32_t count = 0;
+    std::memcpy(&count, bytes.data() + 5, 4);
+    if (count < 2) continue;
+    const size_t a = rng.Uniform(count);
+    const size_t b = rng.Uniform(count);
+    char* idx = bytes.data() + 9;
+    switch (i % 3) {
+      case 0:  // unsorted
+        std::swap(idx[2 * a], idx[2 * b]);
+        std::swap(idx[2 * a + 1], idx[2 * b + 1]);
+        break;
+      case 1:  // duplicate
+        idx[2 * a] = idx[2 * b];
+        idx[2 * a + 1] = idx[2 * b + 1];
+        break;
+      case 2:  // out of range
+        idx[2 * a] = static_cast<char>(0xFF);
+        idx[2 * a + 1] = static_cast<char>(0xFF);
+        break;
+    }
+    check(bytes);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    std::string bytes(rng.Uniform(64), '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.Uniform(256));
+    if (!bytes.empty() && rng.Bernoulli(0.5)) bytes[0] = valid[0][0];
+    check(bytes);
+  }
+  std::printf("decoder mutation harness: %llu inputs, %llu decoded\n",
+              static_cast<unsigned long long>(inputs),
+              static_cast<unsigned long long>(accepted));
+  EXPECT_GE(inputs, 10000u);
 }
 
 // ---------- EmbeddingService ----------
