@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <set>
 
 #include "ann/brute_force_index.h"
@@ -19,29 +20,24 @@ namespace {
 constexpr int kDim = 32;
 constexpr size_t kCorpus = 20000;
 
-std::vector<std::vector<float>> MakeCorpus() {
-  Rng rng(11);
-  std::vector<std::vector<float>> vecs(kCorpus, std::vector<float>(kDim));
-  for (auto& v : vecs) {
-    for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-  }
-  return vecs;
-}
-
-const std::vector<std::vector<float>>& Corpus() {
-  static const auto& corpus = *new std::vector<std::vector<float>>(
-      MakeCorpus());
-  return corpus;
+/// kCorpus Gaussian rows drawn from Rng(11), in one row matrix that
+/// every index below shares.
+std::shared_ptr<const RowMatrix> Corpus() {
+  static const auto* corpus = [] {
+    Rng rng(11);
+    std::vector<uint64_t> labels(kCorpus);
+    std::vector<float> data(kCorpus * kDim);
+    for (size_t i = 0; i < kCorpus; ++i) labels[i] = i;
+    for (float& x : data) x = static_cast<float>(rng.NextGaussian());
+    return new std::shared_ptr<const RowMatrix>(
+        std::make_shared<const RowMatrix>(kDim, std::move(labels),
+                                          std::move(data)));
+  }();
+  return *corpus;
 }
 
 BruteForceIndex* ExactIndex() {
-  static BruteForceIndex* index = [] {
-    auto* idx = new BruteForceIndex(kDim, Metric::kCosine);
-    const auto& corpus = Corpus();
-    for (size_t i = 0; i < corpus.size(); ++i) idx->Add(i, corpus[i]);
-    idx->Build();
-    return idx;
-  }();
+  static auto* index = new BruteForceIndex(Corpus(), Metric::kCosine);
   return index;
 }
 
@@ -49,11 +45,7 @@ IvfIndex* ApproxIndex() {
   static IvfIndex* index = [] {
     IvfIndex::Options opts;
     opts.num_lists = 64;
-    auto* idx = new IvfIndex(kDim, Metric::kCosine, opts);
-    const auto& corpus = Corpus();
-    for (size_t i = 0; i < corpus.size(); ++i) idx->Add(i, corpus[i]);
-    idx->Build();
-    return idx;
+    return new IvfIndex(Corpus(), Metric::kCosine, opts);
   }();
   return index;
 }
@@ -103,13 +95,8 @@ void BM_IvfSearch(benchmark::State& state) {
 BENCHMARK(BM_IvfSearch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
 void BM_QuantizedSearch(benchmark::State& state) {
-  static QuantizedBruteForceIndex* index = [] {
-    auto* idx = new QuantizedBruteForceIndex(kDim, Metric::kCosine);
-    const auto& corpus = Corpus();
-    for (size_t i = 0; i < corpus.size(); ++i) idx->Add(i, corpus[i]);
-    idx->Build();
-    return idx;
-  }();
+  static auto* index =
+      new QuantizedBruteForceIndex(Corpus(), Metric::kCosine);
   Rng rng(25);
   // Recall vs the float exact index.
   double recall_sum = 0.0;

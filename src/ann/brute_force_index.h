@@ -8,24 +8,21 @@
 
 namespace saga::ann {
 
-/// Exact k-NN by full scan. The recall=1.0 baseline the IVF index is
-/// benchmarked against.
+/// Exact k-NN by full scan of the shared rows. The recall=1.0 baseline
+/// the IVF index is benchmarked against.
 class BruteForceIndex : public VectorIndex {
  public:
-  BruteForceIndex(int dim, Metric metric)
-      : dim_(dim), metric_(metric), rows_(dim) {}
+  using VectorIndex::VectorIndex;
 
-  void Add(uint64_t label, const std::vector<float>& vec) override;
-  void Build() override {}
-  std::vector<Neighbor> Search(const std::vector<float>& query,
-                               size_t k) const override;
-  size_t size() const override { return rows_.size(); }
-  Metric metric() const override { return metric_; }
-
- private:
-  int dim_;
-  Metric metric_;
-  RowMatrix rows_;
+  std::vector<Neighbor> Search(std::span<const float> query,
+                               size_t k) const override {
+    const QueryScorer scorer(metric_, query);
+    ScanTopK top(k);
+    for (size_t i = 0; i < rows_->size(); ++i) {
+      top.Offer(i, scorer.Score(*rows_, i));
+    }
+    return top.Take(rows_->labels());
+  }
 };
 
 }  // namespace saga::ann

@@ -1,7 +1,11 @@
 #ifndef SAGA_ANN_INDEX_H_
 #define SAGA_ANN_INDEX_H_
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ann/distance.h"
@@ -15,23 +19,52 @@ struct Neighbor {
   double similarity = 0.0;
 };
 
-/// Abstract k-nearest-neighbour index over fixed-dim float vectors.
-/// The embedding service builds one per embedding space.
+/// Labelled row-major float vectors, immutable once built: the one
+/// copy of an embedding table, which every index over it shares. Each
+/// row's norm is taken once here with Norm().
+class RowMatrix {
+ public:
+  /// `data` holds labels.size() rows of `dim` floats, row-major.
+  RowMatrix(int dim, std::vector<uint64_t> labels, std::vector<float> data)
+      : dim_(dim), labels_(std::move(labels)), data_(std::move(data)) {
+    assert(data_.size() == labels_.size() * static_cast<size_t>(dim_));
+    norms_.reserve(size());
+    for (size_t i = 0; i < size(); ++i) norms_.push_back(Norm(row(i), dim_));
+  }
+
+  int dim() const { return dim_; }
+  size_t size() const { return labels_.size(); }
+  const std::vector<uint64_t>& labels() const { return labels_; }
+  const float* row(size_t i) const { return data_.data() + i * dim_; }
+  double norm(size_t i) const { return norms_[i]; }
+
+ private:
+  int dim_;
+  std::vector<uint64_t> labels_;
+  std::vector<float> data_;
+  std::vector<double> norms_;
+};
+
+/// Abstract k-nearest-neighbour index over a shared RowMatrix, built in
+/// its constructor. It reads the rows in place and copies none of them.
 class VectorIndex {
  public:
+  VectorIndex(std::shared_ptr<const RowMatrix> rows, Metric metric)
+      : rows_(std::move(rows)), metric_(metric) {}
+  VectorIndex(const VectorIndex&) = delete;
+  VectorIndex& operator=(const VectorIndex&) = delete;
   virtual ~VectorIndex() = default;
 
-  virtual void Add(uint64_t label, const std::vector<float>& vec) = 0;
-
-  /// Call after all Add()s; idempotent.
-  virtual void Build() = 0;
-
   /// Top-k most similar items, most similar first.
-  virtual std::vector<Neighbor> Search(const std::vector<float>& query,
+  virtual std::vector<Neighbor> Search(std::span<const float> query,
                                        size_t k) const = 0;
 
-  virtual size_t size() const = 0;
-  virtual Metric metric() const = 0;
+  size_t size() const { return rows_->size(); }
+  const RowMatrix& rows() const { return *rows_; }
+
+ protected:
+  std::shared_ptr<const RowMatrix> rows_;
+  Metric metric_;
 };
 
 }  // namespace saga::ann

@@ -1,31 +1,23 @@
 #include "ann/ivf_index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <utility>
+
+#include "ann/scan.h"
 
 namespace saga::ann {
 
-IvfIndex::IvfIndex(int dim, Metric metric)
-    : IvfIndex(dim, metric, Options()) {}
-
-IvfIndex::IvfIndex(int dim, Metric metric, Options options)
-    : dim_(dim), metric_(metric), options_(options), rows_(dim) {}
-
-void IvfIndex::Add(uint64_t label, const std::vector<float>& vec) {
-  assert(static_cast<int>(vec.size()) == dim_);
-  assert(!built_);
-  rows_.Add(label, vec);
-}
-
-void IvfIndex::Build() {
-  if (built_) return;
-  built_ = true;
-  const size_t n = rows_.size();
+IvfIndex::IvfIndex(std::shared_ptr<const RowMatrix> rows, Metric metric,
+                   Options options)
+    : VectorIndex(std::move(rows), metric), options_(options) {
+  const RowMatrix& m = *rows_;
+  const size_t n = m.size();
+  const int dim = m.dim();
   const int k = std::max(1, std::min<int>(options_.num_lists,
                                           static_cast<int>(n)));
   options_.num_lists = k;
-  centroids_.assign(static_cast<size_t>(k) * dim_, 0.0f);
+  centroids_.assign(static_cast<size_t>(k) * dim, 0.0f);
   lists_.assign(k, {});
   if (n == 0) return;
 
@@ -33,8 +25,8 @@ void IvfIndex::Build() {
   Rng rng(options_.seed);
   std::vector<size_t> seeds = rng.SampleWithoutReplacement(n, k);
   for (int c = 0; c < k; ++c) {
-    std::copy(rows_.row(seeds[c]), rows_.row(seeds[c]) + dim_,
-              centroids_.begin() + static_cast<size_t>(c) * dim_);
+    std::copy(m.row(seeds[c]), m.row(seeds[c]) + dim,
+              centroids_.begin() + static_cast<size_t>(c) * dim);
   }
 
   std::vector<int> assign(n, 0);
@@ -47,8 +39,8 @@ void IvfIndex::Build() {
       int best_c = 0;
       for (int c = 0; c < k; ++c) {
         const double d = L2Sq(
-            rows_.row(i), centroids_.data() + static_cast<size_t>(c) * dim_,
-            dim_);
+            m.row(i), centroids_.data() + static_cast<size_t>(c) * dim,
+            dim);
         if (d < best) {
           best = d;
           best_c = c;
@@ -60,20 +52,20 @@ void IvfIndex::Build() {
       }
     }
     // Update.
-    std::vector<double> sums(static_cast<size_t>(k) * dim_, 0.0);
+    std::vector<double> sums(static_cast<size_t>(k) * dim, 0.0);
     std::vector<size_t> counts(k, 0);
     for (size_t i = 0; i < n; ++i) {
       const int c = assign[i];
       ++counts[c];
-      for (int d = 0; d < dim_; ++d) {
-        sums[static_cast<size_t>(c) * dim_ + d] += rows_.row(i)[d];
+      for (int d = 0; d < dim; ++d) {
+        sums[static_cast<size_t>(c) * dim + d] += m.row(i)[d];
       }
     }
     for (int c = 0; c < k; ++c) {
       if (counts[c] == 0) continue;  // keep previous centroid
-      for (int d = 0; d < dim_; ++d) {
-        centroids_[static_cast<size_t>(c) * dim_ + d] = static_cast<float>(
-            sums[static_cast<size_t>(c) * dim_ + d] /
+      for (int d = 0; d < dim; ++d) {
+        centroids_[static_cast<size_t>(c) * dim + d] = static_cast<float>(
+            sums[static_cast<size_t>(c) * dim + d] /
             static_cast<double>(counts[c]));
       }
     }
@@ -84,9 +76,9 @@ void IvfIndex::Build() {
   }
 }
 
-std::vector<Neighbor> IvfIndex::Search(const std::vector<float>& query,
+std::vector<Neighbor> IvfIndex::Search(std::span<const float> query,
                                        size_t k) const {
-  assert(built_);
+  const int dim = rows_->dim();
   const int nprobe =
       std::max(1, std::min(options_.nprobe, options_.num_lists));
   // Rank centroids by distance to query.
@@ -95,7 +87,7 @@ std::vector<Neighbor> IvfIndex::Search(const std::vector<float>& query,
   for (int c = 0; c < options_.num_lists; ++c) {
     centroid_order.emplace_back(
         L2Sq(query.data(),
-             centroids_.data() + static_cast<size_t>(c) * dim_, dim_),
+             centroids_.data() + static_cast<size_t>(c) * dim, dim),
         c);
   }
   std::sort(centroid_order.begin(), centroid_order.end());
@@ -104,10 +96,10 @@ std::vector<Neighbor> IvfIndex::Search(const std::vector<float>& query,
   ScanTopK top(k);
   for (int p = 0; p < nprobe; ++p) {
     for (uint32_t i : lists_[centroid_order[p].second]) {
-      top.Offer(i, scorer.Score(rows_, i));
+      top.Offer(i, scorer.Score(*rows_, i));
     }
   }
-  return top.Take(rows_.labels());
+  return top.Take(rows_->labels());
 }
 
 }  // namespace saga::ann

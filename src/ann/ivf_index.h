@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "ann/index.h"
-#include "ann/scan.h"
 #include "common/rng.h"
 
 namespace saga::ann {
@@ -22,28 +21,20 @@ class IvfIndex : public VectorIndex {
     uint64_t seed = 11;
   };
 
-  IvfIndex(int dim, Metric metric);
-  IvfIndex(int dim, Metric metric, Options options);
+  /// Clusters the shared rows with k-means; the index keeps only the
+  /// centroids and each list's row ids.
+  IvfIndex(std::shared_ptr<const RowMatrix> rows, Metric metric,
+           Options options);
 
-  void Add(uint64_t label, const std::vector<float>& vec) override;
-  void Build() override;
-  std::vector<Neighbor> Search(const std::vector<float>& query,
+  std::vector<Neighbor> Search(std::span<const float> query,
                                size_t k) const override;
-  size_t size() const override { return rows_.size(); }
-  Metric metric() const override { return metric_; }
 
   void set_nprobe(int nprobe) { options_.nprobe = nprobe; }
-  int nprobe() const { return options_.nprobe; }
-  int num_lists() const { return options_.num_lists; }
 
  private:
-  int dim_;
-  Metric metric_;
   Options options_;
-  RowMatrix rows_;
   std::vector<float> centroids_;            // num_lists x dim
-  std::vector<std::vector<uint32_t>> lists_;  // item indexes per centroid
-  bool built_ = false;
+  std::vector<std::vector<uint32_t>> lists_;  // row ids per centroid
 };
 
 }  // namespace saga::ann

@@ -11,30 +11,26 @@ namespace saga::ann {
 /// Exact k-NN over int8-quantized vectors: 4x smaller than float
 /// storage at a small similarity-error cost. The on-device / compressed
 /// serving configuration (§3.2 model compression, §5 resource
-/// constraints).
+/// constraints). It keeps only the int8 codes; labels come from the
+/// shared matrix.
 ///
-/// Cosine is implemented by L2-normalizing vectors at Add() time, so
-/// the quantized dot product approximates cosine similarity directly.
+/// Cosine is implemented by L2-normalizing rows before they are
+/// quantized, so the quantized dot product approximates cosine
+/// similarity directly.
 class QuantizedBruteForceIndex : public VectorIndex {
  public:
   /// `metric` must be kDot or kCosine (L2 is not supported in the
   /// asymmetric int8 scheme).
-  QuantizedBruteForceIndex(int dim, Metric metric);
+  QuantizedBruteForceIndex(std::shared_ptr<const RowMatrix> rows,
+                           Metric metric);
 
-  void Add(uint64_t label, const std::vector<float>& vec) override;
-  void Build() override {}
-  std::vector<Neighbor> Search(const std::vector<float>& query,
+  std::vector<Neighbor> Search(std::span<const float> query,
                                size_t k) const override;
-  size_t size() const override { return labels_.size(); }
-  Metric metric() const override { return metric_; }
 
   /// Bytes used by the quantized payload (vs dim*4 per float vector).
   size_t PayloadBytes() const;
 
  private:
-  int dim_;
-  Metric metric_;
-  std::vector<uint64_t> labels_;
   std::vector<QuantizedVector> vectors_;
 };
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ann/distance.h"
@@ -11,38 +12,12 @@
 
 namespace saga::ann {
 
-/// Labelled row-major float vectors, the storage of the exact and IVF
-/// indexes. Each row's norm is taken once at Add with Norm().
-class RowMatrix {
- public:
-  explicit RowMatrix(int dim) : dim_(dim) {}
-
-  void Add(uint64_t label, const std::vector<float>& vec) {
-    labels_.push_back(label);
-    data_.insert(data_.end(), vec.begin(), vec.end());
-    norms_.push_back(Norm(vec.data(), vec.size()));
-  }
-
-  size_t size() const { return labels_.size(); }
-  const std::vector<uint64_t>& labels() const { return labels_; }
-  const float* row(size_t i) const {
-    return data_.data() + i * static_cast<size_t>(dim_);
-  }
-  double norm(size_t i) const { return norms_[i]; }
-
- private:
-  int dim_;
-  std::vector<uint64_t> labels_;
-  std::vector<float> data_;
-  std::vector<double> norms_;
-};
-
 /// One query scored against many rows. Widens the query to double and
 /// takes its norm once, then Score(rows, i) equals
 /// Similarity(metric, query, rows.row(i), dim) bit for bit.
 class QueryScorer {
  public:
-  QueryScorer(Metric metric, const std::vector<float>& query)
+  QueryScorer(Metric metric, std::span<const float> query)
       : metric_(metric), query_(query.begin(), query.end()),
         norm_(Norm(query.data(), query.size())) {}
 

@@ -56,7 +56,7 @@ void BinaryWriter::PutFloatVector(const std::vector<float>& v) {
 }
 
 Status BinaryReader::Need(size_t n) {
-  if (pos_ + n > data_.size()) {
+  if (n > data_.size() - pos_) {
     return Status::Corruption("truncated input: need " + std::to_string(n) +
                               " bytes at offset " + std::to_string(pos_));
   }
@@ -149,7 +149,9 @@ Status BinaryReader::GetBool(bool* v) {
 Status BinaryReader::GetFloatVector(std::vector<float>* v) {
   uint64_t n = 0;
   SAGA_RETURN_IF_ERROR(GetVarint64(&n));
-  SAGA_RETURN_IF_ERROR(Need(n * 4));
+  if (n > remaining() / sizeof(float)) {
+    return Status::Corruption("float vector overruns the input");
+  }
   v->resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     SAGA_RETURN_IF_ERROR(GetFloat(&(*v)[i]));

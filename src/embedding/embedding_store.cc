@@ -1,6 +1,7 @@
 #include "embedding/embedding_store.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -43,46 +44,81 @@ Result<std::string> ReadAndVerify(const std::string& path) {
   return buf;
 }
 
+/// An entity id and the first of its row's floats.
+using RowRef = std::pair<uint64_t, const float*>;
+
+/// `rows` of `dim` floats each, packed in id order.
+std::shared_ptr<const ann::RowMatrix> Pack(size_t dim,
+                                           std::vector<RowRef> rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<uint64_t> labels(rows.size());
+  std::vector<float> data(rows.size() * dim);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    labels[i] = rows[i].first;
+    std::copy_n(rows[i].second, dim, data.begin() + i * dim);
+  }
+  return std::make_shared<const ann::RowMatrix>(
+      static_cast<int>(dim), std::move(labels), std::move(data));
+}
+
 }  // namespace
+
+EmbeddingStore::EmbeddingStore() : rows_(Pack(0, {})) {}
 
 EmbeddingStore EmbeddingStore::FromTrained(
     const TrainedEmbeddings& trained, const graph_engine::GraphView& view) {
-  EmbeddingStore store;
-  store.dim_ = trained.dim;
+  std::vector<RowRef> rows;
   for (uint32_t local = 0; local < view.num_entities(); ++local) {
-    store.vectors_.emplace(view.global_entity(local),
-                           trained.entities.RowVec(local));
+    rows.emplace_back(view.global_entity(local).value(),
+                      trained.entities.Row(local));
+  }
+  return EmbeddingStore(
+      Pack(static_cast<size_t>(trained.dim), std::move(rows)));
+}
+
+Result<EmbeddingStore> EmbeddingStore::FromRows(
+    const std::vector<std::pair<kg::EntityId, std::vector<float>>>& rows) {
+  const size_t dim = rows.empty() ? 0 : rows.front().second.size();
+  std::vector<RowRef> packed;
+  for (const auto& [id, vec] : rows) {
+    if (vec.empty() || vec.size() != dim) {
+      return Status::InvalidArgument("embedding rows empty or unequal");
+    }
+    packed.emplace_back(id.value(), vec.data());
+  }
+  EmbeddingStore store(Pack(dim, std::move(packed)));
+  const std::vector<uint64_t>& ids = store.rows_->labels();
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return Status::InvalidArgument("two embedding rows share an entity id");
   }
   return store;
 }
 
-void EmbeddingStore::Put(kg::EntityId id, std::vector<float> vec) {
-  if (dim_ == 0) dim_ = static_cast<int>(vec.size());
-  vectors_[id] = std::move(vec);
-}
-
-const std::vector<float>* EmbeddingStore::Get(kg::EntityId id) const {
-  auto it = vectors_.find(id);
-  return it == vectors_.end() ? nullptr : &it->second;
+std::span<const float> EmbeddingStore::Get(kg::EntityId id) const {
+  const std::vector<uint64_t>& labels = rows_->labels();
+  const auto it = std::lower_bound(labels.begin(), labels.end(), id.value());
+  if (it == labels.end() || *it != id.value()) return {};
+  return {rows_->row(static_cast<size_t>(it - labels.begin())),
+          static_cast<size_t>(rows_->dim())};
 }
 
 std::vector<kg::EntityId> EmbeddingStore::Ids() const {
-  std::vector<kg::EntityId> ids;
-  ids.reserve(vectors_.size());
-  for (const auto& [id, _] : vectors_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
+  const std::vector<uint64_t>& labels = rows_->labels();
+  return std::vector<kg::EntityId>(labels.begin(), labels.end());
 }
 
 Status EmbeddingStore::Save(const std::string& path) const {
   std::string buf;
   BinaryWriter w(&buf);
   w.PutFixed32(kEmbMagic);
-  w.PutVarint64(static_cast<uint64_t>(dim_));
-  w.PutVarint64(vectors_.size());
-  for (kg::EntityId id : Ids()) {
-    w.PutVarint64(id.value());
-    w.PutFloatVector(vectors_.at(id));
+  const size_t dim = static_cast<size_t>(rows_->dim());
+  w.PutVarint64(dim);
+  w.PutVarint64(size());
+  for (size_t i = 0; i < size(); ++i) {
+    w.PutVarint64(rows_->labels()[i]);
+    w.PutVarint64(dim);  // the row length: PutFloatVector's layout
+    for (size_t d = 0; d < dim; ++d) w.PutFloat(rows_->row(i)[d]);
   }
   w.PutFixed32(storage::Crc32(std::string_view(buf).substr(4)));
   // Durable: embedding shards are serving artifacts referenced by
@@ -94,20 +130,38 @@ Status EmbeddingStore::Save(const std::string& path) const {
 Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
   SAGA_ASSIGN_OR_RETURN(std::string buf, ReadAndVerify(path));
   BinaryReader r(std::string_view(buf).substr(4, buf.size() - 8));
-  EmbeddingStore store;
   uint64_t dim = 0;
   uint64_t n = 0;
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&dim));
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&n));
-  store.dim_ = static_cast<int>(dim);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t id = 0;
-    std::vector<float> vec;
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&id));
-    SAGA_RETURN_IF_ERROR(r.GetFloatVector(&vec));
-    store.vectors_.emplace(kg::EntityId(id), std::move(vec));
+  auto corrupt = [&path](const char* what) {
+    return Status::Corruption(std::string("embedding file ") + what + ": " +
+                              path);
+  };
+  // A row takes at least a one-byte id, a one-byte length and dim
+  // floats, so the header is checked against the payload before the
+  // matrix is allocated.
+  if (dim > static_cast<uint64_t>(std::numeric_limits<int>::max()) ||
+      (n > 0 && (dim == 0 || n > r.remaining() / (2 + dim * sizeof(float))))) {
+    return corrupt("header does not fit the payload");
   }
-  return store;
+  std::vector<uint64_t> labels(n);
+  std::vector<float> data(n * dim);
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t len = 0;
+    SAGA_RETURN_IF_ERROR(r.GetVarint64(&labels[i]));
+    if (i > 0 && labels[i] <= labels[i - 1]) {
+      return corrupt("ids not ascending");
+    }
+    SAGA_RETURN_IF_ERROR(r.GetVarint64(&len));
+    if (len != dim) return corrupt("row length differs from dim");
+    for (uint64_t d = 0; d < dim; ++d) {
+      SAGA_RETURN_IF_ERROR(r.GetFloat(&data[i * dim + d]));
+    }
+  }
+  if (!r.AtEnd()) return corrupt("has bytes after the last row");
+  return EmbeddingStore(std::make_shared<const ann::RowMatrix>(
+      static_cast<int>(dim), std::move(labels), std::move(data)));
 }
 
 Status EmbeddingStore::Verify(const std::string& path) {

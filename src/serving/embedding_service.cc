@@ -39,47 +39,35 @@ EmbeddingService::EmbeddingService(embedding::EmbeddingStore store,
 
 std::unique_ptr<ann::VectorIndex> EmbeddingService::MakeIndex(
     IndexKind kind) const {
-  std::unique_ptr<ann::VectorIndex> index;
   switch (kind) {
-    case IndexKind::kExact:
-      index = std::make_unique<ann::BruteForceIndex>(store_.dim(),
-                                                     options_.metric);
-      break;
     case IndexKind::kIvf: {
       ann::IvfIndex::Options ivf;
       ivf.num_lists = options_.ivf_lists;
       ivf.nprobe = options_.ivf_nprobe;
-      index = std::make_unique<ann::IvfIndex>(store_.dim(),
-                                              options_.metric, ivf);
-      break;
+      return std::make_unique<ann::IvfIndex>(store_.rows(), options_.metric,
+                                             ivf);
     }
     case IndexKind::kQuantized:
-      index = std::make_unique<ann::QuantizedBruteForceIndex>(
-          store_.dim(), options_.metric);
+      return std::make_unique<ann::QuantizedBruteForceIndex>(
+          store_.rows(), options_.metric);
+    case IndexKind::kExact:
       break;
   }
-  for (kg::EntityId id : store_.Ids()) {
-    index->Add(id.value(), *store_.Get(id));
-  }
-  index->Build();
-  return index;
-}
-
-Status EmbeddingService::BuildIndexOnce(IndexKind kind) {
-  // The fault point covers accelerated builds only, so the exact
-  // fallback below can never be failed by injection.
-  if (kind != IndexKind::kExact && Faults().armed()) {
-    SAGA_RETURN_IF_ERROR(Faults().InjectOp("serving.index_build"));
-  }
-  index_ = MakeIndex(kind);
-  return Status::OK();
+  return std::make_unique<ann::BruteForceIndex>(store_.rows(),
+                                                options_.metric);
 }
 
 void EmbeddingService::BuildIndexWithFallback() {
   RetryPolicy retry(options_.retry);
-  const Status s = retry.Run(
-      "serving.index_build",
-      [&] { return BuildIndexOnce(options_.index); });
+  const Status s = retry.Run("serving.index_build", [&] {
+    // The fault point covers accelerated builds only, so the exact
+    // fallback below can never be failed by injection.
+    if (options_.index != IndexKind::kExact && Faults().armed()) {
+      SAGA_RETURN_IF_ERROR(Faults().InjectOp("serving.index_build"));
+    }
+    index_ = MakeIndex(options_.index);
+    return Status::OK();
+  });
   if (s.ok()) return;
   // Degraded mode: serve exact brute-force results rather than not
   // serving at all.
@@ -87,7 +75,7 @@ void EmbeddingService::BuildIndexWithFallback() {
                     << "); serving degraded to exact search";
   degraded_ = true;
   SAGA_COUNTER("serving.embedding.degraded_builds").Add();
-  (void)BuildIndexOnce(IndexKind::kExact);
+  index_ = MakeIndex(IndexKind::kExact);
 }
 
 namespace {
@@ -101,15 +89,16 @@ Status NoEmbedding(kg::EntityId id) {
 
 Result<std::vector<float>> EmbeddingService::GetEmbedding(
     kg::EntityId id) const {
-  const std::vector<float>* vec = store_.Get(id);
-  if (vec == nullptr) return NoEmbedding(id);
-  return *vec;
+  const std::span<const float> row = store_.Get(id);
+  if (row.empty()) return NoEmbedding(id);
+  return std::vector<float>(row.begin(), row.end());
 }
 
 Result<double> EmbeddingService::Similarity(kg::EntityId a,
                                             kg::EntityId b) const {
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> va, GetEmbedding(a));
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> vb, GetEmbedding(b));
+  const std::span<const float> va = store_.Get(a);
+  const std::span<const float> vb = store_.Get(b);
+  if (va.empty() || vb.empty()) return NoEmbedding(va.empty() ? a : b);
   return ann::Similarity(options_.metric, va.data(), vb.data(), va.size());
 }
 
@@ -118,12 +107,8 @@ std::vector<double> EmbeddingService::BatchSimilarity(
   std::vector<double> out;
   out.reserve(pairs.size());
   for (const auto& [a, b] : pairs) {
-    const std::vector<float>* va = store_.Get(a);
-    const std::vector<float>* vb = store_.Get(b);
-    out.push_back(va == nullptr || vb == nullptr
-                      ? 0.0
-                      : ann::Similarity(options_.metric, va->data(),
-                                        vb->data(), va->size()));
+    const Result<double> sim = Similarity(a, b);
+    out.push_back(sim.ok() ? *sim : 0.0);
   }
   return out;
 }
@@ -143,37 +128,22 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 const RequestContext& ctx) const {
   auto stage = SAGA_STAGE("serving.embedding.topk");
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.topk"));
-  const std::vector<float>* query = store_.Get(id);
-  if (query == nullptr) return NoEmbedding(id);
-  SAGA_ASSIGN_OR_RETURN(auto hits,
-                        TopKForVector(*query, k + 1, type_filter, ctx));
-  std::vector<std::pair<kg::EntityId, double>> out;
-  for (const auto& [e, sim] : hits) {
-    if (e == id) continue;
-    out.emplace_back(e, sim);
-    if (out.size() == k) break;
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<kg::EntityId, double>>>
-EmbeddingService::TopKForVector(const std::vector<float>& query, size_t k,
-                                kg::TypeId type_filter,
-                                const RequestContext& ctx) const {
+  const std::span<const float> query = store_.Get(id);
+  if (query.empty()) return NoEmbedding(id);
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.search_ns"));
-  SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.search"));
-  // Over-fetch when filtering so enough survivors remain.
-  const size_t fetch = type_filter.valid() ? k * 8 + 16 : k;
+  // One extra for the entity itself; over-fetch when filtering so
+  // enough survivors remain.
+  const size_t fetch = type_filter.valid() ? (k + 1) * 8 + 16 : k + 1;
   SAGA_ASSIGN_OR_RETURN(std::vector<ann::Neighbor> hits,
                         SearchWithPolicies(query, fetch, ctx));
   // A correct answer after the deadline is still a failed request.
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.search"));
   std::vector<std::pair<kg::EntityId, double>> out;
   for (const ann::Neighbor& n : hits) {
-    const kg::EntityId id(n.label);
-    if (!PassesTypeFilter(id, type_filter)) continue;
-    out.emplace_back(id, n.similarity);
     if (out.size() == k) break;
+    const kg::EntityId e(n.label);
+    if (e == id || !PassesTypeFilter(e, type_filter)) continue;
+    out.emplace_back(e, n.similarity);
   }
   return out;
 }
@@ -200,24 +170,19 @@ void EmbeddingService::RecordAnnOutcome(const Status& s, double elapsed_ms,
 }
 
 Result<std::vector<ann::Neighbor>> EmbeddingService::SearchWithPolicies(
-    const std::vector<float>& query, size_t fetch,
+    std::span<const float> query, size_t fetch,
     const RequestContext& ctx) const {
   if (!UsesAcceleratedIndex()) {
     // Exact search is the ground truth: no breaker, no hedge, no
     // injected replica faults.
     return index_->Search(query, fetch);
   }
-  if (ann_breaker_ != nullptr) {
-    const Status allow = ann_breaker_->Allow();
-    if (!allow.ok()) {
-      // Open breaker: serve correct-but-slower exact results instead of
-      // hammering the struggling index (and instead of failing).
-      if (exact_backup_ != nullptr) {
-        SAGA_COUNTER("serving.breaker.fallbacks").Add();
-        return exact_backup_->Search(query, fetch);
-      }
-      return allow;
-    }
+  if (ann_breaker_ != nullptr && !ann_breaker_->Allow().ok()) {
+    // Open breaker: serve correct-but-slower exact results instead of
+    // hammering the struggling index (and instead of failing). A
+    // breaker always comes with the exact backup.
+    SAGA_COUNTER("serving.breaker.fallbacks").Add();
+    return exact_backup_->Search(query, fetch);
   }
   if (hedge_pool_ != nullptr) {
     return HedgedSearch(query, fetch, ctx);
@@ -256,11 +221,12 @@ struct HedgeState {
 }  // namespace
 
 Result<std::vector<ann::Neighbor>> EmbeddingService::HedgedSearch(
-    const std::vector<float>& query, size_t fetch,
+    std::span<const float> query, size_t fetch,
     const RequestContext& ctx) const {
   auto st = std::make_shared<HedgeState>();
-  // Raw pointer is safe: hedge_pool_ is declared after index_ and thus
-  // destroyed (drained) before it.
+  // Raw pointer and span are safe: the query is a row of store_, and
+  // hedge_pool_ is declared after index_ and store_ and thus destroyed
+  // (drained) before them.
   const ann::VectorIndex* idx = index_.get();
   const Status submitted = hedge_pool_->TrySubmit([st, idx, query, fetch] {
     {

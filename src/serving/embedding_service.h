@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "ann/index.h"
@@ -97,23 +98,21 @@ class EmbeddingService {
   std::vector<double> BatchSimilarity(
       const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const;
 
-  /// k most similar entities to `id`, excluding itself (TopKNeighbors),
-  /// or to an arbitrary query vector (TopKForVector). A valid
+  /// k most similar entities to `id`, excluding itself. A valid
   /// `type_filter` restricts hits to entities with that type or a
-  /// subtype. Both run cooperative deadline checks, the `ann.search`
+  /// subtype. Runs cooperative deadline checks, the `ann.search`
   /// fault point, the ANN circuit breaker, and hedged reads (all per
   /// Options). DeadlineExceeded when the budget is spent before a
-  /// useful answer exists; Unavailable when the breaker is open and no
-  /// exact backup can serve.
+  /// useful answer exists.
   Result<std::vector<std::pair<kg::EntityId, double>>> TopKNeighbors(
       kg::EntityId id, size_t k, kg::TypeId type_filter,
       const RequestContext& ctx) const;
-  Result<std::vector<std::pair<kg::EntityId, double>>> TopKForVector(
-      const std::vector<float>& query, size_t k, kg::TypeId type_filter,
-      const RequestContext& ctx) const;
 
   const embedding::EmbeddingStore& store() const { return store_; }
-  int dim() const { return store_.dim(); }
+  /// The index searches run on, and its exact twin (null unless hedging
+  /// or the breaker is on). Both read the store's rows in place.
+  const ann::VectorIndex& index() const { return *index_; }
+  const ann::VectorIndex* exact_backup() const { return exact_backup_.get(); }
 
   /// True when the configured index could not be built and the service
   /// fell back to exact brute-force search.
@@ -138,8 +137,7 @@ class EmbeddingService {
   /// Builds (with retries) the configured index, falling back to exact
   /// search on persistent failure.
   void BuildIndexWithFallback();
-  Status BuildIndexOnce(IndexKind kind);
-  /// Builds and populates an index of `kind` from the store.
+  /// An index of `kind` over the store's shared rows.
   std::unique_ptr<ann::VectorIndex> MakeIndex(IndexKind kind) const;
 
   /// True when searches go through an accelerated (hedgeable,
@@ -149,10 +147,10 @@ class EmbeddingService {
   }
   /// Raw neighbor search applying breaker / hedging / fault injection.
   Result<std::vector<ann::Neighbor>> SearchWithPolicies(
-      const std::vector<float>& query, size_t fetch,
+      std::span<const float> query, size_t fetch,
       const RequestContext& ctx) const;
   Result<std::vector<ann::Neighbor>> HedgedSearch(
-      const std::vector<float>& query, size_t fetch,
+      std::span<const float> query, size_t fetch,
       const RequestContext& ctx) const;
   /// One breaker outcome per admitted accelerated search.
   void RecordAnnOutcome(const Status& s, double elapsed_ms,
@@ -164,8 +162,8 @@ class EmbeddingService {
   std::unique_ptr<ann::VectorIndex> index_;
   bool degraded_ = false;
   std::unique_ptr<CircuitBreaker> ann_breaker_;
-  /// Exact brute-force twin of the accelerated index: hedge backup and
-  /// breaker-open fallback. Built only when those features are on.
+  /// Exact brute-force view of the accelerated index's rows: hedge
+  /// backup and breaker-open fallback. Built only when those are on.
   std::unique_ptr<ann::VectorIndex> exact_backup_;
   /// Runs primary searches for hedged reads. Declared last: destroyed
   /// (and drained) first, so in-flight hedge tasks never outlive the

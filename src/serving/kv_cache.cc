@@ -131,7 +131,8 @@ Result<StoredVector> EmbeddingKvCache::Decode(std::string_view bytes) {
 
 Status EmbeddingKvCache::PutAll(const embedding::EmbeddingStore& store) {
   for (kg::EntityId id : store.Ids()) {
-    SAGA_RETURN_IF_ERROR(Put(id, *store.Get(id)));
+    const auto row = store.Get(id);
+    SAGA_RETURN_IF_ERROR(Put(id, std::vector<float>(row.begin(), row.end())));
   }
   // No cache-level lock across the rebuild: concurrent Gets keep
   // serving from the LRU tier and from KvStore read snapshots while
@@ -163,7 +164,6 @@ Status EmbeddingKvCache::Put(kg::EntityId id, const std::vector<float>& vec) {
 }
 
 std::shared_ptr<const StoredVector> EmbeddingKvCache::Find(kg::EntityId id) {
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.kv_cache.get_ns"));
   Shard& shard = ShardFor(id);
   uint64_t seq = 0;
   {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "ann/brute_force_index.h"
@@ -24,6 +25,21 @@ std::vector<std::vector<float>> RandomVectors(size_t n, int dim,
     }
   }
   return out;
+}
+
+/// `vecs` packed into the row matrix the indexes share, row i labelled
+/// first + step * i.
+std::shared_ptr<const RowMatrix> Matrix(
+    int dim, const std::vector<std::vector<float>>& vecs, uint64_t first = 0,
+    uint64_t step = 1) {
+  std::vector<uint64_t> labels;
+  std::vector<float> data;
+  for (size_t i = 0; i < vecs.size(); ++i) {
+    labels.push_back(first + step * i);
+    data.insert(data.end(), vecs[i].begin(), vecs[i].end());
+  }
+  return std::make_shared<const RowMatrix>(dim, std::move(labels),
+                                           std::move(data));
 }
 
 // ---------- Distance ----------
@@ -49,10 +65,8 @@ TEST(DistanceTest, CosineOfZeroVectorIsZero) {
 
 TEST(BruteForceTest, FindsExactNearestByEachMetric) {
   for (Metric metric : {Metric::kDot, Metric::kCosine, Metric::kL2}) {
-    BruteForceIndex index(4, metric);
     auto vecs = RandomVectors(200, 4, 42);
-    for (size_t i = 0; i < vecs.size(); ++i) index.Add(i, vecs[i]);
-    index.Build();
+    BruteForceIndex index(Matrix(4, vecs), metric);
 
     const auto query = RandomVectors(1, 4, 99)[0];
     const auto hits = index.Search(query, 10);
@@ -77,10 +91,8 @@ TEST(BruteForceTest, FindsExactNearestByEachMetric) {
 }
 
 TEST(BruteForceTest, SelfIsNearestUnderCosine) {
-  BruteForceIndex index(8, Metric::kCosine);
   auto vecs = RandomVectors(100, 8, 7);
-  for (size_t i = 0; i < vecs.size(); ++i) index.Add(i, vecs[i]);
-  index.Build();
+  BruteForceIndex index(Matrix(8, vecs), Metric::kCosine);
   for (size_t i = 0; i < 20; ++i) {
     const auto hits = index.Search(vecs[i], 1);
     ASSERT_EQ(hits.size(), 1u);
@@ -89,18 +101,15 @@ TEST(BruteForceTest, SelfIsNearestUnderCosine) {
 }
 
 TEST(BruteForceTest, KLargerThanIndexReturnsAll) {
-  BruteForceIndex index(2, Metric::kDot);
-  index.Add(1, {1.0f, 0.0f});
-  index.Add(2, {0.0f, 1.0f});
-  index.Build();
-  EXPECT_EQ(index.Search({1.0f, 1.0f}, 10).size(), 2u);
+  BruteForceIndex index(Matrix(2, {{1.0f, 0.0f}, {0.0f, 1.0f}}, 1),
+                        Metric::kDot);
+  EXPECT_EQ(index.Search(std::vector<float>{1.0f, 1.0f}, 10).size(), 2u);
   EXPECT_EQ(index.size(), 2u);
 }
 
 TEST(BruteForceTest, EmptyIndexReturnsNothing) {
-  BruteForceIndex index(2, Metric::kDot);
-  index.Build();
-  EXPECT_TRUE(index.Search({1.0f, 0.0f}, 5).empty());
+  BruteForceIndex index(Matrix(2, {}), Metric::kDot);
+  EXPECT_TRUE(index.Search(std::vector<float>{1.0f, 0.0f}, 5).empty());
 }
 
 // ---------- Exact-scan oracle ----------
@@ -171,16 +180,12 @@ TEST(ExactScanTest, MatchesStableSortOracleUnderEachMetric) {
     const auto rows = TieHeavyRows(dim, 17);
     const auto queries = OracleQueries(rows, dim);
     for (Metric metric : {Metric::kDot, Metric::kCosine, Metric::kL2}) {
-      BruteForceIndex exact(dim, metric);
+      const auto matrix = Matrix(dim, rows, 1000, 7);
+      BruteForceIndex exact(matrix, metric);
       IvfIndex::Options opts;
       opts.num_lists = 8;
       opts.nprobe = 8;  // every list: exact
-      IvfIndex ivf(dim, metric, opts);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        exact.Add(1000 + 7 * i, rows[i]);
-        ivf.Add(1000 + 7 * i, rows[i]);
-      }
-      ivf.Build();
+      IvfIndex ivf(matrix, metric, opts);
       for (const auto& query : queries) {
         for (size_t k : {1, 5, 17, 200}) {
           SCOPED_TRACE(testing::Message() << "dim " << dim << " metric "
@@ -210,10 +215,9 @@ TEST(ExactScanTest, QuantizedMatchesStableSortOracle) {
       }
       return v;
     };
-    QuantizedBruteForceIndex index(dim, metric);
+    QuantizedBruteForceIndex index(Matrix(dim, rows, 1000, 7), metric);
     std::vector<QuantizedVector> codes;
     for (size_t i = 0; i < rows.size(); ++i) {
-      index.Add(1000 + 7 * i, rows[i]);
       codes.push_back(QuantizeInt8(prepare(rows[i])));
     }
     for (const auto& query : queries) {
@@ -237,17 +241,12 @@ TEST(ExactScanTest, QuantizedMatchesStableSortOracle) {
 TEST(IvfTest, FullProbeMatchesBruteForce) {
   const int dim = 8;
   auto vecs = RandomVectors(500, dim, 3);
-  BruteForceIndex exact(dim, Metric::kCosine);
+  const auto matrix = Matrix(dim, vecs);
+  BruteForceIndex exact(matrix, Metric::kCosine);
   IvfIndex::Options opts;
   opts.num_lists = 10;
   opts.nprobe = 10;  // probe everything -> exact
-  IvfIndex ivf(dim, Metric::kCosine, opts);
-  for (size_t i = 0; i < vecs.size(); ++i) {
-    exact.Add(i, vecs[i]);
-    ivf.Add(i, vecs[i]);
-  }
-  exact.Build();
-  ivf.Build();
+  IvfIndex ivf(matrix, Metric::kCosine, opts);
 
   const auto query = RandomVectors(1, dim, 77)[0];
   const auto exact_hits = exact.Search(query, 10);
@@ -262,16 +261,11 @@ TEST(IvfTest, RecallImprovesWithNprobe) {
   const int dim = 16;
   const size_t n = 2000;
   auto vecs = RandomVectors(n, dim, 5);
-  BruteForceIndex exact(dim, Metric::kCosine);
+  const auto matrix = Matrix(dim, vecs);
+  BruteForceIndex exact(matrix, Metric::kCosine);
   IvfIndex::Options opts;
   opts.num_lists = 32;
-  IvfIndex ivf(dim, Metric::kCosine, opts);
-  for (size_t i = 0; i < n; ++i) {
-    exact.Add(i, vecs[i]);
-    ivf.Add(i, vecs[i]);
-  }
-  exact.Build();
-  ivf.Build();
+  IvfIndex ivf(matrix, Metric::kCosine, opts);
 
   auto recall_at = [&](int nprobe) {
     ivf.set_nprobe(nprobe);
@@ -303,19 +297,16 @@ TEST(IvfTest, RecallImprovesWithNprobe) {
 TEST(IvfTest, HandlesFewerPointsThanLists) {
   IvfIndex::Options opts;
   opts.num_lists = 64;
-  IvfIndex ivf(2, Metric::kL2, opts);
-  ivf.Add(1, {0.0f, 0.0f});
-  ivf.Add(2, {1.0f, 1.0f});
-  ivf.Build();
-  const auto hits = ivf.Search({0.1f, 0.1f}, 2);
+  IvfIndex ivf(Matrix(2, {{0.0f, 0.0f}, {1.0f, 1.0f}}, 1), Metric::kL2,
+               opts);
+  const auto hits = ivf.Search(std::vector<float>{0.1f, 0.1f}, 2);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].label, 1u);
 }
 
 TEST(IvfTest, EmptyIndexIsFine) {
-  IvfIndex ivf(4, Metric::kDot);
-  ivf.Build();
-  EXPECT_TRUE(ivf.Search({0, 0, 0, 0}, 3).empty());
+  IvfIndex ivf(Matrix(4, {}), Metric::kDot, IvfIndex::Options());
+  EXPECT_TRUE(ivf.Search(std::vector<float>{0, 0, 0, 0}, 3).empty());
 }
 
 // ---------- Quantization ----------

@@ -295,6 +295,30 @@ TEST(SerializationTest, TruncatedStringIsCorruption) {
   EXPECT_TRUE(r.GetString(&s).IsCorruption());
 }
 
+// Lengths whose byte counts wrap a size_t: the reader must compare them
+// with the bytes left, not add them to its offset.
+TEST(SerializationTest, HugeLengthsAreCorruption) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutVarint64(~uint64_t{0});
+  buf += "abcd";
+  BinaryReader strings(buf);
+  std::string s;
+  EXPECT_TRUE(strings.GetString(&s).IsCorruption());
+
+  buf.clear();
+  w.PutVarint64(uint64_t{1} << 62);  // 2^62 floats: n * 4 wraps to 0
+  buf += "abcd";
+  BinaryReader floats(buf);
+  std::vector<float> vec;
+  EXPECT_TRUE(floats.GetFloatVector(&vec).IsCorruption());
+  EXPECT_TRUE(vec.empty());
+
+  BinaryReader skips(buf);
+  ASSERT_TRUE(skips.Skip(2).ok());
+  EXPECT_TRUE(skips.Skip(~size_t{0}).IsCorruption());
+}
+
 TEST(SerializationTest, SkipAdvances) {
   std::string buf = "abcdef";
   BinaryReader r(buf);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <span>
 
 #include "common/file_util.h"
+#include "common/rng.h"
+#include "common/serialization.h"
 #include "embedding/embedding_store.h"
 #include "embedding/embedding_table.h"
 #include "embedding/evaluator.h"
@@ -10,6 +16,7 @@
 #include "embedding/negative_sampler.h"
 #include "embedding/trainer.h"
 #include "kg/kg_generator.h"
+#include "storage/wal.h"  // Crc32
 
 namespace saga::embedding {
 namespace {
@@ -437,26 +444,271 @@ TEST(EmbeddingStoreTest, FromTrainedAndLookup) {
   EXPECT_EQ(store.size(), view.num_entities());
   EXPECT_EQ(store.dim(), 8);
   const kg::EntityId some = view.global_entity(0);
-  ASSERT_NE(store.Get(some), nullptr);
-  EXPECT_EQ(*store.Get(some), emb.entities.RowVec(0));
-  EXPECT_EQ(store.Get(kg::EntityId(999999)), nullptr);
+  const std::span<const float> row = store.Get(some);
+  ASSERT_FALSE(row.empty());
+  EXPECT_EQ(std::vector<float>(row.begin(), row.end()),
+            emb.entities.RowVec(0));
+  EXPECT_TRUE(store.Get(kg::EntityId(999999)).empty());
 }
 
 TEST(EmbeddingStoreTest, SaveLoadRoundTrip) {
   auto dir = MakeTempDir("saga_emb_store");
   ASSERT_TRUE(dir.ok());
-  EmbeddingStore store;
-  store.Put(kg::EntityId(3), {1.0f, 2.0f});
-  store.Put(kg::EntityId(9), {-1.0f, 0.5f});
+  const EmbeddingStore store =
+      EmbeddingStore::FromRows({{kg::EntityId(9), {-1.0f, 0.5f}},
+                                {kg::EntityId(3), {1.0f, 2.0f}}})
+          .value();
   const std::string path = JoinPath(*dir, "store.bin");
   ASSERT_TRUE(store.Save(path).ok());
   auto loaded = EmbeddingStore::Load(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 2u);
-  EXPECT_EQ(*loaded->Get(kg::EntityId(3)),
+  const std::span<const float> row = loaded->Get(kg::EntityId(3));
+  EXPECT_EQ(std::vector<float>(row.begin(), row.end()),
             (std::vector<float>{1.0f, 2.0f}));
   EXPECT_EQ(loaded->Ids(),
             (std::vector<kg::EntityId>{kg::EntityId(3), kg::EntityId(9)}));
+  (void)RemoveDirRecursively(*dir);
+}
+
+TEST(EmbeddingStoreTest, FromRowsRejectsDuplicateAndRaggedRows) {
+  EXPECT_TRUE(EmbeddingStore::FromRows({{kg::EntityId(4), {1.0f}},
+                                        {kg::EntityId(4), {2.0f}}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(EmbeddingStore::FromRows({{kg::EntityId(1), {1.0f, 2.0f}},
+                                        {kg::EntityId(2), {3.0f}}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(EmbeddingStore::FromRows({{kg::EntityId(1), {}}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(EmbeddingStore::FromRows({}).value().size(), 0u);
+}
+
+TEST(EmbeddingStoreTest, CopiesShareOneRowMatrix) {
+  const EmbeddingStore store =
+      EmbeddingStore::FromRows({{kg::EntityId(2), {1.0f, 2.0f}}}).value();
+  const EmbeddingStore copy = store;  // NOLINT(performance-unnecessary-copy)
+  EXPECT_EQ(copy.rows().get(), store.rows().get());
+  EXPECT_EQ(copy.Get(kg::EntityId(2)).data(),
+            store.Get(kg::EntityId(2)).data());
+}
+
+// ---------- EMB2 decoder ----------
+
+constexpr uint32_t kEmb2Magic = 0x32424D45u;  // "EMB2"
+
+/// An EMB2 file image: the magic, `payload`, and the CRC that seals it,
+/// so a mutated payload gets past the checksum to the decoder.
+std::string Sealed(std::string_view payload) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutFixed32(kEmb2Magic);
+  buf.append(payload);
+  w.PutFixed32(storage::Crc32(payload));
+  return buf;
+}
+
+struct Row {
+  uint64_t id = 0;
+  std::vector<float> vec;
+};
+
+/// The payload Save lays out, with the header's dim and row count given
+/// apart from the rows so that they can disagree.
+std::string Payload(uint64_t dim, uint64_t n, const std::vector<Row>& rows) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutVarint64(dim);
+  w.PutVarint64(n);
+  for (const Row& r : rows) {
+    w.PutVarint64(r.id);
+    w.PutFloatVector(r.vec);
+  }
+  return buf;
+}
+
+/// A decoded store must be what the format promises: ascending ids,
+/// each with dim() > 0 floats.
+void ExpectWellFormed(const EmbeddingStore& store) {
+  const std::vector<kg::EntityId> ids = store.Ids();
+  ASSERT_EQ(ids.size(), store.size());
+  if (!ids.empty()) {
+    ASSERT_GT(store.dim(), 0);
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) {
+      ASSERT_LT(ids[i - 1], ids[i]);
+    }
+    ASSERT_EQ(store.Get(ids[i]).size(), static_cast<size_t>(store.dim()));
+  }
+}
+
+// Seeded mutation harness over EmbeddingStore::Load, resealing the CRC
+// after every mutation: truncation at every length, rows longer or
+// shorter than dim, dim 0 or past the payload, row counts past the
+// payload, duplicate and descending ids, trailing bytes, bit flips and
+// random payloads. Every input must load a well-formed store or return
+// Corruption.
+TEST(EmbeddingStoreTest, DecoderIsTotalUnderMutation) {
+  const char* env = std::getenv("SAGA_CHAOS_SEED");
+  const uint64_t seed =
+      env != nullptr && *env != '\0' ? std::strtoull(env, nullptr, 10) : 1919;
+  SCOPED_TRACE("replay with SAGA_CHAOS_SEED=" + std::to_string(seed));
+  std::printf("EMB2 mutation harness: SAGA_CHAOS_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+  auto dir = MakeTempDir("saga_emb_mutation");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = JoinPath(*dir, "store.bin");
+
+  uint64_t inputs = 0;
+  uint64_t accepted = 0;
+  auto load = [&](std::string_view payload) {
+    ++inputs;
+    EXPECT_TRUE(WriteStringToFile(path, Sealed(payload)).ok());
+    return EmbeddingStore::Load(path);
+  };
+  auto check = [&](std::string_view payload) {
+    auto loaded = load(payload);
+    if (!loaded.ok()) {
+      EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+      return;
+    }
+    ++accepted;
+    ExpectWellFormed(*loaded);
+  };
+  auto expect_corrupt = [&](std::string_view payload, const char* what) {
+    auto loaded = load(payload);
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << what << ": " << loaded.status();
+  };
+
+  // Valid stores: what Save writes, which Load must give back exactly.
+  std::vector<std::vector<Row>> stores;
+  std::vector<uint64_t> dims;
+  for (int s = 0; s < 24; ++s) {
+    const uint64_t dim = 1 + rng.Uniform(s % 3 == 0 ? 40 : 6);
+    const size_t n = s == 0 ? 0 : 2 + rng.Uniform(9);
+    std::vector<Row> rows(n);
+    uint64_t id = rng.Uniform(4);
+    for (Row& r : rows) {
+      r.id = id;
+      id += 1 + rng.Uniform(rng.Bernoulli(0.2) ? uint64_t{1} << 40 : 50);
+      r.vec.resize(dim);
+      for (float& x : r.vec) {
+        x = rng.Bernoulli(0.1) ? -0.0f
+                               : static_cast<float>(rng.NextGaussian());
+      }
+    }
+    std::vector<std::pair<kg::EntityId, std::vector<float>>> pairs;
+    for (const Row& r : rows) pairs.emplace_back(kg::EntityId(r.id), r.vec);
+    ASSERT_TRUE(EmbeddingStore::FromRows(pairs).value().Save(path).ok());
+    auto saved = ReadFileToString(path);
+    ASSERT_TRUE(saved.ok());
+    ASSERT_EQ(*saved, Sealed(Payload(n == 0 ? 0 : dim, n, rows)))
+        << "Save must write the layout this harness mutates";
+    auto loaded = load(Payload(dim, n, rows));
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_EQ(loaded->size(), n);
+    for (const Row& r : rows) {
+      const std::span<const float> got = loaded->Get(kg::EntityId(r.id));
+      ASSERT_EQ(got.size(), r.vec.size());
+      EXPECT_EQ(std::memcmp(got.data(), r.vec.data(), got.size_bytes()), 0);
+    }
+    stores.push_back(std::move(rows));
+    dims.push_back(dim);
+  }
+
+  // Every strict prefix of every payload.
+  for (size_t s = 0; s < stores.size(); ++s) {
+    const std::string payload = Payload(dims[s], stores[s].size(), stores[s]);
+    for (size_t len = 0; len < payload.size(); ++len) {
+      expect_corrupt(std::string_view(payload).substr(0, len), "prefix");
+    }
+  }
+
+  // Directed mutations of the stores with rows.
+  for (int i = 0; i < 2800; ++i) {
+    const size_t s = 1 + rng.Uniform(stores.size() - 1);
+    std::vector<Row> rows = stores[s];
+    uint64_t dim = dims[s];
+    uint64_t n = rows.size();
+    const size_t j = 1 + rng.Uniform(rows.size() - 1);
+    const char* what = "";
+    switch (i % 7) {
+      case 0:
+        what = "row length differs from dim";
+        if (rng.Bernoulli(0.5)) {
+          rows[j].vec.resize(rows[j].vec.size() - 1);
+        } else {
+          rows[j].vec.resize(rows[j].vec.size() + 1 + rng.Uniform(3), 1.0f);
+        }
+        break;
+      case 1:
+        what = "dim 0 with rows";
+        dim = 0;
+        break;
+      case 2: {
+        what = "dim past the payload";
+        const uint64_t huge[] = {uint64_t{1} << 31, uint64_t{1} << 62,
+                                 ~uint64_t{0}, 100000 + rng.Uniform(1000)};
+        dim = huge[rng.Uniform(4)];
+        break;
+      }
+      case 3: {
+        what = "row count past the payload";
+        const uint64_t huge[] = {n + 1 + rng.Uniform(1000),
+                                 uint64_t{1} << 40, uint64_t{1} << 62,
+                                 ~uint64_t{0}};
+        n = huge[rng.Uniform(4)];
+        break;
+      }
+      case 4:
+        what = "duplicate id";
+        rows[j].id = rows[j - 1].id;
+        break;
+      case 5:
+        what = "descending ids";
+        std::swap(rows[j].id, rows[j - 1].id);
+        break;
+      case 6:
+        what = "bytes after the last row";
+        break;
+    }
+    std::string payload = Payload(dim, n, rows);
+    if (i % 7 == 6) {
+      for (uint64_t b = 1 + rng.Uniform(4); b > 0; --b) {
+        payload.push_back(static_cast<char>(rng.Uniform(256)));
+      }
+    }
+    expect_corrupt(payload, what);
+  }
+
+  // Bit flips anywhere in a payload, and random payloads.
+  for (int i = 0; i < 5000; ++i) {
+    const size_t s = rng.Uniform(stores.size());
+    std::string payload = Payload(dims[s], stores[s].size(), stores[s]);
+    for (uint64_t f = 1 + rng.Uniform(4); f > 0; --f) {
+      payload[rng.Uniform(payload.size())] ^=
+          static_cast<char>(1u << rng.Uniform(8));
+    }
+    check(payload);
+  }
+  for (int i = 0; i < 1500; ++i) {
+    std::string payload(rng.Uniform(48), '\0');
+    for (char& c : payload) c = static_cast<char>(rng.Uniform(256));
+    if (payload.size() >= 2 && rng.Bernoulli(0.5)) {
+      payload[0] = static_cast<char>(1 + rng.Uniform(4));  // small dim
+      payload[1] = static_cast<char>(rng.Uniform(4));      // few rows
+    }
+    check(payload);
+  }
+  std::printf("EMB2 mutation harness: %llu inputs, %llu loaded\n",
+              static_cast<unsigned long long>(inputs),
+              static_cast<unsigned long long>(accepted));
+  EXPECT_GE(inputs, 10000u);
   (void)RemoveDirRecursively(*dir);
 }
 

@@ -1,6 +1,7 @@
 // First use of the serving read path from many threads at once, with no
-// warm-up call: graph views, PPR and the annotation index must be
-// read-only once built, so concurrent readers never write shared state.
+// warm-up call: graph views, PPR, the annotation index and the shared
+// embedding rows must be read-only once built, so concurrent readers
+// never write shared state.
 // Meant to run under ThreadSanitizer (the CI tsan job does).
 
 #include <gtest/gtest.h>
@@ -55,6 +56,22 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
       embedding::InMemoryTrainer(tc).Train(view);
   const serving::EmbeddingService embeddings(
       embedding::EmbeddingStore::FromTrained(trained, view), &gen.kg);
+  // IVF over the same rows, and its hedged, breaker-guarded twin. The
+  // hedge timer is short enough that exact backups fire, and the
+  // breaker reopens after 1 ms, so hedges, breaker fallbacks and
+  // half-open probes all happen: hedge workers, callers and the blend
+  // threads' exact scans then read the shared matrix at the same time.
+  serving::EmbeddingService::Options ivf_opts;
+  ivf_opts.index = serving::EmbeddingService::IndexKind::kIvf;
+  ivf_opts.ivf_lists = 8;
+  ivf_opts.ivf_nprobe = 2;
+  const serving::EmbeddingService ivf(embeddings.store(), &gen.kg, ivf_opts);
+  ivf_opts.hedge.enabled = true;
+  ivf_opts.hedge.fixed_hedge_ms = 0.001;
+  ivf_opts.enable_breaker = true;
+  ivf_opts.breaker.open_ms = 1.0;
+  const serving::EmbeddingService hedged(embeddings.store(), &gen.kg,
+                                         ivf_opts);
   serving::RelatedEntitiesService::Options opts;
   opts.mode = serving::RelatedEntitiesService::Mode::kPpr;
   const serving::RelatedEntitiesService ppr(&gen.kg, &view, &embeddings, opts);
@@ -81,10 +98,13 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
 
   constexpr size_t kRelatedThreads = 8;
   constexpr size_t kIndexThreads = 2;
+  constexpr size_t kHedgedThreads = 4;
   std::vector<std::vector<Hits>> related(kRelatedThreads);
   std::vector<std::vector<std::vector<websim::DocId>>> docs(kIndexThreads);
+  std::vector<std::vector<Hits>> neighbors(kHedgedThreads);
   std::atomic<size_t> failures{0};
-  std::atomic<size_t> waiting{kRelatedThreads + kIndexThreads};
+  std::atomic<size_t> waiting{kRelatedThreads + kIndexThreads +
+                              kHedgedThreads};
   auto start_together = [&] {
     waiting.fetch_sub(1);
     while (waiting.load() > 0) std::this_thread::yield();
@@ -112,6 +132,20 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
       }
     });
   }
+  for (size_t t = 0; t < kHedgedThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start_together();
+      for (kg::EntityId q : queries) {
+        auto hits = hedged.TopKNeighbors(q, 10, kg::TypeId::Invalid(),
+                                         RequestContext());
+        if (!hits.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        neighbors[t].push_back(std::move(*hits));
+      }
+    });
+  }
   for (std::thread& th : threads) th.join();
   ASSERT_EQ(failures.load(), 0u);
 
@@ -123,6 +157,21 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
                                         RequestContext());
       ASSERT_TRUE(want.ok());
       EXPECT_EQ(related[t][i], *want) << "thread " << t << " query " << i;
+    }
+  }
+  // A hedged search answers from the IVF primary or the exact backup.
+  for (size_t t = 0; t < kHedgedThreads; ++t) {
+    ASSERT_EQ(neighbors[t].size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto from_ivf = ivf.TopKNeighbors(queries[i], 10, kg::TypeId::Invalid(),
+                                        RequestContext());
+      auto exact = embeddings.TopKNeighbors(queries[i], 10,
+                                            kg::TypeId::Invalid(),
+                                            RequestContext());
+      ASSERT_TRUE(from_ivf.ok());
+      ASSERT_TRUE(exact.ok());
+      EXPECT_TRUE(neighbors[t][i] == *from_ivf || neighbors[t][i] == *exact)
+          << "thread " << t << " query " << i;
     }
   }
   for (size_t t = 0; t < kIndexThreads; ++t) {

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,13 +225,14 @@ TEST_F(IntegrityTest, WalReplayCorruptionStopsCleanlyAtPrefix) {
 // Embedding shard checksums
 
 embedding::EmbeddingStore MakeEmbeddings(int n, int dim = 8) {
-  embedding::EmbeddingStore store;
+  std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
   for (int i = 0; i < n; ++i) {
     std::vector<float> v(dim);
     for (int d = 0; d < dim; ++d) v[d] = static_cast<float>(i * dim + d);
-    store.Put(kg::EntityId{static_cast<uint64_t>(i + 1)}, std::move(v));
+    rows.emplace_back(kg::EntityId{static_cast<uint64_t>(i + 1)},
+                      std::move(v));
   }
-  return store;
+  return embedding::EmbeddingStore::FromRows(std::move(rows)).value();
 }
 
 TEST_F(IntegrityTest, EmbeddingSaveLoadVerifyRoundTrip) {
@@ -242,9 +244,9 @@ TEST_F(IntegrityTest, EmbeddingSaveLoadVerifyRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 20u);
   EXPECT_EQ(loaded->dim(), 8);
-  const auto* v = loaded->Get(kg::EntityId{3});
-  ASSERT_NE(v, nullptr);
-  EXPECT_FLOAT_EQ((*v)[0], 2 * 8);
+  const std::span<const float> v = loaded->Get(kg::EntityId{3});
+  ASSERT_FALSE(v.empty());
+  EXPECT_FLOAT_EQ(v[0], 2 * 8);
 }
 
 TEST_F(IntegrityTest, EmbeddingRotIsDataLoss) {

@@ -427,11 +427,15 @@ TEST_F(KvConcurrencyTest, EmbeddingCacheServesDuringConcurrentRebuild) {
     }
     return v;
   };
-  embedding::EmbeddingStore store;
-  for (int e = 0; e < kEntities; ++e) {
-    store.Put(kg::EntityId(static_cast<uint64_t>(e + 1)), vec_for(e, 0));
-  }
-  ASSERT_TRUE((*cache)->PutAll(store).ok());
+  auto store_at = [&](int version) {
+    std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
+    for (int e = 0; e < kEntities; ++e) {
+      rows.emplace_back(kg::EntityId(static_cast<uint64_t>(e + 1)),
+                        vec_for(e, version));
+    }
+    return embedding::EmbeddingStore::FromRows(std::move(rows)).value();
+  };
+  ASSERT_TRUE((*cache)->PutAll(store_at(0)).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> read_errors{0};
@@ -460,12 +464,7 @@ TEST_F(KvConcurrencyTest, EmbeddingCacheServesDuringConcurrentRebuild) {
   // Rebuild the whole cache (flush + compaction on the KV tier) while
   // individual vectors are updated and readers hammer Gets.
   for (int version = 1; version <= 3; ++version) {
-    embedding::EmbeddingStore next;
-    for (int e = 0; e < kEntities; ++e) {
-      next.Put(kg::EntityId(static_cast<uint64_t>(e + 1)),
-               vec_for(e, version));
-    }
-    ASSERT_TRUE((*cache)->PutAll(next).ok());
+    ASSERT_TRUE((*cache)->PutAll(store_at(version)).ok());
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();

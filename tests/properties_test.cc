@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "ann/brute_force_index.h"
@@ -188,16 +189,18 @@ TEST(ViewMaintenanceTest, DeltaEqualsRebuild) {
 TEST(QuantizedIndexTest, TopKOverlapsFloatIndex) {
   Rng rng(17);
   const int dim = 32;
-  ann::BruteForceIndex exact(dim, ann::Metric::kCosine);
-  ann::QuantizedBruteForceIndex quantized(dim, ann::Metric::kCosine);
+  std::vector<uint64_t> labels;
+  std::vector<float> data;
   for (uint64_t i = 0; i < 1000; ++i) {
-    std::vector<float> v(dim);
-    for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-    exact.Add(i, v);
-    quantized.Add(i, v);
+    labels.push_back(i);
+    for (int d = 0; d < dim; ++d) {
+      data.push_back(static_cast<float>(rng.NextGaussian()));
+    }
   }
-  exact.Build();
-  quantized.Build();
+  const auto rows = std::make_shared<const ann::RowMatrix>(
+      dim, std::move(labels), std::move(data));
+  ann::BruteForceIndex exact(rows, ann::Metric::kCosine);
+  ann::QuantizedBruteForceIndex quantized(rows, ann::Metric::kCosine);
   EXPECT_LT(quantized.PayloadBytes(), 1000u * dim * 4 / 3);
 
   double recall_sum = 0.0;
@@ -222,13 +225,15 @@ TEST(QuantizedIndexTest, ServesThroughEmbeddingService) {
   kg::KgGeneratorConfig config;
   config.num_persons = 80;
   kg::GeneratedKg gen = kg::GenerateKg(config);
-  embedding::EmbeddingStore store;
+  std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
   Rng rng(3);
   for (size_t i = 0; i < gen.kg.num_entities(); ++i) {
     std::vector<float> v(16);
     for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-    store.Put(kg::EntityId(i), std::move(v));
+    rows.emplace_back(kg::EntityId(i), std::move(v));
   }
+  embedding::EmbeddingStore store =
+      embedding::EmbeddingStore::FromRows(std::move(rows)).value();
   serving::EmbeddingService::Options opts;
   opts.index = serving::EmbeddingService::IndexKind::kQuantized;
   serving::EmbeddingService service(std::move(store), &gen.kg, opts);
@@ -410,13 +415,15 @@ TEST(BatchSimilarityTest, MatchesPairwiseSimilarity) {
   kg::KgGeneratorConfig config;
   config.num_persons = 60;
   kg::GeneratedKg gen = kg::GenerateKg(config);
-  embedding::EmbeddingStore store;
+  std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
   Rng rng(8);
   for (size_t i = 0; i < 40; ++i) {
     std::vector<float> v(8);
     for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-    store.Put(kg::EntityId(i), std::move(v));
+    rows.emplace_back(kg::EntityId(i), std::move(v));
   }
+  embedding::EmbeddingStore store =
+      embedding::EmbeddingStore::FromRows(std::move(rows)).value();
   serving::EmbeddingService service(std::move(store), &gen.kg);
   std::vector<std::pair<kg::EntityId, kg::EntityId>> pairs;
   for (uint64_t i = 0; i + 1 < 40; i += 2) {

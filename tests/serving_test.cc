@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <span>
 
 #include "common/file_util.h"
 #include "common/request_context.h"
@@ -158,7 +159,8 @@ TEST(EmbeddingKvCacheTest, PutAllThenGetThroughTiers) {
   const kg::EntityId id = f.view.global_entity(3);
   auto first = (*cache)->Get(id);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, *store.Get(id));
+  const std::span<const float> row = store.Get(id);
+  EXPECT_EQ(*first, std::vector<float>(row.begin(), row.end()));
   EXPECT_EQ((*cache)->stats().disk_hits, 1u);
   auto second = (*cache)->Get(id);
   ASSERT_TRUE(second.ok());
@@ -518,6 +520,35 @@ TEST(EmbeddingServiceTest, IvfIndexServesQueries) {
       service.TopKNeighbors(a, 3, kg::TypeId::Invalid(), RequestContext());
   ASSERT_TRUE(nbrs.ok());
   EXPECT_EQ(nbrs->size(), 3u);
+}
+
+TEST(EmbeddingServiceTest, ExactBackupSharesTheStoreRows) {
+  Fixture f = Fixture::Make();
+  EmbeddingService::Options opts;
+  opts.index = EmbeddingService::IndexKind::kIvf;
+  opts.ivf_lists = 16;
+  const embedding::EmbeddingStore store =
+      embedding::EmbeddingStore::FromTrained(f.emb, f.view);
+  // Neither hedging nor the breaker: no backup, so a failed search
+  // returns its error.
+  EXPECT_EQ(EmbeddingService(store, &f.gen.kg, opts).exact_backup(),
+            nullptr);
+
+  opts.hedge.enabled = true;
+  opts.enable_breaker = true;
+  EmbeddingService service(store, &f.gen.kg, opts);
+  ASSERT_FALSE(service.degraded());
+  const ann::VectorIndex* backup = service.exact_backup();
+  ASSERT_NE(backup, nullptr);
+  // One copy of the rows: the store, the IVF index and the exact backup
+  // all read the same matrix.
+  const ann::RowMatrix& rows = *store.rows();
+  EXPECT_EQ(service.store().rows().get(), &rows);
+  EXPECT_EQ(&service.index().rows(), &rows);
+  EXPECT_EQ(&backup->rows(), &rows);
+  EXPECT_EQ(store.Get(kg::EntityId(rows.labels()[0])).data(),
+            backup->rows().row(0));
+  EXPECT_EQ(backup->size(), store.size());
 }
 
 // ---------- FactRanker ----------

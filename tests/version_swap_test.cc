@@ -54,12 +54,14 @@ class VersionSwapTest : public ::testing::Test {
     }
     EXPECT_TRUE((*store)->Flush().ok());
     if (dim > 0) {
-      embedding::EmbeddingStore emb;
+      std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
       for (int i = 0; i < num_keys; ++i) {
-        std::vector<float> v(dim, static_cast<float>(i));
-        emb.Put(kg::EntityId{static_cast<uint64_t>(i + 1)}, std::move(v));
+        rows.emplace_back(kg::EntityId{static_cast<uint64_t>(i + 1)},
+                          std::vector<float>(dim, static_cast<float>(i)));
       }
-      EXPECT_TRUE(emb.Save(JoinPath(dir, "embeddings.bin")).ok());
+      auto emb = embedding::EmbeddingStore::FromRows(std::move(rows));
+      EXPECT_TRUE(emb.ok());
+      EXPECT_TRUE(emb->Save(JoinPath(dir, "embeddings.bin")).ok());
     }
     return dir;
   }
@@ -258,7 +260,10 @@ TEST_F(VersionSwapTest, LoadVersionBuildsEmbeddingService) {
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->key_count, 30u);
   EXPECT_EQ(v->embeddings.size(), 30u);
-  EXPECT_NE(v->service, nullptr);
+  ASSERT_NE(v->service, nullptr);
+  // One copy of the rows: the service's index reads the version's.
+  EXPECT_EQ(v->service->store().rows().get(), v->embeddings.rows().get());
+  EXPECT_EQ(v->service->index().rows().row(0), v->embeddings.rows()->row(0));
 }
 
 TEST_F(VersionSwapTest, NullAndMissingCandidatesAreInvalid) {
