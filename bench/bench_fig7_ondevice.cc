@@ -33,8 +33,7 @@ void BenchPauseResume(const DeviceDataset& data) {
   double straight_s = 0.0;
   for (size_t slice : {0u, 4096u, 256u, 16u}) {
     Stopwatch sw;
-    IncrementalPipeline pipeline(&data.records,
-                                 IncrementalPipeline::Options());
+    IncrementalPipeline pipeline(&data.records);
     size_t slices = 0;
     size_t checkpoint_bytes = 0;
     if (slice == 0) {
@@ -89,7 +88,7 @@ void BenchMemoryBudgets(const DeviceDataset& data) {
 
 void BenchContextResolution(const DeviceDataset& data) {
   Section("F7c: contextual reference resolution (the two-Tims problem)");
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   while (!pipeline.done()) pipeline.RunSteps(1 << 20);
   PersonalKg personal(pipeline.FusedPersons());
 

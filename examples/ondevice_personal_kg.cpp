@@ -26,8 +26,7 @@ int main() {
 
   // Incremental, pausable construction: run in small CPU slices, as if
   // yielding to higher-priority device work, checkpointing in between.
-  IncrementalPipeline pipeline(&data.records,
-                               IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   size_t slices = 0;
   std::string checkpoint;
   while (!pipeline.done()) {

@@ -8,6 +8,13 @@
 
 namespace saga::ann {
 
+namespace {
+
+/// Lloyd iterations of the coarse quantizer's k-means.
+constexpr int kKmeansIters = 8;
+
+}  // namespace
+
 IvfIndex::IvfIndex(std::shared_ptr<const RowMatrix> rows, Metric metric,
                    Options options)
     : VectorIndex(std::move(rows), metric), options_(options) {
@@ -30,7 +37,7 @@ IvfIndex::IvfIndex(std::shared_ptr<const RowMatrix> rows, Metric metric,
   }
 
   std::vector<int> assign(n, 0);
-  for (int iter = 0; iter < options_.kmeans_iters; ++iter) {
+  for (int iter = 0; iter < kKmeansIters; ++iter) {
     // Assign: nearest centroid by L2 (standard for coarse quantizers
     // regardless of the search metric).
     bool changed = false;

@@ -17,7 +17,6 @@ class IvfIndex : public VectorIndex {
   struct Options {
     int num_lists = 16;
     int nprobe = 2;
-    int kmeans_iters = 8;
     uint64_t seed = 11;
   };
 

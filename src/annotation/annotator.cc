@@ -4,6 +4,13 @@
 
 namespace saga::annotation {
 
+namespace {
+
+/// kBalanced skips mentions whose best prior is under this.
+constexpr double kMinPrior = 0.15;
+
+}  // namespace
+
 std::string_view DeploymentPresetName(DeploymentPreset preset) {
   switch (preset) {
     case DeploymentPreset::kFast:
@@ -73,7 +80,7 @@ std::vector<Annotation> Annotator::Annotate(std::string_view text) const {
         break;
       }
       case DeploymentPreset::kBalanced: {
-        if (cands[0].prior < options_.min_prior) continue;
+        if (cands[0].prior < kMinPrior) continue;
         if (cands.size() == 1) {
           ann.entity = cands[0].entity;
           ann.score = cands[0].prior;

@@ -39,8 +39,6 @@ class Annotator {
     DeploymentPreset preset = DeploymentPreset::kAccurate;
     /// Annotations scoring below this are dropped (NIL).
     double min_score = 0.0;
-    /// kBalanced: skip mentions whose best prior is under this.
-    double min_prior = 0.15;
     /// kAccurate: skip reranking for unambiguous mentions (1 candidate).
     bool rerank_only_ambiguous = true;
   };

@@ -4,6 +4,14 @@
 
 namespace saga::annotation {
 
+namespace {
+
+/// A candidate's score: context similarity blended with its prior.
+constexpr double kContextWeight = 1.0;
+constexpr double kPriorWeight = 0.35;
+
+}  // namespace
+
 ContextReranker::ContextReranker(const kg::KnowledgeGraph* kg)
     : ContextReranker(kg, Options()) {}
 
@@ -103,8 +111,7 @@ std::vector<ContextReranker::Scored> ContextReranker::Rerank(
     Scored s;
     s.candidate = c;
     s.context_similarity = similarity(c.entity);
-    s.score = options_.context_weight * s.context_similarity +
-              options_.prior_weight * c.prior;
+    s.score = kContextWeight * s.context_similarity + kPriorWeight * c.prior;
     scored.push_back(std::move(s));
   }
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {

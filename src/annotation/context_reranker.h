@@ -23,8 +23,6 @@ namespace saga::annotation {
 class ContextReranker {
  public:
   struct Options {
-    double context_weight = 1.0;
-    double prior_weight = 0.35;
     /// Characters of document text around the mention used as context.
     size_t context_window = 200;
     /// Distilled profile: name + type names only, skipping the graph

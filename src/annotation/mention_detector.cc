@@ -28,20 +28,18 @@ std::vector<Mention> MentionDetector::Detect(std::string_view text) const {
   std::vector<text::AhoCorasick::Match> matches =
       automaton_.FindAll(lowered);
 
-  if (options_.word_boundaries) {
-    matches.erase(
-        std::remove_if(matches.begin(), matches.end(),
-                       [&](const text::AhoCorasick::Match& m) {
-                         const bool left_ok =
-                             m.begin == 0 ||
-                             !text::IsAsciiAlnum(lowered[m.begin - 1]);
-                         const bool right_ok =
-                             m.end >= lowered.size() ||
-                             !text::IsAsciiAlnum(lowered[m.end]);
-                         return !(left_ok && right_ok);
-                       }),
-        matches.end());
-  }
+  matches.erase(
+      std::remove_if(matches.begin(), matches.end(),
+                     [&](const text::AhoCorasick::Match& m) {
+                       const bool left_ok =
+                           m.begin == 0 ||
+                           !text::IsAsciiAlnum(lowered[m.begin - 1]);
+                       const bool right_ok =
+                           m.end >= lowered.size() ||
+                           !text::IsAsciiAlnum(lowered[m.end]);
+                       return !(left_ok && right_ok);
+                     }),
+      matches.end());
 
   // Longest-first greedy selection, leftmost on ties, no overlaps.
   std::sort(matches.begin(), matches.end(),

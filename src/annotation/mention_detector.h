@@ -13,16 +13,15 @@ namespace saga::annotation {
 
 /// Gazetteer-based mention detection: compiles every catalog alias into
 /// one Aho-Corasick automaton and scans documents in a single pass.
-/// Overlapping matches resolve longest-first (then leftmost).
+/// A match must have non-alphanumeric characters (or the text's ends)
+/// on both sides. Overlapping matches resolve longest-first (then
+/// leftmost).
 class MentionDetector {
  public:
   struct Options {
     /// Drop candidate spans shorter than this many bytes (single
     /// letters and other noise).
     size_t min_surface_length = 3;
-    /// Require non-alphanumeric (or boundary) characters around the
-    /// match.
-    bool word_boundaries = true;
   };
 
   explicit MentionDetector(const kg::EntityCatalog* catalog);

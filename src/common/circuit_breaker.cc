@@ -7,6 +7,9 @@ namespace saga {
 
 namespace {
 
+/// Probes allowed in flight at once while half-open.
+constexpr int kHalfOpenMaxProbes = 1;
+
 uint64_t SteadyNowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -77,7 +80,7 @@ Status CircuitBreaker::Allow() {
     }
   }
   if (state_ == State::kHalfOpen) {
-    if (half_open_in_flight_ >= options_.half_open_max_probes) {
+    if (half_open_in_flight_ >= kHalfOpenMaxProbes) {
       ++stats_.rejected;
       rejected_counter_.Add();
       return Status::Unavailable("circuit breaker " + stem_ +

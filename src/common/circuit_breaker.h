@@ -17,8 +17,8 @@ namespace saga {
 /// consecutive failures are counted; at `failure_threshold` the breaker
 /// opens and Allow() fails fast with Status::Unavailable — callers fall
 /// back (exact search, cache miss) instead of piling onto a struggling
-/// dependency. After `open_ms` of cool-down the breaker lets a bounded
-/// number of half-open probes through; `close_threshold` consecutive
+/// dependency. After `open_ms` of cool-down the breaker lets one
+/// half-open probe through at a time; `close_threshold` consecutive
 /// probe successes close it again, any probe failure re-opens it and
 /// restarts the cool-down.
 ///
@@ -46,8 +46,6 @@ class CircuitBreaker {
     int failure_threshold = 5;
     /// Cool-down while open before half-open probes are admitted.
     double open_ms = 1000.0;
-    /// Probes allowed in flight at once while half-open.
-    int half_open_max_probes = 1;
     /// Consecutive probe successes that close the breaker.
     int close_threshold = 1;
     /// Which statuses count as dependency failures. Defaults to

@@ -37,8 +37,7 @@ Status PartitionBuffer::Initialize(Rng* rng, double scale) {
   for (int p = 0; p < partitioner_->num_partitions(); ++p) {
     EmbeddingTable table(partitioner_->partition_members(p).size(), dim_);
     table.RandomInit(rng, scale);
-    SAGA_RETURN_IF_ERROR(
-        table.SaveRows(PartitionPath(p), 0, table.rows()));
+    SAGA_RETURN_IF_ERROR(table.SaveRows(PartitionPath(p)));
     stats_.bytes_written += table.rows() * static_cast<size_t>(dim_) * 8;
   }
   return Status::OK();
@@ -57,7 +56,7 @@ Status PartitionBuffer::EnsureResident(int p) {
   }
   auto table = std::make_unique<EmbeddingTable>(
       partitioner_->partition_members(p).size(), dim_);
-  SAGA_RETURN_IF_ERROR(table->LoadRows(PartitionPath(p), 0, table->rows()));
+  SAGA_RETURN_IF_ERROR(table->LoadRows(PartitionPath(p)));
   const uint64_t bytes = table->MemoryBytes();
   stats_.bytes_read += bytes;
   ++stats_.partition_loads;
@@ -72,8 +71,7 @@ Status PartitionBuffer::EnsureResident(int p) {
 Status PartitionBuffer::Evict(int p) {
   auto it = resident_.find(p);
   if (it == resident_.end()) return Status::OK();
-  SAGA_RETURN_IF_ERROR(
-      it->second->SaveRows(PartitionPath(p), 0, it->second->rows()));
+  SAGA_RETURN_IF_ERROR(it->second->SaveRows(PartitionPath(p)));
   stats_.bytes_written += it->second->MemoryBytes();
   resident_bytes_ -= it->second->MemoryBytes();
   ++stats_.partition_evictions;
@@ -87,8 +85,7 @@ Status PartitionBuffer::FlushAll() {
   for (const auto& [p, _] : resident_) parts.push_back(p);
   for (int p : parts) {
     auto it = resident_.find(p);
-    SAGA_RETURN_IF_ERROR(
-        it->second->SaveRows(PartitionPath(p), 0, it->second->rows()));
+    SAGA_RETURN_IF_ERROR(it->second->SaveRows(PartitionPath(p)));
     stats_.bytes_written += it->second->MemoryBytes();
   }
   return Status::OK();
@@ -100,7 +97,7 @@ Result<EmbeddingTable> PartitionBuffer::AssembleFullTable() {
   for (int p = 0; p < partitioner_->num_partitions(); ++p) {
     const auto& members = partitioner_->partition_members(p);
     EmbeddingTable part(members.size(), dim_);
-    SAGA_RETURN_IF_ERROR(part.LoadRows(PartitionPath(p), 0, part.rows()));
+    SAGA_RETURN_IF_ERROR(part.LoadRows(PartitionPath(p)));
     for (size_t i = 0; i < members.size(); ++i) {
       std::copy(part.Row(i), part.Row(i) + dim_, full.Row(members[i]));
     }

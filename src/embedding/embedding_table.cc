@@ -4,13 +4,11 @@
 #include <cstring>
 
 #include "common/file_util.h"
-#include "common/serialization.h"
 
 namespace saga::embedding {
 
 namespace {
 constexpr double kAdagradEps = 1e-8;
-constexpr uint32_t kTableMagic = 0x53454D42u;  // "SEMB"
 }  // namespace
 
 EmbeddingTable::EmbeddingTable(size_t rows, int dim)
@@ -50,67 +48,24 @@ std::vector<float> EmbeddingTable::RowVec(size_t r) const {
   return std::vector<float>(Row(r), Row(r) + dim_);
 }
 
-Status EmbeddingTable::SaveRows(const std::string& path, size_t begin,
-                                size_t end) const {
-  if (begin > end || end > rows_) {
-    return Status::InvalidArgument("bad row range");
-  }
-  const size_t count = (end - begin) * static_cast<size_t>(dim_);
+Status EmbeddingTable::SaveRows(const std::string& path) const {
+  const size_t count = data_.size();
   std::string buf;
   buf.resize(count * 8);
-  std::memcpy(buf.data(), data_.data() + begin * dim_, count * 4);
-  std::memcpy(buf.data() + count * 4, accum_.data() + begin * dim_,
-              count * 4);
+  std::memcpy(buf.data(), data_.data(), count * 4);
+  std::memcpy(buf.data() + count * 4, accum_.data(), count * 4);
   return WriteStringToFile(path, buf);
 }
 
-Status EmbeddingTable::LoadRows(const std::string& path, size_t begin,
-                                size_t end) {
-  if (begin > end || end > rows_) {
-    return Status::InvalidArgument("bad row range");
-  }
+Status EmbeddingTable::LoadRows(const std::string& path) {
   SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
-  const size_t count = (end - begin) * static_cast<size_t>(dim_);
+  const size_t count = data_.size();
   if (buf.size() != count * 8) {
     return Status::Corruption("partition file size mismatch: " + path);
   }
-  std::memcpy(data_.data() + begin * dim_, buf.data(), count * 4);
-  std::memcpy(accum_.data() + begin * dim_, buf.data() + count * 4,
-              count * 4);
+  std::memcpy(data_.data(), buf.data(), count * 4);
+  std::memcpy(accum_.data(), buf.data() + count * 4, count * 4);
   return Status::OK();
-}
-
-Status EmbeddingTable::Save(const std::string& path) const {
-  std::string buf;
-  BinaryWriter w(&buf);
-  w.PutFixed32(kTableMagic);
-  w.PutVarint64(rows_);
-  w.PutVarint64(static_cast<uint64_t>(dim_));
-  const size_t bytes = data_.size() * 4;
-  buf.reserve(buf.size() + bytes);
-  buf.append(reinterpret_cast<const char*>(data_.data()), bytes);
-  return WriteStringToFile(path, buf);
-}
-
-Result<EmbeddingTable> EmbeddingTable::Load(const std::string& path) {
-  SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
-  BinaryReader r(buf);
-  uint32_t magic = 0;
-  uint64_t rows = 0;
-  uint64_t dim = 0;
-  SAGA_RETURN_IF_ERROR(r.GetFixed32(&magic));
-  if (magic != kTableMagic) {
-    return Status::Corruption("bad embedding table magic: " + path);
-  }
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&rows));
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&dim));
-  EmbeddingTable table(rows, static_cast<int>(dim));
-  const size_t bytes = rows * dim * 4;
-  if (r.remaining() < bytes) {
-    return Status::Corruption("embedding table truncated: " + path);
-  }
-  std::memcpy(table.data_.data(), buf.data() + r.position(), bytes);
-  return table;
 }
 
 }  // namespace saga::embedding

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -45,13 +44,11 @@ class EmbeddingTable {
   /// Resident parameter + optimizer-state bytes.
   size_t MemoryBytes() const { return (data_.size() + accum_.size()) * 4; }
 
-  /// Raw (de)serialization of rows [begin, end) including Adagrad state.
-  /// The disk trainer uses this to page partitions.
-  Status SaveRows(const std::string& path, size_t begin, size_t end) const;
-  Status LoadRows(const std::string& path, size_t begin, size_t end);
-
-  Status Save(const std::string& path) const;
-  static Result<EmbeddingTable> Load(const std::string& path);
+  /// Raw (de)serialization of every row including Adagrad state. The
+  /// disk trainer uses this to page partitions; LoadRows refuses a file
+  /// whose size does not match this table's shape.
+  Status SaveRows(const std::string& path) const;
+  Status LoadRows(const std::string& path);
 
  private:
   size_t rows_ = 0;

@@ -90,7 +90,7 @@ Status Push(const GraphView& view, const PprEngine::Options& o,
 
   size_t pushes = 0;
   size_t steps = 0;
-  while (queued > 0 && pushes < o.max_pushes) {
+  while (queued > 0 && pushes < PprEngine::kMaxPushes) {
     // Push-loop boundary: cooperative deadline check (strided — a push
     // touches at most one adjacency list) + fault consultation.
     if ((steps++ & 255) == 0) {
@@ -115,9 +115,10 @@ Status Push(const GraphView& view, const PprEngine::Options& o,
     }
     if (ru / static_cast<double>(deg) < o.epsilon) continue;
     ++pushes;
-    s.p[u] += o.alpha * ru;
+    s.p[u] += PprEngine::kAlpha * ru;
     s.state[u] |= kEstimated;
-    const double push = (1.0 - o.alpha) * ru / static_cast<double>(deg);
+    const double push =
+        (1.0 - PprEngine::kAlpha) * ru / static_cast<double>(deg);
     s.r[u] = 0.0;
     for (uint32_t v : nbrs) {
       s.Touch(v);

@@ -22,10 +22,13 @@ namespace saga::graph_engine {
 class PprEngine {
  public:
   struct Options {
-    double alpha = 0.15;    // teleport probability
     double epsilon = 1e-4;  // push threshold (residual/degree)
-    size_t max_pushes = 1000000;
   };
+
+  /// Teleport probability.
+  static constexpr double kAlpha = 0.15;
+  /// Pushes after which the loop stops, converged or not.
+  static constexpr size_t kMaxPushes = 1000000;
 
   explicit PprEngine(const GraphView* view);
   PprEngine(const GraphView* view, Options options);

@@ -16,20 +16,11 @@ bool GraphView::TriplePasses(const kg::KnowledgeGraph& kg,
                 t.predicate) == def_.include_predicates.end()) {
     return false;
   }
-  if (!def_.subject_types.empty()) {
-    bool subject_ok = false;
-    for (kg::TypeId required : def_.subject_types) {
-      for (kg::TypeId has : kg.catalog().record(t.subject).types) {
-        if (kg.ontology().IsSubtypeOf(has, required)) {
-          subject_ok = true;
-          break;
-        }
-      }
-      if (subject_ok) break;
-    }
-    if (!subject_ok) return false;
-  }
-  return true;
+  return def_.subject_types.empty() ||
+         std::any_of(def_.subject_types.begin(), def_.subject_types.end(),
+                     [&](kg::TypeId required) {
+                       return kg.IsInstanceOf(t.subject, required);
+                     });
 }
 
 uint32_t GraphView::InternEntity(kg::EntityId e) {

@@ -72,9 +72,8 @@ bool Scrubber::AdmitFile() {
 Status Scrubber::VerifyFile(const std::string& path, FileKind kind) {
   switch (kind) {
     case FileKind::kSSTable: {
-      auto reader = storage::SSTableReader::Open(
-          path, storage::SSTableReader::OpenOptions{
-                    storage::ReadVerifyMode::kAlways});
+      auto reader =
+          storage::SSTableReader::Open(path, storage::ReadVerifyMode::kAlways);
       if (!reader.ok()) return reader.status();
       return (*reader)->VerifyChecksums();
     }
@@ -205,7 +204,6 @@ Status Scrubber::RunOnce() {
     }
     if (!AdmitFile()) continue;
     ScrubFile(path, kind);
-    Pause(options_.file_pause_ms);
   }
 
   {

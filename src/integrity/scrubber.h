@@ -24,8 +24,7 @@ namespace saga::integrity {
 /// Serving-tier citizenship: when handed an AdmissionController the
 /// scrubber asks for a low-priority ticket before touching each file,
 /// so under load it is shed first (PR 3 semantics) and backs off
-/// instead of competing with interactive traffic. `file_pause_ms` adds
-/// a flat rate limit on top for idle-cluster politeness.
+/// instead of competing with interactive traffic.
 ///
 /// Metrics: bumps `integrity.scrub.*` counters and the
 /// `integrity.corruption.detected/repaired/quarantined` family (the
@@ -35,8 +34,6 @@ class Scrubber {
   struct Options {
     /// Sleep between full passes when running on the background thread.
     double pass_interval_ms = 60'000;
-    /// Flat pause between files (rate limit), 0 = none.
-    double file_pause_ms = 0;
     /// Backoff after an admission shed before retrying the ticket.
     double shed_backoff_ms = 10;
     /// Give up on a file after this many consecutive sheds (it will be

@@ -65,6 +65,13 @@ std::vector<EntityId> KnowledgeGraph::Neighbors(EntityId e) const {
   return out;
 }
 
+bool KnowledgeGraph::IsInstanceOf(EntityId e, TypeId type) const {
+  for (TypeId has : catalog_.record(e).types) {
+    if (ontology_.IsSubtypeOf(has, type)) return true;
+  }
+  return false;
+}
+
 void KnowledgeGraph::AdvanceClock(int64_t to) {
   logical_clock_ = std::max(logical_clock_, to);
 }

@@ -54,6 +54,9 @@ class KnowledgeGraph {
   /// Entity-typed neighbors over outgoing + incoming entity edges.
   std::vector<EntityId> Neighbors(EntityId e) const;
 
+  /// True when one of `e`'s types is `type` or a subtype of it.
+  bool IsInstanceOf(EntityId e, TypeId type) const;
+
   size_t num_entities() const { return catalog_.size(); }
   size_t num_triples() const { return triples_.live_size(); }
 

@@ -7,6 +7,13 @@
 
 namespace saga::odke {
 
+namespace {
+
+/// Documents fetched per synthesized query.
+constexpr size_t kDocsPerQuery = 5;
+
+}  // namespace
+
 OdkePipeline::OdkePipeline(kg::KnowledgeGraph* kg,
                            const websim::WebCorpus* corpus,
                            const websim::SearchEngine* search,
@@ -25,7 +32,7 @@ OdkePipeline::OdkePipeline(kg::KnowledgeGraph* kg,
       annotations_(annotations),
       model_(model),
       options_(options),
-      synthesizer_(kg, options.synthesizer),
+      synthesizer_(kg),
       infobox_extractor_(kg),
       text_extractor_(kg),
       profiler_(kg) {
@@ -41,8 +48,7 @@ std::vector<CandidateFact> OdkePipeline::ExtractCandidates(
     obs::ScopedSpan span("odke.pipeline.search");
     if (options_.targeted_search) {
       for (const std::string& query : synthesizer_.Synthesize(gap)) {
-        for (const auto& hit :
-             search_->Search(query, options_.docs_per_query)) {
+        for (const auto& hit : search_->Search(query, kDocsPerQuery)) {
           doc_ids.insert(hit.doc);
         }
       }

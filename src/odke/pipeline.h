@@ -45,10 +45,7 @@ struct OdkeRunStats {
 class OdkePipeline {
  public:
   struct Options {
-    /// Documents fetched per synthesized query.
-    size_t docs_per_query = 5;
     Corroborator::Options corroborator;
-    QuerySynthesizer::Options synthesizer;
     /// When false, skips search and scans the whole corpus per gap —
     /// the "volume" ablation showing why targeted search matters.
     bool targeted_search = true;

@@ -2,6 +2,15 @@
 
 namespace saga::odke {
 
+namespace {
+
+/// A predicate is "expected" for a type when at least this fraction of
+/// that type's entities carry it; entities lacking an expected
+/// predicate are coverage gaps.
+constexpr double kExpectedCoverage = 0.5;
+
+}  // namespace
+
 std::string_view GapReasonName(GapReason reason) {
   switch (reason) {
     case GapReason::kQueryLog:
@@ -25,12 +34,7 @@ KgProfiler::KgProfiler(const kg::KnowledgeGraph* kg, Options options)
 std::vector<kg::EntityId> KgProfiler::EntitiesOfType(kg::TypeId t) const {
   std::vector<kg::EntityId> out;
   for (const auto& rec : kg_->catalog().records()) {
-    for (kg::TypeId has : rec.types) {
-      if (kg_->ontology().IsSubtypeOf(has, t)) {
-        out.push_back(rec.id);
-        break;
-      }
-    }
+    if (kg_->IsInstanceOf(rec.id, t)) out.push_back(rec.id);
   }
   return out;
 }
@@ -48,7 +52,7 @@ double KgProfiler::Coverage(kg::TypeId t, kg::PredicateId p) const {
 std::vector<FactGap> KgProfiler::FindCoverageGaps() const {
   std::vector<FactGap> gaps;
   for (const kg::PredicateMeta& meta : kg_->ontology().predicates()) {
-    if (options_.functional_only && !meta.functional) continue;
+    if (!meta.functional) continue;
     if (options_.literal_predicates_only &&
         meta.range_kind == kg::Value::Kind::kEntity) {
       continue;
@@ -67,7 +71,7 @@ std::vector<FactGap> KgProfiler::FindCoverageGaps() const {
     }
     const double coverage =
         static_cast<double>(have) / static_cast<double>(entities.size());
-    if (coverage < options_.expected_coverage) continue;
+    if (coverage < kExpectedCoverage) continue;
     for (kg::EntityId e : missing) {
       gaps.push_back(FactGap{e, meta.id, GapReason::kProfiling,
                              kg::kInvalidTripleIdx});
@@ -80,7 +84,7 @@ std::vector<FactGap> KgProfiler::FindStaleFacts() const {
   std::vector<FactGap> gaps;
   kg_->triples().ForEach([&](kg::TripleIdx idx, const kg::Triple& t) {
     const kg::PredicateMeta& meta = kg_->ontology().predicate(t.predicate);
-    if (options_.functional_only && !meta.functional) return;
+    if (!meta.functional) return;
     if (t.provenance.timestamp <= options_.staleness_horizon) {
       gaps.push_back(FactGap{t.subject, t.predicate, GapReason::kStale, idx});
     }

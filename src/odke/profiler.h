@@ -11,20 +11,14 @@ namespace saga::odke {
 
 /// Proactive coverage / freshness profiling of the KG (§4: "identify
 /// potential coverage and freshness issues ... via knowledge graph
-/// profiling").
+/// profiling"). Only functional predicates are profiled: absence of a
+/// multi-valued one is not a reliable gap signal.
 class KgProfiler {
  public:
   struct Options {
-    /// A predicate is "expected" for a type when at least this fraction
-    /// of that type's entities carry it; entities lacking an expected
-    /// predicate are coverage gaps.
-    double expected_coverage = 0.5;
     /// Facts with provenance timestamps <= this horizon are considered
     /// possibly stale.
     int64_t staleness_horizon = 0;
-    /// Only profile functional predicates (multi-valued absence is not
-    /// a reliable gap signal).
-    bool functional_only = true;
     /// Only emit gaps for literal-valued predicates — the ones ODKE's
     /// extractor families can currently harvest from text/infoboxes.
     bool literal_predicates_only = false;

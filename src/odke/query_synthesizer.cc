@@ -4,12 +4,14 @@
 
 namespace saga::odke {
 
-QuerySynthesizer::QuerySynthesizer(const kg::KnowledgeGraph* kg)
-    : QuerySynthesizer(kg, Options()) {}
+namespace {
 
-QuerySynthesizer::QuerySynthesizer(const kg::KnowledgeGraph* kg,
-                                   Options options)
-    : kg_(kg), options_(options) {}
+/// Cap on generated query variants per gap.
+constexpr size_t kMaxQueries = 4;
+
+}  // namespace
+
+QuerySynthesizer::QuerySynthesizer(const kg::KnowledgeGraph* kg) : kg_(kg) {}
 
 std::vector<std::string> QuerySynthesizer::Synthesize(
     const FactGap& gap) const {
@@ -20,14 +22,12 @@ std::vector<std::string> QuerySynthesizer::Synthesize(
   // Context term: first occupation-ish entity neighbor name (cheap
   // proxy for "music artist" vs "actress").
   std::string context;
-  if (options_.add_context_term) {
-    auto occ = kg_->ontology().FindPredicate("occupation");
-    if (occ.ok()) {
-      for (const kg::Value& v : kg_->ObjectsOf(gap.subject, occ.value())) {
-        if (v.is_entity()) {
-          context = kg_->catalog().name(v.entity());
-          break;
-        }
+  auto occ = kg_->ontology().FindPredicate("occupation");
+  if (occ.ok()) {
+    for (const kg::Value& v : kg_->ObjectsOf(gap.subject, occ.value())) {
+      if (v.is_entity()) {
+        context = kg_->catalog().name(v.entity());
+        break;
       }
     }
   }
@@ -38,16 +38,14 @@ std::vector<std::string> QuerySynthesizer::Synthesize(
                       pred.surface_form);
   }
   for (const std::string& alias : rec.aliases) {
-    if (static_cast<int>(queries.size()) >= options_.max_queries) break;
+    if (queries.size() >= kMaxQueries) break;
     if (alias == rec.canonical_name) continue;
     queries.push_back(alias + " " + pred.surface_form);
   }
-  if (static_cast<int>(queries.size()) < options_.max_queries) {
+  if (queries.size() < kMaxQueries) {
     queries.push_back(rec.canonical_name + " profile");
   }
-  if (static_cast<int>(queries.size()) > options_.max_queries) {
-    queries.resize(options_.max_queries);
-  }
+  if (queries.size() > kMaxQueries) queries.resize(kMaxQueries);
   return queries;
 }
 

@@ -10,26 +10,18 @@
 namespace saga::odke {
 
 /// Auto-composes Web search queries for a missing fact (§4, Fig 6 step
-/// 2: "auto-generated search queries based on the missing fact").
+/// 2: "auto-generated search queries based on the missing fact"). One
+/// variant appends a disambiguating context term (the entity's primary
+/// occupation) so namesakes retrieve the right pages — the Fig-6
+/// "music artist Michelle Williams" trick.
 class QuerySynthesizer {
  public:
-  struct Options {
-    /// Cap on generated query variants per gap.
-    int max_queries = 4;
-    /// Append a disambiguating context term (the entity's primary
-    /// occupation) so namesakes retrieve the right pages — the Fig-6
-    /// "music artist Michelle Williams" trick.
-    bool add_context_term = true;
-  };
-
   explicit QuerySynthesizer(const kg::KnowledgeGraph* kg);
-  QuerySynthesizer(const kg::KnowledgeGraph* kg, Options options);
 
   std::vector<std::string> Synthesize(const FactGap& gap) const;
 
  private:
   const kg::KnowledgeGraph* kg_;
-  Options options_;
 };
 
 }  // namespace saga::odke

@@ -56,7 +56,7 @@ Result<std::vector<CandidatePair>> Blocker::CandidatePairs(
   auto flush_block = [&]() {
     if (block.empty()) return;
     ++stats_.blocks;
-    if (block.size() > options_.max_block_size) {
+    if (block.size() > kMaxBlockSize) {
       ++stats_.oversize_blocks_skipped;
       block.clear();
       return;

@@ -24,10 +24,11 @@ class Blocker {
     /// disk via ExternalSorter.
     size_t memory_budget_bytes = 1 << 20;
     std::string spill_dir;  // required when spilling possible
-    /// Skip blocks larger than this (stop-word names like "Tim" alone
-    /// would otherwise explode quadratically).
-    size_t max_block_size = 64;
   };
+
+  /// Blocks larger than this are skipped (stop-word names like "Tim"
+  /// alone would otherwise explode quadratically).
+  static constexpr size_t kMaxBlockSize = 64;
 
   struct Stats {
     size_t keys_emitted = 0;

@@ -10,8 +10,8 @@
 namespace saga::ondevice {
 
 IncrementalPipeline::IncrementalPipeline(
-    const std::vector<SourceRecord>* records, Options options)
-    : records_(records), options_(options) {
+    const std::vector<SourceRecord>* records)
+    : records_(records) {
   if (records_->empty()) stage_ = Stage::kDone;
 }
 
@@ -101,7 +101,8 @@ void IncrementalPipeline::StepIngest() {
 void IncrementalPipeline::StepBlock() {
   if (block_pos_ < block_keys_.size()) {
     const std::vector<uint32_t>& block = postings_[block_keys_[block_pos_]];
-    if (block.size() <= options_.max_block_size) {
+    // Oversize-block guard, as in Blocker.
+    if (block.size() <= Blocker::kMaxBlockSize) {
       for (size_t a = 0; a < block.size(); ++a) {
         for (size_t b = a + 1; b < block.size(); ++b) {
           candidate_pairs_.emplace(std::min(block[a], block[b]),
@@ -122,8 +123,7 @@ void IncrementalPipeline::StepBlock() {
 void IncrementalPipeline::StepMatch() {
   if (pair_pos_ < pair_list_.size()) {
     const auto& [i, j] = pair_list_[pair_pos_];
-    EntityMatcher matcher(options_.matcher);
-    if (matcher.Matches((*records_)[i], (*records_)[j])) {
+    if (EntityMatcher().Matches((*records_)[i], (*records_)[j])) {
       matches_.emplace_back(i, j);
     }
     ++pair_pos_;
@@ -180,9 +180,8 @@ std::string IncrementalPipeline::Checkpoint() const {
 }
 
 Result<IncrementalPipeline> IncrementalPipeline::Restore(
-    const std::vector<SourceRecord>* records, Options options,
-    std::string_view checkpoint) {
-  IncrementalPipeline p(records, options);
+    const std::vector<SourceRecord>* records, std::string_view checkpoint) {
+  IncrementalPipeline p(records);
   BinaryReader r(checkpoint);
   uint8_t stage = 0;
   SAGA_RETURN_IF_ERROR(r.GetU8(&stage));

@@ -32,14 +32,7 @@ class IncrementalPipeline {
     kDone = 4,
   };
 
-  struct Options {
-    EntityMatcher::Options matcher;
-    /// Oversize-block guard, as in Blocker.
-    size_t max_block_size = 64;
-  };
-
-  IncrementalPipeline(const std::vector<SourceRecord>* records,
-                      Options options);
+  explicit IncrementalPipeline(const std::vector<SourceRecord>* records);
 
   /// Executes up to `max_steps` work units; returns how many ran
   /// (0 once done). Never loses progress between calls.
@@ -61,8 +54,7 @@ class IncrementalPipeline {
   /// the caller re-supplies on Restore).
   std::string Checkpoint() const;
   static Result<IncrementalPipeline> Restore(
-      const std::vector<SourceRecord>* records, Options options,
-      std::string_view checkpoint);
+      const std::vector<SourceRecord>* records, std::string_view checkpoint);
 
  private:
   void StepIngest();
@@ -72,7 +64,6 @@ class IncrementalPipeline {
   void TrackPeak();
 
   const std::vector<SourceRecord>* records_;
-  Options options_;
   Stage stage_ = Stage::kIngest;
   size_t steps_executed_ = 0;
   size_t peak_state_bytes_ = 0;

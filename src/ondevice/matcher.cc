@@ -10,11 +10,12 @@
 
 namespace saga::ondevice {
 
-EntityMatcher::EntityMatcher() : EntityMatcher(Options()) {}
-
-EntityMatcher::EntityMatcher(Options options) : options_(options) {}
-
 namespace {
+
+/// Feature weights of Score.
+constexpr double kPhoneWeight = 0.55;
+constexpr double kEmailWeight = 0.55;
+constexpr double kNameWeight = 0.45;
 
 /// Name similarity robust to "Tim" vs "Timothy Chen": max over
 /// Jaro-Winkler of full strings and best token-prefix containment.
@@ -49,18 +50,18 @@ double EntityMatcher::Score(const SourceRecord& a,
   double score = 0.0;
   const std::string pa = NormalizePhone(a.phone);
   const std::string pb = NormalizePhone(b.phone);
-  if (!pa.empty() && pa == pb) score += options_.phone_weight;
+  if (!pa.empty() && pa == pb) score += kPhoneWeight;
   if (!a.email.empty() &&
       text::NormalizedTokenString(a.email) ==
           text::NormalizedTokenString(b.email)) {
-    score += options_.email_weight;
+    score += kEmailWeight;
   }
   const double name_sim = NameSimilarity(a.name, b.name);
   // Names alone are weak evidence; they mostly boost records already
   // sharing an identifier. A strong identifier + plausible name passes
   // the threshold; name-only pairs need near-identical names.
   if (name_sim > 0.6) {
-    score += options_.name_weight * (name_sim - 0.6) / 0.4;
+    score += kNameWeight * (name_sim - 0.6) / 0.4;
   } else if (score > 0.0 && name_sim < 0.3) {
     // Identifier collision with clearly different names: dampen.
     score *= 0.8;

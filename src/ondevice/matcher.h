@@ -14,30 +14,20 @@ namespace saga::ondevice {
 /// names" linking example of §5.
 class EntityMatcher {
  public:
-  struct Options {
-    double phone_weight = 0.55;
-    double email_weight = 0.55;
-    double name_weight = 0.45;
-    double threshold = 0.5;
-  };
+  /// Scores at or above this mean "same person".
+  static constexpr double kThreshold = 0.5;
 
-  EntityMatcher();
-  explicit EntityMatcher(Options options);
-
-  /// Match score in [0, ~1.5]; >= threshold means "same person".
+  /// Match score in [0, ~1.5].
   double Score(const SourceRecord& a, const SourceRecord& b) const;
 
   bool Matches(const SourceRecord& a, const SourceRecord& b) const {
-    return Score(a, b) >= options_.threshold;
+    return Score(a, b) >= kThreshold;
   }
 
   /// Scores every candidate pair and keeps the matches.
   std::vector<CandidatePair> MatchPairs(
       const std::vector<SourceRecord>& records,
       const std::vector<CandidatePair>& candidates) const;
-
- private:
-  Options options_;
 };
 
 /// Union-find clustering of matched pairs into person clusters.

@@ -163,8 +163,7 @@ OffloadStats OffloadFusion(std::vector<Device>* devices,
   stats.compute_device = compute.config().id;
 
   const std::vector<SourceRecord> records = compute.VisibleRecords();
-  IncrementalPipeline::Options opts;
-  IncrementalPipeline pipeline(&records, opts);
+  IncrementalPipeline pipeline(&records);
   while (!pipeline.done()) pipeline.RunSteps(4096);
   std::vector<FusedPerson> fused = pipeline.FusedPersons();
   (void)spill_dir;

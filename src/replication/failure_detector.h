@@ -10,11 +10,11 @@ namespace saga::replication {
 /// The monitored peer is expected to be heard from (heartbeat, append,
 /// ack — any message counts) at least once per `timeout_ms`. Every
 /// elapsed timeout window without contact adds one suspicion; at
-/// `suspicion_threshold` the peer is Suspected(). A single late packet
-/// is therefore never enough to declare a peer dead — with the default
-/// threshold of 3 the peer must stay silent for three full windows —
-/// while a real crash or partition is detected in bounded time:
-/// timeout_ms * suspicion_threshold after the last contact.
+/// kSuspicionThreshold the peer is Suspected(). A single late packet
+/// is therefore never enough to declare a peer dead — with a threshold
+/// of 3 the peer must stay silent for three full windows — while a
+/// real crash or partition is detected in bounded time:
+/// timeout_ms * kSuspicionThreshold after the last contact.
 ///
 /// Any contact resets suspicion to zero (trust recovers instantly;
 /// distrust accumulates). Used twice in the tier: followers monitor
@@ -25,8 +25,9 @@ class FailureDetector {
  public:
   struct Options {
     double timeout_ms = 50.0;
-    int suspicion_threshold = 3;
   };
+
+  static constexpr int kSuspicionThreshold = 3;
 
   FailureDetector() : FailureDetector(Options()) {}
   explicit FailureDetector(Options options) : options_(options) {}
@@ -57,7 +58,7 @@ class FailureDetector {
   }
 
   bool Suspected() const {
-    return suspicion_ >= options_.suspicion_threshold;
+    return suspicion_ >= kSuspicionThreshold;
   }
 
   int suspicion() const { return suspicion_; }

@@ -25,7 +25,7 @@ Status ReplicatedLog::Open() {
   return wal_->Open();
 }
 
-Status ReplicatedLog::Append(const LogRecord& record, bool durable) {
+Status ReplicatedLog::Append(const LogRecord& record) {
   if (!entries_.empty() && record.seq != entries_.back().seq + 1) {
     return Status::InvalidArgument("non-contiguous append: seq " +
                                    std::to_string(record.seq) + " after " +
@@ -42,7 +42,7 @@ Status ReplicatedLog::Append(const LogRecord& record, bool durable) {
     const storage::SequencedRecord rec{record.seq, record.epoch,
                                        record.payload};
     SAGA_RETURN_IF_ERROR(wal_->Append(storage::EncodeSequencedRecord(rec)));
-    if (durable) SAGA_RETURN_IF_ERROR(wal_->Sync());
+    SAGA_RETURN_IF_ERROR(wal_->Sync());
   }
   entries_.push_back(record);
   return Status::OK();

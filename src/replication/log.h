@@ -44,8 +44,8 @@ class ReplicatedLog {
 
   /// Appends one record; `record.seq` must be last_seq + 1 (or any
   /// value for the very first record, seeding first_seq). When
-  /// `durable` and WAL-backed, the record is fsynced before OK.
-  Status Append(const LogRecord& record, bool durable);
+  /// WAL-backed, the record is fsynced before OK.
+  Status Append(const LogRecord& record);
 
   /// Drops every record with seq >= seq (divergence repair on a
   /// follower that split from a fenced leader). Rewrites the WAL.

@@ -9,6 +9,14 @@ namespace saga::replication {
 
 namespace {
 
+/// Leader-side ship/heartbeat cadence.
+constexpr double kHeartbeatIntervalMs = 10.0;
+/// Each election timer is the detector timeout stretched by a fresh
+/// draw in [1, 1 + kElectionJitterFraction).
+constexpr double kElectionJitterFraction = 0.8;
+/// Records per append message (catch-up batches).
+constexpr size_t kMaxBatchRecords = 64;
+
 /// Attaches the sender's ambient trace context to an outgoing message:
 /// handler spans on the receiver parent under the span that was open
 /// when the message was sent.
@@ -57,7 +65,7 @@ Replica::Replica(Options options, SimTransport* transport, ApplyFn apply)
 void Replica::ArmElectionTimer(double now_ms) {
   jittered_detector_ = options_.detector;
   jittered_detector_.timeout_ms *=
-      1.0 + rng_.UniformDouble(0, options_.election_jitter_fraction);
+      1.0 + rng_.UniformDouble(0, kElectionJitterFraction);
   leader_detector_ = FailureDetector(jittered_detector_);
   leader_detector_.Reset(now_ms);
 }
@@ -96,8 +104,7 @@ void Replica::BecomeLeader(double now_ms) {
   }
   // Leadership no-op: gives this epoch an entry of its own, so the
   // current-epoch commit rule can advance over inherited records.
-  (void)log_.Append(LogRecord{log_.last_seq() + 1, epoch_, std::string()},
-                    options_.durable_appends);
+  (void)log_.Append(LogRecord{log_.last_seq() + 1, epoch_, std::string()});
   AdvanceCommit();  // single-node groups commit instantly
   last_broadcast_ms_ = now_ms;
   ShipToAll(now_ms);
@@ -147,7 +154,7 @@ void Replica::ShipTo(int peer, double now_ms) {
     // compaction boundary's.
     m.prev_epoch = log_.compacted_upto_epoch();
   }
-  m.records = log_.ReadFrom(from, options_.max_batch_records);
+  m.records = log_.ReadFrom(from, kMaxBatchRecords);
   StampTrace(m);
   transport_->Send(m, now_ms);
 }
@@ -165,7 +172,7 @@ void Replica::Tick(double now_ms) {
       (void)peer;
       det.Tick(now_ms);  // health view only; leaders never demote peers
     }
-    if (now_ms - last_broadcast_ms_ >= options_.heartbeat_interval_ms) {
+    if (now_ms - last_broadcast_ms_ >= kHeartbeatIntervalMs) {
       last_broadcast_ms_ = now_ms;
       ShipToAll(now_ms);
     }
@@ -196,8 +203,8 @@ Result<uint64_t> Replica::LeaderAppend(std::string payload, double now_ms) {
         "leader is disk-space degraded; appends refused");
   }
   const uint64_t seq = log_.last_seq() + 1;
-  SAGA_RETURN_IF_ERROR(log_.Append(LogRecord{seq, epoch_, std::move(payload)},
-                                   options_.durable_appends));
+  SAGA_RETURN_IF_ERROR(
+      log_.Append(LogRecord{seq, epoch_, std::move(payload)}));
   SAGA_COUNTER("replication.replica.appends").Add();
   AdvanceCommit();  // single-node groups
   ShipToAll(now_ms);
@@ -356,7 +363,7 @@ void Replica::HandleAppend(const Message& m, double now_ms) {
       no_space = true;
       break;
     }
-    Status appended = log_.Append(rec, options_.durable_appends);
+    Status appended = log_.Append(rec);
     if (!appended.ok()) {
       if (appended.IsStorageExhausted()) {
         no_space = true;
@@ -409,7 +416,7 @@ void Replica::HandleAppendAck(const Message& m, double now_ms) {
     next_seq_[m.from] = std::max(next_seq_[m.from], match + 1);
     AdvanceCommit();
     // Pipeline catch-up: a lagging follower drains at one
-    // max_batch_records batch per round trip instead of one per
+    // kMaxBatchRecords batch per round trip instead of one per
     // heartbeat interval.
     if (next_seq_[m.from] <= log_.last_seq()) ShipTo(m.from, now_ms);
   } else if (m.nack_reason == NackReason::kNoSpace) {

@@ -68,20 +68,14 @@ class Replica {
   struct Options {
     int id = 0;
     int group_size = 3;
-    /// Leader-side ship/heartbeat cadence.
-    double heartbeat_interval_ms = 10.0;
     /// Follower-side leader detector; the effective timeout is
     /// jittered per replica (seeded) so concurrent elections rarely
     /// split votes.
     FailureDetector::Options detector;
-    double election_jitter_fraction = 0.8;
     uint64_t seed = 0x5EED;
-    /// Records per append message (catch-up batches).
-    size_t max_batch_records = 64;
-    /// Non-empty: the log is backed by a real storage WAL here.
+    /// Non-empty: the log is backed by a real storage WAL here; every
+    /// append is fsynced before it is acked.
     std::string wal_path;
-    /// fsync every append before acking (WAL-backed logs only).
-    bool durable_appends = true;
     /// Optional disk-space governor for this node's data directory.
     /// A degraded follower NACKs appends with NackReason::kNoSpace
     /// (keeping its proven-shared last_seq so the leader does not back

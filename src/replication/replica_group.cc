@@ -14,6 +14,13 @@ namespace {
 
 constexpr uint8_t kOpPut = 1;
 constexpr uint8_t kOpDelete = 2;
+/// Simulation granularity.
+constexpr double kTickMs = 1.0;
+/// Logical time budget for one acked Put (covers one failover).
+constexpr double kPutTimeoutMs = 3000.0;
+/// Logical time budget for finding/electing a leader before a Put
+/// gives up.
+constexpr double kElectionSettleMs = 3000.0;
 
 double WallUnixMs() {
   return static_cast<double>(
@@ -106,7 +113,7 @@ void ReplicaGroup::ApplyRecord(int replica_id, const LogRecord& record) {
 void ReplicaGroup::Step(double ms) {
   const double deadline = now_ms_ + ms;
   while (now_ms_ < deadline) {
-    now_ms_ = std::min(now_ms_ + options_.tick_ms, deadline);
+    now_ms_ = std::min(now_ms_ + kTickMs, deadline);
     for (auto& r : replicas_) r->Tick(now_ms_);
     transport_.DeliverDue(now_ms_);
   }
@@ -120,7 +127,7 @@ bool ReplicaGroup::StepUntil(const std::function<bool()>& pred,
   while (true) {
     if (pred()) return true;
     if (now_ms_ >= deadline) return false;
-    Step(options_.tick_ms);
+    Step(kTickMs);
   }
 }
 
@@ -162,8 +169,7 @@ Status ReplicaGroup::AppendOp(std::string op) {
   // simulated transport).
   obs::ScopedSpan span("replication.group.write");
   // Find (or wait out the election of) a leader.
-  if (!StepUntil([this] { return LeaderId() >= 0; },
-                 options_.election_settle_ms)) {
+  if (!StepUntil([this] { return LeaderId() >= 0; }, kElectionSettleMs)) {
     SAGA_COUNTER("replication.group.rejected_puts").Add();
     obs::MarkSpanError(StatusCode::kUnavailable);
     return Status::Unavailable("no leader elected within settle budget");
@@ -187,7 +193,7 @@ Status ReplicaGroup::AppendOp(std::string op) {
         }
         return false;
       },
-      options_.put_timeout_ms);
+      kPutTimeoutMs);
   if (!acked) {
     SAGA_COUNTER("replication.group.rejected_puts").Add();
     obs::MarkSpanError(StatusCode::kUnavailable);

@@ -59,13 +59,6 @@ class ReplicaGroup {
     /// Non-empty: replica logs are real storage WALs under this
     /// directory (replica_<i>.wal), and Restart() recovers from disk.
     std::string dir;
-    /// Simulation granularity.
-    double tick_ms = 1.0;
-    /// Logical time budget for one acked Put (covers one failover).
-    double put_timeout_ms = 3000.0;
-    /// Logical time budget for finding/electing a leader before a Put
-    /// gives up.
-    double election_settle_ms = 3000.0;
     /// Template for every replica (id/seed/wal_path are overwritten).
     Replica::Options replica;
     SimTransport::Options transport;
@@ -104,7 +97,7 @@ class ReplicaGroup {
 
   // --- simulation pump ---
   /// Advances the logical clock by `ms`, ticking replicas and
-  /// delivering due messages each tick_ms.
+  /// delivering due messages each simulated millisecond.
   void Step(double ms);
   /// Steps until pred() or the logical deadline; true when pred held.
   bool StepUntil(const std::function<bool()>& pred, double max_ms);

@@ -7,6 +7,16 @@
 
 namespace saga::replication {
 
+namespace {
+
+/// Base one-way latency stamped on every message.
+constexpr double kBaseDelayMs = 1.0;
+/// How late a reordered (or duplicated) copy lands, relative to base
+/// delay: uniform in [0, kReorderSpreadMs).
+constexpr double kReorderSpreadMs = 5.0;
+
+}  // namespace
+
 SimTransport::SimTransport(Options options)
     : options_(options), rng_(options.seed) {}
 
@@ -27,7 +37,7 @@ void SimTransport::Send(const Message& m, double now_ms) {
     return;
   }
 
-  double deliver_at = now_ms + options_.base_delay_ms;
+  double deliver_at = now_ms + kBaseDelayMs;
   if (options_.jitter_ms > 0) {
     deliver_at += rng_.UniformDouble(0, options_.jitter_ms);
   }
@@ -76,8 +86,7 @@ void SimTransport::Send(const Message& m, double now_ms) {
   if (reorder) {
     // Land after traffic sent later on the same link: push delivery
     // past the base delay by a seeded spread.
-    deliver_at +=
-        rng_.UniformDouble(0, std::max(options_.reorder_spread_ms, 0.001));
+    deliver_at += rng_.UniformDouble(0, kReorderSpreadMs);
     ++stats_.reordered;
     SAGA_COUNTER("replication.transport.reordered").Add();
   }
@@ -85,9 +94,7 @@ void SimTransport::Send(const Message& m, double now_ms) {
   if (duplicate) {
     ++stats_.duplicated;
     SAGA_COUNTER("replication.transport.duplicated").Add();
-    Enqueue(m, deliver_at +
-                   rng_.UniformDouble(0, std::max(options_.reorder_spread_ms,
-                                                  0.001)));
+    Enqueue(m, deliver_at + rng_.UniformDouble(0, kReorderSpreadMs));
   }
 }
 

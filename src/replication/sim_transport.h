@@ -44,17 +44,12 @@ class SimTransport {
  public:
   struct Options {
     uint64_t seed = 0x5EED;
-    /// Base one-way latency stamped on every message.
-    double base_delay_ms = 1.0;
     /// Probabilistic per-message faults (0 disables each).
     double drop_probability = 0.0;
     double duplicate_probability = 0.0;
     double reorder_probability = 0.0;
     /// Uniform extra latency in [0, jitter_ms) added per message.
     double jitter_ms = 0.0;
-    /// How late a reordered (or duplicated) copy lands, relative to
-    /// base delay: uniform in (0, reorder_spread_ms].
-    double reorder_spread_ms = 5.0;
   };
 
   struct Stats {

@@ -47,7 +47,7 @@ AdmissionController::Ticket AdmissionController::TryAdmit(
     const RequestContext& ctx) {
   // Expired work is load with no possible value — bounce it before it
   // takes a slot, regardless of priority.
-  if (options_.reject_expired && ctx.expired()) {
+  if (ctx.expired()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.rejected_expired;
     SAGA_COUNTER("serving.admission.expired").Add();

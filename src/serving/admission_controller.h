@@ -50,8 +50,6 @@ class AdmissionController {
     double low_priority_rate_per_sec = 0.0;
     /// Bucket capacity (burst size). Defaults to one second of rate.
     double low_priority_burst = 0.0;
-    /// Reject requests whose deadline has already expired.
-    bool reject_expired = true;
     /// Injectable monotonic clock (nanoseconds) for tests.
     std::function<uint64_t()> now_ns;
   };

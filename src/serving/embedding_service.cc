@@ -12,6 +12,22 @@
 
 namespace saga::serving {
 
+namespace {
+
+constexpr ann::Metric kMetric = ann::Metric::kCosine;
+/// The adaptive hedge timer's floor (the p99 of a warm cache is ~0),
+/// and its value until kMinHedgeSamples searches have been timed.
+constexpr double kMinHedgeMs = 0.2;
+constexpr double kDefaultHedgeMs = 5.0;
+constexpr uint64_t kMinHedgeSamples = 50;
+
+Status NoEmbedding(kg::EntityId id) {
+  return Status::NotFound("no embedding for entity " +
+                          std::to_string(id.value()));
+}
+
+}  // namespace
+
 EmbeddingService::EmbeddingService(embedding::EmbeddingStore store,
                                    const kg::KnowledgeGraph* kg)
     : EmbeddingService(std::move(store), kg, Options()) {}
@@ -44,17 +60,15 @@ std::unique_ptr<ann::VectorIndex> EmbeddingService::MakeIndex(
       ann::IvfIndex::Options ivf;
       ivf.num_lists = options_.ivf_lists;
       ivf.nprobe = options_.ivf_nprobe;
-      return std::make_unique<ann::IvfIndex>(store_.rows(), options_.metric,
-                                             ivf);
+      return std::make_unique<ann::IvfIndex>(store_.rows(), kMetric, ivf);
     }
     case IndexKind::kQuantized:
       return std::make_unique<ann::QuantizedBruteForceIndex>(
-          store_.rows(), options_.metric);
+          store_.rows(), kMetric);
     case IndexKind::kExact:
       break;
   }
-  return std::make_unique<ann::BruteForceIndex>(store_.rows(),
-                                                options_.metric);
+  return std::make_unique<ann::BruteForceIndex>(store_.rows(), kMetric);
 }
 
 void EmbeddingService::BuildIndexWithFallback() {
@@ -78,15 +92,6 @@ void EmbeddingService::BuildIndexWithFallback() {
   index_ = MakeIndex(IndexKind::kExact);
 }
 
-namespace {
-
-Status NoEmbedding(kg::EntityId id) {
-  return Status::NotFound("no embedding for entity " +
-                          std::to_string(id.value()));
-}
-
-}  // namespace
-
 Result<std::vector<float>> EmbeddingService::GetEmbedding(
     kg::EntityId id) const {
   const std::span<const float> row = store_.Get(id);
@@ -99,7 +104,7 @@ Result<double> EmbeddingService::Similarity(kg::EntityId a,
   const std::span<const float> va = store_.Get(a);
   const std::span<const float> vb = store_.Get(b);
   if (va.empty() || vb.empty()) return NoEmbedding(va.empty() ? a : b);
-  return ann::Similarity(options_.metric, va.data(), vb.data(), va.size());
+  return ann::Similarity(kMetric, va.data(), vb.data(), va.size());
 }
 
 std::vector<double> EmbeddingService::BatchSimilarity(
@@ -111,15 +116,6 @@ std::vector<double> EmbeddingService::BatchSimilarity(
     out.push_back(sim.ok() ? *sim : 0.0);
   }
   return out;
-}
-
-bool EmbeddingService::PassesTypeFilter(kg::EntityId id,
-                                        kg::TypeId type) const {
-  if (!type.valid() || kg_ == nullptr) return true;
-  for (kg::TypeId has : kg_->catalog().record(id).types) {
-    if (kg_->ontology().IsSubtypeOf(has, type)) return true;
-  }
-  return false;
 }
 
 Result<std::vector<std::pair<kg::EntityId, double>>>
@@ -142,7 +138,11 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
   for (const ann::Neighbor& n : hits) {
     if (out.size() == k) break;
     const kg::EntityId e(n.label);
-    if (e == id || !PassesTypeFilter(e, type_filter)) continue;
+    if (e == id) continue;
+    if (type_filter.valid() && kg_ != nullptr &&
+        !kg_->IsInstanceOf(e, type_filter)) {
+      continue;
+    }
     out.emplace_back(e, n.similarity);
   }
   return out;
@@ -153,16 +153,16 @@ double EmbeddingService::HedgeDelayMs() const {
   if (h.fixed_hedge_ms > 0) return h.fixed_hedge_ms;
   const obs::LatencyHistogram& hist =
       SAGA_LATENCY("serving.embedding.search_ns");
-  if (hist.Count() < h.min_samples) return h.default_hedge_ms;
-  return std::max(h.min_hedge_ms, hist.PercentileNs(99.0) / 1e6);
+  if (hist.Count() < kMinHedgeSamples) return kDefaultHedgeMs;
+  return std::max(kMinHedgeMs, hist.PercentileNs(99.0) / 1e6);
 }
 
 void EmbeddingService::RecordAnnOutcome(const Status& s, double elapsed_ms,
-                                        const RequestContext& ctx) const {
+                                        bool expired) const {
   if (ann_breaker_ == nullptr) return;
   const bool slow = options_.breaker_slow_call_ms > 0 &&
                     elapsed_ms > options_.breaker_slow_call_ms;
-  if (CircuitBreaker::IsFailure(s) || slow || ctx.expired()) {
+  if (CircuitBreaker::IsFailure(s) || slow || expired) {
     ann_breaker_->RecordFailure();
   } else {
     ann_breaker_->RecordSuccess();
@@ -192,7 +192,7 @@ Result<std::vector<ann::Neighbor>> EmbeddingService::SearchWithPolicies(
                               : Status::OK();
   std::vector<ann::Neighbor> hits;
   if (s.ok()) hits = index_->Search(query, fetch);
-  RecordAnnOutcome(s, sw.ElapsedMillis(), ctx);
+  RecordAnnOutcome(s, sw.ElapsedMillis(), ctx.expired());
   if (!s.ok()) {
     if (exact_backup_ != nullptr) {
       // Closed breaker, failed search: the exact backup masks it.
@@ -224,37 +224,51 @@ Result<std::vector<ann::Neighbor>> EmbeddingService::HedgedSearch(
     std::span<const float> query, size_t fetch,
     const RequestContext& ctx) const {
   auto st = std::make_shared<HedgeState>();
-  // Raw pointer and span are safe: the query is a row of store_, and
-  // hedge_pool_ is declared after index_ and store_ and thus destroyed
-  // (drained) before them.
-  const ann::VectorIndex* idx = index_.get();
-  const Status submitted = hedge_pool_->TrySubmit([st, idx, query, fetch] {
-    {
-      // The backup already answered: a queued primary has no one to
-      // race, so it frees the worker for the next request.
-      std::lock_guard<std::mutex> lock(st->mu);
-      if (st->claimed) {
-        SAGA_COUNTER("serving.hedge.primary_skipped").Add();
-        return;
-      }
-    }
-    Status s = Faults().armed() ? Faults().InjectOp("ann.search")
-                                : Status::OK();
-    std::vector<ann::Neighbor> hits;
-    if (s.ok()) hits = idx->Search(query, fetch);
-    std::lock_guard<std::mutex> lock(st->mu);
-    st->primary_finished = true;
-    st->primary_status = s;
-    if (s.ok() && !st->claimed) {
-      st->claimed = true;
-      st->primary_hits = std::move(hits);
-    }
-    st->cv.notify_all();
-  });
+  // `this` and the span are safe: the query is a row of store_, and
+  // hedge_pool_ is declared last and thus destroyed (drained) first.
+  // The worker copies the deadline: the caller's context may be gone
+  // by the time the primary finishes.
+  const Deadline deadline = ctx.deadline();
+  const Status submitted =
+      hedge_pool_->TrySubmit([this, st, query, fetch, deadline] {
+        bool skipped = false;
+        {
+          std::lock_guard<std::mutex> lock(st->mu);
+          skipped = st->claimed;
+        }
+        if (skipped) {
+          // The backup already answered: a queued primary has no one to
+          // race, so it frees the worker for the next request. The
+          // index did not answer in time, which the breaker counts.
+          SAGA_COUNTER("serving.hedge.primary_skipped").Add();
+          RecordAnnOutcome(
+              Status::ResourceExhausted("ann primary queued past its backup"),
+              0.0, false);
+          return;
+        }
+        Stopwatch sw;
+        Status s = Faults().armed() ? Faults().InjectOp("ann.search")
+                                    : Status::OK();
+        std::vector<ann::Neighbor> hits;
+        if (s.ok()) hits = index_->Search(query, fetch);
+        // Recorded before the result is published, so a caller that
+        // takes the primary's answer finds its outcome already counted.
+        RecordAnnOutcome(s, sw.ElapsedMillis(), deadline.expired());
+        std::lock_guard<std::mutex> lock(st->mu);
+        st->primary_finished = true;
+        st->primary_status = s;
+        if (s.ok() && !st->claimed) {
+          st->claimed = true;
+          st->primary_hits = std::move(hits);
+        }
+        st->cv.notify_all();
+      });
   if (!submitted.ok()) {
     // The pool's queue is full: primaries are already backed up behind
-    // slow searches, so answer with the exact backup straight away.
+    // slow searches, so answer with the exact backup straight away. The
+    // index could not take the search, which the breaker counts.
     SAGA_COUNTER("serving.hedge.shed").Add();
+    RecordAnnOutcome(submitted, 0.0, false);
     return exact_backup_->Search(query, fetch);
   }
 
@@ -268,15 +282,12 @@ Result<std::vector<ann::Neighbor>> EmbeddingService::HedgedSearch(
                     std::chrono::duration<double, std::milli>(wait_ms),
                     [&] { return st->primary_finished; });
     if (st->primary_finished && st->primary_status.ok()) {
-      RecordAnnOutcome(Status::OK(), 0.0, ctx);
       return std::move(st->primary_hits);
     }
   }
-  // Primary overran the hedge timer (or failed): one latency SLO miss
-  // for the breaker, and the exact backup races it from here.
+  // Primary overran the hedge timer (or failed): the exact backup races
+  // it from here. The primary records its own outcome when it ends.
   SAGA_COUNTER("serving.hedge.fired").Add();
-  RecordAnnOutcome(Status::DeadlineExceeded("ann primary overran hedge timer"),
-                   wait_ms, ctx);
   std::vector<ann::Neighbor> backup = exact_backup_->Search(query, fetch);
   std::lock_guard<std::mutex> lock(st->mu);
   if (st->claimed) {

@@ -35,7 +35,8 @@ namespace saga::serving {
 /// - Hedged reads: when the accelerated search has not answered within
 ///   a p99-derived hedge timer, a backup exact-search probe fires and
 ///   the first response wins — one slow replica/shard no longer defines
-///   tail latency (The Tail at Scale).
+///   tail latency (The Tail at Scale). A fired hedge is not a breaker
+///   failure: the primary records its own outcome when it finishes.
 class EmbeddingService {
  public:
   enum class IndexKind {
@@ -50,13 +51,8 @@ class EmbeddingService {
   struct HedgeOptions {
     bool enabled = false;
     /// Fixed hedge timer; <= 0 derives the timer from the live p99 of
-    /// `serving.embedding.search_ns` once `min_samples` are recorded.
+    /// `serving.embedding.search_ns` once enough samples are recorded.
     double fixed_hedge_ms = 0.0;
-    /// Floor for the adaptive timer (p99 of a warm cache is ~0).
-    double min_hedge_ms = 0.2;
-    /// Adaptive timer before enough samples exist.
-    double default_hedge_ms = 5.0;
-    uint64_t min_samples = 50;
     /// Workers running primary searches so the caller can hedge. At
     /// most kHedgeQueuePerThread primaries per worker wait for one.
     int threads = 2;
@@ -64,7 +60,6 @@ class EmbeddingService {
 
   struct Options {
     IndexKind index = IndexKind::kExact;
-    ann::Metric metric = ann::Metric::kCosine;
     int ivf_lists = 32;
     int ivf_nprobe = 4;
     /// Backoff schedule for transient index-build failures.
@@ -89,7 +84,7 @@ class EmbeddingService {
   /// NotFound when the entity has no embedding.
   Result<std::vector<float>> GetEmbedding(kg::EntityId id) const;
 
-  /// Cosine (or configured metric) similarity between two entities.
+  /// Cosine similarity between two entities.
   Result<double> Similarity(kg::EntityId a, kg::EntityId b) const;
 
   /// Batch inference over candidate entity pairs (§2: "it might
@@ -132,8 +127,6 @@ class EmbeddingService {
   static constexpr size_t kHedgeQueuePerThread = 4;
 
  private:
-  bool PassesTypeFilter(kg::EntityId id, kg::TypeId type) const;
-
   /// Builds (with retries) the configured index, falling back to exact
   /// search on persistent failure.
   void BuildIndexWithFallback();
@@ -152,9 +145,11 @@ class EmbeddingService {
   Result<std::vector<ann::Neighbor>> HedgedSearch(
       std::span<const float> query, size_t fetch,
       const RequestContext& ctx) const;
-  /// One breaker outcome per admitted accelerated search.
+  /// The one breaker outcome of a search Allow() admitted: a failure
+  /// when `s` is one, when the search took longer than
+  /// `breaker_slow_call_ms`, or when it ended past its deadline.
   void RecordAnnOutcome(const Status& s, double elapsed_ms,
-                        const RequestContext& ctx) const;
+                        bool expired) const;
 
   embedding::EmbeddingStore store_;
   const kg::KnowledgeGraph* kg_;

@@ -6,6 +6,13 @@
 
 namespace saga::serving {
 
+namespace {
+
+/// The embedding leg's share of a blend; PPR gets the rest.
+constexpr double kBlendEmbeddingWeight = 0.5;
+
+}  // namespace
+
 RelatedEntitiesService::RelatedEntitiesService(
     const kg::KnowledgeGraph* kg, const graph_engine::GraphView* view,
     const EmbeddingService* embeddings)
@@ -18,15 +25,6 @@ RelatedEntitiesService::RelatedEntitiesService(
   ppr_ = std::make_unique<graph_engine::PprEngine>(view_);
 }
 
-bool RelatedEntitiesService::PassesTypeFilter(kg::EntityId id,
-                                              kg::TypeId type) const {
-  if (!type.valid()) return true;
-  for (kg::TypeId has : kg_->catalog().record(id).types) {
-    if (kg_->ontology().IsSubtypeOf(has, type)) return true;
-  }
-  return false;
-}
-
 Result<std::vector<std::pair<kg::EntityId, double>>>
 RelatedEntitiesService::PprRelated(kg::EntityId id, size_t k,
                                    kg::TypeId type_filter,
@@ -37,7 +35,7 @@ RelatedEntitiesService::PprRelated(kg::EntityId id, size_t k,
   SAGA_ASSIGN_OR_RETURN(auto ranked, ppr_->TopKRelated(local, k * 8 + 16, ctx));
   for (const auto& [l, score] : ranked) {
     const kg::EntityId e = view_->global_entity(l);
-    if (!PassesTypeFilter(e, type_filter)) continue;
+    if (type_filter.valid() && !kg_->IsInstanceOf(e, type_filter)) continue;
     out.emplace_back(e, score);
     if (out.size() == k) break;
   }
@@ -86,7 +84,7 @@ RelatedEntitiesService::Related(kg::EntityId id, size_t k,
                             PprRelated(id, k * 4 + 16, type_filter, ctx));
       // Reciprocal-rank fusion: robust to incomparable score scales.
       std::unordered_map<kg::EntityId, double> fused;
-      const double w = options_.blend_embedding_weight;
+      constexpr double w = kBlendEmbeddingWeight;
       for (size_t i = 0; i < emb_hits.size(); ++i) {
         fused[emb_hits[i].first] += w / (60.0 + static_cast<double>(i));
       }

@@ -23,7 +23,6 @@ class RelatedEntitiesService {
 
   struct Options {
     Mode mode = Mode::kEmbedding;
-    double blend_embedding_weight = 0.5;
     /// Exclude entities directly linked to the query (users already
     /// know those; "related" should surface non-obvious peers).
     bool exclude_direct_neighbors = false;
@@ -49,7 +48,6 @@ class RelatedEntitiesService {
   Result<std::vector<std::pair<kg::EntityId, double>>> PprRelated(
       kg::EntityId id, size_t k, kg::TypeId type_filter,
       const RequestContext& ctx) const;
-  bool PassesTypeFilter(kg::EntityId id, kg::TypeId type) const;
 
   const kg::KnowledgeGraph* kg_;
   const graph_engine::GraphView* view_;

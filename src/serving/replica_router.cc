@@ -23,7 +23,6 @@ int ReplicaRouter::PickRead(const std::vector<ReplicaView>& replicas) {
       fallback = r.id;
       fallback_lag = r.lag_records;
     }
-    if (!options_.prefer_followers) continue;
     if (r.lag_records > options_.max_staleness_records) {
       ++stats_.stale_skips;
       SAGA_COUNTER("serving.replica_router.stale_skips").Add();

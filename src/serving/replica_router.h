@@ -43,9 +43,6 @@ class ReplicaRouter {
   struct Options {
     /// Max committed-record lag a follower may have and still serve.
     uint64_t max_staleness_records = 64;
-    /// When false, all reads go to the leader (strongest reads at the
-    /// cost of leader load).
-    bool prefer_followers = true;
   };
 
   struct Stats {

@@ -10,6 +10,19 @@
 
 namespace saga::serving {
 
+namespace {
+
+/// Fraction of the live catalog a candidate may drop: 0.1 = the
+/// candidate must keep >= 90% of live keys.
+constexpr double kMaxKeyDropFraction = 0.1;
+/// Max fraction of sampled lookups allowed to miss in the candidate
+/// (changed values are expected across growth cycles; wholesale
+/// disappearance is not).
+constexpr double kMaxSampleMissFraction = 0.25;
+constexpr uint64_t kSampleSeed = 0x5A6A;
+
+}  // namespace
+
 VersionManager::VersionManager(Options options) : options_(options) {}
 
 Result<std::shared_ptr<ServingVersion>> VersionManager::LoadVersion(
@@ -39,11 +52,9 @@ Status VersionManager::Validate(const ServingVersion& candidate,
                                 const ServingVersion* live) {
   const ValidationOptions& vo = options_.validation;
 
-  if (vo.verify_checksums) {
-    // Checksum pass: every block of every table. A candidate that rots
-    // between build and deploy is caught here, not by a user query.
-    SAGA_RETURN_IF_ERROR(candidate.kv->VerifyTables());
-  }
+  // Checksum pass: every block of every table. A candidate that rots
+  // between build and deploy is caught here, not by a user query.
+  SAGA_RETURN_IF_ERROR(candidate.kv->VerifyTables());
 
   if (candidate.key_count < vo.min_keys) {
     return Status::FailedPrecondition(
@@ -59,7 +70,7 @@ Status VersionManager::Validate(const ServingVersion& candidate,
   // build, not a smaller graph.
   const auto floor_keys = static_cast<uint64_t>(
       static_cast<double>(live->key_count) *
-      (1.0 - vo.max_key_drop_fraction));
+      (1.0 - kMaxKeyDropFraction));
   if (candidate.key_count < floor_keys) {
     return Status::FailedPrecondition(
         "candidate " + candidate.id + " dropped too much of the catalog: " +
@@ -72,7 +83,7 @@ Status VersionManager::Validate(const ServingVersion& candidate,
   // wholesale may not.
   if (vo.sample_queries > 0 && live->key_count > 0) {
     SAGA_ASSIGN_OR_RETURN(auto live_rows, live->kv->ScanPrefix(""));
-    Rng rng(vo.sample_seed);
+    Rng rng(kSampleSeed);
     size_t misses = 0;
     const size_t samples =
         std::min(vo.sample_queries, live_rows.size());
@@ -83,7 +94,7 @@ Status VersionManager::Validate(const ServingVersion& candidate,
       if (!r.ok()) ++misses;
     }
     if (static_cast<double>(misses) >
-        vo.max_sample_miss_fraction * static_cast<double>(samples)) {
+        kMaxSampleMissFraction * static_cast<double>(samples)) {
       return Status::FailedPrecondition(
           "candidate " + candidate.id + " missed " + std::to_string(misses) +
           "/" + std::to_string(samples) + " sampled live queries");

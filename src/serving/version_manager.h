@@ -59,22 +59,11 @@ struct ServingVersion {
 class VersionManager {
  public:
   struct ValidationOptions {
-    /// Re-verify every block CRC of every candidate table plus the
-    /// embedding shard before the flip.
-    bool verify_checksums = true;
     /// Candidate must hold at least this many keys.
     uint64_t min_keys = 0;
-    /// Fraction of the live catalog a candidate may drop, in [0,1].
-    /// 0.1 = candidate must keep >= 90% of live keys.
-    double max_key_drop_fraction = 0.1;
     /// Sampled query-answer diff: this many keys sampled from the live
     /// version and looked up in the candidate.
     size_t sample_queries = 16;
-    /// Max fraction of sampled lookups allowed to miss in the
-    /// candidate (changed values are expected across growth cycles;
-    /// wholesale disappearance is not).
-    double max_sample_miss_fraction = 0.25;
-    uint64_t sample_seed = 0x5A6A;
   };
 
   struct Options {

@@ -30,6 +30,9 @@ constexpr char kWalSegSuffix[] = ".log";
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestHeader[] = "saga-manifest-v1";
 constexpr char kQuarantineSuffix[] = ".quarantined";
+constexpr int kBloomBitsPerKey = 10;
+/// Shed background runs retried before maintenance proceeds anyway.
+constexpr int kBgAdmitRetries = 50;
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -336,9 +339,7 @@ Status KvStore::Recover() {
     Status s = retry_.Run(
         "sst.open",
         [&]() -> Status {
-          auto r = SSTableReader::Open(path,
-                                       SSTableReader::OpenOptions{
-                                           options_.read_verify});
+          auto r = SSTableReader::Open(path, options_.read_verify);
           if (!r.ok()) return r.status();
           reader = std::move(*r);
           return Status::OK();
@@ -466,43 +467,34 @@ Status KvStore::CheckWritable() {
   return Status::OK();
 }
 
-bool KvStore::SealGatesExceeded(size_t* imm_count, size_t* l0_count) {
+bool KvStore::SealGateExceeded(size_t* imm_count) {
   size_t imm = 0;
-  size_t l0 = 0;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     imm = sv_->imm.size();
-    l0 = sv_->tables.size();
   }
   if (imm_count != nullptr) *imm_count = imm;
-  if (l0_count != nullptr) *l0_count = l0;
-  return static_cast<int>(imm) >= options_.max_immutable_memtables ||
-         (options_.l0_stall_tables > 0 &&
-          static_cast<int>(l0) >= options_.l0_stall_tables);
+  return static_cast<int>(imm) >= options_.max_immutable_memtables;
 }
 
 Status KvStore::CheckWriteStall() {
   if (!options_.background_maintenance) return Status::OK();
   // Only a full active memtable can stall: WriteImpl leaves it full
-  // (instead of sealing) exactly when the gates below are exceeded.
+  // (instead of sealing) exactly when the gate below is exceeded.
   if (mem_->ApproximateBytes() < options_.memtable_max_bytes) {
     return Status::OK();
   }
   size_t imm_count = 0;
-  size_t l0_count = 0;
-  if (!SealGatesExceeded(&imm_count, &l0_count)) return Status::OK();
+  if (!SealGateExceeded(&imm_count)) return Status::OK();
   // Shed before the WAL append so a stalled write is never partially
   // applied, and make sure the drain that unblocks us is in flight.
   ScheduleMaintenance();
   stats_.stall_rejects.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("storage.kv.bg.stall_rejects").Add();
-  const bool imm_stall =
-      static_cast<int>(imm_count) >= options_.max_immutable_memtables;
-  return Status::ResourceExhausted(
-      imm_stall ? "kv write stall: " + std::to_string(imm_count) +
-                      " sealed memtables awaiting flush in " + dir_
-                : "kv write stall: " + std::to_string(l0_count) +
-                      " L0 tables awaiting compaction in " + dir_);
+  return Status::ResourceExhausted("kv write stall: " +
+                                   std::to_string(imm_count) +
+                                   " sealed memtables awaiting flush in " +
+                                   dir_);
 }
 
 Status KvStore::EnsureWalUsable() {
@@ -582,7 +574,7 @@ Status KvStore::WriteImpl(uint8_t op, std::string_view key,
     // Gated seal: when maintenance is behind, leave the memtable full
     // and active (this write was acked; the NEXT one sheds via
     // CheckWriteStall) so the sealed backlog stays bounded.
-    if (SealGatesExceeded(nullptr, nullptr)) {
+    if (SealGateExceeded(nullptr)) {
       ScheduleMaintenance();
       return Status::OK();
     }
@@ -749,7 +741,7 @@ Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
       "sst.build",
       [&]() -> Status {
         SSTableBuilder::Options bopts;
-        bopts.bits_per_key = options_.bloom_bits_per_key;
+        bopts.bits_per_key = kBloomBitsPerKey;
         bopts.index_interval = options_.index_interval;
         SSTableBuilder builder(bopts);
         size_t live_rows = 0;
@@ -760,9 +752,7 @@ Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
           ++live_rows;
         }
         SAGA_RETURN_IF_ERROR(builder.Finish(path, live_rows));
-        auto r = SSTableReader::Open(path,
-                                     SSTableReader::OpenOptions{
-                                         options_.read_verify});
+        auto r = SSTableReader::Open(path, options_.read_verify);
         if (!r.ok()) {
           (void)RemoveFileIfExists(path);
           return r.status();
@@ -1053,12 +1043,12 @@ void KvStore::RunBackgroundMaintenance() {
   if (options_.bg_admission) {
     // Admission-ticketed like the scrubber: shed runs back off and
     // retry, but only boundedly — a flush that never runs would wedge
-    // writes into permanent stall, so after bg_admit_retries we
-    // proceed regardless.
+    // writes into permanent stall, so after kBgAdmitRetries we proceed
+    // regardless.
     int attempts = 0;
     while (!options_.bg_admission()) {
       SAGA_COUNTER("storage.kv.bg.sheds").Add();
-      if (++attempts > options_.bg_admit_retries) break;
+      if (++attempts > kBgAdmitRetries) break;
       if (shutting_down_.load(std::memory_order_acquire)) return;
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options_.bg_shed_backoff_ms));

@@ -51,14 +51,13 @@ namespace saga::storage {
 /// (Options::background_maintenance) so Put never waits on a flush or
 /// compaction. When maintenance falls behind, writes shed with
 /// kResourceExhausted instead of blocking (see
-/// Options::max_immutable_memtables / l0_stall_tables).
+/// Options::max_immutable_memtables).
 class KvStore {
  public:
   struct Options {
     /// Flush the memtable to an SSTable once it exceeds this budget.
     /// The on-device pipeline tunes this down to run in tens of KiB.
     size_t memtable_max_bytes = 4 << 20;
-    int bloom_bits_per_key = 10;
     int index_interval = 16;
     /// Disable to trade durability for ingest speed (bulk loads).
     bool use_wal = true;
@@ -105,18 +104,14 @@ class KvStore {
     /// unflushed sheds with kResourceExhausted instead of blocking
     /// behind the maintenance thread.
     int max_immutable_memtables = 4;
-    /// Second stall gate, off by default: when > 0, a Put that would
-    /// seal while this many SSTables are live sheds until compaction
-    /// catches up (bounds read amplification under sustained ingest).
-    int l0_stall_tables = 0;
     /// Admission hook for background jobs, ticketed like the scrubber:
     /// invoked before each maintenance run; returning false sheds the
-    /// run, which backs off and retries (bg_admit_retries times, then
-    /// proceeds anyway — a flush that never runs would wedge writes).
-    /// The serving tier wires this to its AdmissionController at
-    /// low priority; storage itself stays serving-agnostic.
+    /// run, which backs off and retries (a bounded number of times,
+    /// then proceeds anyway — a flush that never runs would wedge
+    /// writes). Unset in the serving tier; a caller can wire it to an
+    /// AdmissionController at low priority, and storage itself stays
+    /// serving-agnostic.
     std::function<bool()> bg_admission;
-    int bg_admit_retries = 50;
     int bg_shed_backoff_ms = 2;
   };
 
@@ -285,12 +280,11 @@ class KvStore {
   /// governor reports degraded.
   Status CheckWritable();
   /// True when sealing another memtable would exceed
-  /// max_immutable_memtables / l0_stall_tables; optionally reports the
-  /// current counts.
-  bool SealGatesExceeded(size_t* imm_count, size_t* l0_count);
+  /// max_immutable_memtables; optionally reports the sealed count.
+  bool SealGateExceeded(size_t* imm_count);
   /// Write-stall backpressure: with background maintenance on, sheds
   /// (plain kResourceExhausted) when the memtable is full but sealing
-  /// would exceed max_immutable_memtables / l0_stall_tables. Runs
+  /// would exceed max_immutable_memtables. Runs
   /// before the WAL append so a shed write is never partially applied.
   Status CheckWriteStall();
   /// Rebuilds a fsync-gate-poisoned WAL before the next append: seal +

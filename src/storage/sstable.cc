@@ -115,19 +115,14 @@ Status SSTableBuilder::Finish(const std::string& path, size_t expected_keys) {
 }
 
 Result<std::shared_ptr<SSTableReader>> SSTableReader::Open(
-    const std::string& path) {
-  return Open(path, OpenOptions());
-}
-
-Result<std::shared_ptr<SSTableReader>> SSTableReader::Open(
-    const std::string& path, OpenOptions options) {
+    const std::string& path, ReadVerifyMode verify) {
   if (Faults().armed()) {
     SAGA_RETURN_IF_ERROR(Faults().InjectOp("sst.open"));
   }
   SAGA_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
   auto reader = std::shared_ptr<SSTableReader>(
       new SSTableReader(path, std::move(data), BloomFilter::FromBytes("")));
-  reader->options_ = options;
+  reader->verify_ = verify;
   SAGA_RETURN_IF_ERROR(reader->ParseFooterAndIndex());
   return reader;
 }
@@ -240,11 +235,9 @@ Status SSTableReader::VerifyBlock(size_t block) const {
 }
 
 Status SSTableReader::VerifyBlockContaining(uint64_t off) const {
-  if (options_.verify == ReadVerifyMode::kNone || block_starts_.empty()) {
-    return Status::OK();
-  }
+  if (block_starts_.empty()) return Status::OK();
   const size_t block = BlockIndexFor(off);
-  if (options_.verify == ReadVerifyMode::kFirstRead &&
+  if (verify_ == ReadVerifyMode::kFirstRead &&
       verified_[block].load(std::memory_order_relaxed) != 0) {
     return Status::OK();
   }

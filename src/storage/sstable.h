@@ -19,8 +19,6 @@ namespace saga::storage {
 /// defends against bit rot that appears *after* open (page cache / RAM
 /// / remapped sectors) and against long-lived readers.
 enum class ReadVerifyMode {
-  /// Trust the open-time whole-file check; no per-read verification.
-  kNone,
   /// Verify each block the first time a read touches it, then memoize
   /// (one relaxed atomic flag per block) — near-free steady state.
   kFirstRead,
@@ -86,13 +84,9 @@ class SSTableReader {
     bool is_tombstone = false;
   };
 
-  struct OpenOptions {
-    ReadVerifyMode verify = ReadVerifyMode::kFirstRead;
-  };
-
-  static Result<std::shared_ptr<SSTableReader>> Open(const std::string& path);
-  static Result<std::shared_ptr<SSTableReader>> Open(const std::string& path,
-                                                     OpenOptions options);
+  static Result<std::shared_ptr<SSTableReader>> Open(
+      const std::string& path,
+      ReadVerifyMode verify = ReadVerifyMode::kFirstRead);
 
   /// Point lookup: nullopt when the key is not in this table.
   /// Tombstones are returned (caller decides visibility). kDataLoss
@@ -138,14 +132,14 @@ class SSTableReader {
   /// Index of the block containing byte offset `off` in the entry area.
   size_t BlockIndexFor(uint64_t off) const;
   /// Verifies (per verify mode, with memoization) the block containing
-  /// `off`. OK in kNone mode; kDataLoss on CRC mismatch.
+  /// `off`. kDataLoss on CRC mismatch.
   Status VerifyBlockContaining(uint64_t off) const;
   Status VerifyBlock(size_t block) const;
 
   std::string path_;
   std::string data_;
   BloomFilter bloom_;
-  OpenOptions options_;
+  ReadVerifyMode verify_ = ReadVerifyMode::kFirstRead;
   std::vector<std::pair<std::string, uint64_t>> index_;
   /// Block i spans [block_starts_[i], block_starts_[i+1]) within the
   /// entry area (last block ends at entries_end_).

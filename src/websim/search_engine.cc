@@ -8,11 +8,17 @@
 
 namespace saga::websim {
 
-SearchEngine::SearchEngine(const WebCorpus* corpus)
-    : SearchEngine(corpus, Options()) {}
+namespace {
 
-SearchEngine::SearchEngine(const WebCorpus* corpus, Options options)
-    : corpus_(corpus), options_(options) {
+/// BM25 parameters.
+constexpr double kK1 = 1.2;
+constexpr double kB = 0.75;
+/// Title tokens are indexed with this weight multiplier.
+constexpr double kTitleBoost = 2.0;
+
+}  // namespace
+
+SearchEngine::SearchEngine(const WebCorpus* corpus) : corpus_(corpus) {
   BuildAll();
 }
 
@@ -21,8 +27,8 @@ void SearchEngine::IndexDoc(DocId id) {
   std::unordered_map<std::string, double> tf;
   double length = 0.0;
   for (const text::Token& t : text::Tokenize(doc.title)) {
-    tf[t.text] += options_.title_boost;
-    length += options_.title_boost;
+    tf[t.text] += kTitleBoost;
+    length += kTitleBoost;
   }
   for (const text::Token& t : text::Tokenize(doc.body)) {
     tf[t.text] += 1.0;
@@ -72,10 +78,8 @@ std::vector<SearchEngine::Hit> SearchEngine::Search(std::string_view query,
         1.0 + (static_cast<double>(n) - df + 0.5) / (df + 0.5));
     for (const auto& [doc, tf] : it->second) {
       const double denom =
-          tf + options_.k1 * (1.0 - options_.b +
-                              options_.b * doc_lengths_[doc] /
-                                  avg_doc_length_);
-      scores[doc] += idf * tf * (options_.k1 + 1.0) / denom;
+          tf + kK1 * (1.0 - kB + kB * doc_lengths_[doc] / avg_doc_length_);
+      scores[doc] += idf * tf * (kK1 + 1.0) / denom;
     }
   }
   std::vector<Hit> hits;

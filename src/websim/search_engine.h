@@ -21,15 +21,7 @@ class SearchEngine {
     double score = 0.0;
   };
 
-  struct Options {
-    double k1 = 1.2;
-    double b = 0.75;
-    /// Title tokens are indexed with this weight multiplier.
-    double title_boost = 2.0;
-  };
-
   explicit SearchEngine(const WebCorpus* corpus);
-  SearchEngine(const WebCorpus* corpus, Options options);
 
   /// Top-k BM25 hits for a free-text query.
   std::vector<Hit> Search(std::string_view query, size_t k) const;
@@ -44,7 +36,6 @@ class SearchEngine {
   void BuildAll();
 
   const WebCorpus* corpus_;
-  Options options_;
   /// term -> (doc, weighted term frequency) postings.
   std::unordered_map<std::string, std::vector<std::pair<DocId, double>>>
       postings_;

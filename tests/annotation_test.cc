@@ -535,8 +535,7 @@ struct AnnotationQuality {
   double recall = 0.0;
 };
 
-AnnotationQuality Evaluate(const kg::GeneratedKg& gen,
-                           const websim::WebCorpus& corpus,
+AnnotationQuality Evaluate(const websim::WebCorpus& corpus,
                            const Annotator& annotator, size_t max_docs) {
   size_t tp = 0;
   size_t fp = 0;
@@ -573,7 +572,7 @@ TEST(AnnotatorTest, AccuratePresetHasHighQuality) {
   cc.num_noise_pages = 20;
   websim::WebCorpus corpus = websim::GenerateCorpus(gen, cc);
   Annotator annotator(&gen.kg, nullptr);
-  const AnnotationQuality q = Evaluate(gen, corpus, annotator, 120);
+  const AnnotationQuality q = Evaluate(corpus, annotator, 120);
   EXPECT_GT(q.precision, 0.85);
   EXPECT_GT(q.recall, 0.75);
 }

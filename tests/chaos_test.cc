@@ -348,8 +348,7 @@ TEST_F(ChaosTest, CorruptionRoundsNeverServeGarbage) {
       ASSERT_TRUE(wal.ok());
       EXPECT_FALSE(wal->clean) << "flipped WAL bit went unnoticed";
     } else {
-      auto r = SSTableReader::Open(
-          victim, SSTableReader::OpenOptions{ReadVerifyMode::kAlways});
+      auto r = SSTableReader::Open(victim, ReadVerifyMode::kAlways);
       ASSERT_FALSE(r.ok()) << "flipped SSTable bit went unnoticed";
       EXPECT_TRUE(r.status().IsCorruption() || r.status().IsDataLoss())
           << r.status();

@@ -173,24 +173,6 @@ TEST(EmbeddingTableTest, NormalizeRowCapsNorm) {
   EXPECT_NEAR(row[0], 0.1f, 1e-6);
 }
 
-TEST(EmbeddingTableTest, SaveLoadRoundTrip) {
-  auto dir = MakeTempDir("saga_emb_table");
-  ASSERT_TRUE(dir.ok());
-  EmbeddingTable table(5, 8);
-  Rng rng(2);
-  table.RandomInit(&rng, 0.3);
-  const std::string path = JoinPath(*dir, "table.bin");
-  ASSERT_TRUE(table.Save(path).ok());
-  auto loaded = EmbeddingTable::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rows(), 5u);
-  EXPECT_EQ(loaded->dim(), 8);
-  for (size_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(loaded->RowVec(r), table.RowVec(r));
-  }
-  (void)RemoveDirRecursively(*dir);
-}
-
 TEST(EmbeddingTableTest, PartitionRowsRoundTripIncludesOptimizerState) {
   auto dir = MakeTempDir("saga_emb_rows");
   ASSERT_TRUE(dir.ok());
@@ -200,16 +182,17 @@ TEST(EmbeddingTableTest, PartitionRowsRoundTripIncludesOptimizerState) {
   const std::vector<float> grad = {1.0f, 1.0f, 1.0f, 1.0f};
   table.ApplyGradient(2, grad.data(), 0.1);
   const std::string path = JoinPath(*dir, "rows.bin");
-  ASSERT_TRUE(table.SaveRows(path, 0, 10).ok());
+  ASSERT_TRUE(table.SaveRows(path).ok());
 
   EmbeddingTable restored(10, 4);
-  ASSERT_TRUE(restored.LoadRows(path, 0, 10).ok());
+  ASSERT_TRUE(restored.LoadRows(path).ok());
   EXPECT_EQ(restored.RowVec(2), table.RowVec(2));
   // Adagrad state restored: identical next-step behaviour.
   table.ApplyGradient(2, grad.data(), 0.1);
   restored.ApplyGradient(2, grad.data(), 0.1);
   EXPECT_EQ(restored.RowVec(2), table.RowVec(2));
-  EXPECT_TRUE(restored.LoadRows(path, 0, 11).IsInvalidArgument());
+  EmbeddingTable taller(11, 4);
+  EXPECT_TRUE(taller.LoadRows(path).IsCorruption());
   (void)RemoveDirRecursively(*dir);
 }
 

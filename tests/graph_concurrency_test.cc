@@ -57,9 +57,8 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
   const serving::EmbeddingService embeddings(
       embedding::EmbeddingStore::FromTrained(trained, view), &gen.kg);
   // IVF over the same rows, and its hedged, breaker-guarded twin. The
-  // hedge timer is short enough that exact backups fire, and the
-  // breaker reopens after 1 ms, so hedges, breaker fallbacks and
-  // half-open probes all happen: hedge workers, callers and the blend
+  // hedge timer is short enough that exact backups fire: hedge workers
+  // (which record the breaker's outcomes), callers and the blend
   // threads' exact scans then read the shared matrix at the same time.
   serving::EmbeddingService::Options ivf_opts;
   ivf_opts.index = serving::EmbeddingService::IndexKind::kIvf;

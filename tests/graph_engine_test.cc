@@ -568,7 +568,7 @@ OraclePpr HashMapPpr(const GraphView& view, uint32_t source,
   std::unordered_map<uint32_t, bool> queued;
   queued[source] = true;
   size_t pushes = 0;
-  while (!queue.empty() && pushes < o.max_pushes) {
+  while (!queue.empty() && pushes < PprEngine::kMaxPushes) {
     ++out.steps;
     const uint32_t u = queue.front();
     queue.pop_front();
@@ -582,8 +582,9 @@ OraclePpr HashMapPpr(const GraphView& view, uint32_t source,
     }
     if (ru / static_cast<double>(deg) < o.epsilon) continue;
     ++pushes;
-    p[u] += o.alpha * ru;
-    const double push = (1.0 - o.alpha) * ru / static_cast<double>(deg);
+    p[u] += PprEngine::kAlpha * ru;
+    const double push =
+        (1.0 - PprEngine::kAlpha) * ru / static_cast<double>(deg);
     r[u] = 0.0;
     for (uint32_t v : adj[u]) {
       r[v] += push;

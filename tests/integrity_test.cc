@@ -123,9 +123,7 @@ TEST_F(IntegrityTest, BlockCorruptionAfterOpenIsDataLossNotGarbage) {
     ASSERT_TRUE(b.Add(Key(i), "value" + std::to_string(i)).ok());
   }
   ASSERT_TRUE(b.Finish(path, 64).ok());
-  auto r = SSTableReader::Open(path,
-                               SSTableReader::OpenOptions{
-                                   ReadVerifyMode::kAlways});
+  auto r = SSTableReader::Open(path, ReadVerifyMode::kAlways);
   ASSERT_TRUE(r.ok());
   auto got = (*r)->GetChecked(Key(7));
   ASSERT_TRUE(got.ok());
@@ -155,9 +153,7 @@ TEST_F(IntegrityTest, FirstReadModeMemoizesVerification) {
     ASSERT_TRUE(b.Add(Key(i), "v" + std::to_string(i)).ok());
   }
   ASSERT_TRUE(b.Finish(path, 8).ok());
-  auto r = SSTableReader::Open(path,
-                               SSTableReader::OpenOptions{
-                                   ReadVerifyMode::kFirstRead});
+  auto r = SSTableReader::Open(path, ReadVerifyMode::kFirstRead);
   ASSERT_TRUE(r.ok());
   // First read verifies (and memoizes) the block.
   ASSERT_TRUE((*r)->GetChecked(Key(1)).ok());

@@ -17,7 +17,7 @@ DeviceDataset MakeData(uint64_t seed = 99) {
 }
 
 std::vector<uint32_t> RunToCompletion(const std::vector<SourceRecord>& records) {
-  IncrementalPipeline pipeline(&records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&records);
   while (!pipeline.done()) pipeline.RunSteps(1000);
   return pipeline.clusters();
 }
@@ -32,7 +32,7 @@ TEST(IncrementalPipelineTest, CompletesAndMatchesQuality) {
 
 TEST(IncrementalPipelineTest, StepBudgetIsRespected) {
   DeviceDataset data = MakeData();
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   const size_t ran = pipeline.RunSteps(5);
   EXPECT_EQ(ran, 5u);
   EXPECT_FALSE(pipeline.done());
@@ -41,7 +41,7 @@ TEST(IncrementalPipelineTest, StepBudgetIsRespected) {
 
 TEST(IncrementalPipelineTest, ProgressesThroughStages) {
   DeviceDataset data = MakeData();
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   EXPECT_EQ(pipeline.stage(), IncrementalPipeline::Stage::kIngest);
   pipeline.RunSteps(data.records.size());
   EXPECT_EQ(pipeline.stage(), IncrementalPipeline::Stage::kBlock);
@@ -58,7 +58,7 @@ TEST_P(PauseResumeTest, ChoppyExecutionMatchesStraightRun) {
   DeviceDataset data = MakeData();
   const auto reference = RunToCompletion(data.records);
 
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   while (!pipeline.done()) {
     pipeline.RunSteps(GetParam());
   }
@@ -72,12 +72,11 @@ TEST(CheckpointTest, RestoreMidIngestProducesIdenticalResult) {
   DeviceDataset data = MakeData();
   const auto reference = RunToCompletion(data.records);
 
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   pipeline.RunSteps(data.records.size() / 2);  // mid-ingest
   const std::string checkpoint = pipeline.Checkpoint();
 
-  auto restored = IncrementalPipeline::Restore(
-      &data.records, IncrementalPipeline::Options(), checkpoint);
+  auto restored = IncrementalPipeline::Restore(&data.records, checkpoint);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->stage(), pipeline.stage());
   EXPECT_EQ(restored->steps_executed(), pipeline.steps_executed());
@@ -89,7 +88,7 @@ TEST(CheckpointTest, RestoreAtEveryStageBoundary) {
   DeviceDataset data = MakeData();
   const auto reference = RunToCompletion(data.records);
 
-  IncrementalPipeline probe(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline probe(&data.records);
   std::vector<std::string> checkpoints;
   IncrementalPipeline::Stage last_stage = probe.stage();
   checkpoints.push_back(probe.Checkpoint());
@@ -102,8 +101,7 @@ TEST(CheckpointTest, RestoreAtEveryStageBoundary) {
   }
   EXPECT_GE(checkpoints.size(), 4u);  // ingest, block, match, fuse/done
   for (const std::string& cp : checkpoints) {
-    auto restored = IncrementalPipeline::Restore(
-        &data.records, IncrementalPipeline::Options(), cp);
+    auto restored = IncrementalPipeline::Restore(&data.records, cp);
     ASSERT_TRUE(restored.ok());
     while (!restored->done()) restored->RunSteps(512);
     EXPECT_EQ(restored->clusters(), reference);
@@ -114,7 +112,7 @@ TEST(CheckpointTest, CheckpointSurvivesKvStore) {
   DeviceDataset data = MakeData();
   auto dir = MakeTempDir("saga_ckpt_kv");
   ASSERT_TRUE(dir.ok());
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   pipeline.RunSteps(100);
   {
     auto kv = storage::KvStore::Open(*dir);
@@ -128,8 +126,7 @@ TEST(CheckpointTest, CheckpointSurvivesKvStore) {
   ASSERT_TRUE(kv.ok());
   auto blob = (*kv)->Get("construction_checkpoint");
   ASSERT_TRUE(blob.ok());
-  auto restored = IncrementalPipeline::Restore(
-      &data.records, IncrementalPipeline::Options(), *blob);
+  auto restored = IncrementalPipeline::Restore(&data.records, *blob);
   ASSERT_TRUE(restored.ok());
   while (!restored->done()) restored->RunSteps(1000);
   EXPECT_EQ(restored->clusters(), RunToCompletion(data.records));
@@ -138,15 +135,12 @@ TEST(CheckpointTest, CheckpointSurvivesKvStore) {
 
 TEST(CheckpointTest, GarbageCheckpointRejected) {
   DeviceDataset data = MakeData();
-  EXPECT_FALSE(IncrementalPipeline::Restore(&data.records,
-                                            IncrementalPipeline::Options(),
-                                            "garbage")
-                   .ok());
+  EXPECT_FALSE(IncrementalPipeline::Restore(&data.records, "garbage").ok());
 }
 
 TEST(IncrementalPipelineTest, StateMemoryIsTrackedAndBounded) {
   DeviceDataset data = MakeData();
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   while (!pipeline.done()) pipeline.RunSteps(100);
   EXPECT_GT(pipeline.peak_state_bytes(), 0u);
   // Intermediate state should be far below the quadratic worst case of
@@ -157,7 +151,7 @@ TEST(IncrementalPipelineTest, StateMemoryIsTrackedAndBounded) {
 
 TEST(IncrementalPipelineTest, EmptyInputIsImmediatelyDone) {
   std::vector<SourceRecord> empty;
-  IncrementalPipeline pipeline(&empty, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&empty);
   EXPECT_TRUE(pipeline.done());
   EXPECT_TRUE(pipeline.clusters().empty());
   EXPECT_TRUE(pipeline.FusedPersons().empty());
@@ -165,7 +159,7 @@ TEST(IncrementalPipelineTest, EmptyInputIsImmediatelyDone) {
 
 TEST(IncrementalPipelineTest, FusedPersonsMatchClusterCount) {
   DeviceDataset data = MakeData();
-  IncrementalPipeline pipeline(&data.records, IncrementalPipeline::Options());
+  IncrementalPipeline pipeline(&data.records);
   while (!pipeline.done()) pipeline.RunSteps(1000);
   const auto fused = pipeline.FusedPersons();
   std::set<uint32_t> distinct(pipeline.clusters().begin(),

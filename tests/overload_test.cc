@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -523,6 +524,146 @@ TEST_F(OverloadTest, HedgedReadMasksSlowPrimary) {
   ASSERT_TRUE(hedged.ok());
   EXPECT_FALSE(hedged->empty());
   EXPECT_LT(elapsed_ms, 150.0);
+}
+
+// Waits up to 10 s of wall time for `pred`: hedge workers record the
+// breaker outcome of a primary the caller stopped waiting for.
+template <typename Pred>
+bool EventuallyTrue(Pred pred) {
+  for (int i = 0; i < 10'000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+// Every search the breaker admits records one outcome, the accelerated
+// index's own. A fixed hedge timer below the primary's latency fires
+// every hedge, but a primary that then succeeds is a success: the
+// breaker stays closed and no search is sent to the fallback. A primary
+// slower than breaker_slow_call_ms is a failure even when it wins.
+TEST_F(OverloadTest, HedgedPrimaryRecordsItsOwnOutcome) {
+  Fixture f = Fixture::Make();
+  const kg::EntityId probe = f.view.global_entity(0);
+  const RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
+  obs::Counter& fired = SAGA_COUNTER("serving.hedge.fired");
+  obs::Counter& bypassed = SAGA_COUNTER("serving.breaker.fallbacks");
+  serving::EmbeddingService::Options opts;
+  opts.index = serving::EmbeddingService::IndexKind::kIvf;
+  opts.ivf_lists = 8;
+  opts.enable_breaker = true;
+  opts.hedge.enabled = true;
+  {
+    opts.hedge.fixed_hedge_ms = 2.0;
+    serving::EmbeddingService service(
+        embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
+        opts);
+    ASSERT_FALSE(service.degraded());
+    const CircuitBreaker& breaker = *service.ann_breaker();
+    Faults().InjectDelay("ann.search", 20.0);
+    const int64_t fired_before = fired.Value();
+    const int64_t bypassed_before = bypassed.Value();
+    constexpr uint64_t kSearches = 12;
+    for (uint64_t i = 1; i <= kSearches; ++i) {
+      ASSERT_TRUE(
+          service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
+      // One search at a time: its primary ends before the next starts.
+      ASSERT_TRUE(EventuallyTrue([&] {
+        const CircuitBreaker::Stats s = breaker.stats();
+        return s.successes + s.failures + s.rejected >= i;
+      }));
+    }
+    EXPECT_GT(fired.Value() - fired_before, 0);
+    EXPECT_EQ(bypassed.Value() - bypassed_before, 0);
+    EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+    Faults().DisarmAll();
+  }
+  {
+    // The hedge never fires; each primary wins after 10 ms.
+    opts.hedge.fixed_hedge_ms = 60'000.0;
+    opts.breaker_slow_call_ms = 2.0;
+    serving::EmbeddingService service(
+        embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
+        opts);
+    ASSERT_FALSE(service.degraded());
+    Faults().InjectDelay("ann.search", 10.0);
+    const int64_t bypassed_before = bypassed.Value();
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(
+          service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
+    }
+    Faults().DisarmAll();
+    // Five slow calls trip the default breaker; the sixth falls back.
+    EXPECT_EQ(service.ann_breaker()->state(), CircuitBreaker::State::kOpen);
+    EXPECT_EQ(bypassed.Value() - bypassed_before, 1);
+  }
+}
+
+// A half-open probe holds the breaker's one probe slot until its outcome
+// is recorded. A probe the full hedge pool sheds records a failure, so
+// the breaker re-opens instead of rejecting every later search; once
+// the pool drains and the primary heals, the next probe closes it.
+TEST_F(OverloadTest, ShedHalfOpenProbeDoesNotWedgeTheBreaker) {
+  Fixture f = Fixture::Make();
+  FakeClock clock;
+  serving::EmbeddingService::Options opts;
+  opts.index = serving::EmbeddingService::IndexKind::kIvf;
+  opts.ivf_lists = 8;
+  opts.enable_breaker = true;
+  opts.breaker.open_ms = 100.0;
+  opts.breaker.now_ns = clock.Fn();
+  opts.hedge.enabled = true;
+  opts.hedge.fixed_hedge_ms = 2.0;
+  opts.hedge.threads = 1;
+  serving::EmbeddingService service(
+      embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
+      opts);
+  ASSERT_FALSE(service.degraded());
+  const CircuitBreaker& breaker = *service.ann_breaker();
+  const kg::EntityId probe = f.view.global_entity(0);
+  const RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
+  auto search = [&] {
+    ASSERT_TRUE(
+        service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
+  };
+
+  // One primary stalls the only worker; the next ones fill the queue,
+  // and sheds then open the breaker.
+  Faults().InjectDelay("ann.search", 1000.0);
+  for (int i = 0; i < 20 && breaker.state() != CircuitBreaker::State::kOpen;
+       ++i) {
+    search();
+  }
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+  ASSERT_EQ(service.HedgeQueueDepth(),
+            serving::EmbeddingService::kHedgeQueuePerThread);
+
+  // Cool-down over: the half-open probe finds the queue still full.
+  const int64_t shed_before = SAGA_COUNTER("serving.hedge.shed").Value();
+  clock.AdvanceMillis(150.0);
+  search();
+  EXPECT_EQ(SAGA_COUNTER("serving.hedge.shed").Value() - shed_before, 1);
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+
+  // The pool drains and the primary heals; then a probe closes the
+  // breaker. The drained primaries record outcomes late, and a probe
+  // whose worker wakes after its backup answered is skipped (a
+  // failure), so probe until the breaker closes, each probe waiting
+  // for an outcome.
+  ASSERT_TRUE(EventuallyTrue([&] { return service.HedgeQueueDepth() == 0; }));
+  Faults().DisarmAll();
+  auto outcomes = [&] {
+    const CircuitBreaker::Stats s = breaker.stats();
+    return s.successes + s.failures + s.rejected;
+  };
+  for (int i = 0;
+       i < 50 && breaker.state() != CircuitBreaker::State::kClosed; ++i) {
+    const uint64_t seen = outcomes();
+    clock.AdvanceMillis(150.0);
+    search();
+    ASSERT_TRUE(EventuallyTrue([&] { return outcomes() > seen; }));
+  }
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 }
 
 // A slow primary holds its hedge worker, so under load the queued

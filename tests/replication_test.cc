@@ -310,7 +310,7 @@ TEST_F(ReplicationTest, LogCompactionResetsWalWithoutRegressingReads) {
     ReplicatedLog log(path);
     ASSERT_TRUE(log.Open().ok());
     for (uint64_t s = 1; s <= 10; ++s) {
-      ASSERT_TRUE(log.Append({s, 1, "r" + std::to_string(s)}, true).ok());
+      ASSERT_TRUE(log.Append({s, 1, "r" + std::to_string(s)}).ok());
     }
     const uint64_t bytes_full = log.wal_bytes_written();
     ASSERT_GT(bytes_full, 0u);
