@@ -1,5 +1,6 @@
 // M3: Graph Query Engine microbenchmarks — view materialization +
-// incremental maintenance, triple-pattern matching, traversal, PPR.
+// incremental maintenance, triple-pattern matching, path following,
+// traversal, PPR.
 
 #include <benchmark/benchmark.h>
 
@@ -61,6 +62,20 @@ void BM_PatternMatchPredicateScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PatternMatchPredicateScan);
+
+// Multi-hop path composition (§2): a random entity's team's city.
+void BM_FollowPath(benchmark::State& state) {
+  const auto& gen = SharedKg();
+  Rng rng(7);
+  const std::vector<kg::PredicateId> path = {gen.schema.plays_for,
+                                             gen.schema.team_city};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FollowPath(
+        gen.kg, kg::EntityId(rng.Uniform(gen.kg.num_entities())), path));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FollowPath);
 
 void BM_KHopNeighbors(benchmark::State& state) {
   const auto& gen = SharedKg();

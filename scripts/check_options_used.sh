@@ -3,13 +3,15 @@
 # ("Options"): an option exists only while a caller sets it. Every
 # non-string field of a `struct ...Options` under src/ must be assigned
 # somewhere in src/, tools/, bench/, tests/, examples/ or servebench/,
-# as `.field = x`, `.field op= x` or a designated initializer
-# (`{.field = x}`). A field nothing assigns is a constant: make it a
+# as `.field = x`, `.field op= x`, a designated initializer
+# (`{.field = x}`), or, for a field holding another Options struct,
+# `.field.sub = x`. A field nothing assigns is a constant: make it a
 # named constexpr next to its reader instead. String fields (names and
-# paths) are deployment settings and are not checked; a field holding
-# another Options struct is checked through that struct's own fields.
-# Fields are matched by name, so an assignment to a same-named field of
-# another type also counts.
+# paths) are deployment settings and are not checked. A write through
+# a data member (`options_.field = x`, any object whose name ends in
+# `_`) is a component changing its own copy, not a caller setting the
+# option, and does not count. Fields are matched by name, so an
+# assignment to a same-named field of another type also counts.
 #
 # Usage: scripts/check_options_used.sh [repo-root]
 set -u
@@ -35,8 +37,7 @@ fields() {
         if (depth == 1 &&
             line ~ /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>, *&]*[A-Za-z0-9_>*&][[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*(=.*|\{.*\})?;[[:space:]]*$/ &&
             line !~ /^[[:space:]]*(static|using|typedef|return|friend)[[:space:]]/ &&
-            line !~ /std::string[[:space:]]/ &&
-            line !~ /Options[[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*(=.*|\{.*\})?;/) {
+            line !~ /std::string[[:space:]]/) {
           decl = line
           sub(/[[:space:]]*(=.*|\{.*\})?;[[:space:]]*$/, "", decl)
           n = split(decl, parts, /[[:space:]*&]+/)
@@ -60,8 +61,10 @@ while IFS= read -r hit; do
   count=$((count + 1))
   name="${hit##*:}"
   loc="${hit%:*}"
-  if ! grep -rqE "(\.|->)${name}[[:space:]]*([-+*/%|&^]|<<|>>)?=([^=]|$)" \
-      --include='*.cc' --include='*.cpp' --include='*.h' "${dirs[@]}"; then
+  if ! grep -rhoE \
+      "[A-Za-z0-9_]*(\.|->)${name}(\.[a-z_][a-z0-9_]*)*[[:space:]]*([-+*/%|&^]|<<|>>)?=([^=]|$)" \
+      --include='*.cc' --include='*.cpp' --include='*.h' "${dirs[@]}" |
+      grep -vqE '^[A-Za-z0-9_]*_(\.|->)'; then
     echo "UNUSED OPTION  ${loc}: ${name} — nothing assigns it; make it a constant"
     status=1
   fi

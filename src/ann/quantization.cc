@@ -19,14 +19,6 @@ QuantizedVector QuantizeInt8(const std::vector<float>& x) {
   return out;
 }
 
-std::vector<float> DequantizeInt8(const QuantizedVector& v) {
-  std::vector<float> out(v.q.size());
-  for (size_t i = 0; i < v.q.size(); ++i) {
-    out[i] = static_cast<float>(v.q[i]) * v.scale;
-  }
-  return out;
-}
-
 double DotQuantized(const std::vector<float>& query,
                     const QuantizedVector& v) {
   double s = 0.0;

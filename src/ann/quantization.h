@@ -17,7 +17,6 @@ struct QuantizedVector {
 };
 
 QuantizedVector QuantizeInt8(const std::vector<float>& x);
-std::vector<float> DequantizeInt8(const QuantizedVector& v);
 
 /// Approximate dot product between a float query and a quantized vector
 /// without dequantizing to a temporary.

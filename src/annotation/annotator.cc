@@ -11,18 +11,6 @@ constexpr double kMinPrior = 0.15;
 
 }  // namespace
 
-std::string_view DeploymentPresetName(DeploymentPreset preset) {
-  switch (preset) {
-    case DeploymentPreset::kFast:
-      return "fast";
-    case DeploymentPreset::kBalanced:
-      return "balanced";
-    case DeploymentPreset::kAccurate:
-      return "accurate";
-  }
-  return "?";
-}
-
 Annotator::Annotator(const kg::KnowledgeGraph* kg,
                      serving::EmbeddingKvCache* cache)
     : Annotator(kg, cache, Options()) {}
@@ -41,10 +29,6 @@ Annotator::Annotator(const kg::KnowledgeGraph* kg,
         cheap.context_window = 60;
         return cheap;
       }()) {}
-
-void Annotator::RefreshGazetteer() {
-  detector_ = MentionDetector(&kg_->catalog());
-}
 
 kg::TypeId Annotator::MostSpecificType(kg::EntityId id) const {
   // Most specific = the type with no subtype also present.

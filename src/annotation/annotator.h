@@ -29,8 +29,6 @@ enum class DeploymentPreset {
   kAccurate,
 };
 
-std::string_view DeploymentPresetName(DeploymentPreset preset);
-
 /// End-to-end semantic annotator: detect -> candidates -> (rerank) ->
 /// threshold.
 class Annotator {
@@ -50,13 +48,6 @@ class Annotator {
 
   /// Annotates free text.
   std::vector<Annotation> Annotate(std::string_view text) const;
-
-  /// Rebuilds the mention gazetteer from the current catalog so newly
-  /// added entities and aliases become detectable (§3.2: annotations
-  /// are "dynamic, i.e. able to surface new and updated entities from
-  /// the KG"). Candidate generation and reranking always read the live
-  /// catalog; only the compiled automaton needs refreshing.
-  void RefreshGazetteer();
 
   const Options& options() const { return options_; }
   const ContextReranker& reranker() const { return reranker_; }

@@ -8,57 +8,20 @@
 
 namespace saga::annotation {
 
-namespace {
-
-/// Each entity `doc` mentions, once.
-std::vector<kg::EntityId> DistinctEntities(const AnnotatedDocument& doc) {
-  std::vector<kg::EntityId> out;
-  out.reserve(doc.annotations.size());
-  for (const Annotation& a : doc.annotations) out.push_back(a.entity);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-}  // namespace
-
-void AnnotationIndex::UnlinkEntities(const AnnotatedDocument& doc) {
-  for (kg::EntityId e : DistinctEntities(doc)) {
-    auto it = by_entity_.find(e);
-    if (it == by_entity_.end()) continue;
-    std::vector<websim::DocId>& docs = it->second;
-    auto pos = std::lower_bound(docs.begin(), docs.end(), doc.doc);
-    if (pos != docs.end() && *pos == doc.doc) docs.erase(pos);
-    if (docs.empty()) by_entity_.erase(it);
-  }
-}
-
 void AnnotationIndex::Set(const AnnotatedDocument& doc) {
   auto it = by_doc_.find(doc.doc);
   if (it != by_doc_.end()) {
     num_edges_ -= it->second.annotations.size();
-    UnlinkEntities(it->second);
   }
   num_edges_ += doc.annotations.size();
   by_doc_[doc.doc] = doc;
-  for (kg::EntityId e : DistinctEntities(doc)) {
-    std::vector<websim::DocId>& docs = by_entity_[e];
-    docs.insert(std::lower_bound(docs.begin(), docs.end(), doc.doc), doc.doc);
-  }
 }
 
 void AnnotationIndex::Remove(websim::DocId doc) {
   auto it = by_doc_.find(doc);
   if (it == by_doc_.end()) return;
   num_edges_ -= it->second.annotations.size();
-  UnlinkEntities(it->second);
   by_doc_.erase(it);
-}
-
-const std::vector<websim::DocId>& AnnotationIndex::DocsMentioning(
-    kg::EntityId e) const {
-  auto it = by_entity_.find(e);
-  return it == by_entity_.end() ? empty_ : it->second;
 }
 
 const AnnotatedDocument* AnnotationIndex::ForDoc(websim::DocId doc) const {

@@ -15,27 +15,20 @@ namespace saga::annotation {
 
 /// The entity->document edge set produced by "linking the Web" (§3.1):
 /// every annotation becomes an edge from a KG entity to a Web document.
-/// Set/Remove maintain both directions, so the const readers never
-/// write and may run on many threads between updates.
+/// The const readers never write and may run on many threads between
+/// updates.
 class AnnotationIndex {
  public:
   void Set(const AnnotatedDocument& doc);
   void Remove(websim::DocId doc);
 
-  /// Documents annotated with `e`, ascending by DocId.
-  const std::vector<websim::DocId>& DocsMentioning(kg::EntityId e) const;
   const AnnotatedDocument* ForDoc(websim::DocId doc) const;
   size_t num_annotated_docs() const { return by_doc_.size(); }
   size_t num_entity_doc_edges() const { return num_edges_; }
 
  private:
-  /// Removes `doc`'s entity->doc edges from by_entity_.
-  void UnlinkEntities(const AnnotatedDocument& doc);
-
   std::unordered_map<websim::DocId, AnnotatedDocument> by_doc_;
-  std::unordered_map<kg::EntityId, std::vector<websim::DocId>> by_entity_;
   size_t num_edges_ = 0;
-  std::vector<websim::DocId> empty_;
 };
 
 /// Incremental web-scale annotation driver (§3.1 "rate of change"): the

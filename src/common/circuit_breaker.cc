@@ -128,6 +128,13 @@ void CircuitBreaker::RecordFailure() {
   }
 }
 
+void CircuitBreaker::RecordNoOutcome() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (state_ == State::kHalfOpen) {
+    half_open_in_flight_ = std::max(0, half_open_in_flight_ - 1);
+  }
+}
+
 Status CircuitBreaker::Run(const std::function<Status()>& op) {
   SAGA_RETURN_IF_ERROR(Allow());
   const Status s = op();

@@ -73,6 +73,10 @@ class CircuitBreaker {
   /// Report the outcome of a call that Allow() admitted.
   void RecordSuccess();
   void RecordFailure();
+  /// An admitted call that never reached the dependency has no
+  /// outcome: neither counter moves, but a half-open probe slot it held
+  /// is freed for the next caller.
+  void RecordNoOutcome();
 
   /// Convenience: Allow + op + Record{Success,Failure} with the
   /// configured failure predicate. Returns the op's status, or

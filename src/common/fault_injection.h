@@ -147,8 +147,9 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Reseeds the eligibility Rng (probability draws and torn/bit-flip
-  /// positions), making randomized chaos runs reproducible.
+  /// Harness control: reseeds the eligibility Rng (probability draws
+  /// and torn/bit-flip positions), making randomized chaos runs
+  /// reproducible.
   void Seed(uint64_t seed);
 
   void Arm(const std::string& point, FaultSpec spec);

@@ -138,14 +138,6 @@ Status SyncDir(const std::string& path) {
   return FsyncPath(path, O_RDONLY | O_DIRECTORY);
 }
 
-Status AppendToFile(const std::string& path, std::string_view data) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) return Status::IOError("cannot open for append: " + path);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out) return Status::IOError("short append: " + path);
-  return Status::OK();
-}
-
 bool FileExists(const std::string& path) {
   std::error_code ec;
   return fs::exists(path, ec);

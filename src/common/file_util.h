@@ -28,9 +28,6 @@ Status SyncFile(const std::string& path);
 /// fsync(2) on a directory, making completed renames/creates durable.
 Status SyncDir(const std::string& path);
 
-/// Appends to an existing (or new) file without atomicity guarantees.
-Status AppendToFile(const std::string& path, std::string_view data);
-
 bool FileExists(const std::string& path);
 
 Result<uint64_t> FileSize(const std::string& path);

@@ -67,11 +67,6 @@ Snapshot History::At(size_t i) const {
   return i < ring_.size() ? ring_[i] : Snapshot{};
 }
 
-Snapshot History::Latest() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.empty() ? Snapshot{} : ring_.back();
-}
-
 int64_t History::DeltaOver(const std::string& counter, size_t window) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.size() < 2 || window == 0) return 0;
@@ -132,13 +127,6 @@ uint64_t History::CountOverWindow(const std::string& latency,
                                   size_t window) const {
   std::lock_guard<std::mutex> lock(mu_);
   return WindowDistLocked(latency, window).count();
-}
-
-double History::LatestGauge(const std::string& gauge) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return 0.0;
-  auto it = ring_.back().gauges.find(gauge);
-  return it == ring_.back().gauges.end() ? 0.0 : it->second;
 }
 
 std::string History::Report(size_t window) const {

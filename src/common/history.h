@@ -44,7 +44,6 @@ class History {
   size_t capacity() const { return capacity_; }
   /// i = 0 is the oldest retained snapshot. Copies (the ring mutates).
   Snapshot At(size_t i) const;
-  Snapshot Latest() const;
 
   /// Counter increase over the last `window` intervals (clamped to
   /// what the ring holds), reset-tolerant per interval.
@@ -58,9 +57,6 @@ class History {
                                 size_t window) const;
   /// Sample count behind PercentileOverWindowNs for the same window.
   uint64_t CountOverWindow(const std::string& latency, size_t window) const;
-  /// Latest gauge value (0 when absent).
-  double LatestGauge(const std::string& gauge) const;
-
   /// Human-readable series over the last `window` intervals: per-metric
   /// rate / percentile columns, one row per captured snapshot.
   std::string Report(size_t window = 12) const;

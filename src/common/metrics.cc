@@ -99,11 +99,6 @@ uint64_t LatencyHistogram::SumNs() const {
   return sum_ns_.load(std::memory_order_relaxed);
 }
 
-double LatencyHistogram::MeanNs() const {
-  const uint64_t n = Count();
-  return n == 0 ? 0.0 : static_cast<double>(SumNs()) / static_cast<double>(n);
-}
-
 std::array<uint64_t, LatencyHistogram::kNumBuckets>
 LatencyHistogram::SnapshotBuckets() const {
   std::array<uint64_t, kNumBuckets> out;
@@ -171,22 +166,6 @@ LatencyDist LatencyDist::DeltaSince(const LatencyDist& older) const {
   }
   out.sum_ns = sum_ns >= older.sum_ns ? sum_ns - older.sum_ns : sum_ns;
   return out;
-}
-
-namespace {
-std::string FormatNs(double ns) {
-  if (ns >= 1e9) return FormatDouble(ns / 1e9, 2) + "s";
-  if (ns >= 1e6) return FormatDouble(ns / 1e6, 2) + "ms";
-  if (ns >= 1e3) return FormatDouble(ns / 1e3, 2) + "us";
-  return FormatDouble(ns, 0) + "ns";
-}
-}  // namespace
-
-std::string LatencyHistogram::Summary() const {
-  return "n=" + std::to_string(Count()) + " mean=" + FormatNs(MeanNs()) +
-         " p50=" + FormatNs(PercentileNs(50)) +
-         " p95=" + FormatNs(PercentileNs(95)) +
-         " p99=" + FormatNs(PercentileNs(99));
 }
 
 void LatencyHistogram::Reset() {

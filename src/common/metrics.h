@@ -166,7 +166,6 @@ class LatencyHistogram {
 
   uint64_t Count() const;
   uint64_t SumNs() const;
-  double MeanNs() const;
   /// p in [0, 100]; bucket-midpoint estimate. 0 when empty.
   double PercentileNs(double p) const;
 
@@ -185,8 +184,6 @@ class LatencyHistogram {
   static double PercentileFromBuckets(
       const std::array<uint64_t, kNumBuckets>& buckets, double p);
 
-  /// e.g. "n=100 mean=1.2us p50=1.1us p99=3.0us".
-  std::string Summary() const;
   void Reset();
 
   static int BucketFor(uint64_t ns) {

@@ -120,6 +120,4 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   return out;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64() ^ 0xA5A5A5A5DEADBEEFULL); }
-
 }  // namespace saga

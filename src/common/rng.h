@@ -61,10 +61,6 @@ class Rng {
   /// Samples k distinct indices from [0, n) (k <= n), in random order.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  /// Derives an independent child generator; useful for giving each
-  /// parallel worker its own stream.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool has_gaussian_ = false;

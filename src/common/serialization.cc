@@ -50,11 +50,6 @@ void BinaryWriter::PutString(std::string_view s) {
   out_->append(s.data(), s.size());
 }
 
-void BinaryWriter::PutFloatVector(const std::vector<float>& v) {
-  PutVarint64(v.size());
-  for (float f : v) PutFloat(f);
-}
-
 Status BinaryReader::Need(size_t n) {
   if (n > data_.size() - pos_) {
     return Status::Corruption("truncated input: need " + std::to_string(n) +
@@ -143,19 +138,6 @@ Status BinaryReader::GetBool(bool* v) {
   uint8_t b = 0;
   SAGA_RETURN_IF_ERROR(GetU8(&b));
   *v = (b != 0);
-  return Status::OK();
-}
-
-Status BinaryReader::GetFloatVector(std::vector<float>* v) {
-  uint64_t n = 0;
-  SAGA_RETURN_IF_ERROR(GetVarint64(&n));
-  if (n > remaining() / sizeof(float)) {
-    return Status::Corruption("float vector overruns the input");
-  }
-  v->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    SAGA_RETURN_IF_ERROR(GetFloat(&(*v)[i]));
-  }
   return Status::OK();
 }
 

@@ -32,7 +32,6 @@ class BinaryWriter {
   /// Varint length prefix followed by raw bytes.
   void PutString(std::string_view s);
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
-  void PutFloatVector(const std::vector<float>& v);
 
  private:
   std::string* out_;
@@ -56,7 +55,6 @@ class BinaryReader {
   Status GetDouble(double* v);
   Status GetString(std::string* s);
   Status GetBool(bool* v);
-  Status GetFloatVector(std::vector<float>* v);
 
   /// Advances past n bytes without decoding them.
   Status Skip(size_t n);

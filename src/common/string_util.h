@@ -1,27 +1,13 @@
 #ifndef SAGA_COMMON_STRING_UTIL_H_
 #define SAGA_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace saga {
 
-/// Splits on a single character, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
-/// Splits on any whitespace, dropping empty fields.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep);
-
 std::string ToLower(std::string_view s);
-
-std::string_view Trim(std::string_view s);
-
-/// ASCII-only case-insensitive equality.
-bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// Formats a double with the given number of decimals (locale-free).
 std::string FormatDouble(double v, int decimals);

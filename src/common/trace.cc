@@ -248,11 +248,8 @@ void AppendChromeEvents(const SpanNode& root, bool* first, std::string* out) {
 
 std::vector<SpanStats> AggregateSpans() {
   std::map<std::string, SpanStats> by_name;
-  {
-    TraceStore& store = Store();
-    std::lock_guard<std::mutex> lock(store.mu);
-    for (const auto& root : store.roots) Accumulate(*root, by_name);
-  }
+  VisitCollectedTraces(
+      [&by_name](const SpanNode& root) { Accumulate(root, by_name); });
   std::vector<SpanStats> out;
   out.reserve(by_name.size());
   for (auto& [name, stats] : by_name) out.push_back(std::move(stats));
@@ -290,20 +287,6 @@ std::string SpanReport() {
   return out;
 }
 
-std::string ChromeTraceJson() {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  {
-    TraceStore& store = Store();
-    std::lock_guard<std::mutex> lock(store.mu);
-    for (const auto& root : store.roots) {
-      EmitChromeEvents(*root, &first, &out);
-    }
-  }
-  out += "]}";
-  return out;
-}
-
 void VisitCollectedTraces(const std::function<void(const SpanNode&)>& fn) {
   TraceStore& store = Store();
   std::lock_guard<std::mutex> lock(store.mu);
@@ -314,12 +297,6 @@ void ClearTraces() {
   TraceStore& store = Store();
   std::lock_guard<std::mutex> lock(store.mu);
   store.roots.clear();
-}
-
-size_t NumCollectedTraces() {
-  TraceStore& store = Store();
-  std::lock_guard<std::mutex> lock(store.mu);
-  return store.roots.size();
 }
 
 }  // namespace saga::obs

@@ -158,19 +158,12 @@ std::vector<SpanStats> AggregateSpans();
 /// Fixed-width inclusive/exclusive-time table of AggregateSpans().
 std::string SpanReport();
 
-/// Chrome trace_event JSON ("X" complete events, ts/dur in us, trace
-/// linkage in args). Load in chrome://tracing or Perfetto.
-std::string ChromeTraceJson();
-
 /// Visits every collected fragment root under the store lock (tests /
 /// export tooling; do not re-enter the trace API from `fn`).
 void VisitCollectedTraces(const std::function<void(const SpanNode&)>& fn);
 
 /// Drops all collected span trees (not in-flight spans).
 void ClearTraces();
-
-/// Number of completed fragment roots currently collected.
-size_t NumCollectedTraces();
 
 namespace internal {
 /// Hook for the tail sampler: when set, completed fragments are routed

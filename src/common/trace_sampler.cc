@@ -32,13 +32,6 @@ bool AnyRetainedError(const SpanNode& node) {
 
 }  // namespace
 
-std::string RetainedTrace::TraceIdHex() const {
-  TraceContext ctx;
-  ctx.trace_id_hi = trace_id_hi;
-  ctx.trace_id_lo = trace_id_lo;
-  return ctx.TraceIdHex();
-}
-
 TraceSampler::TraceSampler(Options options) : options_(options) {}
 
 bool TraceSampler::IsRetainedError(uint32_t code) {
@@ -173,14 +166,11 @@ void TraceSampler::VisitRetained(
 std::string TraceSampler::DumpChromeTraceJson() const {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const RetainedTrace& trace : retained_) {
-      for (const auto& frag : trace.fragments) {
-        internal::AppendChromeEvents(*frag, &first, &out);
-      }
+  VisitRetained([&](const RetainedTrace& trace) {
+    for (const auto& frag : trace.fragments) {
+      internal::AppendChromeEvents(*frag, &first, &out);
     }
-  }
+  });
   out += "]}";
   return out;
 }

@@ -27,8 +27,6 @@ struct RetainedTrace {
   bool errored = false;  // a span carried a retained error code
   bool slow = false;     // root latency above the rolling percentile
   std::vector<std::unique_ptr<SpanNode>> fragments;
-
-  std::string TraceIdHex() const;
 };
 
 /// Tail-based trace sampler: buffers the fragments of in-flight traces

@@ -77,24 +77,6 @@ EmbeddingStore EmbeddingStore::FromTrained(
       Pack(static_cast<size_t>(trained.dim), std::move(rows)));
 }
 
-Result<EmbeddingStore> EmbeddingStore::FromRows(
-    const std::vector<std::pair<kg::EntityId, std::vector<float>>>& rows) {
-  const size_t dim = rows.empty() ? 0 : rows.front().second.size();
-  std::vector<RowRef> packed;
-  for (const auto& [id, vec] : rows) {
-    if (vec.empty() || vec.size() != dim) {
-      return Status::InvalidArgument("embedding rows empty or unequal");
-    }
-    packed.emplace_back(id.value(), vec.data());
-  }
-  EmbeddingStore store(Pack(dim, std::move(packed)));
-  const std::vector<uint64_t>& ids = store.rows_->labels();
-  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
-    return Status::InvalidArgument("two embedding rows share an entity id");
-  }
-  return store;
-}
-
 std::span<const float> EmbeddingStore::Get(kg::EntityId id) const {
   const std::vector<uint64_t>& labels = rows_->labels();
   const auto it = std::lower_bound(labels.begin(), labels.end(), id.value());
@@ -117,7 +99,7 @@ Status EmbeddingStore::Save(const std::string& path) const {
   w.PutVarint64(size());
   for (size_t i = 0; i < size(); ++i) {
     w.PutVarint64(rows_->labels()[i]);
-    w.PutVarint64(dim);  // the row length: PutFloatVector's layout
+    w.PutVarint64(dim);  // each row carries its length
     for (size_t d = 0; d < dim; ++d) w.PutFloat(rows_->row(i)[d]);
   }
   w.PutFixed32(storage::Crc32(std::string_view(buf).substr(4)));

@@ -29,11 +29,6 @@ class EmbeddingStore {
   static EmbeddingStore FromTrained(const TrainedEmbeddings& trained,
                                     const graph_engine::GraphView& view);
 
-  /// A store of `rows`, given in any order. InvalidArgument when two
-  /// rows share an id, or rows are empty or differ in length.
-  static Result<EmbeddingStore> FromRows(
-      const std::vector<std::pair<kg::EntityId, std::vector<float>>>& rows);
-
   /// The entity's dim() floats, valid while any copy of the store
   /// lives; empty when the entity has no embedding (e.g. filtered out
   /// of the training view).

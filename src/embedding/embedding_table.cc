@@ -44,10 +44,6 @@ void EmbeddingTable::NormalizeRow(size_t row) {
   }
 }
 
-std::vector<float> EmbeddingTable::RowVec(size_t r) const {
-  return std::vector<float>(Row(r), Row(r) + dim_);
-}
-
 Status EmbeddingTable::SaveRows(const std::string& path) const {
   const size_t count = data_.size();
   std::string buf;

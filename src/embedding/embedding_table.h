@@ -38,9 +38,6 @@ class EmbeddingTable {
   /// L2-normalizes one row in place (TransE entity renorm).
   void NormalizeRow(size_t row);
 
-  /// Copies a row out as a vector.
-  std::vector<float> RowVec(size_t r) const;
-
   /// Resident parameter + optimizer-state bytes.
   size_t MemoryBytes() const { return (data_.size() + accum_.size()) * 4; }
 

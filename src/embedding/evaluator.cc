@@ -1,58 +1,11 @@
 #include "embedding/evaluator.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "embedding/negative_sampler.h"
 
 namespace saga::embedding {
-
-RankingMetrics EvaluateRanking(const TrainedEmbeddings& emb,
-                               const graph_engine::GraphView& view,
-                               const std::vector<graph_engine::ViewEdge>& test,
-                               size_t max_candidates, Rng* rng) {
-  RankingMetrics m;
-  if (test.empty() || view.num_entities() == 0) return m;
-  const std::unique_ptr<KgeModel> model = MakeModel(emb.model);
-  NegativeSampler truth(view, /*filtered=*/true);
-
-  double mrr_sum = 0.0;
-  size_t h1 = 0;
-  size_t h3 = 0;
-  size_t h10 = 0;
-  for (const auto& e : test) {
-    const double true_score = model->Score(
-        emb.entities.Row(e.src), emb.relations.Row(e.relation),
-        emb.entities.Row(e.dst), emb.dim);
-    size_t rank = 1;
-    const size_t n = view.num_entities();
-    const size_t candidates = std::min(max_candidates, n);
-    for (size_t k = 0; k < candidates; ++k) {
-      const uint32_t cand = candidates == n
-                                ? static_cast<uint32_t>(k)
-                                : static_cast<uint32_t>(rng->Uniform(n));
-      if (cand == e.dst) continue;
-      // Filtered protocol: skip other true tails.
-      if (truth.IsTrueEdge(e.src, e.relation, cand)) continue;
-      const double s = model->Score(emb.entities.Row(e.src),
-                                    emb.relations.Row(e.relation),
-                                    emb.entities.Row(cand), emb.dim);
-      if (s > true_score) ++rank;
-    }
-    mrr_sum += 1.0 / static_cast<double>(rank);
-    if (rank <= 1) ++h1;
-    if (rank <= 3) ++h3;
-    if (rank <= 10) ++h10;
-  }
-  m.num_queries = test.size();
-  const double n = static_cast<double>(test.size());
-  m.mrr = mrr_sum / n;
-  m.hits_at_1 = static_cast<double>(h1) / n;
-  m.hits_at_3 = static_cast<double>(h3) / n;
-  m.hits_at_10 = static_cast<double>(h10) / n;
-  return m;
-}
 
 double EvaluateVerificationAuc(
     const TrainedEmbeddings& emb, const graph_engine::GraphView& view,

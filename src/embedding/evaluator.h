@@ -9,24 +9,6 @@
 
 namespace saga::embedding {
 
-/// Link-prediction ranking quality (standard KGE protocol).
-struct RankingMetrics {
-  double mrr = 0.0;
-  double hits_at_1 = 0.0;
-  double hits_at_3 = 0.0;
-  double hits_at_10 = 0.0;
-  size_t num_queries = 0;
-};
-
-/// Filtered tail-ranking evaluation: for each test edge (h, r, t), rank
-/// t among all entities by score, filtering other true tails. Caps
-/// candidate count at `max_candidates` by sampling (plus the true tail)
-/// for tractability; with max_candidates >= num_entities it is exact.
-RankingMetrics EvaluateRanking(const TrainedEmbeddings& emb,
-                               const graph_engine::GraphView& view,
-                               const std::vector<graph_engine::ViewEdge>& test,
-                               size_t max_candidates, Rng* rng);
-
 /// Fact-verification quality: AUC of score separating true test edges
 /// from uniformly corrupted ones (one corruption per positive).
 double EvaluateVerificationAuc(

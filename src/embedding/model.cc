@@ -18,13 +18,6 @@ std::string_view ModelKindName(ModelKind kind) {
   return "?";
 }
 
-Result<ModelKind> ParseModelKind(std::string_view name) {
-  if (name == "TransE" || name == "transe") return ModelKind::kTransE;
-  if (name == "DistMult" || name == "distmult") return ModelKind::kDistMult;
-  if (name == "ComplEx" || name == "complex") return ModelKind::kComplEx;
-  return Status::InvalidArgument("unknown model: " + std::string(name));
-}
-
 namespace {
 
 class TransEModel : public KgeModel {

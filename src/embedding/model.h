@@ -17,7 +17,6 @@ enum class ModelKind {
 };
 
 std::string_view ModelKindName(ModelKind kind);
-Result<ModelKind> ParseModelKind(std::string_view name);
 
 /// Scoring function + gradient of the score w.r.t. each embedding.
 /// Implementations are stateless; vectors are length `dim`.

@@ -220,26 +220,6 @@ std::vector<double> BoxReasoningModel::Train(
   return losses;
 }
 
-std::vector<std::pair<uint32_t, double>> BoxReasoningModel::AnswerQuery(
-    const PathQuery& query, size_t k) const {
-  std::vector<float> center;
-  std::vector<float> offset;
-  ComputeBox(query, &center, &offset);
-  std::vector<std::pair<uint32_t, double>> scored;
-  scored.reserve(num_entities_);
-  for (uint32_t e = 0; e < num_entities_; ++e) {
-    scored.emplace_back(
-        e, ScoreBox(center.data(), offset.data(), entity_points_.Row(e)));
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (scored.size() > k) scored.resize(k);
-  return scored;
-}
-
 double BoxReasoningModel::EvaluateHitsAtK(
     const std::vector<PathQuerySample>& test,
     const graph_engine::GraphView& view, size_t k) const {

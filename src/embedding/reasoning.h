@@ -63,10 +63,6 @@ class BoxReasoningModel {
 
   double Score(const PathQuery& query, uint32_t answer) const;
 
-  /// Top-k candidate answers by score over all entities.
-  std::vector<std::pair<uint32_t, double>> AnswerQuery(
-      const PathQuery& query, size_t k) const;
-
   /// Filtered Hits@k over test samples: rank the true answer among all
   /// entities, filtering other true answers via `view`.
   double EvaluateHitsAtK(const std::vector<PathQuerySample>& test,

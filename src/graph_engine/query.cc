@@ -37,58 +37,6 @@ std::vector<kg::TripleIdx> Match(const kg::KnowledgeGraph& kg,
   return out;
 }
 
-std::vector<kg::EntityId> FindEntities(
-    const kg::KnowledgeGraph& kg,
-    const std::vector<std::pair<kg::PredicateId, kg::Value>>& constraints) {
-  if (constraints.empty()) return {};
-  // Seed with subjects matching the first constraint, then filter.
-  TriplePattern first;
-  first.predicate = constraints[0].first;
-  first.object = constraints[0].second;
-  std::vector<kg::EntityId> candidates;
-  for (kg::TripleIdx idx : Match(kg, first)) {
-    candidates.push_back(kg.triples().triple(idx).subject);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  std::vector<kg::EntityId> out;
-  for (kg::EntityId e : candidates) {
-    bool all = true;
-    for (size_t i = 1; i < constraints.size(); ++i) {
-      if (!kg.triples().Contains(e, constraints[i].first,
-                                 constraints[i].second)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<kg::EntityId> JoinTwoHop(const kg::KnowledgeGraph& kg,
-                                     kg::PredicateId p1, kg::PredicateId p2,
-                                     const kg::Value& final_object) {
-  TriplePattern mid_pattern;
-  mid_pattern.predicate = p2;
-  mid_pattern.object = final_object;
-  std::vector<kg::EntityId> out;
-  for (kg::TripleIdx mid_idx : Match(kg, mid_pattern)) {
-    const kg::EntityId mid = kg.triples().triple(mid_idx).subject;
-    TriplePattern outer;
-    outer.predicate = p1;
-    outer.object = kg::Value::Entity(mid);
-    for (kg::TripleIdx idx : Match(kg, outer)) {
-      out.push_back(kg.triples().triple(idx).subject);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 std::vector<kg::EntityId> FollowPath(
     const kg::KnowledgeGraph& kg, kg::EntityId start,
     const std::vector<kg::PredicateId>& path) {
@@ -107,30 +55,6 @@ std::vector<kg::EntityId> FollowPath(
   }
   if (!path.empty() || frontier.empty()) return frontier;
   return {};  // empty path: no hop taken, by convention no results
-}
-
-std::vector<kg::EntityId> IntersectSets(const std::vector<kg::EntityId>& a,
-                                        const std::vector<kg::EntityId>& b) {
-  std::vector<kg::EntityId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<kg::EntityId> UnionSets(const std::vector<kg::EntityId>& a,
-                                    const std::vector<kg::EntityId>& b) {
-  std::vector<kg::EntityId> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-std::vector<kg::EntityId> DifferenceSets(
-    const std::vector<kg::EntityId>& a, const std::vector<kg::EntityId>& b) {
-  std::vector<kg::EntityId> out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
 }
 
 }  // namespace saga::graph_engine

@@ -21,18 +21,6 @@ struct TriplePattern {
 std::vector<kg::TripleIdx> Match(const kg::KnowledgeGraph& kg,
                                  const TriplePattern& pattern);
 
-/// Entities that satisfy every (predicate, object) constraint, i.e. a
-/// conjunctive star query around a subject variable.
-std::vector<kg::EntityId> FindEntities(
-    const kg::KnowledgeGraph& kg,
-    const std::vector<std::pair<kg::PredicateId, kg::Value>>& constraints);
-
-/// Two-hop join: subjects s such that (s, p1, m) and (m, p2, o) for some
-/// m. E.g. athletes whose team is in a given city.
-std::vector<kg::EntityId> JoinTwoHop(const kg::KnowledgeGraph& kg,
-                                     kg::PredicateId p1, kg::PredicateId p2,
-                                     const kg::Value& final_object);
-
 /// Multi-hop path composition (§2 "multi-hop reasoning"): the sorted
 /// set of entities reachable from `start` by following the predicates
 /// in order over entity edges, e.g. spouse -> plays_for -> team_city =
@@ -40,16 +28,6 @@ std::vector<kg::EntityId> JoinTwoHop(const kg::KnowledgeGraph& kg,
 std::vector<kg::EntityId> FollowPath(
     const kg::KnowledgeGraph& kg, kg::EntityId start,
     const std::vector<kg::PredicateId>& path);
-
-/// Logical set operators over sorted entity sets — the combinators of
-/// reasoning queries. Inputs must be sorted and deduplicated (as all
-/// query functions here return).
-std::vector<kg::EntityId> IntersectSets(const std::vector<kg::EntityId>& a,
-                                        const std::vector<kg::EntityId>& b);
-std::vector<kg::EntityId> UnionSets(const std::vector<kg::EntityId>& a,
-                                    const std::vector<kg::EntityId>& b);
-std::vector<kg::EntityId> DifferenceSets(
-    const std::vector<kg::EntityId>& a, const std::vector<kg::EntityId>& b);
 
 }  // namespace saga::graph_engine
 

@@ -1,6 +1,7 @@
 #include "integrity/scrubber.h"
 
 #include <chrono>
+#include <thread>
 
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -32,15 +33,6 @@ std::string BaseName(const std::string& path) {
 Scrubber::Scrubber(std::string store_dir, Options options)
     : store_dir_(std::move(store_dir)), options_(options) {}
 
-Scrubber::~Scrubber() { Stop(); }
-
-void Scrubber::Pause(double ms) {
-  if (ms <= 0) return;
-  std::unique_lock<std::mutex> lock(run_mu_);
-  run_cv_.wait_for(lock, std::chrono::duration<double, std::milli>(ms),
-                   [this] { return stop_; });
-}
-
 bool Scrubber::AdmitFile() {
   if (options_.admission == nullptr) return true;
   for (int attempt = 0; attempt < options_.max_admit_retries; ++attempt) {
@@ -58,11 +50,8 @@ bool Scrubber::AdmitFile() {
       ++stats_.sheds;
     }
     SAGA_COUNTER("integrity.scrub.sheds").Add();
-    {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      if (stop_) return false;
-    }
-    Pause(options_.shed_backoff_ms);
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(options_.shed_backoff_ms));
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.skipped_shed;
@@ -198,10 +187,6 @@ Status Scrubber::RunOnce() {
   }
 
   for (const auto& [path, kind] : work) {
-    {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      if (stop_) break;
-    }
     if (!AdmitFile()) continue;
     ScrubFile(path, kind);
   }
@@ -214,42 +199,6 @@ Status Scrubber::RunOnce() {
   SAGA_GAUGE("integrity.scrub.last_pass_unix_ms")
       .Set(static_cast<double>(NowUnixMs()));
   return Status::OK();
-}
-
-void Scrubber::ThreadMain() {
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      if (stop_) return;
-    }
-    (void)RunOnce();
-    std::unique_lock<std::mutex> lock(run_mu_);
-    run_cv_.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(options_.pass_interval_ms),
-        [this] { return stop_; });
-    if (stop_) return;
-  }
-}
-
-void Scrubber::Start() {
-  std::lock_guard<std::mutex> lock(run_mu_);
-  if (running_) return;
-  stop_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { ThreadMain(); });
-}
-
-void Scrubber::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  run_cv_.notify_all();
-  thread_.join();
-  std::lock_guard<std::mutex> lock(run_mu_);
-  running_ = false;
 }
 
 Scrubber::Stats Scrubber::stats() const {

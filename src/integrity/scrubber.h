@@ -1,12 +1,10 @@
 #ifndef SAGA_INTEGRITY_SCRUBBER_H_
 #define SAGA_INTEGRITY_SCRUBBER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -15,9 +13,9 @@
 
 namespace saga::integrity {
 
-/// Background integrity scrubber: a low-priority, rate-limited worker
-/// that walks the store's durable artifacts — MANIFEST-listed SSTables,
-/// the WAL tail, embedding shards — re-verifying checksums end to end,
+/// Integrity scrubber: a low-priority, rate-limited pass that walks the
+/// store's durable artifacts — MANIFEST-listed SSTables, the WAL tail,
+/// embedding shards — re-verifying checksums end to end,
 /// repairing rotted files from the newest good snapshot, and
 /// quarantining what it cannot repair (loud failure beats silent rot).
 ///
@@ -32,8 +30,6 @@ namespace saga::integrity {
 class Scrubber {
  public:
   struct Options {
-    /// Sleep between full passes when running on the background thread.
-    double pass_interval_ms = 60'000;
     /// Backoff after an admission shed before retrying the ticket.
     double shed_backoff_ms = 10;
     /// Give up on a file after this many consecutive sheds (it will be
@@ -72,26 +68,20 @@ class Scrubber {
   };
 
   Scrubber(std::string store_dir, Options options);
-  ~Scrubber();
 
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  /// One synchronous full pass (also what the background thread runs).
-  /// Always completes the walk; per-file problems are counted, repaired
-  /// or quarantined, never turned into an early return.
+  /// One synchronous full pass. Always completes the walk; per-file
+  /// problems are counted, repaired or quarantined, never turned into an
+  /// early return.
   Status RunOnce();
-
-  /// Starts/stops the background thread (idempotent).
-  void Start();
-  void Stop();
 
   Stats stats() const;
 
  private:
   enum class FileKind { kSSTable, kWal, kEmbedding };
 
-  void ThreadMain();
   /// Admission gate before touching one file. False = skip it this pass.
   bool AdmitFile();
   void ScrubFile(const std::string& path, FileKind kind);
@@ -100,19 +90,12 @@ class Scrubber {
   void MarkVerified(const std::string& path, uint64_t bytes);
   void HandleCorrupt(const std::string& path, FileKind kind,
                      const Status& why);
-  void Pause(double ms);
 
   std::string store_dir_;
   Options options_;
 
   mutable std::mutex mu_;
   Stats stats_;
-
-  std::thread thread_;
-  std::mutex run_mu_;
-  std::condition_variable run_cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace saga::integrity

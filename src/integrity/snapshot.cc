@@ -141,34 +141,6 @@ Result<SnapshotInfo> SnapshotManager::Create(
   return info;
 }
 
-Result<uint64_t> SnapshotManager::PruneOldest(size_t retention_floor) {
-  SAGA_ASSIGN_OR_RETURN(std::vector<std::string> names, List());
-  std::sort(names.begin(), names.end());
-  uint64_t freed = 0;
-  while (names.size() > retention_floor) {
-    const std::string victim = names.front();
-    names.erase(names.begin());
-    const std::string dir = SnapshotDir(victim);
-    // Count only bytes the deletion actually returns: a hard-linked
-    // table still referenced by the live store (link count > 1) frees
-    // nothing when this snapshot's link goes away.
-    std::error_code ec;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-      if (!entry.is_regular_file(ec)) continue;
-      const auto links = std::filesystem::hard_link_count(entry.path(), ec);
-      if (ec || links > 1) continue;
-      const auto size = entry.file_size(ec);
-      if (!ec) freed += size;
-    }
-    SAGA_RETURN_IF_ERROR(RemoveDirRecursively(dir));
-    SAGA_COUNTER("integrity.snapshot.pruned").Add();
-    SAGA_LOG(Info) << "pruned snapshot " << victim << " (" << freed
-                   << "B cumulative unique bytes)";
-  }
-  return freed;
-}
-
 Result<std::vector<std::string>> SnapshotManager::List() const {
   if (!FileExists(root_)) return std::vector<std::string>{};
   SAGA_ASSIGN_OR_RETURN(std::vector<std::string> dirs, ListSubdirs(root_));

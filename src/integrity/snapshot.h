@@ -71,15 +71,6 @@ class SnapshotManager {
 
   Result<SnapshotInfo> Info(const std::string& name) const;
 
-  /// Deletes snapshots oldest-first (lexicographic name order =
-  /// creation order for timestamped names) until at most
-  /// `retention_floor` remain. Returns the bytes actually freed:
-  /// hard-linked members still referenced by the live store free
-  /// nothing and are not counted. Registered with the disk-space
-  /// governor as the last-resort reclaim task; per the governor
-  /// contract it does NOT call OnBytesFreed itself.
-  Result<uint64_t> PruneOldest(size_t retention_floor);
-
   /// Optional disk-space governor. When set, Create() is refused with
   /// a storage-origin kResourceExhausted while the store is degraded
   /// (a snapshot consumes exactly the space reclaim is fighting for)

@@ -60,10 +60,6 @@ void EntityCatalog::AddAlias(EntityId id, std::string_view alias) {
   }
 }
 
-void EntityCatalog::SetDescription(EntityId id, std::string_view description) {
-  records_[id.value()].description = std::string(description);
-}
-
 void EntityCatalog::SetPopularity(EntityId id, double popularity) {
   records_[id.value()].popularity = popularity;
 }

@@ -43,7 +43,6 @@ class EntityCatalog {
   /// Registers an extra surface form for the entity.
   void AddAlias(EntityId id, std::string_view alias);
 
-  void SetDescription(EntityId id, std::string_view description);
   void SetPopularity(EntityId id, double popularity);
   void AddType(EntityId id, TypeId type);
 

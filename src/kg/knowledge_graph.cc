@@ -72,10 +72,6 @@ bool KnowledgeGraph::IsInstanceOf(EntityId e, TypeId type) const {
   return false;
 }
 
-void KnowledgeGraph::AdvanceClock(int64_t to) {
-  logical_clock_ = std::max(logical_clock_, to);
-}
-
 Status KnowledgeGraph::Save(const std::string& path) const {
   std::string buf;
   BinaryWriter w(&buf);

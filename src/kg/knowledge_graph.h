@@ -62,7 +62,6 @@ class KnowledgeGraph {
 
   /// Monotone logical clock used to timestamp new facts.
   int64_t NowTimestamp() { return ++logical_clock_; }
-  void AdvanceClock(int64_t to);
 
   /// Binary snapshot of the entire KG.
   Status Save(const std::string& path) const;

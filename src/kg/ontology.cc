@@ -23,14 +23,6 @@ PredicateId Ontology::AddPredicate(PredicateMeta meta) {
   return id;
 }
 
-Result<TypeId> Ontology::FindType(std::string_view name) const {
-  auto it = type_by_name_.find(std::string(name));
-  if (it == type_by_name_.end()) {
-    return Status::NotFound("type: " + std::string(name));
-  }
-  return it->second;
-}
-
 Result<PredicateId> Ontology::FindPredicate(std::string_view name) const {
   auto it = predicate_by_name_.find(std::string(name));
   if (it == predicate_by_name_.end()) {

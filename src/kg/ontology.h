@@ -56,7 +56,6 @@ class Ontology {
   /// Registers a predicate and returns its id. Name must be unique.
   PredicateId AddPredicate(PredicateMeta meta);
 
-  Result<TypeId> FindType(std::string_view name) const;
   Result<PredicateId> FindPredicate(std::string_view name) const;
 
   const TypeMeta& type(TypeId id) const { return types_[id.value()]; }

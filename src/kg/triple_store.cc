@@ -78,21 +78,6 @@ bool TripleStore::HasFact(EntityId s, PredicateId p) const {
   return false;
 }
 
-bool TripleStore::Contains(EntityId s, PredicateId p, const Value& o) const {
-  for (TripleIdx i : BySubject(s)) {
-    const Triple& t = triple(i);
-    if (t.predicate == p && t.object == o) return true;
-  }
-  return false;
-}
-
-std::unordered_map<PredicateId, uint64_t> TripleStore::PredicateFrequencies()
-    const {
-  std::unordered_map<PredicateId, uint64_t> freq;
-  ForEach([&freq](TripleIdx, const Triple& t) { ++freq[t.predicate]; });
-  return freq;
-}
-
 void TripleStore::Serialize(BinaryWriter* w) const {
   w->PutVarint64(live_size());
   ForEach([w](TripleIdx, const Triple& t) {

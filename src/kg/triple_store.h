@@ -52,13 +52,6 @@ class TripleStore {
 
   /// True if a live triple (s, p, *) exists. Allocates nothing.
   bool HasFact(EntityId s, PredicateId p) const;
-  /// True if a live triple (s, p, o) exists.
-  bool Contains(EntityId s, PredicateId p, const Value& o) const;
-
-  /// Number of live triples per predicate; the view builder's
-  /// min-frequency filter (§2) uses this.
-  std::unordered_map<PredicateId, uint64_t> PredicateFrequencies() const;
-
   /// Invokes fn(idx, triple) for every live triple.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

@@ -1,8 +1,6 @@
 #ifndef SAGA_ODKE_FACT_GAP_H_
 #define SAGA_ODKE_FACT_GAP_H_
 
-#include <string_view>
-
 #include "kg/ids.h"
 #include "kg/triple.h"
 
@@ -17,8 +15,6 @@ enum class GapReason {
   kTrending,
   kStale,
 };
-
-std::string_view GapReasonName(GapReason reason);
 
 /// A missing or stale fact ODKE should harvest: "entity X lacks
 /// predicate P" (or "holds a stale value for P").

@@ -11,20 +11,6 @@ constexpr double kExpectedCoverage = 0.5;
 
 }  // namespace
 
-std::string_view GapReasonName(GapReason reason) {
-  switch (reason) {
-    case GapReason::kQueryLog:
-      return "query_log";
-    case GapReason::kProfiling:
-      return "profiling";
-    case GapReason::kTrending:
-      return "trending";
-    case GapReason::kStale:
-      return "stale";
-  }
-  return "?";
-}
-
 KgProfiler::KgProfiler(const kg::KnowledgeGraph* kg)
     : KgProfiler(kg, Options()) {}
 

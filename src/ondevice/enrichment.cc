@@ -56,12 +56,6 @@ void StaticKnowledgeAsset::ApplyDelta(
   if (changed) ++version_;
 }
 
-const std::vector<kg::Triple>& StaticKnowledgeAsset::FactsFor(
-    kg::EntityId id) const {
-  auto it = facts_.find(id);
-  return it == facts_.end() ? empty_ : it->second;
-}
-
 size_t StaticKnowledgeAsset::EstimatedBytes() const {
   // ~24 bytes of ids + value payload estimate per fact.
   return num_facts_ * 48 + facts_.size() * 16;

@@ -24,7 +24,6 @@ class StaticKnowledgeAsset {
                                     Options options);
 
   bool Contains(kg::EntityId id) const { return facts_.count(id) > 0; }
-  const std::vector<kg::Triple>& FactsFor(kg::EntityId id) const;
   size_t num_entities() const { return facts_.size(); }
   size_t num_facts() const { return num_facts_; }
   /// Approximate shipped size.
@@ -48,7 +47,6 @@ class StaticKnowledgeAsset {
   std::unordered_map<kg::EntityId, std::vector<kg::Triple>> facts_;
   size_t num_facts_ = 0;
   uint64_t version_ = 0;
-  std::vector<kg::Triple> empty_;
 };
 
 /// Path 2: piggy-back enrichment. A server interaction about `entity`

@@ -12,25 +12,7 @@ void Device::AddLocalRecord(SourceRecord rec) {
   records_[rec.native_id] = std::move(rec);
 }
 
-void Device::DeleteRecord(const std::string& native_id, SourceKind source,
-                          int64_t timestamp) {
-  auto existing = tombstones_.find(native_id);
-  if (existing == tombstones_.end() ||
-      existing->second.timestamp < timestamp) {
-    tombstones_[native_id] = Tombstone{source, timestamp};
-  }
-  auto rec = records_.find(native_id);
-  if (rec != records_.end() && rec->second.timestamp <= timestamp) {
-    records_.erase(rec);
-  }
-}
-
 bool Device::ApplyRemote(const SourceRecord& rec) {
-  auto tomb = tombstones_.find(rec.native_id);
-  if (tomb != tombstones_.end() &&
-      tomb->second.timestamp >= rec.timestamp) {
-    return false;  // deleted after this version was written
-  }
   auto it = records_.find(rec.native_id);
   if (it == records_.end()) {
     records_.emplace(rec.native_id, rec);
@@ -41,22 +23,6 @@ bool Device::ApplyRemote(const SourceRecord& rec) {
     return true;
   }
   return false;
-}
-
-bool Device::ApplyRemoteTombstone(const std::string& native_id,
-                                  const Tombstone& tombstone) {
-  auto existing = tombstones_.find(native_id);
-  const bool tombstone_new =
-      existing == tombstones_.end() ||
-      existing->second.timestamp < tombstone.timestamp;
-  if (tombstone_new) tombstones_[native_id] = tombstone;
-  auto rec = records_.find(native_id);
-  if (rec != records_.end() &&
-      rec->second.timestamp <= tombstone.timestamp) {
-    records_.erase(rec);
-    return true;
-  }
-  return tombstone_new;
 }
 
 std::vector<SourceRecord> Device::VisibleRecords() const {
@@ -105,14 +71,6 @@ SyncStats SyncService::SyncAll(std::vector<Device>* devices) const {
             if (receiver.ApplyRemote(rec)) {
               ++stats.records_sent;
               stats.bytes_sent += RecordBytes(rec);
-              changed = true;
-            }
-          }
-          for (const auto& [native_id, tombstone] : sender.tombstones()) {
-            if (tombstone.source != source) continue;
-            if (receiver.ApplyRemoteTombstone(native_id, tombstone)) {
-              ++stats.records_sent;
-              stats.bytes_sent += native_id.size() + 16;
               changed = true;
             }
           }

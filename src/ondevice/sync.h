@@ -22,13 +22,6 @@ struct DeviceConfig {
   std::array<bool, kNumSourceKinds> sync_enabled{};
 };
 
-/// Deletion marker replicated alongside records so removals win over
-/// stale re-introductions (LWW with tombstones).
-struct Tombstone {
-  SourceKind source = SourceKind::kContacts;
-  int64_t timestamp = 0;
-};
-
 /// One device's replica: locally hosted records plus records replicated
 /// from peers, merged last-writer-wins by (native_id, timestamp).
 class Device {
@@ -39,22 +32,8 @@ class Device {
 
   void AddLocalRecord(SourceRecord rec);
 
-  /// Deletes a record (locally or by a later sync) at `timestamp`;
-  /// the tombstone replicates to peers that sync the source.
-  void DeleteRecord(const std::string& native_id, SourceKind source,
-                    int64_t timestamp);
-
   /// LWW merge of a replicated record; returns true if state changed.
-  /// Records older than a matching tombstone are suppressed.
   bool ApplyRemote(const SourceRecord& rec);
-
-  /// Merges a replicated tombstone; returns true if state changed.
-  bool ApplyRemoteTombstone(const std::string& native_id,
-                            const Tombstone& tombstone);
-
-  const std::map<std::string, Tombstone>& tombstones() const {
-    return tombstones_;
-  }
 
   /// All records visible on this device, in native_id order.
   std::vector<SourceRecord> VisibleRecords() const;
@@ -70,7 +49,6 @@ class Device {
  private:
   DeviceConfig config_;
   std::map<std::string, SourceRecord> records_;  // by native_id
-  std::map<std::string, Tombstone> tombstones_;  // by native_id
   std::vector<FusedPerson> fused_;
 };
 

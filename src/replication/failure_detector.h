@@ -8,13 +8,14 @@ namespace saga::replication {
 /// Heartbeat-based failure detector over the group's logical clock.
 ///
 /// The monitored peer is expected to be heard from (heartbeat, append,
-/// ack — any message counts) at least once per `timeout_ms`. Every
-/// elapsed timeout window without contact adds one suspicion; at
+/// ack — any message counts) at least once per timeout window
+/// (kTimeoutMs; a follower's leader detector stretches it by a jitter).
+/// Every elapsed timeout window without contact adds one suspicion; at
 /// kSuspicionThreshold the peer is Suspected(). A single late packet
 /// is therefore never enough to declare a peer dead — with a threshold
 /// of 3 the peer must stay silent for three full windows — while a
 /// real crash or partition is detected in bounded time:
-/// timeout_ms * kSuspicionThreshold after the last contact.
+/// timeout * kSuspicionThreshold after the last contact.
 ///
 /// Any contact resets suspicion to zero (trust recovers instantly;
 /// distrust accumulates). Used twice in the tier: followers monitor
@@ -23,14 +24,11 @@ namespace saga::replication {
 /// serving reads until they ack again).
 class FailureDetector {
  public:
-  struct Options {
-    double timeout_ms = 50.0;
-  };
-
+  static constexpr double kTimeoutMs = 50.0;
   static constexpr int kSuspicionThreshold = 3;
 
-  FailureDetector() : FailureDetector(Options()) {}
-  explicit FailureDetector(Options options) : options_(options) {}
+  explicit FailureDetector(double timeout_ms = kTimeoutMs)
+      : timeout_ms_(timeout_ms) {}
 
   /// Contact from the monitored peer: resets suspicion and restarts
   /// the current timeout window at `now_ms`.
@@ -50,8 +48,8 @@ class FailureDetector {
   /// the caller starts exactly one election per detection).
   bool Tick(double now_ms) {
     const bool was_suspected = Suspected();
-    while (now_ms - window_start_ms_ >= options_.timeout_ms) {
-      window_start_ms_ += options_.timeout_ms;
+    while (now_ms - window_start_ms_ >= timeout_ms_) {
+      window_start_ms_ += timeout_ms_;
       ++suspicion_;
     }
     return !was_suspected && Suspected();
@@ -63,10 +61,9 @@ class FailureDetector {
 
   int suspicion() const { return suspicion_; }
   double last_contact_ms() const { return last_contact_ms_; }
-  const Options& options() const { return options_; }
 
  private:
-  Options options_;
+  double timeout_ms_;
   double last_contact_ms_ = 0;
   double window_start_ms_ = 0;
   int suspicion_ = 0;

@@ -9,8 +9,6 @@ ReplicatedLog::ReplicatedLog(std::string wal_path)
 
 Status ReplicatedLog::Open() {
   entries_.clear();
-  last_seq_floor_ = 0;
-  last_epoch_floor_ = 0;
   if (wal_path_.empty()) return Status::OK();
   SAGA_ASSIGN_OR_RETURN(std::vector<storage::SequencedRecord> records,
                         storage::ReadWalRecordsFrom(wal_path_, 0));
@@ -31,10 +29,6 @@ Status ReplicatedLog::Append(const LogRecord& record) {
                                    std::to_string(record.seq) + " after " +
                                    std::to_string(entries_.back().seq));
   }
-  if (entries_.empty() && last_seq_floor_ != 0 &&
-      record.seq != last_seq_floor_ + 1) {
-    return Status::InvalidArgument("non-contiguous append after compaction");
-  }
   if (record.epoch < last_epoch()) {
     return Status::InvalidArgument("epoch regression in log append");
   }
@@ -51,18 +45,6 @@ Status ReplicatedLog::Append(const LogRecord& record) {
 Status ReplicatedLog::TruncateFrom(uint64_t seq) {
   while (!entries_.empty() && entries_.back().seq >= seq) {
     entries_.pop_back();
-  }
-  return RewriteWal();
-}
-
-Status ReplicatedLog::Compact(uint64_t upto_seq) {
-  while (!entries_.empty() && entries_.front().seq <= upto_seq) {
-    compacted_upto_epoch_ = entries_.front().epoch;
-    if (entries_.size() == 1) {
-      last_seq_floor_ = entries_.back().seq;
-      last_epoch_floor_ = entries_.back().epoch;
-    }
-    entries_.pop_front();
   }
   return RewriteWal();
 }

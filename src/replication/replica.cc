@@ -63,10 +63,9 @@ Replica::Replica(Options options, SimTransport* transport, ApplyFn apply)
 /// log can actually win. Deterministic: draws come from the replica's
 /// own seeded rng.
 void Replica::ArmElectionTimer(double now_ms) {
-  jittered_detector_ = options_.detector;
-  jittered_detector_.timeout_ms *=
-      1.0 + rng_.UniformDouble(0, kElectionJitterFraction);
-  leader_detector_ = FailureDetector(jittered_detector_);
+  leader_detector_ = FailureDetector(
+      FailureDetector::kTimeoutMs *
+      (1.0 + rng_.UniformDouble(0, kElectionJitterFraction)));
   leader_detector_.Reset(now_ms);
 }
 
@@ -99,7 +98,7 @@ void Replica::BecomeLeader(double now_ms) {
     if (p == options_.id) continue;
     next_seq_[p] = log_.last_seq() + 1;
     match_seq_[p] = 0;
-    peer_detectors_.emplace(p, FailureDetector(options_.detector));
+    peer_detectors_.emplace(p, FailureDetector());
     peer_detectors_.at(p).Reset(now_ms);
   }
   // Leadership no-op: gives this epoch an entry of its own, so the
@@ -145,15 +144,8 @@ void Replica::ShipTo(int peer, double now_ms) {
   m.commit_seq = commit_seq_;
   const uint64_t from = next_seq_[peer];
   m.prev_seq = from - 1;
-  if (m.prev_seq == 0) {
-    m.prev_epoch = 0;
-  } else if (const LogRecord* prev = log_.At(m.prev_seq)) {
-    m.prev_epoch = prev->epoch;
-  } else {
-    // prev was compacted away — it was committed, so its epoch is the
-    // compaction boundary's.
-    m.prev_epoch = log_.compacted_upto_epoch();
-  }
+  const LogRecord* prev = log_.At(m.prev_seq);  // null for prev_seq 0
+  m.prev_epoch = prev == nullptr ? 0 : prev->epoch;
   m.records = log_.ReadFrom(from, kMaxBatchRecords);
   StampTrace(m);
   transport_->Send(m, now_ms);
@@ -216,8 +208,7 @@ bool Replica::IsCommitted(uint64_t seq, uint64_t epoch) const {
   if (commit_seq_ < seq) return false;
   const LogRecord* rec = log_.At(seq);
   if (rec != nullptr) return rec->epoch == epoch;
-  // Compacted: it was committed; the caller's epoch must match the
-  // incarnation that survived, which is the one that got compacted.
+  // Not in the log, but the commit index covers it.
   return true;
 }
 
@@ -325,8 +316,6 @@ void Replica::HandleAppend(const Message& m, double now_ms) {
         consistent = false;
       }
     }
-    // A compacted prev was committed — consistent by leader
-    // completeness.
   }
   if (!consistent) {
     ack.success = false;
@@ -519,11 +508,6 @@ Status Replica::Restart(double now_ms) {
   last_applied_ = 0;
   leader_detector_.Reset(now_ms);
   return Status::OK();
-}
-
-uint64_t Replica::match_seq(int peer) const {
-  auto it = match_seq_.find(peer);
-  return it == match_seq_.end() ? 0 : it->second;
 }
 
 bool Replica::PeerSuspected(int peer) const {

@@ -68,10 +68,6 @@ class Replica {
   struct Options {
     int id = 0;
     int group_size = 3;
-    /// Follower-side leader detector; the effective timeout is
-    /// jittered per replica (seeded) so concurrent elections rarely
-    /// split votes.
-    FailureDetector::Options detector;
     uint64_t seed = 0x5EED;
     /// Non-empty: the log is backed by a real storage WAL here; every
     /// append is fsynced before it is acked.
@@ -127,20 +123,12 @@ class Replica {
   uint64_t commit_seq() const { return commit_seq_; }
   uint64_t last_applied() const { return last_applied_; }
   const ReplicatedLog& log() const { return log_; }
-  ReplicatedLog& mutable_log() { return log_; }
   int id() const { return options_.id; }
-  /// Leader's view of a peer's replicated position (0 when unknown).
-  uint64_t match_seq(int peer) const;
   /// Leader's per-peer failure detector verdict (false when not
   /// leader or peer unknown).
   bool PeerSuspected(int peer) const;
-  /// Follower's leader detector (for tests / the group's health view).
-  const FailureDetector& leader_detector() const { return leader_detector_; }
   uint64_t fenced_appends() const { return fenced_appends_; }
   uint64_t elections_won() const { return elections_won_; }
-  double effective_detector_timeout_ms() const {
-    return jittered_detector_.timeout_ms;
-  }
 
  private:
   int quorum() const { return options_.group_size / 2 + 1; }
@@ -169,7 +157,6 @@ class Replica {
   SimTransport* transport_;
   ApplyFn apply_;
   Rng rng_;
-  FailureDetector::Options jittered_detector_;
 
   // Durable-modeled state (survives Crash; on disk when WAL-backed).
   ReplicatedLog log_;

@@ -13,7 +13,6 @@ namespace saga::replication {
 namespace {
 
 constexpr uint8_t kOpPut = 1;
-constexpr uint8_t kOpDelete = 2;
 /// Simulation granularity.
 constexpr double kTickMs = 1.0;
 /// Logical time budget for one acked Put (covers one failover).
@@ -41,20 +40,8 @@ std::string ReplicaGroup::EncodePut(std::string_view key,
   return out;
 }
 
-std::string ReplicaGroup::EncodeDelete(std::string_view key) {
-  std::string out;
-  out.push_back(static_cast<char>(kOpDelete));
-  BinaryWriter w(&out);
-  w.PutString(key);
-  return out;
-}
-
 ReplicaGroup::ReplicaGroup(Options options)
-    : options_(options), transport_([&] {
-        SimTransport::Options t = options.transport;
-        t.seed = options.seed ^ 0x7A115EEDull;
-        return t;
-      }()) {
+    : options_(options), transport_(options.seed ^ 0x7A115EEDull) {
   router_ = serving::ReplicaRouter(options_.router);
 }
 
@@ -95,19 +82,12 @@ void ReplicaGroup::ApplyRecord(int replica_id, const LogRecord& record) {
   // Committed-only, in seq order, deterministic: the replicated state
   // machine of this tier is a sorted KV map per replica.
   std::string_view payload(record.payload);
-  if (payload.empty()) return;
-  const uint8_t op = static_cast<uint8_t>(payload[0]);
+  if (payload.empty() || static_cast<uint8_t>(payload[0]) != kOpPut) return;
   BinaryReader r(payload.substr(1));
   std::string key;
-  if (!r.GetString(&key).ok()) return;
-  auto& kv = applied_[replica_id];
-  if (op == kOpPut) {
-    std::string value;
-    if (!r.GetString(&value).ok()) return;
-    kv.insert_or_assign(std::move(key), std::move(value));
-  } else if (op == kOpDelete) {
-    kv.erase(key);
-  }
+  std::string value;
+  if (!r.GetString(&key).ok() || !r.GetString(&value).ok()) return;
+  applied_[replica_id].insert_or_assign(std::move(key), std::move(value));
 }
 
 void ReplicaGroup::Step(double ms) {
@@ -206,10 +186,6 @@ Status ReplicaGroup::AppendOp(std::string op) {
 
 Status ReplicaGroup::Put(std::string_view key, std::string_view value) {
   return AppendOp(EncodePut(key, value));
-}
-
-Status ReplicaGroup::Delete(std::string_view key) {
-  return AppendOp(EncodeDelete(key));
 }
 
 std::vector<serving::ReplicaRouter::ReplicaView> ReplicaGroup::Views() const {

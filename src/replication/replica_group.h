@@ -23,7 +23,7 @@ namespace saga::replication {
 /// The group owns N Replicas, the SimTransport wiring them, a logical
 /// clock, and per-replica applied KV state; it exposes:
 ///
-///  - Put/Delete with acked-write semantics: the call appends at the
+///  - Put with acked-write semantics: the call appends at the
 ///    leader and pumps the simulation until the record is
 ///    quorum-committed (observed on any live replica) or the logical
 ///    timeout passes. An OK from Put is the invariant the chaos suite
@@ -38,10 +38,8 @@ namespace saga::replication {
 ///    and a Step() pump, all on the logical clock, so a whole failure
 ///    schedule replays from one seed.
 ///
-/// Leader commit-safety note: the group deliberately never compacts a
-/// leader log past the minimum follower match position, so a ship
-/// cursor can always back up to where a lagging follower's log ends
-/// (no snapshot transfer tier yet — ROADMAP item).
+/// Leader logs are never compacted, so a ship cursor can always back
+/// up to where a lagging follower's log ends.
 ///
 /// Observability (updated every Step):
 ///   replication.group.epoch / commit_seq / leader_index gauges,
@@ -61,7 +59,6 @@ class ReplicaGroup {
     std::string dir;
     /// Template for every replica (id/seed/wal_path are overwritten).
     Replica::Options replica;
-    SimTransport::Options transport;
     serving::ReplicaRouter::Options router;
   };
 
@@ -75,7 +72,6 @@ class ReplicaGroup {
   /// not acknowledged (it may still commit later — the caller must
   /// treat it as unknown, exactly like a timed-out RPC).
   Status Put(std::string_view key, std::string_view value);
-  Status Delete(std::string_view key);
 
   /// Routed read (see class comment). NotFound for absent keys,
   /// Unavailable when no replica may serve.
@@ -83,7 +79,7 @@ class ReplicaGroup {
   /// Direct read of one replica's applied state (tests / debugging).
   Result<std::string> GetAt(int replica_id, std::string_view key) const;
 
-  // --- chaos controls ---
+  // --- chaos controls (harness controls the chaos loops drive) ---
   void Crash(int replica_id);
   Status Restart(int replica_id);
   /// Cuts replica_id off from everyone (its links only).
@@ -122,9 +118,8 @@ class ReplicaGroup {
   /// Router-facing snapshot of per-replica state.
   std::vector<serving::ReplicaRouter::ReplicaView> Views() const;
 
-  /// Encoded KV ops (exposed for tests that append raw records).
+  /// An encoded Put (exposed for tests that append raw records).
   static std::string EncodePut(std::string_view key, std::string_view value);
-  static std::string EncodeDelete(std::string_view key);
 
  private:
   explicit ReplicaGroup(Options options);

@@ -17,8 +17,7 @@ constexpr double kReorderSpreadMs = 5.0;
 
 }  // namespace
 
-SimTransport::SimTransport(Options options)
-    : options_(options), rng_(options.seed) {}
+SimTransport::SimTransport(uint64_t seed) : rng_(seed) {}
 
 void SimTransport::Register(int node, Handler handler) {
   handlers_[node] = std::move(handler);
@@ -38,27 +37,18 @@ void SimTransport::Send(const Message& m, double now_ms) {
   }
 
   double deliver_at = now_ms + kBaseDelayMs;
-  if (options_.jitter_ms > 0) {
-    deliver_at += rng_.UniformDouble(0, options_.jitter_ms);
-  }
+  if (jitter_ms_ > 0) deliver_at += rng_.UniformDouble(0, jitter_ms_);
   bool duplicate = false;
   bool reorder = false;
 
   // Layer 1: per-link probabilistic faults from the transport's seed.
-  if (options_.drop_probability > 0 &&
-      rng_.Bernoulli(options_.drop_probability)) {
+  if (drop_p_ > 0 && rng_.Bernoulli(drop_p_)) {
     ++stats_.dropped;
     SAGA_COUNTER("replication.transport.dropped").Add();
     return;
   }
-  if (options_.duplicate_probability > 0 &&
-      rng_.Bernoulli(options_.duplicate_probability)) {
-    duplicate = true;
-  }
-  if (options_.reorder_probability > 0 &&
-      rng_.Bernoulli(options_.reorder_probability)) {
-    reorder = true;
-  }
+  if (duplicate_p_ > 0 && rng_.Bernoulli(duplicate_p_)) duplicate = true;
+  if (reorder_p_ > 0 && rng_.Bernoulli(reorder_p_)) reorder = true;
 
   // Layer 2: the process-wide injector (`transport.send`), same
   // arming surface as every disk fault point.
@@ -157,10 +147,10 @@ bool SimTransport::Partitioned(int a, int b) const {
 
 void SimTransport::SetFaultProfile(double drop_p, double duplicate_p,
                                    double reorder_p, double jitter_ms) {
-  options_.drop_probability = drop_p;
-  options_.duplicate_probability = duplicate_p;
-  options_.reorder_probability = reorder_p;
-  options_.jitter_ms = jitter_ms;
+  drop_p_ = drop_p;
+  duplicate_p_ = duplicate_p;
+  reorder_p_ = reorder_p;
+  jitter_ms_ = jitter_ms;
 }
 
 }  // namespace saga::replication

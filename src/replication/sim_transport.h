@@ -29,8 +29,9 @@ namespace saga::replication {
 ///    crossing a cut are dropped — checked both at send and at
 ///    delivery, so healing mid-flight does not resurrect frames that
 ///    were in a dead link;
-///  - per-link probabilistic faults (Options: drop / duplicate /
-///    reorder / extra-delay), drawn from the transport's own Rng;
+///  - per-link probabilistic faults (SetFaultProfile: drop /
+///    duplicate / reorder / extra-delay), drawn from the transport's
+///    own Rng;
 ///  - the process-wide injector: when armed, every send consults the
 ///    `transport.send` fault point, so chaos tests arm
 ///    FaultKind::kDrop / kDuplicate / kReorder / kDelay / kPartition
@@ -42,16 +43,6 @@ namespace saga::replication {
 /// not outrun the message they answer.
 class SimTransport {
  public:
-  struct Options {
-    uint64_t seed = 0x5EED;
-    /// Probabilistic per-message faults (0 disables each).
-    double drop_probability = 0.0;
-    double duplicate_probability = 0.0;
-    double reorder_probability = 0.0;
-    /// Uniform extra latency in [0, jitter_ms) added per message.
-    double jitter_ms = 0.0;
-  };
-
   struct Stats {
     uint64_t sent = 0;
     uint64_t delivered = 0;
@@ -63,8 +54,9 @@ class SimTransport {
 
   using Handler = std::function<void(const Message&)>;
 
-  SimTransport() : SimTransport(Options()) {}
-  explicit SimTransport(Options options);
+  /// `seed` drives the probabilistic faults; all are off until
+  /// SetFaultProfile.
+  explicit SimTransport(uint64_t seed);
 
   SimTransport(const SimTransport&) = delete;
   SimTransport& operator=(const SimTransport&) = delete;
@@ -83,7 +75,7 @@ class SimTransport {
   /// Undelivered messages still in the queue.
   size_t Pending() const { return queue_.size(); }
 
-  // --- structural partitions ---
+  // --- structural partitions (harness controls the chaos loops drive) ---
   /// Cuts the (bidirectional) link between a and b.
   void Partition(int a, int b);
   /// Cuts every link touching `n` (node isolated / killed NIC).
@@ -92,13 +84,13 @@ class SimTransport {
   void HealAll();
   bool Partitioned(int a, int b) const;
 
-  /// Replaces the probabilistic fault knobs (seed/base delay keep
-  /// their constructor values). Chaos rounds re-roll these per round.
+  /// Harness control: sets the per-message fault probabilities (0
+  /// disables each) and the uniform extra latency in [0, jitter_ms).
+  /// Chaos rounds re-roll these per round.
   void SetFaultProfile(double drop_p, double duplicate_p, double reorder_p,
                        double jitter_ms);
 
   const Stats& stats() const { return stats_; }
-  const Options& options() const { return options_; }
 
  private:
   struct InFlight {
@@ -112,7 +104,10 @@ class SimTransport {
   }
   void Enqueue(const Message& m, double deliver_at_ms);
 
-  Options options_;
+  double drop_p_ = 0.0;
+  double duplicate_p_ = 0.0;
+  double reorder_p_ = 0.0;
+  double jitter_ms_ = 0.0;
   Rng rng_;
   std::map<int, Handler> handlers_;
   std::vector<InFlight> queue_;

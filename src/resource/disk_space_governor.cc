@@ -1,7 +1,6 @@
 #include "resource/disk_space_governor.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/metrics.h"
 
@@ -63,8 +62,6 @@ DiskSpaceGovernor::DiskSpaceGovernor(std::string data_dir, Options options)
     : data_dir_(std::move(data_dir)), options_(options) {
   UpdateMetrics();
 }
-
-DiskSpaceGovernor::~DiskSpaceGovernor() { Stop(); }
 
 uint64_t DiskSpaceGovernor::FreeBytesLocked() const {
   uint64_t raw = options_.budget_bytes > 0 ? options_.budget_bytes
@@ -182,24 +179,9 @@ uint64_t DiskSpaceGovernor::used_bytes() const {
   return used_;
 }
 
-uint64_t DiskSpaceGovernor::reserved_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reserved_;
-}
-
-uint64_t DiskSpaceGovernor::reclaimed_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reclaimed_;
-}
-
 uint64_t DiskSpaceGovernor::denials() const {
   std::lock_guard<std::mutex> lock(mu_);
   return denials_;
-}
-
-uint64_t DiskSpaceGovernor::degraded_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return degraded_entries_;
 }
 
 uint64_t DiskSpaceGovernor::ExitThresholdBytes() const {
@@ -239,40 +221,6 @@ uint64_t DiskSpaceGovernor::RunReclaim() {
   }
   UpdateMetrics();
   return total;
-}
-
-void DiskSpaceGovernor::Start() {
-  std::lock_guard<std::mutex> lock(run_mu_);
-  if (running_) return;
-  stop_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { ThreadMain(); });
-}
-
-void DiskSpaceGovernor::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  run_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  std::lock_guard<std::mutex> lock(run_mu_);
-  running_ = false;
-}
-
-void DiskSpaceGovernor::ThreadMain() {
-  std::unique_lock<std::mutex> lock(run_mu_);
-  while (!stop_) {
-    run_cv_.wait_for(
-        lock, std::chrono::duration<double, std::milli>(
-                  std::max(1.0, options_.reclaim_interval_ms)),
-        [this] { return stop_; });
-    if (stop_) return;
-    lock.unlock();
-    RunReclaim();
-    lock.lock();
-  }
 }
 
 void DiskSpaceGovernor::UpdateMetrics() const {

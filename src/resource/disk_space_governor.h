@@ -1,12 +1,10 @@
 #ifndef SAGA_RESOURCE_DISK_SPACE_GOVERNOR_H_
 #define SAGA_RESOURCE_DISK_SPACE_GOVERNOR_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -51,12 +49,10 @@ namespace saga::resource {
 /// replication followers, the snapshot manager) fail writes fast with
 /// a storage-origin kResourceExhausted and keep serving reads.
 ///
-/// Reclaim: owners register reclaim tasks in priority order (drop
-/// obsolete SSTables first, trim shipped WAL prefixes, prune stale
-/// snapshots oldest-first under a retention floor last). RunReclaim()
+/// Reclaim: owners register reclaim tasks in priority order (the store
+/// registers dropping obsolete SSTables). RunReclaim()
 /// walks them while degraded, stopping as soon as the exit threshold
-/// is cleared — it never deletes more than recovery needs. Start()
-/// runs the same loop on a background thread.
+/// is cleared — it never deletes more than recovery needs.
 ///
 /// Thread-safe. Metrics: resource.governor.* gauges/counters and
 /// resource.reclaim.*; BuildHealthSection() renders the same numbers
@@ -72,8 +68,6 @@ class DiskSpaceGovernor {
     /// Degraded mode exits once free space recovers above
     /// emergency_floor_bytes * this factor (hysteresis).
     double exit_headroom_factor = 2.0;
-    /// Background reclaim loop cadence (Start()).
-    double reclaim_interval_ms = 500;
   };
 
   enum class ReservationClass {
@@ -119,7 +113,6 @@ class DiskSpaceGovernor {
   };
 
   DiskSpaceGovernor(std::string data_dir, Options options);
-  ~DiskSpaceGovernor();
 
   DiskSpaceGovernor(const DiskSpaceGovernor&) = delete;
   DiskSpaceGovernor& operator=(const DiskSpaceGovernor&) = delete;
@@ -148,10 +141,7 @@ class DiskSpaceGovernor {
   uint64_t FreeBytes() const;
   uint64_t budget_bytes() const;
   uint64_t used_bytes() const;
-  uint64_t reserved_bytes() const;
-  uint64_t reclaimed_bytes() const;
   uint64_t denials() const;
-  uint64_t degraded_entries() const;
   const std::string& data_dir() const { return data_dir_; }
 
   /// Returns at least `emergency_floor_bytes * exit_headroom_factor`:
@@ -163,19 +153,13 @@ class DiskSpaceGovernor {
   /// RunReclaim does that accounting once per task.
   using ReclaimFn = std::function<Result<uint64_t>()>;
   /// Tasks run in registration order — register cheap/safe levers
-  /// first (drop obsolete files), destructive ones last (prune
-  /// snapshots).
+  /// first, destructive ones last.
   void RegisterReclaimTask(std::string name, ReclaimFn fn);
 
   /// While degraded, runs reclaim tasks in order until the exit
   /// threshold is cleared or every task came up dry; returns total
   /// bytes freed. No-op (0) when not degraded.
   uint64_t RunReclaim();
-
-  /// Starts/stops the background reclaim thread (idempotent). The
-  /// thread wakes every reclaim_interval_ms and calls RunReclaim().
-  void Start();
-  void Stop();
 
   /// Pushes the resource.governor.* gauges.
   void UpdateMetrics() const;
@@ -187,7 +171,6 @@ class DiskSpaceGovernor {
   void MaybeExitDegradedLocked();
   void ReleaseBytes(uint64_t bytes);
   void CommitBytes(uint64_t reserved, uint64_t used);
-  void ThreadMain();
 
   struct ReclaimTask {
     std::string name;
@@ -205,12 +188,6 @@ class DiskSpaceGovernor {
   uint64_t degraded_entries_ = 0;
   bool degraded_ = false;
   std::vector<ReclaimTask> tasks_;
-
-  std::thread thread_;
-  std::mutex run_mu_;
-  std::condition_variable run_cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace saga::resource

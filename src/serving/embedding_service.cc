@@ -92,32 +92,6 @@ void EmbeddingService::BuildIndexWithFallback() {
   index_ = MakeIndex(IndexKind::kExact);
 }
 
-Result<std::vector<float>> EmbeddingService::GetEmbedding(
-    kg::EntityId id) const {
-  const std::span<const float> row = store_.Get(id);
-  if (row.empty()) return NoEmbedding(id);
-  return std::vector<float>(row.begin(), row.end());
-}
-
-Result<double> EmbeddingService::Similarity(kg::EntityId a,
-                                            kg::EntityId b) const {
-  const std::span<const float> va = store_.Get(a);
-  const std::span<const float> vb = store_.Get(b);
-  if (va.empty() || vb.empty()) return NoEmbedding(va.empty() ? a : b);
-  return ann::Similarity(kMetric, va.data(), vb.data(), va.size());
-}
-
-std::vector<double> EmbeddingService::BatchSimilarity(
-    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const {
-  std::vector<double> out;
-  out.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) {
-    const Result<double> sim = Similarity(a, b);
-    out.push_back(sim.ok() ? *sim : 0.0);
-  }
-  return out;
-}
-
 Result<std::vector<std::pair<kg::EntityId, double>>>
 EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter,
@@ -239,11 +213,11 @@ Result<std::vector<ann::Neighbor>> EmbeddingService::HedgedSearch(
         if (skipped) {
           // The backup already answered: a queued primary has no one to
           // race, so it frees the worker for the next request. The
-          // index did not answer in time, which the breaker counts.
+          // index never ran, so the breaker records no outcome (a hedge
+          // timer below the worker's wake-up time says nothing about
+          // the index); a half-open probe slot the search held is freed.
           SAGA_COUNTER("serving.hedge.primary_skipped").Add();
-          RecordAnnOutcome(
-              Status::ResourceExhausted("ann primary queued past its backup"),
-              0.0, false);
+          if (ann_breaker_ != nullptr) ann_breaker_->RecordNoOutcome();
           return;
         }
         Stopwatch sw;

@@ -81,18 +81,6 @@ class EmbeddingService {
   EmbeddingService(embedding::EmbeddingStore store,
                    const kg::KnowledgeGraph* kg, Options options);
 
-  /// NotFound when the entity has no embedding.
-  Result<std::vector<float>> GetEmbedding(kg::EntityId id) const;
-
-  /// Cosine similarity between two entities.
-  Result<double> Similarity(kg::EntityId a, kg::EntityId b) const;
-
-  /// Batch inference over candidate entity pairs (§2: "it might
-  /// contain entity pairs for which we need to infer relatedness").
-  /// Pairs with missing embeddings score 0.
-  std::vector<double> BatchSimilarity(
-      const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const;
-
   /// k most similar entities to `id`, excluding itself. A valid
   /// `type_filter` restricts hits to entities with that type or a
   /// subtype. Runs cooperative deadline checks, the `ann.search`

@@ -129,18 +129,6 @@ Result<StoredVector> EmbeddingKvCache::Decode(std::string_view bytes) {
   return out;
 }
 
-Status EmbeddingKvCache::PutAll(const embedding::EmbeddingStore& store) {
-  for (kg::EntityId id : store.Ids()) {
-    const auto row = store.Get(id);
-    SAGA_RETURN_IF_ERROR(Put(id, std::vector<float>(row.begin(), row.end())));
-  }
-  // No cache-level lock across the rebuild: concurrent Gets keep
-  // serving from the LRU tier and from KvStore read snapshots while
-  // the flush and compaction run.
-  SAGA_RETURN_IF_ERROR(kv_->Flush());
-  return kv_->CompactAll();
-}
-
 Status EmbeddingKvCache::Put(kg::EntityId id, const std::vector<float>& vec) {
   if (vec.size() > kMaxLength) {
     return Status::InvalidArgument("cached vector longer than 65536");

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "embedding/embedding_store.h"
 #include "kg/ids.h"
 #include "serving/lru_cache.h"
 #include "storage/kv_store.h"
@@ -27,9 +26,9 @@ namespace saga::serving {
 /// Thread-safe and built not to stall readers: the LRU tier is sharded
 /// by a mix of the id (one small mutex per shard, held only for the
 /// in-memory probe or insert, never across disk IO), the KV tier is the
-/// concurrent KvStore in background-maintenance mode, and PutAll's
-/// rebuild holds no lock at all — concurrent Gets keep serving from
-/// whichever tier has the key while the rebuild flushes and compacts
+/// concurrent KvStore in background-maintenance mode, and no cache lock
+/// is held across a disk write — concurrent Gets keep serving from
+/// whichever tier has the key while the disk tier flushes and compacts
 /// underneath them.
 class EmbeddingKvCache {
  public:
@@ -45,11 +44,6 @@ class EmbeddingKvCache {
   /// (split evenly across the shards).
   static Result<std::unique_ptr<EmbeddingKvCache>> Open(
       const std::string& dir, size_t memory_budget_bytes);
-
-  /// Bulk-writes all embeddings of a store (the precompute step), then
-  /// flushes and compacts the disk tier. Safe to run while readers are
-  /// serving; no lock is held across the rebuild.
-  Status PutAll(const embedding::EmbeddingStore& store);
 
   /// Writes through to disk and refreshes the LRU entry when the key
   /// is resident there, so a reader that cached the old vector sees

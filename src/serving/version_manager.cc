@@ -31,7 +31,7 @@ Result<std::shared_ptr<ServingVersion>> VersionManager::LoadVersion(
   auto v = std::make_shared<ServingVersion>();
   v->id = id;
   v->dir = dir;
-  SAGA_ASSIGN_OR_RETURN(v->kv, storage::KvStore::Open(dir, options.kv));
+  SAGA_ASSIGN_OR_RETURN(v->kv, storage::KvStore::Open(dir));
   if (!options.embeddings_file.empty()) {
     const std::string shard = JoinPath(dir, options.embeddings_file);
     if (FileExists(shard)) {
@@ -40,8 +40,8 @@ Result<std::shared_ptr<ServingVersion>> VersionManager::LoadVersion(
     }
   }
   if (options.build_service && v->embeddings.size() > 0) {
-    v->service = std::make_unique<EmbeddingService>(
-        v->embeddings, /*kg=*/nullptr, options.service);
+    v->service =
+        std::make_unique<EmbeddingService>(v->embeddings, /*kg=*/nullptr);
   }
   SAGA_ASSIGN_OR_RETURN(auto all, v->kv->ScanPrefix(""));
   v->key_count = all.size();
@@ -226,11 +226,6 @@ std::shared_ptr<const ServingVersion> VersionManager::Current() const {
 std::string VersionManager::current_id() const {
   std::lock_guard<std::mutex> lock(mu_);
   return current_ == nullptr ? "" : current_->id;
-}
-
-std::string VersionManager::previous_id() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return previous_ == nullptr ? "" : previous_->id;
 }
 
 VersionManager::Stats VersionManager::stats() const {

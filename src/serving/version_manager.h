@@ -77,12 +77,10 @@ class VersionManager {
   };
 
   struct LoadOptions {
-    storage::KvStore::Options kv;
     /// Embedding shard file name inside the version dir; empty = none.
     std::string embeddings_file = "embeddings.bin";
-    /// Also build an EmbeddingService (ANN index) over the shard.
+    /// Also build an exact EmbeddingService over the shard.
     bool build_service = false;
-    EmbeddingService::Options service;
   };
 
   struct Stats {
@@ -117,7 +115,6 @@ class VersionManager {
   /// in-flight request drops its reference.
   std::shared_ptr<const ServingVersion> Current() const;
   std::string current_id() const;
-  std::string previous_id() const;
 
   /// Post-swap health feedback: callers report request outcomes and
   /// the manager rolls back if probation goes bad. Cheap no-op when no

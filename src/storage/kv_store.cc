@@ -1087,19 +1087,8 @@ size_t KvStore::num_sstables() const {
   return CurrentSuperversion()->tables.size();
 }
 
-size_t KvStore::memtable_bytes() const {
-  const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
-  std::shared_lock<std::shared_mutex> ml(mem_mu_);
-  return sv->mem->ApproximateBytes();
-}
-
 size_t KvStore::imm_memtables() const {
   return CurrentSuperversion()->imm.size();
-}
-
-size_t KvStore::pending_gc() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return pending_gc_.size();
 }
 
 Result<uint64_t> KvStore::DropObsoleteFiles() {
@@ -1134,14 +1123,6 @@ Status KvStore::VerifyTables() const {
     SAGA_RETURN_IF_ERROR(sst->VerifyChecksums());
   }
   return Status::OK();
-}
-
-std::vector<std::string> KvStore::LiveTablePaths() const {
-  const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
-  std::vector<std::string> paths;
-  paths.reserve(sv->tables.size());
-  for (const auto& sst : sv->tables) paths.push_back(sst->path());
-  return paths;
 }
 
 Result<std::vector<std::string>> ReadManifestTables(const std::string& dir) {

@@ -208,13 +208,10 @@ class KvStore {
   /// call, since a repair source (snapshot) may exist.
   Status VerifyTables() const;
 
-  /// Paths of the live tables, oldest first (for snapshots/scrub).
-  std::vector<std::string> LiveTablePaths() const;
-
-  /// Deletes stale table files whose earlier removal failed
-  /// (pending_gc) and returns the bytes freed. Registered with the
-  /// disk-space governor as a reclaim task; per the governor contract
-  /// it does NOT call OnBytesFreed itself.
+  /// Deletes stale table files whose earlier removal failed and returns
+  /// the bytes freed. Registered with the disk-space governor as a
+  /// reclaim task; per the governor contract it does NOT call
+  /// OnBytesFreed itself.
   Result<uint64_t> DropObsoleteFiles();
 
   /// Blocks until no background maintenance is queued or running.
@@ -230,13 +227,10 @@ class KvStore {
   Status background_error() const;
 
   size_t num_sstables() const;
-  size_t memtable_bytes() const;
   /// Sealed memtables waiting for a (background) flush.
   size_t imm_memtables() const;
   const Stats& stats() const { return stats_; }
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-  /// Stale table files whose removal failed and is pending retry.
-  size_t pending_gc() const;
   const std::string& dir() const { return dir_; }
   /// Null unless Options::enable_read_breaker.
   CircuitBreaker* read_breaker() { return read_breaker_.get(); }

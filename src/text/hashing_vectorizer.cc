@@ -3,8 +3,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <set>
-#include <string>
 
 #include "common/hash.h"
 #include "text/tokenizer.h"
@@ -43,29 +41,6 @@ HashingVectorizer::HashingVectorizer(Options options) : options_(options) {
   if (std::has_single_bit(dim)) dim_mask_ = dim - 1;
 }
 
-void HashingVectorizer::FitDf(const std::vector<std::string_view>& docs) {
-  for (std::string_view doc : docs) {
-    std::set<std::string> seen;
-    ForEachToken(doc, [&](std::string_view tok, size_t, size_t, bool) {
-      const auto [it, inserted] = seen.emplace(tok);
-      if (inserted) ++df_[*it];
-    });
-    ++num_docs_;
-  }
-}
-
-void HashingVectorizer::FitDf(const std::vector<std::string>& docs) {
-  std::vector<std::string_view> views(docs.begin(), docs.end());
-  FitDf(views);
-}
-
-double HashingVectorizer::IdfWeight(std::string_view token) const {
-  if (!options_.use_idf || num_docs_ == 0) return 1.0;
-  auto it = df_.find(token);
-  const double df = it == df_.end() ? 0.0 : static_cast<double>(it->second);
-  return std::log((1.0 + num_docs_) / (1.0 + df)) + 0.1;
-}
-
 void HashingVectorizer::EmbedPieces(std::span<const std::string_view> pieces,
                                     SparseVector* out) const {
   const size_t dim = static_cast<size_t>(options_.dim);
@@ -79,8 +54,6 @@ void HashingVectorizer::EmbedPieces(std::span<const std::string_view> pieces,
     sum[i] += static_cast<float>(sign * weight);
     touched[i >> 6] |= uint64_t{1} << (i & 63);
   };
-  const bool idf = options_.use_idf && num_docs_ != 0;
-  thread_local std::string lowered;  // the token, for the df lookup only
   // Tokens are ForEachToken's: maximal runs of word characters, here
   // read once each. Float adds keep the order unigram 0, bigram 0-1,
   // unigram 1, ...
@@ -92,7 +65,6 @@ void HashingVectorizer::EmbedPieces(std::span<const std::string_view> pieces,
     while (true) {
       while (p != end && kLoweredWordByte[*p] == 0) ++p;
       if (p == end) break;  // a piece boundary is a token break
-      const auto* const begin = p;
       // Two FNV-1a lanes over the lowered bytes: the unigram
       // Hash64(tok), and the bigram, which continues the previous
       // token's state over "_" so it equals Hash64(prev_tok + "_" + tok)
@@ -105,15 +77,7 @@ void HashingVectorizer::EmbedPieces(std::span<const std::string_view> pieces,
         bi = (bi ^ c) * kFnvPrime;
       } while (++p != end && kLoweredWordByte[*p] != 0);
       if (options_.use_bigrams && !first) add(bi, 0.5);
-      double weight = 1.0;
-      if (idf) {
-        lowered.clear();
-        for (const auto* q = begin; q != p; ++q) {
-          lowered.push_back(static_cast<char>(kLoweredWordByte[*q]));
-        }
-        weight = IdfWeight(lowered);
-      }
-      add(uni, weight);
+      add(uni, 1.0);
       prev = uni;
       first = false;
     }

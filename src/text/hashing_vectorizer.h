@@ -2,11 +2,9 @@
 #define SAGA_TEXT_HASHING_VECTORIZER_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace saga::text {
@@ -32,18 +30,10 @@ class HashingVectorizer {
     /// At most 65536, so a dimension fits SparseVector's uint16_t index.
     int dim = 256;
     bool use_bigrams = true;
-    /// Down-weight frequent tokens: weight = 1/log(2 + df) when a
-    /// document-frequency table is supplied via FitDf.
-    bool use_idf = true;
   };
 
   HashingVectorizer();
   explicit HashingVectorizer(Options options);
-
-  /// Accumulates document frequencies from a corpus sample so Embed can
-  /// idf-weight. Optional; without it all tokens weigh 1.
-  void FitDf(const std::vector<std::string_view>& docs);
-  void FitDf(const std::vector<std::string>& docs);
 
   /// The one hashing kernel. Writes into `out` the L2-normalized
   /// embedding of the text that joins `pieces` with " ": each piece
@@ -76,22 +66,10 @@ class HashingVectorizer {
   int dim() const { return options_.dim; }
 
  private:
-  /// Transparent hash so `df_` is probed with a token's string_view.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>()(s);
-    }
-  };
-
-  double IdfWeight(std::string_view token) const;
-
   Options options_;
   /// dim - 1 when dim is a power of two, so a bucket is a mask rather
   /// than a 64-bit divide; 0 otherwise.
   uint64_t dim_mask_ = 0;
-  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>> df_;
-  uint32_t num_docs_ = 0;
 };
 
 }  // namespace saga::text

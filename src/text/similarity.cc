@@ -1,35 +1,9 @@
 #include "text/similarity.h"
 
 #include <algorithm>
-#include <set>
-#include <string>
-
-#include "text/tokenizer.h"
+#include <vector>
 
 namespace saga::text {
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  std::vector<size_t> prev(a.size() + 1);
-  std::vector<size_t> cur(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) prev[i] = i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      const size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[a.size()];
-}
-
-double EditSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const size_t d = EditDistance(a, b);
-  const size_t m = std::max(a.size(), b.size());
-  return 1.0 - static_cast<double>(d) / static_cast<double>(m);
-}
 
 double JaroWinkler(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
@@ -76,18 +50,6 @@ double JaroWinkler(std::string_view a, std::string_view b) {
     else break;
   }
   return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
-}
-
-double TokenJaccard(std::string_view a, std::string_view b) {
-  std::set<std::string> sa;
-  std::set<std::string> sb;
-  for (const Token& t : Tokenize(a)) sa.insert(t.text);
-  for (const Token& t : Tokenize(b)) sb.insert(t.text);
-  if (sa.empty() && sb.empty()) return 1.0;
-  size_t inter = 0;
-  for (const auto& t : sa) inter += sb.count(t);
-  const size_t uni = sa.size() + sb.size() - inter;
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 }  // namespace saga::text

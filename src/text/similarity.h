@@ -2,22 +2,12 @@
 #define SAGA_TEXT_SIMILARITY_H_
 
 #include <string_view>
-#include <vector>
 
 namespace saga::text {
-
-/// Levenshtein edit distance (unit costs).
-size_t EditDistance(std::string_view a, std::string_view b);
-
-/// 1 - normalized edit distance, in [0, 1].
-double EditSimilarity(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler similarity in [0, 1]; standard prefix boost (p=0.1,
 /// max prefix 4). The on-device entity matcher uses this for names.
 double JaroWinkler(std::string_view a, std::string_view b);
-
-/// Jaccard similarity of the two token sets (lowercased word tokens).
-double TokenJaccard(std::string_view a, std::string_view b);
 
 }  // namespace saga::text
 

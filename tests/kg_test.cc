@@ -184,8 +184,6 @@ TEST(OntologyTest, PredicateRegistration) {
   ASSERT_TRUE(on.FindPredicate("spouse").ok());
   EXPECT_EQ(on.FindPredicate("spouse").value(), spouse);
   EXPECT_FALSE(on.FindPredicate("nope").ok());
-  ASSERT_TRUE(on.FindType("Person").ok());
-  EXPECT_FALSE(on.FindType("Robot").ok());
 }
 
 TEST(OntologyTest, SerializationRoundTrip) {
@@ -209,8 +207,7 @@ TEST(OntologyTest, SerializationRoundTrip) {
   ASSERT_TRUE(Ontology::Deserialize(&r, &loaded).ok());
   EXPECT_EQ(loaded.num_types(), 2u);
   EXPECT_EQ(loaded.num_predicates(), 1u);
-  EXPECT_TRUE(loaded.IsSubtypeOf(loaded.FindType("Person").value(),
-                                 loaded.FindType("Thing").value()));
+  EXPECT_TRUE(loaded.IsSubtypeOf(person, thing));
   const PredicateMeta& h =
       loaded.predicate(loaded.FindPredicate("height").value());
   EXPECT_EQ(h.range_kind, Value::Kind::kInt);
@@ -255,8 +252,6 @@ TEST(CatalogTest, TypesAndPopularity) {
   EXPECT_TRUE(cat.HasType(e, TypeId(2)));
   cat.SetPopularity(e, 0.8);
   EXPECT_DOUBLE_EQ(cat.popularity(e), 0.8);
-  cat.SetDescription(e, "new");
-  EXPECT_EQ(cat.record(e).description, "new");
 }
 
 TEST(CatalogTest, SerializationRoundTrip) {
@@ -303,17 +298,6 @@ TEST_F(TripleStoreTest, IndexesServeAllAccessPaths) {
   EXPECT_EQ(store.ByPredicate(PredicateId(0)).size(), 2u);
   EXPECT_EQ(store.ByObjectEntity(EntityId(2)).size(), 2u);
   EXPECT_TRUE(store.BySubject(EntityId(99)).empty());
-}
-
-TEST_F(TripleStoreTest, ContainsChecksFullTriple) {
-  TripleStore store;
-  store.Add(Make(1, 0, Value::Entity(EntityId(2))));
-  EXPECT_TRUE(store.Contains(EntityId(1), PredicateId(0),
-                             Value::Entity(EntityId(2))));
-  EXPECT_FALSE(store.Contains(EntityId(1), PredicateId(0),
-                              Value::Entity(EntityId(3))));
-  EXPECT_FALSE(store.Contains(EntityId(2), PredicateId(0),
-                              Value::Entity(EntityId(2))));
 }
 
 TEST_F(TripleStoreTest, RemoveTombstones) {
@@ -377,19 +361,8 @@ TEST_F(TripleStoreTest, RemoveKeepsSubjectListLiveAndOrdered) {
   EXPECT_TRUE(store.HasFact(EntityId(1), PredicateId(0)));
   EXPECT_TRUE(store.HasFact(EntityId(2), PredicateId(1)));
   EXPECT_FALSE(store.HasFact(EntityId(3), PredicateId(0)));
-  EXPECT_FALSE(store.Contains(EntityId(1), PredicateId(0), Value::Int(0)));
-  EXPECT_TRUE(store.Contains(EntityId(1), PredicateId(0), Value::Int(2)));
-}
-
-TEST_F(TripleStoreTest, PredicateFrequenciesCountLiveOnly) {
-  TripleStore store;
-  store.Add(Make(1, 0, Value::Int(1)));
-  const TripleIdx idx = store.Add(Make(2, 0, Value::Int(2)));
-  store.Add(Make(3, 5, Value::Int(3)));
-  store.Remove(idx);
-  auto freq = store.PredicateFrequencies();
-  EXPECT_EQ(freq[PredicateId(0)], 1u);
-  EXPECT_EQ(freq[PredicateId(5)], 1u);
+  EXPECT_EQ(store.BySubjectPredicate(EntityId(1), PredicateId(0)),
+            (std::vector<TripleIdx>{added[2], added[4]}));
 }
 
 TEST_F(TripleStoreTest, SerializationDropsTombstones) {
@@ -435,8 +408,6 @@ TEST(KnowledgeGraphTest, TimestampsAreMonotone) {
   const int64_t t1 = kg.NowTimestamp();
   const int64_t t2 = kg.NowTimestamp();
   EXPECT_GT(t2, t1);
-  kg.AdvanceClock(1000);
-  EXPECT_GT(kg.NowTimestamp(), 1000);
 }
 
 TEST(KnowledgeGraphTest, SaveLoadRoundTrip) {

@@ -410,8 +410,8 @@ TEST_F(KvConcurrencyTest, SeededCrashDuringBackgroundCompactionLosesNothing) {
 }
 
 // Serving tier: Gets keep serving (and stay data-race-free — run me
-// under TSan) while PutAll rebuilds the cache and writers update
-// vectors concurrently.
+// under TSan) while every vector is rewritten and the disk tier flushes
+// and compacts underneath them.
 TEST_F(KvConcurrencyTest, EmbeddingCacheServesDuringConcurrentRebuild) {
   auto dir = MakeTempDir("saga_kvcache_conc");
   ASSERT_TRUE(dir.ok());
@@ -427,15 +427,15 @@ TEST_F(KvConcurrencyTest, EmbeddingCacheServesDuringConcurrentRebuild) {
     }
     return v;
   };
-  auto store_at = [&](int version) {
-    std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
+  auto rebuild = [&](int version) {
     for (int e = 0; e < kEntities; ++e) {
-      rows.emplace_back(kg::EntityId(static_cast<uint64_t>(e + 1)),
-                        vec_for(e, version));
+      SAGA_RETURN_IF_ERROR((*cache)->Put(
+          kg::EntityId(static_cast<uint64_t>(e + 1)), vec_for(e, version)));
     }
-    return embedding::EmbeddingStore::FromRows(std::move(rows)).value();
+    SAGA_RETURN_IF_ERROR((*cache)->kv()->Flush());
+    return (*cache)->kv()->CompactAll();
   };
-  ASSERT_TRUE((*cache)->PutAll(store_at(0)).ok());
+  ASSERT_TRUE(rebuild(0).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> read_errors{0};
@@ -464,7 +464,7 @@ TEST_F(KvConcurrencyTest, EmbeddingCacheServesDuringConcurrentRebuild) {
   // Rebuild the whole cache (flush + compaction on the KV tier) while
   // individual vectors are updated and readers hammer Gets.
   for (int version = 1; version <= 3; ++version) {
-    ASSERT_TRUE((*cache)->PutAll(store_at(version)).ok());
+    ASSERT_TRUE(rebuild(version).ok());
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();

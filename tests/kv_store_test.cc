@@ -62,7 +62,6 @@ TEST_F(KvStoreTest, FlushCreatesSstAndKeepsData) {
   }
   ASSERT_TRUE((*store)->Flush().ok());
   EXPECT_EQ((*store)->num_sstables(), 1u);
-  EXPECT_EQ((*store)->memtable_bytes(), 0u);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ((*store)->Get("k" + std::to_string(i)).value(),
               "v" + std::to_string(i));
@@ -404,7 +403,8 @@ TEST_F(KvStoreRecoveryTest, LeftoverTmpFilesAreRemoved) {
   }
   // A crash mid-build leaves a partially written temp file behind.
   ASSERT_TRUE(
-      AppendToFile(JoinPath(dir_, "sst_00000007.sst.tmp"), "partial").ok());
+      WriteStringToFile(JoinPath(dir_, "sst_00000007.sst.tmp"), "partial")
+          .ok());
   auto reopened = KvStore::Open(dir_);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->recovery_stats().tmp_files_removed, 1u);
@@ -457,7 +457,10 @@ TEST_F(KvStoreRecoveryTest, TornWalTailIsTruncatedSoLaterWritesSurvive) {
     ASSERT_TRUE((*store)->Put("a", "1").ok());
   }
   // Torn tail: garbage after the last intact record.
-  ASSERT_TRUE(AppendToFile(JoinPath(dir_, "wal.log"), "\x13garbage").ok());
+  const auto wal = ReadFileToString(JoinPath(dir_, "wal.log"));
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE(
+      WriteStringToFile(JoinPath(dir_, "wal.log"), *wal + "\x13garbage").ok());
   {
     auto store = KvStore::Open(dir_, opts);
     ASSERT_TRUE(store.ok());
@@ -494,7 +497,9 @@ TEST_F(KvStoreRecoveryTest, CompactionSurvivesFailedOldTableRemoval) {
   ASSERT_TRUE((*store)->CompactAll().ok());
   Faults().DisarmAll();
   EXPECT_EQ((*store)->num_sstables(), 1u);
-  EXPECT_EQ((*store)->pending_gc(), 2u);
+  // The replaced tables stay on disk until a later sweep.
+  EXPECT_TRUE(FileExists(JoinPath(dir_, "sst_00000000.sst")));
+  EXPECT_TRUE(FileExists(JoinPath(dir_, "sst_00000001.sst")));
   // Reads already honour the committed table set: the tombstone for
   // "b" was dropped and the stale tables are not consulted.
   EXPECT_EQ((*store)->Get("a").value(), "1");
@@ -503,7 +508,6 @@ TEST_F(KvStoreRecoveryTest, CompactionSurvivesFailedOldTableRemoval) {
 
   // A later compaction sweeps the leftovers.
   ASSERT_TRUE((*store)->CompactAll().ok());
-  EXPECT_EQ((*store)->pending_gc(), 0u);
   EXPECT_FALSE(FileExists(JoinPath(dir_, "sst_00000000.sst")));
   EXPECT_FALSE(FileExists(JoinPath(dir_, "sst_00000001.sst")));
   EXPECT_EQ((*store)->Get("a").value(), "1");

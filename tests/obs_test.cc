@@ -27,6 +27,13 @@
 namespace saga {
 namespace {
 
+/// Completed fragment roots the trace store holds.
+size_t CollectedTraces() {
+  size_t n = 0;
+  obs::VisitCollectedTraces([&n](const obs::SpanNode&) { ++n; });
+  return n;
+}
+
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -130,7 +137,6 @@ TEST_F(ObsTest, LatencyPercentilesWithinBucketError) {
   // Log-scale buckets guarantee <= 25% relative error.
   EXPECT_NEAR(h.PercentileNs(50), 500e3, 0.25 * 500e3);
   EXPECT_NEAR(h.PercentileNs(99), 990e3, 0.25 * 990e3);
-  EXPECT_NEAR(h.MeanNs(), 500.5e3, 1.0);
 }
 
 TEST_F(ObsTest, LatencyConcurrentRecords) {
@@ -161,7 +167,7 @@ TEST_F(ObsTest, SpanTreeNesting) {
     }
     obs::ScopedSpan sibling("test.span.child");
   }
-  ASSERT_EQ(obs::NumCollectedTraces(), 1u);
+  ASSERT_EQ(CollectedTraces(), 1u);
   const auto stats = obs::AggregateSpans();
   ASSERT_EQ(stats.size(), 3u);
   // Root has the largest inclusive time and sorts first.
@@ -184,7 +190,7 @@ TEST_F(ObsTest, SpansDisabledCollectNothing) {
   {
     obs::ScopedSpan span("test.span.disabled");
   }
-  EXPECT_EQ(obs::NumCollectedTraces(), 0u);
+  EXPECT_EQ(CollectedTraces(), 0u);
   EXPECT_EQ(obs::AggregateSpans().size(), 0u);
 }
 
@@ -201,25 +207,10 @@ TEST_F(ObsTest, ConcurrentRootSpansPerThread) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(obs::NumCollectedTraces(), uint64_t{kThreads} * 100);
+  EXPECT_EQ(CollectedTraces(), uint64_t{kThreads} * 100);
   for (const auto& s : obs::AggregateSpans()) {
     EXPECT_EQ(s.count, uint64_t{kThreads} * 100) << s.name;
   }
-}
-
-TEST_F(ObsTest, ChromeTraceJsonShape) {
-  obs::SetTracingEnabled(true);
-  {
-    obs::ScopedSpan root("test.span.chrome_root");
-    obs::ScopedSpan child("test.span.chrome_child");
-  }
-  const std::string json = obs::ChromeTraceJson();
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"test.span.chrome_root\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"test.span.chrome_child\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST_F(ObsTest, SpanReportListsAllNames) {
@@ -310,7 +301,7 @@ TEST_F(ObsTest, StageSampleAndSpanShareOneClockPair) {
     }
     const obs::Exemplar ex = hist.exemplar();
     ASSERT_TRUE(ex.valid()) << "iteration " << i;
-    ASSERT_EQ(obs::NumCollectedTraces(), 1u);
+    ASSERT_EQ(CollectedTraces(), 1u);
     obs::VisitCollectedTraces([&](const obs::SpanNode& root) {
       EXPECT_EQ(root.name, "test.stage.exemplar");
       EXPECT_EQ(ex.ns, root.duration_ns) << "iteration " << i;
@@ -333,7 +324,7 @@ TEST_F(ObsTest, ConcurrentStagesRecordEverySpanAndSample) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(obs::NumCollectedTraces(), uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(CollectedTraces(), uint64_t{kThreads} * kPerThread);
   EXPECT_EQ(SAGA_LATENCY("test.stage.concurrent_ns").Count(),
             uint64_t{kThreads} * kPerThread);
 }
@@ -411,7 +402,7 @@ TEST_F(ObsTest, HistoryRingWrapsAndWindowClamps) {
   // Only the newest `capacity` snapshots survive the wraparound.
   EXPECT_EQ(h.size(), 4u);
   EXPECT_EQ(h.At(0).unix_ms, 7000);
-  EXPECT_EQ(h.Latest().unix_ms, 10000);
+  EXPECT_EQ(h.At(3).unix_ms, 10000);
   // 3 retained intervals of +5 each; a huge window clamps to the ring.
   EXPECT_EQ(h.DeltaOver("test.history.ops", 3), 15);
   EXPECT_EQ(h.DeltaOver("test.history.ops", 100), 15);

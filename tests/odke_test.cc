@@ -142,6 +142,33 @@ TEST(QueryLogTest, UnansweredQueriesBecomeGaps) {
   }
 }
 
+// The mining bench_fig5_odke's "F5e" section runs before it harvests,
+// at its seed and window sizes, over this fixture's KG: each query-log
+// source yields gaps, and no (subject, predicate) is listed twice.
+TEST(QueryLogTest, MinedGapsAreNonEmptyAndDeduplicated) {
+  OdkeFixture f = OdkeFixture::Make();
+  ASSERT_FALSE(f.gen.withheld_facts.empty());
+  Rng rng(5);
+  const auto unanswered =
+      FindUnansweredQueries(f.gen.kg, GenerateQueryLog(f.gen, 5000, &rng));
+  const auto old_window = GenerateQueryLog(f.gen, 2000, &rng);
+  auto new_window = GenerateQueryLog(f.gen, 2000, &rng);
+  for (size_t i = 0; i < f.gen.withheld_facts.size() && i < 10; ++i) {
+    const auto& w = f.gen.withheld_facts[i];
+    new_window.insert(new_window.end(), 12,
+                      FactQuery{"surge", w.subject, w.predicate});
+  }
+  const auto trending = FindTrendingGaps(f.gen.kg, old_window, new_window);
+  for (const auto* gaps : {&unanswered, &trending}) {
+    ASSERT_FALSE(gaps->empty());
+    std::set<std::pair<uint64_t, uint64_t>> keys;
+    for (const auto& g : *gaps) {
+      EXPECT_TRUE(keys.insert({g.subject.value(), g.predicate.value()}).second)
+          << "duplicate gap for entity " << g.subject.value();
+    }
+  }
+}
+
 // ---------- Query synthesizer ----------
 
 TEST(QuerySynthesizerTest, GeneratesNameAndSurfaceForm) {

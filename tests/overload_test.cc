@@ -560,17 +560,23 @@ TEST_F(OverloadTest, HedgedPrimaryRecordsItsOwnOutcome) {
         opts);
     ASSERT_FALSE(service.degraded());
     const CircuitBreaker& breaker = *service.ann_breaker();
+    obs::Counter& skipped = SAGA_COUNTER("serving.hedge.primary_skipped");
     Faults().InjectDelay("ann.search", 20.0);
     const int64_t fired_before = fired.Value();
     const int64_t bypassed_before = bypassed.Value();
+    const int64_t skipped_before = skipped.Value();
     constexpr uint64_t kSearches = 12;
     for (uint64_t i = 1; i <= kSearches; ++i) {
       ASSERT_TRUE(
           service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
-      // One search at a time: its primary ends before the next starts.
+      // One search at a time: its primary ends (or, when its worker
+      // woke after the backup answered, is skipped) before the next
+      // starts.
       ASSERT_TRUE(EventuallyTrue([&] {
         const CircuitBreaker::Stats s = breaker.stats();
-        return s.successes + s.failures + s.rejected >= i;
+        return s.successes + s.failures + s.rejected +
+                   static_cast<uint64_t>(skipped.Value() - skipped_before) >=
+               i;
       }));
     }
     EXPECT_GT(fired.Value() - fired_before, 0);
@@ -647,14 +653,16 @@ TEST_F(OverloadTest, ShedHalfOpenProbeDoesNotWedgeTheBreaker) {
 
   // The pool drains and the primary heals; then a probe closes the
   // breaker. The drained primaries record outcomes late, and a probe
-  // whose worker wakes after its backup answered is skipped (a
-  // failure), so probe until the breaker closes, each probe waiting
-  // for an outcome.
+  // whose worker wakes after its backup answered is skipped (no
+  // outcome, its slot freed), so probe until the breaker closes, each
+  // probe waiting for an outcome or a skip.
   ASSERT_TRUE(EventuallyTrue([&] { return service.HedgeQueueDepth() == 0; }));
   Faults().DisarmAll();
+  obs::Counter& skipped = SAGA_COUNTER("serving.hedge.primary_skipped");
   auto outcomes = [&] {
     const CircuitBreaker::Stats s = breaker.stats();
-    return s.successes + s.failures + s.rejected;
+    return s.successes + s.failures + s.rejected +
+           static_cast<uint64_t>(skipped.Value());
   };
   for (int i = 0;
        i < 50 && breaker.state() != CircuitBreaker::State::kClosed; ++i) {
@@ -664,6 +672,52 @@ TEST_F(OverloadTest, ShedHalfOpenProbeDoesNotWedgeTheBreaker) {
     ASSERT_TRUE(EventuallyTrue([&] { return outcomes() > seen; }));
   }
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+}
+
+// A queued primary whose backup answered first is skipped: the index
+// never ran, so the breaker records no outcome. A hedge timer below the
+// worker's wake-up time (here, below a stalled primary's run) therefore
+// sends no search to the fallback, however many primaries it skips.
+TEST_F(OverloadTest, SkippedPrimariesLeaveTheBreakerClosed) {
+  Fixture f = Fixture::Make();
+  serving::EmbeddingService::Options opts;
+  opts.index = serving::EmbeddingService::IndexKind::kIvf;
+  opts.ivf_lists = 8;
+  opts.enable_breaker = true;
+  opts.breaker.failure_threshold = 2;
+  opts.hedge.enabled = true;
+  opts.hedge.fixed_hedge_ms = 1.0;
+  opts.hedge.threads = 1;
+  serving::EmbeddingService service(
+      embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
+      opts);
+  ASSERT_FALSE(service.degraded());
+  const CircuitBreaker& breaker = *service.ann_breaker();
+  const kg::EntityId probe = f.view.global_entity(0);
+  const RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
+  obs::Counter& skipped = SAGA_COUNTER("serving.hedge.primary_skipped");
+  obs::Counter& bypassed = SAGA_COUNTER("serving.breaker.fallbacks");
+  const int64_t skipped_before = skipped.Value();
+  const int64_t bypassed_before = bypassed.Value();
+
+  // The first primary holds the only worker for 200 ms; the next three
+  // queue behind it while their backups answer after 1 ms.
+  Faults().InjectDelay("ann.search", 200.0);
+  ASSERT_TRUE(service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
+  ASSERT_TRUE(EventuallyTrue([&] { return service.HedgeQueueDepth() == 0; }));
+  constexpr int kQueued = 3;
+  for (int i = 0; i < kQueued; ++i) {
+    ASSERT_TRUE(
+        service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
+  }
+  ASSERT_TRUE(EventuallyTrue(
+      [&] { return skipped.Value() - skipped_before == kQueued; }));
+  Faults().DisarmAll();
+
+  EXPECT_EQ(breaker.stats().failures, 0u);
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+  ASSERT_TRUE(service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
+  EXPECT_EQ(bypassed.Value() - bypassed_before, 0);
 }
 
 // A slow primary holds its hedge worker, so under load the queued

@@ -13,6 +13,7 @@
 #include "common/file_util.h"
 #include "common/request_context.h"
 #include "common/rng.h"
+#include "embedding_rows.h"
 #include "graph_engine/view.h"
 #include "kg/kg_generator.h"
 #include "odke/query_log.h"
@@ -233,7 +234,7 @@ TEST(QuantizedIndexTest, ServesThroughEmbeddingService) {
     rows.emplace_back(kg::EntityId(i), std::move(v));
   }
   embedding::EmbeddingStore store =
-      embedding::EmbeddingStore::FromRows(std::move(rows)).value();
+      embedding::test_shard::StoreFromRows(std::move(rows)).value();
   serving::EmbeddingService::Options opts;
   opts.index = serving::EmbeddingService::IndexKind::kQuantized;
   serving::EmbeddingService service(std::move(store), &gen.kg, opts);
@@ -312,13 +313,13 @@ TEST(AssetMaintenanceTest, DeltaFoldsNewMemberFacts) {
     }
   }
   ASSERT_TRUE(member.valid());
-  const size_t facts_before = asset.FactsFor(member).size();
+  const size_t facts_before = asset.num_facts();
   const kg::SourceId src = gen.kg.AddSource("delta", 1.0);
   std::vector<kg::TripleIdx> delta;
   delta.push_back(gen.kg.AddFact(member, gen.schema.spouse,
                                  kg::Value::Entity(kg::EntityId(0)), src));
   asset.ApplyDelta(gen.kg, delta);
-  EXPECT_EQ(asset.FactsFor(member).size(), facts_before + 1);
+  EXPECT_EQ(asset.num_facts(), facts_before + 1);
   EXPECT_GT(asset.version(), v1);
 
   // Non-member facts don't change the asset.
@@ -407,37 +408,6 @@ TEST(KvStoreAutoCompactTest, BoundsTableCountWithoutDataLoss) {
     EXPECT_TRUE((*store)->Get("k" + std::to_string(i)).ok()) << i;
   }
   (void)RemoveDirRecursively(*dir);
-}
-
-// ---------- Batch similarity ----------
-
-TEST(BatchSimilarityTest, MatchesPairwiseSimilarity) {
-  kg::KgGeneratorConfig config;
-  config.num_persons = 60;
-  kg::GeneratedKg gen = kg::GenerateKg(config);
-  std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
-  Rng rng(8);
-  for (size_t i = 0; i < 40; ++i) {
-    std::vector<float> v(8);
-    for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-    rows.emplace_back(kg::EntityId(i), std::move(v));
-  }
-  embedding::EmbeddingStore store =
-      embedding::EmbeddingStore::FromRows(std::move(rows)).value();
-  serving::EmbeddingService service(std::move(store), &gen.kg);
-  std::vector<std::pair<kg::EntityId, kg::EntityId>> pairs;
-  for (uint64_t i = 0; i + 1 < 40; i += 2) {
-    pairs.emplace_back(kg::EntityId(i), kg::EntityId(i + 1));
-  }
-  pairs.emplace_back(kg::EntityId(0), kg::EntityId(999999));  // missing
-  const auto batch = service.BatchSimilarity(pairs);
-  ASSERT_EQ(batch.size(), pairs.size());
-  for (size_t i = 0; i + 1 < batch.size(); ++i) {
-    auto single = service.Similarity(pairs[i].first, pairs[i].second);
-    ASSERT_TRUE(single.ok());
-    EXPECT_DOUBLE_EQ(batch[i], *single);
-  }
-  EXPECT_EQ(batch.back(), 0.0);  // missing embedding scores zero
 }
 
 }  // namespace

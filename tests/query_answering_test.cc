@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <barrier>
 #include <bit>
 #include <string>
@@ -80,9 +81,10 @@ TEST(QueryAnsweringTest, AnswersActorMoviesQuery) {
   EXPECT_EQ(answer.predicate, f.gen.schema.acted_in);
   EXPECT_EQ(answer.facts.size(),
             f.gen.kg.ObjectsOf(actor, f.gen.schema.acted_in).size());
+  const auto movies = f.gen.kg.ObjectsOf(actor, f.gen.schema.acted_in);
   for (const auto& fact : answer.facts) {
-    EXPECT_TRUE(f.gen.kg.triples().Contains(actor, f.gen.schema.acted_in,
-                                            fact.object));
+    EXPECT_NE(std::find(movies.begin(), movies.end(), fact.object),
+              movies.end());
   }
 }
 

@@ -118,23 +118,6 @@ TEST(BoxModelTest, TrainingReducesLossAndBeatsUntrained) {
   EXPECT_GT(after, 0.3);
 }
 
-TEST(BoxModelTest, AnswerQueryReturnsSortedTopK) {
-  ReasoningFixture f = ReasoningFixture::Make();
-  Rng rng(9);
-  auto samples = SamplePathQueries(f.view, 200, 2, &rng);
-  BoxTrainingConfig config;
-  config.dim = 16;
-  config.epochs = 3;
-  BoxReasoningModel model(f.view.num_entities(), f.view.num_relations(),
-                          config);
-  (void)model.Train(samples);
-  const auto answers = model.AnswerQuery(samples[0].query, 5);
-  ASSERT_EQ(answers.size(), 5u);
-  for (size_t i = 1; i < answers.size(); ++i) {
-    EXPECT_GE(answers[i - 1].second, answers[i].second);
-  }
-}
-
 TEST(BoxModelTest, MultiHopBeatsRandomGuessing) {
   ReasoningFixture f = ReasoningFixture::Make();
   Rng rng(11);

@@ -9,10 +9,8 @@
 
 #include <cctype>
 #include <cmath>
-#include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
@@ -52,20 +50,11 @@ class Vectorizer {
   explicit Vectorizer(HashingVectorizer::Options options)
       : options_(options) {}
 
-  void FitDf(const std::vector<std::string>& docs) {
-    for (const std::string& doc : docs) {
-      std::set<std::string> seen;
-      for (const Token& t : Tokenize(doc)) seen.insert(t.text);
-      for (const auto& tok : seen) ++df_[tok];
-      ++num_docs_;
-    }
-  }
-
   std::vector<float> Embed(std::string_view text) const {
     std::vector<float> vec(options_.dim, 0.0f);
     const std::vector<Token> tokens = Tokenize(text);
     for (size_t i = 0; i < tokens.size(); ++i) {
-      AddTokenWeight(tokens[i].text, IdfWeight(tokens[i].text), &vec);
+      AddTokenWeight(tokens[i].text, 1.0, &vec);
       if (options_.use_bigrams && i + 1 < tokens.size()) {
         const std::string bigram = tokens[i].text + "_" + tokens[i + 1].text;
         AddTokenWeight(bigram, 0.5, &vec);
@@ -81,13 +70,6 @@ class Vectorizer {
   }
 
  private:
-  double IdfWeight(const std::string& token) const {
-    if (!options_.use_idf || num_docs_ == 0) return 1.0;
-    auto it = df_.find(token);
-    const double df = it == df_.end() ? 0.0 : static_cast<double>(it->second);
-    return std::log((1.0 + num_docs_) / (1.0 + df)) + 0.1;
-  }
-
   void AddTokenWeight(std::string_view token, double weight,
                       std::vector<float>* vec) const {
     const uint64_t h = Hash64(token);
@@ -98,8 +80,6 @@ class Vectorizer {
   }
 
   HashingVectorizer::Options options_;
-  std::unordered_map<std::string, uint32_t> df_;
-  uint32_t num_docs_ = 0;
 };
 
 }  // namespace saga::text::reference

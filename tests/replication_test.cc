@@ -118,9 +118,6 @@ TEST_F(ReplicationTest, AckedPutIsReadableEverywhereOnceLagDrains) {
   auto routed = group->Get("pred");
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(*routed, "authored");
-  EXPECT_TRUE(group->Delete("pred").ok());
-  group->Step(200);
-  EXPECT_FALSE(group->Get("pred").ok());
 }
 
 TEST_F(ReplicationTest, FailoverPromotesCaughtUpFollowerAndKeepsWrites) {
@@ -301,75 +298,6 @@ TEST_F(ReplicationTest, RouterSpreadsReadsOverHealthyFollowers) {
 }
 
 // --- WAL interplay (satellite: Reset()/replay under shipping) -------
-
-TEST_F(ReplicationTest, LogCompactionResetsWalWithoutRegressingReads) {
-  auto dir = MakeTempDir("saga_repl_log");
-  ASSERT_TRUE(dir.ok());
-  const std::string path = *dir + "/log.wal";
-  {
-    ReplicatedLog log(path);
-    ASSERT_TRUE(log.Open().ok());
-    for (uint64_t s = 1; s <= 10; ++s) {
-      ASSERT_TRUE(log.Append({s, 1, "r" + std::to_string(s)}).ok());
-    }
-    const uint64_t bytes_full = log.wal_bytes_written();
-    ASSERT_GT(bytes_full, 0u);
-    // Ship the prefix, then compact it away: Compact rewrites the WAL
-    // through WalWriter::Reset(), so bytes_written restarts from the
-    // surviving suffix — strictly below the pre-compaction size.
-    ASSERT_TRUE(log.Compact(6).ok());
-    EXPECT_LT(log.wal_bytes_written(), bytes_full);
-    EXPECT_GT(log.wal_bytes_written(), 0u);
-    // The in-memory tail still serves catch-up reads.
-    auto tail = log.ReadFrom(7, 100);
-    ASSERT_EQ(tail.size(), 4u);
-    EXPECT_EQ(tail.front().seq, 7u);
-    EXPECT_EQ(log.compacted_upto_epoch(), 1u);
-  }
-  // A restart replays exactly the rewritten window.
-  ReplicatedLog reopened(path);
-  ASSERT_TRUE(reopened.Open().ok());
-  EXPECT_EQ(reopened.first_seq(), 7u);
-  EXPECT_EQ(reopened.last_seq(), 10u);
-  ASSERT_TRUE(RemoveDirRecursively(*dir).ok());
-}
-
-TEST_F(ReplicationTest, ResetAfterShipDoesNotRegressFollowerCatchUp) {
-  auto dir = MakeTempDir("saga_repl_ship");
-  ASSERT_TRUE(dir.ok());
-  ReplicaGroup::Options o = MemoryGroupOptions(106);
-  o.dir = *dir;
-  auto group = MustCreate(std::move(o));
-  ASSERT_TRUE(group->Put("base", "line").ok());
-  const int lid = group->LeaderId();
-  ASSERT_GE(lid, 0);
-  int lagger = -1;
-  for (int i = 0; i < group->num_replicas(); ++i) {
-    if (i != lid) {
-      lagger = i;
-      break;
-    }
-  }
-  // Freeze one follower at its current position, then advance the
-  // group and compact the leader log up to the lagger's match — the
-  // furthest Compact may reach without a snapshot tier.
-  group->PartitionNode(lagger);
-  const uint64_t frozen_match = group->replica(lid).match_seq(lagger);
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(group->Put("s" + std::to_string(i), "v").ok());
-  }
-  ASSERT_TRUE(group->replica(lid).mutable_log().Compact(frozen_match).ok());
-  // The WAL behind the leader log was Reset + rewritten mid-shipping;
-  // healing must still catch the lagger up from the in-memory tail.
-  group->HealAll();
-  ASSERT_TRUE(
-      group->StepUntil([&] { return group->LagOf(lagger) == 0; }, 5000));
-  for (int i = 0; i < 12; ++i) {
-    auto v = group->GetAt(lagger, "s" + std::to_string(i));
-    ASSERT_TRUE(v.ok()) << "s" << i << " lost across reset-after-ship";
-  }
-  ASSERT_TRUE(RemoveDirRecursively(*dir).ok());
-}
 
 TEST_F(ReplicationTest, WalBackedReplicaRestartsFromDisk) {
   auto dir = MakeTempDir("saga_repl_wal");

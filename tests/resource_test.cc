@@ -19,8 +19,7 @@
 //    writable once reclaim (or a budget override) restores headroom;
 //  - fsync-gate: a failed WAL fsync poisons the writer; the next write
 //    rebuilds the log (flush + fresh fd) without losing acked records;
-//  - snapshots: creation is deferred while degraded, and PruneOldest
-//    deletes oldest-first down to the retention floor;
+//  - snapshots: creation is deferred while degraded;
 //  - replication: a degraded follower NACKs appends with
 //    NackReason::kNoSpace (keeping its proven-shared position) and
 //    catches up after recovery; a degraded leader refuses appends.
@@ -33,12 +32,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -99,13 +96,11 @@ TEST_F(ResourceTest, ReserveCommitReleaseAccounting) {
 
   auto r = gov.Reserve(300);
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(gov.reserved_bytes(), 300u);
   EXPECT_EQ(gov.FreeBytes(), 700u);
 
   // Commit converts part of the hold into consumed budget and releases
   // the rest.
   r->Commit(200);
-  EXPECT_EQ(gov.reserved_bytes(), 0u);
   EXPECT_EQ(gov.used_bytes(), 200u);
   EXPECT_EQ(gov.FreeBytes(), 800u);
 
@@ -138,6 +133,8 @@ TEST_F(ResourceTest, EmergencyFloorBlocksWriteButNotReclaim) {
 
 TEST_F(ResourceTest, DegradedHysteresisDeniesWritesUntilHeadroomRecovers) {
   // floor 200, exit factor 2 -> degraded exits at >= 400 free.
+  obs::Counter& entries = SAGA_COUNTER("resource.governor.degraded_entries");
+  const int64_t entries_before = entries.Value();
   DiskSpaceGovernor gov("/nonexistent", SimulatedBudget(1000, 200));
   EXPECT_EQ(gov.ExitThresholdBytes(), 400u);
   {
@@ -148,7 +145,7 @@ TEST_F(ResourceTest, DegradedHysteresisDeniesWritesUntilHeadroomRecovers) {
   // free = 300: a kWrite that would dip below the floor trips degraded.
   EXPECT_FALSE(gov.Reserve(200).ok());
   ASSERT_TRUE(gov.degraded());
-  EXPECT_EQ(gov.degraded_entries(), 1u);
+  EXPECT_EQ(entries.Value() - entries_before, 1);
 
   // While degraded even a tiny kWrite is refused (no flapping through
   // the deny path); kReclaim still goes through.
@@ -214,7 +211,6 @@ TEST_F(ResourceTest, ReclaimRunsTasksInOrderAndStopsOnceRecovered) {
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
   EXPECT_EQ(gov.used_bytes(), 450u);
-  EXPECT_EQ(gov.reclaimed_bytes(), 500u);
 }
 
 TEST_F(ResourceTest, BudgetOverrideExitsDegradedImmediately) {
@@ -228,10 +224,8 @@ TEST_F(ResourceTest, BudgetOverrideExitsDegradedImmediately) {
   EXPECT_TRUE(gov.Reserve(90).ok());
 }
 
-TEST_F(ResourceTest, BackgroundReclaimLoopRecoversDegradedStore) {
-  DiskSpaceGovernor::Options opts = SimulatedBudget(1000, 100);
-  opts.reclaim_interval_ms = 2.0;
-  DiskSpaceGovernor gov("/nonexistent", opts);
+TEST_F(ResourceTest, ReclaimRecoversDegradedStore) {
+  DiskSpaceGovernor gov("/nonexistent", SimulatedBudget(1000, 100));
   {
     auto fill = gov.Reserve(950, ReservationClass::kReclaim);
     ASSERT_TRUE(fill.ok());
@@ -241,11 +235,7 @@ TEST_F(ResourceTest, BackgroundReclaimLoopRecoversDegradedStore) {
                           [&]() -> Result<uint64_t> { return uint64_t{800}; });
   gov.NoteExhausted("organic fill");
   ASSERT_TRUE(gov.degraded());
-  gov.Start();
-  for (int i = 0; i < 500 && gov.degraded(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  gov.Stop();
+  EXPECT_EQ(gov.RunReclaim(), 800u);
   EXPECT_FALSE(gov.degraded());
 }
 
@@ -491,7 +481,7 @@ TEST_F(ResourceTest, FailedWalFsyncRebuildsLogWithoutLosingAckedWrites) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots: deferred while degraded, pruned oldest-first
+// Snapshots: deferred while degraded
 // ---------------------------------------------------------------------------
 
 TEST_F(ResourceTest, SnapshotCreateIsDeferredWhileDegraded) {
@@ -520,37 +510,6 @@ TEST_F(ResourceTest, SnapshotCreateIsDeferredWhileDegraded) {
   EXPECT_TRUE(mgr.Create("snap-ok").ok());
   (void)RemoveDirRecursively(*dir);
 }
-
-TEST_F(ResourceTest, PruneOldestDeletesDownToRetentionFloor) {
-  auto dir = MakeTempDir("saga_res_prune");
-  ASSERT_TRUE(dir.ok());
-  auto store = storage::KvStore::Open(*dir, storage::KvStore::Options());
-  ASSERT_TRUE(store.ok());
-  integrity::SnapshotManager mgr(*dir);
-  for (int i = 0; i < 3; ++i) {
-    // Unflushed writes keep the WAL non-empty, so each snapshot holds a
-    // byte-copied (non-hard-linked) member.
-    ASSERT_TRUE((*store)->Put("k" + std::to_string(i), "v").ok());
-    auto created = mgr.Create("snap-00" + std::to_string(i));
-    ASSERT_TRUE(created.ok()) << created.status();
-  }
-  auto freed = mgr.PruneOldest(/*retention_floor=*/1);
-  ASSERT_TRUE(freed.ok()) << freed.status();
-  EXPECT_GT(*freed, 0u);
-  auto names = mgr.List();
-  ASSERT_TRUE(names.ok());
-  ASSERT_EQ(names->size(), 1u);
-  EXPECT_EQ((*names)[0], "snap-002");
-  // Already at the floor: a second prune is a no-op.
-  auto again = mgr.PruneOldest(1);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, 0u);
-  (void)RemoveDirRecursively(*dir);
-}
-
-// ---------------------------------------------------------------------------
-// Replication: degraded follower NACKs, degraded leader refuses
-// ---------------------------------------------------------------------------
 
 TEST_F(ResourceTest, DegradedReplicasNackAndCatchUpAfterRecovery) {
   DiskSpaceGovernor gov("/nonexistent", SimulatedBudget(1 << 20, 4 << 10));
@@ -647,6 +606,8 @@ TEST_F(ResourceTest, EnospcChaosLoopLosesNoAckedWrite) {
     const bool inject = rng.Bernoulli(0.5);
     const uint64_t budget =
         inject ? (1 << 20) : 16 * 1024 + rng.Uniform(40 * 1024);
+    const int64_t entries_before =
+        SAGA_COUNTER("resource.governor.degraded_entries").Value();
     DiskSpaceGovernor gov(*dir, SimulatedBudget(budget, 4 << 10));
 
     storage::KvStore::Options opts;
@@ -744,7 +705,10 @@ TEST_F(ResourceTest, EnospcChaosLoopLosesNoAckedWrite) {
       probe = (*store)->Put("probe", "recovered");
     }
     ASSERT_TRUE(probe.ok()) << probe;
-    if (gov.degraded_entries() > 0) ++degraded_rounds;
+    if (SAGA_COUNTER("resource.governor.degraded_entries").Value() >
+        entries_before) {
+      ++degraded_rounds;
+    }
     model["probe"] = "recovered";
     indeterminate.erase("probe");
 

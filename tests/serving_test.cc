@@ -145,7 +145,7 @@ TEST(LruCacheTest, EraseReleasesTheEntryBytes) {
 
 // ---------- EmbeddingKvCache ----------
 
-TEST(EmbeddingKvCacheTest, PutAllThenGetThroughTiers) {
+TEST(EmbeddingKvCacheTest, PutThenGetThroughTiers) {
   auto dir = MakeTempDir("saga_kv_cache");
   ASSERT_TRUE(dir.ok());
   Fixture f = Fixture::Make();
@@ -154,7 +154,14 @@ TEST(EmbeddingKvCacheTest, PutAllThenGetThroughTiers) {
 
   auto cache = EmbeddingKvCache::Open(*dir, 1 << 16);
   ASSERT_TRUE(cache.ok());
-  ASSERT_TRUE((*cache)->PutAll(store).ok());
+  for (size_t i = 0; i < f.view.num_entities(); ++i) {
+    const std::span<const float> row = store.Get(f.view.global_entity(i));
+    ASSERT_TRUE((*cache)
+                    ->Put(f.view.global_entity(i),
+                          std::vector<float>(row.begin(), row.end()))
+                    .ok());
+  }
+  ASSERT_TRUE((*cache)->kv()->Flush().ok());
 
   const kg::EntityId id = f.view.global_entity(3);
   auto first = (*cache)->Get(id);
@@ -274,7 +281,8 @@ TEST(EmbeddingKvCacheTest, OldDenseValueCountsAsMiss) {
   ASSERT_TRUE(cache.ok());
   std::string dense;
   BinaryWriter w(&dense);
-  w.PutFloatVector(std::vector<float>(256, 0.5f));
+  w.PutVarint64(256);
+  for (int i = 0; i < 256; ++i) w.PutFloat(0.5f);
   ASSERT_TRUE((*cache)->kv()->Put("emb:000000000000002a", dense).ok());
   EXPECT_EQ((*cache)->Find(kg::EntityId(42)), nullptr);
   EXPECT_TRUE((*cache)->Get(kg::EntityId(42)).status().IsNotFound());
@@ -453,28 +461,25 @@ TEST(EmbeddingKvCacheTest, DecoderIsTotalUnderMutation) {
 
 // ---------- EmbeddingService ----------
 
-TEST(EmbeddingServiceTest, SimilarityAndNeighbors) {
+TEST(EmbeddingServiceTest, NeighborsExcludeTheQuery) {
   Fixture f = Fixture::Make();
   EmbeddingService service(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg);
   const kg::EntityId a = f.view.global_entity(0);
-  const kg::EntityId b = f.view.global_entity(1);
-  auto sim = service.Similarity(a, b);
-  ASSERT_TRUE(sim.ok());
-  EXPECT_GE(*sim, -1.0 - 1e-9);
-  EXPECT_LE(*sim, 1.0 + 1e-9);
-  auto self_sim = service.Similarity(a, a);
-  ASSERT_TRUE(self_sim.ok());
-  EXPECT_NEAR(*self_sim, 1.0, 1e-6);
-
   auto nbrs =
       service.TopKNeighbors(a, 5, kg::TypeId::Invalid(), RequestContext());
   ASSERT_TRUE(nbrs.ok());
   EXPECT_EQ(nbrs->size(), 5u);
   for (const auto& [e, s] : *nbrs) {
     EXPECT_NE(e, a);
+    EXPECT_GE(s, -1.0 - 1e-9);
+    EXPECT_LE(s, 1.0 + 1e-9);
   }
-  EXPECT_FALSE(service.GetEmbedding(kg::EntityId(999999)).ok());
+  EXPECT_TRUE(service
+                  .TopKNeighbors(kg::EntityId(999999), 5,
+                                 kg::TypeId::Invalid(), RequestContext())
+                  .status()
+                  .IsNotFound());
 }
 
 TEST(EmbeddingServiceTest, TypeFilterRestrictsHits) {

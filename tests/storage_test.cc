@@ -158,7 +158,9 @@ TEST_F(WalTest, DetailedReadReportsDroppedBytes) {
   EXPECT_TRUE(clean->clean);
   EXPECT_EQ(clean->bytes_dropped, 0u);
 
-  ASSERT_TRUE(AppendToFile(path, "torn!").ok());
+  const auto intact = ReadFileToString(path);
+  ASSERT_TRUE(intact.ok());
+  ASSERT_TRUE(WriteStringToFile(path, *intact + "torn!").ok());
   auto torn = ReadWalRecordsDetailed(path);
   ASSERT_TRUE(torn.ok());
   EXPECT_EQ(torn->records.size(), 2u);

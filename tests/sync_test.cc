@@ -145,71 +145,6 @@ TEST(SyncTest, ApplyRemoteIgnoresStaleUpdates) {
   EXPECT_EQ(device.VisibleRecords()[0].name, "fresh");
 }
 
-TEST(SyncTest, DeletionPropagatesAsTombstone) {
-  DeviceConfig a_cfg;
-  a_cfg.id = "a";
-  a_cfg.sync_enabled[static_cast<int>(SourceKind::kContacts)] = true;
-  DeviceConfig b_cfg = a_cfg;
-  b_cfg.id = "b";
-  std::vector<Device> devices;
-  devices.emplace_back(a_cfg);
-  devices.emplace_back(b_cfg);
-
-  SourceRecord rec;
-  rec.source = SourceKind::kContacts;
-  rec.native_id = "contacts:1";
-  rec.name = "Removed Person";
-  rec.timestamp = 10;
-  devices[0].AddLocalRecord(rec);
-  SyncService sync;
-  (void)sync.SyncAll(&devices);
-  ASSERT_EQ(devices[1].RecordsOfSource(SourceKind::kContacts).size(), 1u);
-
-  // Delete on device A at a later time; B must drop it after sync.
-  devices[0].DeleteRecord("contacts:1", SourceKind::kContacts, 20);
-  (void)sync.SyncAll(&devices);
-  EXPECT_TRUE(devices[0].RecordsOfSource(SourceKind::kContacts).empty());
-  EXPECT_TRUE(devices[1].RecordsOfSource(SourceKind::kContacts).empty());
-
-  // A stale re-introduction (older timestamp) is suppressed everywhere.
-  SourceRecord stale = rec;
-  stale.timestamp = 15;
-  EXPECT_FALSE(devices[1].ApplyRemote(stale));
-  (void)sync.SyncAll(&devices);
-  EXPECT_TRUE(devices[0].RecordsOfSource(SourceKind::kContacts).empty());
-}
-
-TEST(SyncTest, NewerUpdateSurvivesOlderTombstone) {
-  DeviceConfig cfg;
-  cfg.id = "d";
-  cfg.sync_enabled[static_cast<int>(SourceKind::kContacts)] = true;
-  Device device(cfg);
-  device.DeleteRecord("contacts:9", SourceKind::kContacts, 10);
-  SourceRecord fresh;
-  fresh.source = SourceKind::kContacts;
-  fresh.native_id = "contacts:9";
-  fresh.name = "Recreated";
-  fresh.timestamp = 30;  // written after the deletion
-  EXPECT_TRUE(device.ApplyRemote(fresh));
-  EXPECT_EQ(device.RecordsOfSource(SourceKind::kContacts).size(), 1u);
-}
-
-TEST(SyncTest, TombstoneOfUnsyncedSourceStaysLocal) {
-  DeviceDataset data = MakeData();
-  auto devices = MakeFleet(data);
-  SyncService sync;
-  (void)sync.SyncAll(&devices);
-  // Delete a calendar record (unsynced) on the laptop.
-  const auto calendar =
-      devices[0].RecordsOfSource(SourceKind::kCalendar);
-  ASSERT_FALSE(calendar.empty());
-  devices[0].DeleteRecord(calendar[0].native_id, SourceKind::kCalendar,
-                          99999);
-  (void)sync.SyncAll(&devices);
-  EXPECT_TRUE(devices[1].tombstones().empty());
-  EXPECT_TRUE(devices[2].tombstones().empty());
-}
-
 TEST(OffloadTest, PowerfulDeviceComputesAndShipsFusion) {
   DeviceDataset data = MakeData();
   auto devices = MakeFleet(data);

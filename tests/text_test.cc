@@ -42,38 +42,12 @@ TEST(TokenizerTest, ApostrophesStayInTokens) {
   EXPECT_EQ(tokens[0].text, "o'brien's");
 }
 
-TEST(TokenizerTest, SplitSentences) {
-  auto sentences =
-      SplitSentences("First one. Second here! Third? trailing bit");
-  ASSERT_EQ(sentences.size(), 4u);
-  EXPECT_EQ(sentences[0], "First one.");
-  EXPECT_EQ(sentences[3], " trailing bit");
-}
-
-TEST(TokenizerTest, AbbreviationDotMidWordIsNotBreak) {
-  // "3.5" has no whitespace after the dot -> one sentence.
-  auto sentences = SplitSentences("Version 3.5 shipped.");
-  EXPECT_EQ(sentences.size(), 1u);
-}
-
 TEST(TokenizerTest, NormalizedTokenString) {
   EXPECT_EQ(NormalizedTokenString("  Michael   JORDAN!"), "michael jordan");
   EXPECT_EQ(NormalizedTokenString(""), "");
 }
 
 // ---------- Similarity ----------
-
-TEST(SimilarityTest, EditDistanceKnownValues) {
-  EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(EditDistance("", "abc"), 3u);
-  EXPECT_EQ(EditDistance("same", "same"), 0u);
-}
-
-TEST(SimilarityTest, EditSimilarityNormalized) {
-  EXPECT_DOUBLE_EQ(EditSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(EditSimilarity("ab", "ab"), 1.0);
-  EXPECT_NEAR(EditSimilarity("abcd", "abce"), 0.75, 1e-9);
-}
 
 TEST(SimilarityTest, JaroWinklerProperties) {
   EXPECT_DOUBLE_EQ(JaroWinkler("tim", "tim"), 1.0);
@@ -86,14 +60,6 @@ TEST(SimilarityTest, JaroWinklerProperties) {
   // Symmetry.
   EXPECT_NEAR(JaroWinkler("dwayne", "duane"), JaroWinkler("duane", "dwayne"),
               1e-12);
-}
-
-TEST(SimilarityTest, TokenJaccard) {
-  EXPECT_DOUBLE_EQ(TokenJaccard("a b c", "a b c"), 1.0);
-  EXPECT_DOUBLE_EQ(TokenJaccard("a b", "c d"), 0.0);
-  EXPECT_NEAR(TokenJaccard("a b c", "b c d"), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(TokenJaccard("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(TokenJaccard("Tim Chen", "tim CHEN"), 1.0);
 }
 
 // ---------- HashingVectorizer ----------
@@ -127,25 +93,6 @@ TEST(VectorizerTest, SelfSimilarityIsMaximal) {
   HashingVectorizer vec;
   auto a = vec.Embed("some unique text here");
   EXPECT_NEAR(HashingVectorizer::Cosine(a, a), 1.0, 1e-5);
-}
-
-TEST(VectorizerTest, IdfDownweightsCommonTokens) {
-  HashingVectorizer::Options opts;
-  opts.use_bigrams = false;
-  HashingVectorizer vec(opts);
-  std::vector<std::string> corpus;
-  for (int i = 0; i < 50; ++i) {
-    corpus.push_back("the common filler text number " + std::to_string(i));
-  }
-  corpus.push_back("zebra quasar");
-  vec.FitDf(corpus);
-  // Document sharing only the ubiquitous token "the" should be less
-  // similar than one sharing the rare token "zebra".
-  auto query = vec.Embed("zebra the");
-  auto rare_doc = vec.Embed("zebra stripes");
-  auto common_doc = vec.Embed("the filler");
-  EXPECT_GT(HashingVectorizer::Cosine(query, rare_doc),
-            HashingVectorizer::Cosine(query, common_doc));
 }
 
 TEST(VectorizerTest, DimensionIsConfigurable) {
@@ -260,32 +207,20 @@ TEST(TextOracleTest, BigramHashStreamsFnv) {
   }
 }
 
-// Unfitted, every weight is +-1 or +-0.5 and the sums are exact in any
-// order; only the fitted idf weights pin the float add order.
 TEST(TextOracleTest, EmbedMatchesReferenceBitForBit) {
-  const std::vector<std::string> corpus = RandomTexts(5, 300);
   const std::vector<std::string> texts = RandomTexts(29, 1500);
-  enum class Idf { kUnfitted, kFitted, kFittedButOff };
   for (int dim : {64, 100, 256}) {
     for (bool bigrams : {true, false}) {
-      for (Idf idf : {Idf::kUnfitted, Idf::kFitted, Idf::kFittedButOff}) {
-        HashingVectorizer::Options opts;
-        opts.dim = dim;
-        opts.use_bigrams = bigrams;
-        opts.use_idf = idf != Idf::kFittedButOff;
-        HashingVectorizer vec(opts);
-        reference::Vectorizer ref(opts);
-        if (idf != Idf::kUnfitted) {
-          vec.FitDf(corpus);
-          ref.FitDf(corpus);
-        }
-        size_t mismatches = 0;
-        for (const std::string& text : texts) {
-          if (!SameBits(vec.Embed(text), ref.Embed(text))) ++mismatches;
-        }
-        EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams
-                                  << " idf " << static_cast<int>(idf);
+      HashingVectorizer::Options opts;
+      opts.dim = dim;
+      opts.use_bigrams = bigrams;
+      HashingVectorizer vec(opts);
+      reference::Vectorizer ref(opts);
+      size_t mismatches = 0;
+      for (const std::string& text : texts) {
+        if (!SameBits(vec.Embed(text), ref.Embed(text))) ++mismatches;
       }
+      EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams;
     }
   }
 }
@@ -310,39 +245,31 @@ std::vector<std::string_view> PiecesAtSpaces(std::string_view text,
 // text: the same vector (as ToDense), ascending indexes, and Dot equal
 // to the dense Cosine bit for bit.
 TEST(TextOracleTest, EmbedPiecesMatchesJoinedReference) {
-  const std::vector<std::string> corpus = RandomTexts(5, 300);
   const std::vector<std::string> texts = RandomTexts(31, 1500);
   for (int dim : {64, 100, 256}) {
     for (bool bigrams : {true, false}) {
-      for (bool fitted : {false, true}) {
-        HashingVectorizer::Options opts;
-        opts.dim = dim;
-        opts.use_bigrams = bigrams;
-        HashingVectorizer vec(opts);
-        reference::Vectorizer ref(opts);
-        if (fitted) {
-          vec.FitDf(corpus);
-          ref.FitDf(corpus);
+      HashingVectorizer::Options opts;
+      opts.dim = dim;
+      opts.use_bigrams = bigrams;
+      HashingVectorizer vec(opts);
+      reference::Vectorizer ref(opts);
+      std::mt19937_64 rng(dim * 4 + bigrams * 2);
+      size_t mismatches = 0;
+      SparseVector sparse;
+      for (size_t t = 0; t < texts.size(); ++t) {
+        vec.EmbedPieces(PiecesAtSpaces(texts[t], rng), &sparse);
+        const std::vector<float> want = ref.Embed(texts[t]);
+        const std::vector<float> context =
+            ref.Embed(texts[(t * 7 + 1) % texts.size()]);
+        const double want_dot = HashingVectorizer::Cosine(context, want);
+        const double got_dot = HashingVectorizer::Dot(sparse, context);
+        if (!SameBits(vec.ToDense(sparse), want) ||
+            !std::is_sorted(sparse.index.begin(), sparse.index.end()) ||
+            std::memcmp(&want_dot, &got_dot, sizeof(want_dot)) != 0) {
+          ++mismatches;
         }
-        std::mt19937_64 rng(dim * 4 + bigrams * 2 + fitted);
-        size_t mismatches = 0;
-        SparseVector sparse;
-        for (size_t t = 0; t < texts.size(); ++t) {
-          vec.EmbedPieces(PiecesAtSpaces(texts[t], rng), &sparse);
-          const std::vector<float> want = ref.Embed(texts[t]);
-          const std::vector<float> context =
-              ref.Embed(texts[(t * 7 + 1) % texts.size()]);
-          const double want_dot = HashingVectorizer::Cosine(context, want);
-          const double got_dot = HashingVectorizer::Dot(sparse, context);
-          if (!SameBits(vec.ToDense(sparse), want) ||
-              !std::is_sorted(sparse.index.begin(), sparse.index.end()) ||
-              std::memcmp(&want_dot, &got_dot, sizeof(want_dot)) != 0) {
-            ++mismatches;
-          }
-        }
-        EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams
-                                  << " fitted " << fitted;
       }
+      EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams;
     }
   }
 }

@@ -23,6 +23,13 @@
 namespace saga {
 namespace {
 
+/// Completed fragment roots the trace store holds.
+size_t CollectedTraces() {
+  size_t n = 0;
+  obs::VisitCollectedTraces([&n](const obs::SpanNode&) { ++n; });
+  return n;
+}
+
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -78,7 +85,7 @@ TEST_F(TraceTest, SpansCarryTraceIdentity) {
     obs::ScopedSpan root("test.trace.root");
     obs::ScopedSpan child("test.trace.child");
   }
-  ASSERT_EQ(obs::NumCollectedTraces(), 1u);
+  ASSERT_EQ(CollectedTraces(), 1u);
   obs::VisitCollectedTraces([](const obs::SpanNode& root) {
     EXPECT_EQ(root.name, "test.trace.root");
     EXPECT_NE(root.trace_id_hi | root.trace_id_lo, 0u);
@@ -119,7 +126,7 @@ TEST_F(TraceTest, ScopedTraceContextOpensNewFragment) {
     }
   }
   // Two fragments: the handler segment and the outer root.
-  EXPECT_EQ(obs::NumCollectedTraces(), 2u);
+  EXPECT_EQ(CollectedTraces(), 2u);
   bool saw_handler = false;
   obs::VisitCollectedTraces([&](const obs::SpanNode& root) {
     EXPECT_EQ(root.trace_id_hi, captured.trace_id_hi);
@@ -168,7 +175,7 @@ TEST_F(TraceTest, ThreadPoolReparentsPoolHoppedSpans) {
     pool.Wait();
   }
   // 4 worker fragments + the outer root.
-  EXPECT_EQ(obs::NumCollectedTraces(), 5u);
+  EXPECT_EQ(CollectedTraces(), 5u);
   int inner_fragments = 0;
   obs::VisitCollectedTraces([&](const obs::SpanNode& root) {
     if (root.name != "test.pool.inner") return;
@@ -187,7 +194,7 @@ TEST_F(TraceTest, ThreadPoolWithoutAmbientTraceStartsOwnTraces) {
   ThreadPool pool(2);
   pool.Submit([] { obs::ScopedSpan inner("test.pool.orphanless"); });
   pool.Wait();
-  ASSERT_EQ(obs::NumCollectedTraces(), 1u);
+  ASSERT_EQ(CollectedTraces(), 1u);
   obs::VisitCollectedTraces([](const obs::SpanNode& root) {
     EXPECT_NE(root.trace_id_hi | root.trace_id_lo, 0u);
     EXPECT_EQ(root.parent_span_id, 0u);

@@ -14,6 +14,7 @@
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "embedding/embedding_store.h"
+#include "embedding_rows.h"
 #include "serving/version_manager.h"
 #include "storage/kv_store.h"
 
@@ -59,9 +60,9 @@ class VersionSwapTest : public ::testing::Test {
         rows.emplace_back(kg::EntityId{static_cast<uint64_t>(i + 1)},
                           std::vector<float>(dim, static_cast<float>(i)));
       }
-      auto emb = embedding::EmbeddingStore::FromRows(std::move(rows));
-      EXPECT_TRUE(emb.ok());
-      EXPECT_TRUE(emb->Save(JoinPath(dir, "embeddings.bin")).ok());
+      EXPECT_TRUE(embedding::test_shard::WriteShard(
+                      JoinPath(dir, "embeddings.bin"), std::move(rows))
+                      .ok());
     }
     return dir;
   }
@@ -83,13 +84,15 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
   VersionManager::Options o;
   o.probation_requests = 5;
   VersionManager mgr(o);
-  ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
+  std::shared_ptr<ServingVersion> v1 = Load("v1");
+  const std::weak_ptr<ServingVersion> old = v1;
+  ASSERT_TRUE(mgr.Activate(std::move(v1)).ok());
   EXPECT_EQ(mgr.current_id(), "v1");
   EXPECT_FALSE(mgr.InProbation());
 
   ASSERT_TRUE(mgr.SwapTo(Load("v2")).ok());
   EXPECT_EQ(mgr.current_id(), "v2");
-  EXPECT_EQ(mgr.previous_id(), "v1");
+  EXPECT_FALSE(old.expired());  // kept for rollback during probation
   EXPECT_TRUE(mgr.InProbation());
 
   // New requests see the new version and answer from it.
@@ -101,7 +104,7 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
 
   for (int i = 0; i < 5; ++i) mgr.RecordRequestOutcome(true);
   EXPECT_FALSE(mgr.InProbation());
-  EXPECT_EQ(mgr.previous_id(), "");  // old version released at commit
+  EXPECT_TRUE(old.expired());  // old version released at commit
   auto s = mgr.stats();
   EXPECT_EQ(s.committed, 1u);
   EXPECT_EQ(s.rollbacks, 0u);
@@ -194,7 +197,9 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
   o.rollback_error_rate = 0.3;
   VersionManager mgr(o);
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
-  ASSERT_TRUE(mgr.SwapTo(Load("v2")).ok());
+  std::shared_ptr<ServingVersion> v2 = Load("v2");
+  const std::weak_ptr<ServingVersion> candidate = v2;
+  ASSERT_TRUE(mgr.SwapTo(std::move(v2)).ok());
   ASSERT_TRUE(mgr.InProbation());
 
   // Half the first probation window fails — well past 30%.
@@ -202,7 +207,7 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
 
   EXPECT_FALSE(mgr.InProbation());
   EXPECT_EQ(mgr.current_id(), "v1");  // rolled back
-  EXPECT_EQ(mgr.previous_id(), "");
+  EXPECT_TRUE(candidate.expired());
   auto s = mgr.stats();
   EXPECT_EQ(s.rollbacks, 1u);
   EXPECT_EQ(s.committed, 0u);
