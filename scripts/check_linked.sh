@@ -5,24 +5,25 @@
 # The production binaries (saga_cli, the examples and the benches) are
 # rebuilt in their own build directory at -O0, so every call stays a
 # call (a helper inlined into its callers would otherwise look unused),
-# with -ffunction-sections and --gc-sections, so a function no binary
-# reaches is dropped at link time. Each saga:: function the src/
+# with -fkeep-inline-functions, so a function defined inline in a header
+# is emitted too, and with -ffunction-sections and --gc-sections, so a
+# function no binary reaches is dropped at link time. Line tables (-g1)
+# tell which file defines each function. Each saga:: function the src/
 # libraries define and no binary keeps is a candidate. A candidate
 # whose name any other src/ file or any production source (tools/,
 # bench/, examples/, servebench/) mentions is dropped: that covers what
 # servebench, a separate build, calls. The names left, except the
 # allowlist below, are public API only tests call: delete them or give
-# them a production caller.
+# them a production caller. A template nobody instantiates is never
+# emitted, so templates are out of reach of this check.
 #
 # Usage: scripts/check_linked.sh [repo-root]
-#   SAGA_LINKED_BUILD_DIR  build directory (default: <repo-root>/build-linked)
-#   SAGA_LINKED_JOBS       parallel compile jobs (default: nproc)
 set -u -o pipefail
 
-root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
+root="$(cd "${1:-$(dirname "$0")/..}" && pwd)" || exit 2
 cd "$root" || exit 2
-build="${SAGA_LINKED_BUILD_DIR:-$root/build-linked}"
-jobs="${SAGA_LINKED_JOBS:-$(nproc)}"
+build="$root/build-linked"
+jobs="$(nproc)"
 
 # Kept although no production binary links them, each with its reason.
 # "harness": a control the seeded chaos loops drive to break or heal the
@@ -30,15 +31,19 @@ jobs="${SAGA_LINKED_JOBS:-$(nproc)}"
 # reads; dropping it would change the type, not just its callers.
 allowlist() {
   cat <<'EOF'
-saga::replication::SimTransport::Partition     harness: chaos loops cut one link
 saga::replication::SimTransport::Heal          harness: chaos loops heal one link
 saga::replication::ReplicaGroup::PartitionSides harness: chaos loops split the group
-saga::replication::ReplicaGroup::Restart       harness: chaos loops restart a crashed replica
-saga::replication::Replica::Restart            harness: ReplicaGroup::Restart's per-node half
-saga::FaultInjector::Seed                      harness: chaos loops replay a fault schedule
 saga::kg::Value::Hash                          value: hash of a kg::Value, with operator==
 saga::kg::Value::bool_value                    value: accessor of the kBool kind the .kg format stores
 saga::kg::Value::double_value                  value: accessor of the kDouble kind the .kg format stores
+saga::kg::Value::is_literal                    value: kind predicate over the kinds the .kg format stores
+saga::kg::Value::is_numeric                    value: kind predicate over the kinds the .kg format stores
+saga::Status::IsAlreadyExists                  value: Status predicate for one StatusCode
+saga::Status::IsInvalidArgument                value: Status predicate for one StatusCode
+saga::Status::IsIOError                        value: Status predicate for one StatusCode
+saga::Status::IsFsyncGate                      value: Status predicate for one StatusOrigin
+saga::Status::OutOfRange                       value: Status factory for one StatusCode
+saga::Status::Unimplemented                    value: Status factory for one StatusCode
 EOF
 }
 
@@ -49,25 +54,31 @@ for f in examples/*.cpp bench/bench_*.cc; do
 done
 
 cmake -S . -B "$build" -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_CXX_FLAGS_RELEASE="-O0" -DCMAKE_CXX_FLAGS="-ffunction-sections" \
+  -DCMAKE_CXX_FLAGS_RELEASE="-O0" \
+  -DCMAKE_CXX_FLAGS="-g1 -ffunction-sections -fkeep-inline-functions" \
   -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" >/dev/null || exit 2
 log="$build/check_linked.log"
 cmake --build "$build" -j "$jobs" --target "${targets[@]}" >"$log" 2>&1 ||
   { tail -40 "$log"; exit 2; }
 
-# "<src dir>/<object stem> <function>" for each saga:: function a src/
-# library defines out of line.
+# "<defining file without extension> <function>" for each saga:: function
+# a src/ library emits, out of line or inline. Constructors are left out:
+# they belong to their type, which is used when any of its members is.
 defined() {
-  for lib in "$build"/src/*/libsaga_*.a; do
-    dir="src/$(basename "$(dirname "$lib")")"
-    nm -A --defined-only "$lib" | awk -v dir="$dir" '
-      $(NF - 1) ~ /^[TW]$/ {
-        n = split($1, p, ":"); obj = p[n - 1]
-        sub(/\.(cc|cpp)\.o$/, "", obj)
-        print dir "/" obj, $NF
-      }'
-  done | c++filt -p |
-    awk '$2 ~ /^saga::/ && $0 !~ /anonymous|lambda|operator|~|</'
+  nm -l --defined-only "$build"/src/*/libsaga_*.a 2>/dev/null |
+    awk -F '\t' -v root="$root/" '
+      NF == 2 && $1 ~ / [TW] / {
+        n = split($1, f, " "); loc = $2
+        sub(/:[0-9]+$/, "", loc)
+        if (index(loc, root) == 1) loc = substr(loc, length(root) + 1)
+        if (loc !~ /^src\//) next
+        sub(/\.(h|cc|cpp)$/, "", loc)
+        print loc, f[n]
+      }' | c++filt -p |
+    awk '$2 ~ /^saga::/ && $0 !~ /anonymous|lambda|operator|~|</ {
+      n = split($2, part, "::")
+      if (part[n] != part[n - 1]) print
+    }'
 }
 
 bins=()
@@ -93,6 +104,9 @@ count=0
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 linked >"$tmp/linked"
+defined | sort -u -k2,2 >"$tmp/defined"
+[ -s "$tmp/defined" ] ||
+  { echo "check_linked: no saga:: function found in $build/src" >&2; exit 2; }
 allowlist | awk '{ print $1 }' | sort -u >"$tmp/allowed"
 
 while read -r own fn; do
@@ -106,10 +120,20 @@ while read -r own fn; do
     continue
   fi
   count=$((count + 1))
+  echo "$fn" >>"$tmp/unlinked"
   grep -qxF "$fn" "$tmp/allowed" && continue
   echo "UNLINKED  ${own}: ${fn} — no production binary links it; delete it or give it a production caller"
   status=1
-done < <(defined | sort -u -k2,2)
+done <"$tmp/defined"
+
+# An allowlist entry no candidate matches is stale: it was linked,
+# deleted or renamed since.
+touch "$tmp/unlinked"
+while read -r fn; do
+  grep -qxF "$fn" "$tmp/unlinked" && continue
+  echo "STALE     allowlist entry ${fn} — not an unlinked function any more; drop it from the allowlist"
+  status=1
+done <"$tmp/allowed"
 
 if [ "$status" -eq 0 ]; then
   echo "check_linked: OK (${count} unlinked names, each allowlisted with a reason)"

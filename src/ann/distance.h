@@ -62,24 +62,6 @@ inline double CosineFromDot(double dot, double na, double nb) {
   return dot / (na * nb);
 }
 
-inline double CosineSim(const float* a, const float* b, size_t dim) {
-  return CosineFromDot(Dot(a, b, dim), Norm(a, dim), Norm(b, dim));
-}
-
-/// Unified "higher is better" similarity under a metric (L2 is negated).
-inline double Similarity(Metric metric, const float* a, const float* b,
-                         size_t dim) {
-  switch (metric) {
-    case Metric::kDot:
-      return Dot(a, b, dim);
-    case Metric::kCosine:
-      return CosineSim(a, b, dim);
-    case Metric::kL2:
-      return -L2Sq(a, b, dim);
-  }
-  return 0.0;
-}
-
 }  // namespace saga::ann
 
 #endif  // SAGA_ANN_DISTANCE_H_

@@ -12,9 +12,10 @@
 
 namespace saga::ann {
 
-/// One query scored against many rows. Widens the query to double and
-/// takes its norm once, then Score(rows, i) equals
-/// Similarity(metric, query, rows.row(i), dim) bit for bit.
+/// One query scored against many rows, "higher is better" under the
+/// metric (L2 is negated). Widens the query to double and takes its
+/// norm once; Score(rows, i) equals scoring the float query against
+/// rows.row(i) with Dot / CosineFromDot / L2Sq directly, bit for bit.
 class QueryScorer {
  public:
   QueryScorer(Metric metric, std::span<const float> query)

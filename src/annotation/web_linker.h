@@ -23,7 +23,6 @@ class AnnotationIndex {
   void Remove(websim::DocId doc);
 
   const AnnotatedDocument* ForDoc(websim::DocId doc) const;
-  size_t num_annotated_docs() const { return by_doc_.size(); }
   size_t num_entity_doc_edges() const { return num_edges_; }
 
  private:
@@ -54,7 +53,6 @@ class IncrementalWebLinker {
   PassStats AnnotateCorpus(const websim::WebCorpus& corpus);
 
   const AnnotationIndex& index() const { return index_; }
-  kg::PredicateId mentioned_in_predicate() const { return mentioned_in_; }
 
  private:
   const Annotator* annotator_;

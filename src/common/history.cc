@@ -112,7 +112,6 @@ LatencyDist History::WindowDistLocked(const std::string& latency,
     for (size_t b = 0; b < total.buckets.size(); ++b) {
       total.buckets[b] += delta.buckets[b];
     }
-    total.sum_ns += delta.sum_ns;
   }
   return total;
 }

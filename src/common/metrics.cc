@@ -27,11 +27,6 @@ double Histogram::Sum() const {
   return s;
 }
 
-double Histogram::Min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
 double Histogram::Max() const {
   if (samples_.empty()) return 0.0;
   return *std::max_element(samples_.begin(), samples_.end());
@@ -164,7 +159,6 @@ LatencyDist LatencyDist::DeltaSince(const LatencyDist& older) const {
         buckets[i] >= older.buckets[i] ? buckets[i] - older.buckets[i]
                                        : buckets[i];
   }
-  out.sum_ns = sum_ns >= older.sum_ns ? sum_ns - older.sum_ns : sum_ns;
   return out;
 }
 
@@ -249,7 +243,6 @@ std::vector<LatencySnapshot> Registry::LatencySnapshotsWithPrefix(
     LatencySnapshot snap;
     snap.name = name;
     snap.dist.buckets = h->SnapshotBuckets();
-    snap.dist.sum_ns = h->SumNs();
     snap.exemplar = h->exemplar();
     out.push_back(std::move(snap));
   }

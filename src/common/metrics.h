@@ -51,7 +51,6 @@ class Histogram {
 
   size_t count() const { return samples_.size(); }
   double Mean() const;
-  double Min() const;
   double Max() const;
   double Sum() const;
   /// p in [0, 100]. Returns 0 when empty.
@@ -211,13 +210,12 @@ class LatencyHistogram {
   mutable std::atomic<bool> exemplar_lock_{false};
 };
 
-/// Plain-value distribution snapshot: bucket counts + sum at one point
-/// in time. Subtractable (History computes per-window distributions as
+/// Plain-value distribution snapshot: bucket counts at one point in
+/// time. Subtractable (History computes per-window distributions as
 /// clamped bucket deltas between two captures) and percentile-capable
 /// via LatencyHistogram::PercentileFromBuckets.
 struct LatencyDist {
   std::array<uint64_t, LatencyHistogram::kNumBuckets> buckets{};
-  uint64_t sum_ns = 0;
 
   uint64_t count() const {
     uint64_t n = 0;
@@ -226,11 +224,6 @@ struct LatencyDist {
   }
   double PercentileNs(double p) const {
     return LatencyHistogram::PercentileFromBuckets(buckets, p);
-  }
-  double MeanNs() const {
-    const uint64_t n = count();
-    return n == 0 ? 0.0
-                  : static_cast<double>(sum_ns) / static_cast<double>(n);
   }
   /// this - older, clamped at zero per bucket (reset-tolerant: a
   /// counter that went backwards contributes its new value, not a

@@ -5,13 +5,8 @@
 namespace saga {
 
 Status RequestContext::Check(std::string_view where) const {
-  if (cancelled()) {
-    // Mark the open span so the tail sampler retains this trace.
-    obs::MarkSpanError(StatusCode::kDeadlineExceeded);
-    return Status::DeadlineExceeded("request cancelled in " +
-                                    std::string(where));
-  }
   if (!deadline_.expired()) return Status::OK();
+  // Mark the open span so the tail sampler retains this trace.
   obs::MarkSpanError(StatusCode::kDeadlineExceeded);
   char buf[160];
   std::snprintf(buf, sizeof(buf), "deadline exceeded in %.*s (%.2fms overdue)",

@@ -35,7 +35,6 @@ Status RetryPolicy::Run(const std::string& op_name,
     const bool worth_retry =
         !NeverRetryable(last) && (retryable ? retryable(last) : IsRetryable(last));
     if (!worth_retry || attempt == attempts) return last;
-    ++total_retries_;
     SAGA_COUNTER("resource.retry.attempts").Add();
     const double backoff = BackoffMs(attempt);
     SAGA_LOG(Warning) << op_name << " attempt " << attempt << "/" << attempts

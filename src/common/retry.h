@@ -87,16 +87,12 @@ class RetryPolicy {
            s.origin() == StatusOrigin::kFsyncGate;
   }
 
-  /// Retries performed across all Run calls on this policy.
-  uint64_t total_retries() const { return total_retries_; }
-
   const Options& options() const { return options_; }
 
  private:
   Options options_;
   SleepFn sleep_;
   Rng rng_;
-  uint64_t total_retries_ = 0;
 };
 
 }  // namespace saga

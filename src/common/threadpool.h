@@ -44,7 +44,6 @@ class ThreadPool {
   void Wait();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-  size_t max_queue() const { return max_queue_; }
   /// Tasks waiting for a worker right now (excludes running tasks).
   size_t queue_depth() const;
 

@@ -215,7 +215,10 @@ void Accumulate(const SpanNode& node,
       node.duration_ns > child_ns ? node.duration_ns - child_ns : 0;
 }
 
-void EmitChromeEvents(const SpanNode& node, bool* first, std::string* out) {
+}  // namespace
+
+namespace internal {
+void AppendChromeEvents(const SpanNode& node, bool* first, std::string* out) {
   if (!*first) *out += ",";
   *first = false;
   char buf[352];
@@ -234,15 +237,8 @@ void EmitChromeEvents(const SpanNode& node, bool* first, std::string* out) {
       node.error_code);
   *out += buf;
   for (const auto& child : node.children) {
-    EmitChromeEvents(*child, first, out);
+    AppendChromeEvents(*child, first, out);
   }
-}
-
-}  // namespace
-
-namespace internal {
-void AppendChromeEvents(const SpanNode& root, bool* first, std::string* out) {
-  EmitChromeEvents(root, first, out);
 }
 }  // namespace internal
 

@@ -174,9 +174,9 @@ using FragmentSink = void (*)(std::unique_ptr<SpanNode> fragment,
 void SetFragmentSink(FragmentSink sink);
 /// Fresh random-ish ids (SplitMix over a global counter + thread id).
 uint64_t NewId();
-/// Appends the Chrome trace_event objects of one fragment (shared by
-/// ChromeTraceJson and the tail sampler's dump).
-void AppendChromeEvents(const SpanNode& root, bool* first, std::string* out);
+/// Appends the Chrome trace_event objects of one fragment and its
+/// descendants (the tail sampler's dump).
+void AppendChromeEvents(const SpanNode& node, bool* first, std::string* out);
 }  // namespace internal
 
 }  // namespace saga::obs

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "integrity/snapshot.h"
+#include "resource/disk_space_governor.h"
 #include "serving/admission_controller.h"
 
 namespace saga::integrity {

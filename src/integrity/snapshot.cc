@@ -84,28 +84,6 @@ Result<SnapshotInfo> SnapshotManager::Create(
     members.emplace_back(extra, true);
   }
 
-  resource::DiskSpaceGovernor::Reservation res;
-  if (governor_ != nullptr) {
-    if (governor_->degraded()) {
-      SAGA_COUNTER("integrity.snapshot.deferred").Add();
-      return Status::StorageExhausted(
-          "snapshot create deferred: store is disk-space degraded");
-    }
-    // Only the byte-copied members cost space; hard-linked tables
-    // share their inode with the live store.
-    uint64_t copy_bytes = 4096;  // staging dir + SNAPMANIFEST slack
-    for (const auto& [src, immutable] : members) {
-      if (immutable) continue;
-      if (auto size = FileSize(src); size.ok()) copy_bytes += *size;
-    }
-    auto r = governor_->Reserve(copy_bytes);
-    if (!r.ok()) {
-      SAGA_COUNTER("integrity.snapshot.deferred").Add();
-      return r.status();
-    }
-    res = std::move(*r);
-  }
-
   SAGA_RETURN_IF_ERROR(CreateDirIfMissing(root_));
   const std::string staging = JoinPath(root_, kStagingPrefix + name);
   (void)RemoveDirRecursively(staging);  // debris from a crashed create
@@ -136,7 +114,6 @@ Result<SnapshotInfo> SnapshotManager::Create(
   SAGA_RETURN_IF_ERROR(WriteStringToFile(JoinPath(staging, kSnapManifestName),
                                          manifest, /*durable=*/true));
   SAGA_RETURN_IF_ERROR(RenameFileDurable(staging, final_dir));
-  res.Commit(res.bytes());
   SAGA_COUNTER("integrity.snapshot.created").Add();
   return info;
 }

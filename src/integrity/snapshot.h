@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "resource/disk_space_governor.h"
 
 namespace saga::integrity {
 
@@ -71,14 +70,6 @@ class SnapshotManager {
 
   Result<SnapshotInfo> Info(const std::string& name) const;
 
-  /// Optional disk-space governor. When set, Create() is refused with
-  /// a storage-origin kResourceExhausted while the store is degraded
-  /// (a snapshot consumes exactly the space reclaim is fighting for)
-  /// and reserves the byte-copy cost up front otherwise. Not owned.
-  void set_governor(resource::DiskSpaceGovernor* governor) {
-    governor_ = governor;
-  }
-
   const std::string& root() const { return root_; }
   const std::string& store_dir() const { return store_dir_; }
 
@@ -95,7 +86,6 @@ class SnapshotManager {
 
   std::string store_dir_;
   std::string root_;
-  resource::DiskSpaceGovernor* governor_ = nullptr;
 };
 
 }  // namespace saga::integrity

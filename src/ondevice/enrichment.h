@@ -95,7 +95,6 @@ class PirServer {
   /// Non-private baseline for cost comparison: touches one cell.
   FetchResult DirectFetch(kg::EntityId id) const;
 
-  size_t database_cells() const { return kg_->num_entities(); }
 
  private:
   const kg::KnowledgeGraph* kg_;

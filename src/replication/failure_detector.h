@@ -33,7 +33,6 @@ class FailureDetector {
   /// Contact from the monitored peer: resets suspicion and restarts
   /// the current timeout window at `now_ms`.
   void RecordContact(double now_ms) {
-    last_contact_ms_ = now_ms;
     window_start_ms_ = now_ms;
     suspicion_ = 0;
   }
@@ -60,11 +59,9 @@ class FailureDetector {
   }
 
   int suspicion() const { return suspicion_; }
-  double last_contact_ms() const { return last_contact_ms_; }
 
  private:
   double timeout_ms_;
-  double last_contact_ms_ = 0;
   double window_start_ms_ = 0;
   int suspicion_ = 0;
 };

@@ -64,7 +64,7 @@ std::vector<LogRecord> ReplicatedLog::ReadFrom(uint64_t seq,
   std::vector<LogRecord> out;
   if (entries_.empty() || max == 0) return out;
   const uint64_t first = entries_.front().seq;
-  if (seq < first) seq = first;  // caller checks first_seq() for gaps
+  if (seq < first) seq = first;
   if (seq > entries_.back().seq) return out;
   size_t idx = static_cast<size_t>(seq - first);
   for (; idx < entries_.size() && out.size() < max; ++idx) {

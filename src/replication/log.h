@@ -15,14 +15,14 @@
 namespace saga::replication {
 
 /// The sequenced log one replica owns: a contiguous run of LogRecords
-/// [first_seq, last_seq], held in memory for shipping and optionally
+/// [first, last_seq], held in memory for shipping and optionally
 /// backed by a storage WAL (sequenced-record framing) for durability.
 ///
 /// Invariants:
 ///  - seqs are contiguous: Append requires seq == last_seq + 1;
 ///  - entry epochs are non-decreasing in seq order;
 ///  - the WAL, when configured, always holds exactly the in-memory
-///    entries [first_seq, last_seq] — TruncateFrom rewrites it through
+///    entries [first, last_seq] — TruncateFrom rewrites it through
 ///    WalWriter::Reset(), so a restart replay reconstructs the same
 ///    window.
 class ReplicatedLog {
@@ -38,7 +38,7 @@ class ReplicatedLog {
   Status Open();
 
   /// Appends one record; `record.seq` must be last_seq + 1 (or any
-  /// value for the very first record, seeding first_seq). When
+  /// value for the very first record, seeding the window). When
   /// WAL-backed, the record is fsynced before OK.
   Status Append(const LogRecord& record);
 
@@ -50,15 +50,12 @@ class ReplicatedLog {
   /// is past the end.
   std::vector<LogRecord> ReadFrom(uint64_t seq, size_t max) const;
 
-  /// Entry at `seq`, or nullptr when outside [first_seq, last_seq].
+  /// Entry at `seq`, or nullptr when outside [first, last_seq].
   const LogRecord* At(uint64_t seq) const;
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
   /// 0 when empty.
-  uint64_t first_seq() const {
-    return entries_.empty() ? 0 : entries_.front().seq;
-  }
   uint64_t last_seq() const {
     return entries_.empty() ? 0 : entries_.back().seq;
   }

@@ -89,7 +89,6 @@ void Replica::BecomeFollower(int leader_id, uint64_t epoch, double now_ms) {
 void Replica::BecomeLeader(double now_ms) {
   role_ = Role::kLeader;
   leader_id_ = options_.id;
-  ++elections_won_;
   SAGA_COUNTER("replication.replica.elections_won").Add();
   next_seq_.clear();
   match_seq_.clear();
@@ -288,7 +287,6 @@ void Replica::HandleAppend(const Message& m, double now_ms) {
   // Fencing: a lower-epoch leader is an ex-leader. Reject and tell it
   // the epoch that fenced it, so it steps down.
   if (m.epoch < epoch_) {
-    ++fenced_appends_;
     SAGA_COUNTER("replication.replica.fenced_appends").Add();
     ack.epoch = epoch_;
     ack.success = false;

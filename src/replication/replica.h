@@ -37,7 +37,7 @@ enum class Role : int {
 ///    committed — and only then acknowledged to the client — once a
 ///    quorum of logs holds it and its epoch is the leader's own.
 ///  - Followers fence on epoch: any append or vote from a lower epoch
-///    is rejected (`fenced_appends` counts them), so a partitioned
+///    is rejected (`replication.replica.fenced_appends` counts them), so a partitioned
 ///    ex-leader's late appends can never reach a log that has moved
 ///    on. Seeing a higher epoch always steps a node down.
 ///  - Failure detection is heartbeat-based (FailureDetector: timeout
@@ -119,16 +119,12 @@ class Replica {
   // --- introspection ---
   Role role() const { return role_; }
   uint64_t epoch() const { return epoch_; }
-  int leader_id() const { return leader_id_; }
   uint64_t commit_seq() const { return commit_seq_; }
-  uint64_t last_applied() const { return last_applied_; }
   const ReplicatedLog& log() const { return log_; }
   int id() const { return options_.id; }
   /// Leader's per-peer failure detector verdict (false when not
   /// leader or peer unknown).
   bool PeerSuspected(int peer) const;
-  uint64_t fenced_appends() const { return fenced_appends_; }
-  uint64_t elections_won() const { return elections_won_; }
 
  private:
   int quorum() const { return options_.group_size / 2 + 1; }
@@ -176,9 +172,6 @@ class Replica {
   std::map<int, uint64_t> match_seq_;
   std::map<int, FailureDetector> peer_detectors_;
 
-  // Counters.
-  uint64_t fenced_appends_ = 0;
-  uint64_t elections_won_ = 0;
 };
 
 }  // namespace saga::replication

@@ -124,7 +124,7 @@ class DiskSpaceGovernor {
                               ReservationClass cls = ReservationClass::kWrite);
 
   /// Space returned to the budget (obsolete SSTable deleted, WAL
-  /// truncated, snapshot pruned). Runs the degraded-exit check.
+  /// truncated). Runs the degraded-exit check.
   void OnBytesFreed(uint64_t bytes);
 
   /// The device itself said no (real ENOSPC or an injected kNoSpace
@@ -142,7 +142,6 @@ class DiskSpaceGovernor {
   uint64_t budget_bytes() const;
   uint64_t used_bytes() const;
   uint64_t denials() const;
-  const std::string& data_dir() const { return data_dir_; }
 
   /// Returns at least `emergency_floor_bytes * exit_headroom_factor`:
   /// the free-space level at which degraded mode exits.

@@ -92,10 +92,9 @@ class EmbeddingService {
       const RequestContext& ctx) const;
 
   const embedding::EmbeddingStore& store() const { return store_; }
-  /// The index searches run on, and its exact twin (null unless hedging
-  /// or the breaker is on). Both read the store's rows in place.
+  /// The index searches run on. It and its exact twin (built when
+  /// hedging or the breaker is on) read the store's rows in place.
   const ann::VectorIndex& index() const { return *index_; }
-  const ann::VectorIndex* exact_backup() const { return exact_backup_.get(); }
 
   /// True when the configured index could not be built and the service
   /// fell back to exact brute-force search.

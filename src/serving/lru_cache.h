@@ -47,7 +47,6 @@ class LruCache {
   void Erase(uint64_t key);
   bool Contains(uint64_t key) const { return entries_.count(key) > 0; }
 
-  size_t size_bytes() const { return size_bytes_; }
   size_t size() const { return entries_.size(); }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }

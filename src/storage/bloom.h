@@ -23,7 +23,6 @@ class BloomFilter {
   bool MayContain(std::string_view key) const;
 
   std::string Serialize() const;
-  size_t SizeBytes() const { return bits_.size(); }
 
  private:
   BloomFilter() = default;

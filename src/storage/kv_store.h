@@ -232,8 +232,6 @@ class KvStore {
   const Stats& stats() const { return stats_; }
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
   const std::string& dir() const { return dir_; }
-  /// Null unless Options::enable_read_breaker.
-  CircuitBreaker* read_breaker() { return read_breaker_.get(); }
 
  private:
   /// A sealed memtable plus the newest WAL segment covering it; the

@@ -58,7 +58,6 @@ class SSTableBuilder {
   /// Writes the finished table to `path` (atomic).
   Status Finish(const std::string& path, size_t expected_keys);
 
-  size_t num_entries() const { return num_entries_; }
 
  private:
   Options options_;
@@ -105,10 +104,8 @@ class SSTableReader {
   /// for the background scrubber. kDataLoss names the first bad block.
   Status VerifyChecksums() const;
 
-  uint64_t num_entries() const { return num_entries_; }
   size_t file_bytes() const { return data_.size(); }
   const std::string& path() const { return path_; }
-  size_t num_blocks() const { return block_starts_.size(); }
 
   /// True if the bloom filter rules the key out (definite miss).
   bool DefinitelyMissing(std::string_view key) const {

@@ -34,7 +34,6 @@ class AhoCorasick {
   /// All (possibly overlapping) pattern occurrences in `text`.
   std::vector<Match> FindAll(std::string_view text) const;
 
-  size_t num_patterns() const { return patterns_.size(); }
   const std::string& pattern(uint32_t idx) const { return patterns_[idx]; }
 
  private:

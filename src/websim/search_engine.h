@@ -29,8 +29,6 @@ class SearchEngine {
   /// Re-indexes the given documents (after MutateCorpus).
   void Refresh(const std::vector<DocId>& changed);
 
-  size_t num_documents() const { return doc_lengths_.size(); }
-
  private:
   void IndexDoc(DocId id);
   void BuildAll();

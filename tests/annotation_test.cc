@@ -781,7 +781,6 @@ TEST(AnnotationIndexTest, SetReplacesAndRemoveDropsEdges) {
   index.Remove(5);  // absent: no-op
   EXPECT_EQ(index.ForDoc(5), nullptr);
   EXPECT_EQ(index.num_entity_doc_edges(), 2u);
-  EXPECT_EQ(index.num_annotated_docs(), 2u);
 }
 
 }  // namespace

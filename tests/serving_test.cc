@@ -62,6 +62,8 @@ LruCache::Value Stored(uint32_t length) {
 }
 
 // Each entry is charged LruCache::kKeyBytes (8) plus its value bytes.
+// The tests read the byte total back by filling the cache to exactly
+// its budget: an entry of the right size must then evict nothing.
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache cache(50);
@@ -77,12 +79,13 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
 TEST(LruCacheTest, OverwriteUpdatesBytes) {
   LruCache cache(1000);
   cache.Put(7, Stored(100), 100);
-  const size_t big = cache.size_bytes();
   const LruCache::Value tiny = Stored(4);
   cache.Put(7, tiny, 4);
-  EXPECT_LT(cache.size_bytes(), big);
   EXPECT_EQ(cache.Get(7), tiny);
   EXPECT_EQ(cache.size(), 1u);
+  // 7 is charged 8 + 4 now, not 8 + 100: 988 more bytes fit beside it.
+  ASSERT_TRUE(cache.Put(8, Stored(980), 980));
+  EXPECT_TRUE(cache.Contains(7));
 }
 
 TEST(LruCacheTest, TracksHitsAndMisses) {
@@ -104,18 +107,21 @@ TEST(LruCacheTest, RejectsOversizedInsertUpFront) {
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_TRUE(cache.Contains(2));
   EXPECT_FALSE(cache.Contains(3));
-  EXPECT_EQ(cache.size_bytes(), 40u);  // 2 * (8 + 12)
+  // 2 * (8 + 12) = 40 bytes held: 10 more fit without an eviction.
+  ASSERT_TRUE(cache.Put(4, Stored(2), 2));
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(2));
 }
 
 TEST(LruCacheTest, OversizedUpdateOfExistingKeyIsRejected) {
   LruCache cache(50);
   const LruCache::Value old_value = Stored(10);
   ASSERT_TRUE(cache.Put(7, old_value, 10));
-  const size_t before = cache.size_bytes();
   EXPECT_FALSE(cache.Put(7, Stored(60), 60));
-  // The old entry survives untouched.
-  EXPECT_EQ(cache.size_bytes(), before);
+  // The old entry survives untouched, still charged 8 + 10.
   EXPECT_EQ(cache.Get(7), old_value);
+  ASSERT_TRUE(cache.Put(8, Stored(24), 24));
+  EXPECT_TRUE(cache.Contains(7));
 }
 
 TEST(LruCacheTest, EvictionSparesTheJustUpdatedEntry) {
@@ -129,7 +135,9 @@ TEST(LruCacheTest, EvictionSparesTheJustUpdatedEntry) {
   EXPECT_FALSE(cache.Contains(1));
   ASSERT_TRUE(cache.Contains(2));
   EXPECT_EQ(cache.Get(2), grown);
-  EXPECT_EQ(cache.size_bytes(), 40u);  // 8 + 32
+  // 8 + 32 = 40 bytes held: 10 more fit without an eviction.
+  ASSERT_TRUE(cache.Put(3, Stored(2), 2));
+  EXPECT_TRUE(cache.Contains(2));
 }
 
 TEST(LruCacheTest, EraseReleasesTheEntryBytes) {
@@ -140,7 +148,9 @@ TEST(LruCacheTest, EraseReleasesTheEntryBytes) {
   cache.Erase(9);  // absent: no effect
   EXPECT_FALSE(cache.Contains(1));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.size_bytes(), 38u);
+  // Only 2's 8 + 30 bytes are held: 62 more fit without an eviction.
+  ASSERT_TRUE(cache.Put(3, Stored(54), 54));
+  EXPECT_TRUE(cache.Contains(2));
 }
 
 // ---------- EmbeddingKvCache ----------
@@ -527,33 +537,30 @@ TEST(EmbeddingServiceTest, IvfIndexServesQueries) {
   EXPECT_EQ(nbrs->size(), 3u);
 }
 
-TEST(EmbeddingServiceTest, ExactBackupSharesTheStoreRows) {
+TEST(EmbeddingServiceTest, IndexesShareTheStoreRows) {
   Fixture f = Fixture::Make();
   EmbeddingService::Options opts;
   opts.index = EmbeddingService::IndexKind::kIvf;
   opts.ivf_lists = 16;
-  const embedding::EmbeddingStore store =
-      embedding::EmbeddingStore::FromTrained(f.emb, f.view);
-  // Neither hedging nor the breaker: no backup, so a failed search
-  // returns its error.
-  EXPECT_EQ(EmbeddingService(store, &f.gen.kg, opts).exact_backup(),
-            nullptr);
-
   opts.hedge.enabled = true;
   opts.enable_breaker = true;
+  const embedding::EmbeddingStore store =
+      embedding::EmbeddingStore::FromTrained(f.emb, f.view);
+  // One copy of the rows: the store and the IVF index read the same
+  // matrix.
+  const ann::RowMatrix& rows = *store.rows();
   EmbeddingService service(store, &f.gen.kg, opts);
   ASSERT_FALSE(service.degraded());
-  const ann::VectorIndex* backup = service.exact_backup();
-  ASSERT_NE(backup, nullptr);
-  // One copy of the rows: the store, the IVF index and the exact backup
-  // all read the same matrix.
-  const ann::RowMatrix& rows = *store.rows();
   EXPECT_EQ(service.store().rows().get(), &rows);
   EXPECT_EQ(&service.index().rows(), &rows);
-  EXPECT_EQ(&backup->rows(), &rows);
+
+  // So does the exact index, which is also the hedge/breaker backup.
+  opts.index = EmbeddingService::IndexKind::kExact;
+  EmbeddingService exact(store, &f.gen.kg, opts);
+  EXPECT_EQ(&exact.index().rows(), &rows);
   EXPECT_EQ(store.Get(kg::EntityId(rows.labels()[0])).data(),
-            backup->rows().row(0));
-  EXPECT_EQ(backup->size(), store.size());
+            exact.index().rows().row(0));
+  EXPECT_EQ(exact.index().size(), store.size());
 }
 
 // ---------- FactRanker ----------

@@ -358,7 +358,9 @@ TEST_F(SSTableTest, BuildAndGet) {
 
   auto reader = SSTableReader::Open(path);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ((*reader)->num_entries(), 100u);
+  auto all = (*reader)->ScanAllChecked();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), 100u);
   for (int i = 0; i < 100; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "key%04d", i);

@@ -352,7 +352,6 @@ TEST(AhoCorasickTest, PatternIndexRoundTrip) {
   const uint32_t b = ac.AddPattern("beta");
   EXPECT_EQ(ac.pattern(a), "alpha");
   EXPECT_EQ(ac.pattern(b), "beta");
-  EXPECT_EQ(ac.num_patterns(), 2u);
 }
 
 }  // namespace

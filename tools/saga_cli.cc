@@ -405,6 +405,15 @@ int CmdResource(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
     return 1;
   }
+  // What opening the store healed, if it was left behind by a crash.
+  const auto& rec = (*store)->recovery_stats();
+  std::printf("opened %s: %llu tables loaded, %llu quarantined, "
+              "%llu WAL records replayed, %llu WAL bytes dropped\n",
+              dir.c_str(), static_cast<unsigned long long>(rec.sstables_loaded),
+              static_cast<unsigned long long>(rec.sstables_quarantined +
+                                              rec.orphans_quarantined),
+              static_cast<unsigned long long>(rec.wal_records_replayed),
+              static_cast<unsigned long long>(rec.wal_bytes_dropped));
   governor.RegisterReclaimTask(
       "kv.drop_obsolete", [&] { return (*store)->DropObsoleteFiles(); });
 
