@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "annotation/context_reranker.h"
+#include "bench_util.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "kg/kg_generator.h"
@@ -160,13 +161,6 @@ constexpr double kMaxKgVsTextRatio = 0.75;
 // per lookup measures 1.09-1.51.
 constexpr double kMaxCachedVsKgRatio = 0.7;
 
-bool GateRow(const char* name, double ratio, double limit) {
-  const bool ok = ratio <= limit;
-  std::printf("gate %-38s %10.3f <= %10.3f  %s\n", name, ratio, limit,
-              ok ? "PASS" : "FAIL");
-  return ok;
-}
-
 int RunGate() {
   Profiles& p = ServingProfiles();
   auto dir = MakeTempDir("bench_text_cache");
@@ -204,10 +198,10 @@ int RunGate() {
               text_ns, p.ids.size());
   std::printf("profile score from KG   %8.1f ns/profile\n", kg_ns);
   std::printf("profile score cached    %8.1f ns/profile\n", cached_ns);
-  bool ok = GateRow("from KG vs via text (ratio)", kg_ns / text_ns,
-                    kMaxKgVsTextRatio);
-  ok &= GateRow("cached hit vs from KG (ratio)", cached_ns / kg_ns,
-                kMaxCachedVsKgRatio);
+  bool ok = bench::GateRow("from KG vs via text (ratio)", kg_ns / text_ns,
+                           kMaxKgVsTextRatio);
+  ok &= bench::GateRow("cached hit vs from KG (ratio)", cached_ns / kg_ns,
+                       kMaxCachedVsKgRatio);
   std::printf(ok ? "text gate: OK\n" : "text gate: FAILED\n");
   return ok ? 0 : 1;
 }

@@ -61,6 +61,15 @@ inline void Section(const char* title) {
   std::printf("\n=== %s ===\n\n", title);
 }
 
+/// One row of a `--gate`: prints the measured ratio beside its limit
+/// and returns whether the ratio is within it.
+inline bool GateRow(const char* name, double ratio, double limit) {
+  const bool ok = ratio <= limit;
+  std::printf("gate %-38s %10.3f <= %10.3f  %s\n", name, ratio, limit,
+              ok ? "PASS" : "FAIL");
+  return ok;
+}
+
 /// Prints the observability surface accumulated so far: the per-stage
 /// span latency breakdown (inclusive/exclusive time) plus the full
 /// Prometheus-style metric dump (counters, gauges, latency quantiles).

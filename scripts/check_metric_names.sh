@@ -69,8 +69,7 @@ check 'obs::ScopedSpan'              # temporaries / ctor-style
 # <stem>_opened / <stem>_rejected, so the stem itself must be
 # `subsystem.breaker.name` (middle segment literally "breaker") for the
 # derived names — e.g. serving.breaker.ann_state — to stay inside the
-# scheme. Covers direct construction, make_unique, and the KvStore
-# read_breaker_stem default.
+# scheme. Covers direct construction and make_unique.
 stem_re="^${segment}\.breaker\.${segment}$"
 while IFS= read -r hit; do
   [ -n "$hit" ] || continue
@@ -80,9 +79,9 @@ while IFS= read -r hit; do
     echo "BAD STEM  ${loc}: breaker stem \"${name}\" — want subsystem.breaker.name"
     status=1
   fi
-done < <(grep -rnoE '(CircuitBreaker( [a-zA-Z_]+)?>?\(|read_breaker_stem = )"[^"]+"' \
+done < <(grep -rnoE 'CircuitBreaker( [a-zA-Z_]+)?>?\("[^"]+"' \
     --include='*.cc' --include='*.h' src tests bench tools 2>/dev/null |
-  sed -E 's/(CircuitBreaker( [a-zA-Z_]+)?>?\(|read_breaker_stem = )"([^"]+)"/\3/')
+  sed -E 's/CircuitBreaker( [a-zA-Z_]+)?>?\("([^"]+)"/\2/')
 
 if [ "$status" -eq 0 ]; then
   echo "check_metric_names: OK (all obs names follow subsystem.component.metric)"

@@ -14,7 +14,7 @@ StaticKnowledgeAsset StaticKnowledgeAsset::Build(
 }
 
 void StaticKnowledgeAsset::Refresh(const kg::KnowledgeGraph& kg) {
-  facts_.clear();
+  fact_counts_.clear();
   num_facts_ = 0;
   ++version_;
 
@@ -31,12 +31,10 @@ void StaticKnowledgeAsset::Refresh(const kg::KnowledgeGraph& kg) {
   const size_t k = std::min(options_.top_k_entities, ranked.size());
   for (size_t i = 0; i < k; ++i) {
     const kg::EntityId id = ranked[i].second;
-    std::vector<kg::Triple>& facts = facts_[id];
-    for (kg::TripleIdx idx : kg.triples().BySubject(id)) {
-      if (facts.size() >= options_.max_facts_per_entity) break;
-      facts.push_back(kg.triples().triple(idx));
-    }
-    num_facts_ += facts.size();
+    const size_t facts = std::min(kg.triples().BySubject(id).size(),
+                                  options_.max_facts_per_entity);
+    fact_counts_[id] = facts;
+    num_facts_ += facts;
   }
 }
 
@@ -46,10 +44,10 @@ void StaticKnowledgeAsset::ApplyDelta(
   for (kg::TripleIdx idx : added) {
     if (!kg.triples().IsLive(idx)) continue;
     const kg::Triple& t = kg.triples().triple(idx);
-    auto it = facts_.find(t.subject);
-    if (it == facts_.end()) continue;  // not a member
-    if (it->second.size() >= options_.max_facts_per_entity) continue;
-    it->second.push_back(t);
+    auto it = fact_counts_.find(t.subject);
+    if (it == fact_counts_.end()) continue;  // not a member
+    if (it->second >= options_.max_facts_per_entity) continue;
+    ++it->second;
     ++num_facts_;
     changed = true;
   }
@@ -58,7 +56,7 @@ void StaticKnowledgeAsset::ApplyDelta(
 
 size_t StaticKnowledgeAsset::EstimatedBytes() const {
   // ~24 bytes of ids + value payload estimate per fact.
-  return num_facts_ * 48 + facts_.size() * 16;
+  return num_facts_ * 48 + fact_counts_.size() * 16;
 }
 
 std::vector<kg::Triple> PiggybackEnrich(const kg::KnowledgeGraph& kg,

@@ -12,7 +12,9 @@ namespace saga::ondevice {
 /// Global-knowledge enrichment path 1 (§5): a static asset of popular
 /// entities and their facts, shipped to every device with no
 /// client-side request (so it leaks nothing). Implemented as a
-/// maintainable view over the global KG.
+/// maintainable view over the global KG that keeps, per member entity,
+/// how many of its facts the asset ships: membership and size are all
+/// the platform reads of it.
 class StaticKnowledgeAsset {
  public:
   struct Options {
@@ -23,8 +25,8 @@ class StaticKnowledgeAsset {
   static StaticKnowledgeAsset Build(const kg::KnowledgeGraph& kg,
                                     Options options);
 
-  bool Contains(kg::EntityId id) const { return facts_.count(id) > 0; }
-  size_t num_entities() const { return facts_.size(); }
+  bool Contains(kg::EntityId id) const { return fact_counts_.count(id) > 0; }
+  size_t num_entities() const { return fact_counts_.size(); }
   size_t num_facts() const { return num_facts_; }
   /// Approximate shipped size.
   size_t EstimatedBytes() const;
@@ -44,7 +46,9 @@ class StaticKnowledgeAsset {
 
  private:
   Options options_;
-  std::unordered_map<kg::EntityId, std::vector<kg::Triple>> facts_;
+  /// Member entity -> facts shipped about it (at most
+  /// max_facts_per_entity).
+  std::unordered_map<kg::EntityId, size_t> fact_counts_;
   size_t num_facts_ = 0;
   uint64_t version_ = 0;
 };

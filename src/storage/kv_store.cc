@@ -12,6 +12,7 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/serialization.h"
 #include "common/trace.h"
 
@@ -111,10 +112,6 @@ KvStore::KvStore(std::string dir, Options options)
       retry_(options_.retry) {
   mem_ = std::make_shared<MemTable>();
   sv_ = std::make_shared<Superversion>(Superversion{mem_, {}, {}});
-  if (options_.enable_read_breaker) {
-    read_breaker_ = std::make_unique<CircuitBreaker>(
-        options_.read_breaker_stem, options_.read_breaker);
-  }
   if (options_.background_maintenance) {
     bg_pool_ = std::make_unique<ThreadPool>(1);
   }
@@ -618,79 +615,62 @@ Result<std::string> KvStore::Get(std::string_view key) {
 
 Result<std::string> KvStore::Get(std::string_view key,
                                  const RequestContext& ctx) {
-  // Fast-fail while the breaker is open: a read that would stall on a
-  // struggling store is worth more to the caller as an immediate
-  // Unavailable (serve from fallback, count a miss) than as a timeout.
-  if (read_breaker_ != nullptr) {
-    SAGA_RETURN_IF_ERROR(read_breaker_->Allow());
-  }
-  // The read proper, whatever its exit path, yields one breaker outcome.
-  Result<std::string> result = [&]() -> Result<std::string> {
-    auto stage = SAGA_STAGE("storage.kv.get");
-    stats_.gets.fetch_add(1, std::memory_order_relaxed);
+  auto stage = SAGA_STAGE("storage.kv.get");
+  stats_.gets.fetch_add(1, std::memory_order_relaxed);
+  SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.get"));
+  if (Faults().armed()) {
+    // `kv.read` models a slow or failing storage device / replica;
+    // the deadline re-check right after surfaces an injected stall
+    // as DeadlineExceeded exactly like a real one.
+    Status injected = Faults().InjectOp("kv.read");
+    if (!injected.ok()) {
+      obs::MarkSpanError(injected);
+      return injected;
+    }
     SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.get"));
-    if (Faults().armed()) {
-      // `kv.read` models a slow or failing storage device / replica;
-      // the deadline re-check right after surfaces an injected stall
-      // as DeadlineExceeded exactly like a real one.
-      Status injected = Faults().InjectOp("kv.read");
-      if (!injected.ok()) {
-        obs::MarkSpanError(injected);
-        return injected;
-      }
-      SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.get"));
-    }
-    // Snapshot once, then probe newest-to-oldest. Only the active
-    // memtable needs a lock (writers mutate it); the immutable
-    // memtables and tables are frozen by construction.
-    const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
-    std::optional<MemTable::Entry> entry;
-    {
-      std::shared_lock<std::shared_mutex> ml(mem_mu_);
-      entry = sv->mem->Get(key);
-    }
-    if (!entry.has_value()) {
-      for (auto it = sv->imm.rbegin(); it != sv->imm.rend(); ++it) {
-        entry = it->mem->Get(key);
-        if (entry.has_value()) break;
-      }
-    }
-    if (entry.has_value()) {
-      if (entry->is_tombstone) return Status::NotFound(std::string(key));
-      return std::move(entry->value);
-    }
-    for (auto it = sv->tables.rbegin(); it != sv->tables.rend(); ++it) {
-      SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.probe"));
-      if ((*it)->DefinitelyMissing(key)) {
-        stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      stats_.sstable_probes.fetch_add(1, std::memory_order_relaxed);
-      // Checked probe: a CRC-failing block surfaces as kDataLoss here
-      // instead of reading as a miss and falling through to an older
-      // (stale) version of the key in a deeper table.
-      Result<std::optional<SSTableReader::Entry>> probe =
-          (*it)->GetChecked(key);
-      if (!probe.ok()) {
-        obs::MarkSpanError(probe.status());
-        return probe.status();
-      }
-      std::optional<SSTableReader::Entry> found = std::move(*probe);
-      if (found.has_value()) {
-        if (found->is_tombstone) return Status::NotFound(std::string(key));
-        return std::move(found->value);
-      }
-    }
-    return Status::NotFound(std::string(key));
-  }();
-  if (read_breaker_ != nullptr) {
-    if (!result.ok() && CircuitBreaker::IsFailure(result.status())) {
-      read_breaker_->RecordFailure();
-    } else {
-      read_breaker_->RecordSuccess();
+  }
+  // Snapshot once, then probe newest-to-oldest. Only the active
+  // memtable needs a lock (writers mutate it); the immutable
+  // memtables and tables are frozen by construction.
+  const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
+  std::optional<MemTable::Entry> entry;
+  {
+    std::shared_lock<std::shared_mutex> ml(mem_mu_);
+    entry = sv->mem->Get(key);
+  }
+  if (!entry.has_value()) {
+    for (auto it = sv->imm.rbegin(); it != sv->imm.rend(); ++it) {
+      entry = it->mem->Get(key);
+      if (entry.has_value()) break;
     }
   }
-  return result;
+  if (entry.has_value()) {
+    if (entry->is_tombstone) return Status::NotFound(std::string(key));
+    return std::move(entry->value);
+  }
+  for (auto it = sv->tables.rbegin(); it != sv->tables.rend(); ++it) {
+    SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.probe"));
+    if ((*it)->DefinitelyMissing(key)) {
+      stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    stats_.sstable_probes.fetch_add(1, std::memory_order_relaxed);
+    // Checked probe: a CRC-failing block surfaces as kDataLoss here
+    // instead of reading as a miss and falling through to an older
+    // (stale) version of the key in a deeper table.
+    Result<std::optional<SSTableReader::Entry>> probe =
+        (*it)->GetChecked(key);
+    if (!probe.ok()) {
+      obs::MarkSpanError(probe.status());
+      return probe.status();
+    }
+    std::optional<SSTableReader::Entry> found = std::move(*probe);
+    if (found.has_value()) {
+      if (found->is_tombstone) return Status::NotFound(std::string(key));
+      return std::move(found->value);
+    }
+  }
+  return Status::NotFound(std::string(key));
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> KvStore::ScanPrefix(

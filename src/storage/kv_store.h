@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/circuit_breaker.h"
 #include "common/request_context.h"
 #include "common/result.h"
 #include "common/retry.h"
@@ -75,15 +74,6 @@ class KvStore {
     /// Backoff schedule for transient IO failures during open, flush
     /// and compaction.
     RetryPolicy::Options retry;
-    /// Guard the read path with a circuit breaker: repeated read
-    /// failures (or injected `kv.read` faults / stalls blowing request
-    /// deadlines) trip it, and Gets then fail fast with Unavailable
-    /// instead of piling onto a struggling store. Off by default.
-    bool enable_read_breaker = false;
-    CircuitBreaker::Options read_breaker;
-    /// Metric stem for the read breaker (see CircuitBreaker docs);
-    /// overridable when several stores coexist in one process.
-    std::string read_breaker_stem = "serving.breaker.kv";
     /// Optional disk-space governor. When set, every write path
     /// reserves bytes before touching disk (WAL append, memtable
     /// flush, compaction output), ENOSPC-shaped failures trip the
@@ -177,10 +167,8 @@ class KvStore {
   Result<std::string> Get(std::string_view key);
 
   /// The read path: consults the `kv.read` fault point (latency/failure
-  /// injection), checks the request deadline before each SSTable probe,
-  /// and — when the read breaker is enabled — fails fast with
-  /// Unavailable while the breaker is open. NotFound is a business
-  /// outcome, not a breaker failure.
+  /// injection) and checks the request deadline before each SSTable
+  /// probe.
   Result<std::string> Get(std::string_view key, const RequestContext& ctx);
 
   /// Key/value pairs whose key starts with `prefix`, in key order.
@@ -338,7 +326,6 @@ class KvStore {
   Stats stats_;
   RecoveryStats recovery_stats_;
   RetryPolicy retry_;
-  std::unique_ptr<CircuitBreaker> read_breaker_;
 
   /// Serializes writers end-to-end (stall gate, WAL append, memtable
   /// apply, seal). Never held across a flush or compaction in

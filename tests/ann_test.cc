@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -11,6 +13,7 @@
 #include "ann/quantization.h"
 #include "ann/quantized_index.h"
 #include "common/rng.h"
+#include "reference_ann.h"
 
 namespace saga::ann {
 namespace {
@@ -27,19 +30,7 @@ std::vector<std::vector<float>> RandomVectors(size_t n, int dim,
   return out;
 }
 
-/// The reference score every index must reproduce: "higher is better"
-/// under a metric (L2 negated), straight from the distance kernels.
-double Similarity(Metric metric, const float* a, const float* b, size_t dim) {
-  switch (metric) {
-    case Metric::kDot:
-      return Dot(a, b, dim);
-    case Metric::kCosine:
-      return CosineFromDot(Dot(a, b, dim), Norm(a, dim), Norm(b, dim));
-    case Metric::kL2:
-      return -L2Sq(a, b, dim);
-  }
-  return 0.0;
-}
+using reference::Similarity;
 
 /// `vecs` packed into the row matrix the indexes share, row i labelled
 /// first + step * i.
@@ -73,6 +64,67 @@ TEST(DistanceTest, CosineOfZeroVectorIsZero) {
   const float z[] = {0.0f, 0.0f};
   const float a[] = {1.0f, 1.0f};
   EXPECT_DOUBLE_EQ(Similarity(Metric::kCosine, z, a, 2), 0.0);
+}
+
+// Rows of the serving table's shape (8,621 Gaussian rows) plus rows
+// of the floats a kernel could round differently: signed zeros,
+// subnormals and magnitudes from 1e-30 to 1e30, whose sums cancel.
+std::vector<std::vector<float>> KernelRows(int dim) {
+  auto rows = RandomVectors(8621, dim, 2023);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 3.0f,
+                            -std::numeric_limits<float>::min(),
+                            1e-30f,
+                            -1e30f};
+  Rng rng(dim);
+  for (int r = 0; r < 256; ++r) {
+    std::vector<float> row(dim);
+    for (float& x : row) {
+      x = rng.Bernoulli(0.3)
+              ? specials[rng.Uniform(std::size(specials))]
+              : static_cast<float>(rng.NextGaussian() *
+                                   std::pow(10.0, rng.UniformInt(-30, 30)));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// DotAvx2Fma must return Dot()'s bits, for a query widened to double,
+// at lengths with and without a tail after the 8-wide blocks.
+TEST(DistanceTest, SimdDotMatchesScalarBitForBit) {
+  const bool simd = CpuHasAvx2Fma();
+  EXPECT_EQ(WideDot(), simd ? &DotAvx2Fma : &Dot<double>);
+  for (int dim : {1, 7, 8, 31, 32, 37, 64}) {
+    SCOPED_TRACE(testing::Message() << "dim " << dim);
+    const auto rows = KernelRows(dim);
+    // Gaussian queries and queries drawn from the special rows.
+    std::vector<std::vector<float>> queries = RandomVectors(6, dim, 7);
+    queries.insert(queries.end(), rows.end() - 6, rows.end());
+    size_t compared = 0;
+    size_t mismatches = 0;
+    for (const auto& query : queries) {
+      const std::vector<double> wide(query.begin(), query.end());
+      for (const auto& row : rows) {
+        // Widening is exact: the scalar kernel agrees with itself.
+        const double narrow = Dot(query.data(), row.data(), dim);
+        const double scalar = Dot(wide.data(), row.data(), dim);
+        ASSERT_EQ(std::memcmp(&narrow, &scalar, sizeof(double)), 0);
+        if (!simd) continue;
+        const double wide_simd = DotAvx2Fma(wide.data(), row.data(), dim);
+        ++compared;
+        if (std::memcmp(&scalar, &wide_simd, sizeof(double)) != 0 &&
+            mismatches++ == 0) {
+          ADD_FAILURE() << "scalar " << scalar << " simd " << wide_simd;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << compared;
+  }
+  if (!simd) GTEST_SKIP() << "no AVX2/FMA: scalar half only";
 }
 
 // ---------- BruteForce ----------
@@ -131,8 +183,9 @@ TEST(BruteForceTest, EmptyIndexReturnsNothing) {
 // Gaussian rows plus the ties a scan must break by row order: zero
 // rows, duplicates, and power-of-two rescalings (equal cosine exactly),
 // shuffled so copies land before and after their originals.
-std::vector<std::vector<float>> TieHeavyRows(int dim, uint64_t seed) {
-  auto rows = RandomVectors(80, dim, seed);
+std::vector<std::vector<float>> TieHeavyRows(int dim, uint64_t seed,
+                                             size_t n = 80) {
+  auto rows = RandomVectors(n, dim, seed);
   rows.push_back(std::vector<float>(dim, 0.0f));
   rows.push_back(std::vector<float>(dim, 0.0f));
   for (size_t src : {3, 3, 10, 41}) rows.push_back(rows[src]);
@@ -144,24 +197,6 @@ std::vector<std::vector<float>> TieHeavyRows(int dim, uint64_t seed) {
   Rng rng(seed + 1);
   rng.Shuffle(&rows);
   return rows;
-}
-
-// Scores every row with Similarity() and stable-sorts: the earlier row
-// wins a tie.
-std::vector<Neighbor> OracleSearch(const std::vector<std::vector<float>>& rows,
-                                   Metric metric,
-                                   const std::vector<float>& query, size_t k) {
-  std::vector<Neighbor> all;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    all.push_back({1000 + 7 * i, Similarity(metric, query.data(),
-                                            rows[i].data(), query.size())});
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Neighbor& a, const Neighbor& b) {
-                     return a.similarity > b.similarity;
-                   });
-  if (all.size() > k) all.resize(k);
-  return all;
 }
 
 void ExpectSameHits(const std::vector<Neighbor>& got,
@@ -191,7 +226,7 @@ std::vector<std::vector<float>> OracleQueries(
 TEST(ExactScanTest, MatchesStableSortOracleUnderEachMetric) {
   // 37 exercises the dot product's tail after the 8-wide blocks.
   for (int dim : {32, 37}) {
-    const auto rows = TieHeavyRows(dim, 17);
+    const auto rows = TieHeavyRows(dim, 17, 600);
     const auto queries = OracleQueries(rows, dim);
     for (Metric metric : {Metric::kDot, Metric::kCosine, Metric::kL2}) {
       const auto matrix = Matrix(dim, rows, 1000, 7);
@@ -201,11 +236,14 @@ TEST(ExactScanTest, MatchesStableSortOracleUnderEachMetric) {
       opts.nprobe = 8;  // every list: exact
       IvfIndex ivf(matrix, metric, opts);
       for (const auto& query : queries) {
-        for (size_t k : {1, 5, 17, 200}) {
+        // 20, 57, 176 and 472 are the related-entities service's fetch
+        // sizes (embedding and blend requests, filtered or not); 700 is
+        // more than the table holds.
+        for (size_t k : {1, 5, 17, 20, 57, 176, 472, 700}) {
           SCOPED_TRACE(testing::Message() << "dim " << dim << " metric "
                                           << static_cast<int>(metric)
                                           << " k " << k);
-          const auto want = OracleSearch(rows, metric, query, k);
+          const auto want = reference::Search(*matrix, metric, query, k);
           ExpectSameHits(exact.Search(query, k), want);
           ExpectSameHits(ivf.Search(query, k), want);
         }

@@ -130,7 +130,7 @@ TEST_F(OverloadTest, QueryAnsweringHonorsDeadline) {
   ASSERT_TRUE(alive.ok());
 }
 
-// ---------- KvStore: deadline + read breaker ----------
+// ---------- KvStore: deadline and read fault ----------
 
 TEST_F(OverloadTest, KvStoreGetHonorsDeadline) {
   auto dir = MakeTempDir("saga_overload_kv");
@@ -170,47 +170,6 @@ TEST_F(OverloadTest, KvStoreGetWithoutDeadlineConsultsReadFault) {
   auto healed = (*store)->Get("k");
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(*healed, "v");
-  (void)RemoveDirRecursively(*dir);
-}
-
-TEST_F(OverloadTest, KvStoreReadBreakerTripsAndRecovers) {
-  auto dir = MakeTempDir("saga_overload_kvbr");
-  ASSERT_TRUE(dir.ok());
-  FakeClock clock;
-  storage::KvStore::Options opts;
-  opts.enable_read_breaker = true;
-  opts.read_breaker.failure_threshold = 2;
-  opts.read_breaker.open_ms = 100.0;
-  opts.read_breaker.now_ns = clock.Fn();
-  auto store = storage::KvStore::Open(*dir, opts);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("k", "v").ok());
-
-  RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
-  FaultSpec fail;
-  fail.kind = FaultKind::kFail;
-  fail.fail_nth = 0;  // every hit
-  fail.repeat = true;
-  Faults().Arm("kv.read", fail);
-  EXPECT_TRUE((*store)->Get("k", ctx).status().IsIOError());
-  EXPECT_TRUE((*store)->Get("k", ctx).status().IsIOError());
-
-  // Two failures open it: fast-fail with Unavailable, without consulting the store.
-  const uint64_t fires_before = Faults().fires("kv.read");
-  EXPECT_TRUE((*store)->Get("k", ctx).status().IsUnavailable());
-  EXPECT_EQ(Faults().fires("kv.read"), fires_before);
-
-  // Dependency heals + cool-down elapses: half-open probe closes it.
-  Faults().DisarmAll();
-  clock.AdvanceMillis(150.0);
-  auto healed = (*store)->Get("k", ctx);
-  ASSERT_TRUE(healed.ok());
-  EXPECT_EQ(*healed, "v");
-  // NotFound is a business outcome, not a breaker failure: as many
-  // misses as the failure threshold leave the next read served.
-  EXPECT_TRUE((*store)->Get("absent", ctx).status().IsNotFound());
-  EXPECT_TRUE((*store)->Get("absent", ctx).status().IsNotFound());
-  EXPECT_TRUE((*store)->Get("k", ctx).ok());
   (void)RemoveDirRecursively(*dir);
 }
 
