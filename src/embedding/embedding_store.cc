@@ -16,32 +16,31 @@ namespace {
 /// payload between them.
 constexpr uint32_t kEmbMagic = 0x32424D45u;  // "EMB2"
 
-/// Reads `path`, applies the `embedding.load` read fault, checks the
-/// magic (Corruption) and the trailing CRC (kDataLoss), and returns the
-/// file image. The payload is buf[4, size - 4).
-Result<std::string> ReadAndVerify(const std::string& path) {
-  SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
+/// Applies the `embedding.load` read fault to the file image `buf`,
+/// then checks the magic (Corruption) and the trailing CRC (kDataLoss).
+/// The payload is buf[4, size - 4). `name` labels the errors.
+Status VerifyImage(std::string& buf, const std::string& name) {
   if (Faults().armed() && !buf.empty()) {
     SAGA_RETURN_IF_ERROR(
         Faults().InjectRead("embedding.load", buf.data(), buf.size()));
   }
   if (buf.size() < 8) {
-    return Status::Corruption("embedding file too small: " + path);
+    return Status::Corruption("embedding file too small: " + name);
   }
   uint32_t magic = 0;
   uint32_t stored = 0;
   SAGA_RETURN_IF_ERROR(BinaryReader(buf).GetFixed32(&magic));
   if (magic != kEmbMagic) {
-    return Status::Corruption("bad embedding file magic: " + path);
+    return Status::Corruption("bad embedding file magic: " + name);
   }
   const std::string_view tail = std::string_view(buf).substr(buf.size() - 4);
   SAGA_RETURN_IF_ERROR(BinaryReader(tail).GetFixed32(&stored));
   if (storage::Crc32(std::string_view(buf).substr(4, buf.size() - 8)) !=
       stored) {
     SAGA_COUNTER("integrity.corruption.detected").Add();
-    return Status::DataLoss("embedding file crc mismatch: " + path);
+    return Status::DataLoss("embedding file crc mismatch: " + name);
   }
-  return buf;
+  return Status::OK();
 }
 
 /// An entity id and the first of its row's floats.
@@ -110,7 +109,13 @@ Status EmbeddingStore::Save(const std::string& path) const {
 }
 
 Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
-  SAGA_ASSIGN_OR_RETURN(std::string buf, ReadAndVerify(path));
+  SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
+  return Decode(std::move(buf), path);
+}
+
+Result<EmbeddingStore> EmbeddingStore::Decode(std::string buf,
+                                              const std::string& path) {
+  SAGA_RETURN_IF_ERROR(VerifyImage(buf, path));
   BinaryReader r(std::string_view(buf).substr(4, buf.size() - 8));
   uint64_t dim = 0;
   uint64_t n = 0;
@@ -147,7 +152,8 @@ Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
 }
 
 Status EmbeddingStore::Verify(const std::string& path) {
-  return ReadAndVerify(path).status();
+  SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
+  return VerifyImage(buf, path);
 }
 
 }  // namespace saga::embedding

@@ -52,6 +52,10 @@ class EmbeddingStore {
   /// `embedding.load` (kCorrupt flips a bit in the file image before
   /// verification).
   static Result<EmbeddingStore> Load(const std::string& path);
+  /// Load's checks and decode over a file image already in memory;
+  /// `name` labels the errors.
+  static Result<EmbeddingStore> Decode(std::string image,
+                                       const std::string& name);
   /// The checks Load makes (magic, then CRC) without decoding the
   /// vectors. Scrubber entry point.
   static Status Verify(const std::string& path);
