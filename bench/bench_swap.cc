@@ -7,7 +7,8 @@
 // while the live version keeps serving.
 //
 //   1. load+validate+swap timing — how long each deployment stage
-//      takes for a store of N keys.
+//      takes for a version of N keys plus an embedding shard, which
+//      LoadVersion loads and serves through an EmbeddingService.
 //   2. swap under reader load    — closed-loop readers hammer
 //      mgr.Current() across the flip; reads are counted per serving
 //      version and none may fail.
@@ -15,6 +16,8 @@
 //      rotted-bytes build are both rejected mid-traffic.
 //   4. probation rollback        — an error spike after the flip rolls
 //      the graph back automatically, again with zero failed reads.
+//   5. scrub                     — the scrubber re-verifies the live
+//      version's tables, WAL and embedding shard.
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -27,7 +30,13 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
+#include "common/request_context.h"
 #include "common/rng.h"
+#include "embedding/embedding_store.h"
+#include "embedding/trainer.h"
+#include "graph_engine/view.h"
+#include "integrity/scrubber.h"
+#include "kg/kg_generator.h"
 #include "serving/version_manager.h"
 #include "storage/kv_store.h"
 
@@ -43,8 +52,22 @@ std::string Key(int i) {
   return buf;
 }
 
-/// Builds one version directory: kKeys rows tagged `tag`, flushed.
-double BuildVersionDir(const std::string& dir, const std::string& tag) {
+/// The embedding shard every version ships: DistMult embeddings of a
+/// generated KG, as the training pipeline hands them to serving.
+embedding::EmbeddingStore TrainShard() {
+  kg::GeneratedKg gen = kg::GenerateKg(kg::KgGeneratorConfig());
+  const auto view =
+      graph_engine::GraphView::Build(gen.kg, graph_engine::ViewDefinition());
+  embedding::TrainingConfig tc;
+  tc.epochs = 4;
+  return embedding::EmbeddingStore::FromTrained(
+      embedding::InMemoryTrainer(tc).Train(view), view);
+}
+
+/// Builds one version directory: kKeys rows tagged `tag`, flushed, and
+/// `shard` saved as its embedding shard.
+double BuildVersionDir(const std::string& dir, const std::string& tag,
+                       const embedding::EmbeddingStore& shard) {
   Stopwatch sw;
   auto store = storage::KvStore::Open(dir);
   if (!store.ok()) {
@@ -56,6 +79,13 @@ double BuildVersionDir(const std::string& dir, const std::string& tag) {
     (void)(*store)->Put(Key(i), tag + std::to_string(i));
   }
   (void)(*store)->Flush();
+  const Status saved =
+      shard.Save(JoinPath(dir, embedding::EmbeddingStore::kShardFileName));
+  if (!saved.ok()) {
+    std::fprintf(stderr, "save shard in %s: %s\n", dir.c_str(),
+                 saved.ToString().c_str());
+    std::exit(1);
+  }
   return sw.ElapsedMillis();
 }
 
@@ -99,9 +129,12 @@ int main() {
   if (!root.ok()) return 1;
 
   // ---- Phase 1: deployment stage timing ----------------------------
-  Section("phase 1: deployment stages (10k-key store)");
-  const double build_v1_ms = BuildVersionDir(JoinPath(*root, "v1"), "old");
-  const double build_v2_ms = BuildVersionDir(JoinPath(*root, "v2"), "new");
+  Section("phase 1: deployment stages (10k-key store + embedding shard)");
+  const embedding::EmbeddingStore shard = TrainShard();
+  const double build_v1_ms =
+      BuildVersionDir(JoinPath(*root, "v1"), "old", shard);
+  const double build_v2_ms =
+      BuildVersionDir(JoinPath(*root, "v2"), "new", shard);
 
   serving::VersionManager::Options opts;
   opts.probation_requests = 100;
@@ -109,26 +142,38 @@ int main() {
   serving::VersionManager mgr(opts);
 
   Stopwatch load_sw;
-  auto v1 = serving::VersionManager::LoadVersion("v1", JoinPath(*root, "v1"),
-                                                 {});
+  auto v1 = serving::VersionManager::LoadVersion("v1", JoinPath(*root, "v1"));
   const double load_ms = load_sw.ElapsedMillis();
   Stopwatch activate_sw;
   if (!v1.ok() || !mgr.Activate(*v1).ok()) return 1;
   const double activate_ms = activate_sw.ElapsedMillis();
 
   Stopwatch load2_sw;
-  auto v2 = serving::VersionManager::LoadVersion("v2", JoinPath(*root, "v2"),
-                                                 {});
+  auto v2 = serving::VersionManager::LoadVersion("v2", JoinPath(*root, "v2"));
   const double load2_ms = load2_sw.ElapsedMillis();
   if (!v2.ok()) return 1;
+  if ((*v2)->service == nullptr) {
+    std::fprintf(stderr, "v2 loaded its shard but built no service\n");
+    return 1;
+  }
+  // The candidate's service answers before it takes traffic.
+  const kg::EntityId probe{(*v2)->embeddings.rows()->labels()[0]};
+  auto neighbors = (*v2)->service->TopKNeighbors(
+      probe, 10, kg::TypeId::Invalid(), RequestContext());
 
   Table t1({"stage", "ms"});
-  t1.AddRow({"build version dir (10k puts + flush)", Fmt(build_v1_ms, 1)});
+  t1.AddRow({"build version dir (10k puts + flush + shard save)",
+             Fmt(build_v1_ms, 1)});
   t1.AddRow({"build candidate dir", Fmt(build_v2_ms, 1)});
-  t1.AddRow({"LoadVersion (recover + catalog count)", Fmt(load_ms, 1)});
+  t1.AddRow({"LoadVersion (recover + catalog count + shard + service)",
+             Fmt(load_ms, 1)});
   t1.AddRow({"Activate (checksum pass, no baseline)", Fmt(activate_ms, 1)});
   t1.AddRow({"LoadVersion candidate (side-by-side)", Fmt(load2_ms, 1)});
   t1.Print();
+  std::printf("shard: %zu rows x dim %d; candidate service top-10: %s\n",
+              (*v2)->embeddings.size(), (*v2)->embeddings.dim(),
+              neighbors.ok() ? std::to_string(neighbors->size()).c_str()
+                             : neighbors.status().ToString().c_str());
 
   // ---- Phase 2: swap under reader load -----------------------------
   Section("phase 2: validated swap under 4 reader threads");
@@ -184,7 +229,7 @@ int main() {
     }
     (void)(*store)->Flush();
   }
-  (void)BuildVersionDir(JoinPath(*root, "v_rotted"), "rot");
+  (void)BuildVersionDir(JoinPath(*root, "v_rotted"), "rot", shard);
   // Pre-verify (and memoize) every live block so the armed corruption
   // fault below can only be consumed by the candidate's validation
   // pass, not by a concurrent reader on the live version.
@@ -200,14 +245,14 @@ int main() {
   Table t3({"candidate", "verdict", "live version after"});
   {
     auto shrunk = serving::VersionManager::LoadVersion(
-        "v_shrunk", JoinPath(*root, "v_shrunk"), {});
+        "v_shrunk", JoinPath(*root, "v_shrunk"));
     Status s = shrunk.ok() ? mgr.SwapTo(*shrunk) : shrunk.status();
     t3.AddRow({"95% catalog drop", s.ok() ? "ACCEPTED (bug!)" : s.ToString(),
                mgr.current_id()});
   }
   {
     auto rotted = serving::VersionManager::LoadVersion(
-        "v_rotted", JoinPath(*root, "v_rotted"), {});
+        "v_rotted", JoinPath(*root, "v_rotted"));
     // Rot the candidate's in-memory bytes between load and deploy; the
     // validation checksum pass must catch it.
     ScopedFault rot("sstable.read_block", FaultSpec{FaultKind::kCorrupt});
@@ -229,9 +274,8 @@ int main() {
 
   // ---- Phase 4: probation rollback ---------------------------------
   Section("phase 4: probation error spike -> automatic rollback");
-  (void)BuildVersionDir(JoinPath(*root, "v3"), "next");
-  auto v3 = serving::VersionManager::LoadVersion("v3", JoinPath(*root, "v3"),
-                                                 {});
+  (void)BuildVersionDir(JoinPath(*root, "v3"), "next", shard);
+  auto v3 = serving::VersionManager::LoadVersion("v3", JoinPath(*root, "v3"));
   if (!v3.ok() || !mgr.SwapTo(*v3).ok()) return 1;
   // 60% of the first probation outcomes fail (threshold: 50%).
   Stopwatch rb_sw;
@@ -247,6 +291,28 @@ int main() {
                  std::to_string(ms.rejected) + " / " +
                  std::to_string(ms.rollbacks)});
   t4.Print();
+
+  // ---- Phase 5: scrub the live version -----------------------------
+  Section("phase 5: scrub the live version (tables, WAL, shard)");
+  integrity::Scrubber scrubber(mgr.Current()->dir,
+                               integrity::Scrubber::Options());
+  Stopwatch scrub_sw;
+  const Status scrubbed = scrubber.RunOnce();
+  const double scrub_ms = scrub_sw.ElapsedMillis();
+  const auto ss = scrubber.stats();
+  Table t5({"metric", "value"});
+  t5.AddRow({"scrub status", scrubbed.ok() ? "OK" : scrubbed.ToString()});
+  t5.AddRow({"files / bytes verified", std::to_string(ss.files_scanned) +
+                                           " / " +
+                                           std::to_string(ss.bytes_scanned)});
+  t5.AddRow({"embedding shard verified",
+             ss.last_verified_unix_ms.count(
+                 embedding::EmbeddingStore::kShardFileName)
+                 ? "yes"
+                 : "no"});
+  t5.AddRow({"corrupt found", std::to_string(ss.corrupt_found)});
+  t5.AddRow({"scrub pass", Fmt(scrub_ms, 1) + " ms"});
+  t5.Print();
 
   (void)RemoveDirRecursively(*root);
   return 0;

@@ -29,7 +29,7 @@ IvfIndex::IvfIndex(std::shared_ptr<const RowMatrix> rows, Metric metric,
   if (n == 0) return;
 
   // k-means++ -lite init: random distinct points.
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
   std::vector<size_t> seeds = rng.SampleWithoutReplacement(n, k);
   for (int c = 0; c < k; ++c) {
     std::copy(m.row(seeds[c]), m.row(seeds[c]) + dim,

@@ -17,8 +17,9 @@ class IvfIndex : public VectorIndex {
   struct Options {
     int num_lists = 16;
     int nprobe = 2;
-    uint64_t seed = 11;
   };
+  /// Seed of the k-means initial centroids.
+  static constexpr uint64_t kSeed = 11;
 
   /// Clusters the shared rows with k-means; the index keeps only the
   /// centroids and each list's row ids.

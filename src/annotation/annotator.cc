@@ -90,7 +90,7 @@ std::vector<Annotation> Annotator::Annotate(std::string_view text) const {
         break;
       }
     }
-    if (ann.score < options_.min_score) continue;
+    if (ann.score < kMinScore) continue;
     ann.type = MostSpecificType(ann.entity);
     SAGA_COUNTER("annotation.annotator.annotations").Add();
     out.push_back(std::move(ann));

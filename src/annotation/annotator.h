@@ -35,11 +35,13 @@ class Annotator {
  public:
   struct Options {
     DeploymentPreset preset = DeploymentPreset::kAccurate;
-    /// Annotations scoring below this are dropped (NIL).
-    double min_score = 0.0;
     /// kAccurate: skip reranking for unambiguous mentions (1 candidate).
     bool rerank_only_ambiguous = true;
   };
+
+  /// Annotations scoring below this (a context that points away from
+  /// the entity's profile) are dropped (NIL).
+  static constexpr double kMinScore = 0.0;
 
   /// `cache` may be null; kAccurate then computes profiles on the fly.
   Annotator(const kg::KnowledgeGraph* kg, serving::EmbeddingKvCache* cache);
@@ -49,7 +51,6 @@ class Annotator {
   /// Annotates free text.
   std::vector<Annotation> Annotate(std::string_view text) const;
 
-  const Options& options() const { return options_; }
   const ContextReranker& reranker() const { return reranker_; }
 
  private:

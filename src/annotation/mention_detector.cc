@@ -6,14 +6,9 @@
 
 namespace saga::annotation {
 
-MentionDetector::MentionDetector(const kg::EntityCatalog* catalog)
-    : MentionDetector(catalog, Options()) {}
-
-MentionDetector::MentionDetector(const kg::EntityCatalog* catalog,
-                                 Options options)
-    : options_(options) {
+MentionDetector::MentionDetector(const kg::EntityCatalog* catalog) {
   for (const std::string& alias : catalog->AllAliases()) {
-    if (alias.size() >= options_.min_surface_length) {
+    if (alias.size() >= kMinSurfaceLength) {
       automaton_.AddPattern(alias);
     }
   }

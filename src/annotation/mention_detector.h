@@ -18,20 +18,16 @@ namespace saga::annotation {
 /// leftmost).
 class MentionDetector {
  public:
-  struct Options {
-    /// Drop candidate spans shorter than this many bytes (single
-    /// letters and other noise).
-    size_t min_surface_length = 3;
-  };
+  /// Aliases shorter than this many bytes (single letters and other
+  /// noise) are never detected.
+  static constexpr size_t kMinSurfaceLength = 3;
 
   explicit MentionDetector(const kg::EntityCatalog* catalog);
-  MentionDetector(const kg::EntityCatalog* catalog, Options options);
 
   /// Non-overlapping mentions in reading order.
   std::vector<Mention> Detect(std::string_view text) const;
 
  private:
-  Options options_;
   text::AhoCorasick automaton_;
 };
 

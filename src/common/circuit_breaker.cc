@@ -56,7 +56,6 @@ void CircuitBreaker::TransitionLocked(State next, uint64_t now) {
       opened_counter_.Add();
       break;
     case State::kHalfOpen:
-      half_open_successes_ = 0;
       half_open_in_flight_ = 0;
       break;
     case State::kClosed:
@@ -97,9 +96,7 @@ void CircuitBreaker::RecordSuccess() {
   switch (state_) {
     case State::kHalfOpen:
       half_open_in_flight_ = std::max(0, half_open_in_flight_ - 1);
-      if (++half_open_successes_ >= options_.close_threshold) {
-        TransitionLocked(State::kClosed, NowNs());
-      }
+      TransitionLocked(State::kClosed, NowNs());
       break;
     case State::kClosed:
       consecutive_failures_ = 0;

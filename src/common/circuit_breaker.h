@@ -18,9 +18,8 @@ namespace saga {
 /// opens and Allow() fails fast with Status::Unavailable — callers fall
 /// back (exact search, cache miss) instead of piling onto a struggling
 /// dependency. After `open_ms` of cool-down the breaker lets one
-/// half-open probe through at a time; `close_threshold` consecutive
-/// probe successes close it again, any probe failure re-opens it and
-/// restarts the cool-down.
+/// half-open probe through at a time; a probe success closes it again,
+/// a probe failure re-opens it and restarts the cool-down.
 ///
 /// Observability: the breaker registers three process-global metrics
 /// derived from its metric stem (which must follow the
@@ -46,8 +45,6 @@ class CircuitBreaker {
     int failure_threshold = 5;
     /// Cool-down while open before half-open probes are admitted.
     double open_ms = 1000.0;
-    /// Consecutive probe successes that close the breaker.
-    int close_threshold = 1;
     /// Which statuses count as dependency failures. Defaults to
     /// IsFailure: business outcomes (NotFound, InvalidArgument, ...)
     /// are successes; infrastructure trouble (IOError, Corruption,
@@ -111,7 +108,6 @@ class CircuitBreaker {
   mutable std::mutex mu_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
-  int half_open_successes_ = 0;
   int half_open_in_flight_ = 0;
   uint64_t opened_at_ns_ = 0;
   Stats stats_;

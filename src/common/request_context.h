@@ -83,7 +83,6 @@ class RequestContext {
 
   const Deadline& deadline() const { return deadline_; }
   Priority priority() const { return priority_; }
-  void set_priority(Priority p) { priority_ = p; }
 
   bool expired() const { return deadline_.expired(); }
 

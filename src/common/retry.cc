@@ -10,39 +10,34 @@
 
 namespace saga {
 
-RetryPolicy::RetryPolicy(Options options, SleepFn sleep)
-    : options_(options),
-      sleep_(std::move(sleep)),
-      rng_(options.jitter_seed) {}
+RetryPolicy::RetryPolicy(SleepFn sleep)
+    : sleep_(std::move(sleep)), rng_(kJitterSeed) {}
 
 double RetryPolicy::BackoffMs(int attempt) {
-  double base = options_.initial_backoff_ms;
-  for (int i = 1; i < attempt; ++i) base *= options_.backoff_multiplier;
-  base = std::min(base, options_.max_backoff_ms);
-  const double jitter =
-      rng_.UniformDouble(-options_.jitter_fraction, options_.jitter_fraction);
-  return std::max(0.0, base * (1.0 + jitter));
+  double base = kInitialBackoffMs;
+  for (int i = 1; i < attempt; ++i) base *= kBackoffMultiplier;
+  base = std::min(base, kMaxBackoffMs);
+  return base * (1.0 + rng_.UniformDouble(-kJitterFraction, kJitterFraction));
 }
 
 Status RetryPolicy::Run(const std::string& op_name,
                         const std::function<Status()>& op,
                         const RetryablePredicate& retryable) {
-  const int attempts = std::max(1, options_.max_attempts);
   Status last;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
     last = op();
     if (last.ok()) return last;
     const bool worth_retry =
         !NeverRetryable(last) && (retryable ? retryable(last) : IsRetryable(last));
-    if (!worth_retry || attempt == attempts) return last;
+    if (!worth_retry || attempt == kMaxAttempts) return last;
     SAGA_COUNTER("resource.retry.attempts").Add();
     const double backoff = BackoffMs(attempt);
-    SAGA_LOG(Warning) << op_name << " attempt " << attempt << "/" << attempts
+    SAGA_LOG(Warning) << op_name << " attempt " << attempt << "/" << kMaxAttempts
                       << " failed (" << last.ToString() << "); retrying in "
                       << backoff << "ms";
     if (sleep_) {
       sleep_(backoff);
-    } else if (backoff > 0) {
+    } else {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff));
     }
   }

@@ -21,23 +21,20 @@ class CircuitBreaker;
 /// retry instantly while production callers actually back off.
 class RetryPolicy {
  public:
-  struct Options {
-    /// Total tries, including the first. <= 1 disables retrying.
-    int max_attempts = 3;
-    double initial_backoff_ms = 1.0;
-    double backoff_multiplier = 2.0;
-    double max_backoff_ms = 50.0;
-    /// Uniform jitter of +/- this fraction around the backoff.
-    double jitter_fraction = 0.2;
-    uint64_t jitter_seed = 42;
-  };
+  /// Total tries, including the first.
+  static constexpr int kMaxAttempts = 3;
+  static constexpr double kInitialBackoffMs = 1.0;
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kMaxBackoffMs = 50.0;
+  /// Uniform jitter of +/- this fraction around the backoff.
+  static constexpr double kJitterFraction = 0.2;
+  static constexpr uint64_t kJitterSeed = 42;
 
   using SleepFn = std::function<void(double millis)>;
   using RetryablePredicate = std::function<bool(const Status&)>;
 
-  RetryPolicy() : RetryPolicy(Options()) {}
   /// Null `sleep` means really sleep (std::this_thread).
-  explicit RetryPolicy(Options options, SleepFn sleep = nullptr);
+  explicit RetryPolicy(SleepFn sleep = nullptr);
 
   /// Runs `op` until it succeeds, fails with a non-retryable status, or
   /// attempts are exhausted; returns the last status. Each retry (not
@@ -57,7 +54,7 @@ class RetryPolicy {
              const RetryablePredicate& retryable = nullptr);
 
   /// Backoff for the given 1-based completed attempt, jitter included.
-  /// Deterministic for a fixed jitter_seed and call sequence.
+  /// Deterministic for a fixed call sequence.
   double BackoffMs(int attempt);
 
   /// Default classification: IOError and ResourceExhausted are worth
@@ -87,10 +84,7 @@ class RetryPolicy {
            s.origin() == StatusOrigin::kFsyncGate;
   }
 
-  const Options& options() const { return options_; }
-
  private:
-  Options options_;
   SleepFn sleep_;
   Rng rng_;
 };

@@ -69,7 +69,7 @@ void TraceSampler::Offer(std::unique_ptr<SpanNode> fragment,
     return;
   }
   if (it == pending_.end()) {
-    if (pending_.size() >= options_.max_pending_traces) {
+    if (pending_.size() >= kMaxPendingTraces) {
       // Leak guard: drop the oldest still-pending trace. Entries whose
       // trace already completed were erased from the map; skip them.
       while (!pending_order_.empty()) {
@@ -113,9 +113,8 @@ void TraceSampler::Decide(uint64_t hi, uint64_t lo, Pending pending,
   bool slow = false;
   LatencyHistogram& dist = root_latency_.try_emplace(root.name).first->second;
   if (dist.Count() >= options_.min_samples_for_slow) {
-    const double threshold = dist.PercentileNs(options_.slow_percentile);
-    slow = static_cast<double>(root.duration_ns) >= threshold &&
-           root.duration_ns >= options_.slow_floor_ns;
+    slow = static_cast<double>(root.duration_ns) >=
+           dist.PercentileNs(kSlowPercentile);
   }
   dist.Record(root.duration_ns);
 

@@ -46,17 +46,10 @@ class TraceSampler {
   struct Options {
     /// Retained-trace ring capacity (oldest evicted).
     size_t capacity = 64;
-    /// In-flight traces buffered at once; beyond this the oldest
-    /// pending trace is dropped (a leak guard, not a policy knob).
-    size_t max_pending_traces = 256;
-    /// A completed root is "slow" when its duration reaches this
-    /// percentile of prior same-named roots...
-    double slow_percentile = 99.0;
-    /// ...once at least this many same-named roots have completed
-    /// (before that nothing is slow — the estimate is noise).
+    /// A completed root is "slow" once at least this many same-named
+    /// roots have completed (before that nothing is slow — the
+    /// estimate is noise); see kSlowPercentile.
     uint64_t min_samples_for_slow = 32;
-    /// Absolute floor: roots faster than this are never "slow".
-    uint64_t slow_floor_ns = 0;
     /// Retain every completed trace regardless of verdict (CLI trace
     /// dumps, tests). Error/slow flags are still computed.
     bool keep_all = false;
@@ -71,6 +64,13 @@ class TraceSampler {
     uint64_t late_fragments = 0;  // arrived after their trace decided
     uint64_t evicted_pending = 0;
   };
+
+  /// In-flight traces buffered at once; beyond this the oldest
+  /// pending trace is dropped (a leak guard, not a policy knob).
+  static constexpr size_t kMaxPendingTraces = 256;
+  /// A completed root is "slow" when its duration reaches this
+  /// percentile of prior same-named roots.
+  static constexpr double kSlowPercentile = 99.0;
 
   explicit TraceSampler(Options options);
 

@@ -43,6 +43,10 @@ class EmbeddingStore {
   /// The shared rows, labelled by entity id.
   const std::shared_ptr<const ann::RowMatrix>& rows() const { return rows_; }
 
+  /// A serving version's shard inside its directory: LoadVersion loads
+  /// it and the scrubber verifies it whenever the file exists.
+  static constexpr char kShardFileName[] = "embeddings.bin";
+
   /// Writes the checksummed format ("EMB2" magic + payload + trailing
   /// CRC) atomically and durably.
   Status Save(const std::string& path) const;

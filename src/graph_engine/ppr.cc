@@ -7,11 +7,6 @@
 
 namespace saga::graph_engine {
 
-PprEngine::PprEngine(const GraphView* view) : PprEngine(view, Options()) {}
-
-PprEngine::PprEngine(const GraphView* view, Options options)
-    : view_(view), options_(options) {}
-
 namespace {
 
 constexpr uint8_t kTouched = 1;    // listed in `touched`
@@ -75,8 +70,8 @@ class ScratchLease {
 /// Andersen-Chung-Lang forward push from `source` into `s`, FIFO order.
 /// Checks the deadline every 256 steps and consults the
 /// `graph.traverse` fault point every step.
-Status Push(const GraphView& view, const PprEngine::Options& o,
-            uint32_t source, const RequestContext& ctx, PprScratch& s) {
+Status Push(const GraphView& view, uint32_t source, const RequestContext& ctx,
+            PprScratch& s) {
   const size_t cap = s.queue.size();
   size_t head = 0;
   size_t queued = 0;
@@ -113,7 +108,7 @@ Status Push(const GraphView& view, const PprEngine::Options& o,
       s.r[u] = 0.0;
       continue;
     }
-    if (ru / static_cast<double>(deg) < o.epsilon) continue;
+    if (ru / static_cast<double>(deg) < PprEngine::kEpsilon) continue;
     ++pushes;
     s.p[u] += PprEngine::kAlpha * ru;
     s.state[u] |= kEstimated;
@@ -125,7 +120,7 @@ Status Push(const GraphView& view, const PprEngine::Options& o,
       s.r[v] += push;
       if ((s.state[v] & kQueued) == 0 &&
           s.r[v] / std::max<size_t>(1, view.Neighbors(v).size()) >=
-              o.epsilon) {
+              PprEngine::kEpsilon) {
         enqueue(v);
       }
     }
@@ -168,7 +163,7 @@ std::vector<std::pair<uint32_t, double>> RankEstimates(const PprScratch& s,
 
 std::unordered_map<uint32_t, double> PprEngine::Ppr(uint32_t source) const {
   ScratchLease lease(view_->num_entities());
-  if (!Push(*view_, options_, source, RequestContext(), lease.get()).ok()) {
+  if (!Push(*view_, source, RequestContext(), lease.get()).ok()) {
     return {};
   }
   return Estimates(lease.get());
@@ -177,7 +172,7 @@ std::unordered_map<uint32_t, double> PprEngine::Ppr(uint32_t source) const {
 Result<std::vector<std::pair<uint32_t, double>>> PprEngine::TopKRelated(
     uint32_t source, size_t k, const RequestContext& ctx) const {
   ScratchLease lease(view_->num_entities());
-  SAGA_RETURN_IF_ERROR(Push(*view_, options_, source, ctx, lease.get()));
+  SAGA_RETURN_IF_ERROR(Push(*view_, source, ctx, lease.get()));
   return RankEstimates(lease.get(), source, k);
 }
 

@@ -21,17 +21,14 @@ namespace saga::graph_engine {
 /// fault), so a failed call never leaks state into the next one.
 class PprEngine {
  public:
-  struct Options {
-    double epsilon = 1e-4;  // push threshold (residual/degree)
-  };
-
+  /// Push threshold: a node pushes while residual/degree reaches it.
+  static constexpr double kEpsilon = 1e-4;
   /// Teleport probability.
   static constexpr double kAlpha = 0.15;
   /// Pushes after which the loop stops, converged or not.
   static constexpr size_t kMaxPushes = 1000000;
 
-  explicit PprEngine(const GraphView* view);
-  PprEngine(const GraphView* view, Options options);
+  explicit PprEngine(const GraphView* view) : view_(view) {}
 
   /// Top-k highest-PPR entities (local ids) excluding the source
   /// itself, score descending then id. Checks `ctx` at push-loop
@@ -49,7 +46,6 @@ class PprEngine {
 
  private:
   const GraphView* view_;
-  Options options_;
 };
 
 }  // namespace saga::graph_engine

@@ -33,8 +33,7 @@ RandomWalkSampler::CoOccurrencePairs(
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   for (const auto& walk : walks) {
     for (size_t i = 0; i < walk.size(); ++i) {
-      const size_t hi =
-          std::min(walk.size(), i + 1 + static_cast<size_t>(options_.window));
+      const size_t hi = std::min(walk.size(), i + 1 + kWindow);
       for (size_t j = i + 1; j < hi; ++j) {
         if (walk[i] != walk[j]) pairs.emplace_back(walk[i], walk[j]);
       }

@@ -18,9 +18,9 @@ class RandomWalkSampler {
   struct Options {
     int walks_per_node = 4;
     int walk_length = 8;
-    /// Skip-gram co-occurrence window when pairing walk nodes.
-    int window = 3;
   };
+  /// Skip-gram co-occurrence window when pairing walk nodes.
+  static constexpr size_t kWindow = 3;
 
   RandomWalkSampler();
   explicit RandomWalkSampler(Options options);

@@ -1,7 +1,6 @@
 #include "integrity/scrubber.h"
 
 #include <chrono>
-#include <thread>
 
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -32,31 +31,6 @@ std::string BaseName(const std::string& path) {
 
 Scrubber::Scrubber(std::string store_dir, Options options)
     : store_dir_(std::move(store_dir)), options_(options) {}
-
-bool Scrubber::AdmitFile() {
-  if (options_.admission == nullptr) return true;
-  for (int attempt = 0; attempt < options_.max_admit_retries; ++attempt) {
-    RequestContext ctx;
-    ctx.set_priority(Priority::kLow);
-    auto ticket = options_.admission->TryAdmit(ctx);
-    if (ticket.ok()) {
-      // The ticket only gates the *decision* to proceed; scrub IO is
-      // short per file and the next file re-asks. Holding it across
-      // the verify would pin a low-priority slot for no benefit.
-      return true;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.sheds;
-    }
-    SAGA_COUNTER("integrity.scrub.sheds").Add();
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(options_.shed_backoff_ms));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.skipped_shed;
-  return false;
-}
 
 Status Scrubber::VerifyFile(const std::string& path, FileKind kind) {
   switch (kind) {
@@ -107,19 +81,6 @@ void Scrubber::HandleCorrupt(const std::string& path, FileKind kind,
     // A damaged WAL tail is normal crash debris: recovery truncates it
     // and loses only unacknowledged records. Restoring an *older* WAL
     // over it would lose acknowledged ones — report, never "repair".
-    return;
-  }
-
-  if (options_.governor != nullptr && options_.governor->degraded()) {
-    // Degraded mode: a snapshot-sourced repair writes a full fresh
-    // copy, and even the quarantine rename invites a follow-up repair.
-    // The read path is CRC-guarded, so leaving the rotted file in
-    // place is safe; the next pass retries once space is back.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.deferred_degraded;
-    SAGA_COUNTER("integrity.scrub.deferred_degraded").Add();
-    SAGA_LOG(Warning) << "deferring repair of " << path
-                      << ": store is disk-space degraded";
     return;
   }
 
@@ -182,14 +143,11 @@ Status Scrubber::RunOnce() {
     }
   }
   work.emplace_back(JoinPath(store_dir_, kWalName), FileKind::kWal);
-  for (const auto& f : options_.embedding_files) {
-    work.emplace_back(f, FileKind::kEmbedding);
-  }
+  work.emplace_back(
+      JoinPath(store_dir_, embedding::EmbeddingStore::kShardFileName),
+      FileKind::kEmbedding);
 
-  for (const auto& [path, kind] : work) {
-    if (!AdmitFile()) continue;
-    ScrubFile(path, kind);
-  }
+  for (const auto& [path, kind] : work) ScrubFile(path, kind);
 
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -32,7 +32,7 @@ void StaticKnowledgeAsset::Refresh(const kg::KnowledgeGraph& kg) {
   for (size_t i = 0; i < k; ++i) {
     const kg::EntityId id = ranked[i].second;
     const size_t facts = std::min(kg.triples().BySubject(id).size(),
-                                  options_.max_facts_per_entity);
+                                  kMaxFactsPerEntity);
     fact_counts_[id] = facts;
     num_facts_ += facts;
   }
@@ -46,7 +46,7 @@ void StaticKnowledgeAsset::ApplyDelta(
     const kg::Triple& t = kg.triples().triple(idx);
     auto it = fact_counts_.find(t.subject);
     if (it == fact_counts_.end()) continue;  // not a member
-    if (it->second >= options_.max_facts_per_entity) continue;
+    if (it->second >= kMaxFactsPerEntity) continue;
     ++it->second;
     ++num_facts_;
     changed = true;

@@ -19,8 +19,9 @@ class StaticKnowledgeAsset {
  public:
   struct Options {
     size_t top_k_entities = 200;
-    size_t max_facts_per_entity = 16;
   };
+  /// Facts the asset ships per member entity, at most.
+  static constexpr size_t kMaxFactsPerEntity = 16;
 
   static StaticKnowledgeAsset Build(const kg::KnowledgeGraph& kg,
                                     Options options);
@@ -47,7 +48,7 @@ class StaticKnowledgeAsset {
  private:
   Options options_;
   /// Member entity -> facts shipped about it (at most
-  /// max_facts_per_entity).
+  /// kMaxFactsPerEntity).
   std::unordered_map<kg::EntityId, size_t> fact_counts_;
   size_t num_facts_ = 0;
   uint64_t version_ = 0;

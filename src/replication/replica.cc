@@ -185,14 +185,6 @@ Result<uint64_t> Replica::LeaderAppend(std::string payload, double now_ms) {
   if (payload.empty()) {
     return Status::InvalidArgument("empty payloads are reserved for no-ops");
   }
-  if (options_.governor != nullptr && options_.governor->degraded()) {
-    // Read-only degraded: refuse before assigning a seq, with a
-    // storage-origin status the retry layer will never re-attempt.
-    SAGA_COUNTER("replication.replica.append_rejected_no_space").Add();
-    obs::MarkSpanError(StatusCode::kResourceExhausted);
-    return Status::StorageExhausted(
-        "leader is disk-space degraded; appends refused");
-  }
   const uint64_t seq = log_.last_seq() + 1;
   SAGA_RETURN_IF_ERROR(
       log_.Append(LogRecord{seq, epoch_, std::move(payload)}));
@@ -344,20 +336,11 @@ void Replica::HandleAppend(const Message& m, double now_ms) {
       (void)log_.TruncateFrom(rec.seq);
     }
     if (rec.seq != log_.last_seq() + 1) break;  // out-of-window record
-    if (options_.governor != nullptr && options_.governor->degraded()) {
-      // Out of disk budget: refuse the record instead of dying on the
-      // append. Everything up to `matched` is still proven-shared.
-      no_space = true;
-      break;
-    }
     Status appended = log_.Append(rec);
     if (!appended.ok()) {
-      if (appended.IsStorageExhausted()) {
-        no_space = true;
-        if (options_.governor != nullptr) {
-          options_.governor->NoteExhausted(appended.message());
-        }
-      }
+      // Out of disk: refuse the record instead of dying on the append.
+      // Everything up to `matched` is still proven-shared.
+      no_space = appended.IsStorageExhausted();
       break;
     }
     matched = rec.seq;

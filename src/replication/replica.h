@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "replication/failure_detector.h"
-#include "resource/disk_space_governor.h"
 #include "replication/log.h"
 #include "replication/message.h"
 #include "replication/sim_transport.h"
@@ -70,15 +69,11 @@ class Replica {
     int group_size = 3;
     uint64_t seed = 0x5EED;
     /// Non-empty: the log is backed by a real storage WAL here; every
-    /// append is fsynced before it is acked.
+    /// append is fsynced before it is acked. A follower whose WAL
+    /// append fails with ENOSPC NACKs with NackReason::kNoSpace,
+    /// keeping its proven-shared last_seq so the leader does not back
+    /// up its ship cursor, instead of dying.
     std::string wal_path;
-    /// Optional disk-space governor for this node's data directory.
-    /// A degraded follower NACKs appends with NackReason::kNoSpace
-    /// (keeping its proven-shared last_seq so the leader does not back
-    /// up its ship cursor) instead of dying; a degraded leader refuses
-    /// LeaderAppend with a storage-origin kResourceExhausted. Not
-    /// owned.
-    resource::DiskSpaceGovernor* governor = nullptr;
   };
 
   /// Applies one committed record to the replica's state machine.

@@ -41,9 +41,7 @@ std::string ReplicaGroup::EncodePut(std::string_view key,
 }
 
 ReplicaGroup::ReplicaGroup(Options options)
-    : options_(options), transport_(options.seed ^ 0x7A115EEDull) {
-  router_ = serving::ReplicaRouter(options_.router);
-}
+    : options_(options), transport_(options.seed ^ 0x7A115EEDull) {}
 
 Result<std::unique_ptr<ReplicaGroup>> ReplicaGroup::Create(Options options) {
   if (options.num_replicas < 1) {
@@ -55,7 +53,7 @@ Result<std::unique_ptr<ReplicaGroup>> ReplicaGroup::Create(Options options) {
   std::unique_ptr<ReplicaGroup> group(new ReplicaGroup(options));
   group->applied_.resize(options.num_replicas);
   for (int i = 0; i < options.num_replicas; ++i) {
-    Replica::Options r = options.replica;
+    Replica::Options r;
     r.id = i;
     r.group_size = options.num_replicas;
     r.seed = options.seed;

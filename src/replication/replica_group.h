@@ -57,9 +57,6 @@ class ReplicaGroup {
     /// Non-empty: replica logs are real storage WALs under this
     /// directory (replica_<i>.wal), and Restart() recovers from disk.
     std::string dir;
-    /// Template for every replica (id/seed/wal_path are overwritten).
-    Replica::Options replica;
-    serving::ReplicaRouter::Options router;
   };
 
   static Result<std::unique_ptr<ReplicaGroup>> Create(Options options);

@@ -185,9 +185,7 @@ uint64_t DiskSpaceGovernor::denials() const {
 }
 
 uint64_t DiskSpaceGovernor::ExitThresholdBytes() const {
-  const double factor = std::max(1.0, options_.exit_headroom_factor);
-  return static_cast<uint64_t>(
-      static_cast<double>(options_.emergency_floor_bytes) * factor);
+  return options_.emergency_floor_bytes * kExitHeadroomFactor;
 }
 
 void DiskSpaceGovernor::RegisterReclaimTask(std::string name, ReclaimFn fn) {

@@ -41,7 +41,7 @@ namespace saga::resource {
 /// Degraded-mode state machine (hysteresis both ways):
 ///
 ///     ok --(kWrite reservation denied | NoteExhausted)--> degraded
-///     degraded --(free >= floor * exit_headroom_factor)--> ok
+///     degraded --(free >= floor * kExitHeadroomFactor)--> ok
 ///
 /// The exit check runs whenever space is returned (OnBytesFreed,
 /// budget raise, RunReclaim) — never on the deny path — so the store
@@ -65,10 +65,10 @@ class DiskSpaceGovernor {
     uint64_t budget_bytes = 0;
     /// kWrite reservations keep at least this much headroom free.
     uint64_t emergency_floor_bytes = 4 << 20;
-    /// Degraded mode exits once free space recovers above
-    /// emergency_floor_bytes * this factor (hysteresis).
-    double exit_headroom_factor = 2.0;
   };
+  /// Degraded mode exits once free space recovers above
+  /// emergency_floor_bytes * this factor (hysteresis).
+  static constexpr uint64_t kExitHeadroomFactor = 2;
 
   enum class ReservationClass {
     /// Ordinary write-path space (WAL, flush, snapshot create). Must
@@ -143,7 +143,7 @@ class DiskSpaceGovernor {
   uint64_t used_bytes() const;
   uint64_t denials() const;
 
-  /// Returns at least `emergency_floor_bytes * exit_headroom_factor`:
+  /// Returns `emergency_floor_bytes * kExitHeadroomFactor`:
   /// the free-space level at which degraded mode exits.
   uint64_t ExitThresholdBytes() const;
 

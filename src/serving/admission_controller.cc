@@ -1,8 +1,5 @@
 #include "serving/admission_controller.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/metrics.h"
 
 namespace saga::serving {
@@ -12,35 +9,8 @@ AdmissionController::AdmissionController(Options options)
   if (options_.low_priority_max_concurrent > options_.max_concurrent) {
     options_.low_priority_max_concurrent = options_.max_concurrent;
   }
-  if (options_.low_priority_burst <= 0.0) {
-    options_.low_priority_burst =
-        std::max(1.0, options_.low_priority_rate_per_sec);
-  }
-  tokens_ = options_.low_priority_burst;
-  last_refill_ns_ = NowNs();
   SAGA_GAUGE("serving.admission.concurrency_limit")
       .Set(static_cast<double>(options_.max_concurrent));
-}
-
-uint64_t AdmissionController::NowNs() const {
-  if (options_.now_ns) return options_.now_ns();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-bool AdmissionController::TakeLowPriorityTokenLocked() {
-  if (options_.low_priority_rate_per_sec <= 0.0) return true;
-  const uint64_t now = NowNs();
-  const double elapsed_s =
-      static_cast<double>(now - last_refill_ns_) / 1e9;
-  last_refill_ns_ = now;
-  tokens_ = std::min(options_.low_priority_burst,
-                     tokens_ + elapsed_s * options_.low_priority_rate_per_sec);
-  if (tokens_ < 1.0) return false;
-  tokens_ -= 1.0;
-  return true;
 }
 
 AdmissionController::Ticket AdmissionController::TryAdmit(
@@ -60,13 +30,9 @@ AdmissionController::Ticket AdmissionController::TryAdmit(
   Status shed;
   if (stats_.in_flight >= options_.max_concurrent) {
     shed = Status::ResourceExhausted("serving tier at concurrency limit");
-  } else if (p == Priority::kLow) {
-    if (stats_.in_flight_low >= options_.low_priority_max_concurrent) {
-      shed = Status::ResourceExhausted(
-          "low-priority concurrency limit reached");
-    } else if (!TakeLowPriorityTokenLocked()) {
-      shed = Status::ResourceExhausted("low-priority rate limit exceeded");
-    }
+  } else if (p == Priority::kLow &&
+             stats_.in_flight_low >= options_.low_priority_max_concurrent) {
+    shed = Status::ResourceExhausted("low-priority concurrency limit reached");
   }
   if (!shed.ok()) {
     if (p == Priority::kLow) {

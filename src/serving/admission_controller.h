@@ -2,7 +2,6 @@
 #define SAGA_SERVING_ADMISSION_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 
 #include "common/request_context.h"
@@ -12,18 +11,12 @@ namespace saga::serving {
 
 /// Front-door admission control for the serving tier (paper §6 serves
 /// interactive traffic under strict SLAs next to background/bulk work).
-/// Two cooperating limiters:
-///
-/// - A concurrency limit: at most `max_concurrent` requests in flight,
-///   and a tighter `low_priority_max_concurrent` sub-limit so bulk work
-///   can never occupy the whole tier. Under overload low-priority
-///   requests are shed first, with ResourceExhausted — the retryable
-///   "back off and come back" signal — while high-priority traffic
-///   keeps the remaining capacity.
-/// - A token bucket on the *low-priority* class only
-///   (`low_priority_rate_per_sec`, burst `low_priority_burst`): even
-///   when the tier is idle, bulk traffic is smoothed so a burst cannot
-///   instantly fill every slot ahead of interactive arrivals.
+/// A concurrency limit: at most `max_concurrent` requests in flight, and
+/// a tighter `low_priority_max_concurrent` sub-limit so bulk work can
+/// never occupy the whole tier. Under overload low-priority requests
+/// are shed first, with ResourceExhausted — the retryable "back off and
+/// come back" signal — while high-priority traffic keeps the remaining
+/// capacity.
 ///
 /// Requests whose deadline is already expired are rejected up front
 /// with DeadlineExceeded (no point admitting work that cannot finish —
@@ -37,7 +30,7 @@ namespace saga::serving {
 ///
 /// Metrics: `serving.admission.admitted` / `.shed_low` / `.shed_high` /
 /// `.expired` counters and `serving.admission.in_flight` /
-/// `.in_flight_low` gauges. Thread-safe; clock injectable for tests.
+/// `.in_flight_low` gauges. Thread-safe.
 class AdmissionController {
  public:
   struct Options {
@@ -45,13 +38,6 @@ class AdmissionController {
     int max_concurrent = 64;
     /// Sub-cap for low-priority requests; must be <= max_concurrent.
     int low_priority_max_concurrent = 16;
-    /// Token-bucket refill rate for low-priority admits; <= 0 disables
-    /// the rate limiter (concurrency caps still apply).
-    double low_priority_rate_per_sec = 0.0;
-    /// Bucket capacity (burst size). Defaults to one second of rate.
-    double low_priority_burst = 0.0;
-    /// Injectable monotonic clock (nanoseconds) for tests.
-    std::function<uint64_t()> now_ns;
   };
 
   struct Stats {
@@ -111,20 +97,14 @@ class AdmissionController {
   Ticket TryAdmit(const RequestContext& ctx);
 
   Stats stats() const;
-  const Options& options() const { return options_; }
 
  private:
   friend class Ticket;
   void Release(Priority p);
-  uint64_t NowNs() const;
-  /// Refills and tries to take one low-priority token. Caller holds mu_.
-  bool TakeLowPriorityTokenLocked();
 
   Options options_;
   mutable std::mutex mu_;
   Stats stats_;
-  double tokens_ = 0.0;
-  uint64_t last_refill_ns_ = 0;
 };
 
 }  // namespace saga::serving

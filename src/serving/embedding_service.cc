@@ -9,12 +9,15 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/retry.h"
 
 namespace saga::serving {
 
 namespace {
 
 constexpr ann::Metric kMetric = ann::Metric::kCosine;
+/// Lists an IVF search probes.
+constexpr int kIvfNprobe = 4;
 /// The adaptive hedge timer's floor (the p99 of a warm cache is ~0),
 /// and its value until kMinHedgeSamples searches have been timed.
 constexpr double kMinHedgeMs = 0.2;
@@ -59,7 +62,7 @@ std::unique_ptr<ann::VectorIndex> EmbeddingService::MakeIndex(
     case IndexKind::kIvf: {
       ann::IvfIndex::Options ivf;
       ivf.num_lists = options_.ivf_lists;
-      ivf.nprobe = options_.ivf_nprobe;
+      ivf.nprobe = kIvfNprobe;
       return std::make_unique<ann::IvfIndex>(store_.rows(), kMetric, ivf);
     }
     case IndexKind::kQuantized:
@@ -72,7 +75,7 @@ std::unique_ptr<ann::VectorIndex> EmbeddingService::MakeIndex(
 }
 
 void EmbeddingService::BuildIndexWithFallback() {
-  RetryPolicy retry(options_.retry);
+  RetryPolicy retry;
   const Status s = retry.Run("serving.index_build", [&] {
     // The fault point covers accelerated builds only, so the exact
     // fallback below can never be failed by injection.

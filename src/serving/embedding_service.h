@@ -11,7 +11,6 @@
 #include "common/circuit_breaker.h"
 #include "common/request_context.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "common/threadpool.h"
 #include "embedding/embedding_store.h"
 #include "kg/knowledge_graph.h"
@@ -61,9 +60,6 @@ class EmbeddingService {
   struct Options {
     IndexKind index = IndexKind::kExact;
     int ivf_lists = 32;
-    int ivf_nprobe = 4;
-    /// Backoff schedule for transient index-build failures.
-    RetryPolicy::Options retry;
     /// Circuit breaker for the accelerated search path (metrics under
     /// `serving.breaker.ann_*`). Consulted by every search; exact-index
     /// searches have nothing to guard and skip it.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace saga::serving {
 
@@ -47,15 +46,13 @@ RelatedEntitiesService::Related(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter,
                                 const RequestContext& ctx) const {
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.related.start"));
-  std::unordered_set<kg::EntityId> excluded;
-  excluded.insert(id);
-  if (options_.exclude_direct_neighbors) {
-    for (kg::EntityId nb : kg_->Neighbors(id)) excluded.insert(nb);
-  }
+  // The query is never its own related entity; a fetch asks for it and
+  // 8 spares on top of k.
+  const size_t fetch = k + 9;
   auto filter = [&](std::vector<std::pair<kg::EntityId, double>> hits) {
     std::vector<std::pair<kg::EntityId, double>> out;
     for (auto& [e, s] : hits) {
-      if (excluded.count(e)) continue;
+      if (e == id) continue;
       out.emplace_back(e, s);
       if (out.size() == k) break;
     }
@@ -66,14 +63,13 @@ RelatedEntitiesService::Related(kg::EntityId id, size_t k,
     case Mode::kEmbedding: {
       SAGA_ASSIGN_OR_RETURN(
           auto hits,
-          embeddings_->TopKNeighbors(
-              id, k + excluded.size() + 8, type_filter, ctx));
+          embeddings_->TopKNeighbors(id, fetch, type_filter, ctx));
       return filter(std::move(hits));
     }
     case Mode::kPpr: {
       SAGA_ASSIGN_OR_RETURN(
           auto hits,
-          PprRelated(id, k + excluded.size() + 8, type_filter, ctx));
+          PprRelated(id, fetch, type_filter, ctx));
       return filter(std::move(hits));
     }
     case Mode::kBlend: {

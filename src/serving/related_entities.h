@@ -23,9 +23,6 @@ class RelatedEntitiesService {
 
   struct Options {
     Mode mode = Mode::kEmbedding;
-    /// Exclude entities directly linked to the query (users already
-    /// know those; "related" should surface non-obvious peers).
-    bool exclude_direct_neighbors = false;
   };
 
   RelatedEntitiesService(const kg::KnowledgeGraph* kg,

@@ -23,7 +23,7 @@ int ReplicaRouter::PickRead(const std::vector<ReplicaView>& replicas) {
       fallback = r.id;
       fallback_lag = r.lag_records;
     }
-    if (r.lag_records > options_.max_staleness_records) {
+    if (r.lag_records > kMaxStalenessRecords) {
       ++stats_.stale_skips;
       SAGA_COUNTER("serving.replica_router.stale_skips").Add();
       continue;

@@ -18,11 +18,11 @@ namespace saga::serving {
 ///
 /// Guarantee the chaos suite pins: while a healthy leader exists,
 /// PickRead never returns a follower whose `lag_records` exceeds
-/// `max_staleness_records`, and it never returns one marked unhealthy
+/// `kMaxStalenessRecords`, and it never returns one marked unhealthy
 /// (down or suspected by the leader's failure detector) — such reads
 /// land on the leader instead. Reads from a chosen follower are
 /// therefore bounded-stale in steady state: at most
-/// `max_staleness_records` behind the group commit index at routing
+/// `kMaxStalenessRecords` behind the group commit index at routing
 /// time, and never from a divergent (uncommitted) tail, since lag is
 /// measured in committed records. Last resort only — leader down AND
 /// no follower inside the bound — the router degrades to the
@@ -40,10 +40,8 @@ class ReplicaRouter {
     uint64_t lag_records = 0;
   };
 
-  struct Options {
-    /// Max committed-record lag a follower may have and still serve.
-    uint64_t max_staleness_records = 64;
-  };
+  /// Max committed-record lag a follower may have and still serve.
+  static constexpr uint64_t kMaxStalenessRecords = 64;
 
   struct Stats {
     uint64_t follower_reads = 0;
@@ -57,9 +55,6 @@ class ReplicaRouter {
     uint64_t stale_fallbacks = 0;
   };
 
-  ReplicaRouter() : ReplicaRouter(Options()) {}
-  explicit ReplicaRouter(Options options) : options_(options) {}
-
   /// Picks the replica id to serve a read: round-robin over eligible
   /// followers, else the leader, else the least-stale healthy follower
   /// (stale fallback), else -1 (no one can serve — caller surfaces
@@ -67,10 +62,8 @@ class ReplicaRouter {
   int PickRead(const std::vector<ReplicaView>& replicas);
 
   const Stats& stats() const { return stats_; }
-  const Options& options() const { return options_; }
 
  private:
-  Options options_;
   Stats stats_;
   uint64_t rr_ = 0;
 };

@@ -26,20 +26,18 @@ constexpr uint64_t kSampleSeed = 0x5A6A;
 VersionManager::VersionManager(Options options) : options_(options) {}
 
 Result<std::shared_ptr<ServingVersion>> VersionManager::LoadVersion(
-    const std::string& id, const std::string& dir,
-    const LoadOptions& options) {
+    const std::string& id, const std::string& dir) {
   auto v = std::make_shared<ServingVersion>();
   v->id = id;
   v->dir = dir;
   SAGA_ASSIGN_OR_RETURN(v->kv, storage::KvStore::Open(dir));
-  if (!options.embeddings_file.empty()) {
-    const std::string shard = JoinPath(dir, options.embeddings_file);
-    if (FileExists(shard)) {
-      SAGA_ASSIGN_OR_RETURN(v->embeddings,
-                            embedding::EmbeddingStore::Load(shard));
-    }
+  const std::string shard =
+      JoinPath(dir, embedding::EmbeddingStore::kShardFileName);
+  if (FileExists(shard)) {
+    SAGA_ASSIGN_OR_RETURN(v->embeddings,
+                          embedding::EmbeddingStore::Load(shard));
   }
-  if (options.build_service && v->embeddings.size() > 0) {
+  if (v->embeddings.size() > 0) {
     v->service =
         std::make_unique<EmbeddingService>(v->embeddings, /*kg=*/nullptr);
   }
@@ -55,13 +53,6 @@ Status VersionManager::Validate(const ServingVersion& candidate,
   // Checksum pass: every block of every table. A candidate that rots
   // between build and deploy is caught here, not by a user query.
   SAGA_RETURN_IF_ERROR(candidate.kv->VerifyTables());
-
-  if (candidate.key_count < vo.min_keys) {
-    return Status::FailedPrecondition(
-        "candidate " + candidate.id + " holds " +
-        std::to_string(candidate.key_count) + " keys, floor is " +
-        std::to_string(vo.min_keys));
-  }
 
   if (live == nullptr) return Status::OK();
 
@@ -197,7 +188,7 @@ void VersionManager::RecordRequestOutcome(bool ok) {
       10, options_.probation_requests);
   if (probation_seen_ >= min_signal &&
       static_cast<double>(probation_failed_) >
-          options_.rollback_error_rate *
+          kRollbackErrorRate *
               static_cast<double>(probation_seen_)) {
     RollbackLocked();
     return;

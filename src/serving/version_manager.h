@@ -27,7 +27,7 @@ struct ServingVersion {
   std::string dir;  // version root on disk
   std::unique_ptr<storage::KvStore> kv;
   embedding::EmbeddingStore embeddings;
-  /// Built when LoadVersion is asked for one; null otherwise.
+  /// Built when the version has a non-empty shard; null otherwise.
   std::unique_ptr<EmbeddingService> service;
   /// Live key count at load time (catalog size invariant input).
   uint64_t key_count = 0;
@@ -39,15 +39,15 @@ struct ServingVersion {
 ///   1. side-by-side: the candidate is fully loaded before the live
 ///      version is touched;
 ///   2. canary validation: checksum pass over every candidate table,
-///      count/coverage invariants (absolute floor + max fraction of
-///      the live catalog allowed to disappear), and a sampled
-///      query-answer diff against the live version;
+///      a coverage invariant (the max fraction of the live catalog
+///      allowed to disappear), and a sampled query-answer diff against
+///      the live version;
 ///   3. RCU-style flip: Current() hands out shared_ptr copies, so
 ///      in-flight requests finish on the version they started with
 ///      while new requests see the new pointer;
 ///   4. probation: the previous version is kept alive; if the error
 ///      rate over the first `probation_requests` outcomes exceeds
-///      `rollback_error_rate`, the flip is undone automatically.
+///      kRollbackErrorRate, the flip is undone automatically.
 ///
 /// A rejected candidate never takes a request and the live version
 /// keeps serving throughout — validation failure is FailedPrecondition
@@ -59,8 +59,6 @@ struct ServingVersion {
 class VersionManager {
  public:
   struct ValidationOptions {
-    /// Candidate must hold at least this many keys.
-    uint64_t min_keys = 0;
     /// Sampled query-answer diff: this many keys sampled from the live
     /// version and looked up in the candidate.
     size_t sample_queries = 16;
@@ -71,17 +69,11 @@ class VersionManager {
     /// Outcomes counted after a flip before the swap is considered
     /// committed. 0 disables probation (flip is final immediately).
     uint64_t probation_requests = 100;
-    /// Error-rate threshold over the probation window that triggers
-    /// automatic rollback.
-    double rollback_error_rate = 0.5;
   };
 
-  struct LoadOptions {
-    /// Embedding shard file name inside the version dir; empty = none.
-    std::string embeddings_file = "embeddings.bin";
-    /// Also build an exact EmbeddingService over the shard.
-    bool build_service = false;
-  };
+  /// Error-rate threshold over the probation window that triggers
+  /// automatic rollback.
+  static constexpr double kRollbackErrorRate = 0.5;
 
   struct Stats {
     uint64_t attempts = 0;
@@ -95,14 +87,15 @@ class VersionManager {
   explicit VersionManager(Options options);
   VersionManager() : VersionManager(Options()) {}
 
-  /// Loads a version directory into a handle (KvStore recover + shard
-  /// load + optional index build). No effect on what is being served.
+  /// Loads a version directory into a handle: KvStore recovery, then,
+  /// when the directory holds an embedding shard
+  /// (EmbeddingStore::kShardFileName), the shard and an exact
+  /// EmbeddingService over it. No effect on what is being served.
   static Result<std::shared_ptr<ServingVersion>> LoadVersion(
-      const std::string& id, const std::string& dir,
-      const LoadOptions& options);
+      const std::string& id, const std::string& dir);
 
-  /// Installs the first version without a live baseline (checksum and
-  /// floor checks still apply; no diff, no probation).
+  /// Installs the first version without a live baseline (the checksum
+  /// check still applies; no diff, no probation).
   Status Activate(std::shared_ptr<ServingVersion> version);
 
   /// Full validated swap against the current version. On any

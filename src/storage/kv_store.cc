@@ -34,6 +34,8 @@ constexpr char kQuarantineSuffix[] = ".quarantined";
 constexpr int kBloomBitsPerKey = 10;
 /// Shed background runs retried before maintenance proceeds anyway.
 constexpr int kBgAdmitRetries = 50;
+/// Backoff between a shed background run and its retry.
+constexpr int kBgShedBackoffMs = 2;
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -108,8 +110,7 @@ std::optional<std::vector<std::string>> ParseManifest(
 
 KvStore::KvStore(std::string dir, Options options)
     : dir_(std::move(dir)),
-      options_(std::move(options)),
-      retry_(options_.retry) {
+      options_(std::move(options)) {
   mem_ = std::make_shared<MemTable>();
   sv_ = std::make_shared<Superversion>(Superversion{mem_, {}, {}});
   if (options_.background_maintenance) {
@@ -336,7 +337,7 @@ Status KvStore::Recover() {
     Status s = retry_.Run(
         "sst.open",
         [&]() -> Status {
-          auto r = SSTableReader::Open(path, options_.read_verify);
+          auto r = SSTableReader::Open(path);
           if (!r.ok()) return r.status();
           reader = std::move(*r);
           return Status::OK();
@@ -722,7 +723,6 @@ Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
       [&]() -> Status {
         SSTableBuilder::Options bopts;
         bopts.bits_per_key = kBloomBitsPerKey;
-        bopts.index_interval = options_.index_interval;
         SSTableBuilder builder(bopts);
         size_t live_rows = 0;
         for (const auto& [key, entry] : rows) {
@@ -732,7 +732,7 @@ Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
           ++live_rows;
         }
         SAGA_RETURN_IF_ERROR(builder.Finish(path, live_rows));
-        auto r = SSTableReader::Open(path, options_.read_verify);
+        auto r = SSTableReader::Open(path);
         if (!r.ok()) {
           (void)RemoveFileIfExists(path);
           return r.status();
@@ -1031,7 +1031,7 @@ void KvStore::RunBackgroundMaintenance() {
       if (++attempts > kBgAdmitRetries) break;
       if (shutting_down_.load(std::memory_order_acquire)) return;
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.bg_shed_backoff_ms));
+          std::chrono::milliseconds(kBgShedBackoffMs));
     }
   }
   obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.bg.run_ns"));

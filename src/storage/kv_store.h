@@ -57,23 +57,14 @@ class KvStore {
     /// Flush the memtable to an SSTable once it exceeds this budget.
     /// The on-device pipeline tunes this down to run in tens of KiB.
     size_t memtable_max_bytes = 4 << 20;
-    int index_interval = 16;
     /// Disable to trade durability for ingest speed (bulk loads).
     bool use_wal = true;
     /// fsync after every write: an OK Put/Delete is durable.
     bool sync_every_write = false;
-    /// Per-block CRC verification on the SSTable read path (see
-    /// ReadVerifyMode). kFirstRead memoizes per block, so steady-state
-    /// cost is one relaxed atomic load; corruption surfaces as
-    /// kDataLoss instead of a silent miss or garbage value.
-    ReadVerifyMode read_verify = ReadVerifyMode::kFirstRead;
     /// When > 0, a flush that leaves more than this many SSTables
     /// triggers CompactAll automatically (simple tiered compaction,
     /// bounding read amplification).
     int auto_compact_trigger = 0;
-    /// Backoff schedule for transient IO failures during open, flush
-    /// and compaction.
-    RetryPolicy::Options retry;
     /// Optional disk-space governor. When set, every write path
     /// reserves bytes before touching disk (WAL append, memtable
     /// flush, compaction output), ENOSPC-shaped failures trip the
@@ -102,7 +93,6 @@ class KvStore {
     /// AdmissionController at low priority, and storage itself stays
     /// serving-agnostic.
     std::function<bool()> bg_admission;
-    int bg_shed_backoff_ms = 2;
   };
 
   /// Monotonic operation tallies. Fields are atomics because readers

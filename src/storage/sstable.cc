@@ -27,7 +27,7 @@ Status SSTableBuilder::Add(std::string_view key, std::string_view value,
   if (num_entries_ > 0 && std::string_view(last_key_) >= key) {
     return Status::InvalidArgument("SSTable keys must be strictly increasing");
   }
-  if (num_entries_ % static_cast<size_t>(options_.index_interval) == 0) {
+  if (num_entries_ % kIndexInterval == 0) {
     index_.emplace_back(std::string(key), data_.size());
   }
   BinaryWriter w(&data_);

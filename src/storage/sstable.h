@@ -21,8 +21,9 @@ namespace saga::storage {
 enum class ReadVerifyMode {
   /// Verify each block the first time a read touches it, then memoize
   /// (one relaxed atomic flag per block) — near-free steady state.
+  /// KvStore always reads this way.
   kFirstRead,
-  /// Verify the containing block on every read (paranoid / test mode).
+  /// Verify the containing block on every read: the scrubber's mode.
   kAlways,
 };
 
@@ -44,8 +45,9 @@ class SSTableBuilder {
  public:
   struct Options {
     int bits_per_key = 10;
-    int index_interval = 16;
   };
+  /// Every this-many-th key goes into the sparse index.
+  static constexpr size_t kIndexInterval = 16;
 
   SSTableBuilder();
   explicit SSTableBuilder(Options options);
@@ -69,7 +71,8 @@ class SSTableBuilder {
 };
 
 /// Reader over one SSTable. Loads the file once; lookups binary-search
-/// the sparse index then scan at most `index_interval` entries.
+/// the sparse index then scan at most SSTableBuilder::kIndexInterval
+/// entries.
 ///
 /// Integrity: every accessor (GetChecked / Scan*Checked /
 /// VerifyChecksums) verifies per-block CRCs per the configured

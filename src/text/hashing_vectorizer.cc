@@ -1,7 +1,7 @@
 #include "text/hashing_vectorizer.h"
 
+#include <array>
 #include <bit>
-#include <cassert>
 #include <cmath>
 
 #include "common/hash.h"
@@ -18,38 +18,19 @@ constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
 /// a bitmap of the dimensions touched. Both are all zero between calls,
 /// so a call clears only what it touched.
 struct Accumulator {
-  std::vector<float> sum;
-  std::vector<uint64_t> touched;
+  std::array<float, HashingVectorizer::kDim> sum{};
+  std::array<uint64_t, HashingVectorizer::kDim / 64> touched{};
 };
-
-Accumulator& ThreadAccumulator(size_t dim) {
-  thread_local Accumulator acc;
-  if (acc.sum.size() < dim) {
-    acc.sum.resize(dim, 0.0f);
-    acc.touched.resize((dim + 63) / 64, 0);
-  }
-  return acc;
-}
 
 }  // namespace
 
-HashingVectorizer::HashingVectorizer() : HashingVectorizer(Options()) {}
-
-HashingVectorizer::HashingVectorizer(Options options) : options_(options) {
-  assert(options_.dim > 0 && options_.dim <= 65536);
-  const auto dim = static_cast<uint64_t>(options_.dim);
-  if (std::has_single_bit(dim)) dim_mask_ = dim - 1;
-}
-
 void HashingVectorizer::EmbedPieces(std::span<const std::string_view> pieces,
                                     SparseVector* out) const {
-  const size_t dim = static_cast<size_t>(options_.dim);
-  Accumulator& acc = ThreadAccumulator(dim);
+  thread_local Accumulator acc;
   float* const sum = acc.sum.data();
   uint64_t* const touched = acc.touched.data();
-  const uint64_t mask = dim_mask_;
   auto add = [&](uint64_t h, double weight) {
-    const size_t i = mask != 0 ? h & mask : h % dim;
+    const size_t i = h & (kDim - 1);
     const double sign = (Mix64(h) & 1) ? 1.0 : -1.0;
     sum[i] += static_cast<float>(sign * weight);
     touched[i >> 6] |= uint64_t{1} << (i & 63);
@@ -76,7 +57,7 @@ void HashingVectorizer::EmbedPieces(std::span<const std::string_view> pieces,
         uni = (uni ^ c) * kFnvPrime;
         bi = (bi ^ c) * kFnvPrime;
       } while (++p != end && kLoweredWordByte[*p] != 0);
-      if (options_.use_bigrams && !first) add(bi, 0.5);
+      if (!first) add(bi, 0.5);
       add(uni, 1.0);
       prev = uni;
       first = false;
@@ -84,7 +65,7 @@ void HashingVectorizer::EmbedPieces(std::span<const std::string_view> pieces,
   }
   // Untouched dimensions hold exact zeros, so summing only the touched
   // ones in ascending order gives the dense loop's bits.
-  const size_t words = (dim + 63) / 64;
+  constexpr size_t words = kDim / 64;
   double norm_sq = 0.0;
   size_t count = 0;
   for (size_t w = 0; w < words; ++w) {
@@ -118,7 +99,7 @@ std::vector<float> HashingVectorizer::Embed(std::string_view text) const {
 
 std::vector<float> HashingVectorizer::ToDense(
     const SparseVector& sparse) const {
-  std::vector<float> vec(options_.dim, 0.0f);
+  std::vector<float> vec(kDim, 0.0f);
   for (size_t k = 0; k < sparse.index.size(); ++k) {
     vec[sparse.index[k]] = sparse.value[k];
   }

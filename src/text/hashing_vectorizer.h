@@ -26,14 +26,10 @@ struct SparseVector {
 /// land in shared dimensions.
 class HashingVectorizer {
  public:
-  struct Options {
-    /// At most 65536, so a dimension fits SparseVector's uint16_t index.
-    int dim = 256;
-    bool use_bigrams = true;
-  };
-
-  HashingVectorizer();
-  explicit HashingVectorizer(Options options);
+  /// Embedding dimensions: a power of two, so a bucket is a mask of
+  /// the hash, and at most 65536, so a dimension fits SparseVector's
+  /// uint16_t index.
+  static constexpr size_t kDim = 256;
 
   /// The one hashing kernel. Writes into `out` the L2-normalized
   /// embedding of the text that joins `pieces` with " ": each piece
@@ -47,7 +43,7 @@ class HashingVectorizer {
   /// piece, scattered by ToDense.
   std::vector<float> Embed(std::string_view text) const;
 
-  /// `sparse` as a dense vector of dim() floats.
+  /// `sparse` as a dense vector of kDim floats.
   std::vector<float> ToDense(const SparseVector& sparse) const;
 
   /// Cosine similarity of two vectors from this vectorizer (assumes
@@ -63,13 +59,7 @@ class HashingVectorizer {
   static double Dot(const SparseVector& sparse,
                     const std::vector<float>& dense);
 
-  int dim() const { return options_.dim; }
-
- private:
-  Options options_;
-  /// dim - 1 when dim is a power of two, so a bucket is a mask rather
-  /// than a 64-bit divide; 0 otherwise.
-  uint64_t dim_mask_ = 0;
+  static_assert((kDim & (kDim - 1)) == 0 && kDim <= 65536);
 };
 
 }  // namespace saga::text

@@ -97,9 +97,6 @@ TEST_F(ChaosTest, CrashReplayLoopLosesNoSyncedWrite) {
     opts.memtable_max_bytes = 1024 + rng.Uniform(2048);
     opts.sync_every_write = true;  // an OK op is a durable op
     opts.auto_compact_trigger = rng.Bernoulli(0.4) ? 2 : 0;
-    opts.retry.max_attempts = 2;
-    opts.retry.initial_backoff_ms = 0.0;
-    opts.retry.max_backoff_ms = 0.0;
 
     // State after every acknowledged op; the single failing op (if
     // any) is indeterminate — it may or may not have reached disk.
@@ -208,7 +205,6 @@ TEST_F(ChaosTest, RepeatedCrashesAcrossReopens) {
   KvStore::Options opts;
   opts.memtable_max_bytes = 1024;
   opts.sync_every_write = true;
-  opts.retry.max_attempts = 1;
   std::map<std::string, std::string> model;
   std::optional<std::string> indeterminate_key;
 
@@ -292,8 +288,6 @@ TEST_F(ChaosTest, CorruptionRoundsNeverServeGarbage) {
 
     KvStore::Options opts;
     opts.sync_every_write = true;
-    opts.read_verify = ReadVerifyMode::kAlways;
-    opts.retry.max_attempts = 1;
 
     std::map<std::string, std::string> model;
     {
@@ -450,9 +444,6 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
     const int64_t retries_before = retries.Value();
     EmbeddingService::Options opts;
     opts.index = kind;
-    opts.retry.max_attempts = 2;
-    opts.retry.initial_backoff_ms = 0.0;
-    opts.retry.max_backoff_ms = 0.0;
     FaultSpec spec;
     spec.fail_nth = 0;  // every build attempt fails
     spec.repeat = true;

@@ -461,71 +461,42 @@ TEST(ThreadPoolTest, ParallelForNullPoolIsSerial) {
 // ---------- RetryPolicy backoff bounds ----------
 
 TEST(RetryPolicyTest, BackoffStaysWithinJitterBounds) {
-  RetryPolicy::Options opts;
-  opts.initial_backoff_ms = 2.0;
-  opts.backoff_multiplier = 2.0;
-  opts.max_backoff_ms = 50.0;
-  opts.jitter_fraction = 0.2;
-  RetryPolicy policy(opts);
+  RetryPolicy policy([](double) {});
 
-  // Exponential base: 2, 4, 8, ... capped at 50; jitter of +/-20%
+  // Exponential base: 1, 2, 4, ... capped at 50; jitter of +/-20%
   // around each. Every draw must land inside [base*0.8, base*1.2].
   for (int round = 0; round < 50; ++round) {
-    double base = opts.initial_backoff_ms;
+    double base = RetryPolicy::kInitialBackoffMs;
     for (int attempt = 1; attempt <= 8; ++attempt) {
       const double backoff = policy.BackoffMs(attempt);
-      EXPECT_GE(backoff, base * (1.0 - opts.jitter_fraction))
+      EXPECT_GE(backoff, base * (1.0 - RetryPolicy::kJitterFraction))
           << "attempt " << attempt;
-      EXPECT_LE(backoff, base * (1.0 + opts.jitter_fraction))
+      EXPECT_LE(backoff, base * (1.0 + RetryPolicy::kJitterFraction))
           << "attempt " << attempt;
-      base = std::min(base * opts.backoff_multiplier, opts.max_backoff_ms);
+      base = std::min(base * RetryPolicy::kBackoffMultiplier,
+                      RetryPolicy::kMaxBackoffMs);
     }
   }
 }
 
-TEST(RetryPolicyTest, BackoffCapsAtMax) {
-  RetryPolicy::Options opts;
-  opts.initial_backoff_ms = 1.0;
-  opts.backoff_multiplier = 10.0;
-  opts.max_backoff_ms = 25.0;
-  opts.jitter_fraction = 0.0;  // exact values
-  RetryPolicy policy(opts);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(1), 1.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(2), 10.0);
-  // 100 and 1000 both clamp to the cap.
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(3), 25.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(4), 25.0);
-}
-
 TEST(RetryPolicyTest, JitterIsAppliedAndSeedDeterministic) {
-  RetryPolicy::Options opts;
-  opts.initial_backoff_ms = 10.0;
-  opts.jitter_fraction = 0.5;
-  opts.jitter_seed = 7;
-
   // With jitter on, repeated draws for the same attempt differ (the
   // point of jitter is to decorrelate retry storms)...
-  RetryPolicy jittered(opts);
+  RetryPolicy jittered([](double) {});
   std::set<double> draws;
   for (int i = 0; i < 20; ++i) draws.insert(jittered.BackoffMs(1));
   EXPECT_GT(draws.size(), 1u);
 
-  // ...but the whole sequence is reproducible for a fixed seed.
-  RetryPolicy a(opts), b(opts);
+  // ...but the whole sequence is reproducible.
+  RetryPolicy a([](double) {}), b([](double) {});
   for (int i = 0; i < 20; ++i) {
     EXPECT_DOUBLE_EQ(a.BackoffMs(1 + i % 4), b.BackoffMs(1 + i % 4));
   }
 }
 
 TEST(RetryPolicyTest, SleepScheduleMatchesBackoffBounds) {
-  RetryPolicy::Options opts;
-  opts.max_attempts = 4;
-  opts.initial_backoff_ms = 2.0;
-  opts.backoff_multiplier = 2.0;
-  opts.max_backoff_ms = 50.0;
-  opts.jitter_fraction = 0.25;
   std::vector<double> slept;
-  RetryPolicy policy(opts, [&](double ms) { slept.push_back(ms); });
+  RetryPolicy policy([&](double ms) { slept.push_back(ms); });
 
   int calls = 0;
   const Status s = policy.Run("unit.op", [&] {
@@ -533,20 +504,20 @@ TEST(RetryPolicyTest, SleepScheduleMatchesBackoffBounds) {
     return Status::IOError("transient");
   });
   EXPECT_TRUE(s.IsIOError());
-  EXPECT_EQ(calls, opts.max_attempts);
+  EXPECT_EQ(calls, RetryPolicy::kMaxAttempts);
   // One sleep between consecutive attempts, none after the last.
-  ASSERT_EQ(slept.size(), 3u);
-  double base = opts.initial_backoff_ms;
+  ASSERT_EQ(slept.size(), static_cast<size_t>(RetryPolicy::kMaxAttempts - 1));
+  double base = RetryPolicy::kInitialBackoffMs;
   for (double ms : slept) {
-    EXPECT_GE(ms, base * (1.0 - opts.jitter_fraction));
-    EXPECT_LE(ms, base * (1.0 + opts.jitter_fraction));
-    base = std::min(base * opts.backoff_multiplier, opts.max_backoff_ms);
+    EXPECT_GE(ms, base * (1.0 - RetryPolicy::kJitterFraction));
+    EXPECT_LE(ms, base * (1.0 + RetryPolicy::kJitterFraction));
+    base *= RetryPolicy::kBackoffMultiplier;
   }
 }
 
 TEST(RetryPolicyTest, NonRetryableStatusStopsImmediately) {
   std::vector<double> slept;
-  RetryPolicy policy({}, [&](double ms) { slept.push_back(ms); });
+  RetryPolicy policy([&](double ms) { slept.push_back(ms); });
   int calls = 0;
   const Status s = policy.Run("unit.op", [&] {
     ++calls;
@@ -599,10 +570,8 @@ TEST(RetryPolicyTest, RetryableSetIsPinned) {
 }
 
 TEST(RetryPolicyTest, DataLossIsNeverRetriedEvenWithCustomPredicate) {
-  RetryPolicy::Options opts;
-  opts.max_attempts = 5;
   std::vector<double> slept;
-  RetryPolicy policy(opts, [&](double ms) { slept.push_back(ms); });
+  RetryPolicy policy([&](double ms) { slept.push_back(ms); });
   int calls = 0;
   // A predicate that claims everything is retryable must still lose to
   // the kDataLoss hard gate: re-reading rotten media returns the same
@@ -632,10 +601,8 @@ TEST(RetryPolicyTest, PartitionedReplicaUnavailableRespectsBreakerGate) {
   bopts.now_ns = [&] { return fake_now; };
   CircuitBreaker breaker("common.breaker.partitioned_replica", bopts);
 
-  RetryPolicy::Options opts;
-  opts.max_attempts = 10;
   std::vector<double> slept;
-  RetryPolicy policy(opts, [&](double ms) { slept.push_back(ms); });
+  RetryPolicy policy([&](double ms) { slept.push_back(ms); });
 
   // The replica's own Unavailable is never retried through a breaker,
   // even by a predicate that insists it should be: the loop cannot

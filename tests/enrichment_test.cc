@@ -56,9 +56,9 @@ TEST(StaticAssetTest, FactsAreCappedPerEntity) {
   kg::GeneratedKg gen = MakeKg();
   StaticKnowledgeAsset::Options opts;
   opts.top_k_entities = 30;
-  opts.max_facts_per_entity = 4;
   const auto asset = StaticKnowledgeAsset::Build(gen.kg, opts);
-  EXPECT_LE(asset.num_facts(), asset.num_entities() * 4);
+  EXPECT_LE(asset.num_facts(),
+            asset.num_entities() * StaticKnowledgeAsset::kMaxFactsPerEntity);
   EXPECT_GT(asset.EstimatedBytes(), 0u);
 }
 

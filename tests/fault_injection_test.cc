@@ -189,10 +189,8 @@ TEST_F(FaultInjectorTest, KnownFaultPointCatalogCoversTransport) {
 }
 
 TEST(RetryPolicyTest, SucceedsAfterTransientFailures) {
-  RetryPolicy::Options opts;
-  opts.max_attempts = 4;
   std::vector<double> sleeps;
-  RetryPolicy policy(opts, [&](double ms) { sleeps.push_back(ms); });
+  RetryPolicy policy([&](double ms) { sleeps.push_back(ms); });
   obs::Counter& attempts = SAGA_COUNTER("resource.retry.attempts");
   const int64_t attempts_before = attempts.Value();
   int calls = 0;
@@ -207,7 +205,7 @@ TEST(RetryPolicyTest, SucceedsAfterTransientFailures) {
 }
 
 TEST(RetryPolicyTest, DoesNotRetryNonRetryable) {
-  RetryPolicy policy(RetryPolicy::Options{}, [](double) {});
+  RetryPolicy policy([](double) {});
   int calls = 0;
   Status s = policy.Run("op", [&] {
     ++calls;
@@ -218,22 +216,18 @@ TEST(RetryPolicyTest, DoesNotRetryNonRetryable) {
 }
 
 TEST(RetryPolicyTest, GivesUpAfterMaxAttempts) {
-  RetryPolicy::Options opts;
-  opts.max_attempts = 3;
-  RetryPolicy policy(opts, [](double) {});
+  RetryPolicy policy([](double) {});
   int calls = 0;
   Status s = policy.Run("op", [&] {
     ++calls;
     return Status::IOError("always");
   });
   EXPECT_TRUE(s.IsIOError());
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls, RetryPolicy::kMaxAttempts);
 }
 
 TEST(RetryPolicyTest, CustomPredicateWidensRetries) {
-  RetryPolicy::Options opts;
-  opts.max_attempts = 2;
-  RetryPolicy policy(opts, [](double) {});
+  RetryPolicy policy([](double) {});
   int calls = 0;
   Status s = policy.Run(
       "op",
@@ -244,32 +238,6 @@ TEST(RetryPolicyTest, CustomPredicateWidensRetries) {
       [](const Status& st) { return st.IsCorruption(); });
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls, 2);
-}
-
-TEST(RetryPolicyTest, BackoffGrowsAndIsCapped) {
-  RetryPolicy::Options opts;
-  opts.initial_backoff_ms = 10.0;
-  opts.backoff_multiplier = 2.0;
-  opts.max_backoff_ms = 35.0;
-  opts.jitter_fraction = 0.0;
-  RetryPolicy policy(opts, [](double) {});
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(1), 10.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(2), 20.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(3), 35.0);  // capped
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(4), 35.0);
-}
-
-TEST(RetryPolicyTest, JitterStaysWithinBounds) {
-  RetryPolicy::Options opts;
-  opts.initial_backoff_ms = 100.0;
-  opts.max_backoff_ms = 1000.0;
-  opts.jitter_fraction = 0.2;
-  RetryPolicy policy(opts, [](double) {});
-  for (int i = 0; i < 32; ++i) {
-    const double b = policy.BackoffMs(1);
-    EXPECT_GE(b, 80.0);
-    EXPECT_LE(b, 120.0);
-  }
 }
 
 }  // namespace

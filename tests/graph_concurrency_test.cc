@@ -63,7 +63,6 @@ TEST(GraphConcurrencyTest, FirstUseRelatedAndIndexReadsFromManyThreads) {
   serving::EmbeddingService::Options ivf_opts;
   ivf_opts.index = serving::EmbeddingService::IndexKind::kIvf;
   ivf_opts.ivf_lists = 8;
-  ivf_opts.ivf_nprobe = 2;
   const serving::EmbeddingService ivf(embeddings.store(), &gen.kg, ivf_opts);
   ivf_opts.hedge.enabled = true;
   ivf_opts.hedge.fixed_hedge_ms = 0.001;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <unordered_map>
 
@@ -15,9 +14,14 @@
 #include "graph_engine/traversal.h"
 #include "graph_engine/view.h"
 #include "kg/kg_generator.h"
+#include "reference_graph.h"
 
 namespace saga::graph_engine {
 namespace {
+
+using reference::HashMapPpr;
+using reference::OraclePpr;
+using reference::OracleTopK;
 
 kg::GeneratedKg MakeKg() {
   kg::KgGeneratorConfig config;
@@ -32,19 +36,8 @@ kg::GeneratedKg MakeKg() {
 
 // ---------- GraphView ----------
 
-// The undirected adjacency the view served before it kept a CSR array:
-// per node, the other end of each incident edge, in edge order.
-std::vector<std::vector<uint32_t>> EdgeOrderAdjacency(const GraphView& view) {
-  std::vector<std::vector<uint32_t>> adj(view.num_entities());
-  for (const ViewEdge& e : view.edges()) {
-    adj[e.src].push_back(e.dst);
-    adj[e.dst].push_back(e.src);
-  }
-  return adj;
-}
-
 void ExpectNeighborsInEdgeOrder(const GraphView& view) {
-  const auto adj = EdgeOrderAdjacency(view);
+  const auto adj = reference::EdgeOrderAdjacency(view);
   for (uint32_t u = 0; u < view.num_entities(); ++u) {
     const auto nbrs = view.Neighbors(u);
     EXPECT_EQ(std::vector<uint32_t>(nbrs.begin(), nbrs.end()), adj[u])
@@ -281,13 +274,11 @@ TEST(SamplerTest, WalksStayOnEdges) {
 }
 
 TEST(SamplerTest, CoOccurrencePairsWithinWindow) {
-  RandomWalkSampler::Options opts;
-  opts.window = 2;
-  RandomWalkSampler sampler(opts);
-  const std::vector<std::vector<uint32_t>> walks = {{1, 2, 3, 4}};
+  RandomWalkSampler sampler;
+  const std::vector<std::vector<uint32_t>> walks = {{1, 2, 3, 4, 5}};
   const auto pairs = sampler.CoOccurrencePairs(walks);
-  // (1,2),(1,3),(2,3),(2,4),(3,4)
-  EXPECT_EQ(pairs.size(), 5u);
+  // (1,2),(1,3),(1,4),(2,3),(2,4),(2,5),(3,4),(3,5),(4,5)
+  EXPECT_EQ(pairs.size(), 9u);
   for (const auto& [a, b] : pairs) EXPECT_NE(a, b);
 }
 
@@ -436,78 +427,14 @@ TEST(PprTest, NeighborsOutrankDistantNodes) {
   }
 }
 
-// The hash-map forward push PprEngine ran before it moved to dense
-// scratch arrays, kept as the oracle. It pops in the same FIFO order,
-// so the engine must reproduce its scores bit for bit.
-struct OraclePpr {
-  std::unordered_map<uint32_t, double> p;
-  size_t steps = 0;  // queue pops, as the engine's deadline stride counts
-};
-
-OraclePpr HashMapPpr(const GraphView& view, uint32_t source,
-                     const PprEngine::Options& o) {
-  const auto adj = EdgeOrderAdjacency(view);
-  OraclePpr out;
-  std::unordered_map<uint32_t, double>& p = out.p;
-  std::unordered_map<uint32_t, double> r;
-  r[source] = 1.0;
-  std::deque<uint32_t> queue{source};
-  std::unordered_map<uint32_t, bool> queued;
-  queued[source] = true;
-  size_t pushes = 0;
-  while (!queue.empty() && pushes < PprEngine::kMaxPushes) {
-    ++out.steps;
-    const uint32_t u = queue.front();
-    queue.pop_front();
-    queued[u] = false;
-    const double ru = r[u];
-    const size_t deg = adj[u].size();
-    if (deg == 0) {
-      p[u] += ru;
-      r[u] = 0.0;
-      continue;
-    }
-    if (ru / static_cast<double>(deg) < o.epsilon) continue;
-    ++pushes;
-    p[u] += PprEngine::kAlpha * ru;
-    const double push =
-        (1.0 - PprEngine::kAlpha) * ru / static_cast<double>(deg);
-    r[u] = 0.0;
-    for (uint32_t v : adj[u]) {
-      r[v] += push;
-      if (!queued[v] &&
-          r[v] / std::max<size_t>(1, adj[v].size()) >= o.epsilon) {
-        queue.push_back(v);
-        queued[v] = true;
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::pair<uint32_t, double>> OracleTopK(
-    const std::unordered_map<uint32_t, double>& scores, uint32_t source,
-    size_t k) {
-  std::vector<std::pair<uint32_t, double>> out;
-  for (const auto& [node, score] : scores) {
-    if (node != source) out.emplace_back(node, score);
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
 TEST(PprTest, MatchesHashMapOracleForEverySource) {
   kg::GeneratedKg gen = MakeKg();
   GraphView view = GraphView::Build(gen.kg, ViewDefinition());
-  const PprEngine::Options opts;
-  PprEngine ppr(&view, opts);
+  PprEngine ppr(&view);
   const RequestContext ctx;
+  const auto adj = reference::EdgeOrderAdjacency(view);
   for (uint32_t s = 0; s < view.num_entities(); ++s) {
-    const OraclePpr want = HashMapPpr(view, s, opts);
+    const OraclePpr want = HashMapPpr(adj, s);
     EXPECT_EQ(ppr.Ppr(s), want.p) << "source " << s;
     auto top = ppr.TopKRelated(s, 10, ctx);
     ASSERT_TRUE(top.ok());
@@ -522,14 +449,13 @@ TEST(PprTest, MatchesHashMapOracleForEverySource) {
 TEST(PprTest, FailedCallsLeaveNoStateForTheNext) {
   kg::GeneratedKg gen = MakeKg();
   GraphView view = GraphView::Build(gen.kg, ViewDefinition());
-  // A fine threshold gives long push loops, so faults land mid-run.
-  PprEngine::Options opts;
-  opts.epsilon = 1e-7;
-  PprEngine ppr(&view, opts);
+  PprEngine ppr(&view);
+  const auto adj = reference::EdgeOrderAdjacency(view);
   uint32_t source = 0;
-  OraclePpr want = HashMapPpr(view, 0, opts);
+  // The longest push loop, so faults land mid-run.
+  OraclePpr want = HashMapPpr(adj, 0);
   for (uint32_t s = 1; s < view.num_entities() && want.steps < 2000; ++s) {
-    OraclePpr o = HashMapPpr(view, s, opts);
+    OraclePpr o = HashMapPpr(adj, s);
     if (o.steps > want.steps) {
       source = s;
       want = std::move(o);
@@ -537,7 +463,7 @@ TEST(PprTest, FailedCallsLeaveNoStateForTheNext) {
   }
   ASSERT_GE(want.steps, 600u);
   const uint32_t other = source == 0 ? 1 : 0;
-  const OraclePpr want_other = HashMapPpr(view, other, opts);
+  const OraclePpr want_other = HashMapPpr(adj, other);
   auto expect_clean = [&](const char* after) {
     EXPECT_EQ(ppr.Ppr(source), want.p) << after;
     EXPECT_EQ(ppr.Ppr(other), want_other.p) << after;

@@ -1,8 +1,7 @@
 // End-to-end integrity tests: checksummed SSTable/embedding/WAL read
 // paths (corruption surfaces as kDataLoss, never as garbage), snapshot
-// create/verify/restore/repair, and the background scrubber's
-// repair-or-quarantine behavior including its low-priority admission
-// citizenship.
+// create/verify/restore/repair, and the scrubber's
+// repair-or-quarantine behavior.
 //
 // On-disk corruption is injected by rewriting the victim file through
 // WriteStringToFile (tmp + rename): the store directory gets a fresh
@@ -27,7 +26,6 @@
 #include "embedding_rows.h"
 #include "integrity/scrubber.h"
 #include "integrity/snapshot.h"
-#include "serving/admission_controller.h"
 #include "storage/kv_store.h"
 #include "storage/sstable.h"
 #include "storage/wal.h"
@@ -170,18 +168,14 @@ TEST_F(IntegrityTest, FirstReadModeMemoizesVerification) {
 }
 
 TEST_F(IntegrityTest, KvStoreGetSurfacesDataLoss) {
-  KvStore::Options o;
-  o.read_verify = ReadVerifyMode::kAlways;
-  auto store = KvStore::Open(dir_, o);
+  auto store = KvStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 32; ++i) {
     ASSERT_TRUE((*store)->Put(Key(i), "val" + std::to_string(i)).ok());
   }
   ASSERT_TRUE((*store)->Flush().ok());
-  auto ok = (*store)->Get(Key(3));
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(*ok, "val3");
 
+  // The first read of the block verifies it, and the rot lands there.
   ScopedFault rot("sstable.read_block", FaultSpec{FaultKind::kCorrupt});
   auto bad = (*store)->Get(Key(3));
   ASSERT_FALSE(bad.ok());
@@ -413,12 +407,12 @@ TEST_F(IntegrityTest, RepairFileRestoresByteIdenticalCopy) {
 
 TEST_F(IntegrityTest, ScrubberCleanPassMarksEverythingVerified) {
   BuildStore(dir_, 30, 5);
-  const std::string emb = JoinPath(dir_, "embeddings.bin");
+  // The scrubber finds the version's shard by its file name.
+  const std::string emb =
+      JoinPath(dir_, embedding::EmbeddingStore::kShardFileName);
   ASSERT_TRUE(MakeEmbeddings(10).Save(emb).ok());
 
-  Scrubber::Options o;
-  o.embedding_files = {emb};
-  Scrubber scrub(dir_, o);
+  Scrubber scrub(dir_, Scrubber::Options{});
   ASSERT_TRUE(scrub.RunOnce().ok());
   auto s = scrub.stats();
   EXPECT_EQ(s.passes, 1u);
@@ -531,35 +525,6 @@ TEST_F(IntegrityTest, ScrubberReportsWalDamageButNeverRewritesWal) {
       EXPECT_TRUE(got.status().IsNotFound()) << got.status();
     }
   }
-}
-
-TEST_F(IntegrityTest, ScrubberShedsWhenAdmissionRefusesLowPriority) {
-  BuildStore(dir_, 20, 0);
-  serving::AdmissionController::Options ao;
-  ao.max_concurrent = 4;
-  ao.low_priority_max_concurrent = 1;
-  serving::AdmissionController admission(ao);
-  // Occupy the only low-priority slot so the scrubber is always shed.
-  RequestContext low;
-  low.set_priority(Priority::kLow);
-  auto ticket = admission.TryAdmit(low);
-  ASSERT_TRUE(ticket.ok());
-
-  Scrubber::Options o;
-  o.admission = &admission;
-  o.shed_backoff_ms = 0;
-  o.max_admit_retries = 2;
-  Scrubber scrub(dir_, o);
-  ASSERT_TRUE(scrub.RunOnce().ok());
-  auto s = scrub.stats();
-  EXPECT_EQ(s.files_scanned, 0u);
-  EXPECT_GT(s.sheds, 0u);
-  EXPECT_GT(s.skipped_shed, 0u);
-
-  // Load drains; the next pass scans everything.
-  ticket.Release();
-  ASSERT_TRUE(scrub.RunOnce().ok());
-  EXPECT_GT(scrub.stats().files_scanned, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -155,8 +155,6 @@ TEST_F(KvConcurrencyTest, WriteStallShedsWhenMaintenanceFallsBehind) {
   opts.memtable_max_bytes = 512;
   opts.background_maintenance = true;
   opts.max_immutable_memtables = 2;
-  opts.retry.max_attempts = 1;
-  opts.retry.initial_backoff_ms = 0.0;
   auto store = KvStore::Open(*dir, opts);
   ASSERT_TRUE(store.ok()) << store.status();
 
@@ -219,7 +217,6 @@ TEST_F(KvConcurrencyTest, BackgroundMaintenanceHonorsAdmissionHook) {
     consultations.fetch_add(1);
     return open.load();
   };
-  opts.bg_shed_backoff_ms = 1;
   auto store = KvStore::Open(*dir, opts);
   ASSERT_TRUE(store.ok()) << store.status();
   for (int i = 0; i < 32; ++i) {
@@ -246,8 +243,6 @@ TEST_F(KvConcurrencyTest, MultiSegmentWalRecoveryAfterWedgedMaintenance) {
   opts.sync_every_write = true;
   opts.background_maintenance = true;
   opts.max_immutable_memtables = 8;
-  opts.retry.max_attempts = 1;
-  opts.retry.initial_backoff_ms = 0.0;
 
   std::map<std::string, std::string> model;
   {
@@ -326,9 +321,6 @@ TEST_F(KvConcurrencyTest, SeededCrashDuringBackgroundCompactionLosesNothing) {
     opts.background_maintenance = true;
     opts.auto_compact_trigger = 2;
     opts.max_immutable_memtables = 2 + static_cast<int>(rng.Uniform(3));
-    opts.retry.max_attempts = 2;
-    opts.retry.initial_backoff_ms = 0.0;
-    opts.retry.max_backoff_ms = 0.0;
 
     std::map<std::string, std::string> model;
     std::optional<std::string> indeterminate_key;

@@ -543,14 +543,13 @@ TEST_F(KvStoreRecoveryTest, StaleTablesAfterCrashDoNotResurrectTombstones) {
 }
 
 TEST_F(KvStoreRecoveryTest, FailedManifestWriteRollsBackFlush) {
-  KvStore::Options opts;
-  opts.retry.max_attempts = 1;
-  auto store = KvStore::Open(dir_, opts);
+  auto store = KvStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("a", "1").ok());
 
   FaultSpec spec;
-  spec.fail_nth = 2;  // table's own rename succeeds; manifest's fails
+  spec.fail_nth = 2;  // table's own rename succeeds; manifest's fails,
+  spec.repeat = true;  // and so does every retry's
   Faults().Arm("file.rename", spec);
   EXPECT_FALSE((*store)->Flush().ok());
   Faults().DisarmAll();
@@ -573,14 +572,10 @@ TEST_F(KvStoreRecoveryTest, TransientOpenFaultIsRetriedNotQuarantined) {
   }
   obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
   const int64_t retries_before = retries.Value();
-  KvStore::Options opts;
-  opts.retry.max_attempts = 3;
-  opts.retry.initial_backoff_ms = 0.0;
-  opts.retry.max_backoff_ms = 0.0;
   FaultSpec spec;
   spec.fail_nth = 1;  // first open attempt fails, retry succeeds
   Faults().Arm("sst.open", spec);
-  auto reopened = KvStore::Open(dir_, opts);
+  auto reopened = KvStore::Open(dir_);
   Faults().DisarmAll();
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->recovery_stats().sstables_quarantined, 0u);

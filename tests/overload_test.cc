@@ -180,7 +180,6 @@ TEST_F(OverloadTest, BreakerStateMachine) {
   CircuitBreaker::Options opts;
   opts.failure_threshold = 3;
   opts.open_ms = 50.0;
-  opts.close_threshold = 2;
   opts.now_ns = clock.Fn();
   CircuitBreaker breaker("serving.breaker.unit", opts);
 
@@ -202,13 +201,10 @@ TEST_F(OverloadTest, BreakerStateMachine) {
   clock.AdvanceMillis(60.0);
 
   // Half-open: one probe at a time (the second concurrent Allow is
-  // rejected), and close_threshold=2 successes are needed to close.
+  // rejected), and its success closes the breaker.
   EXPECT_TRUE(breaker.Allow().ok());
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
   EXPECT_TRUE(breaker.Allow().IsUnavailable());
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(breaker.Allow().ok());
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 
@@ -241,10 +237,7 @@ TEST_F(OverloadTest, RetryRespectsOpenBreaker) {
   breaker.RecordFailure();  // trip it
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
 
-  RetryPolicy::Options ropts;
-  ropts.max_attempts = 5;
-  ropts.initial_backoff_ms = 0.0;
-  RetryPolicy retry(ropts);
+  RetryPolicy retry([](double) {});
   int calls = 0;
   const Status s = retry.Run(
       "unit.op",
@@ -295,8 +288,7 @@ TEST_F(OverloadTest, AdmissionShedsLowPriorityFirst) {
   serving::AdmissionController admission(opts);
 
   RequestContext high;
-  RequestContext low;
-  low.set_priority(Priority::kLow);
+  RequestContext low(Deadline(), Priority::kLow);
 
   auto low1 = admission.TryAdmit(low);
   EXPECT_TRUE(low1.ok());
@@ -336,35 +328,6 @@ TEST_F(OverloadTest, AdmissionRejectsExpiredRequests) {
   EXPECT_TRUE(t.status().IsDeadlineExceeded());
   EXPECT_EQ(admission.stats().rejected_expired, 1u);
   EXPECT_EQ(admission.stats().in_flight, 0);
-}
-
-TEST_F(OverloadTest, AdmissionTokenBucketSmoothsLowPriority) {
-  FakeClock clock;
-  serving::AdmissionController::Options opts;
-  opts.max_concurrent = 100;
-  opts.low_priority_max_concurrent = 100;
-  opts.low_priority_rate_per_sec = 10.0;
-  opts.low_priority_burst = 2.0;
-  opts.now_ns = clock.Fn();
-  serving::AdmissionController admission(opts);
-
-  RequestContext low;
-  low.set_priority(Priority::kLow);
-  // Burst of 2 passes; the third is rate-shed.
-  EXPECT_TRUE(admission.TryAdmit(low).ok());
-  EXPECT_TRUE(admission.TryAdmit(low).ok());
-  auto shed = admission.TryAdmit(low);
-  EXPECT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.status().IsResourceExhausted());
-
-  // 100ms at 10/s refills one token.
-  clock.AdvanceMillis(100.0);
-  EXPECT_TRUE(admission.TryAdmit(low).ok());
-  EXPECT_FALSE(admission.TryAdmit(low).ok());
-
-  // High priority is never rate-limited.
-  RequestContext high;
-  EXPECT_TRUE(admission.TryAdmit(high).ok());
 }
 
 // ---------- EmbeddingService: breaker + hedged reads ----------
@@ -753,8 +716,8 @@ TEST_F(OverloadTest, AdmissionAndBreakerAreThreadSafe) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 500; ++i) {
-        RequestContext ctx;
-        if ((t + i) % 2 == 0) ctx.set_priority(Priority::kLow);
+        const RequestContext ctx(
+            Deadline(), (t + i) % 2 == 0 ? Priority::kLow : Priority::kHigh);
         auto ticket = admission.TryAdmit(ctx);
         if (!ticket.ok()) {
           ++shed;

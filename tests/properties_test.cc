@@ -300,14 +300,15 @@ TEST(AssetMaintenanceTest, DeltaFoldsNewMemberFacts) {
   kg::GeneratedKg gen = kg::GenerateKg(config);
   ondevice::StaticKnowledgeAsset::Options opts;
   opts.top_k_entities = 30;
-  opts.max_facts_per_entity = 32;
   auto asset = ondevice::StaticKnowledgeAsset::Build(gen.kg, opts);
   const uint64_t v1 = asset.version();
 
-  // Member entity gains a fact.
+  // A member entity below the per-entity cap gains a fact.
   kg::EntityId member;
   for (const auto& rec : gen.kg.catalog().records()) {
-    if (asset.Contains(rec.id)) {
+    if (asset.Contains(rec.id) &&
+        gen.kg.triples().BySubject(rec.id).size() <
+            ondevice::StaticKnowledgeAsset::kMaxFactsPerEntity) {
       member = rec.id;
       break;
     }

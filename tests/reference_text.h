@@ -45,17 +45,16 @@ inline std::vector<Token> Tokenize(std::string_view text) {
   return tokens;
 }
 
+/// HashingVectorizer's embedding: kDim dimensions, each token and each
+/// bigram of adjacent tokens hashed to one by a divide.
 class Vectorizer {
  public:
-  explicit Vectorizer(HashingVectorizer::Options options)
-      : options_(options) {}
-
   std::vector<float> Embed(std::string_view text) const {
-    std::vector<float> vec(options_.dim, 0.0f);
+    std::vector<float> vec(HashingVectorizer::kDim, 0.0f);
     const std::vector<Token> tokens = Tokenize(text);
     for (size_t i = 0; i < tokens.size(); ++i) {
       AddTokenWeight(tokens[i].text, 1.0, &vec);
-      if (options_.use_bigrams && i + 1 < tokens.size()) {
+      if (i + 1 < tokens.size()) {
         const std::string bigram = tokens[i].text + "_" + tokens[i + 1].text;
         AddTokenWeight(bigram, 0.5, &vec);
       }
@@ -73,13 +72,10 @@ class Vectorizer {
   void AddTokenWeight(std::string_view token, double weight,
                       std::vector<float>* vec) const {
     const uint64_t h = Hash64(token);
-    const uint32_t dim = static_cast<uint32_t>(options_.dim);
-    const uint32_t idx = static_cast<uint32_t>(h % dim);
+    const uint64_t idx = h % HashingVectorizer::kDim;
     const double sign = (Mix64(h) & 1) ? 1.0 : -1.0;
     (*vec)[idx] += static_cast<float>(sign * weight);
   }
-
-  HashingVectorizer::Options options_;
 };
 
 }  // namespace saga::text::reference

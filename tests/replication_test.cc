@@ -246,12 +246,11 @@ TEST_F(ReplicationTest, PartitionedFollowerCatchesUpAfterHeal) {
 // --- bounded-staleness routing -------------------------------------
 
 TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
-  serving::ReplicaRouter::Options opt;
-  opt.max_staleness_records = 4;
-  serving::ReplicaRouter router(opt);
+  constexpr uint64_t kBound = serving::ReplicaRouter::kMaxStalenessRecords;
+  serving::ReplicaRouter router;
   std::vector<serving::ReplicaRouter::ReplicaView> views = {
       {/*id=*/0, /*is_leader=*/true, /*healthy=*/true, /*lag=*/0},
-      {/*id=*/1, /*is_leader=*/false, /*healthy=*/true, /*lag=*/10},
+      {/*id=*/1, /*is_leader=*/false, /*healthy=*/true, /*lag=*/kBound + 6},
       {/*id=*/2, /*is_leader=*/false, /*healthy=*/false, /*lag=*/0},
   };
   // Only the leader is eligible: follower 1 is past the staleness
@@ -261,7 +260,7 @@ TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
   EXPECT_EQ(router.stats().leader_reads, 8u);
   EXPECT_EQ(router.stats().stale_skips, 8u);
 
-  views[1].lag_records = 4;  // exactly at the bound: eligible
+  views[1].lag_records = kBound;  // exactly at the bound: eligible
   EXPECT_EQ(router.PickRead(views), 1);
   EXPECT_EQ(router.stats().follower_reads, 1u);
 
@@ -270,7 +269,7 @@ TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
   // stale fallback.
   views[0].healthy = false;
   views[0].is_leader = false;
-  views[1].lag_records = 5;
+  views[1].lag_records = kBound + 1;
   EXPECT_EQ(router.PickRead(views), 1);
   EXPECT_EQ(router.stats().stale_fallbacks, 1u);
 
@@ -364,7 +363,6 @@ void RunChaosRound(uint64_t seed, bool wal_backed, const std::string& dir) {
   ReplicaGroup::Options o = MemoryGroupOptions(seed);
   o.num_replicas = 3 + static_cast<int>(rng.Uniform(2)) * 2;  // 3 or 5
   if (wal_backed) o.dir = dir;
-  o.router.max_staleness_records = 8 + rng.Uniform(32);
   auto group = MustCreate(std::move(o));
   group->SetFaultProfile(
       /*drop_p=*/rng.UniformDouble(0, 0.10),
@@ -439,7 +437,7 @@ void RunChaosRound(uint64_t seed, bool wal_backed, const std::string& dir) {
     // replica, and never a follower past the bound unless it degraded
     // to the last-resort stale fallback (leader down and nobody inside
     // the bound).
-    serving::ReplicaRouter probe(group->router().options());
+    serving::ReplicaRouter probe;
     const auto views = group->Views();
     const int picked = probe.PickRead(views);
     if (picked >= 0) {
@@ -447,7 +445,7 @@ void RunChaosRound(uint64_t seed, bool wal_backed, const std::string& dir) {
       EXPECT_TRUE(v.healthy);
       if (!v.is_leader && probe.stats().stale_fallbacks == 0) {
         EXPECT_LE(v.lag_records,
-                  group->router().options().max_staleness_records)
+                  serving::ReplicaRouter::kMaxStalenessRecords)
             << "router served a follower past the staleness bound";
       }
     }

@@ -5,7 +5,7 @@
 //  - governor accounting: reserve/commit/release against a simulated
 //    budget, the emergency floor (kWrite blocked, kReclaim allowed),
 //    and the degraded-mode hysteresis (writes stay denied until free
-//    space clears floor * exit_headroom_factor, never on the deny
+//    space clears floor * kExitHeadroomFactor, never on the deny
 //    path itself);
 //  - reclaim: tasks run in registration order and stop as soon as the
 //    store recovers — the governor never deletes more than exit needs;
@@ -19,9 +19,9 @@
 //    writable once reclaim (or a budget override) restores headroom;
 //  - fsync-gate: a failed WAL fsync poisons the writer; the next write
 //    rebuilds the log (flush + fresh fd) without losing acked records;
-//  - replication: a degraded follower NACKs appends with
-//    NackReason::kNoSpace (keeping its proven-shared position) and
-//    catches up after recovery; a degraded leader refuses appends.
+//  - replication: a follower whose WAL is out of space NACKs appends
+//    with NackReason::kNoSpace (keeping its proven-shared position) and
+//    catches up after recovery; a full leader cannot append.
 //
 // The chaos loop at the bottom runs 200 seeded ENOSPC rounds mixing
 // tiny simulated budgets (organic fill) with injected kNoSpace faults
@@ -66,12 +66,10 @@ int64_t CounterValue(const char* name) {
   return obs::Registry::Global().counter(name).Value();
 }
 
-DiskSpaceGovernor::Options SimulatedBudget(uint64_t budget, uint64_t floor,
-                                           double exit_factor = 2.0) {
+DiskSpaceGovernor::Options SimulatedBudget(uint64_t budget, uint64_t floor) {
   DiskSpaceGovernor::Options o;
   o.budget_bytes = budget;
   o.emergency_floor_bytes = floor;
-  o.exit_headroom_factor = exit_factor;
   return o;
 }
 
@@ -242,10 +240,8 @@ TEST_F(ResourceTest, ReclaimRecoversDegradedStore) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ResourceTest, StorageExhaustionIsNeverRetriedEvenWithCustomPredicate) {
-  RetryPolicy::Options opts;
-  opts.max_attempts = 5;
   std::vector<double> slept;
-  RetryPolicy policy(opts, [&](double ms) { slept.push_back(ms); });
+  RetryPolicy policy([&](double ms) { slept.push_back(ms); });
   int calls = 0;
   // Plain kResourceExhausted (admission control, quota) is retryable;
   // the storage origin makes the same code permanent — a full disk
@@ -269,14 +265,12 @@ TEST_F(ResourceTest, StorageExhaustionIsNeverRetriedEvenWithCustomPredicate) {
     return Status::ResourceExhausted("admission queue full");
   });
   EXPECT_TRUE(transient.IsResourceExhausted());
-  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(calls, RetryPolicy::kMaxAttempts);
 }
 
 TEST_F(ResourceTest, FsyncGateIsNeverRetriedEvenWithCustomPredicate) {
-  RetryPolicy::Options opts;
-  opts.max_attempts = 5;
   std::vector<double> slept;
-  RetryPolicy policy(opts, [&](double ms) { slept.push_back(ms); });
+  RetryPolicy policy([&](double ms) { slept.push_back(ms); });
   int calls = 0;
   // After a failed fsync the kernel may have dropped the dirty pages;
   // a retried fsync on the same fd can report success for bytes that
@@ -477,12 +471,13 @@ TEST_F(ResourceTest, FailedWalFsyncRebuildsLogWithoutLosingAckedWrites) {
   (void)RemoveDirRecursively(*dir);
 }
 
-TEST_F(ResourceTest, DegradedReplicasNackAndCatchUpAfterRecovery) {
-  DiskSpaceGovernor gov("/nonexistent", SimulatedBudget(1 << 20, 4 << 10));
+TEST_F(ResourceTest, FullReplicasNackAndCatchUpAfterRecovery) {
+  auto dir = MakeTempDir("saga_replica_enospc");
+  ASSERT_TRUE(dir.ok());
   replication::ReplicaGroup::Options opts;
   opts.num_replicas = 3;
   opts.seed = 0xE05;
-  opts.replica.governor = &gov;
+  opts.dir = *dir;
   auto group = replication::ReplicaGroup::Create(opts);
   ASSERT_TRUE(group.ok()) << group.status();
   ASSERT_TRUE((*group)->StepUntil([&] { return (*group)->LeaderId() >= 0; },
@@ -494,7 +489,7 @@ TEST_F(ResourceTest, DegradedReplicasNackAndCatchUpAfterRecovery) {
   }
 
   // Cut one follower off, commit more writes on the remaining quorum,
-  // then heal with every disk degraded: catch-up appends to the lagged
+  // then heal with every disk full: catch-up appends to the lagged
   // follower must be NACKed with kNoSpace (not kill the replica, not
   // back up the leader's cursor past its proven-shared position).
   const int leader = (*group)->LeaderId();
@@ -508,7 +503,10 @@ TEST_F(ResourceTest, DegradedReplicasNackAndCatchUpAfterRecovery) {
       CounterValue("replication.replica.nack_no_space");
   const int64_t peer_before =
       CounterValue("replication.replica.peer_no_space");
-  gov.NoteExhausted("injected ENOSPC");
+  FaultSpec enospc;
+  enospc.kind = FaultKind::kNoSpace;
+  enospc.repeat = true;
+  Faults().Arm("wal.append", enospc);
   (*group)->HealAll();
   (*group)->Step(300);
 
@@ -517,17 +515,13 @@ TEST_F(ResourceTest, DegradedReplicasNackAndCatchUpAfterRecovery) {
   EXPECT_TRUE((*group)->replica(lagged).alive());
   EXPECT_GT((*group)->LagOf(lagged), 0u);
 
-  // A degraded leader refuses new appends outright.
-  const int64_t refused_before =
-      CounterValue("replication.replica.append_rejected_no_space");
-  EXPECT_FALSE((*group)->Put("k8", "v8").ok());
-  EXPECT_GT(CounterValue("replication.replica.append_rejected_no_space"),
-            refused_before);
+  // A full leader cannot append either: the write fails, unacked.
+  const Status refused = (*group)->Put("k8", "v8");
+  EXPECT_FALSE(refused.ok());
 
-  // Recovery: reclaim clears degraded (headroom was fine all along),
-  // heartbeat shipping resumes, and the lagged follower catches up.
-  gov.RunReclaim();
-  ASSERT_FALSE(gov.degraded());
+  // Recovery: space comes back, heartbeat shipping resumes, and the
+  // lagged follower catches up.
+  Faults().DisarmAll();
   ASSERT_TRUE(
       (*group)->StepUntil([&] { return (*group)->LagOf(lagged) == 0; }, 5000));
   for (int i = 0; i < 8; ++i) {
@@ -536,6 +530,8 @@ TEST_F(ResourceTest, DegradedReplicasNackAndCatchUpAfterRecovery) {
     EXPECT_EQ(*v, "v" + std::to_string(i));
   }
   EXPECT_TRUE((*group)->Put("k8", "v8").ok());
+  group->reset();
+  (void)RemoveDirRecursively(*dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -580,9 +576,6 @@ TEST_F(ResourceTest, EnospcChaosLoopLosesNoAckedWrite) {
     opts.memtable_max_bytes = 4096 + rng.Uniform(8192);
     opts.sync_every_write = true;  // an OK op is a durable op
     opts.auto_compact_trigger = rng.Bernoulli(0.4) ? 3 : 0;
-    opts.retry.max_attempts = 2;
-    opts.retry.initial_backoff_ms = 0.0;
-    opts.retry.max_backoff_ms = 0.0;
     opts.governor = &gov;
     auto store = storage::KvStore::Open(*dir, opts);
     ASSERT_TRUE(store.ok()) << store.status();

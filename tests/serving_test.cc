@@ -525,8 +525,7 @@ TEST(EmbeddingServiceTest, IvfIndexServesQueries) {
   Fixture f = Fixture::Make();
   EmbeddingService::Options opts;
   opts.index = EmbeddingService::IndexKind::kIvf;
-  opts.ivf_lists = 16;
-  opts.ivf_nprobe = 16;  // exact
+  opts.ivf_lists = 4;  // the service probes 4 lists: every one, so exact
   EmbeddingService service(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
@@ -682,25 +681,6 @@ TEST(RelatedEntitiesTest, AllModesReturnResults) {
     for (const auto& [e, s] : *hits) {
       EXPECT_NE(e, query);
     }
-  }
-}
-
-TEST(RelatedEntitiesTest, ExcludeDirectNeighborsWorks) {
-  Fixture f = Fixture::Make();
-  EmbeddingService service(
-      embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg);
-  RelatedEntitiesService::Options opts;
-  opts.mode = RelatedEntitiesService::Mode::kPpr;
-  opts.exclude_direct_neighbors = true;
-  RelatedEntitiesService related(&f.gen.kg, &f.view, &service, opts);
-  const kg::EntityId query = f.view.global_entity(0);
-  auto hits =
-      related.Related(query, 8, kg::TypeId::Invalid(), RequestContext());
-  ASSERT_TRUE(hits.ok());
-  const auto nbrs = f.gen.kg.Neighbors(query);
-  const std::set<kg::EntityId> nbr_set(nbrs.begin(), nbrs.end());
-  for (const auto& [e, s] : *hits) {
-    EXPECT_EQ(nbr_set.count(e), 0u);
   }
 }
 

@@ -458,17 +458,15 @@ TEST_F(SSTableTest, LargeTableWithRandomLookups) {
   }
 }
 
-/// Property sweep: correctness must not depend on the sparse-index
-/// stride.
+/// Property sweep: correctness must not depend on where the table ends
+/// relative to the sparse-index stride.
 class SstIndexIntervalTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SstIndexIntervalTest, GetAndScanAgreeAtAnyStride) {
+TEST_P(SstIndexIntervalTest, GetAndScanAgreeAtAnySize) {
   auto dir = MakeTempDir("saga_sst_stride");
   ASSERT_TRUE(dir.ok());
-  SSTableBuilder::Options opts;
-  opts.index_interval = GetParam();
-  SSTableBuilder builder(opts);
-  const int n = 500;
+  SSTableBuilder builder;
+  const int n = GetParam();
   for (int i = 0; i < n; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05d", i * 2);
@@ -493,8 +491,8 @@ TEST_P(SstIndexIntervalTest, GetAndScanAgreeAtAnyStride) {
   (void)RemoveDirRecursively(*dir);
 }
 
-INSTANTIATE_TEST_SUITE_P(Strides, SstIndexIntervalTest,
-                         ::testing::Values(1, 4, 16, 128, 1024));
+INSTANTIATE_TEST_SUITE_P(Sizes, SstIndexIntervalTest,
+                         ::testing::Values(1, 15, 16, 17, 500));
 
 }  // namespace
 }  // namespace saga::storage

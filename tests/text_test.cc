@@ -95,12 +95,9 @@ TEST(VectorizerTest, SelfSimilarityIsMaximal) {
   EXPECT_NEAR(HashingVectorizer::Cosine(a, a), 1.0, 1e-5);
 }
 
-TEST(VectorizerTest, DimensionIsConfigurable) {
-  HashingVectorizer::Options opts;
-  opts.dim = 64;
-  HashingVectorizer vec(opts);
-  EXPECT_EQ(vec.Embed("x").size(), 64u);
-  EXPECT_EQ(vec.dim(), 64);
+TEST(VectorizerTest, EmbeddingHasKDimDimensions) {
+  HashingVectorizer vec;
+  EXPECT_EQ(vec.Embed("x").size(), HashingVectorizer::kDim);
 }
 
 // ---------- Oracle: tokenizer and embedder vs the reference ----------
@@ -209,20 +206,13 @@ TEST(TextOracleTest, BigramHashStreamsFnv) {
 
 TEST(TextOracleTest, EmbedMatchesReferenceBitForBit) {
   const std::vector<std::string> texts = RandomTexts(29, 1500);
-  for (int dim : {64, 100, 256}) {
-    for (bool bigrams : {true, false}) {
-      HashingVectorizer::Options opts;
-      opts.dim = dim;
-      opts.use_bigrams = bigrams;
-      HashingVectorizer vec(opts);
-      reference::Vectorizer ref(opts);
-      size_t mismatches = 0;
-      for (const std::string& text : texts) {
-        if (!SameBits(vec.Embed(text), ref.Embed(text))) ++mismatches;
-      }
-      EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams;
-    }
+  const HashingVectorizer vec;
+  const reference::Vectorizer ref;
+  size_t mismatches = 0;
+  for (const std::string& text : texts) {
+    if (!SameBits(vec.Embed(text), ref.Embed(text))) ++mismatches;
   }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 /// `text` cut at a seeded choice of its spaces, which the cuts drop:
@@ -246,32 +236,25 @@ std::vector<std::string_view> PiecesAtSpaces(std::string_view text,
 // to the dense Cosine bit for bit.
 TEST(TextOracleTest, EmbedPiecesMatchesJoinedReference) {
   const std::vector<std::string> texts = RandomTexts(31, 1500);
-  for (int dim : {64, 100, 256}) {
-    for (bool bigrams : {true, false}) {
-      HashingVectorizer::Options opts;
-      opts.dim = dim;
-      opts.use_bigrams = bigrams;
-      HashingVectorizer vec(opts);
-      reference::Vectorizer ref(opts);
-      std::mt19937_64 rng(dim * 4 + bigrams * 2);
-      size_t mismatches = 0;
-      SparseVector sparse;
-      for (size_t t = 0; t < texts.size(); ++t) {
-        vec.EmbedPieces(PiecesAtSpaces(texts[t], rng), &sparse);
-        const std::vector<float> want = ref.Embed(texts[t]);
-        const std::vector<float> context =
-            ref.Embed(texts[(t * 7 + 1) % texts.size()]);
-        const double want_dot = HashingVectorizer::Cosine(context, want);
-        const double got_dot = HashingVectorizer::Dot(sparse, context);
-        if (!SameBits(vec.ToDense(sparse), want) ||
-            !std::is_sorted(sparse.index.begin(), sparse.index.end()) ||
-            std::memcmp(&want_dot, &got_dot, sizeof(want_dot)) != 0) {
-          ++mismatches;
-        }
-      }
-      EXPECT_EQ(mismatches, 0u) << "dim " << dim << " bigrams " << bigrams;
+  const HashingVectorizer vec;
+  const reference::Vectorizer ref;
+  std::mt19937_64 rng(1026);
+  size_t mismatches = 0;
+  SparseVector sparse;
+  for (size_t t = 0; t < texts.size(); ++t) {
+    vec.EmbedPieces(PiecesAtSpaces(texts[t], rng), &sparse);
+    const std::vector<float> want = ref.Embed(texts[t]);
+    const std::vector<float> context =
+        ref.Embed(texts[(t * 7 + 1) % texts.size()]);
+    const double want_dot = HashingVectorizer::Cosine(context, want);
+    const double got_dot = HashingVectorizer::Dot(sparse, context);
+    if (!SameBits(vec.ToDense(sparse), want) ||
+        !std::is_sorted(sparse.index.begin(), sparse.index.end()) ||
+        std::memcmp(&want_dot, &got_dot, sizeof(want_dot)) != 0) {
+      ++mismatches;
     }
   }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------- AhoCorasick ----------

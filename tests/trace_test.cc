@@ -311,15 +311,13 @@ TEST_F(TraceTest, SamplerRetainsErroredTraces) {
 TEST_F(TraceTest, SamplerSlowVerdictAgainstPriorRoots) {
   obs::TraceSampler::Options opts;
   opts.min_samples_for_slow = 8;
-  opts.slow_percentile = 99.0;
-  // Identical baseline durations mean every baseline lands exactly at
-  // its own p99; the floor keeps the verdict on the real outlier.
-  opts.slow_floor_ns = 10'000'000;
   obs::TraceSampler sampler(opts);
 
-  // 32 baseline roots at ~1ms teach the rolling distribution.
+  // 32 baseline roots teach the rolling distribution: one at 2ms first,
+  // so the p99 sits above the other 31 at 1ms and none of them is slow.
   uint64_t lo = 1;
-  for (int i = 0; i < 32; ++i) {
+  sampler.Offer(MakeRoot("test.sampler.op", lo++, 2'000'000), true);
+  for (int i = 1; i < 32; ++i) {
     sampler.Offer(MakeRoot("test.sampler.op", lo++, 1'000'000), true);
   }
   // A fast root stays dropped; a 100x outlier is retained as slow.
@@ -357,11 +355,11 @@ TEST_F(TraceTest, SamplerLateFragmentsCountedAndDropped) {
 }
 
 TEST_F(TraceTest, SamplerPendingEvictionBounded) {
-  obs::TraceSampler::Options opts;
-  opts.max_pending_traces = 4;
-  obs::TraceSampler sampler(opts);
-  // 8 never-completing traces: the leak guard evicts the oldest.
-  for (uint64_t lo = 1; lo <= 8; ++lo) {
+  obs::TraceSampler sampler(obs::TraceSampler::Options{});
+  // Never-completing traces past the bound: the leak guard evicts the
+  // oldest.
+  constexpr uint64_t kTraces = obs::TraceSampler::kMaxPendingTraces + 4;
+  for (uint64_t lo = 1; lo <= kTraces; ++lo) {
     auto frag = MakeRoot("test.sampler.pending", lo, 1000);
     frag->parent_span_id = 42;  // not trace-initiating
     sampler.Offer(std::move(frag), false);
