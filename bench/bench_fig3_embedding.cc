@@ -110,7 +110,6 @@ void BenchDiskVsMemory(const kg::GeneratedKg& gen) {
   for (int buffer : {2, 4, 8}) {
     auto dir = MakeTempDir("bench_disk_trainer");
     embedding::DiskTrainerOptions opts;
-    opts.num_partitions = 8;
     opts.buffer_partitions = buffer;
     opts.work_dir = *dir;
     embedding::DiskTrainer trainer(tc, opts);

@@ -248,10 +248,9 @@ int main() {
   hopts.ivf_lists = 16;
   hopts.hedge.enabled = true;
   hopts.hedge.fixed_hedge_ms = 2.0;
-  hopts.hedge.threads = 2;
   auto hedged = std::make_unique<serving::EmbeddingService>(
       stack.service->store(), &stack.gen.kg, hopts);
-  const size_t queue_limit = static_cast<size_t>(hopts.hedge.threads) *
+  const size_t queue_limit = serving::EmbeddingService::kHedgeThreads *
                              serving::EmbeddingService::kHedgeQueuePerThread;
   auto& reg = obs::Registry::Global();
   const int64_t shed_before = reg.counter("serving.hedge.shed").Value();

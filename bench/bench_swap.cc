@@ -137,7 +137,6 @@ int main() {
       BuildVersionDir(JoinPath(*root, "v2"), "new", shard);
 
   serving::VersionManager::Options opts;
-  opts.probation_requests = 100;
   opts.validation.sample_queries = 64;
   serving::VersionManager mgr(opts);
 

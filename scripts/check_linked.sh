@@ -2,20 +2,20 @@
 # Check the rule documented in DESIGN.md ("Public API"): a public src/
 # function exists only while a production binary links it.
 #
-# The production binaries (saga_cli, the examples and the benches) are
-# rebuilt in their own build directory at -O0, so every call stays a
-# call (a helper inlined into its callers would otherwise look unused),
-# with -fkeep-inline-functions, so a function defined inline in a header
-# is emitted too, and with -ffunction-sections and --gc-sections, so a
-# function no binary reaches is dropped at link time. Line tables (-g1)
-# tell which file defines each function. Each saga:: function the src/
-# libraries define and no binary keeps is a candidate. A candidate
-# whose name any other src/ file or any production source (tools/,
-# bench/, examples/, servebench/) mentions is dropped: that covers what
-# servebench, a separate build, calls. The names left, except the
-# allowlist below, are public API only tests call: delete them or give
-# them a production caller. A template nobody instantiates is never
-# emitted, so templates are out of reach of this check.
+# The production binaries (saga_cli, the examples, the benches and
+# servebench) are rebuilt in their own build directory at -O0, so every
+# call stays a call (a helper inlined into its callers would otherwise
+# look unused), with -fkeep-inline-functions, so a function defined
+# inline in a header is emitted too, and with -ffunction-sections and
+# --gc-sections, so a function no binary reaches is dropped at link
+# time. Line tables (-g1) tell which file defines each function. A
+# function named by a mangled symbol in servebench/wrap.cc counts as
+# linked: servebench's release build wraps it with --wrap, which keeps
+# it, though --gc-sections here may drop it. The linker alone decides:
+# each saga:: function the src/ libraries define and no binary keeps,
+# except the allowlist below, is public API only tests call. Delete it
+# or give it a production caller. A template nobody instantiates is
+# never emitted, so templates are out of reach of this check.
 #
 # Usage: scripts/check_linked.sh [repo-root]
 set -u -o pipefail
@@ -29,11 +29,22 @@ jobs="$(nproc)"
 # "harness": a control the seeded chaos loops drive to break or heal the
 # system under test. "value": value semantics or a format production
 # reads; dropping it would change the type, not just its callers.
+# "probe: <test>: <fact>": the one way that test can see a fact it
+# asserts about production state.
 allowlist() {
   cat <<'EOF'
+saga::FaultInjector::Seed                      harness: chaos loops seed the fault schedule
+saga::FaultInjector::fires                     harness: fault tests count the faults that fired
 saga::replication::SimTransport::Heal          harness: chaos loops heal one link
+saga::replication::SimTransport::Partition     harness: chaos loops cut one link (via PartitionSides)
+saga::replication::Replica::Restart            harness: chaos loops restart a crashed replica
+saga::replication::ReplicaGroup::Restart       harness: chaos loops restart a crashed replica
 saga::replication::ReplicaGroup::PartitionSides harness: chaos loops split the group
+saga::replication::Replica::log                probe: replication_test: the leader's commit covers its log; a restarted replica's log comes back from its WAL
+saga::serving::EmbeddingService::index         probe: serving_test, version_swap_test: the index reads the store's rows in place
+saga::ann::VectorIndex::rows                   probe: serving_test, version_swap_test: the index reads the store's rows in place
 saga::kg::Value::Hash                          value: hash of a kg::Value, with operator==
+saga::kg::Value::kind                          value: the Kind tag of a kg::Value the .kg format stores
 saga::kg::Value::bool_value                    value: accessor of the kBool kind the .kg format stores
 saga::kg::Value::double_value                  value: accessor of the kDouble kind the .kg format stores
 saga::kg::Value::is_literal                    value: kind predicate over the kinds the .kg format stores
@@ -41,6 +52,7 @@ saga::kg::Value::is_numeric                    value: kind predicate over the ki
 saga::Status::IsAlreadyExists                  value: Status predicate for one StatusCode
 saga::Status::IsInvalidArgument                value: Status predicate for one StatusCode
 saga::Status::IsIOError                        value: Status predicate for one StatusCode
+saga::Status::IsUnavailable                    value: Status predicate for one StatusCode
 saga::Status::IsFsyncGate                      value: Status predicate for one StatusOrigin
 saga::Status::OutOfRange                       value: Status factory for one StatusCode
 saga::Status::Unimplemented                    value: Status factory for one StatusCode
@@ -53,13 +65,17 @@ for f in examples/*.cpp bench/bench_*.cc; do
   targets+=("${f%.*}")
 done
 
-cmake -S . -B "$build" -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_CXX_FLAGS_RELEASE="-O0" \
-  -DCMAKE_CXX_FLAGS="-g1 -ffunction-sections -fkeep-inline-functions" \
-  -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" >/dev/null || exit 2
+flags=(-DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS_RELEASE="-O0"
+  -DCMAKE_CXX_FLAGS="-g1 -ffunction-sections -fkeep-inline-functions"
+  -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections")
 log="$build/check_linked.log"
-cmake --build "$build" -j "$jobs" --target "${targets[@]}" >"$log" 2>&1 ||
-  { tail -40 "$log"; exit 2; }
+# servebench is its own CMake project, built with the same flags.
+{ cmake -S . -B "$build" "${flags[@]}" >/dev/null &&
+  cmake -S servebench -B "$build/servebench" "${flags[@]}" >/dev/null; } ||
+  exit 2
+{ cmake --build "$build" -j "$jobs" --target "${targets[@]}" &&
+  cmake --build "$build/servebench" -j "$jobs" --target servebench; } \
+  >"$log" 2>&1 || { tail -40 "$log"; exit 2; }
 
 # "<defining file without extension> <function>" for each saga:: function
 # a src/ library emits, out of line or inline. Constructors are left out:
@@ -81,23 +97,21 @@ defined() {
     }'
 }
 
-bins=()
+bins=("$build/servebench/servebench")
 for t in "${targets[@]}"; do
-  bin="$(find "$build" -maxdepth 3 -type f -name "$t" -perm -u+x)"
+  bin="$(find "$build" -maxdepth 2 -type f -name "$t" -perm -u+x)"
   [ -n "$bin" ] || { echo "check_linked: no binary for $t" >&2; exit 2; }
   bins+=("$bin")
 done
 
-# Every function name a production binary keeps.
+# Every function name a production binary keeps, and each one
+# servebench wraps (read as servebench/CMakeLists.txt reads them).
 linked() {
-  nm --defined-only "${bins[@]}" | awk '$2 ~ /^[TtWw]$/ { print $3 }' |
-    c++filt -p | sort -u
+  {
+    nm --defined-only "${bins[@]}" | awk '$2 ~ /^[TtWw]$/ { print $3 }'
+    grep -oE '"_Z[A-Za-z0-9_]+"' servebench/wrap.cc | tr -d '"'
+  } | c++filt -p | sort -u
 }
-
-prod_dirs=()
-for d in tools bench examples servebench; do
-  [ -d "$d" ] && prod_dirs+=("$d")
-done
 
 status=0
 count=0
@@ -111,14 +125,6 @@ allowlist | awk '{ print $1 }' | sort -u >"$tmp/allowed"
 
 while read -r own fn; do
   grep -qxF "$fn" "$tmp/linked" && continue
-  name="${fn##*::}"
-  name="${name%%\[*}"  # drop an [abi:cxx11] tag
-  # Mentioned by another src/ file or by a production source?
-  if grep -rlw --include='*.h' --include='*.cc' --include='*.cpp' \
-      -e "$name" src "${prod_dirs[@]}" |
-      grep -vqE "^${own}\.(h|cc|cpp)$"; then
-    continue
-  fi
   count=$((count + 1))
   echo "$fn" >>"$tmp/unlinked"
   grep -qxF "$fn" "$tmp/allowed" && continue

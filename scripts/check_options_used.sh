@@ -16,10 +16,15 @@
 # nested Options fields, setting `retry` and `max_attempts` both. A
 # write through a data member (`options_.field = x`, any object whose
 # name ends in `_`) is a component changing its own copy and does not
-# count. A production assignment that names an option field but whose
-# receiver the lint cannot resolve fails the lint with its file:line:
-# declare the receiver with its type. String fields (names and paths)
-# are deployment settings and are not checked.
+# count. Neither does assigning a field the value of its own default
+# initializer (`x.bits = 10` where the struct says `int bits = 10`):
+# the field is then the same constant in every production binary. A
+# production assignment that names an option field but whose receiver
+# the lint cannot resolve fails the lint with its file:line: declare
+# the receiver with its type. String fields (names and paths) are
+# deployment settings and are not checked. Neither are std::function
+# fields; the one left, CircuitBreaker::Options::now_ns, is the fake
+# clock the breaker tests substitute.
 #
 # Usage: scripts/check_options_used.sh [repo-root]
 set -u
@@ -76,6 +81,34 @@ def files(dirs):
                     yield os.path.join(base, name)
 
 
+def value(text):
+    """Canonical form of an initializer or assigned value: numbers
+    compare by value (`1000`, `1000.0`, `5u`), anything else by its
+    text without spaces. None when empty."""
+    text = re.sub(r"\s+", "", text)
+    try:
+        return float(re.sub(r"(?<=[0-9.])[uUlLfF]+$", "", text))
+    except ValueError:
+        return text or None
+
+
+def rhs(text, start):
+    """The value assigned at `start`, up to the `;`, `,` or closing
+    bracket that ends it."""
+    level = 0
+    for i in range(start, len(text)):
+        c = text[i]
+        if c in "([{":
+            level += 1
+        elif c in ")]}":
+            if level == 0:
+                return text[start:i]
+            level -= 1
+        elif c in ";," and level == 0:
+            return text[start:i]
+    return text[start:]
+
+
 # ---- Options structs: key "Owner::Name" (or "Name" at namespace scope).
 FIELD = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_:<>, *&]*[A-Za-z0-9_>*&])\s+([a-z_][a-z0-9_]*)"
@@ -100,8 +133,11 @@ for path in files(["src"]):
             if (f and not re.match(r"\s*(static|using|typedef|return|friend)\s",
                                     line)
                     and "std::string " not in line):
+                init = (f.group(3) or "").strip()
+                init = init[1:] if init.startswith("=") else init[1:-1]
                 structs[current[0]][f.group(2)] = (f.group(1).split()[-1]
-                                                   .rstrip("&*"), path, lineno)
+                                                   .rstrip("&*"), path, lineno,
+                                                   value(init))
         depth += line.count("{") - line.count("}")
         while scopes and depth <= scopes[-1][1]:
             scopes.pop()
@@ -184,21 +220,25 @@ def resolve_chain(text, end, base, members):
     return key
 
 
-def mark(key, members, where):
-    """Marks each field along `members`, starting at struct `key`."""
-    for member in members:
+def mark(key, members, where, assigned_value=None):
+    """Marks each field along `members`, starting at struct `key`; the
+    last one only when `assigned_value` is not its default."""
+    for i, member in enumerate(members):
         if key is None:
             return
         if key == "?" or member not in structs[key]:
             unresolved.append((where, ".".join(members)))
             return
-        assigned.add((key, member))
+        default = structs[key][member][3]
+        if (i + 1 < len(members) or default is None or
+                assigned_value != default):
+            assigned.add((key, member))
         key = struct_key(structs[key][member][0], key.split("::")[0])
 
 
 ASSIGN = re.compile(
     r"(?<![\w.>])([A-Za-z_]\w*|[\])])((?:\s*(?:\.|->)\s*[A-Za-z_]\w*)+)"
-    r"\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)")
+    r"\s*((?:[-+*/%|&^]|<<|>>)?)=(?!=)")
 DESIGNATED = re.compile(r"([{,])\s*\.([a-z_]\w*)\s*=(?!=)")
 for path in files(PRODUCTION):
     text = strip(open(path).read())
@@ -222,7 +262,8 @@ for path in files(PRODUCTION):
             if len(members) > 1:
                 unresolved.append((where, base + "." + ".".join(members)))
             continue
-        mark(key, members, where)
+        mark(key, members, where,
+             None if m.group(3) else value(rhs(text, m.end())))
     for m in DESIGNATED.finditer(text):
         if m.group(2) not in option_names:
             continue
@@ -247,12 +288,12 @@ for path in files(PRODUCTION):
         if key is None:
             unresolved.append((where, "." + m.group(2)))
             continue
-        mark(key, [m.group(2)], where)
+        mark(key, [m.group(2)], where, value(rhs(text, m.end())))
 
 status = 0
 count = 0
 for key in sorted(structs):
-    for field, (_, path, lineno) in structs[key].items():
+    for field, (_, path, lineno, _) in structs[key].items():
         count += 1
         if (key, field) not in assigned:
             print("UNUSED OPTION  %s:%d: %s::%s — no production caller "

@@ -59,7 +59,6 @@ class VectorIndex {
   virtual std::vector<Neighbor> Search(std::span<const float> query,
                                        size_t k) const = 0;
 
-  size_t size() const { return rows_->size(); }
   const RowMatrix& rows() const { return *rows_; }
 
  protected:

@@ -17,13 +17,6 @@ void AnnotationIndex::Set(const AnnotatedDocument& doc) {
   by_doc_[doc.doc] = doc;
 }
 
-void AnnotationIndex::Remove(websim::DocId doc) {
-  auto it = by_doc_.find(doc);
-  if (it == by_doc_.end()) return;
-  num_edges_ -= it->second.annotations.size();
-  by_doc_.erase(it);
-}
-
 const AnnotatedDocument* AnnotationIndex::ForDoc(websim::DocId doc) const {
   auto it = by_doc_.find(doc);
   return it == by_doc_.end() ? nullptr : &it->second;

@@ -20,7 +20,6 @@ namespace saga::annotation {
 class AnnotationIndex {
  public:
   void Set(const AnnotatedDocument& doc);
-  void Remove(websim::DocId doc);
 
   const AnnotatedDocument* ForDoc(websim::DocId doc) const;
   size_t num_entity_doc_edges() const { return num_edges_; }

@@ -132,19 +132,6 @@ void CircuitBreaker::RecordNoOutcome() {
   }
 }
 
-Status CircuitBreaker::Run(const std::function<Status()>& op) {
-  SAGA_RETURN_IF_ERROR(Allow());
-  const Status s = op();
-  const bool failed =
-      options_.failure_predicate ? options_.failure_predicate(s) : IsFailure(s);
-  if (failed) {
-    RecordFailure();
-  } else {
-    RecordSuccess();
-  }
-  return s;
-}
-
 CircuitBreaker::State CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;

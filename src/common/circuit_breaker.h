@@ -45,11 +45,6 @@ class CircuitBreaker {
     int failure_threshold = 5;
     /// Cool-down while open before half-open probes are admitted.
     double open_ms = 1000.0;
-    /// Which statuses count as dependency failures. Defaults to
-    /// IsFailure: business outcomes (NotFound, InvalidArgument, ...)
-    /// are successes; infrastructure trouble (IOError, Corruption,
-    /// ResourceExhausted, DeadlineExceeded, Internal) is a failure.
-    std::function<bool(const Status&)> failure_predicate;
     /// Injectable monotonic clock (nanoseconds) for tests.
     std::function<uint64_t()> now_ns;
   };
@@ -75,15 +70,12 @@ class CircuitBreaker {
   /// is freed for the next caller.
   void RecordNoOutcome();
 
-  /// Convenience: Allow + op + Record{Success,Failure} with the
-  /// configured failure predicate. Returns the op's status, or
-  /// Unavailable without running it when open.
-  Status Run(const std::function<Status()>& op);
-
   State state() const;
-  const std::string& name() const { return stem_; }
 
-  /// Default failure classification (see Options::failure_predicate).
+  /// Which statuses count as dependency failures: business outcomes
+  /// (NotFound, InvalidArgument, ...) are successes; infrastructure
+  /// trouble (IOError, Corruption, ResourceExhausted, DeadlineExceeded,
+  /// Internal) is a failure.
   static bool IsFailure(const Status& s);
 
   struct Stats {

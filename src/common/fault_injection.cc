@@ -50,12 +50,6 @@ void FaultInjector::DisarmAll() {
   points_.clear();
 }
 
-uint64_t FaultInjector::hits(const std::string& point) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = hits_.find(point);
-  return it == hits_.end() ? 0 : it->second;
-}
-
 uint64_t FaultInjector::fires(const std::string& point) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = fires_.find(point);
@@ -75,7 +69,6 @@ std::vector<std::string> FaultInjector::ArmedPoints() const {
 
 std::optional<FaultSpec> FaultInjector::Check(const std::string& point) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++hits_[point];
   auto it = points_.find(point);
   if (it == points_.end()) return std::nullopt;
   Armed& armed = it->second;

@@ -192,8 +192,7 @@ class FaultInjector {
   /// receiver).
   TransportFault InjectTransport(const std::string& point);
 
-  /// Times the point was consulted / times it fired (for assertions).
-  uint64_t hits(const std::string& point) const;
+  /// Times the point fired (for assertions).
   uint64_t fires(const std::string& point) const;
 
   /// Currently armed point names, sorted (for `saga_cli faults list`).
@@ -211,7 +210,6 @@ class FaultInjector {
 
   mutable std::mutex mu_;
   std::map<std::string, Armed> points_;
-  std::map<std::string, uint64_t> hits_;
   std::map<std::string, uint64_t> fires_;
   std::atomic<int> armed_points_{0};
   Rng rng_;

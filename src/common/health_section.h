@@ -30,9 +30,6 @@ class HealthSection {
   /// Free-text line appended after the rows (text view only).
   HealthSection& Note(std::string note);
 
-  const std::string& title() const { return title_; }
-  bool empty() const { return rows_.empty() && notes_.empty(); }
-
   /// "== title ==" header + aligned "  key: value" rows + notes.
   std::string Text() const;
   /// `"title":{"key":value,...}` — an object *member* the caller

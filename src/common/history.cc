@@ -62,11 +62,6 @@ size_t History::size() const {
   return ring_.size();
 }
 
-Snapshot History::At(size_t i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return i < ring_.size() ? ring_[i] : Snapshot{};
-}
-
 int64_t History::DeltaOver(const std::string& counter, size_t window) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.size() < 2 || window == 0) return 0;
@@ -197,12 +192,6 @@ std::string History::Report(size_t window) const {
     out += "\n";
   }
   return out;
-}
-
-void History::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  total_captures_ = 0;
 }
 
 History& GlobalHistory() {

@@ -41,9 +41,6 @@ class History {
   uint64_t CaptureAt(int64_t unix_ms, uint64_t mono_ns);
 
   size_t size() const;
-  size_t capacity() const { return capacity_; }
-  /// i = 0 is the oldest retained snapshot. Copies (the ring mutates).
-  Snapshot At(size_t i) const;
 
   /// Counter increase over the last `window` intervals (clamped to
   /// what the ring holds), reset-tolerant per interval.
@@ -60,8 +57,6 @@ class History {
   /// Human-readable series over the last `window` intervals: per-metric
   /// rate / percentile columns, one row per captured snapshot.
   std::string Report(size_t window = 12) const;
-
-  void Clear();
 
  private:
   /// Distribution accumulated over the last `window` intervals.

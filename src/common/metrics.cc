@@ -75,8 +75,6 @@ void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool Enabled() { return internal::EnabledFast(); }
-
 uint64_t LatencyHistogram::BucketLowerNs(int idx) {
   if (idx < (1 << kSubBits)) return static_cast<uint64_t>(idx);
   const int msb = (idx >> kSubBits) + 1;

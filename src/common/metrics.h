@@ -69,7 +69,6 @@ namespace obs {
 /// recording and span creation become cheap no-ops (one relaxed atomic
 /// load). Enabled by default.
 void SetEnabled(bool enabled);
-bool Enabled();
 
 namespace internal {
 extern std::atomic<bool> g_enabled;

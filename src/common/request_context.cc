@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/trace.h"
+
 namespace saga {
 
 Status RequestContext::Check(std::string_view where) const {

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/status.h"
-#include "common/trace.h"
 
 namespace saga {
 
@@ -54,9 +53,8 @@ enum class Priority {
   kLow = 1,
 };
 
-/// Per-request context threaded through the serving tier: deadline,
-/// priority class and trace identity. Pass by value or const reference
-/// freely.
+/// Per-request context threaded through the serving tier: deadline and
+/// priority class. Pass by value or const reference freely.
 ///
 /// Long loops check cooperatively at loop boundaries:
 ///
@@ -66,15 +64,10 @@ enum class Priority {
 ///   }
 class RequestContext {
  public:
-  /// Infinite deadline, high priority. Captures the
-  /// ambient trace context of the constructing thread (invalid when no
-  /// trace is active), so a context built inside a request span
-  /// carries the trace wherever the request goes.
-  RequestContext() : trace_(obs::CurrentTraceContext()) {}
+  /// Infinite deadline, high priority.
+  RequestContext() = default;
   explicit RequestContext(Deadline deadline, Priority priority = Priority::kHigh)
-      : deadline_(deadline),
-        priority_(priority),
-        trace_(obs::CurrentTraceContext()) {}
+      : deadline_(deadline), priority_(priority) {}
 
   static RequestContext WithTimeoutMillis(double ms,
                                           Priority priority = Priority::kHigh) {
@@ -91,15 +84,9 @@ class RequestContext {
   /// the loop for the error message.
   Status Check(std::string_view where) const;
 
-  /// Trace identity captured at construction. Install on the far side
-  /// with obs::ScopedTraceContext to stitch cross-thread work into the
-  /// originating trace.
-  const obs::TraceContext& trace() const { return trace_; }
-
  private:
   Deadline deadline_;
   Priority priority_ = Priority::kHigh;
-  obs::TraceContext trace_;
 };
 
 }  // namespace saga

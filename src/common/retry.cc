@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/circuit_breaker.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 
@@ -42,21 +41,6 @@ Status RetryPolicy::Run(const std::string& op_name,
     }
   }
   return last;
-}
-
-Status RetryPolicy::Run(const std::string& op_name,
-                        const std::function<Status()>& op,
-                        CircuitBreaker* breaker,
-                        const RetryablePredicate& retryable) {
-  if (breaker == nullptr) return Run(op_name, op, retryable);
-  const RetryablePredicate base =
-      retryable ? retryable : RetryablePredicate(&RetryPolicy::IsRetryable);
-  return Run(
-      op_name, [&] { return breaker->Run(op); },
-      [&base](const Status& s) {
-        // An open breaker means "stop calling" — never retry through it.
-        return !s.IsUnavailable() && base(s);
-      });
 }
 
 }  // namespace saga

@@ -10,8 +10,6 @@
 
 namespace saga {
 
-class CircuitBreaker;
-
 /// Capped exponential backoff with seeded jitter. Used wherever a
 /// transient IO failure should be absorbed instead of surfaced: KV
 /// store open/flush, SSTable reads during recovery, and the serving
@@ -41,16 +39,6 @@ class RetryPolicy {
   /// first attempts) bumps the global `resource.retry.attempts`
   /// counter. `retryable` defaults to IsRetryable.
   Status Run(const std::string& op_name, const std::function<Status()>& op,
-             const RetryablePredicate& retryable = nullptr);
-
-  /// Breaker-aware variant: every attempt (including retries) first
-  /// consults `breaker->Allow()` and reports its outcome back. An open
-  /// breaker short-circuits the whole retry loop with Unavailable —
-  /// retrying against a tripped dependency would only deepen the
-  /// overload the breaker exists to relieve. Unavailable is never
-  /// retryable. Null `breaker` degrades to the plain Run above.
-  Status Run(const std::string& op_name, const std::function<Status()>& op,
-             CircuitBreaker* breaker,
              const RetryablePredicate& retryable = nullptr);
 
   /// Backoff for the given 1-based completed attempt, jitter included.

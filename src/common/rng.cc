@@ -76,26 +76,6 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  assert(n > 0);
-  if (n == 1) return 0;
-  // Inverse-CDF on the integrable bounding function of the zipf pmf
-  // (power-law between 1 and n+1), then clamp. Accurate enough for
-  // synthetic workload skew.
-  const double u = NextDouble();
-  double rank;
-  if (std::abs(s - 1.0) < 1e-9) {
-    rank = std::exp(u * std::log(static_cast<double>(n) + 1.0));
-  } else {
-    const double t = std::pow(static_cast<double>(n) + 1.0, 1.0 - s);
-    rank = std::pow(u * (t - 1.0) + 1.0, 1.0 / (1.0 - s));
-  }
-  uint64_t k = static_cast<uint64_t>(rank);
-  if (k >= 1) k -= 1;
-  if (k >= n) k = n - 1;
-  return k;
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   assert(k <= n);
   // Floyd's algorithm for k << n; falls back to shuffle for dense samples.

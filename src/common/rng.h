@@ -37,11 +37,6 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p) { return NextDouble() < p; }
 
-  /// Zipf-distributed rank in [0, n) with exponent s (s > 0). Rank 0 is
-  /// the most likely. Uses a precomputation-free rejection-inversion-lite
-  /// approach adequate for workload generation.
-  uint64_t Zipf(uint64_t n, double s);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

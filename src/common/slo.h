@@ -55,8 +55,6 @@ class SloWatchdog {
   std::vector<SloVerdict> Evaluate(const History& history,
                                    size_t window) const;
 
-  const std::vector<SloSpec>& specs() const { return specs_; }
-
  private:
   std::vector<SloSpec> specs_;
 };

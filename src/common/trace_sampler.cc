@@ -174,15 +174,6 @@ std::string TraceSampler::DumpChromeTraceJson() const {
   return out;
 }
 
-void TraceSampler::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.clear();
-  pending_order_.clear();
-  decided_.clear();
-  decided_order_.clear();
-  retained_.clear();
-}
-
 TraceSampler& EnableTailSampling(TraceSampler::Options options) {
   std::lock_guard<std::mutex> lock(g_sampler_mu);
   // Detach the sink before swapping the sampler so a racing fragment

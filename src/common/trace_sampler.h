@@ -91,9 +91,6 @@ class TraceSampler {
   /// All retained traces as one Chrome trace_event JSON document.
   std::string DumpChromeTraceJson() const;
 
-  /// Drops retained and pending traces (stats keep counting).
-  void Clear();
-
   /// True for the error codes whose traces the sampler always keeps.
   static bool IsRetainedError(uint32_t code);
 

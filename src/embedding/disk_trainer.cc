@@ -141,7 +141,7 @@ Result<TrainedEmbeddings> DiskTrainer::Train(
     return Status::InvalidArgument("work_dir required");
   }
   Rng rng(config_.seed);
-  graph_engine::EdgePartitioner partitioner(view, options_.num_partitions,
+  graph_engine::EdgePartitioner partitioner(view, kNumPartitions,
                                             &rng);
 
   // Holdout split before bucketing.
@@ -169,7 +169,7 @@ Result<TrainedEmbeddings> DiskTrainer::Train(
   const std::unique_ptr<KgeModel> model = MakeModel(config_.model);
   NegativeSampler sampler(view, config_.filtered_negatives);
   const auto schedule =
-      graph_engine::EdgePartitioner::BucketSchedule(options_.num_partitions);
+      graph_engine::EdgePartitioner::BucketSchedule(kNumPartitions);
 
   TrainedEmbeddings out;
   out.model = config_.model;

@@ -16,9 +16,9 @@ namespace saga::embedding {
 
 /// Disk-based training configuration (§2: "for general KG embeddings we
 /// use disk-based training"). Entity embeddings are sharded into
-/// `num_partitions` files; at most `buffer_partitions` are resident.
+/// DiskTrainer::kNumPartitions files; at most `buffer_partitions` are
+/// resident.
 struct DiskTrainerOptions {
-  int num_partitions = 8;
   int buffer_partitions = 2;  // must be >= 2 (a bucket touches two)
   std::string work_dir;       // required
 };
@@ -82,6 +82,9 @@ class PartitionBuffer : public EntityStore {
 /// swap-minimizing order, drawing negatives from resident partitions.
 class DiskTrainer {
  public:
+  /// Files the entity embeddings are sharded into.
+  static constexpr int kNumPartitions = 8;
+
   DiskTrainer(TrainingConfig config, DiskTrainerOptions options);
 
   Result<TrainedEmbeddings> Train(const graph_engine::GraphView& view);

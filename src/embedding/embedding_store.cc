@@ -84,11 +84,6 @@ std::span<const float> EmbeddingStore::Get(kg::EntityId id) const {
           static_cast<size_t>(rows_->dim())};
 }
 
-std::vector<kg::EntityId> EmbeddingStore::Ids() const {
-  const std::vector<uint64_t>& labels = rows_->labels();
-  return std::vector<kg::EntityId>(labels.begin(), labels.end());
-}
-
 Status EmbeddingStore::Save(const std::string& path) const {
   std::string buf;
   BinaryWriter w(&buf);

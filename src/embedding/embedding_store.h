@@ -37,10 +37,7 @@ class EmbeddingStore {
   size_t size() const { return rows_->size(); }
   int dim() const { return rows_->dim(); }
 
-  /// Entity ids with embeddings, in id order.
-  std::vector<kg::EntityId> Ids() const;
-
-  /// The shared rows, labelled by entity id.
+  /// The shared rows, labelled by entity id in id order.
   const std::shared_ptr<const ann::RowMatrix>& rows() const { return rows_; }
 
   /// A serving version's shard inside its directory: LoadVersion loads

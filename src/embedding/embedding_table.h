@@ -27,7 +27,6 @@ class EmbeddingTable {
   void RandomInit(Rng* rng, double scale);
 
   size_t rows() const { return rows_; }
-  int dim() const { return dim_; }
 
   float* Row(size_t r) { return data_.data() + r * dim_; }
   const float* Row(size_t r) const { return data_.data() + r * dim_; }

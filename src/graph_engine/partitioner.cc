@@ -29,17 +29,6 @@ EdgePartitioner::EdgePartitioner(const GraphView& view, int num_partitions,
   }
 }
 
-std::vector<ViewEdge> EdgePartitioner::Bucket(const GraphView& view, int pi,
-                                              int pj) const {
-  std::vector<ViewEdge> out;
-  for (const ViewEdge& e : view.edges()) {
-    if (assignment_[e.src] == pi && assignment_[e.dst] == pj) {
-      out.push_back(e);
-    }
-  }
-  return out;
-}
-
 Status EdgePartitioner::WriteBuckets(const GraphView& view,
                                      const std::string& dir) const {
   return WriteBuckets(view.edges(), dir);

@@ -27,17 +27,14 @@ class EdgePartitioner {
   int partition_of(uint32_t local_entity) const {
     return assignment_[local_entity];
   }
-  const std::vector<int>& assignment() const { return assignment_; }
 
   /// Entities (local ids) in partition p.
   const std::vector<uint32_t>& partition_members(int p) const {
     return members_[p];
   }
 
-  /// Edges of bucket (pi, pj): all view edges with src in pi, dst in pj.
-  std::vector<ViewEdge> Bucket(const GraphView& view, int pi, int pj) const;
-
-  /// Writes every bucket to `dir/bucket_<i>_<j>.bin`; LoadBucket reads
+  /// Writes every bucket (pi, pj), the view edges with src in pi and
+  /// dst in pj, to `dir/bucket_<i>_<j>.bin`; LoadBucket reads
   /// one back. The disk trainer iterates buckets without materializing
   /// the full edge list.
   Status WriteBuckets(const GraphView& view, const std::string& dir) const;

@@ -70,9 +70,6 @@ class SnapshotManager {
 
   Result<SnapshotInfo> Info(const std::string& name) const;
 
-  const std::string& root() const { return root_; }
-  const std::string& store_dir() const { return store_dir_; }
-
  private:
   struct ManifestEntry {
     std::string file;

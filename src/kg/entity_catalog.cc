@@ -64,13 +64,6 @@ void EntityCatalog::SetPopularity(EntityId id, double popularity) {
   records_[id.value()].popularity = popularity;
 }
 
-void EntityCatalog::AddType(EntityId id, TypeId type) {
-  auto& types = records_[id.value()].types;
-  if (std::find(types.begin(), types.end(), type) == types.end()) {
-    types.push_back(type);
-  }
-}
-
 bool EntityCatalog::HasType(EntityId id, TypeId type) const {
   const auto& types = record(id).types;
   return std::find(types.begin(), types.end(), type) != types.end();

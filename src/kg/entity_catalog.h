@@ -44,7 +44,6 @@ class EntityCatalog {
   void AddAlias(EntityId id, std::string_view alias);
 
   void SetPopularity(EntityId id, double popularity);
-  void AddType(EntityId id, TypeId type);
 
   const EntityRecord& record(EntityId id) const {
     return records_[id.value()];

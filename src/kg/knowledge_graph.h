@@ -35,9 +35,6 @@ class KnowledgeGraph {
   /// Registers a provenance source (e.g. "wikipedia", "odke",
   /// "web_annotation") and returns its id; idempotent per name.
   SourceId AddSource(std::string_view name, double quality = 1.0);
-  double source_quality(SourceId id) const {
-    return source_qualities_[id.value()];
-  }
   Result<SourceId> FindSource(std::string_view name) const;
   size_t num_sources() const { return source_names_.size(); }
 

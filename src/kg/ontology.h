@@ -70,7 +70,6 @@ class Ontology {
   size_t num_types() const { return types_.size(); }
   size_t num_predicates() const { return predicates_.size(); }
   const std::vector<PredicateMeta>& predicates() const { return predicates_; }
-  const std::vector<TypeMeta>& types() const { return types_; }
 
   /// True if `t` equals `ancestor` or descends from it.
   bool IsSubtypeOf(TypeId t, TypeId ancestor) const;

@@ -85,7 +85,6 @@ CorroborationModel CorroborationModel::WithWeights(
     const std::array<double, EvidenceFeatures::kDim + 1>& weights) {
   CorroborationModel model;
   model.weights_ = weights;
-  model.trained_ = true;
   return model;
 }
 
@@ -121,7 +120,6 @@ void CorroborationModel::Train(
       }
     }
   }
-  trained_ = true;
 }
 
 double CorroborationModel::Predict(const EvidenceFeatures& f) const {

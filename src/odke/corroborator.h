@@ -66,7 +66,6 @@ class CorroborationModel {
   /// P(value correct | evidence).
   double Predict(const EvidenceFeatures& f) const;
 
-  bool trained() const { return trained_; }
   const std::array<double, EvidenceFeatures::kDim + 1>& weights() const {
     return weights_;
   }
@@ -76,7 +75,6 @@ class CorroborationModel {
   void SetDefaultWeights();
 
   std::array<double, EvidenceFeatures::kDim + 1> weights_{};  // [bias, w...]
-  bool trained_ = false;
 };
 
 /// Picks the winning value among groups and decides acceptance.

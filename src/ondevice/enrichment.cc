@@ -6,17 +6,14 @@
 namespace saga::ondevice {
 
 StaticKnowledgeAsset StaticKnowledgeAsset::Build(
-    const kg::KnowledgeGraph& kg, Options options) {
+    const kg::KnowledgeGraph& kg) {
   StaticKnowledgeAsset asset;
-  asset.options_ = options;
   asset.Refresh(kg);
   return asset;
 }
 
 void StaticKnowledgeAsset::Refresh(const kg::KnowledgeGraph& kg) {
-  fact_counts_.clear();
   num_facts_ = 0;
-  ++version_;
 
   // Top-k entities by popularity.
   std::vector<std::pair<double, kg::EntityId>> ranked;
@@ -28,35 +25,16 @@ void StaticKnowledgeAsset::Refresh(const kg::KnowledgeGraph& kg) {
     if (a.first != b.first) return a.first > b.first;
     return a.second < b.second;
   });
-  const size_t k = std::min(options_.top_k_entities, ranked.size());
-  for (size_t i = 0; i < k; ++i) {
-    const kg::EntityId id = ranked[i].second;
-    const size_t facts = std::min(kg.triples().BySubject(id).size(),
-                                  kMaxFactsPerEntity);
-    fact_counts_[id] = facts;
-    num_facts_ += facts;
+  num_entities_ = std::min(kTopKEntities, ranked.size());
+  for (size_t i = 0; i < num_entities_; ++i) {
+    num_facts_ += std::min(kg.triples().BySubject(ranked[i].second).size(),
+                           kMaxFactsPerEntity);
   }
-}
-
-void StaticKnowledgeAsset::ApplyDelta(
-    const kg::KnowledgeGraph& kg, const std::vector<kg::TripleIdx>& added) {
-  bool changed = false;
-  for (kg::TripleIdx idx : added) {
-    if (!kg.triples().IsLive(idx)) continue;
-    const kg::Triple& t = kg.triples().triple(idx);
-    auto it = fact_counts_.find(t.subject);
-    if (it == fact_counts_.end()) continue;  // not a member
-    if (it->second >= kMaxFactsPerEntity) continue;
-    ++it->second;
-    ++num_facts_;
-    changed = true;
-  }
-  if (changed) ++version_;
 }
 
 size_t StaticKnowledgeAsset::EstimatedBytes() const {
   // ~24 bytes of ids + value payload estimate per fact.
-  return num_facts_ * 48 + fact_counts_.size() * 16;
+  return num_facts_ * 48 + num_entities_ * 16;
 }
 
 std::vector<kg::Triple> PiggybackEnrich(const kg::KnowledgeGraph& kg,

@@ -1,7 +1,6 @@
 #ifndef SAGA_ONDEVICE_ENRICHMENT_H_
 #define SAGA_ONDEVICE_ENRICHMENT_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,46 +11,29 @@ namespace saga::ondevice {
 /// Global-knowledge enrichment path 1 (§5): a static asset of popular
 /// entities and their facts, shipped to every device with no
 /// client-side request (so it leaks nothing). Implemented as a
-/// maintainable view over the global KG that keeps, per member entity,
-/// how many of its facts the asset ships: membership and size are all
-/// the platform reads of it.
+/// maintainable view over the global KG that counts the member
+/// entities and the facts the asset ships: its size is all the platform
+/// reads of it.
 class StaticKnowledgeAsset {
  public:
-  struct Options {
-    size_t top_k_entities = 200;
-  };
+  /// Member entities: the most popular this many.
+  static constexpr size_t kTopKEntities = 200;
   /// Facts the asset ships per member entity, at most.
   static constexpr size_t kMaxFactsPerEntity = 16;
 
-  static StaticKnowledgeAsset Build(const kg::KnowledgeGraph& kg,
-                                    Options options);
+  static StaticKnowledgeAsset Build(const kg::KnowledgeGraph& kg);
 
-  bool Contains(kg::EntityId id) const { return fact_counts_.count(id) > 0; }
-  size_t num_entities() const { return fact_counts_.size(); }
   size_t num_facts() const { return num_facts_; }
   /// Approximate shipped size.
   size_t EstimatedBytes() const;
-  uint64_t version() const { return version_; }
 
   /// View maintenance: recomputes membership + facts as the global KG
-  /// evolves; bumps the version so devices know to refetch.
+  /// evolves.
   void Refresh(const kg::KnowledgeGraph& kg);
 
-  /// Incremental maintenance for appended facts: new triples about
-  /// member entities are folded in (respecting the per-entity cap)
-  /// without recomputing membership. Bumps the version only when the
-  /// asset actually changed. Membership changes (popularity shifts)
-  /// still require Refresh().
-  void ApplyDelta(const kg::KnowledgeGraph& kg,
-                  const std::vector<kg::TripleIdx>& added);
-
  private:
-  Options options_;
-  /// Member entity -> facts shipped about it (at most
-  /// kMaxFactsPerEntity).
-  std::unordered_map<kg::EntityId, size_t> fact_counts_;
+  size_t num_entities_ = 0;
   size_t num_facts_ = 0;
-  uint64_t version_ = 0;
 };
 
 /// Path 2: piggy-back enrichment. A server interaction about `entity`

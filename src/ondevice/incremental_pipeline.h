@@ -39,7 +39,6 @@ class IncrementalPipeline {
   size_t RunSteps(size_t max_steps);
 
   bool done() const { return stage_ == Stage::kDone; }
-  Stage stage() const { return stage_; }
   size_t steps_executed() const { return steps_executed_; }
 
   /// Approximate bytes of intermediate state currently held.
@@ -51,7 +50,7 @@ class IncrementalPipeline {
   std::vector<FusedPerson> FusedPersons() const;
 
   /// Serializes all intermediate state (not the input records, which
-  /// the caller re-supplies on Restore).
+  /// the caller re-supplies on Restore). The first byte is the Stage.
   std::string Checkpoint() const;
   static Result<IncrementalPipeline> Restore(
       const std::vector<SourceRecord>* records, std::string_view checkpoint);

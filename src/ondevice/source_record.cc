@@ -38,25 +38,4 @@ void SourceRecord::Serialize(BinaryWriter* w) const {
   w->PutVarint64Signed(timestamp);
 }
 
-Status SourceRecord::Deserialize(BinaryReader* r, SourceRecord* out) {
-  uint8_t kind = 0;
-  SAGA_RETURN_IF_ERROR(r->GetU8(&kind));
-  if (kind >= kNumSourceKinds) {
-    return Status::Corruption("bad source kind");
-  }
-  out->source = static_cast<SourceKind>(kind);
-  SAGA_RETURN_IF_ERROR(r->GetString(&out->native_id));
-  SAGA_RETURN_IF_ERROR(r->GetString(&out->name));
-  SAGA_RETURN_IF_ERROR(r->GetString(&out->phone));
-  SAGA_RETURN_IF_ERROR(r->GetString(&out->email));
-  uint64_t n = 0;
-  SAGA_RETURN_IF_ERROR(r->GetVarint64(&n));
-  out->interactions.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    SAGA_RETURN_IF_ERROR(r->GetString(&out->interactions[i]));
-  }
-  SAGA_RETURN_IF_ERROR(r->GetVarint64Signed(&out->timestamp));
-  return Status::OK();
-}
-
 }  // namespace saga::ondevice

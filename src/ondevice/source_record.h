@@ -38,8 +38,8 @@ struct SourceRecord {
   std::vector<std::string> interactions;
   int64_t timestamp = 0;
 
+  /// The record as sync ships it (sync counts the bytes).
   void Serialize(BinaryWriter* w) const;
-  static Status Deserialize(BinaryReader* r, SourceRecord* out);
 };
 
 /// Canonical digits-only phone form ("(555) 010-0199" -> "5550100199").

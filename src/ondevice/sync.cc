@@ -4,6 +4,7 @@
 
 #include "common/serialization.h"
 #include "ondevice/blocking.h"
+#include "ondevice/fusion.h"
 #include "ondevice/incremental_pipeline.h"
 
 namespace saga::ondevice {
@@ -132,9 +133,6 @@ OffloadStats OffloadFusion(std::vector<Device>* devices,
     for (const auto& s : p.interactions) stats.bytes_shipped += s.size();
   }
   stats.persons_shipped = fused.size();
-  for (size_t i = 0; i < devices->size(); ++i) {
-    (*devices)[i].SetFused(fused);
-  }
   return stats;
 }
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "ondevice/fusion.h"
 #include "ondevice/source_record.h"
 
 namespace saga::ondevice {
@@ -42,14 +41,9 @@ class Device {
   /// checks).
   std::vector<SourceRecord> RecordsOfSource(SourceKind source) const;
 
-  /// Fused persons, locally computed or adopted from an offload.
-  const std::vector<FusedPerson>& fused() const { return fused_; }
-  void SetFused(std::vector<FusedPerson> fused) { fused_ = std::move(fused); }
-
  private:
   DeviceConfig config_;
   std::map<std::string, SourceRecord> records_;  // by native_id
-  std::vector<FusedPerson> fused_;
 };
 
 struct SyncStats {
@@ -79,9 +73,9 @@ struct OffloadStats {
 };
 
 /// Computation offload (§5): the most powerful device runs entity
-/// matching + fusion over its visible records and ships the fused
-/// result to every other device, which adopts it instead of running
-/// the expensive pipeline locally.
+/// matching + fusion over its visible records; the stats count what
+/// shipping the fused result to the other devices costs, so they need
+/// not run the expensive pipeline locally.
 OffloadStats OffloadFusion(std::vector<Device>* devices,
                            const std::string& spill_dir);
 

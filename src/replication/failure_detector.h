@@ -58,8 +58,6 @@ class FailureDetector {
     return suspicion_ >= kSuspicionThreshold;
   }
 
-  int suspicion() const { return suspicion_; }
-
  private:
   double timeout_ms_;
   double window_start_ms_ = 0;

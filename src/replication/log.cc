@@ -8,8 +8,8 @@ ReplicatedLog::ReplicatedLog(std::string wal_path)
     : wal_path_(std::move(wal_path)) {}
 
 Status ReplicatedLog::Open() {
-  entries_.clear();
   if (wal_path_.empty()) return Status::OK();
+  entries_.clear();
   SAGA_ASSIGN_OR_RETURN(std::vector<storage::SequencedRecord> records,
                         storage::ReadWalRecordsFrom(wal_path_, 0));
   for (storage::SequencedRecord& rec : records) {

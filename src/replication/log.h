@@ -34,7 +34,8 @@ class ReplicatedLog {
   ReplicatedLog(const ReplicatedLog&) = delete;
   ReplicatedLog& operator=(const ReplicatedLog&) = delete;
 
-  /// Opens the backing WAL (if any) and replays it into memory.
+  /// Opens the backing WAL (if any) and replays it into memory; a
+  /// memory-only log keeps its entries.
   Status Open();
 
   /// Appends one record; `record.seq` must be last_seq + 1 (or any
@@ -53,8 +54,6 @@ class ReplicatedLog {
   /// Entry at `seq`, or nullptr when outside [first, last_seq].
   const LogRecord* At(uint64_t seq) const;
 
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
   /// 0 when empty.
   uint64_t last_seq() const {
     return entries_.empty() ? 0 : entries_.back().seq;
@@ -64,8 +63,6 @@ class ReplicatedLog {
   uint64_t last_epoch() const {
     return entries_.empty() ? 0 : entries_.back().epoch;
   }
-
-  bool wal_backed() const { return wal_ != nullptr; }
 
  private:
   /// Rewrites the backing WAL to exactly the in-memory entries.

@@ -478,10 +478,8 @@ void Replica::Crash() {
 
 Status Replica::Restart(double now_ms) {
   if (alive_) return Status::FailedPrecondition("replica is running");
-  if (log_.wal_backed()) {
-    // Real restart: recover the log from disk.
-    SAGA_RETURN_IF_ERROR(log_.Open());
-  }
+  // A WAL-backed log recovers from disk: a real restart.
+  SAGA_RETURN_IF_ERROR(log_.Open());
   alive_ = true;
   role_ = Role::kFollower;
   leader_id_ = -1;

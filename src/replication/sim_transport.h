@@ -72,9 +72,6 @@ class SimTransport {
   /// deterministic order. Returns the number delivered.
   size_t DeliverDue(double now_ms);
 
-  /// Undelivered messages still in the queue.
-  size_t Pending() const { return queue_.size(); }
-
   // --- structural partitions (harness controls the chaos loops drive) ---
   /// Cuts the (bidirectional) link between a and b.
   void Partition(int a, int b);

@@ -100,9 +100,6 @@ class DiskSpaceGovernor {
     /// Returns all reserved bytes without consuming budget.
     void Release();
 
-    uint64_t bytes() const { return bytes_; }
-    bool active() const { return gov_ != nullptr; }
-
    private:
     friend class DiskSpaceGovernor;
     Reservation(DiskSpaceGovernor* gov, uint64_t bytes)

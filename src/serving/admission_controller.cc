@@ -21,20 +21,16 @@ AdmissionController::Ticket AdmissionController::TryAdmit(
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.rejected_expired;
     SAGA_COUNTER("serving.admission.expired").Add();
-    return Ticket(Status::DeadlineExceeded(
-        "deadline already expired at admission"));
+    return Ticket();
   }
 
   const Priority p = ctx.priority();
   std::lock_guard<std::mutex> lock(mu_);
-  Status shed;
-  if (stats_.in_flight >= options_.max_concurrent) {
-    shed = Status::ResourceExhausted("serving tier at concurrency limit");
-  } else if (p == Priority::kLow &&
-             stats_.in_flight_low >= options_.low_priority_max_concurrent) {
-    shed = Status::ResourceExhausted("low-priority concurrency limit reached");
-  }
-  if (!shed.ok()) {
+  const bool shed =
+      stats_.in_flight >= options_.max_concurrent ||
+      (p == Priority::kLow &&
+       stats_.in_flight_low >= options_.low_priority_max_concurrent);
+  if (shed) {
     if (p == Priority::kLow) {
       ++stats_.shed_low;
       SAGA_COUNTER("serving.admission.shed_low").Add();
@@ -42,7 +38,7 @@ AdmissionController::Ticket AdmissionController::TryAdmit(
       ++stats_.shed_high;
       SAGA_COUNTER("serving.admission.shed_high").Add();
     }
-    return Ticket(std::move(shed));
+    return Ticket();
   }
 
   ++stats_.admitted;

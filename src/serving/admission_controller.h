@@ -25,8 +25,8 @@ namespace saga::serving {
 /// Usage:
 ///
 ///   auto ticket = admission.TryAdmit(ctx);
-///   if (!ticket.ok()) return ticket.status();   // shed
-///   ... serve ...                               // ticket releases slot
+///   if (!ticket.ok()) return ...;   // shed
+///   ... serve ...                   // ticket releases slot
 ///
 /// Metrics: `serving.admission.admitted` / `.shed_low` / `.shed_high` /
 /// `.expired` counters and `serving.admission.in_flight` /
@@ -50,7 +50,7 @@ class AdmissionController {
   };
 
   /// RAII admission slot: releases concurrency on destruction. Falsy
-  /// (ok() == false) when the request was shed; the reason says why.
+  /// (ok() == false) when the request was shed; Stats say why.
   class Ticket {
    public:
     Ticket() = default;
@@ -61,7 +61,6 @@ class AdmissionController {
         Release();
         controller_ = other.controller_;
         priority_ = other.priority_;
-        status_ = std::move(other.status_);
         other.controller_ = nullptr;
       }
       return *this;
@@ -70,8 +69,6 @@ class AdmissionController {
     Ticket& operator=(const Ticket&) = delete;
 
     bool ok() const { return controller_ != nullptr; }
-    /// OK when admitted; the shed reason otherwise.
-    const Status& status() const { return status_; }
 
     /// Early release (before destruction), e.g. when handing the
     /// response off to a writer that is no longer "serving work".
@@ -79,13 +76,10 @@ class AdmissionController {
 
    private:
     friend class AdmissionController;
-    Ticket(AdmissionController* c, Priority p)
-        : controller_(c), priority_(p), status_(Status::OK()) {}
-    explicit Ticket(Status shed) : status_(std::move(shed)) {}
+    Ticket(AdmissionController* c, Priority p) : controller_(c), priority_(p) {}
 
     AdmissionController* controller_ = nullptr;
     Priority priority_ = Priority::kHigh;
-    Status status_ = Status::OK();
   };
 
   explicit AdmissionController(Options options);

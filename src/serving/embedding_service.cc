@@ -50,9 +50,8 @@ EmbeddingService::EmbeddingService(embedding::EmbeddingStore store,
     exact_backup_ = MakeIndex(IndexKind::kExact);
   }
   if (options_.hedge.enabled && exact_backup_ != nullptr) {
-    const int threads = std::max(1, options_.hedge.threads);
     hedge_pool_ = std::make_unique<ThreadPool>(
-        threads, static_cast<size_t>(threads) * kHedgeQueuePerThread);
+        kHedgeThreads, kHedgeThreads * kHedgeQueuePerThread);
   }
 }
 

@@ -23,8 +23,8 @@ namespace saga::serving {
 /// Robustness: if the configured accelerated index (IVF / quantized)
 /// repeatedly fails to build, the service degrades gracefully to exact
 /// brute-force search instead of refusing to serve — correct answers,
-/// reduced throughput. The degradation is observable via degraded()
-/// and the `serving.embedding.degraded_builds` counter.
+/// reduced throughput. The degradation is observable via the
+/// `serving.embedding.degraded_builds` counter.
 ///
 /// Overload safety (accelerated IVF / quantized indexes only):
 /// - A circuit breaker guards the accelerated index: injected or real
@@ -52,9 +52,6 @@ class EmbeddingService {
     /// Fixed hedge timer; <= 0 derives the timer from the live p99 of
     /// `serving.embedding.search_ns` once enough samples are recorded.
     double fixed_hedge_ms = 0.0;
-    /// Workers running primary searches so the caller can hedge. At
-    /// most kHedgeQueuePerThread primaries per worker wait for one.
-    int threads = 2;
   };
 
   struct Options {
@@ -92,10 +89,6 @@ class EmbeddingService {
   /// hedging or the breaker is on) read the store's rows in place.
   const ann::VectorIndex& index() const { return *index_; }
 
-  /// True when the configured index could not be built and the service
-  /// fell back to exact brute-force search.
-  bool degraded() const { return degraded_; }
-
   /// Null unless Options::enable_breaker.
   CircuitBreaker* ann_breaker() const { return ann_breaker_.get(); }
 
@@ -107,6 +100,8 @@ class EmbeddingService {
   size_t HedgeQueueDepth() const {
     return hedge_pool_ != nullptr ? hedge_pool_->queue_depth() : 0;
   }
+  /// Workers running primary searches so the caller can hedge.
+  static constexpr int kHedgeThreads = 2;
   static constexpr size_t kHedgeQueuePerThread = 4;
 
  private:

@@ -36,8 +36,6 @@ class FactVerifier {
     return emb_->Score(e.src, e.relation, e.dst);
   }
 
-  double threshold() const { return threshold_; }
-
  private:
   const graph_engine::GraphView* view_;
   const embedding::TrainedEmbeddings* emb_;

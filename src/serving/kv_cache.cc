@@ -65,14 +65,6 @@ StoredVector EmbeddingKvCache::FromDense(const std::vector<float>& vec) {
   return out;
 }
 
-std::vector<float> EmbeddingKvCache::ToDense(const StoredVector& value) {
-  std::vector<float> out(value.length, 0.0f);
-  for (size_t k = 0; k < value.sparse.index.size(); ++k) {
-    out[value.sparse.index[k]] = value.sparse.value[k];
-  }
-  return out;
-}
-
 std::string EmbeddingKvCache::Encode(const StoredVector& value) {
   const size_t n = value.sparse.index.size();
   std::string out;
@@ -195,7 +187,11 @@ std::shared_ptr<const StoredVector> EmbeddingKvCache::Find(kg::EntityId id) {
 Result<std::vector<float>> EmbeddingKvCache::Get(kg::EntityId id) {
   const std::shared_ptr<const StoredVector> stored = Find(id);
   if (stored == nullptr) return Status::NotFound("embedding not cached");
-  return ToDense(*stored);
+  std::vector<float> out(stored->length, 0.0f);
+  for (size_t k = 0; k < stored->sparse.index.size(); ++k) {
+    out[stored->sparse.index[k]] = stored->sparse.value[k];
+  }
+  return out;
 }
 
 EmbeddingKvCache::Stats EmbeddingKvCache::stats() const {

@@ -70,10 +70,9 @@ class EmbeddingKvCache {
   static constexpr size_t kMaxLength = size_t{1} << 16;
 
   /// `vec` as a stored value: every entry whose bits are not all zero,
-  /// so -0.0f is kept and ToDense gives back `vec` bit for bit.
+  /// so -0.0f is kept and Get gives back `vec` bit for bit.
   /// Requires vec.size() <= kMaxLength.
   static StoredVector FromDense(const std::vector<float>& vec);
-  static std::vector<float> ToDense(const StoredVector& value);
 
   /// The value format, on disk and in memory: a format byte, the
   /// vector length (fixed32), the entry count (fixed32), the ascending

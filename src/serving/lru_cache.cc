@@ -25,11 +25,7 @@ bool LruCache::Put(uint64_t key, Value value, size_t value_bytes) {
 
 LruCache::Value LruCache::Get(uint64_t key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
+  if (it == entries_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
 }
@@ -43,7 +39,7 @@ void LruCache::Erase(uint64_t key) {
 }
 
 void LruCache::EvictIfNeeded() {
-  // size() > 1 spares the most-recently-touched entry (always
+  // lru_.size() > 1 spares the most-recently-touched entry (always
   // lru_.front(), and by the oversized-reject above always within
   // budget on its own).
   while (size_bytes_ > capacity_bytes_ && lru_.size() > 1) {

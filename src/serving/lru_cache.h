@@ -47,10 +47,6 @@ class LruCache {
   void Erase(uint64_t key);
   bool Contains(uint64_t key) const { return entries_.count(key) > 0; }
 
-  size_t size() const { return entries_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
  private:
   struct Node {
     uint64_t key;
@@ -67,8 +63,6 @@ class LruCache {
 
   size_t capacity_bytes_;
   size_t size_bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
   List lru_;  // front = most recent
   std::unordered_map<uint64_t, List::iterator> entries_;
 };

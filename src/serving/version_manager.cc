@@ -146,18 +146,13 @@ Status VersionManager::SwapTo(std::shared_ptr<ServingVersion> candidate) {
   }
   previous_ = std::move(current_);
   current_ = std::move(candidate);
-  in_probation_ = options_.probation_requests > 0;
+  in_probation_ = true;
   probation_seen_ = 0;
   probation_failed_ = 0;
-  if (!in_probation_) {
-    ++stats_.committed;
-    SAGA_COUNTER("version.swap.committed").Add();
-  }
   SAGA_GAUGE("version.serving.age_swaps")
       .Set(static_cast<double>(stats_.committed + 1));
   SAGA_LOG(Info) << "swapped serving version " << previous_->id << " -> "
-                 << current_->id
-                 << (in_probation_ ? " (probation)" : "");
+                 << current_->id << " (probation)";
   return Status::OK();
 }
 
@@ -181,19 +176,16 @@ void VersionManager::RecordRequestOutcome(bool ok) {
     ++stats_.probation_errors;
     SAGA_COUNTER("version.swap.probation_errors").Add();
   }
-  // Early rollback: once enough of the window failed that the
-  // threshold is unreachable... keep it simple and check the rate at
-  // every outcome once a minimum sample exists.
-  const uint64_t min_signal = std::min<uint64_t>(
-      10, options_.probation_requests);
-  if (probation_seen_ >= min_signal &&
+  // Early rollback: check the rate at every outcome once a minimum
+  // sample exists.
+  if (probation_seen_ >= kRollbackMinOutcomes &&
       static_cast<double>(probation_failed_) >
           kRollbackErrorRate *
               static_cast<double>(probation_seen_)) {
     RollbackLocked();
     return;
   }
-  if (probation_seen_ >= options_.probation_requests) {
+  if (probation_seen_ >= kProbationRequests) {
     in_probation_ = false;
     previous_ = nullptr;  // commit: old version may now be reclaimed
     ++stats_.committed;

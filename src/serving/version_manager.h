@@ -46,7 +46,7 @@ struct ServingVersion {
 ///      in-flight requests finish on the version they started with
 ///      while new requests see the new pointer;
 ///   4. probation: the previous version is kept alive; if the error
-///      rate over the first `probation_requests` outcomes exceeds
+///      rate over the first kProbationRequests outcomes exceeds
 ///      kRollbackErrorRate, the flip is undone automatically.
 ///
 /// A rejected candidate never takes a request and the live version
@@ -66,14 +66,15 @@ class VersionManager {
 
   struct Options {
     ValidationOptions validation;
-    /// Outcomes counted after a flip before the swap is considered
-    /// committed. 0 disables probation (flip is final immediately).
-    uint64_t probation_requests = 100;
   };
 
+  /// Outcomes counted after a flip before the swap is considered
+  /// committed.
+  static constexpr uint64_t kProbationRequests = 100;
   /// Error-rate threshold over the probation window that triggers
-  /// automatic rollback.
+  /// automatic rollback, checked once this many outcomes are in.
   static constexpr double kRollbackErrorRate = 0.5;
+  static constexpr uint64_t kRollbackMinOutcomes = 10;
 
   struct Stats {
     uint64_t attempts = 0;

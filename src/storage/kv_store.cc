@@ -1,7 +1,6 @@
 #include "storage/kv_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -20,8 +19,9 @@ namespace saga::storage {
 
 namespace {
 
+/// The one WAL record type: a put. Any other op byte is a format this
+/// store never writes and replays as damage.
 constexpr uint8_t kOpPut = 1;
-constexpr uint8_t kOpDelete = 2;
 /// Per-record WAL framing overhead: fixed32 crc + fixed32 len.
 constexpr uint64_t kWalRecordHeaderBytes = 8;
 constexpr char kSstPrefix[] = "sst_";
@@ -31,11 +31,6 @@ constexpr char kWalSegSuffix[] = ".log";
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestHeader[] = "saga-manifest-v1";
 constexpr char kQuarantineSuffix[] = ".quarantined";
-constexpr int kBloomBitsPerKey = 10;
-/// Shed background runs retried before maintenance proceeds anyway.
-constexpr int kBgAdmitRetries = 50;
-/// Backoff between a shed background run and its retry.
-constexpr int kBgShedBackoffMs = 2;
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -207,9 +202,8 @@ uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
     uint8_t op = 0;
     std::string key;
     std::string value;
-    const bool decoded = r.GetU8(&op).ok() && r.GetString(&key).ok() &&
-                         r.GetString(&value).ok() &&
-                         (op == kOpPut || op == kOpDelete);
+    const bool decoded = r.GetU8(&op).ok() && op == kOpPut &&
+                         r.GetString(&key).ok() && r.GetString(&value).ok();
     if (!decoded) {
       // Degrade to "stop replay at the bad record": ops before it are
       // kept, everything after is dropped and counted — the store
@@ -218,11 +212,7 @@ uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
       *stopped_early = true;
       break;
     }
-    if (op == kOpPut) {
-      mem_->Put(key, value);
-    } else {
-      mem_->Delete(key);
-    }
+    mem_->Put(key, value);
     ++replayed;
     keep_bytes += kWalRecordHeaderBytes + rec.size();
   }
@@ -428,12 +418,11 @@ Status KvStore::Recover() {
   return Status::OK();
 }
 
-Status KvStore::LogOp(uint8_t op, std::string_view key,
-                      std::string_view value) {
+Status KvStore::LogPut(std::string_view key, std::string_view value) {
   if (!options_.use_wal) return Status::OK();
   std::string rec;
   BinaryWriter w(&rec);
-  w.PutU8(op);
+  w.PutU8(kOpPut);
   w.PutString(key);
   w.PutString(value);
   const uint64_t bytes = kWalRecordHeaderBytes + rec.size();
@@ -477,7 +466,7 @@ bool KvStore::SealGateExceeded(size_t* imm_count) {
 
 Status KvStore::CheckWriteStall() {
   if (!options_.background_maintenance) return Status::OK();
-  // Only a full active memtable can stall: WriteImpl leaves it full
+  // Only a full active memtable can stall: Put leaves it full
   // (instead of sealing) exactly when the gate below is exceeded.
   if (mem_->ApproximateBytes() < options_.memtable_max_bytes) {
     return Status::OK();
@@ -529,21 +518,12 @@ void KvStore::NoteWriteFailure(const Status& s) {
 
 Status KvStore::Put(std::string_view key, std::string_view value) {
   obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.put_ns"));
-  return WriteImpl(kOpPut, key, value);
-}
-
-Status KvStore::Delete(std::string_view key) {
-  return WriteImpl(kOpDelete, key, "");
-}
-
-Status KvStore::WriteImpl(uint8_t op, std::string_view key,
-                          std::string_view value) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   std::lock_guard<std::mutex> wl(write_mu_);
   SAGA_RETURN_IF_ERROR(CheckWritable());
   SAGA_RETURN_IF_ERROR(EnsureWalUsable());
   SAGA_RETURN_IF_ERROR(CheckWriteStall());
-  Status logged = LogOp(op, key, value);
+  Status logged = LogPut(key, value);
   if (!logged.ok()) {
     if (logged.IsStorageExhausted()) {
       SAGA_COUNTER("storage.kv.write_rejected").Add();
@@ -553,17 +533,9 @@ Status KvStore::WriteImpl(uint8_t op, std::string_view key,
   {
     // Exclusive only for the in-memory apply — never across IO.
     std::unique_lock<std::shared_mutex> ml(mem_mu_);
-    if (op == kOpPut) {
-      mem_->Put(key, value);
-    } else {
-      mem_->Delete(key);
-    }
+    mem_->Put(key, value);
   }
-  if (op == kOpPut) {
-    stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stats_.deletes.fetch_add(1, std::memory_order_relaxed);
-  }
+  stats_.puts.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("storage.kv.write_ok").Add();
   if (mem_->ApproximateBytes() < options_.memtable_max_bytes) {
     return Status::OK();
@@ -634,21 +606,18 @@ Result<std::string> KvStore::Get(std::string_view key,
   // memtable needs a lock (writers mutate it); the immutable
   // memtables and tables are frozen by construction.
   const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
-  std::optional<MemTable::Entry> entry;
+  std::optional<std::string> value;
   {
     std::shared_lock<std::shared_mutex> ml(mem_mu_);
-    entry = sv->mem->Get(key);
+    value = sv->mem->Get(key);
   }
-  if (!entry.has_value()) {
+  if (!value.has_value()) {
     for (auto it = sv->imm.rbegin(); it != sv->imm.rend(); ++it) {
-      entry = it->mem->Get(key);
-      if (entry.has_value()) break;
+      value = it->mem->Get(key);
+      if (value.has_value()) break;
     }
   }
-  if (entry.has_value()) {
-    if (entry->is_tombstone) return Status::NotFound(std::string(key));
-    return std::move(entry->value);
-  }
+  if (value.has_value()) return std::move(*value);
   for (auto it = sv->tables.rbegin(); it != sv->tables.rend(); ++it) {
     SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.probe"));
     if ((*it)->DefinitelyMissing(key)) {
@@ -665,11 +634,7 @@ Result<std::string> KvStore::Get(std::string_view key,
       obs::MarkSpanError(probe.status());
       return probe.status();
     }
-    std::optional<SSTableReader::Entry> found = std::move(*probe);
-    if (found.has_value()) {
-      if (found->is_tombstone) return Status::NotFound(std::string(key));
-      return std::move(found->value);
-    }
+    if (probe->has_value()) return std::move((*probe)->value);
   }
   return Status::NotFound(std::string(key));
 }
@@ -679,41 +644,31 @@ Result<std::vector<std::pair<std::string, std::string>>> KvStore::ScanPrefix(
   // Newest-wins merge across one superversion snapshot: tables oldest
   // first, then sealed memtables, then the active memtable.
   const std::shared_ptr<const Superversion> sv = CurrentSuperversion();
-  std::map<std::string, MemTable::Entry> merged;
+  std::map<std::string, std::string> merged;
   for (const auto& sst : sv->tables) {  // oldest first; later inserts win
     SAGA_ASSIGN_OR_RETURN(std::vector<SSTableReader::Entry> entries,
                           sst->ScanPrefixChecked(prefix));
-    for (auto& e : entries) {
-      merged[std::move(e.key)] =
-          MemTable::Entry{std::move(e.value), e.is_tombstone};
-    }
+    for (auto& e : entries) merged[std::move(e.key)] = std::move(e.value);
   }
   for (const auto& imm : sv->imm) {  // oldest first
-    for (const auto& [key, entry] : imm.mem->entries()) {
-      if (key.compare(0, prefix.size(), prefix) == 0) {
-        merged[key] = entry;
-      }
+    for (const auto& [key, value] : imm.mem->entries()) {
+      if (key.compare(0, prefix.size(), prefix) == 0) merged[key] = value;
     }
   }
   {
     std::shared_lock<std::shared_mutex> ml(mem_mu_);
-    for (const auto& [key, entry] : sv->mem->entries()) {
-      if (key.compare(0, prefix.size(), prefix) == 0) {
-        merged[key] = entry;
-      }
+    for (const auto& [key, value] : sv->mem->entries()) {
+      if (key.compare(0, prefix.size(), prefix) == 0) merged[key] = value;
     }
   }
-  std::vector<std::pair<std::string, std::string>> out;
-  for (auto& [key, entry] : merged) {
-    if (!entry.is_tombstone) out.emplace_back(key, std::move(entry.value));
-  }
-  return out;
+  return std::vector<std::pair<std::string, std::string>>(
+      std::make_move_iterator(merged.begin()),
+      std::make_move_iterator(merged.end()));
 }
 
 Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
     const std::string& path,
-    const std::map<std::string, MemTable::Entry, std::less<>>& rows,
-    bool drop_tombstones) {
+    const std::map<std::string, std::string, std::less<>>& rows) {
   std::shared_ptr<SSTableReader> reader;
   // Corruption of a table we just built (bit rot between write and
   // verify) is healed by rebuilding, so it is retryable here — unlike
@@ -721,17 +676,11 @@ Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
   Status s = retry_.Run(
       "sst.build",
       [&]() -> Status {
-        SSTableBuilder::Options bopts;
-        bopts.bits_per_key = kBloomBitsPerKey;
-        SSTableBuilder builder(bopts);
-        size_t live_rows = 0;
-        for (const auto& [key, entry] : rows) {
-          if (entry.is_tombstone && drop_tombstones) continue;
-          SAGA_RETURN_IF_ERROR(
-              builder.Add(key, entry.value, entry.is_tombstone));
-          ++live_rows;
+        SSTableBuilder builder;
+        for (const auto& [key, value] : rows) {
+          SAGA_RETURN_IF_ERROR(builder.Add(key, value));
         }
-        SAGA_RETURN_IF_ERROR(builder.Finish(path, live_rows));
+        SAGA_RETURN_IF_ERROR(builder.Finish(path, rows.size()));
         auto r = SSTableReader::Open(path);
         if (!r.ok()) {
           (void)RemoveFileIfExists(path);
@@ -781,12 +730,10 @@ Status KvStore::DrainMaintenance() {
 
 Status KvStore::FlushOneImmLocked() {
   ImmMemtable target;
-  bool drop_tombstones = false;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     if (sv_->imm.empty()) return Status::OK();
     target = sv_->imm.front();  // flush strictly oldest-first
-    drop_tombstones = sv_->tables.empty();
   }
   auto stage = SAGA_STAGE("storage.kv.flush");
   if (Faults().armed()) {
@@ -821,8 +768,7 @@ Status KvStore::FlushOneImmLocked() {
     sst_seq = next_sst_seq_++;
   }
   const std::string path = SstPath(sst_seq);
-  auto built = BuildTableWithRetry(path, target.mem->entries(),
-                                   drop_tombstones);
+  auto built = BuildTableWithRetry(path, target.mem->entries());
   if (!built.ok()) {
     NoteWriteFailure(built.status());
     return built.status();
@@ -930,25 +876,18 @@ Status KvStore::CompactAllLocked() {
     }
     res = std::move(*r);
   }
-  std::map<std::string, MemTable::Entry, std::less<>> merged;
+  // The merged table replaces all older history (memtables hold
+  // anything newer and shadow it), and the manifest commit below makes
+  // that atomic even across a crash (leftover inputs are quarantined as
+  // orphans, never read alongside the merged output).
+  std::map<std::string, std::string, std::less<>> merged;
   for (const auto& sst : inputs) {  // oldest first
     // Checked scan: compaction rewrites history, so folding a rotted
     // block in here would launder corruption into a fresh CRC-clean
     // table. Abort instead and leave the inputs for repair.
     SAGA_ASSIGN_OR_RETURN(std::vector<SSTableReader::Entry> entries,
                           sst->ScanAllChecked());
-    for (auto& e : entries) {
-      merged[std::move(e.key)] =
-          MemTable::Entry{std::move(e.value), e.is_tombstone};
-    }
-  }
-  // Tombstones can be dropped entirely: the merged table replaces all
-  // older history (memtables hold anything newer and shadow it), and
-  // the manifest commit below makes that atomic even across a crash
-  // (leftover inputs are quarantined as orphans, never read alongside
-  // the merged output).
-  for (auto it = merged.begin(); it != merged.end();) {
-    it = it->second.is_tombstone ? merged.erase(it) : std::next(it);
+    for (auto& e : entries) merged[std::move(e.key)] = std::move(e.value);
   }
   uint64_t sst_seq = 0;
   {
@@ -956,7 +895,7 @@ Status KvStore::CompactAllLocked() {
     sst_seq = next_sst_seq_++;
   }
   const std::string path = SstPath(sst_seq);
-  auto built = BuildTableWithRetry(path, merged, /*drop_tombstones=*/false);
+  auto built = BuildTableWithRetry(path, merged);
   if (!built.ok()) {
     NoteWriteFailure(built.status());
     return built.status();
@@ -1020,20 +959,6 @@ void KvStore::ScheduleMaintenance() {
 void KvStore::RunBackgroundMaintenance() {
   bg_scheduled_.store(false, std::memory_order_release);
   if (shutting_down_.load(std::memory_order_acquire)) return;
-  if (options_.bg_admission) {
-    // Admission-ticketed like the scrubber: shed runs back off and
-    // retry, but only boundedly — a flush that never runs would wedge
-    // writes into permanent stall, so after kBgAdmitRetries we proceed
-    // regardless.
-    int attempts = 0;
-    while (!options_.bg_admission()) {
-      SAGA_COUNTER("storage.kv.bg.sheds").Add();
-      if (++attempts > kBgAdmitRetries) break;
-      if (shutting_down_.load(std::memory_order_acquire)) return;
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(kBgShedBackoffMs));
-    }
-  }
   obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.bg.run_ns"));
   Status s = DrainMaintenance();
   {
@@ -1065,10 +990,6 @@ Status KvStore::background_error() const {
 
 size_t KvStore::num_sstables() const {
   return CurrentSuperversion()->tables.size();
-}
-
-size_t KvStore::imm_memtables() const {
-  return CurrentSuperversion()->imm.size();
 }
 
 Result<uint64_t> KvStore::DropObsoleteFiles() {

@@ -2,7 +2,7 @@
 #define SAGA_STORAGE_KV_STORE_H_
 
 #include <atomic>
-#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -59,7 +59,7 @@ class KvStore {
     size_t memtable_max_bytes = 4 << 20;
     /// Disable to trade durability for ingest speed (bulk loads).
     bool use_wal = true;
-    /// fsync after every write: an OK Put/Delete is durable.
+    /// fsync after every write: an OK Put is durable.
     bool sync_every_write = false;
     /// When > 0, a flush that leaves more than this many SSTables
     /// triggers CompactAll automatically (simple tiered compaction,
@@ -68,7 +68,7 @@ class KvStore {
     /// Optional disk-space governor. When set, every write path
     /// reserves bytes before touching disk (WAL append, memtable
     /// flush, compaction output), ENOSPC-shaped failures trip the
-    /// governor's read-only degraded mode, and Put/Delete fail fast
+    /// governor's read-only degraded mode, and Put fails fast
     /// with a storage-origin kResourceExhausted while degraded — reads
     /// keep serving. Not owned; must outlive the store. Background
     /// jobs take their reservations (and trip degraded mode) from the
@@ -85,14 +85,6 @@ class KvStore {
     /// unflushed sheds with kResourceExhausted instead of blocking
     /// behind the maintenance thread.
     int max_immutable_memtables = 4;
-    /// Admission hook for background jobs, ticketed like the scrubber:
-    /// invoked before each maintenance run; returning false sheds the
-    /// run, which backs off and retries (a bounded number of times,
-    /// then proceeds anyway — a flush that never runs would wedge
-    /// writes). Unset in the serving tier; a caller can wire it to an
-    /// AdmissionController at low priority, and storage itself stays
-    /// serving-agnostic.
-    std::function<bool()> bg_admission;
   };
 
   /// Monotonic operation tallies. Fields are atomics because readers
@@ -100,7 +92,6 @@ class KvStore {
   /// many threads; loads are implicit via the conversion operator.
   struct Stats {
     std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> deletes{0};
     std::atomic<uint64_t> gets{0};
     std::atomic<uint64_t> bloom_skips{0};     // SSTable probes avoided by bloom
     std::atomic<uint64_t> sstable_probes{0};  // SSTable Get() calls made
@@ -151,7 +142,6 @@ class KvStore {
   KvStore& operator=(const KvStore&) = delete;
 
   Status Put(std::string_view key, std::string_view value);
-  Status Delete(std::string_view key);
   /// Point read under `RequestContext()` (no deadline): the same path
   /// as the overload below.
   Result<std::string> Get(std::string_view key);
@@ -172,8 +162,7 @@ class KvStore {
   /// all prior writes are in SSTables.
   Status Flush();
 
-  /// Merges all SSTables into one, dropping tombstones and shadowed
-  /// versions. Also retries removal of any files a previous compaction
+  /// Merges all SSTables into one, dropping shadowed versions. Also retries removal of any files a previous compaction
   /// failed to delete. Inputs are read checksum-verified: a rotted
   /// source block aborts the compaction with kDataLoss rather than
   /// folding garbage into the merged table. Runs inline, serialized
@@ -200,16 +189,13 @@ class KvStore {
   /// Outcome of the most recent background maintenance run (OK when
   /// none has run). Foreground writes are unaffected by a failed run —
   /// the WAL segments still cover the sealed memtables — but a stuck
-  /// error here plus rising imm_memtables() means the store is
-  /// stalling toward write sheds.
+  /// error here plus a rising `storage.kv.bg.imm_memtables` gauge means
+  /// the store is stalling toward write sheds.
   Status background_error() const;
 
   size_t num_sstables() const;
-  /// Sealed memtables waiting for a (background) flush.
-  size_t imm_memtables() const;
   const Stats& stats() const { return stats_; }
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-  const std::string& dir() const { return dir_; }
 
  private:
   /// A sealed memtable plus the newest WAL segment covering it; the
@@ -244,8 +230,8 @@ class KvStore {
   std::string WalPath() const;
   std::string WalSegmentPath(uint64_t seq) const;
   std::string ManifestPath() const;
-  Status LogOp(uint8_t op, std::string_view key, std::string_view value);
-  /// Degraded-mode gate for Put/Delete: storage-origin
+  Status LogPut(std::string_view key, std::string_view value);
+  /// Degraded-mode gate for Put: storage-origin
   /// kResourceExhausted (never retried by RetryPolicy) while the
   /// governor reports degraded.
   Status CheckWritable();
@@ -266,9 +252,6 @@ class KvStore {
   /// degraded-mode trip (no-op for other failures / no governor).
   void NoteWriteFailure(const Status& s);
 
-  /// Shared tail of Put/Delete under write_mu_: stall gate, WAL
-  /// append, memtable apply, seal-and-schedule when over budget.
-  Status WriteImpl(uint8_t op, std::string_view key, std::string_view value);
   /// Makes the active memtable immutable: rotates the WAL into a
   /// segment, appends the memtable to the superversion's imm list and
   /// installs a fresh active memtable. Caller holds write_mu_.
@@ -299,13 +282,10 @@ class KvStore {
   void QuarantineFile(const std::string& name);
   /// Builds an SSTable from sorted entries, opens it, retrying
   /// transient failures and rebuilding on fresh-table corruption.
-  /// Tombstones are dropped only when no older table could hold a
-  /// shadowed version (`drop_tombstones`).
   Result<std::shared_ptr<SSTableReader>> BuildTableWithRetry(
       const std::string& path,
-      const std::map<std::string, MemTable::Entry, std::less<>>& rows,
-      bool drop_tombstones);
-  /// Replays intact, decodable records into the active memtable and
+      const std::map<std::string, std::string, std::less<>>& rows);
+  /// Replays intact, decodable put records into the active memtable and
   /// returns the on-disk byte length of that replayed prefix (so
   /// Recover can truncate a damaged log before appending behind the
   /// damage). Accumulates into recovery_stats_ across multiple logs.

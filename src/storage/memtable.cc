@@ -9,37 +9,19 @@ constexpr size_t kPerEntryOverhead = 32;
 void MemTable::Put(std::string_view key, std::string_view value) {
   auto it = table_.find(key);
   if (it != table_.end()) {
-    approximate_bytes_ -= it->second.value.size();
-    it->second.value.assign(value);
-    it->second.is_tombstone = false;
+    approximate_bytes_ -= it->second.size();
+    it->second.assign(value);
     approximate_bytes_ += value.size();
     return;
   }
-  table_.emplace(std::string(key), Entry{std::string(value), false});
+  table_.emplace(std::string(key), std::string(value));
   approximate_bytes_ += key.size() + value.size() + kPerEntryOverhead;
 }
 
-void MemTable::Delete(std::string_view key) {
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    approximate_bytes_ -= it->second.value.size();
-    it->second.value.clear();
-    it->second.is_tombstone = true;
-    return;
-  }
-  table_.emplace(std::string(key), Entry{std::string(), true});
-  approximate_bytes_ += key.size() + kPerEntryOverhead;
-}
-
-std::optional<MemTable::Entry> MemTable::Get(std::string_view key) const {
+std::optional<std::string> MemTable::Get(std::string_view key) const {
   auto it = table_.find(key);
   if (it == table_.end()) return std::nullopt;
   return it->second;
-}
-
-void MemTable::Clear() {
-  table_.clear();
-  approximate_bytes_ = 0;
 }
 
 }  // namespace saga::storage

@@ -8,34 +8,24 @@
 
 namespace saga::storage {
 
-/// In-memory sorted write buffer. Deletions are tombstones so they can
-/// shadow older SSTable entries until compaction drops them.
+/// In-memory sorted write buffer.
 class MemTable {
  public:
-  struct Entry {
-    std::string value;
-    bool is_tombstone = false;
-  };
-
   void Put(std::string_view key, std::string_view value);
-  void Delete(std::string_view key);
 
-  /// nullopt = key unknown here (check older levels); an entry with
-  /// is_tombstone = true means "definitely deleted".
-  std::optional<Entry> Get(std::string_view key) const;
+  /// nullopt = key unknown here (check older levels).
+  std::optional<std::string> Get(std::string_view key) const;
 
   size_t ApproximateBytes() const { return approximate_bytes_; }
-  size_t size() const { return table_.size(); }
   bool empty() const { return table_.empty(); }
-  void Clear();
 
-  /// Sorted iteration over all entries including tombstones.
-  const std::map<std::string, Entry, std::less<>>& entries() const {
+  /// Sorted iteration over all entries.
+  const std::map<std::string, std::string, std::less<>>& entries() const {
     return table_;
   }
 
  private:
-  std::map<std::string, Entry, std::less<>> table_;
+  std::map<std::string, std::string, std::less<>> table_;
   size_t approximate_bytes_ = 0;
 };
 

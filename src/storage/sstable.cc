@@ -15,15 +15,9 @@ namespace {
 constexpr uint32_t kSstMagicV2 = 0x53535432u;  // "SST2"
 constexpr size_t kFooterSizeV2 = 8 * 7 + 4 + 4;
 constexpr uint8_t kTypeValue = 0;
-constexpr uint8_t kTypeTombstone = 1;
 }  // namespace
 
-SSTableBuilder::SSTableBuilder() : SSTableBuilder(Options()) {}
-
-SSTableBuilder::SSTableBuilder(Options options) : options_(options) {}
-
-Status SSTableBuilder::Add(std::string_view key, std::string_view value,
-                           bool is_tombstone) {
+Status SSTableBuilder::Add(std::string_view key, std::string_view value) {
   if (num_entries_ > 0 && std::string_view(last_key_) >= key) {
     return Status::InvalidArgument("SSTable keys must be strictly increasing");
   }
@@ -31,9 +25,9 @@ Status SSTableBuilder::Add(std::string_view key, std::string_view value,
     index_.emplace_back(std::string(key), data_.size());
   }
   BinaryWriter w(&data_);
-  w.PutU8(is_tombstone ? kTypeTombstone : kTypeValue);
+  w.PutU8(kTypeValue);
   w.PutString(key);
-  w.PutString(is_tombstone ? std::string_view() : value);
+  w.PutString(value);
   keys_for_bloom_.emplace_back(key);
   last_key_.assign(key);
   ++num_entries_;
@@ -42,7 +36,7 @@ Status SSTableBuilder::Add(std::string_view key, std::string_view value,
 
 Status SSTableBuilder::Finish(const std::string& path, size_t expected_keys) {
   BloomFilter bloom(std::max(expected_keys, keys_for_bloom_.size()),
-                    options_.bits_per_key);
+                    kBloomBitsPerKey);
   for (const auto& k : keys_for_bloom_) bloom.Add(k);
 
   std::string file = std::move(data_);
@@ -255,9 +249,12 @@ Status SSTableReader::DecodeEntry(uint64_t* off, Entry* out) const {
   BinaryReader r(std::string_view(data_.data() + *off, entries_end_ - *off));
   uint8_t type = 0;
   SAGA_RETURN_IF_ERROR(r.GetU8(&type));
+  if (type != kTypeValue) {
+    return Status::Corruption("unknown SSTable entry type " +
+                              std::to_string(type) + " in " + path_);
+  }
   SAGA_RETURN_IF_ERROR(r.GetString(&out->key));
   SAGA_RETURN_IF_ERROR(r.GetString(&out->value));
-  out->is_tombstone = (type == kTypeTombstone);
   *off += r.position();
   return Status::OK();
 }

@@ -30,7 +30,7 @@ enum class ReadVerifyMode {
 /// Immutable sorted string table.
 ///
 /// File layout (magic "SST2"):
-///   entries:  (u8 type | varint klen | key | varint vlen | value)*
+///   entries:  (u8 type = 0 | varint klen | key | varint vlen | value)*
 ///   sparse index: (varint klen | key | varint offset)*   every Nth key
 ///   bloom: raw bloom bytes
 ///   block crcs: varint count | fixed32 crc per block — one block per
@@ -40,29 +40,22 @@ enum class ReadVerifyMode {
 ///           fixed32 crc(every preceding byte, footer fields included) |
 ///           fixed32 magic
 ///
-/// Any other magic is rejected as Corruption at open.
+/// Any other magic is rejected as Corruption at open, and any other
+/// entry type as Corruption on read: this repo writes no tombstones.
 class SSTableBuilder {
  public:
-  struct Options {
-    int bits_per_key = 10;
-  };
   /// Every this-many-th key goes into the sparse index.
   static constexpr size_t kIndexInterval = 16;
-
-  SSTableBuilder();
-  explicit SSTableBuilder(Options options);
+  /// Bloom filter density.
+  static constexpr int kBloomBitsPerKey = 10;
 
   /// Keys must be added in strictly increasing order.
-  /// A tombstone is encoded with type = 1 and empty value.
-  Status Add(std::string_view key, std::string_view value,
-             bool is_tombstone = false);
+  Status Add(std::string_view key, std::string_view value);
 
   /// Writes the finished table to `path` (atomic).
   Status Finish(const std::string& path, size_t expected_keys);
 
-
  private:
-  Options options_;
   std::string data_;
   std::vector<std::pair<std::string, uint64_t>> index_;
   std::vector<std::string> keys_for_bloom_;
@@ -83,23 +76,21 @@ class SSTableReader {
   struct Entry {
     std::string key;
     std::string value;
-    bool is_tombstone = false;
   };
 
   static Result<std::shared_ptr<SSTableReader>> Open(
       const std::string& path,
       ReadVerifyMode verify = ReadVerifyMode::kFirstRead);
 
-  /// Point lookup: nullopt when the key is not in this table.
-  /// Tombstones are returned (caller decides visibility). kDataLoss
+  /// Point lookup: nullopt when the key is not in this table. kDataLoss
   /// when the bytes backing the key's block fail their CRC. Fault
   /// point: `sstable.read_block` (kCorrupt flips a bit in the block
   /// about to be verified).
   Result<std::optional<Entry>> GetChecked(std::string_view key) const;
 
-  /// Entries with the given prefix / all entries, in key order
-  /// (tombstones included). kDataLoss on a bad block, kCorruption on an
-  /// undecodable entry inside a CRC-clean block.
+  /// Entries with the given prefix / all entries, in key order.
+  /// kDataLoss on a bad block, kCorruption on an undecodable entry
+  /// inside a CRC-clean block.
   Result<std::vector<Entry>> ScanPrefixChecked(std::string_view prefix) const;
   Result<std::vector<Entry>> ScanAllChecked() const;
 

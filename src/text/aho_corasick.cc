@@ -16,12 +16,12 @@ uint32_t AhoCorasick::AddPattern(std::string_view pattern) {
     if (inserted) nodes_.emplace_back();
     node = it->second;
   }
-  const uint32_t idx = static_cast<uint32_t>(patterns_.size());
+  const uint32_t idx = static_cast<uint32_t>(pattern_lengths_.size());
   next_output_.push_back(-1);
   int32_t* slot = &nodes_[node].output;  // append: keep add order
   while (*slot >= 0) slot = &next_output_[*slot];
   *slot = static_cast<int32_t>(idx);
-  patterns_.emplace_back(pattern);
+  pattern_lengths_.push_back(pattern.size());
   return idx;
 }
 
@@ -87,7 +87,7 @@ std::vector<AhoCorasick::Match> AhoCorasick::FindAll(
       for (int32_t pat = nodes_[n].output; pat >= 0; pat = next_output_[pat]) {
         Match m;
         m.end = i + 1;
-        m.begin = m.end - patterns_[pat].size();
+        m.begin = m.end - pattern_lengths_[pat];
         m.pattern = static_cast<uint32_t>(pat);
         matches.push_back(m);
       }

@@ -34,8 +34,6 @@ class AhoCorasick {
   /// All (possibly overlapping) pattern occurrences in `text`.
   std::vector<Match> FindAll(std::string_view text) const;
 
-  const std::string& pattern(uint32_t idx) const { return patterns_[idx]; }
-
  private:
   struct Node {
     int32_t fail = 0;
@@ -55,7 +53,8 @@ class AhoCorasick {
   std::vector<uint32_t> edge_offsets_;
   std::vector<uint8_t> edge_bytes_;
   std::vector<int32_t> edge_child_;
-  std::vector<std::string> patterns_;
+  /// Byte length of each pattern, by index.
+  std::vector<size_t> pattern_lengths_;
   std::vector<int32_t> next_output_;  // per pattern; -1 ends the list
   bool built_ = false;
 };

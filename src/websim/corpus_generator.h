@@ -19,7 +19,6 @@ class WebCorpus {
   const WebDocument& doc(DocId id) const { return docs_[id]; }
   WebDocument* mutable_doc(DocId id) { return &docs_[id]; }
   size_t size() const { return docs_.size(); }
-  const std::vector<WebDocument>& docs() const { return docs_; }
 
  private:
   std::vector<WebDocument> docs_;

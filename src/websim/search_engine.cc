@@ -57,14 +57,6 @@ void SearchEngine::BuildAll() {
                                                doc_lengths_.size());
 }
 
-void SearchEngine::Refresh(const std::vector<DocId>& changed) {
-  if (changed.empty() && corpus_->size() == doc_lengths_.size()) return;
-  // Simplicity over cleverness: postings lists are rebuilt wholesale.
-  // The incremental-annotation experiment measures annotation cost, not
-  // index maintenance.
-  BuildAll();
-}
-
 std::vector<SearchEngine::Hit> SearchEngine::Search(std::string_view query,
                                                     size_t k) const {
   const size_t n = doc_lengths_.size();

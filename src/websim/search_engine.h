@@ -26,9 +26,6 @@ class SearchEngine {
   /// Top-k BM25 hits for a free-text query.
   std::vector<Hit> Search(std::string_view query, size_t k) const;
 
-  /// Re-indexes the given documents (after MutateCorpus).
-  void Refresh(const std::vector<DocId>& changed);
-
  private:
   void IndexDoc(DocId id);
   void BuildAll();

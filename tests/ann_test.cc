@@ -170,7 +170,6 @@ TEST(BruteForceTest, KLargerThanIndexReturnsAll) {
   BruteForceIndex index(Matrix(2, {{1.0f, 0.0f}, {0.0f, 1.0f}}, 1),
                         Metric::kDot);
   EXPECT_EQ(index.Search(std::vector<float>{1.0f, 1.0f}, 10).size(), 2u);
-  EXPECT_EQ(index.size(), 2u);
 }
 
 TEST(BruteForceTest, EmptyIndexReturnsNothing) {

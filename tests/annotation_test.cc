@@ -743,7 +743,7 @@ TEST(WebLinkerTest, IndexHoldsEveryDoc) {
   }
 }
 
-TEST(AnnotationIndexTest, SetReplacesAndRemoveDropsEdges) {
+TEST(AnnotationIndexTest, SetReplacesEdges) {
   auto doc = [](websim::DocId id, std::vector<uint64_t> entities) {
     AnnotatedDocument d;
     d.doc = id;
@@ -765,11 +765,7 @@ TEST(AnnotationIndexTest, SetReplacesAndRemoveDropsEdges) {
   EXPECT_EQ(index.num_entity_doc_edges(), 4u);
   ASSERT_EQ(index.ForDoc(7)->annotations.size(), 1u);
   EXPECT_EQ(index.ForDoc(7)->annotations[0].entity, kg::EntityId(3));
-
-  index.Remove(5);
-  index.Remove(5);  // absent: no-op
-  EXPECT_EQ(index.ForDoc(5), nullptr);
-  EXPECT_EQ(index.num_entity_doc_edges(), 2u);
+  EXPECT_EQ(index.ForDoc(4), nullptr);
 }
 
 }  // namespace

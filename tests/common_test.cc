@@ -4,7 +4,6 @@
 #include <set>
 #include <thread>
 
-#include "common/circuit_breaker.h"
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/metrics.h"
@@ -151,25 +150,6 @@ TEST(RngTest, GaussianMomentsRoughlyStandard) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
-}
-
-TEST(RngTest, ZipfIsSkewedTowardLowRanks) {
-  Rng rng(9);
-  int low = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(1000, 1.1) < 10) ++low;
-  }
-  // With s=1.1 the top-10 ranks should absorb a large share.
-  EXPECT_GT(low, n / 5);
-}
-
-TEST(RngTest, ZipfStaysInRange) {
-  Rng rng(13);
-  for (int i = 0; i < 5000; ++i) {
-    EXPECT_LT(rng.Zipf(50, 0.8), 50u);
-  }
-  EXPECT_EQ(rng.Zipf(1, 1.0), 0u);
 }
 
 TEST(RngTest, ShufflePreservesElements) {
@@ -586,80 +566,6 @@ TEST(RetryPolicyTest, DataLossIsNeverRetriedEvenWithCustomPredicate) {
   EXPECT_TRUE(s.IsDataLoss());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(slept.empty());
-}
-
-TEST(RetryPolicyTest, PartitionedReplicaUnavailableRespectsBreakerGate) {
-  // The shape a replication client sees during a partition: every call
-  // to the cut-off replica answers Unavailable. Even a caller whose
-  // custom predicate insists Unavailable is worth retrying must stop
-  // the moment the breaker trips — retrying into a partition only
-  // delays the failover the detector exists to trigger.
-  uint64_t fake_now = 0;
-  CircuitBreaker::Options bopts;
-  bopts.failure_threshold = 2;
-  bopts.open_ms = 1e9;  // stays open for the whole test
-  bopts.now_ns = [&] { return fake_now; };
-  CircuitBreaker breaker("common.breaker.partitioned_replica", bopts);
-
-  std::vector<double> slept;
-  RetryPolicy policy([&](double ms) { slept.push_back(ms); });
-
-  // The replica's own Unavailable is never retried through a breaker,
-  // even by a predicate that insists it should be: the loop cannot
-  // tell dependency unavailability from breaker fast-fail, and both
-  // mean "stop calling". One call, no sleeps.
-  int calls = 0;
-  const Status s = policy.Run(
-      "replication.ship",
-      [&] {
-        ++calls;
-        return Status::Unavailable("replica partitioned");
-      },
-      &breaker,
-      [](const Status& st) { return st.IsUnavailable(); });
-  EXPECT_TRUE(s.IsUnavailable());
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(slept.empty());
-
-  // Link errors (IOError) ARE retryable — but only until the breaker
-  // trips: exactly failure_threshold calls reach the dependency, then
-  // Allow() short-circuits the remaining attempts.
-  int io_calls = 0;
-  const Status io = policy.Run(
-      "replication.ship",
-      [&] {
-        ++io_calls;
-        return Status::IOError("link reset");
-      },
-      &breaker);
-  EXPECT_TRUE(io.IsUnavailable()) << io.ToString();  // breaker fast-fail
-  EXPECT_EQ(io_calls, 2);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-
-  // The open breaker fails fast without invoking the op at all.
-  const Status fast = policy.Run(
-      "replication.ship",
-      [&] {
-        ++io_calls;
-        return Status::IOError("link reset");
-      },
-      &breaker);
-  EXPECT_TRUE(fast.IsUnavailable());
-  EXPECT_EQ(io_calls, 2);
-
-  // And the kDataLoss hard gate still outranks the breaker path: one
-  // call, no retries, even with the widest predicate.
-  CircuitBreaker fresh("common.breaker.partitioned_replica_fresh", bopts);
-  int dl_calls = 0;
-  const Status dl = policy.Run(
-      "replication.ship",
-      [&] {
-        ++dl_calls;
-        return Status::DataLoss("diverged beyond repair");
-      },
-      &fresh, [](const Status&) { return true; });
-  EXPECT_TRUE(dl.IsDataLoss());
-  EXPECT_EQ(dl_calls, 1);
 }
 
 }  // namespace

@@ -57,7 +57,6 @@ TEST_F(DiskTrainerTest, TrainsWithBoundedResidency) {
   config.epochs = 3;
   DiskTrainerOptions opts;
   opts.work_dir = dir_;
-  opts.num_partitions = 8;
   opts.buffer_partitions = 2;
   DiskTrainer trainer(config, opts);
   auto result = trainer.Train(view);
@@ -67,7 +66,7 @@ TEST_F(DiskTrainerTest, TrainsWithBoundedResidency) {
   // Partitions are ~ num_entities/8 rows of dim 16 floats (x2 for
   // Adagrad state).
   const uint64_t per_partition_bytes =
-      (view.num_entities() / 8 + 2) * 16 * 8;
+      (view.num_entities() / DiskTrainer::kNumPartitions + 2) * 16 * 8;
   EXPECT_LE(trainer.stats().peak_resident_bytes,
             2 * per_partition_bytes + 1024);
   EXPECT_GT(trainer.stats().partition_loads, 8u);   // swapped repeatedly
@@ -87,7 +86,6 @@ TEST_F(DiskTrainerTest, LossDecreasesAndModelLearns) {
   config.holdout_fraction = 0.1;
   DiskTrainerOptions opts;
   opts.work_dir = dir_;
-  opts.num_partitions = 4;
   opts.buffer_partitions = 2;
   DiskTrainer trainer(config, opts);
   auto result = trainer.Train(view);
@@ -111,14 +109,12 @@ TEST_F(DiskTrainerTest, LargerBufferLoadsFewerPartitions) {
 
   DiskTrainerOptions small;
   small.work_dir = JoinPath(dir_, "small");
-  small.num_partitions = 8;
   small.buffer_partitions = 2;
   DiskTrainer t_small(config, small);
   ASSERT_TRUE(t_small.Train(view).ok());
 
   DiskTrainerOptions big;
   big.work_dir = JoinPath(dir_, "big");
-  big.num_partitions = 8;
   big.buffer_partitions = 8;  // everything resident
   DiskTrainer t_big(config, big);
   ASSERT_TRUE(t_big.Train(view).ok());
@@ -138,7 +134,6 @@ TEST_F(DiskTrainerTest, AssembledTableCoversAllEntities) {
   config.epochs = 1;
   DiskTrainerOptions opts;
   opts.work_dir = dir_;
-  opts.num_partitions = 4;
   opts.buffer_partitions = 2;
   DiskTrainer trainer(config, opts);
   auto result = trainer.Train(view);

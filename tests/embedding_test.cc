@@ -26,8 +26,8 @@ using test_shard::Payload;
 using test_shard::Row;
 using test_shard::Sealed;
 
-std::vector<float> RowOf(const EmbeddingTable& table, size_t r) {
-  return std::vector<float>(table.Row(r), table.Row(r) + table.dim());
+std::vector<float> RowOf(const EmbeddingTable& table, size_t r, int dim) {
+  return std::vector<float>(table.Row(r), table.Row(r) + dim);
 }
 
 kg::GeneratedKg MakeKg() {
@@ -136,10 +136,10 @@ TEST(EmbeddingTableTest, InitAndGradient) {
   }
   EXPECT_TRUE(any_nonzero);
 
-  const std::vector<float> before = RowOf(table, 3);
+  const std::vector<float> before = RowOf(table, 3, 4);
   const std::vector<float> grad = {1.0f, -1.0f, 0.0f, 2.0f};
   table.ApplyGradient(3, grad.data(), 0.1);
-  const std::vector<float> after = RowOf(table, 3);
+  const std::vector<float> after = RowOf(table, 3, 4);
   EXPECT_LT(after[0], before[0]);  // positive gradient decreases value
   EXPECT_GT(after[1], before[1]);
   EXPECT_EQ(after[2], before[2]);
@@ -185,11 +185,11 @@ TEST(EmbeddingTableTest, PartitionRowsRoundTripIncludesOptimizerState) {
 
   EmbeddingTable restored(10, 4);
   ASSERT_TRUE(restored.LoadRows(path).ok());
-  EXPECT_EQ(RowOf(restored, 2), RowOf(table, 2));
+  EXPECT_EQ(RowOf(restored, 2, 4), RowOf(table, 2, 4));
   // Adagrad state restored: identical next-step behaviour.
   table.ApplyGradient(2, grad.data(), 0.1);
   restored.ApplyGradient(2, grad.data(), 0.1);
-  EXPECT_EQ(RowOf(restored, 2), RowOf(table, 2));
+  EXPECT_EQ(RowOf(restored, 2, 4), RowOf(table, 2, 4));
   EmbeddingTable taller(11, 4);
   EXPECT_TRUE(taller.LoadRows(path).IsCorruption());
   (void)RemoveDirRecursively(*dir);
@@ -319,7 +319,8 @@ TEST(TrainerTest, RetrainWarmStartsFromPreviousEmbeddings) {
       InMemoryTrainer(frozen).Retrain(view, first);
   ASSERT_EQ(warm.entities.rows(), first.entities.rows() + 1);
   for (size_t r = 0; r < first.entities.rows(); ++r) {
-    EXPECT_EQ(RowOf(warm.entities, r), RowOf(first.entities, r));
+    EXPECT_EQ(RowOf(warm.entities, r, config.dim),
+              RowOf(first.entities, r, config.dim));
   }
   bool new_row_nonzero = false;
   for (int d = 0; d < 16; ++d) {
@@ -413,7 +414,7 @@ TEST(EmbeddingStoreTest, FromTrainedAndLookup) {
   const std::span<const float> row = store.Get(some);
   ASSERT_FALSE(row.empty());
   EXPECT_EQ(std::vector<float>(row.begin(), row.end()),
-            RowOf(emb.entities, 0));
+            RowOf(emb.entities, 0, config.dim));
   EXPECT_TRUE(store.Get(kg::EntityId(999999)).empty());
 }
 
@@ -432,8 +433,7 @@ TEST(EmbeddingStoreTest, SaveLoadRoundTrip) {
   const std::span<const float> row = loaded->Get(kg::EntityId(3));
   EXPECT_EQ(std::vector<float>(row.begin(), row.end()),
             (std::vector<float>{1.0f, 2.0f}));
-  EXPECT_EQ(loaded->Ids(),
-            (std::vector<kg::EntityId>{kg::EntityId(3), kg::EntityId(9)}));
+  EXPECT_EQ(loaded->rows()->labels(), (std::vector<uint64_t>{3, 9}));
   (void)RemoveDirRecursively(*dir);
 }
 
@@ -451,7 +451,7 @@ TEST(EmbeddingStoreTest, CopiesShareOneRowMatrix) {
 /// A decoded store must be what the format promises: ascending ids,
 /// each with dim() > 0 floats.
 void ExpectWellFormed(const EmbeddingStore& store) {
-  const std::vector<kg::EntityId> ids = store.Ids();
+  const std::vector<uint64_t>& ids = store.rows()->labels();
   ASSERT_EQ(ids.size(), store.size());
   if (!ids.empty()) {
     ASSERT_GT(store.dim(), 0);
@@ -460,7 +460,8 @@ void ExpectWellFormed(const EmbeddingStore& store) {
     if (i > 0) {
       ASSERT_LT(ids[i - 1], ids[i]);
     }
-    ASSERT_EQ(store.Get(ids[i]).size(), static_cast<size_t>(store.dim()));
+    ASSERT_EQ(store.Get(kg::EntityId(ids[i])).size(),
+              static_cast<size_t>(store.dim()));
   }
 }
 

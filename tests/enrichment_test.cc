@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "kg/kg_generator.h"
 #include "ondevice/enrichment.h"
@@ -19,66 +22,61 @@ kg::GeneratedKg MakeKg() {
   return kg::GenerateKg(config);
 }
 
-TEST(StaticAssetTest, ContainsMostPopularEntities) {
+/// The facts a top-k asset of `kg` ships: the kTopKEntities most
+/// popular entities (ties by id), at most kMaxFactsPerEntity each.
+size_t TopKFacts(const kg::KnowledgeGraph& kg) {
+  std::vector<std::pair<double, kg::EntityId>> ranked;
+  for (const auto& rec : kg.catalog().records()) {
+    ranked.emplace_back(-rec.popularity, rec.id);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  size_t facts = 0;
+  for (size_t i = 0; i < StaticKnowledgeAsset::kTopKEntities; ++i) {
+    facts += std::min(kg.triples().BySubject(ranked[i].second).size(),
+                      StaticKnowledgeAsset::kMaxFactsPerEntity);
+  }
+  return facts;
+}
+
+TEST(StaticAssetTest, ShipsTheMostPopularEntities) {
   kg::GeneratedKg gen = MakeKg();
-  StaticKnowledgeAsset::Options opts;
-  opts.top_k_entities = 50;
-  const auto asset = StaticKnowledgeAsset::Build(gen.kg, opts);
-  EXPECT_EQ(asset.num_entities(), 50u);
-  EXPECT_GT(asset.num_facts(), 50u);
-
-  // The single most popular entity must be in the asset.
-  kg::EntityId most_popular;
-  double best = -1.0;
-  for (const auto& rec : gen.kg.catalog().records()) {
-    if (rec.popularity > best) {
-      best = rec.popularity;
-      most_popular = rec.id;
-    }
-  }
-  EXPECT_TRUE(asset.Contains(most_popular));
-  EXPECT_GT(asset.num_facts(), 0u);
-
-  // Every asset member's popularity >= every non-member's (top-k).
-  double min_in_asset = 2.0;
-  double max_outside = -1.0;
-  for (const auto& rec : gen.kg.catalog().records()) {
-    if (asset.Contains(rec.id)) {
-      min_in_asset = std::min(min_in_asset, rec.popularity);
-    } else {
-      max_outside = std::max(max_outside, rec.popularity);
-    }
-  }
-  EXPECT_GE(min_in_asset, max_outside - 1e-9);
+  // The top-k cap bites: some entities stay out of the asset.
+  ASSERT_GT(gen.kg.catalog().size(), StaticKnowledgeAsset::kTopKEntities);
+  const auto asset = StaticKnowledgeAsset::Build(gen.kg);
+  EXPECT_GT(asset.num_facts(), StaticKnowledgeAsset::kTopKEntities);
+  // Membership is the top-k by popularity: the shipped facts are
+  // exactly theirs, and the size estimate counts k entities.
+  EXPECT_EQ(asset.num_facts(), TopKFacts(gen.kg));
+  EXPECT_EQ(asset.EstimatedBytes(),
+            asset.num_facts() * 48 + StaticKnowledgeAsset::kTopKEntities * 16);
 }
 
 TEST(StaticAssetTest, FactsAreCappedPerEntity) {
   kg::GeneratedKg gen = MakeKg();
-  StaticKnowledgeAsset::Options opts;
-  opts.top_k_entities = 30;
-  const auto asset = StaticKnowledgeAsset::Build(gen.kg, opts);
-  EXPECT_LE(asset.num_facts(),
-            asset.num_entities() * StaticKnowledgeAsset::kMaxFactsPerEntity);
+  const auto asset = StaticKnowledgeAsset::Build(gen.kg);
+  EXPECT_LE(asset.num_facts(), StaticKnowledgeAsset::kTopKEntities *
+                                   StaticKnowledgeAsset::kMaxFactsPerEntity);
   EXPECT_GT(asset.EstimatedBytes(), 0u);
 }
 
-TEST(StaticAssetTest, RefreshTracksKgGrowthAndBumpsVersion) {
+TEST(StaticAssetTest, RefreshTracksKgGrowth) {
   kg::GeneratedKg gen = MakeKg();
-  StaticKnowledgeAsset::Options opts;
-  opts.top_k_entities = 20;
-  auto asset = StaticKnowledgeAsset::Build(gen.kg, opts);
-  const uint64_t v1 = asset.version();
+  auto asset = StaticKnowledgeAsset::Build(gen.kg);
+  const size_t facts_before = asset.num_facts();
 
-  // A new hyper-popular entity enters the KG (trending).
+  // A new hyper-popular entity enters the KG (trending) with a full
+  // set of facts, displacing the least popular member.
   const kg::EntityId star = gen.kg.catalog().AddEntity(
       "Breakout Star", {gen.schema.person}, 10.0);
   const kg::SourceId src = gen.kg.AddSource("trending", 1.0);
-  gen.kg.AddFact(star, gen.schema.born_in,
-                 kg::Value::Entity(kg::EntityId(0)), src);
-  EXPECT_FALSE(asset.Contains(star));
+  for (size_t i = 0; i < StaticKnowledgeAsset::kMaxFactsPerEntity; ++i) {
+    gen.kg.AddFact(star, gen.schema.spouse,
+                   kg::Value::Entity(kg::EntityId(i)), src);
+  }
+  ASSERT_NE(TopKFacts(gen.kg), facts_before);
+  EXPECT_EQ(asset.num_facts(), facts_before);
   asset.Refresh(gen.kg);
-  EXPECT_TRUE(asset.Contains(star));
-  EXPECT_GT(asset.version(), v1);
+  EXPECT_EQ(asset.num_facts(), TopKFacts(gen.kg));
 }
 
 TEST(PiggybackTest, ReturnsFactsAboutQueriedEntity) {

@@ -97,7 +97,7 @@ class IntegrityTest : public ::testing::Test {
 
 TEST_F(IntegrityTest, SSTableOpenDetectsOnDiskRot) {
   const std::string path = JoinPath(dir_, "t.sst");
-  SSTableBuilder b{SSTableBuilder::Options{}};
+  SSTableBuilder b;
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(b.Add(Key(i), "value" + std::to_string(i)).ok());
   }
@@ -115,7 +115,7 @@ TEST_F(IntegrityTest, SSTableOpenDetectsOnDiskRot) {
 
 TEST_F(IntegrityTest, BlockCorruptionAfterOpenIsDataLossNotGarbage) {
   const std::string path = JoinPath(dir_, "t.sst");
-  SSTableBuilder b{SSTableBuilder::Options{}};
+  SSTableBuilder b;
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(b.Add(Key(i), "value" + std::to_string(i)).ok());
   }
@@ -145,7 +145,7 @@ TEST_F(IntegrityTest, BlockCorruptionAfterOpenIsDataLossNotGarbage) {
 
 TEST_F(IntegrityTest, FirstReadModeMemoizesVerification) {
   const std::string path = JoinPath(dir_, "t.sst");
-  SSTableBuilder b{SSTableBuilder::Options{}};
+  SSTableBuilder b;
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(b.Add(Key(i), "v" + std::to_string(i)).ok());
   }
@@ -317,14 +317,16 @@ TEST_F(IntegrityTest, SnapshotVerifyCatchesMemberRot) {
   ASSERT_TRUE(snaps.Create("s1").ok());
   // Rot a file inside the snapshot directory itself (direct write, not
   // atomic replace — we want the snapshot's own inode damaged here).
-  auto files = ListDir(JoinPath(snaps.root(), "s1"));
+  // The default snapshot root is <store_dir>/snapshots.
+  const std::string snap_dir = JoinPath(JoinPath(dir_, "snapshots"), "s1");
+  auto files = ListDir(snap_dir);
   ASSERT_TRUE(files.ok());
   std::string victim;
   for (const auto& f : *files) {
     if (f.rfind(".sst") != std::string::npos) victim = f;
   }
   ASSERT_FALSE(victim.empty());
-  const std::string vpath = JoinPath(JoinPath(snaps.root(), "s1"), victim);
+  const std::string vpath = JoinPath(snap_dir, victim);
   auto data = ReadFileToString(vpath);
   ASSERT_TRUE(data.ok());
   (*data)[data->size() / 2] ^= 0x10;

@@ -101,9 +101,12 @@ TEST(KgGeneratorTest, ZeroAmbiguityConfigYieldsFewCollisions) {
 TEST(KgGeneratorTest, NoiseTriplesComeFromLowQualitySource) {
   GeneratedKg gen = GenerateKg(SmallConfig());
   ASSERT_FALSE(gen.noise_triples.empty());
+  // The generator's one source below 0.5 quality.
+  const auto noisy = gen.kg.FindSource("web_crawl_legacy");
+  ASSERT_TRUE(noisy.ok());
   for (TripleIdx idx : gen.noise_triples) {
     const Triple& t = gen.kg.triples().triple(idx);
-    EXPECT_LT(gen.kg.source_quality(t.provenance.source), 0.5);
+    EXPECT_EQ(t.provenance.source, *noisy);
     EXPECT_LT(t.provenance.confidence, 0.5);
   }
 }

@@ -30,7 +30,7 @@ class KvStoreTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(KvStoreTest, PutGetDelete) {
+TEST_F(KvStoreTest, PutGetOverwrite) {
   auto store = KvStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("a", "1").ok());
@@ -40,9 +40,6 @@ TEST_F(KvStoreTest, PutGetDelete) {
 
   ASSERT_TRUE((*store)->Put("a", "2").ok());
   EXPECT_EQ((*store)->Get("a").value(), "2");
-
-  ASSERT_TRUE((*store)->Delete("a").ok());
-  EXPECT_TRUE((*store)->Get("a").status().IsNotFound());
   EXPECT_TRUE((*store)->Get("never").status().IsNotFound());
 }
 
@@ -50,7 +47,6 @@ TEST_F(KvStoreTest, EmptyKeyRejected) {
   auto store = KvStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->Put("", "v").IsInvalidArgument());
-  EXPECT_TRUE((*store)->Delete("").IsInvalidArgument());
 }
 
 TEST_F(KvStoreTest, FlushCreatesSstAndKeepsData) {
@@ -81,17 +77,6 @@ TEST_F(KvStoreTest, NewestVersionWinsAcrossLevels) {
   EXPECT_EQ((*store)->Get("k").value(), "new");
 }
 
-TEST_F(KvStoreTest, TombstoneShadowsOlderSstEntry) {
-  auto store = KvStore::Open(dir_);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("k", "v").ok());
-  ASSERT_TRUE((*store)->Flush().ok());
-  ASSERT_TRUE((*store)->Delete("k").ok());
-  EXPECT_TRUE((*store)->Get("k").status().IsNotFound());
-  ASSERT_TRUE((*store)->Flush().ok());
-  EXPECT_TRUE((*store)->Get("k").status().IsNotFound());
-}
-
 TEST_F(KvStoreTest, AutomaticFlushWhenMemtableFull) {
   auto store = KvStore::Open(dir_, SmallMemtable());
   ASSERT_TRUE(store.ok());
@@ -114,18 +99,19 @@ TEST_F(KvStoreTest, ScanPrefixMergesLevels) {
   ASSERT_TRUE((*store)->Flush().ok());
   ASSERT_TRUE((*store)->Put("user:2", "b2").ok());  // shadow in memtable
   ASSERT_TRUE((*store)->Put("user:3", "c").ok());
-  ASSERT_TRUE((*store)->Delete("user:1").ok());
   ASSERT_TRUE((*store)->Put("other:9", "zz").ok());
 
   auto scan = (*store)->ScanPrefix("user:");
   ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->size(), 2u);
-  EXPECT_EQ((*scan)[0].first, "user:2");
-  EXPECT_EQ((*scan)[0].second, "b2");
-  EXPECT_EQ((*scan)[1].first, "user:3");
+  ASSERT_EQ(scan->size(), 3u);
+  EXPECT_EQ((*scan)[0].first, "user:1");
+  EXPECT_EQ((*scan)[0].second, "a");
+  EXPECT_EQ((*scan)[1].first, "user:2");
+  EXPECT_EQ((*scan)[1].second, "b2");
+  EXPECT_EQ((*scan)[2].first, "user:3");
 }
 
-TEST_F(KvStoreTest, CompactionMergesAndDropsTombstones) {
+TEST_F(KvStoreTest, CompactionMergesLevels) {
   KvStore::Options opts;
   opts.memtable_max_bytes = 1 << 20;
   auto store = KvStore::Open(dir_, opts);
@@ -137,14 +123,12 @@ TEST_F(KvStoreTest, CompactionMergesAndDropsTombstones) {
                             "round" + std::to_string(round))
                       .ok());
     }
-    ASSERT_TRUE((*store)->Delete("k0").ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
   EXPECT_EQ((*store)->num_sstables(), 4u);
   ASSERT_TRUE((*store)->CompactAll().ok());
   EXPECT_EQ((*store)->num_sstables(), 1u);
-  EXPECT_TRUE((*store)->Get("k0").status().IsNotFound());
-  for (int i = 1; i < 30; ++i) {
+  for (int i = 0; i < 30; ++i) {
     EXPECT_EQ((*store)->Get("k" + std::to_string(i)).value(), "round3");
   }
 }
@@ -156,13 +140,13 @@ TEST_F(KvStoreTest, RecoveryFromWalAfterCrash) {
     ASSERT_TRUE((*store)->Put("persisted", "by-flush").ok());
     ASSERT_TRUE((*store)->Flush().ok());
     ASSERT_TRUE((*store)->Put("wal-only", "survives").ok());
-    ASSERT_TRUE((*store)->Delete("persisted").ok());
+    ASSERT_TRUE((*store)->Put("persisted", "by-wal").ok());
     // Destructor without Flush simulates a crash (WAL has the tail).
   }
   auto reopened = KvStore::Open(dir_);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->Get("wal-only").value(), "survives");
-  EXPECT_TRUE((*reopened)->Get("persisted").status().IsNotFound());
+  EXPECT_EQ((*reopened)->Get("persisted").value(), "by-wal");
 }
 
 TEST_F(KvStoreTest, RecoveryLoadsAllSstables) {
@@ -258,13 +242,10 @@ TEST_P(KvStoreModelTest, MatchesReferenceModel) {
   for (int op = 0; op < 1500; ++op) {
     const std::string key = "k" + std::to_string(rng.Uniform(64));
     const uint64_t action = rng.Uniform(10);
-    if (action < 6) {
+    if (action < 8) {
       const std::string value = "v" + std::to_string(op);
       ASSERT_TRUE((*store)->Put(key, value).ok());
       model[key] = value;
-    } else if (action < 8) {
-      ASSERT_TRUE((*store)->Delete(key).ok());
-      model.erase(key);
     } else if (action == 8) {
       auto got = (*store)->Get(key);
       auto it = model.find(key);
@@ -412,7 +393,12 @@ TEST_F(KvStoreRecoveryTest, LeftoverTmpFilesAreRemoved) {
   EXPECT_EQ((*reopened)->Get("a").value(), "1");
 }
 
-TEST_F(KvStoreRecoveryTest, BadWalOpStopsReplayAndCountsDrops) {
+/// Op 2 is the old delete record: like any op but a put, a format this
+/// store never writes, so replay treats it as damage.
+class KvStoreBadWalOpTest : public KvStoreRecoveryTest,
+                            public ::testing::WithParamInterface<uint8_t> {};
+
+TEST_P(KvStoreBadWalOpTest, StopsReplayAndCountsDrops) {
   const std::string wal_path = JoinPath(dir_, "wal.log");
   {
     WalWriter wal(wal_path);
@@ -426,7 +412,7 @@ TEST_F(KvStoreRecoveryTest, BadWalOpStopsReplayAndCountsDrops) {
       return rec;
     };
     ASSERT_TRUE(wal.Append(record(1, "a", "1")).ok());   // valid put
-    ASSERT_TRUE(wal.Append(record(9, "b", "2")).ok());   // unknown op
+    ASSERT_TRUE(wal.Append(record(GetParam(), "b", "")).ok());  // not a put
     ASSERT_TRUE(wal.Append(record(1, "c", "3")).ok());   // unreachable
     ASSERT_TRUE(wal.Sync().ok());
   }
@@ -445,8 +431,12 @@ TEST_F(KvStoreRecoveryTest, BadWalOpStopsReplayAndCountsDrops) {
   EXPECT_EQ(bytes_dropped.Value() - bytes_before,
             static_cast<int64_t>(rs.wal_bytes_dropped));
   EXPECT_EQ((*store)->Get("a").value(), "1");
+  EXPECT_TRUE((*store)->Get("b").status().IsNotFound());
   EXPECT_TRUE((*store)->Get("c").status().IsNotFound());
 }
+
+INSTANTIATE_TEST_SUITE_P(Ops, KvStoreBadWalOpTest,
+                         ::testing::Values(uint8_t{2}, uint8_t{9}));
 
 TEST_F(KvStoreRecoveryTest, TornWalTailIsTruncatedSoLaterWritesSurvive) {
   KvStore::Options opts;
@@ -483,7 +473,7 @@ TEST_F(KvStoreRecoveryTest, CompactionSurvivesFailedOldTableRemoval) {
   ASSERT_TRUE((*store)->Put("a", "1").ok());
   ASSERT_TRUE((*store)->Put("b", "2").ok());
   ASSERT_TRUE((*store)->Flush().ok());
-  ASSERT_TRUE((*store)->Delete("b").ok());
+  ASSERT_TRUE((*store)->Put("b", "2b").ok());
   ASSERT_TRUE((*store)->Put("c", "3").ok());
   ASSERT_TRUE((*store)->Flush().ok());
   ASSERT_EQ((*store)->num_sstables(), 2u);
@@ -500,10 +490,9 @@ TEST_F(KvStoreRecoveryTest, CompactionSurvivesFailedOldTableRemoval) {
   // The replaced tables stay on disk until a later sweep.
   EXPECT_TRUE(FileExists(JoinPath(dir_, "sst_00000000.sst")));
   EXPECT_TRUE(FileExists(JoinPath(dir_, "sst_00000001.sst")));
-  // Reads already honour the committed table set: the tombstone for
-  // "b" was dropped and the stale tables are not consulted.
+  // Reads already honour the committed table set.
   EXPECT_EQ((*store)->Get("a").value(), "1");
-  EXPECT_TRUE((*store)->Get("b").status().IsNotFound());
+  EXPECT_EQ((*store)->Get("b").value(), "2b");
   EXPECT_EQ((*store)->Get("c").value(), "3");
 
   // A later compaction sweeps the leftovers.
@@ -511,10 +500,10 @@ TEST_F(KvStoreRecoveryTest, CompactionSurvivesFailedOldTableRemoval) {
   EXPECT_FALSE(FileExists(JoinPath(dir_, "sst_00000000.sst")));
   EXPECT_FALSE(FileExists(JoinPath(dir_, "sst_00000001.sst")));
   EXPECT_EQ((*store)->Get("a").value(), "1");
-  EXPECT_TRUE((*store)->Get("b").status().IsNotFound());
+  EXPECT_EQ((*store)->Get("b").value(), "2b");
 }
 
-TEST_F(KvStoreRecoveryTest, StaleTablesAfterCrashDoNotResurrectTombstones) {
+TEST_F(KvStoreRecoveryTest, StaleTablesAfterCrashAreQuarantined) {
   KvStore::Options opts = SmallMemtable();
   {
     auto store = KvStore::Open(dir_, opts);
@@ -522,7 +511,7 @@ TEST_F(KvStoreRecoveryTest, StaleTablesAfterCrashDoNotResurrectTombstones) {
     ASSERT_TRUE((*store)->Put("a", "1").ok());
     ASSERT_TRUE((*store)->Put("b", "2").ok());
     ASSERT_TRUE((*store)->Flush().ok());
-    ASSERT_TRUE((*store)->Delete("b").ok());
+    ASSERT_TRUE((*store)->Put("b", "2b").ok());
     ASSERT_TRUE((*store)->Flush().ok());
     // Compact with removal failing: process "dies" with the stale
     // pre-compaction tables still on disk.
@@ -533,13 +522,13 @@ TEST_F(KvStoreRecoveryTest, StaleTablesAfterCrashDoNotResurrectTombstones) {
     ASSERT_TRUE((*store)->CompactAll().ok());
     Faults().DisarmAll();
   }
-  // Reopen: the stale tables are orphans (not in the manifest); if they
-  // were loaded, the dropped tombstone for "b" would resurrect value 2.
+  // Reopen: the stale tables are orphans (not in the manifest) and are
+  // quarantined, never read alongside the merged table.
   auto reopened = KvStore::Open(dir_, opts);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->recovery_stats().orphans_quarantined, 2u);
   EXPECT_EQ((*reopened)->Get("a").value(), "1");
-  EXPECT_TRUE((*reopened)->Get("b").status().IsNotFound());
+  EXPECT_EQ((*reopened)->Get("b").value(), "2b");
 }
 
 TEST_F(KvStoreRecoveryTest, FailedManifestWriteRollsBackFlush) {

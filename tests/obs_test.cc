@@ -395,20 +395,19 @@ TEST_F(ObsTest, HistoryRingWrapsAndWindowClamps) {
   obs::History h(4);
   obs::Counter& c = SAGA_COUNTER("test.history.ops");
   for (int i = 1; i <= 10; ++i) {
-    c.Add(5);
+    c.Add(i);
     h.CaptureAt(int64_t{i} * 1000, uint64_t{static_cast<uint64_t>(i)} *
                                        1'000'000'000ull);
   }
-  // Only the newest `capacity` snapshots survive the wraparound.
+  // Only the newest `capacity` snapshots (7..10) survive the
+  // wraparound: their 3 intervals added 8, 9 and 10, and a huge window
+  // clamps to the ring.
   EXPECT_EQ(h.size(), 4u);
-  EXPECT_EQ(h.At(0).unix_ms, 7000);
-  EXPECT_EQ(h.At(3).unix_ms, 10000);
-  // 3 retained intervals of +5 each; a huge window clamps to the ring.
-  EXPECT_EQ(h.DeltaOver("test.history.ops", 3), 15);
-  EXPECT_EQ(h.DeltaOver("test.history.ops", 100), 15);
-  EXPECT_DOUBLE_EQ(h.RatePerSec("test.history.ops", 3), 5.0);
+  EXPECT_EQ(h.DeltaOver("test.history.ops", 3), 27);
+  EXPECT_EQ(h.DeltaOver("test.history.ops", 100), 27);
+  EXPECT_DOUBLE_EQ(h.RatePerSec("test.history.ops", 3), 9.0);
   // One interval: just the newest pair.
-  EXPECT_EQ(h.DeltaOver("test.history.ops", 1), 5);
+  EXPECT_EQ(h.DeltaOver("test.history.ops", 1), 10);
 }
 
 TEST_F(ObsTest, HistoryRateSurvivesCounterReset) {

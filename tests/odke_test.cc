@@ -210,7 +210,8 @@ TEST(ExtractorTest, InfoboxExtractsIsoDate) {
     if (ambiguous.count(w.subject.value())) continue;
     FactGap gap{w.subject, w.predicate, GapReason::kProfiling,
                 kg::kInvalidTripleIdx};
-    for (const auto& doc : f.corpus.docs()) {
+    for (websim::DocId id = 0; id < f.corpus.size(); ++id) {
+      const websim::WebDocument& doc = f.corpus.doc(id);
       const auto facts = extractor.Extract(doc, gap, nullptr);
       for (const auto& fact : facts) {
         ++extracted;
@@ -234,7 +235,8 @@ TEST(ExtractorTest, TextPatternExtractsLongDate) {
     if (w.predicate != f.gen.schema.date_of_birth) continue;
     FactGap gap{w.subject, w.predicate, GapReason::kProfiling,
                 kg::kInvalidTripleIdx};
-    for (const auto& doc : f.corpus.docs()) {
+    for (websim::DocId id = 0; id < f.corpus.size(); ++id) {
+      const websim::WebDocument& doc = f.corpus.doc(id);
       for (const auto& fact : extractor.Extract(doc, gap, nullptr)) {
         ++extracted;
         EXPECT_EQ(fact.extractor, ExtractorKind::kTextPattern);
@@ -256,7 +258,8 @@ TEST(ExtractorTest, TextPatternExtractsHeights) {
     if (w.predicate != f.gen.schema.height_cm) continue;
     FactGap gap{w.subject, w.predicate, GapReason::kProfiling,
                 kg::kInvalidTripleIdx};
-    for (const auto& doc : f.corpus.docs()) {
+    for (websim::DocId id = 0; id < f.corpus.size(); ++id) {
+      const websim::WebDocument& doc = f.corpus.doc(id);
       for (const auto& fact : extractor.Extract(doc, gap, nullptr)) {
         EXPECT_EQ(fact.value.kind(), kg::Value::Kind::kInt);
         EXPECT_GT(fact.value.int_value(), 100);
@@ -371,7 +374,7 @@ TEST(CorroboratorTest, TrainingImprovesSeparation) {
   }
   CorroborationModel model;
   model.Train(examples);
-  EXPECT_TRUE(model.trained());
+  EXPECT_NE(model.weights(), CorroborationModel().weights());  // trained
   int correct = 0;
   for (const auto& [ftr, label] : examples) {
     if ((model.Predict(ftr) >= 0.5) == label) ++correct;

@@ -30,29 +30,6 @@ TEST(SourceRecordTest, NormalizePhoneFormats) {
   EXPECT_EQ(NormalizePhone("no digits"), "");
 }
 
-TEST(SourceRecordTest, SerializationRoundTrip) {
-  SourceRecord rec;
-  rec.source = SourceKind::kMessages;
-  rec.native_id = "messages:7";
-  rec.name = "Tim";
-  rec.phone = "+1 555 123 4567";
-  rec.email = "t@example.com";
-  rec.interactions = {"About the SIGMOD draft", "see you"};
-  rec.timestamp = 42;
-
-  std::string buf;
-  BinaryWriter w(&buf);
-  rec.Serialize(&w);
-  BinaryReader r(buf);
-  SourceRecord restored;
-  ASSERT_TRUE(SourceRecord::Deserialize(&r, &restored).ok());
-  EXPECT_EQ(restored.source, SourceKind::kMessages);
-  EXPECT_EQ(restored.native_id, rec.native_id);
-  EXPECT_EQ(restored.name, rec.name);
-  EXPECT_EQ(restored.interactions, rec.interactions);
-  EXPECT_EQ(restored.timestamp, 42);
-}
-
 // ---------- Data generator ----------
 
 TEST(DeviceDataTest, RecordsHaveTruthLabels) {

@@ -17,7 +17,6 @@
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/request_context.h"
-#include "common/retry.h"
 #include "common/threadpool.h"
 #include "embedding/trainer.h"
 #include "graph_engine/ppr.h"
@@ -70,7 +69,20 @@ struct Fixture {
 
 class OverloadTest : public ::testing::Test {
  protected:
+  void SetUp() override { degraded_builds_at_start_ = DegradedBuilds(); }
   void TearDown() override { Faults().DisarmAll(); }
+
+  /// Index builds that fell back to exact search, process-wide.
+  static int64_t DegradedBuilds() {
+    return SAGA_COUNTER("serving.embedding.degraded_builds").Value();
+  }
+  /// True while no index build in this test fell back to exact search.
+  bool NoDegradedBuild() const {
+    return DegradedBuilds() == degraded_builds_at_start_;
+  }
+
+ private:
+  int64_t degraded_builds_at_start_ = 0;
 };
 
 // ---------- Deadline / RequestContext ----------
@@ -228,30 +240,6 @@ TEST_F(OverloadTest, BreakerFailureClassification) {
   EXPECT_FALSE(CircuitBreaker::IsFailure(Status::InvalidArgument("x")));
 }
 
-TEST_F(OverloadTest, RetryRespectsOpenBreaker) {
-  FakeClock clock;
-  CircuitBreaker::Options bopts;
-  bopts.failure_threshold = 1;
-  bopts.now_ns = clock.Fn();
-  CircuitBreaker breaker("serving.breaker.retry", bopts);
-  breaker.RecordFailure();  // trip it
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-
-  RetryPolicy retry([](double) {});
-  int calls = 0;
-  const Status s = retry.Run(
-      "unit.op",
-      [&] {
-        ++calls;
-        return Status::OK();
-      },
-      &breaker);
-  // Unavailable-from-breaker is terminal: no attempts reach the op and
-  // the retry loop does not spin against a tripped breaker.
-  EXPECT_TRUE(s.IsUnavailable());
-  EXPECT_EQ(calls, 0);
-}
-
 // ---------- ThreadPool bounded queue ----------
 
 TEST_F(OverloadTest, BoundedQueueShedsWhenFull) {
@@ -296,7 +284,7 @@ TEST_F(OverloadTest, AdmissionShedsLowPriorityFirst) {
   // tier has slots free.
   auto low2 = admission.TryAdmit(low);
   EXPECT_FALSE(low2.ok());
-  EXPECT_TRUE(low2.status().IsResourceExhausted());
+  EXPECT_EQ(admission.stats().shed_low, 1u);
 
   // High-priority traffic still gets the remaining capacity.
   std::vector<serving::AdmissionController::Ticket> tickets;
@@ -308,7 +296,6 @@ TEST_F(OverloadTest, AdmissionShedsLowPriorityFirst) {
   // Tier full now: even high priority sheds.
   auto overflow = admission.TryAdmit(high);
   EXPECT_FALSE(overflow.ok());
-  EXPECT_TRUE(overflow.status().IsResourceExhausted());
 
   EXPECT_EQ(admission.stats().in_flight, 4);
   EXPECT_EQ(admission.stats().shed_low, 1u);
@@ -325,8 +312,8 @@ TEST_F(OverloadTest, AdmissionRejectsExpiredRequests) {
   RequestContext expired = RequestContext::WithTimeoutMillis(-1.0);
   auto t = admission.TryAdmit(expired);
   EXPECT_FALSE(t.ok());
-  EXPECT_TRUE(t.status().IsDeadlineExceeded());
   EXPECT_EQ(admission.stats().rejected_expired, 1u);
+  EXPECT_EQ(admission.stats().shed_high, 0u);
   EXPECT_EQ(admission.stats().in_flight, 0);
 }
 
@@ -345,7 +332,7 @@ TEST_F(OverloadTest, AnnBreakerFallsBackToExactAndRecovers) {
   serving::EmbeddingService service(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
-  ASSERT_FALSE(service.degraded());
+  ASSERT_TRUE(NoDegradedBuild());
   ASSERT_NE(service.ann_breaker(), nullptr);
 
   const kg::EntityId probe = f.view.global_entity(0);
@@ -399,7 +386,7 @@ TEST_F(OverloadTest, HedgedReadMasksSlowPrimary) {
   serving::EmbeddingService service(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
-  ASSERT_FALSE(service.degraded());
+  ASSERT_TRUE(NoDegradedBuild());
   EXPECT_EQ(service.HedgeDelayMs(), 2.0);
 
   const kg::EntityId probe = f.view.global_entity(0);
@@ -453,7 +440,7 @@ TEST_F(OverloadTest, HedgedPrimaryRecordsItsOwnOutcome) {
     serving::EmbeddingService service(
         embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
         opts);
-    ASSERT_FALSE(service.degraded());
+    ASSERT_TRUE(NoDegradedBuild());
     const CircuitBreaker& breaker = *service.ann_breaker();
     obs::Counter& skipped = SAGA_COUNTER("serving.hedge.primary_skipped");
     Faults().InjectDelay("ann.search", 20.0);
@@ -486,7 +473,7 @@ TEST_F(OverloadTest, HedgedPrimaryRecordsItsOwnOutcome) {
     serving::EmbeddingService service(
         embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
         opts);
-    ASSERT_FALSE(service.degraded());
+    ASSERT_TRUE(NoDegradedBuild());
     Faults().InjectDelay("ann.search", 10.0);
     const int64_t bypassed_before = bypassed.Value();
     for (int i = 0; i < 6; ++i) {
@@ -515,11 +502,10 @@ TEST_F(OverloadTest, ShedHalfOpenProbeDoesNotWedgeTheBreaker) {
   opts.breaker.now_ns = clock.Fn();
   opts.hedge.enabled = true;
   opts.hedge.fixed_hedge_ms = 2.0;
-  opts.hedge.threads = 1;
   serving::EmbeddingService service(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
-  ASSERT_FALSE(service.degraded());
+  ASSERT_TRUE(NoDegradedBuild());
   const CircuitBreaker& breaker = *service.ann_breaker();
   const kg::EntityId probe = f.view.global_entity(0);
   const RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
@@ -528,16 +514,17 @@ TEST_F(OverloadTest, ShedHalfOpenProbeDoesNotWedgeTheBreaker) {
         service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
   };
 
-  // One primary stalls the only worker; the next ones fill the queue,
-  // and sheds then open the breaker.
+  // The first primaries stall every worker; the next ones fill the
+  // queue, and sheds then open the breaker.
   Faults().InjectDelay("ann.search", 1000.0);
-  for (int i = 0; i < 20 && breaker.state() != CircuitBreaker::State::kOpen;
+  for (int i = 0; i < 30 && breaker.state() != CircuitBreaker::State::kOpen;
        ++i) {
     search();
   }
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   ASSERT_EQ(service.HedgeQueueDepth(),
-            serving::EmbeddingService::kHedgeQueuePerThread);
+            serving::EmbeddingService::kHedgeThreads *
+                serving::EmbeddingService::kHedgeQueuePerThread);
 
   // Cool-down over: the half-open probe finds the queue still full.
   const int64_t shed_before = SAGA_COUNTER("serving.hedge.shed").Value();
@@ -582,11 +569,10 @@ TEST_F(OverloadTest, SkippedPrimariesLeaveTheBreakerClosed) {
   opts.breaker.failure_threshold = 2;
   opts.hedge.enabled = true;
   opts.hedge.fixed_hedge_ms = 1.0;
-  opts.hedge.threads = 1;
   serving::EmbeddingService service(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
-  ASSERT_FALSE(service.degraded());
+  ASSERT_TRUE(NoDegradedBuild());
   const CircuitBreaker& breaker = *service.ann_breaker();
   const kg::EntityId probe = f.view.global_entity(0);
   const RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
@@ -595,11 +581,15 @@ TEST_F(OverloadTest, SkippedPrimariesLeaveTheBreakerClosed) {
   const int64_t skipped_before = skipped.Value();
   const int64_t bypassed_before = bypassed.Value();
 
-  // The first primary holds the only worker for 200 ms; the next three
-  // queue behind it while their backups answer after 1 ms.
+  // The first primaries hold every worker for 200 ms; the next three
+  // queue behind them while their backups answer after 1 ms.
   Faults().InjectDelay("ann.search", 200.0);
-  ASSERT_TRUE(service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
-  ASSERT_TRUE(EventuallyTrue([&] { return service.HedgeQueueDepth() == 0; }));
+  for (int i = 0; i < serving::EmbeddingService::kHedgeThreads; ++i) {
+    ASSERT_TRUE(
+        service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
+    ASSERT_TRUE(
+        EventuallyTrue([&] { return service.HedgeQueueDepth() == 0; }));
+  }
   constexpr int kQueued = 3;
   for (int i = 0; i < kQueued; ++i) {
     ASSERT_TRUE(
@@ -626,12 +616,12 @@ TEST_F(OverloadTest, HedgePoolQueueStaysBoundedUnderSlowPrimaries) {
   opts.ivf_lists = 8;
   opts.hedge.enabled = true;
   opts.hedge.fixed_hedge_ms = 1.0;
-  opts.hedge.threads = 1;
   auto service = std::make_unique<serving::EmbeddingService>(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
-  ASSERT_FALSE(service->degraded());
-  const size_t limit = serving::EmbeddingService::kHedgeQueuePerThread;
+  ASSERT_TRUE(NoDegradedBuild());
+  const size_t limit = serving::EmbeddingService::kHedgeThreads *
+                      serving::EmbeddingService::kHedgeQueuePerThread;
 
   auto& reg = obs::Registry::Global();
   const int64_t shed_before = reg.counter("serving.hedge.shed").Value();
@@ -750,13 +740,12 @@ TEST_F(OverloadTest, ConcurrentHedgedSearchesAreThreadSafe) {
   opts.ivf_lists = 8;
   opts.hedge.enabled = true;
   opts.hedge.fixed_hedge_ms = 0.5;
-  opts.hedge.threads = 4;
   opts.enable_breaker = true;
   opts.breaker.failure_threshold = 1000;  // never trips in this test
   serving::EmbeddingService service(
       embedding::EmbeddingStore::FromTrained(f.emb, f.view), &f.gen.kg,
       opts);
-  ASSERT_FALSE(service.degraded());
+  ASSERT_TRUE(NoDegradedBuild());
 
   std::atomic<int> ok_count{0};
   std::vector<std::thread> threads;

@@ -17,7 +17,6 @@
 #include "graph_engine/view.h"
 #include "kg/kg_generator.h"
 #include "odke/query_log.h"
-#include "ondevice/enrichment.h"
 #include "serving/embedding_service.h"
 #include "storage/kv_store.h"
 #include "storage/wal.h"
@@ -292,56 +291,6 @@ TEST(TrendingGapsTest, AnsweredQueriesAreNotGaps) {
   EXPECT_TRUE(gaps.empty());
 }
 
-// ---------- Static asset incremental maintenance ----------
-
-TEST(AssetMaintenanceTest, DeltaFoldsNewMemberFacts) {
-  kg::KgGeneratorConfig config;
-  config.num_persons = 150;
-  kg::GeneratedKg gen = kg::GenerateKg(config);
-  ondevice::StaticKnowledgeAsset::Options opts;
-  opts.top_k_entities = 30;
-  auto asset = ondevice::StaticKnowledgeAsset::Build(gen.kg, opts);
-  const uint64_t v1 = asset.version();
-
-  // A member entity below the per-entity cap gains a fact.
-  kg::EntityId member;
-  for (const auto& rec : gen.kg.catalog().records()) {
-    if (asset.Contains(rec.id) &&
-        gen.kg.triples().BySubject(rec.id).size() <
-            ondevice::StaticKnowledgeAsset::kMaxFactsPerEntity) {
-      member = rec.id;
-      break;
-    }
-  }
-  ASSERT_TRUE(member.valid());
-  const size_t facts_before = asset.num_facts();
-  const kg::SourceId src = gen.kg.AddSource("delta", 1.0);
-  std::vector<kg::TripleIdx> delta;
-  delta.push_back(gen.kg.AddFact(member, gen.schema.spouse,
-                                 kg::Value::Entity(kg::EntityId(0)), src));
-  asset.ApplyDelta(gen.kg, delta);
-  EXPECT_EQ(asset.num_facts(), facts_before + 1);
-  EXPECT_GT(asset.version(), v1);
-
-  // Non-member facts don't change the asset.
-  kg::EntityId outsider;
-  for (const auto& rec : gen.kg.catalog().records()) {
-    if (!asset.Contains(rec.id)) {
-      outsider = rec.id;
-      break;
-    }
-  }
-  ASSERT_TRUE(outsider.valid());
-  const uint64_t v2 = asset.version();
-  std::vector<kg::TripleIdx> outsider_delta;
-  outsider_delta.push_back(
-      gen.kg.AddFact(outsider, gen.schema.spouse,
-                     kg::Value::Entity(kg::EntityId(0)), src));
-  asset.ApplyDelta(gen.kg, outsider_delta);
-  EXPECT_EQ(asset.version(), v2);
-  EXPECT_FALSE(asset.Contains(outsider));
-}
-
 // ---------- Aho-Corasick vs naive multi-pattern search ----------
 
 TEST(AhoCorasickPropertyTest, MatchesNaiveSearchOnRandomInputs) {
@@ -383,7 +332,7 @@ TEST(AhoCorasickPropertyTest, MatchesNaiveSearchOnRandomInputs) {
     }
     std::multiset<std::pair<size_t, std::string>> actual;
     for (const auto& m : ac.FindAll(haystack)) {
-      actual.insert({m.begin, ac.pattern(m.pattern)});
+      actual.insert({m.begin, patterns.at(m.pattern)});
     }
     EXPECT_EQ(actual, expected) << "trial " << trial;
   }

@@ -7,6 +7,7 @@
 
 #include "common/file_util.h"
 #include "common/rng.h"
+#include "common/serialization.h"
 #include "storage/bloom.h"
 #include "storage/memtable.h"
 #include "storage/sstable.h"
@@ -274,37 +275,29 @@ TEST_F(WalTest, SequencedReadStopsAtUndecodablePayload) {
 
 // ---------- MemTable ----------
 
-TEST(MemTableTest, PutGetDelete) {
+TEST(MemTableTest, PutGetOverwrite) {
   MemTable mt;
   EXPECT_FALSE(mt.Get("a").has_value());
   mt.Put("a", "1");
   ASSERT_TRUE(mt.Get("a").has_value());
-  EXPECT_EQ(mt.Get("a")->value, "1");
-  EXPECT_FALSE(mt.Get("a")->is_tombstone);
+  EXPECT_EQ(*mt.Get("a"), "1");
 
   mt.Put("a", "2");  // overwrite
-  EXPECT_EQ(mt.Get("a")->value, "2");
-  EXPECT_EQ(mt.size(), 1u);
-
-  mt.Delete("a");
-  ASSERT_TRUE(mt.Get("a").has_value());
-  EXPECT_TRUE(mt.Get("a")->is_tombstone);
-
-  mt.Delete("never-existed");
-  EXPECT_TRUE(mt.Get("never-existed")->is_tombstone);
+  EXPECT_EQ(*mt.Get("a"), "2");
+  EXPECT_EQ(mt.entries().size(), 1u);
+  EXPECT_FALSE(mt.Get("never-existed").has_value());
 }
 
 TEST(MemTableTest, ApproximateBytesTracksGrowth) {
   MemTable mt;
+  EXPECT_TRUE(mt.empty());
   EXPECT_EQ(mt.ApproximateBytes(), 0u);
   mt.Put("key", std::string(100, 'v'));
   const size_t after_put = mt.ApproximateBytes();
   EXPECT_GT(after_put, 100u);
+  EXPECT_FALSE(mt.empty());
   mt.Put("key", "small");
   EXPECT_LT(mt.ApproximateBytes(), after_put);
-  mt.Clear();
-  EXPECT_EQ(mt.ApproximateBytes(), 0u);
-  EXPECT_TRUE(mt.empty());
 }
 
 TEST(MemTableTest, EntriesAreSorted) {
@@ -380,18 +373,47 @@ TEST_F(SSTableTest, RejectsOutOfOrderKeys) {
   EXPECT_TRUE(builder.Add("b", "3").IsInvalidArgument());  // equal key
 }
 
-TEST_F(SSTableTest, TombstonesSurvive) {
+/// Overwrites the little-endian fixed32 at `pos`.
+void SetFixed32(std::string* bytes, size_t pos, uint32_t v) {
+  std::string enc;
+  BinaryWriter(&enc).PutFixed32(v);
+  bytes->replace(pos, enc.size(), enc);
+}
+
+/// An entry type other than a value (the old tombstone type 1) is a
+/// format this repo never writes: with every CRC intact, reading it is
+/// Corruption, not a miss.
+TEST_F(SSTableTest, UnknownEntryTypeIsCorruption) {
   SSTableBuilder builder;
-  ASSERT_TRUE(builder.Add("alive", "v").ok());
-  ASSERT_TRUE(builder.Add("dead", "", /*is_tombstone=*/true).ok());
+  ASSERT_TRUE(builder.Add("dead", "").ok());
   const std::string path = JoinPath(dir_, "t2.sst");
-  ASSERT_TRUE(builder.Finish(path, 2).ok());
+  ASSERT_TRUE(builder.Finish(path, 1).ok());
+  auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  std::string bytes = *content;
+  bytes[0] = 1;  // the one entry's type byte
+  // Re-seal: the single block's CRC, then the footer CRC.
+  const size_t footer = bytes.size() - (8 * 7 + 4 + 4);
+  BinaryReader r(std::string_view(bytes).substr(footer));
+  uint64_t field[5] = {};
+  for (uint64_t& f : field) ASSERT_TRUE(r.GetFixed64(&f).ok());
+  const uint64_t index_off = field[0];
+  const uint64_t blockcrc_off = field[4];
+  SetFixed32(&bytes, blockcrc_off + 1,
+             Crc32(std::string_view(bytes.data(), index_off)));
+  SetFixed32(&bytes, bytes.size() - 8,
+             Crc32(std::string_view(bytes.data(), bytes.size() - 8)));
+  ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+
   auto reader = SSTableReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  auto dead = Lookup(**reader, "dead");
-  ASSERT_TRUE(dead.has_value());
-  EXPECT_TRUE(dead->is_tombstone);
-  EXPECT_FALSE(Lookup(**reader, "alive")->is_tombstone);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_TRUE((*reader)->VerifyChecksums().ok());
+  auto got = (*reader)->GetChecked("dead");
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status();
+  auto all = (*reader)->ScanAllChecked();
+  ASSERT_FALSE(all.ok());
+  EXPECT_TRUE(all.status().IsCorruption()) << all.status();
 }
 
 TEST_F(SSTableTest, ScanPrefix) {

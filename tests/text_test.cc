@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -269,11 +270,13 @@ TEST(AhoCorasickTest, FindsAllOccurrences) {
   auto matches = ac.FindAll("ushers");
   // "ushers" contains "she"@1, "he"@2, "hers"@2.
   ASSERT_EQ(matches.size(), 3u);
+  const std::map<uint32_t, std::string> text_of = {
+      {he, "he"}, {she, "she"}, {hers, "hers"}};
   std::set<uint32_t> found;
   for (const auto& m : matches) {
     found.insert(m.pattern);
     EXPECT_EQ(std::string("ushers").substr(m.begin, m.end - m.begin),
-              ac.pattern(m.pattern));
+              text_of.at(m.pattern));
   }
   EXPECT_TRUE(found.count(he));
   EXPECT_TRUE(found.count(she));
@@ -323,18 +326,23 @@ TEST(AhoCorasickTest, ManyPatternsScanOnce) {
   // entity4; entity5 contains no sub-pattern of this set... check
   // expected superset semantics: at least the three exact names.
   std::set<std::string> surfaces;
-  for (const auto& m : matches) surfaces.insert(ac.pattern(m.pattern));
+  for (const auto& m : matches) surfaces.insert(names.at(m.pattern));
   EXPECT_TRUE(surfaces.count("entity42"));
   EXPECT_TRUE(surfaces.count("entity499"));
   EXPECT_TRUE(surfaces.count("entity5"));
 }
 
-TEST(AhoCorasickTest, PatternIndexRoundTrip) {
+TEST(AhoCorasickTest, MatchesReportTheAddedPatternIndex) {
   AhoCorasick ac;
   const uint32_t a = ac.AddPattern("alpha");
   const uint32_t b = ac.AddPattern("beta");
-  EXPECT_EQ(ac.pattern(a), "alpha");
-  EXPECT_EQ(ac.pattern(b), "beta");
+  ac.Build();
+  const auto matches = ac.FindAll("beta alpha");
+  ASSERT_EQ(matches.size(), 2u);
+  EXPECT_EQ(matches[0].pattern, b);
+  EXPECT_EQ(matches[0].begin, 0u);
+  EXPECT_EQ(matches[1].pattern, a);
+  EXPECT_EQ(matches[1].begin, 5u);
 }
 
 }  // namespace

@@ -439,15 +439,6 @@ TEST_F(TraceTest, ExemplarWithoutTraceStillRecordsLatency) {
 
 // ---------- RequestContext integration ----------
 
-TEST_F(TraceTest, RequestContextCapturesAmbientTrace) {
-  obs::ScopedSpan span("test.reqctx.request");
-  const obs::TraceContext ambient = obs::CurrentTraceContext();
-  RequestContext ctx;
-  EXPECT_EQ(ctx.trace().trace_id_hi, ambient.trace_id_hi);
-  EXPECT_EQ(ctx.trace().trace_id_lo, ambient.trace_id_lo);
-  EXPECT_EQ(ctx.trace().span_id, ambient.span_id);
-}
-
 TEST_F(TraceTest, ExpiredDeadlineMarksSpanAndSamplerRetains) {
   obs::TraceSampler::Options opts;
   opts.min_samples_for_slow = 1u << 30;

@@ -81,9 +81,7 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
   BuildVersionDir("v1", 100, "old");
   BuildVersionDir("v2", 100, "new");
 
-  VersionManager::Options o;
-  o.probation_requests = 5;
-  VersionManager mgr(o);
+  VersionManager mgr;
   std::shared_ptr<ServingVersion> v1 = Load("v1");
   const std::weak_ptr<ServingVersion> old = v1;
   ASSERT_TRUE(mgr.Activate(std::move(v1)).ok());
@@ -102,7 +100,11 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, "new3");
 
-  for (int i = 0; i < 5; ++i) mgr.RecordRequestOutcome(true);
+  for (uint64_t i = 1; i < VersionManager::kProbationRequests; ++i) {
+    mgr.RecordRequestOutcome(true);
+  }
+  EXPECT_TRUE(mgr.InProbation());
+  mgr.RecordRequestOutcome(true);
   EXPECT_FALSE(mgr.InProbation());
   EXPECT_TRUE(old.expired());  // old version released at commit
   auto s = mgr.stats();
@@ -182,9 +184,7 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
   BuildVersionDir("v1", 50, "old");
   BuildVersionDir("v2", 50, "new");
 
-  VersionManager::Options o;
-  o.probation_requests = 100;
-  VersionManager mgr(o);
+  VersionManager mgr;
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   std::shared_ptr<ServingVersion> v2 = Load("v2");
   const std::weak_ptr<ServingVersion> candidate = v2;
@@ -211,14 +211,14 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
 TEST_F(VersionSwapTest, CleanProbationKeepsNewVersion) {
   BuildVersionDir("v1", 50, "old");
   BuildVersionDir("v2", 50, "new");
-  VersionManager::Options o;
-  o.probation_requests = 20;
-  VersionManager mgr(o);
+  VersionManager mgr;
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   ASSERT_TRUE(mgr.SwapTo(Load("v2")).ok());
   // A few scattered errors below the threshold must not trigger
   // rollback.
-  for (int i = 0; i < 20; ++i) mgr.RecordRequestOutcome(i % 10 != 0);
+  for (uint64_t i = 0; i < VersionManager::kProbationRequests; ++i) {
+    mgr.RecordRequestOutcome(i % 10 != 0);
+  }
   EXPECT_FALSE(mgr.InProbation());
   EXPECT_EQ(mgr.current_id(), "v2");
   EXPECT_EQ(mgr.stats().rollbacks, 0u);
@@ -228,9 +228,7 @@ TEST_F(VersionSwapTest, CleanProbationKeepsNewVersion) {
 TEST_F(VersionSwapTest, RcuReadersFinishOnTheVersionTheyStarted) {
   BuildVersionDir("v1", 20, "old");
   BuildVersionDir("v2", 20, "new");
-  VersionManager::Options o;
-  o.probation_requests = 0;
-  VersionManager mgr(o);
+  VersionManager mgr;
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
 
   // An in-flight request pinned the old version...

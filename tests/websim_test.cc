@@ -79,7 +79,8 @@ TEST(CorpusTest, GoldMentionSpansMatchText) {
   kg::GeneratedKg gen = MakeKg();
   WebCorpus corpus = GenerateCorpus(gen, SmallCorpusConfig());
   size_t mentions_checked = 0;
-  for (const WebDocument& doc : corpus.docs()) {
+  for (DocId id = 0; id < corpus.size(); ++id) {
+    const WebDocument& doc = corpus.doc(id);
     for (const GoldMention& m : doc.gold_mentions) {
       ASSERT_LE(m.end, doc.body.size());
       const std::string surface = doc.body.substr(m.begin, m.end - m.begin);
@@ -108,7 +109,8 @@ TEST(CorpusTest, EvidenceExistsForWithheldFacts) {
     const std::string iso = fact.object.date_value().ToString();
     const std::string longform = RenderDateLong(fact.object.date_value());
     bool found = false;
-    for (const WebDocument& doc : corpus.docs()) {
+    for (DocId id = 0; id < corpus.size(); ++id) {
+      const WebDocument& doc = corpus.doc(id);
       if (doc.body.find(longform) != std::string::npos) {
         found = true;
         break;
@@ -135,7 +137,8 @@ TEST(CorpusTest, QualityVariesAcrossDomains) {
   std::set<std::string> domains;
   double min_q = 1.0;
   double max_q = 0.0;
-  for (const WebDocument& doc : corpus.docs()) {
+  for (DocId id = 0; id < corpus.size(); ++id) {
+    const WebDocument& doc = corpus.doc(id);
     domains.insert(doc.domain);
     min_q = std::min(min_q, doc.quality);
     max_q = std::max(max_q, doc.quality);
@@ -149,7 +152,8 @@ TEST(CorpusTest, NoisePagesHaveNoGoldMentions) {
   kg::GeneratedKg gen = MakeKg();
   WebCorpus corpus = GenerateCorpus(gen, SmallCorpusConfig());
   size_t noise_docs = 0;
-  for (const WebDocument& doc : corpus.docs()) {
+  for (DocId id = 0; id < corpus.size(); ++id) {
+    const WebDocument& doc = corpus.doc(id);
     if (doc.url.find("/misc/") != std::string::npos) {
       EXPECT_TRUE(doc.gold_mentions.empty());
       ++noise_docs;
@@ -237,18 +241,6 @@ TEST(SearchTest, UnknownTermsReturnNothing) {
   SearchEngine engine(&corpus);
   EXPECT_TRUE(engine.Search("xyzzyplugh", 5).empty());
   EXPECT_TRUE(engine.Search("", 5).empty());
-}
-
-TEST(SearchTest, RefreshPicksUpMutations) {
-  kg::GeneratedKg gen = MakeKg();
-  WebCorpus corpus = GenerateCorpus(gen, SmallCorpusConfig());
-  SearchEngine engine(&corpus);
-  EXPECT_TRUE(engine.Search("freshlyaddedterm", 5).empty());
-  corpus.mutable_doc(0)->body += " freshlyaddedterm appears here. ";
-  engine.Refresh({0});
-  const auto hits = engine.Search("freshlyaddedterm", 5);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].doc, 0u);
 }
 
 }  // namespace
