@@ -187,12 +187,10 @@ void BenchSync(const DeviceDataset& data) {
       {"calendar isolated",
        devices[1].RecordsOfSource(SourceKind::kCalendar).empty() ? "yes"
                                                                  : "NO"});
-  auto dir = MakeTempDir("bench_offload");
-  const OffloadStats off = OffloadFusion(&devices, *dir);
+  const OffloadStats off = OffloadFusion(&devices);
   table.AddRow({"offload compute device", off.compute_device});
   table.AddRow({"offload bytes shipped", FormatBytes(off.bytes_shipped)});
   table.Print();
-  (void)RemoveDirRecursively(*dir);
 }
 
 void BenchPrivateRetrieval() {

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "common/file_util.h"
 #include "ondevice/device_data_generator.h"
 #include "ondevice/incremental_pipeline.h"
 #include "ondevice/matcher.h"
@@ -104,15 +103,11 @@ int main() {
                   : "no");
 
   // Offload fusion to the laptop; the watch adopts the result.
-  auto dir = MakeTempDir("saga_example_offload");
-  if (dir.ok()) {
-    const OffloadStats off = OffloadFusion(&devices, *dir);
-    std::printf(
-        "Offload: %s computed fusion, shipped %zu persons (%llu bytes) "
-        "to weaker devices\n",
-        off.compute_device.c_str(), off.persons_shipped,
-        static_cast<unsigned long long>(off.bytes_shipped));
-    (void)RemoveDirRecursively(*dir);
-  }
+  const OffloadStats off = OffloadFusion(&devices);
+  std::printf(
+      "Offload: %s computed fusion, shipped %zu persons (%llu bytes) "
+      "to weaker devices\n",
+      off.compute_device.c_str(), off.persons_shipped,
+      static_cast<unsigned long long>(off.bytes_shipped));
   return 0;
 }

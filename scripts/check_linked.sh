@@ -11,11 +11,13 @@
 # time. Line tables (-g1) tell which file defines each function. A
 # function named by a mangled symbol in servebench/wrap.cc counts as
 # linked: servebench's release build wraps it with --wrap, which keeps
-# it, though --gc-sections here may drop it. The linker alone decides:
-# each saga:: function the src/ libraries define and no binary keeps,
-# except the allowlist below, is public API only tests call. Delete it
-# or give it a production caller. A template nobody instantiates is
-# never emitted, so templates are out of reach of this check.
+# it, though --gc-sections here may drop it. The linker alone decides,
+# symbol by mangled symbol, so each constructor and each overload is
+# checked on its own: each saga:: function the src/ libraries define
+# and no binary keeps, except the allowlist below, is public API only
+# tests call. Delete it or give it a production caller. A template
+# nobody instantiates is never emitted, so templates are out of reach
+# of this check.
 #
 # Usage: scripts/check_linked.sh [repo-root]
 set -u -o pipefail
@@ -41,6 +43,7 @@ saga::replication::Replica::Restart            harness: chaos loops restart a cr
 saga::replication::ReplicaGroup::Restart       harness: chaos loops restart a crashed replica
 saga::replication::ReplicaGroup::PartitionSides harness: chaos loops split the group
 saga::replication::Replica::log                probe: replication_test: the leader's commit covers its log; a restarted replica's log comes back from its WAL
+saga::serving::AdmissionController::Ticket::Ticket value: the move constructor of a move-only RAII handle whose move assignment is linked
 saga::serving::EmbeddingService::index         probe: serving_test, version_swap_test: the index reads the store's rows in place
 saga::ann::VectorIndex::rows                   probe: serving_test, version_swap_test: the index reads the store's rows in place
 saga::kg::Value::Hash                          value: hash of a kg::Value, with operator==
@@ -50,6 +53,7 @@ saga::kg::Value::double_value                  value: accessor of the kDouble ki
 saga::kg::Value::is_literal                    value: kind predicate over the kinds the .kg format stores
 saga::kg::Value::is_numeric                    value: kind predicate over the kinds the .kg format stores
 saga::Status::IsAlreadyExists                  value: Status predicate for one StatusCode
+saga::Status::IsNotFound                       value: Status predicate for one StatusCode
 saga::Status::IsInvalidArgument                value: Status predicate for one StatusCode
 saga::Status::IsIOError                        value: Status predicate for one StatusCode
 saga::Status::IsUnavailable                    value: Status predicate for one StatusCode
@@ -77,23 +81,24 @@ log="$build/check_linked.log"
   cmake --build "$build/servebench" -j "$jobs" --target servebench; } \
   >"$log" 2>&1 || { tail -40 "$log"; exit 2; }
 
-# "<defining file without extension> <function>" for each saga:: function
-# a src/ library emits, out of line or inline. Constructors are left out:
-# they belong to their type, which is used when any of its members is.
+# "<defining file without extension> <mangled symbol> <function>
+# <file:line>" for each saga:: function, constructors included, a src/
+# library emits, out of line or inline.
 defined() {
   nm -l --defined-only "$build"/src/*/libsaga_*.a 2>/dev/null |
     awk -F '\t' -v root="$root/" '
       NF == 2 && $1 ~ / [TW] / {
-        n = split($1, f, " "); loc = $2
-        sub(/:[0-9]+$/, "", loc)
-        if (index(loc, root) == 1) loc = substr(loc, length(root) + 1)
-        if (loc !~ /^src\//) next
-        sub(/\.(h|cc|cpp)$/, "", loc)
-        print loc, f[n]
-      }' | c++filt -p |
-    awk '$2 ~ /^saga::/ && $0 !~ /anonymous|lambda|operator|~|</ {
-      n = split($2, part, "::")
-      if (part[n] != part[n - 1]) print
+        n = split($1, f, " "); src = $2
+        if (index(src, root) == 1) src = substr(src, length(root) + 1)
+        if (src !~ /^src\//) next
+        own = src
+        sub(/\.(h|cc|cpp):[0-9]+$/, "", own)
+        print own, f[n], src
+      }' >"$tmp/symbols"
+  cut -d ' ' -f 2 "$tmp/symbols" | c++filt -p |
+    paste -d ' ' "$tmp/symbols" - |
+    awk '$4 ~ /^saga::/ && $0 !~ /anonymous|lambda|operator|~|</ {
+      print $1, $2, $4, $3
     }'
 }
 
@@ -104,17 +109,16 @@ for t in "${targets[@]}"; do
   bins+=("$bin")
 done
 
-# Every function name a production binary keeps, and each one
+# Every mangled function symbol a production binary keeps, and each one
 # servebench wraps (read as servebench/CMakeLists.txt reads them).
 linked() {
   {
     nm --defined-only "${bins[@]}" | awk '$2 ~ /^[TtWw]$/ { print $3 }'
     grep -oE '"_Z[A-Za-z0-9_]+"' servebench/wrap.cc | tr -d '"'
-  } | c++filt -p | sort -u
+  } | sort -u
 }
 
 status=0
-count=0
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 linked >"$tmp/linked"
@@ -123,18 +127,33 @@ defined | sort -u -k2,2 >"$tmp/defined"
   { echo "check_linked: no saga:: function found in $build/src" >&2; exit 2; }
 allowlist | awk '{ print $1 }' | sort -u >"$tmp/allowed"
 
-while read -r own fn; do
-  grep -qxF "$fn" "$tmp/linked" && continue
-  count=$((count + 1))
+awk 'NR == FNR { kept[$1] = 1; next } !($2 in kept)' \
+  "$tmp/linked" "$tmp/defined" >"$tmp/candidates"
+touch "$tmp/unlinked" "$tmp/report"
+while read -r own sym fn src; do
+  # A constructor the compiler defines belongs to its type: an implicit
+  # one is placed on the class head, which does not spell `Name(`, and a
+  # defaulted one says `= default`.
+  name="${fn##*::}"
+  type="${fn%::*}"
+  if [ "${type##*::}" = "$name" ]; then
+    line="$(sed -n "${src##*:}p" "${src%:*}")"
+    [[ "$line" != *"$name("* || "$line" == *"= default"* ]] && continue
+  fi
   echo "$fn" >>"$tmp/unlinked"
+  # An allowlist entry names a function and covers each of its overloads.
   grep -qxF "$fn" "$tmp/allowed" && continue
-  echo "UNLINKED  ${own}: ${fn} — no production binary links it; delete it or give it a production caller"
+  echo "UNLINKED  ${own}: $(c++filt "$sym") — no production binary links it; delete it or give it a production caller" >>"$tmp/report"
+done <"$tmp/candidates"
+# A constructor's complete- and base-object symbols name one function.
+count="$(sort -u "$tmp/unlinked" | wc -l)"
+if [ -s "$tmp/report" ]; then
+  sort -u "$tmp/report"
   status=1
-done <"$tmp/defined"
+fi
 
 # An allowlist entry no candidate matches is stale: it was linked,
 # deleted or renamed since.
-touch "$tmp/unlinked"
 while read -r fn; do
   grep -qxF "$fn" "$tmp/unlinked" && continue
   echo "STALE     allowlist entry ${fn} — not an unlinked function any more; drop it from the allowlist"

@@ -51,8 +51,6 @@ class CircuitBreaker {
 
   /// `metric_stem` names the exported metrics (see class comment) and
   /// appears in fast-fail error messages.
-  explicit CircuitBreaker(std::string metric_stem)
-      : CircuitBreaker(std::move(metric_stem), Options()) {}
   CircuitBreaker(std::string metric_stem, Options options);
 
   CircuitBreaker(const CircuitBreaker&) = delete;

@@ -61,10 +61,6 @@ HealthSection& HealthSection::Row(std::string key, uint64_t value) {
   return Add(std::move(key), s, s);
 }
 
-HealthSection& HealthSection::Row(std::string key, int value) {
-  return Row(std::move(key), static_cast<int64_t>(value));
-}
-
 HealthSection& HealthSection::Row(std::string key, double value,
                                   int precision) {
   const std::string s = FormatDouble(value, precision);

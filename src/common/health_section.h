@@ -22,7 +22,6 @@ class HealthSection {
   HealthSection& Row(std::string key, const char* value);
   HealthSection& Row(std::string key, int64_t value);
   HealthSection& Row(std::string key, uint64_t value);
-  HealthSection& Row(std::string key, int value);
   HealthSection& Row(std::string key, double value, int precision = 3);
   HealthSection& Row(std::string key, bool value);
   /// Renders 0 as "never" in text (and 0 in JSON).

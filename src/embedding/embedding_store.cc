@@ -3,44 +3,24 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
-#include "common/metrics.h"
 #include "common/serialization.h"
-#include "storage/wal.h"  // Crc32
 
 namespace saga::embedding {
 
 namespace {
-/// Files open with this magic and close with a fixed32 CRC over the
-/// payload between them.
 constexpr uint32_t kEmbMagic = 0x32424D45u;  // "EMB2"
 
 /// Applies the `embedding.load` read fault to the file image `buf`,
-/// then checks the magic (Corruption) and the trailing CRC (kDataLoss).
-/// The payload is buf[4, size - 4). `name` labels the errors.
-Status VerifyImage(std::string& buf, const std::string& name) {
+/// then returns the payload of its frame. `name` labels the errors.
+Result<std::string_view> Unframe(std::string& buf, const std::string& name) {
   if (Faults().armed() && !buf.empty()) {
     SAGA_RETURN_IF_ERROR(
         Faults().InjectRead("embedding.load", buf.data(), buf.size()));
   }
-  if (buf.size() < 8) {
-    return Status::Corruption("embedding file too small: " + name);
-  }
-  uint32_t magic = 0;
-  uint32_t stored = 0;
-  SAGA_RETURN_IF_ERROR(BinaryReader(buf).GetFixed32(&magic));
-  if (magic != kEmbMagic) {
-    return Status::Corruption("bad embedding file magic: " + name);
-  }
-  const std::string_view tail = std::string_view(buf).substr(buf.size() - 4);
-  SAGA_RETURN_IF_ERROR(BinaryReader(tail).GetFixed32(&stored));
-  if (storage::Crc32(std::string_view(buf).substr(4, buf.size() - 8)) !=
-      stored) {
-    SAGA_COUNTER("integrity.corruption.detected").Add();
-    return Status::DataLoss("embedding file crc mismatch: " + name);
-  }
-  return Status::OK();
+  return DecodeBinaryFrame(buf, kEmbMagic, name);
 }
 
 /// An entity id and the first of its row's floats.
@@ -87,7 +67,6 @@ std::span<const float> EmbeddingStore::Get(kg::EntityId id) const {
 Status EmbeddingStore::Save(const std::string& path) const {
   std::string buf;
   BinaryWriter w(&buf);
-  w.PutFixed32(kEmbMagic);
   const size_t dim = static_cast<size_t>(rows_->dim());
   w.PutVarint64(dim);
   w.PutVarint64(size());
@@ -96,11 +75,11 @@ Status EmbeddingStore::Save(const std::string& path) const {
     w.PutVarint64(dim);  // each row carries its length
     for (size_t d = 0; d < dim; ++d) w.PutFloat(rows_->row(i)[d]);
   }
-  w.PutFixed32(storage::Crc32(std::string_view(buf).substr(4)));
   // Durable: embedding shards are serving artifacts referenced by
   // snapshots and version swaps, so a post-crash disappearing act
   // would invalidate both.
-  return WriteStringToFile(path, buf, /*durable=*/true);
+  return WriteStringToFile(path, EncodeBinaryFrame(kEmbMagic, buf),
+                           /*durable=*/true);
 }
 
 Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
@@ -110,8 +89,8 @@ Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
 
 Result<EmbeddingStore> EmbeddingStore::Decode(std::string buf,
                                               const std::string& path) {
-  SAGA_RETURN_IF_ERROR(VerifyImage(buf, path));
-  BinaryReader r(std::string_view(buf).substr(4, buf.size() - 8));
+  SAGA_ASSIGN_OR_RETURN(std::string_view payload, Unframe(buf, path));
+  BinaryReader r(payload);
   uint64_t dim = 0;
   uint64_t n = 0;
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&dim));
@@ -148,7 +127,7 @@ Result<EmbeddingStore> EmbeddingStore::Decode(std::string buf,
 
 Status EmbeddingStore::Verify(const std::string& path) {
   SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
-  return VerifyImage(buf, path);
+  return Unframe(buf, path).status();
 }
 
 }  // namespace saga::embedding

@@ -44,8 +44,8 @@ class EmbeddingStore {
   /// it and the scrubber verifies it whenever the file exists.
   static constexpr char kShardFileName[] = "embeddings.bin";
 
-  /// Writes the checksummed format ("EMB2" magic + payload + trailing
-  /// CRC) atomically and durably.
+  /// Writes the rows in the binary frame of common/checksum.h ("EMB2"
+  /// magic + payload + trailing CRC) atomically and durably.
   Status Save(const std::string& path) const;
   /// Loads a file written by Save. Corruption when the magic is wrong
   /// or the payload does not decode to ascending ids of dim() floats

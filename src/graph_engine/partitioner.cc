@@ -29,11 +29,6 @@ EdgePartitioner::EdgePartitioner(const GraphView& view, int num_partitions,
   }
 }
 
-Status EdgePartitioner::WriteBuckets(const GraphView& view,
-                                     const std::string& dir) const {
-  return WriteBuckets(view.edges(), dir);
-}
-
 Status EdgePartitioner::WriteBuckets(const std::vector<ViewEdge>& edges,
                                      const std::string& dir) const {
   SAGA_RETURN_IF_ERROR(CreateDirIfMissing(dir));

@@ -33,12 +33,10 @@ class EdgePartitioner {
     return members_[p];
   }
 
-  /// Writes every bucket (pi, pj), the view edges with src in pi and
-  /// dst in pj, to `dir/bucket_<i>_<j>.bin`; LoadBucket reads
-  /// one back. The disk trainer iterates buckets without materializing
-  /// the full edge list.
-  Status WriteBuckets(const GraphView& view, const std::string& dir) const;
-  /// Same, but over an explicit edge list (e.g. training split only).
+  /// Writes every bucket (pi, pj), the edges with src in pi and dst in
+  /// pj (e.g. the training split), to `dir/bucket_<i>_<j>.bin`;
+  /// LoadBucket reads one back. The disk trainer iterates buckets
+  /// without materializing the full edge list.
   Status WriteBuckets(const std::vector<ViewEdge>& edges,
                       const std::string& dir) const;
   static Result<std::vector<ViewEdge>> LoadBucket(const std::string& dir,

@@ -2,8 +2,6 @@
 
 namespace saga::graph_engine {
 
-RandomWalkSampler::RandomWalkSampler() : RandomWalkSampler(Options()) {}
-
 RandomWalkSampler::RandomWalkSampler(Options options) : options_(options) {}
 
 std::vector<std::vector<uint32_t>> RandomWalkSampler::GenerateWalks(

@@ -22,7 +22,6 @@ class RandomWalkSampler {
   /// Skip-gram co-occurrence window when pairing walk nodes.
   static constexpr size_t kWindow = 3;
 
-  RandomWalkSampler();
   explicit RandomWalkSampler(Options options);
 
   /// Uniform random walks over the view's undirected adjacency; one

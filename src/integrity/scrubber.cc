@@ -7,14 +7,10 @@
 #include "common/metrics.h"
 #include "embedding/embedding_store.h"
 #include "storage/kv_store.h"
-#include "storage/sstable.h"
-#include "storage/wal.h"
 
 namespace saga::integrity {
 
 namespace {
-
-constexpr char kWalName[] = "wal.log";
 
 int64_t NowUnixMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -22,49 +18,32 @@ int64_t NowUnixMs() {
       .count();
 }
 
-std::string BaseName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 }  // namespace
 
 Scrubber::Scrubber(std::string store_dir, Options options)
     : store_dir_(std::move(store_dir)), options_(options) {}
 
-Status Scrubber::VerifyFile(const std::string& path, FileKind kind) {
-  switch (kind) {
-    case FileKind::kSSTable: {
-      auto reader =
-          storage::SSTableReader::Open(path, storage::ReadVerifyMode::kAlways);
-      if (!reader.ok()) return reader.status();
-      return (*reader)->VerifyChecksums();
-    }
-    case FileKind::kWal: {
-      SAGA_ASSIGN_OR_RETURN(storage::WalReadResult wal,
-                            storage::ReadWalRecordsDetailed(path));
-      if (!wal.clean) {
-        return Status::Corruption("wal tail damaged: " + path + " (" +
-                                  std::to_string(wal.bytes_dropped) +
-                                  " bytes)");
-      }
-      return Status::OK();
-    }
-    case FileKind::kEmbedding:
-      return embedding::EmbeddingStore::Verify(path);
+void Scrubber::ScrubFile(
+    const std::string& name,
+    const std::function<Status(const std::string&)>& verify,
+    bool repairable) {
+  const std::string path = JoinPath(store_dir_, name);
+  if (!FileExists(path)) return;
+  const Status why = verify(path);
+  if (why.ok()) {
+    uint64_t bytes = 0;
+    if (auto size = FileSize(path); size.ok()) bytes = *size;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.files_scanned;
+    stats_.bytes_scanned += bytes;
+    stats_.last_verified_unix_ms[name] = NowUnixMs();
+    return;
   }
-  return Status::OK();
-}
-
-void Scrubber::MarkVerified(const std::string& path, uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.files_scanned;
-  stats_.bytes_scanned += bytes;
-  stats_.last_verified_unix_ms[BaseName(path)] = NowUnixMs();
-}
-
-void Scrubber::HandleCorrupt(const std::string& path, FileKind kind,
-                             const Status& why) {
+  if (!why.IsDataLoss() && !why.IsCorruption()) {
+    // Transient (IO error, injected fault): leave it for the next pass.
+    SAGA_LOG(Warning) << "scrub could not check " << path << ": " << why;
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.corrupt_found;
@@ -77,7 +56,7 @@ void Scrubber::HandleCorrupt(const std::string& path, FileKind kind,
   }
   SAGA_LOG(Warning) << "scrub found corrupt file " << path << ": " << why;
 
-  if (kind == FileKind::kWal) {
+  if (!repairable) {
     // A damaged WAL tail is normal crash debris: recovery truncates it
     // and loses only unacknowledged records. Restoring an *older* WAL
     // over it would lose acknowledged ones — report, never "repair".
@@ -85,14 +64,14 @@ void Scrubber::HandleCorrupt(const std::string& path, FileKind kind,
   }
 
   if (options_.snapshots != nullptr) {
-    auto from = options_.snapshots->RepairFile(BaseName(path), path);
+    auto from = options_.snapshots->RepairFile(name, path);
     if (from.ok()) {
       // Trust but verify: the repaired bytes must pass the same check
       // that just failed.
-      if (VerifyFile(path, kind).ok()) {
+      if (verify(path).ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.repaired;
-        stats_.last_verified_unix_ms[BaseName(path)] = NowUnixMs();
+        stats_.last_verified_unix_ms[name] = NowUnixMs();
         return;
       }
       SAGA_LOG(Error) << "repair of " << path << " from snapshot " << *from
@@ -100,9 +79,7 @@ void Scrubber::HandleCorrupt(const std::string& path, FileKind kind,
     }
   }
 
-  const std::string quarantine = path + ".quarantined";
-  (void)RemoveFileIfExists(quarantine);
-  if (RenameFileDurable(path, quarantine).ok()) {
+  if (storage::QuarantineFile(path).ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.quarantined;
     SAGA_COUNTER("integrity.corruption.quarantined").Add();
@@ -111,43 +88,19 @@ void Scrubber::HandleCorrupt(const std::string& path, FileKind kind,
   }
 }
 
-void Scrubber::ScrubFile(const std::string& path, FileKind kind) {
-  if (!FileExists(path)) return;
-  Status s = VerifyFile(path, kind);
-  if (s.ok()) {
-    uint64_t bytes = 0;
-    if (auto size = FileSize(path); size.ok()) bytes = *size;
-    MarkVerified(path, bytes);
-  } else if (s.IsDataLoss() || s.IsCorruption()) {
-    HandleCorrupt(path, kind, s);
-  } else {
-    // Transient (IO error, injected fault): leave it for the next pass.
-    SAGA_LOG(Warning) << "scrub could not check " << path << ": " << s;
-  }
-}
-
 Status Scrubber::RunOnce() {
-  std::vector<std::pair<std::string, FileKind>> work;
-  {
-    auto tables = storage::ReadManifestTables(store_dir_);
-    if (tables.ok()) {
-      for (const auto& t : *tables) {
-        work.emplace_back(JoinPath(store_dir_, t), FileKind::kSSTable);
-      }
-    } else if (tables.status().IsCorruption()) {
-      // The MANIFEST itself rotted. Repair-from-snapshot if possible;
-      // otherwise recovery's directory-scan fallback still works, so
-      // count it and move on.
-      HandleCorrupt(JoinPath(store_dir_, "MANIFEST"), FileKind::kSSTable,
-                    tables.status());
-    }
+  SAGA_ASSIGN_OR_RETURN(std::vector<storage::LiveFile> live,
+                        storage::LiveFiles(store_dir_));
+  for (const storage::LiveFile& f : live) {
+    auto verify = [&f](const std::string& p) {
+      return storage::VerifyLiveFile(p, f.kind);
+    };
+    ScrubFile(f.name, verify,
+              f.kind != storage::LiveFileKind::kWal &&
+                  f.kind != storage::LiveFileKind::kWalSegment);
   }
-  work.emplace_back(JoinPath(store_dir_, kWalName), FileKind::kWal);
-  work.emplace_back(
-      JoinPath(store_dir_, embedding::EmbeddingStore::kShardFileName),
-      FileKind::kEmbedding);
-
-  for (const auto& [path, kind] : work) ScrubFile(path, kind);
+  ScrubFile(embedding::EmbeddingStore::kShardFileName,
+            &embedding::EmbeddingStore::Verify, /*repairable=*/true);
 
   {
     std::lock_guard<std::mutex> lock(mu_);

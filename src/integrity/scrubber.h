@@ -2,6 +2,7 @@
 #define SAGA_INTEGRITY_SCRUBBER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -12,11 +13,12 @@
 namespace saga::integrity {
 
 /// Integrity scrubber: a pass that walks the store's durable artifacts
-/// — MANIFEST-listed SSTables, the WAL tail, and the embedding shard
+/// — every file storage::LiveFiles lists (tables, MANIFEST, sealed WAL
+/// segments, the active WAL) and the embedding shard
 /// (EmbeddingStore::kShardFileName) when the directory has one —
-/// re-verifying checksums end to end, repairing rotted files from the
-/// newest good snapshot, and quarantining what it cannot repair (loud
-/// failure beats silent rot).
+/// re-verifying each end to end, repairing rotted files from the newest
+/// good snapshot, and quarantining what it cannot repair (loud failure
+/// beats silent rot). WAL damage is reported, never repaired.
 ///
 /// Metrics: bumps `integrity.scrub.*` counters and the
 /// `integrity.corruption.detected/repaired/quarantined` family (the
@@ -45,22 +47,20 @@ class Scrubber {
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  /// One synchronous full pass. Always completes the walk; per-file
-  /// problems are counted, repaired or quarantined, never turned into an
-  /// early return.
+  /// One synchronous full pass; fails only when the directory cannot be
+  /// listed. Per-file problems are counted, repaired or quarantined,
+  /// never turned into an early return.
   Status RunOnce();
 
   Stats stats() const;
 
  private:
-  enum class FileKind { kSSTable, kWal, kEmbedding };
-
-  void ScrubFile(const std::string& path, FileKind kind);
-  /// Verify-only step; kDataLoss/kCorruption means rot.
-  Status VerifyFile(const std::string& path, FileKind kind);
-  void MarkVerified(const std::string& path, uint64_t bytes);
-  void HandleCorrupt(const std::string& path, FileKind kind,
-                     const Status& why);
+  /// Checks `<store_dir>/name` with `verify` (kDataLoss or kCorruption
+  /// means rot), then repairs or quarantines it unless it is not
+  /// `repairable`, in which case rot is only reported.
+  void ScrubFile(const std::string& name,
+                 const std::function<Status(const std::string&)>& verify,
+                 bool repairable);
 
   std::string store_dir_;
   Options options_;

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -16,13 +18,26 @@ struct SnapshotInfo {
   uint64_t total_bytes = 0;
 };
 
-/// Point-in-time snapshots of a KvStore directory (tables + MANIFEST +
-/// WAL) plus any extra files the caller names (embedding shards).
+/// One SNAPMANIFEST line: a member file and the digest of its bytes.
+struct SnapshotEntry {
+  std::string file;
+  Digest digest;
+};
+
+/// The entries of a SNAPMANIFEST image. Corruption unless it is the
+/// text frame Create writes, each entry `<name> <size> <crc>` with a
+/// plain file name and canonical decimals.
+Result<std::vector<SnapshotEntry>> DecodeSnapshotManifest(
+    std::string_view data);
+
+/// Point-in-time snapshots of a KvStore directory: every file
+/// storage::LiveFiles lists.
 ///
 /// A snapshot is a directory under `<root>/<name>` holding:
 ///   - hard links to the immutable SSTables (free and instant; falls
 ///     back to a copy on filesystems without links),
-///   - byte copies of the mutable files (wal.log, MANIFEST, extras),
+///   - byte copies of the MANIFEST and the WAL files (Recover truncates
+///     a damaged WAL segment in place, so a link could change),
 ///   - a CRC'd SNAPMANIFEST listing every file with its size and CRC32,
 ///     so Verify() can prove the snapshot intact years later.
 ///
@@ -36,15 +51,14 @@ struct SnapshotInfo {
 /// renames them aside, never rewrites in place).
 class SnapshotManager {
  public:
-  /// `snapshot_root` defaults to `<store_dir>/snapshots`.
-  explicit SnapshotManager(std::string store_dir,
-                           std::string snapshot_root = "");
+  /// Snapshots live under `<store_dir>/snapshots`.
+  explicit SnapshotManager(std::string store_dir);
 
-  /// Snapshots the store's current committed state (MANIFEST tables +
-  /// WAL + extras). AlreadyExists if `name` is taken; Corruption if the
-  /// store's MANIFEST fails its CRC (never snapshot a corrupt truth).
-  Result<SnapshotInfo> Create(const std::string& name,
-                              const std::vector<std::string>& extra_files = {});
+  /// Snapshots the store's current committed state (its live files).
+  /// AlreadyExists if `name` is taken; kCorruption or kDataLoss
+  /// when a copied live file fails storage::VerifyLiveFile (never
+  /// snapshot a corrupt truth).
+  Result<SnapshotInfo> Create(const std::string& name);
 
   /// Snapshot names, sorted (staging debris excluded).
   Result<std::vector<std::string>> List() const;
@@ -55,10 +69,10 @@ class SnapshotManager {
   Status Verify(const std::string& name) const;
 
   /// Restores the snapshot into the store directory: verifies first,
-  /// copies members back (each atomically), MANIFEST last as the commit
-  /// point, and removes a live wal.log the snapshot does not have.
-  /// Files newer than the snapshot are left for recovery to quarantine
-  /// as orphans.
+  /// removes every live WAL file the snapshot does not hold (it would
+  /// replay post-snapshot writes), copies members back (each
+  /// atomically), MANIFEST last as the commit point. Tables newer than
+  /// the snapshot are left for recovery to quarantine as orphans.
   Status Restore(const std::string& name);
 
   /// Repairs one file from the newest snapshot holding a CRC-matching
@@ -71,14 +85,8 @@ class SnapshotManager {
   Result<SnapshotInfo> Info(const std::string& name) const;
 
  private:
-  struct ManifestEntry {
-    std::string file;
-    uint64_t size = 0;
-    uint32_t crc = 0;
-  };
-
   std::string SnapshotDir(const std::string& name) const;
-  Result<std::vector<ManifestEntry>> ReadSnapshotManifest(
+  Result<std::vector<SnapshotEntry>> ReadSnapshotManifest(
       const std::string& name) const;
 
   std::string store_dir_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/checksum.h"
 #include "common/file_util.h"
 #include "common/serialization.h"
 
@@ -9,7 +10,8 @@ namespace saga::kg {
 
 namespace {
 constexpr uint32_t kSnapshotMagic = 0x5341474Bu;  // "SAGK"
-constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2 moved the magic into the CRC'd binary frame.
+constexpr uint32_t kSnapshotVersion = 2;
 }  // namespace
 
 SourceId KnowledgeGraph::AddSource(std::string_view name, double quality) {
@@ -75,7 +77,6 @@ bool KnowledgeGraph::IsInstanceOf(EntityId e, TypeId type) const {
 Status KnowledgeGraph::Save(const std::string& path) const {
   std::string buf;
   BinaryWriter w(&buf);
-  w.PutFixed32(kSnapshotMagic);
   w.PutFixed32(kSnapshotVersion);
   ontology_.Serialize(&w);
   catalog_.Serialize(&w);
@@ -86,19 +87,16 @@ Status KnowledgeGraph::Save(const std::string& path) const {
     w.PutDouble(source_qualities_[i]);
   }
   w.PutVarint64Signed(logical_clock_);
-  return WriteStringToFile(path, buf);
+  return WriteStringToFile(path, EncodeBinaryFrame(kSnapshotMagic, buf));
 }
 
 Result<KnowledgeGraph> KnowledgeGraph::Load(const std::string& path) {
   SAGA_ASSIGN_OR_RETURN(std::string buf, ReadFileToString(path));
-  BinaryReader r(buf);
-  uint32_t magic = 0;
+  SAGA_ASSIGN_OR_RETURN(std::string_view payload,
+                        DecodeBinaryFrame(buf, kSnapshotMagic, path));
+  BinaryReader r(payload);
   uint32_t version = 0;
-  SAGA_RETURN_IF_ERROR(r.GetFixed32(&magic));
   SAGA_RETURN_IF_ERROR(r.GetFixed32(&version));
-  if (magic != kSnapshotMagic) {
-    return Status::Corruption("bad KG snapshot magic in " + path);
-  }
   if (version != kSnapshotVersion) {
     return Status::Corruption("unsupported KG snapshot version " +
                               std::to_string(version));
@@ -117,6 +115,9 @@ Result<KnowledgeGraph> KnowledgeGraph::Load(const std::string& path) {
     kg.AddSource(name, quality);
   }
   SAGA_RETURN_IF_ERROR(r.GetVarint64Signed(&kg.logical_clock_));
+  if (!r.AtEnd()) {
+    return Status::Corruption("bytes after the KG snapshot in " + path);
+  }
   return kg;
 }
 

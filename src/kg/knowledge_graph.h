@@ -57,8 +57,11 @@ class KnowledgeGraph {
   /// Monotone logical clock used to timestamp new facts.
   int64_t NowTimestamp() { return ++logical_clock_; }
 
-  /// Binary snapshot of the entire KG.
+  /// Binary snapshot of the entire KG in the CRC'd binary frame
+  /// (common/checksum.h).
   Status Save(const std::string& path) const;
+  /// Loads a file Save wrote: Corruption on a bad magic, a short file or
+  /// a payload that does not decode, kDataLoss on a CRC mismatch.
   static Result<KnowledgeGraph> Load(const std::string& path);
 
  private:

@@ -131,9 +131,6 @@ double CorroborationModel::Predict(const EvidenceFeatures& f) const {
   return SigmoidStable(z);
 }
 
-Corroborator::Corroborator(const CorroborationModel* model)
-    : Corroborator(model, Options()) {}
-
 Corroborator::Corroborator(const CorroborationModel* model, Options options)
     : model_(model), options_(options) {}
 

@@ -92,7 +92,6 @@ class Corroborator {
     size_t group_index = 0;
   };
 
-  explicit Corroborator(const CorroborationModel* model);
   Corroborator(const CorroborationModel* model, Options options);
 
   Decision Decide(const std::vector<ValueGroup>& groups) const;

@@ -106,8 +106,7 @@ bool SyncService::SourcesConsistent(const std::vector<Device>& devices,
   return true;
 }
 
-OffloadStats OffloadFusion(std::vector<Device>* devices,
-                           const std::string& spill_dir) {
+OffloadStats OffloadFusion(std::vector<Device>* devices) {
   OffloadStats stats;
   if (devices->empty()) return stats;
   // Pick the beefiest device.
@@ -125,7 +124,6 @@ OffloadStats OffloadFusion(std::vector<Device>* devices,
   IncrementalPipeline pipeline(&records);
   while (!pipeline.done()) pipeline.RunSteps(4096);
   std::vector<FusedPerson> fused = pipeline.FusedPersons();
-  (void)spill_dir;
 
   // Ship the fused view to every other device.
   for (const FusedPerson& p : fused) {

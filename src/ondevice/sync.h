@@ -76,8 +76,7 @@ struct OffloadStats {
 /// matching + fusion over its visible records; the stats count what
 /// shipping the fused result to the other devices costs, so they need
 /// not run the expensive pipeline locally.
-OffloadStats OffloadFusion(std::vector<Device>* devices,
-                           const std::string& spill_dir);
+OffloadStats OffloadFusion(std::vector<Device>* devices);
 
 }  // namespace saga::ondevice
 

@@ -108,7 +108,6 @@ class ReplicaGroup {
   uint64_t failovers() const { return failovers_; }
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   Replica& replica(int i) { return *replicas_[i]; }
-  const Replica& replica(int i) const { return *replicas_[i]; }
   SimTransport& transport() { return transport_; }
   const serving::ReplicaRouter& router() const { return router_; }
 

@@ -2,32 +2,21 @@
 
 #include <algorithm>
 
-#include "common/metrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/statvfs.h>
-#define SAGA_HAVE_STATVFS 1
-#endif
+
+#include "common/metrics.h"
 
 namespace saga::resource {
 
 namespace {
 
 /// Real-filesystem free space for `dir`, as a caller without
-/// reservations would see it. On platforms without statvfs the
-/// governor only works in simulated-budget mode; report "plenty" so
-/// budget_bytes == 0 degenerates to an always-approve governor rather
-/// than an always-deny one.
+/// reservations would see it.
 uint64_t StatvfsFreeBytes(const std::string& dir) {
-#ifdef SAGA_HAVE_STATVFS
   struct statvfs vfs{};
   if (::statvfs(dir.c_str(), &vfs) != 0) return 0;
   return static_cast<uint64_t>(vfs.f_bavail) *
          static_cast<uint64_t>(vfs.f_frsize);
-#else
-  (void)dir;
-  return ~uint64_t{0} / 2;
-#endif
 }
 
 }  // namespace

@@ -86,7 +86,6 @@ class VersionManager {
   };
 
   explicit VersionManager(Options options);
-  VersionManager() : VersionManager(Options()) {}
 
   /// Loads a version directory into a handle: KvStore recovery, then,
   /// when the directory holds an embedding shard

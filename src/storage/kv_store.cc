@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
 #include <thread>
+#include <tuple>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -28,46 +29,35 @@ constexpr char kSstPrefix[] = "sst_";
 constexpr char kSstSuffix[] = ".sst";
 constexpr char kWalSegPrefix[] = "wal_";
 constexpr char kWalSegSuffix[] = ".log";
+constexpr char kWalName[] = "wal.log";
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestHeader[] = "saga-manifest-v1";
 constexpr char kQuarantineSuffix[] = ".quarantined";
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::optional<uint64_t> ParseDigits(std::string_view digits) {
-  if (digits.empty()) return std::nullopt;
+/// Strict `<prefix><digits><suffix>` parse; nullopt for anything else
+/// (a lenient strtoull here once collided seq 0 with a real table).
+std::optional<uint64_t> ParseSeq(std::string_view name,
+                                 std::string_view prefix,
+                                 std::string_view suffix) {
+  if (name.size() <= prefix.size() + suffix.size() ||
+      !name.starts_with(prefix) || !name.ends_with(suffix)) {
+    return std::nullopt;
+  }
   uint64_t seq = 0;
-  for (char c : digits) {
+  for (char c : name.substr(prefix.size(),
+                            name.size() - prefix.size() - suffix.size())) {
     if (c < '0' || c > '9') return std::nullopt;
     seq = seq * 10 + static_cast<uint64_t>(c - '0');
   }
   return seq;
 }
 
-/// Strict `sst_<digits>.sst` parse; nullopt for anything else (a
-/// lenient strtoull here once collided seq 0 with a real table).
 std::optional<uint64_t> ParseSstSeq(std::string_view name) {
-  constexpr size_t prefix_len = sizeof(kSstPrefix) - 1;
-  constexpr size_t suffix_len = sizeof(kSstSuffix) - 1;
-  if (name.size() <= prefix_len + suffix_len) return std::nullopt;
-  if (name.substr(0, prefix_len) != kSstPrefix) return std::nullopt;
-  if (!EndsWith(name, kSstSuffix)) return std::nullopt;
-  return ParseDigits(
-      name.substr(prefix_len, name.size() - prefix_len - suffix_len));
+  return ParseSeq(name, kSstPrefix, kSstSuffix);
 }
 
-/// Strict `wal_<digits>.log` parse (sealed WAL segments).
 std::optional<uint64_t> ParseWalSegSeq(std::string_view name) {
-  constexpr size_t prefix_len = sizeof(kWalSegPrefix) - 1;
-  constexpr size_t suffix_len = sizeof(kWalSegSuffix) - 1;
-  if (name.size() <= prefix_len + suffix_len) return std::nullopt;
-  if (name.substr(0, prefix_len) != kWalSegPrefix) return std::nullopt;
-  if (!EndsWith(name, kWalSegSuffix)) return std::nullopt;
-  return ParseDigits(
-      name.substr(prefix_len, name.size() - prefix_len - suffix_len));
+  return ParseSeq(name, kWalSegPrefix, kWalSegSuffix);
 }
 
 std::string BaseName(const std::string& path) {
@@ -75,33 +65,107 @@ std::string BaseName(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// Parses a MANIFEST payload; nullopt when torn/corrupt.
-std::optional<std::vector<std::string>> ParseManifest(
-    const std::string& data) {
-  const size_t crc_pos = data.rfind("crc:");
-  if (crc_pos == std::string::npos ||
-      (crc_pos > 0 && data[crc_pos - 1] != '\n')) {
-    return std::nullopt;
+/// `dir`'s committed table names in commit order; an error when the
+/// MANIFEST is absent or does not decode.
+Result<std::vector<std::string>> ReadManifest(const std::string& dir) {
+  SAGA_ASSIGN_OR_RETURN(std::string data,
+                        ReadFileToString(JoinPath(dir, kManifestName)));
+  return DecodeManifest(data);
+}
+
+/// LiveFiles over the listing `names` of `dir` and its MANIFEST's
+/// tables (nullptr when it is absent or does not decode).
+std::vector<LiveFile> ListLive(const std::string& dir,
+                               const std::vector<std::string>& names,
+                               const std::vector<std::string>* manifest) {
+  // Sorted by kind in the listing's order, then by seq.
+  std::set<std::tuple<LiveFileKind, uint64_t, std::string>> found;
+  for (const std::string& name : names) {
+    using enum LiveFileKind;
+    if (auto seq = ParseSstSeq(name)) found.emplace(kTable, *seq, name);
+    if (name == kManifestName) found.emplace(kManifest, 0, name);
+    if (auto seq = ParseWalSegSeq(name)) found.emplace(kWalSegment, *seq, name);
+    if (name == kWalName) found.emplace(kWal, 0, name);
   }
-  const uint32_t stored = static_cast<uint32_t>(
-      std::strtoul(data.c_str() + crc_pos + 4, nullptr, 10));
-  if (Crc32(std::string_view(data.data(), crc_pos)) != stored) {
-    return std::nullopt;
+  std::vector<LiveFile> out;
+  if (manifest != nullptr) {
+    for (const std::string& t : *manifest) {
+      if (FileExists(JoinPath(dir, t))) {
+        out.push_back({t, LiveFileKind::kTable});
+      }
+    }
   }
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start < crc_pos) {
-    size_t end = data.find('\n', start);
-    if (end == std::string::npos || end > crc_pos) end = crc_pos;
-    lines.emplace_back(data.substr(start, end - start));
-    start = end + 1;
+  for (const auto& [kind, seq, name] : found) {
+    // Without a MANIFEST that decodes, Recover loads every table.
+    if (kind != LiveFileKind::kTable || manifest == nullptr) {
+      out.push_back({name, kind});
+    }
   }
-  if (lines.empty() || lines.front() != kManifestHeader) return std::nullopt;
-  lines.erase(lines.begin());
-  return lines;
+  return out;
 }
 
 }  // namespace
+
+Result<std::vector<std::string>> DecodeManifest(std::string_view data) {
+  SAGA_ASSIGN_OR_RETURN(std::vector<std::string> tables,
+                        DecodeTextFrame(data, kManifestHeader));
+  for (const std::string& name : tables) {
+    if (!ParseSstSeq(name).has_value()) {
+      return Status::Corruption("MANIFEST names a non-table: " + name);
+    }
+  }
+  return tables;
+}
+
+Result<std::vector<LiveFile>> LiveFiles(const std::string& dir) {
+  SAGA_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir));
+  auto manifest = ReadManifest(dir);
+  return ListLive(dir, names, manifest.ok() ? &*manifest : nullptr);
+}
+
+Status VerifyLiveFile(const std::string& path, LiveFileKind kind) {
+  switch (kind) {
+    case LiveFileKind::kTable: {
+      SAGA_ASSIGN_OR_RETURN(std::shared_ptr<SSTableReader> reader,
+                            SSTableReader::Open(path, ReadVerifyMode::kAlways));
+      return reader->VerifyChecksums();
+    }
+    case LiveFileKind::kManifest: {
+      SAGA_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
+      SAGA_ASSIGN_OR_RETURN(std::vector<std::string> tables,
+                            DecodeManifest(data));
+      // A MANIFEST that leaves out a table on disk (a copy from before a
+      // flush or compaction) would have the next open quarantine that
+      // table as an orphan.
+      const std::set<std::string> named(tables.begin(), tables.end());
+      SAGA_ASSIGN_OR_RETURN(
+          std::vector<std::string> names,
+          ListDir(path.substr(0, path.find_last_of('/'))));
+      for (const std::string& name : names) {
+        if (ParseSstSeq(name) && named.count(name) == 0) {
+          return Status::Corruption(path + " leaves out table " + name);
+        }
+      }
+      return Status::OK();
+    }
+    case LiveFileKind::kWalSegment:
+    case LiveFileKind::kWal: {
+      SAGA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWalRecordsDetailed(path));
+      if (wal.clean) return Status::OK();
+      return Status::Corruption("wal tail damaged: " + path + " (" +
+                                std::to_string(wal.bytes_dropped) + " bytes)");
+    }
+  }
+  return Status::OK();
+}
+
+Status QuarantineFile(const std::string& path) {
+  const std::string to = path + kQuarantineSuffix;
+  (void)RemoveFileIfExists(to);
+  // Durable rename: a quarantine that un-happens after a crash would
+  // put a known-bad file back in the directory.
+  return RenameFileDurable(path, to);
+}
 
 KvStore::KvStore(std::string dir, Options options)
     : dir_(std::move(dir)),
@@ -139,7 +203,7 @@ std::string KvStore::SstPath(uint64_t seq) const {
   return JoinPath(dir_, buf);
 }
 
-std::string KvStore::WalPath() const { return JoinPath(dir_, "wal.log"); }
+std::string KvStore::WalPath() const { return JoinPath(dir_, kWalName); }
 
 std::string KvStore::WalSegmentPath(uint64_t seq) const {
   char buf[32];
@@ -168,27 +232,20 @@ void KvStore::PublishLocked(std::shared_ptr<const Superversion> sv) {
 
 Status KvStore::WriteManifest(
     const std::vector<std::shared_ptr<SSTableReader>>& tables) {
-  std::string payload = kManifestHeader;
-  payload.push_back('\n');
-  for (const auto& sst : tables) {
-    payload += BaseName(sst->path());
-    payload.push_back('\n');
-  }
-  payload += "crc:" + std::to_string(Crc32(payload)) + "\n";
+  std::vector<std::string> names;
+  names.reserve(tables.size());
+  for (const auto& sst : tables) names.push_back(BaseName(sst->path()));
+  const std::string payload = EncodeTextFrame(kManifestHeader, names);
   return retry_.Run(
       "kv.manifest",
       [&] { return WriteStringToFile(ManifestPath(), payload, true); });
 }
 
-void KvStore::QuarantineFile(const std::string& name) {
-  const std::string from = JoinPath(dir_, name);
-  const std::string to = from + kQuarantineSuffix;
-  (void)RemoveFileIfExists(to);
-  // Durable rename: a quarantine that un-happens after a crash would
-  // put a known-bad table back in the directory scan.
-  Status s = RenameFileDurable(from, to);
+void KvStore::QuarantineTable(const std::string& name) {
+  const std::string path = JoinPath(dir_, name);
+  Status s = QuarantineFile(path);
   if (!s.ok()) {
-    SAGA_LOG(Warning) << "could not quarantine " << from << ": " << s;
+    SAGA_LOG(Warning) << "could not quarantine " << path << ": " << s;
   }
   SAGA_COUNTER("storage.kv.sst_quarantined").Add();
 }
@@ -240,84 +297,68 @@ Status KvStore::Recover() {
   // table. A torn/corrupt manifest is treated as absent.
   std::optional<std::vector<std::string>> manifest;
   if (FileExists(ManifestPath())) {
-    auto data = ReadFileToString(ManifestPath());
-    if (data.ok()) manifest = ParseManifest(*data);
-    if (!manifest.has_value()) {
-      SAGA_LOG(Warning) << "corrupt MANIFEST in " << dir_
-                        << "; falling back to directory scan";
+    if (auto read = ReadManifest(dir_); read.ok()) {
+      manifest = std::move(*read);
+    } else {
+      SAGA_LOG(Warning) << "corrupt MANIFEST in " << dir_ << " ("
+                        << read.status() << "); falling back to directory scan";
     }
   }
   rs.manifest_found = manifest.has_value();
 
-  // Classify directory entries. seq numbers from every conforming name
-  // (even quarantined ones) advance next_sst_seq_ so new tables never
-  // collide with leftovers. Sealed WAL segments (a crash while
-  // background maintenance was behind) are collected for replay.
-  std::vector<std::pair<uint64_t, std::string>> conforming;
+  // The tables to load and the sealed WAL segments to replay (a crash
+  // while background maintenance was behind), as LiveFiles lists them.
+  std::vector<std::string> live;
   std::vector<std::pair<uint64_t, std::string>> wal_segments;
-  for (const auto& name : files) {
-    if (name == kManifestName || name == BaseName(WalPath())) continue;
-    if (auto wseq = ParseWalSegSeq(name)) {
-      next_wal_seq_ = std::max(next_wal_seq_, *wseq + 1);
-      wal_segments.emplace_back(*wseq, name);
-      continue;
+  for (LiveFile& f :
+       ListLive(dir_, files, manifest.has_value() ? &*manifest : nullptr)) {
+    if (f.kind == LiveFileKind::kTable) live.push_back(std::move(f.name));
+    if (f.kind == LiveFileKind::kWalSegment) {
+      wal_segments.emplace_back(*ParseWalSegSeq(f.name), std::move(f.name));
     }
-    if (EndsWith(name, ".tmp")) {
+  }
+  if (manifest.has_value()) {
+    for (const auto& name : *manifest) {
+      if (!FileExists(JoinPath(dir_, name))) {
+        ++rs.missing_tables;
+        SAGA_LOG(Error) << "manifest table missing on disk: " << name;
+      }
+    }
+  }
+
+  // Sweep the rest of the directory. seq numbers from every conforming
+  // name (even quarantined ones) advance next_sst_seq_ so new tables
+  // never collide with leftovers.
+  const std::set<std::string> live_set(live.begin(), live.end());
+  for (const auto& name : files) {
+    if (name.ends_with(".tmp")) {
       // Uncommitted build artifact from a crash mid-write.
       if (RemoveFileIfExists(JoinPath(dir_, name)).ok()) {
         ++rs.tmp_files_removed;
       }
       continue;
     }
-    if (EndsWith(name, kQuarantineSuffix)) {
-      const std::string_view base =
-          std::string_view(name).substr(0, name.size() -
-                                               (sizeof(kQuarantineSuffix) - 1));
-      if (auto seq = ParseSstSeq(base)) {
-        next_sst_seq_ = std::max(next_sst_seq_, *seq + 1);
-      }
+    if (auto wseq = ParseWalSegSeq(name)) {
+      next_wal_seq_ = std::max(next_wal_seq_, *wseq + 1);
       continue;
     }
-    if (name.rfind(kSstPrefix, 0) != 0) continue;
-    const auto seq = ParseSstSeq(name);
+    const bool quarantined = name.ends_with(kQuarantineSuffix);
+    const std::string_view base = std::string_view(name).substr(
+        0, name.size() - (quarantined ? sizeof(kQuarantineSuffix) - 1 : 0));
+    const auto seq = ParseSstSeq(base);
+    if (seq.has_value()) next_sst_seq_ = std::max(next_sst_seq_, *seq + 1);
+    if (quarantined || !base.starts_with(kSstPrefix)) continue;
     if (!seq.has_value()) {
       ++rs.malformed_names_skipped;
       SAGA_LOG(Warning) << "skipping non-conforming table name " << name;
-      continue;
+    } else if (live_set.count(name) == 0) {
+      // Orphan: written but never committed (crash between the table
+      // rename and the manifest write, or a leftover compaction input).
+      // Its contents are either still in the WAL or superseded, so
+      // quarantining loses nothing.
+      QuarantineTable(name);
+      ++rs.orphans_quarantined;
     }
-    next_sst_seq_ = std::max(next_sst_seq_, *seq + 1);
-    conforming.emplace_back(*seq, name);
-  }
-  std::sort(conforming.begin(), conforming.end());
-  std::sort(wal_segments.begin(), wal_segments.end());
-
-  // Live set: manifest order when committed, else seq order.
-  std::vector<std::string> live;
-  if (manifest.has_value()) {
-    std::set<std::string> on_disk;
-    for (const auto& [seq, name] : conforming) on_disk.insert(name);
-    std::set<std::string> in_manifest(manifest->begin(), manifest->end());
-    for (const auto& name : *manifest) {
-      if (on_disk.count(name) > 0) {
-        live.push_back(name);
-      } else {
-        ++rs.missing_tables;
-        SAGA_LOG(Error) << "manifest table missing on disk: " << name;
-      }
-    }
-    for (const auto& [seq, name] : conforming) {
-      if (in_manifest.count(name) == 0) {
-        // Orphan: written but never committed (crash between the table
-        // rename and the manifest write, or a leftover compaction
-        // input). Its contents are either still in the WAL or
-        // superseded, so quarantining loses nothing.
-        QuarantineFile(name);
-        ++rs.orphans_quarantined;
-      }
-    }
-  } else {
-    live.reserve(conforming.size());
-    for (const auto& [seq, name] : conforming) live.push_back(name);
   }
 
   std::vector<std::shared_ptr<SSTableReader>> tables;
@@ -335,7 +376,7 @@ Status KvStore::Recover() {
     if (!s.ok()) {
       SAGA_LOG(Warning) << "quarantining unreadable table " << path << ": "
                         << s;
-      QuarantineFile(name);
+      QuarantineTable(name);
       ++rs.sstables_quarantined;
       continue;
     }
@@ -1024,19 +1065,6 @@ Status KvStore::VerifyTables() const {
     SAGA_RETURN_IF_ERROR(sst->VerifyChecksums());
   }
   return Status::OK();
-}
-
-Result<std::vector<std::string>> ReadManifestTables(const std::string& dir) {
-  const std::string path = JoinPath(dir, kManifestName);
-  if (!FileExists(path)) {
-    return Status::NotFound("no MANIFEST in " + dir);
-  }
-  SAGA_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  auto tables = ParseManifest(data);
-  if (!tables.has_value()) {
-    return Status::Corruption("corrupt MANIFEST in " + dir);
-  }
-  return *tables;
 }
 
 }  // namespace saga::storage

@@ -169,8 +169,8 @@ class KvStore {
   /// with background maintenance.
   Status CompactAll();
 
-  /// Re-verifies every block CRC of every live table (scrubber entry
-  /// point; ignores the first-read memo). kDataLoss names the first
+  /// Re-verifies every block CRC of every live table (a version swap's
+  /// checksum pass; ignores the first-read memo). kDataLoss names the first
   /// bad table/block. Read-only: quarantine/repair is the caller's
   /// call, since a repair source (snapshot) may exist.
   Status VerifyTables() const;
@@ -278,8 +278,8 @@ class KvStore {
   /// Commits `tables` as the live set durably.
   Status WriteManifest(
       const std::vector<std::shared_ptr<SSTableReader>>& tables);
-  /// Renames dir_/name aside to name.quarantined (best-effort).
-  void QuarantineFile(const std::string& name);
+  /// Quarantines dir_/name (best-effort) and counts it.
+  void QuarantineTable(const std::string& name);
   /// Builds an SSTable from sorted entries, opens it, retrying
   /// transient failures and rebuilding on fresh-table corruption.
   Result<std::shared_ptr<SSTableReader>> BuildTableWithRetry(
@@ -331,12 +331,35 @@ class KvStore {
   std::unique_ptr<ThreadPool> bg_pool_;
 };
 
-/// Reads and validates `dir`'s MANIFEST, returning the committed table
-/// file names in commit order. NotFound when no manifest exists,
-/// kCorruption when it exists but fails its CRC or header check. Used
-/// by the scrubber and snapshot tooling to learn the live set without
-/// opening the store.
-Result<std::vector<std::string>> ReadManifestTables(const std::string& dir);
+/// The kinds of file that hold a store's committed state: its tables
+/// (`sst_<seq>.sst`), the MANIFEST that commits which are live, sealed
+/// WAL segments (`wal_<seq>.log`) and the active `wal.log`. Tooling
+/// learns the store's layout only through the functions below.
+enum class LiveFileKind { kTable, kManifest, kWalSegment, kWal };
+
+struct LiveFile {
+  std::string name;  // inside the store directory
+  LiveFileKind kind;
+};
+
+/// Every file in `dir` that holds committed state, in this order: the
+/// tables Recover loads (the MANIFEST's in commit order, or every table
+/// in seq order when it is absent or does not decode), the MANIFEST,
+/// the sealed WAL segments in seq order and the active WAL.
+Result<std::vector<LiveFile>> LiveFiles(const std::string& dir);
+
+/// The end-to-end check of one live file, kDataLoss or kCorruption on
+/// rot: every block CRC of a table; a MANIFEST that decodes and names
+/// every table in its directory; a WAL that replays to its last byte.
+Status VerifyLiveFile(const std::string& path, LiveFileKind kind);
+
+/// A MANIFEST's table names in commit order. Corruption unless `data`
+/// is a MANIFEST frame naming only `sst_<seq>.sst` files.
+Result<std::vector<std::string>> DecodeManifest(std::string_view data);
+
+/// Renames a bad file aside to `<path>.quarantined`, durably, where no
+/// directory scan loads it.
+Status QuarantineFile(const std::string& path);
 
 }  // namespace saga::storage
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <fstream>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/serialization.h"
-#include "storage/wal.h"  // Crc32
 
 namespace saga::storage {
 

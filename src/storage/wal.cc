@@ -1,18 +1,15 @@
 #include "storage/wal.h"
 
-#include <array>
-
-#include "common/fault_injection.h"
-#include "common/file_util.h"
-#include "common/serialization.h"
-
-#ifndef SAGA_WAL_OFSTREAM_FALLBACK
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#endif
+
+#include "common/checksum.h"
+#include "common/fault_injection.h"
+#include "common/file_util.h"
+#include "common/serialization.h"
 
 namespace saga::storage {
 
@@ -21,28 +18,7 @@ namespace {
 /// Appends are buffered up to this many bytes before hitting the fd.
 constexpr size_t kWalBufferBytes = 64 << 10;
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
 }  // namespace
-
-uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
-  uint32_t c = 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    c = kTable[(c ^ byte) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 WalWriter::WalWriter(std::string path) : path_(std::move(path)) {}
 
@@ -53,47 +29,30 @@ WalWriter::~WalWriter() {
   CloseFd();
 }
 
-bool WalWriter::IsOpen() const {
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  return out_.is_open();
-#else
-  return fd_ >= 0;
-#endif
-}
-
 void WalWriter::CloseFd() {
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  if (out_.is_open()) out_.close();
-#else
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
-#endif
+}
+
+Status WalWriter::OpenFd(int flags, const char* what) {
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | flags, 0644);
+  if (fd_ < 0) {
+    return Status::IOError(std::string(what) + " WAL " + path_ + ": " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 Status WalWriter::Open() {
   if (Faults().armed()) {
     SAGA_RETURN_IF_ERROR(Faults().InjectOp("wal.open"));
   }
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_) return Status::IOError("cannot open WAL: " + path_);
-#else
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) {
-    return Status::IOError("cannot open WAL " + path_ + ": " +
-                           std::strerror(errno));
-  }
-#endif
-  return Status::OK();
+  return OpenFd(O_APPEND, "cannot open");
 }
 
 Status WalWriter::WriteRaw(std::string_view data) {
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  out_.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out_) return Status::IOError("WAL write failed: " + path_);
-#else
   size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
@@ -104,20 +63,19 @@ Status WalWriter::WriteRaw(std::string_view data) {
     }
     off += static_cast<size_t>(n);
   }
-#endif
   return Status::OK();
 }
 
 Status WalWriter::FlushBuffer() {
   if (buffer_.empty()) return Status::OK();
-  if (!IsOpen()) return Status::FailedPrecondition("WAL not open");
+  if (!is_open()) return Status::FailedPrecondition("WAL not open");
   SAGA_RETURN_IF_ERROR(WriteRaw(buffer_));
   buffer_.clear();
   return Status::OK();
 }
 
 Status WalWriter::Append(std::string_view record) {
-  if (!IsOpen()) return Status::FailedPrecondition("WAL not open");
+  if (!is_open()) return Status::FailedPrecondition("WAL not open");
   if (poisoned_) {
     return Status::FsyncGate("WAL poisoned by failed fsync: " + path_);
   }
@@ -152,7 +110,7 @@ Status WalWriter::Append(std::string_view record) {
 }
 
 Status WalWriter::Sync() {
-  if (!IsOpen()) return Status::FailedPrecondition("WAL not open");
+  if (!is_open()) return Status::FailedPrecondition("WAL not open");
   if (poisoned_) {
     return Status::FsyncGate("WAL poisoned by failed fsync: " + path_);
   }
@@ -170,24 +128,16 @@ Status WalWriter::Sync() {
     }
   }
   SAGA_RETURN_IF_ERROR(FlushBuffer());
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  out_.flush();
-  if (!out_) {
-    poisoned_ = true;
-    return Status::FsyncGate("WAL sync failed: " + path_);
-  }
-#else
   if (::fsync(fd_) != 0) {
     poisoned_ = true;
     return Status::FsyncGate("WAL fsync failed " + path_ + ": " +
                              std::strerror(errno));
   }
-#endif
   return Status::OK();
 }
 
 Status WalWriter::RotateTo(const std::string& sealed_path) {
-  if (!IsOpen()) return Status::FailedPrecondition("WAL not open");
+  if (!is_open()) return Status::FailedPrecondition("WAL not open");
   if (poisoned_) {
     // Everything buffered after a failed fsync was never acknowledged
     // (sync mode flushes the buffer on every acked record), so it is
@@ -210,34 +160,15 @@ Status WalWriter::RotateTo(const std::string& sealed_path) {
   // half-durable rename is found either under the old or new name).
   poisoned_ = false;
   bytes_written_ = 0;
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  out_.open(path_, std::ios::binary | std::ios::trunc);
-  if (!out_) return Status::IOError("cannot reopen WAL: " + path_);
-#else
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) {
-    return Status::IOError("cannot reopen WAL " + path_ + ": " +
-                           std::strerror(errno));
-  }
-#endif
-  if (!renamed.ok()) return renamed;
-  return Status::OK();
+  SAGA_RETURN_IF_ERROR(OpenFd(O_TRUNC, "cannot reopen"));
+  return renamed;
 }
 
 Status WalWriter::Reset() {
   buffer_.clear();
   CloseFd();
   poisoned_ = false;
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  out_.open(path_, std::ios::binary | std::ios::trunc);
-  if (!out_) return Status::IOError("cannot truncate WAL: " + path_);
-#else
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) {
-    return Status::IOError("cannot truncate WAL " + path_ + ": " +
-                           std::strerror(errno));
-  }
-#endif
+  SAGA_RETURN_IF_ERROR(OpenFd(O_TRUNC, "cannot truncate"));
   bytes_written_ = 0;
   return Status::OK();
 }

@@ -9,29 +9,14 @@
 #include "common/result.h"
 #include "common/status.h"
 
-// The writer uses a raw POSIX fd so Sync() can fsync(2); define
-// SAGA_WAL_OFSTREAM_FALLBACK (or build on a non-POSIX platform) to fall
-// back to a buffered std::ofstream whose Sync() is only a flush.
-#if !defined(SAGA_WAL_OFSTREAM_FALLBACK) && \
-    !(defined(__unix__) || defined(__APPLE__))
-#define SAGA_WAL_OFSTREAM_FALLBACK 1
-#endif
-
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-#include <fstream>
-#endif
-
 namespace saga::storage {
-
-/// CRC32 (IEEE, reflected) used by WAL and SSTable footers.
-uint32_t Crc32(std::string_view data);
 
 /// Append-only write-ahead log. Each record: fixed32 crc | fixed32 len |
 /// payload. Replay stops cleanly at the first torn or corrupt record so
 /// a crash mid-append loses at most the unacknowledged tail.
 ///
 /// Appends accumulate in a small userspace buffer; Sync() writes the
-/// buffer to the fd and fsyncs, so a Status::OK from Sync means the
+/// buffer to a raw POSIX fd and fsyncs, so a Status::OK from Sync means the
 /// records are durable, not merely handed to the OS. Fault points:
 /// `wal.open`, `wal.append` (payload-mutating), `wal.sync`.
 ///
@@ -80,23 +65,20 @@ class WalWriter {
 
   /// False when a failed rotation left the writer without a log fd
   /// (Reset() rebuilds it).
-  bool is_open() const { return IsOpen(); }
+  bool is_open() const { return fd_ >= 0; }
 
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
   Status FlushBuffer();
   Status WriteRaw(std::string_view data);
-  bool IsOpen() const;
+  /// Opens path_ for writing with `flags` added to O_WRONLY | O_CREAT.
+  Status OpenFd(int flags, const char* what);
   void CloseFd();
 
   std::string path_;
   std::string buffer_;
-#ifdef SAGA_WAL_OFSTREAM_FALLBACK
-  std::ofstream out_;
-#else
   int fd_ = -1;
-#endif
   uint64_t bytes_written_ = 0;
   bool poisoned_ = false;
 };

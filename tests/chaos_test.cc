@@ -310,12 +310,16 @@ TEST_F(ChaosTest, CorruptionRoundsNeverServeGarbage) {
     }
 
     // Pick a victim: one of the manifest's live tables, or the WAL.
-    auto tables = ReadManifestTables(*dir);
-    ASSERT_TRUE(tables.ok());
-    ASSERT_FALSE(tables->empty());
+    auto live = LiveFiles(*dir);
+    ASSERT_TRUE(live.ok());
+    std::vector<std::string> tables;
+    for (const LiveFile& f : *live) {
+      if (f.kind == LiveFileKind::kTable) tables.push_back(f.name);
+    }
+    ASSERT_FALSE(tables.empty());
     const bool hit_wal = rng.Uniform(4) == 0;
     const std::string victim_name =
-        hit_wal ? "wal.log" : (*tables)[rng.Uniform(tables->size())];
+        hit_wal ? "wal.log" : tables[rng.Uniform(tables.size())];
     const std::string victim = JoinPath(*dir, victim_name);
     auto clean_bytes = ReadFileToString(victim);
     ASSERT_TRUE(clean_bytes.ok());

@@ -12,12 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/file_util.h"
 #include "common/result.h"
 #include "common/serialization.h"
 #include "embedding/embedding_store.h"
 #include "kg/ids.h"
-#include "storage/wal.h"  // Crc32
 
 namespace saga::embedding::test_shard {
 
@@ -31,12 +31,7 @@ struct Row {
 /// An EMB2 file image: the magic, `payload`, and the CRC that seals it,
 /// so a mutated payload gets past the checksum to the decoder.
 inline std::string Sealed(std::string_view payload) {
-  std::string buf;
-  BinaryWriter w(&buf);
-  w.PutFixed32(kEmb2Magic);
-  buf.append(payload);
-  w.PutFixed32(storage::Crc32(payload));
-  return buf;
+  return EncodeBinaryFrame(kEmb2Magic, payload);
 }
 
 /// The payload Save lays out, with the header's dim and row count given

@@ -17,7 +17,6 @@
 #include "embedding/trainer.h"
 #include "embedding_rows.h"
 #include "kg/kg_generator.h"
-#include "storage/wal.h"  // Crc32
 
 namespace saga::embedding {
 namespace {

@@ -274,7 +274,7 @@ TEST(SamplerTest, WalksStayOnEdges) {
 }
 
 TEST(SamplerTest, CoOccurrencePairsWithinWindow) {
-  RandomWalkSampler sampler;
+  RandomWalkSampler sampler(RandomWalkSampler::Options{});
   const std::vector<std::vector<uint32_t>> walks = {{1, 2, 3, 4, 5}};
   const auto pairs = sampler.CoOccurrencePairs(walks);
   // (1,2),(1,3),(1,4),(2,3),(2,4),(2,5),(3,4),(3,5),(4,5)
@@ -306,7 +306,7 @@ TEST(PartitionerTest, DiskBucketsPartitionAllEdges) {
   EdgePartitioner part(view, 3, &rng);
   auto dir = MakeTempDir("saga_buckets");
   ASSERT_TRUE(dir.ok());
-  ASSERT_TRUE(part.WriteBuckets(view, *dir).ok());
+  ASSERT_TRUE(part.WriteBuckets(view.edges(), *dir).ok());
   size_t total = 0;
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {

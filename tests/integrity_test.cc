@@ -11,17 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/request_context.h"
+#include "common/rng.h"
 #include "embedding/embedding_store.h"
 #include "embedding_rows.h"
 #include "integrity/scrubber.h"
@@ -56,6 +59,18 @@ void FlipBit(const std::string& path, size_t offset, int bit = 3) {
   ASSERT_LT(offset, data->size());
   (*data)[offset] = static_cast<char>((*data)[offset] ^ (1 << bit));
   ASSERT_TRUE(WriteStringToFile(path, *data).ok());
+}
+
+/// The store's live tables, in commit order.
+std::vector<std::string> LiveTables(const std::string& dir) {
+  std::vector<std::string> out;
+  auto files = storage::LiveFiles(dir);
+  EXPECT_TRUE(files.ok()) << files.status();
+  if (!files.ok()) return out;
+  for (const storage::LiveFile& f : *files) {
+    if (f.kind == storage::LiveFileKind::kTable) out.push_back(f.name);
+  }
+  return out;
 }
 
 /// Builds a store with `flushed` keys in SSTables and `unflushed` keys
@@ -353,10 +368,9 @@ TEST_F(IntegrityTest, SnapshotRestoreBringsBackExactState) {
     ASSERT_TRUE((*store)->Flush().ok());
   }
   // ... and then one of its live tables rots.
-  auto tables = storage::ReadManifestTables(dir_);
-  ASSERT_TRUE(tables.ok());
-  ASSERT_FALSE(tables->empty());
-  FlipBit(JoinPath(dir_, (*tables)[0]), 100);
+  const std::vector<std::string> tables = LiveTables(dir_);
+  ASSERT_FALSE(tables.empty());
+  FlipBit(JoinPath(dir_, tables[0]), 100);
 
   ASSERT_TRUE(snaps.Restore("base").ok());
   auto store = KvStore::Open(dir_);
@@ -377,10 +391,9 @@ TEST_F(IntegrityTest, RepairFileRestoresByteIdenticalCopy) {
   SnapshotManager snaps(dir_);
   ASSERT_TRUE(snaps.Create("s1").ok());
 
-  auto tables = storage::ReadManifestTables(dir_);
-  ASSERT_TRUE(tables.ok());
-  ASSERT_FALSE(tables->empty());
-  const std::string victim = JoinPath(dir_, (*tables)[0]);
+  const std::vector<std::string> tables = LiveTables(dir_);
+  ASSERT_FALSE(tables.empty());
+  const std::string victim = JoinPath(dir_, tables[0]);
   auto original = ReadFileToString(victim);
   ASSERT_TRUE(original.ok());
 
@@ -390,7 +403,7 @@ TEST_F(IntegrityTest, RepairFileRestoresByteIdenticalCopy) {
   ASSERT_NE(*rotted, *original);
 
   const int64_t before = CounterValue("integrity.corruption.repaired");
-  auto used = snaps.RepairFile((*tables)[0]);
+  auto used = snaps.RepairFile(tables[0]);
   ASSERT_TRUE(used.ok()) << used.status();
   EXPECT_EQ(*used, "s1");
   auto repaired = ReadFileToString(victim);
@@ -431,9 +444,9 @@ TEST_F(IntegrityTest, ScrubberRepairsRottedTableFromSnapshot) {
   SnapshotManager snaps(dir_);
   ASSERT_TRUE(snaps.Create("good").ok());
 
-  auto tables = storage::ReadManifestTables(dir_);
-  ASSERT_TRUE(tables.ok());
-  const std::string victim = JoinPath(dir_, (*tables)[0]);
+  const std::vector<std::string> tables = LiveTables(dir_);
+  ASSERT_FALSE(tables.empty());
+  const std::string victim = JoinPath(dir_, tables[0]);
   auto original = ReadFileToString(victim);
   ASSERT_TRUE(original.ok());
   FlipBit(victim, original->size() / 2);
@@ -467,9 +480,9 @@ TEST_F(IntegrityTest, ScrubberRepairsRottedTableFromSnapshot) {
 
 TEST_F(IntegrityTest, ScrubberQuarantinesWithoutSnapshot) {
   BuildStore(dir_, 40, 0);
-  auto tables = storage::ReadManifestTables(dir_);
-  ASSERT_TRUE(tables.ok());
-  const std::string victim = JoinPath(dir_, (*tables)[0]);
+  const std::vector<std::string> tables = LiveTables(dir_);
+  ASSERT_FALSE(tables.empty());
+  const std::string victim = JoinPath(dir_, tables[0]);
   FlipBit(victim, 64);
 
   const int64_t before = CounterValue("integrity.corruption.quarantined");
@@ -530,9 +543,309 @@ TEST_F(IntegrityTest, ScrubberReportsWalDamageButNeverRewritesWal) {
 }
 
 // ---------------------------------------------------------------------------
+// The store's directory layout: every file with committed state is
+// snapshotted, restored and scrubbed by its kind.
+
+/// A WAL store whose 1 KB memtable seals into a WAL segment every few
+/// writes.
+KvStore::Options SmallMemtable() {
+  KvStore::Options o;
+  o.memtable_max_bytes = 1024;
+  o.sync_every_write = true;
+  return o;
+}
+
+/// With every flush failing, writes keys from `first` on until a Put
+/// fails: the full memtable was sealed into a WAL segment and its flush
+/// failed, so the acked writes live only in that segment. Returns them.
+std::map<std::string, std::string> FillUntilFlushFails(KvStore* store,
+                                                       int first) {
+  FaultSpec spec;
+  spec.repeat = true;
+  ScopedFault fail_flush("sstable.flush", spec);
+  std::map<std::string, std::string> acked;
+  for (int i = first; i < first + 1000; ++i) {
+    const std::string value = "sealed" + std::to_string(i);
+    if (!store->Put(Key(i), value).ok()) break;
+    acked[Key(i)] = value;
+  }
+  return acked;
+}
+
+TEST_F(IntegrityTest, ScrubberRepairsRottedManifestFromSnapshot) {
+  BuildStore(dir_, 40, 5, "m");
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("good").ok());
+  const std::string manifest = JoinPath(dir_, "MANIFEST");
+  auto original = ReadFileToString(manifest);
+  ASSERT_TRUE(original.ok());
+  FlipBit(manifest, 20);  // inside the first table name
+
+  Scrubber::Options o;
+  o.snapshots = &snaps;
+  Scrubber scrub(dir_, o);
+  ASSERT_TRUE(scrub.RunOnce().ok());
+  auto s = scrub.stats();
+  EXPECT_EQ(s.corrupt_found, 1u);
+  EXPECT_EQ(s.repaired, 1u);
+  EXPECT_EQ(s.quarantined, 0u);
+  auto repaired = ReadFileToString(manifest);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(*repaired, *original);
+
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EXPECT_TRUE((*store)->recovery_stats().manifest_found);
+  for (int i = 0; i < 45; ++i) {
+    auto got = (*store)->Get(Key(i));
+    ASSERT_TRUE(got.ok()) << Key(i) << ": " << got.status();
+    EXPECT_EQ(*got, "m" + std::to_string(i));
+  }
+}
+
+TEST_F(IntegrityTest, ScrubberRefusesAStaleManifestCopy) {
+  BuildStore(dir_, 20, 0);
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("old").ok());
+  {
+    auto store = KvStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put(Key(20), "later").ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  FlipBit(JoinPath(dir_, "MANIFEST"), 20);
+
+  // The snapshot's MANIFEST leaves out the newer table, which the next
+  // open would quarantine as an orphan: quarantine the MANIFEST instead
+  // and let recovery scan the directory.
+  Scrubber::Options o;
+  o.snapshots = &snaps;
+  Scrubber scrub(dir_, o);
+  ASSERT_TRUE(scrub.RunOnce().ok());
+  EXPECT_EQ(scrub.stats().repaired, 0u);
+  EXPECT_EQ(scrub.stats().quarantined, 1u);
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE((*store)->Get(Key(i)).ok());
+  EXPECT_EQ((*store)->Get(Key(20)).value(), "later");
+}
+
+TEST_F(IntegrityTest, RestoreKeepsAckedWritesInSealedSegments) {
+  SnapshotManager snaps(dir_);
+  std::map<std::string, std::string> acked;
+  {
+    auto store = KvStore::Open(dir_, SmallMemtable());
+    ASSERT_TRUE(store.ok());
+    acked = FillUntilFlushFails(store->get(), 0);
+    ASSERT_FALSE(acked.empty());
+    ASSERT_TRUE(snaps.Create("sealed").ok());
+    // The store flushes on and deletes the segment it snapshotted.
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  ASSERT_TRUE(snaps.Restore("sealed").ok());
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  for (const auto& [key, value] : acked) {
+    auto got = (*store)->Get(key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status();
+    EXPECT_EQ(*got, value);
+  }
+}
+
+TEST_F(IntegrityTest, RestoreDropsPostSnapshotSealedSegments) {
+  BuildStore(dir_, 40, 0, "base");
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("clean").ok());
+  std::map<std::string, std::string> later;
+  {
+    auto store = KvStore::Open(dir_, SmallMemtable());
+    ASSERT_TRUE(store.ok());
+    later = FillUntilFlushFails(store->get(), 100);
+    ASSERT_FALSE(later.empty());
+  }
+  ASSERT_TRUE(snaps.Restore("clean").ok());
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ((*store)->Get(Key(i)).value(), "base" + std::to_string(i));
+  }
+  // Every post-snapshot write, the unacked one that sealed included.
+  for (int i = 100; i <= 100 + static_cast<int>(later.size()); ++i) {
+    EXPECT_TRUE((*store)->Get(Key(i)).status().IsNotFound()) << Key(i);
+  }
+}
+
+TEST_F(IntegrityTest, WritersKeepTheirBytes) {
+  // Golden bytes from the writers as they were before the frames moved
+  // to common/checksum.h.
+  {
+    KvStore::Options o;
+    o.sync_every_write = true;
+    auto store = KvStore::Open(dir_, o);
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(
+          (*store)->Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE((*store)->Flush().ok());
+    for (int i = 10; i < 13; ++i) {
+      ASSERT_TRUE(
+          (*store)->Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+    }
+  }
+  EXPECT_EQ(ReadFileToString(JoinPath(dir_, "MANIFEST")).value(),
+            "saga-manifest-v1\nsst_00000000.sst\ncrc:3332838230\n");
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("g").ok());
+  EXPECT_EQ(ReadFileToString(JoinPath(JoinPath(dir_, "snapshots/g"),
+                                      "SNAPMANIFEST"))
+                .value(),
+            "saga-snapshot-v1\n"
+            "sst_00000000.sst 157 927033334\n"
+            "MANIFEST 49 2354014739\n"
+            "wal.log 51 947288586\n"
+            "crc:1060119524\n");
+
+  auto emb = embedding::test_shard::StoreFromRows(
+      {{kg::EntityId{7}, {1.5f, -2.0f}}, {kg::EntityId{3}, {0.25f, 4.0f}}});
+  ASSERT_TRUE(emb.ok());
+  const std::string path = JoinPath(dir_, "e.bin");
+  ASSERT_TRUE(emb->Save(path).ok());
+  const std::string emb2 = ReadFileToString(path).value();
+  std::string hex;
+  for (unsigned char c : emb2) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", c);
+    hex += buf;
+  }
+  EXPECT_EQ(hex,
+            "454d4232020203020000803e0000804007020000c03f000000c0d5d0d117");
+}
+
+// ---------------------------------------------------------------------------
+// Manifest decoder mutation harness
+
+/// `clean` with one seeded mutation: a bit flip, a truncation, a line
+/// spliced over another or duplicated, or a digit turned into a
+/// non-digit.
+std::string Mutate(const std::string& clean, Rng& rng) {
+  std::string m = clean;
+  std::vector<std::string> lines;
+  for (size_t start = 0; start < m.size();) {
+    const size_t end = m.find('\n', start);
+    lines.push_back(m.substr(start, end + 1 - start));
+    start = end + 1;
+  }
+  auto join = [&lines] {
+    std::string out;
+    for (const std::string& l : lines) out += l;
+    return out;
+  };
+  switch (rng.Uniform(5)) {
+    case 0: {
+      const size_t pos = rng.Uniform(m.size());
+      m[pos] = static_cast<char>(m[pos] ^ (1 << rng.Uniform(8)));
+      return m;
+    }
+    case 1:
+      return m.substr(0, rng.Uniform(m.size()));
+    case 2:
+      lines[rng.Uniform(lines.size())] = lines[rng.Uniform(lines.size())];
+      return join();
+    case 3: {
+      const size_t i = rng.Uniform(lines.size());
+      lines.insert(lines.begin() + static_cast<long>(i), lines[i]);
+      return join();
+    }
+    default: {
+      std::vector<size_t> digits;
+      for (size_t i = 0; i < m.size(); ++i) {
+        if (m[i] >= '0' && m[i] <= '9') digits.push_back(i);
+      }
+      static constexpr char kNonDigits[] = {'a', ' ', '-', '+', 'x', '\0',
+                                            '\n'};
+      m[digits[rng.Uniform(digits.size())]] =
+          kNonDigits[rng.Uniform(sizeof(kNonDigits))];
+      return m;
+    }
+  }
+}
+
+/// Recomputes the CRC trailer of a mutated frame so that the mutation
+/// reaches the checks behind the CRC.
+std::string Reseal(std::string m) {
+  const size_t cut = m.rfind("crc:");
+  if (cut != std::string::npos && (cut == 0 || m[cut - 1] == '\n')) {
+    m.resize(cut);
+  }
+  return m + "crc:" + std::to_string(Crc32(m)) + "\n";
+}
+
+// Every mutated MANIFEST and SNAPMANIFEST decodes to a Status or to
+// entries that encode back to exactly the input: never a partly parsed
+// list, never a lenient reading.
+TEST_F(IntegrityTest, ManifestDecodersAreTotalUnderMutation) {
+  const char* env = std::getenv("SAGA_CHAOS_SEED");
+  const uint64_t seed =
+      env != nullptr && *env != '\0' ? std::strtoull(env, nullptr, 10) : 2551;
+  SCOPED_TRACE("replay with SAGA_CHAOS_SEED=" + std::to_string(seed));
+  std::printf("manifest mutation harness: SAGA_CHAOS_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+
+  BuildStore(dir_, 30, 5);
+  {
+    auto store = KvStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put(Key(99), "x").ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("s").ok());
+  const std::string manifest =
+      ReadFileToString(JoinPath(dir_, "MANIFEST")).value();
+  const std::string snap_manifest =
+      ReadFileToString(JoinPath(dir_, "snapshots/s/SNAPMANIFEST")).value();
+  ASSERT_EQ(storage::DecodeManifest(manifest).value().size(), 2u);
+  ASSERT_EQ(DecodeSnapshotManifest(snap_manifest).value().size(), 4u);
+
+  constexpr int kMutations = 10000;
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string m = Mutate(manifest, rng);
+    if (i % 2 == 1) m = Reseal(std::move(m));
+    auto tables = storage::DecodeManifest(m);
+    if (!tables.ok()) {
+      EXPECT_TRUE(tables.status().IsCorruption()) << tables.status();
+      ++rejected;
+      continue;
+    }
+    ASSERT_EQ(EncodeTextFrame("saga-manifest-v1", *tables), m);
+  }
+  for (int i = 0; i < kMutations; ++i) {
+    std::string m = Mutate(snap_manifest, rng);
+    if (i % 2 == 1) m = Reseal(std::move(m));
+    auto entries = DecodeSnapshotManifest(m);
+    if (!entries.ok()) {
+      EXPECT_TRUE(entries.status().IsCorruption()) << entries.status();
+      ++rejected;
+      continue;
+    }
+    std::vector<std::string> lines;
+    for (const SnapshotEntry& e : *entries) {
+      lines.push_back(e.file + " " + std::to_string(e.digest.size) + " " +
+                      std::to_string(e.digest.crc));
+    }
+    ASSERT_EQ(EncodeTextFrame("saga-snapshot-v1", lines), m);
+  }
+  // Most mutations break a frame; the few accepted ones re-encode.
+  EXPECT_GT(rejected, kMutations);
+}
+
+// ---------------------------------------------------------------------------
 // Manifest + durability plumbing
 
-TEST_F(IntegrityTest, ReadManifestTablesMatchesLiveSet) {
+TEST_F(IntegrityTest, LiveFilesMatchesLiveSet) {
   BuildStore(dir_, 20, 0);
   {
     auto store = KvStore::Open(dir_);
@@ -541,13 +854,21 @@ TEST_F(IntegrityTest, ReadManifestTablesMatchesLiveSet) {
       ASSERT_TRUE((*store)->Put(Key(i), "x").ok());
     }
     ASSERT_TRUE((*store)->Flush().ok());
-    auto names = storage::ReadManifestTables(dir_);
-    ASSERT_TRUE(names.ok());
-    EXPECT_EQ(names->size(), (*store)->num_sstables());
+    EXPECT_EQ(LiveTables(dir_).size(), (*store)->num_sstables());
   }
-  auto missing = storage::ReadManifestTables(JoinPath(dir_, "nope"));
-  ASSERT_FALSE(missing.ok());
-  EXPECT_TRUE(missing.status().IsNotFound());
+  auto files = storage::LiveFiles(dir_);
+  ASSERT_TRUE(files.ok());
+  std::vector<std::string> names;
+  for (const storage::LiveFile& f : *files) {
+    EXPECT_TRUE(storage::VerifyLiveFile(JoinPath(dir_, f.name), f.kind).ok())
+        << f.name;
+    names.push_back(f.name);
+  }
+  // Tables in commit order, then the MANIFEST, then the active WAL.
+  EXPECT_EQ(names, (std::vector<std::string>{"sst_00000000.sst",
+                                             "sst_00000001.sst", "MANIFEST",
+                                             "wal.log"}));
+  EXPECT_FALSE(storage::LiveFiles(JoinPath(dir_, "nope")).ok());
 }
 
 TEST_F(IntegrityTest, DirsyncFaultFailsDurableCommit) {

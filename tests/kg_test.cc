@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/checksum.h"
 #include "common/file_util.h"
 #include "common/serialization.h"
 #include "kg/entity_catalog.h"
@@ -456,12 +457,12 @@ TEST(KnowledgeGraphTest, LoadRejectsOversizedTypeCount) {
   auto dir = MakeTempDir("saga_kg_types");
   ASSERT_TRUE(dir.ok());
   const std::string path = JoinPath(*dir, "bad.kg");
-  // A snapshot header, an empty ontology, then one catalog entity that
-  // claims 2^61 types with a few bytes of input left.
+  // A snapshot version, an empty ontology, then one catalog entity that
+  // claims 2^61 types with a few bytes of input left, sealed in a
+  // frame whose CRC matches so the decoder sees it.
   std::string buf;
   BinaryWriter w(&buf);
-  w.PutFixed32(0x5341474Bu);  // "SAGK"
-  w.PutFixed32(1);            // snapshot version
+  w.PutFixed32(2);            // snapshot version
   w.PutVarint64(0);           // ontology types
   w.PutVarint64(0);           // ontology predicates
   w.PutVarint64(1);           // catalog entities
@@ -470,9 +471,45 @@ TEST(KnowledgeGraphTest, LoadRejectsOversizedTypeCount) {
   w.PutDouble(0.5);
   w.PutVarint64(uint64_t{1} << 61);
   w.PutVarint64(0);
-  ASSERT_TRUE(WriteStringToFile(path, buf).ok());
+  ASSERT_TRUE(
+      WriteStringToFile(path, EncodeBinaryFrame(0x5341474Bu, buf)).ok());
   auto loaded = KnowledgeGraph::Load(path);
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_TRUE(RemoveDirRecursively(*dir).ok());
+}
+
+TEST(KnowledgeGraphTest, LoadFailsOnEveryBitFlip) {
+  auto dir = MakeTempDir("saga_kg_flip");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = JoinPath(*dir, "kg.kg");
+  KgGeneratorConfig config;
+  config.num_persons = 4;
+  config.num_movies = 2;
+  config.num_songs = 1;
+  config.num_teams = 1;
+  config.num_bands = 1;
+  config.num_cities = 2;
+  config.num_countries = 1;
+  config.num_universities = 1;
+  config.num_occupations = 1;
+  config.num_genres = 1;
+  ASSERT_TRUE(GenerateKg(config).kg.Save(path).ok());
+  auto clean = ReadFileToString(path);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(KnowledgeGraph::Load(path).ok());
+  // The magic is the first four bytes: a flip there is a file of
+  // another kind; anywhere after it the CRC no longer matches.
+  for (size_t i = 0; i < clean->size(); ++i) {
+    std::string bytes = *clean;
+    bytes[i] = static_cast<char>(bytes[i] ^ (1 << (i % 8)));
+    ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+    const Status s = KnowledgeGraph::Load(path).status();
+    EXPECT_TRUE(i < 4 ? s.IsCorruption() : s.IsDataLoss())
+        << "byte " << i << ": " << s;
+  }
+  // A short file is Corruption too.
+  ASSERT_TRUE(WriteStringToFile(path, clean->substr(0, 7)).ok());
+  EXPECT_TRUE(KnowledgeGraph::Load(path).status().IsCorruption());
   EXPECT_TRUE(RemoveDirRecursively(*dir).ok());
 }
 

@@ -398,7 +398,7 @@ TEST(CorroboratorTest, DecisionPicksBestGroupAndThresholds) {
   weak.features.max_confidence = 0.3;
   weak.features.mean_source_quality = 0.2;
 
-  Corroborator corroborator(&model);
+  Corroborator corroborator(&model, Corroborator::Options());
   const auto decision = corroborator.Decide({weak, strong});
   EXPECT_EQ(decision.value, kg::Value::Int(1));
   EXPECT_EQ(decision.group_index, 1u);

@@ -698,7 +698,7 @@ TEST_F(OverloadTest, AdmissionAndBreakerAreThreadSafe) {
   CircuitBreaker::Options bopts;
   bopts.failure_threshold = 4;
   bopts.open_ms = 0.01;
-  CircuitBreaker breaker("serving.breaker.stress");
+  CircuitBreaker breaker("serving.breaker.stress", CircuitBreaker::Options());
 
   std::atomic<uint64_t> admitted{0};
   std::atomic<uint64_t> shed{0};

@@ -76,7 +76,7 @@ std::unique_ptr<ReplicaGroup> MustCreate(ReplicaGroup::Options o) {
   return std::move(*group);
 }
 
-int CountLeaders(const ReplicaGroup& g) {
+int CountLeaders(ReplicaGroup& g) {
   int leaders = 0;
   for (int i = 0; i < g.num_replicas(); ++i) {
     if (g.replica(i).alive() && g.replica(i).role() == Role::kLeader) {

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/file_util.h"
 #include "common/rng.h"
 #include "common/serialization.h"

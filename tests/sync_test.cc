@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "common/file_util.h"
 #include "ondevice/device_data_generator.h"
 #include "ondevice/incremental_pipeline.h"
 #include "ondevice/sync.h"
@@ -152,13 +151,10 @@ TEST(OffloadTest, PowerfulDeviceComputesAndShipsFusion) {
   SyncService sync;
   (void)sync.SyncAll(&devices);
 
-  auto dir = MakeTempDir("saga_offload");
-  ASSERT_TRUE(dir.ok());
-  const OffloadStats stats = OffloadFusion(&devices, *dir);
+  const OffloadStats stats = OffloadFusion(&devices);
   EXPECT_EQ(stats.compute_device, "laptop");
   EXPECT_GT(stats.persons_shipped, 0u);
   EXPECT_GT(stats.bytes_shipped, 0u);
-  (void)RemoveDirRecursively(*dir);
 }
 
 TEST(OffloadTest, WatchViewCoversSyncedPersons) {
@@ -166,9 +162,7 @@ TEST(OffloadTest, WatchViewCoversSyncedPersons) {
   auto devices = MakeFleet(data);
   SyncService sync;
   (void)sync.SyncAll(&devices);
-  auto dir = MakeTempDir("saga_offload2");
-  ASSERT_TRUE(dir.ok());
-  const OffloadStats stats = OffloadFusion(&devices, *dir);
+  const OffloadStats stats = OffloadFusion(&devices);
 
   // The laptop computes the shipped view by fusing its visible records.
   ASSERT_EQ(stats.compute_device, "laptop");
@@ -193,7 +187,6 @@ TEST(OffloadTest, WatchViewCoversSyncedPersons) {
   }
   ASSERT_GT(total, 0u);
   EXPECT_EQ(covered, total);
-  (void)RemoveDirRecursively(*dir);
 }
 
 }  // namespace

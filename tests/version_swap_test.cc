@@ -81,7 +81,7 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
   BuildVersionDir("v1", 100, "old");
   BuildVersionDir("v2", 100, "new");
 
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   std::shared_ptr<ServingVersion> v1 = Load("v1");
   const std::weak_ptr<ServingVersion> old = v1;
   ASSERT_TRUE(mgr.Activate(std::move(v1)).ok());
@@ -116,7 +116,7 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
 TEST_F(VersionSwapTest, ActivateRefusesSecondBaseline) {
   BuildVersionDir("v1", 10, "a");
   BuildVersionDir("v2", 10, "b");
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   Status again = mgr.Activate(Load("v2"));
   ASSERT_FALSE(again.ok());
@@ -127,7 +127,7 @@ TEST_F(VersionSwapTest, SwapRejectsCatalogShrink) {
   BuildVersionDir("v1", 100, "old");
   BuildVersionDir("v2", 10, "new");  // dropped 90% of the catalog
 
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   Status s = mgr.SwapTo(Load("v2"));
   ASSERT_FALSE(s.ok());
@@ -154,7 +154,7 @@ TEST_F(VersionSwapTest, SwapRejectsSampledQueryRegression) {
     }
     ASSERT_TRUE((*store)->Flush().ok());
   }
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   Status s = mgr.SwapTo(Load("v2"));
   ASSERT_FALSE(s.ok());
@@ -165,7 +165,7 @@ TEST_F(VersionSwapTest, SwapRejectsRottedCandidateAsDataLoss) {
   BuildVersionDir("v1", 100, "old");
   BuildVersionDir("v2", 100, "new");
 
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   auto candidate = Load("v2");
   ASSERT_NE(candidate, nullptr);
@@ -184,7 +184,7 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
   BuildVersionDir("v1", 50, "old");
   BuildVersionDir("v2", 50, "new");
 
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   std::shared_ptr<ServingVersion> v2 = Load("v2");
   const std::weak_ptr<ServingVersion> candidate = v2;
@@ -211,7 +211,7 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
 TEST_F(VersionSwapTest, CleanProbationKeepsNewVersion) {
   BuildVersionDir("v1", 50, "old");
   BuildVersionDir("v2", 50, "new");
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   ASSERT_TRUE(mgr.SwapTo(Load("v2")).ok());
   // A few scattered errors below the threshold must not trigger
@@ -228,7 +228,7 @@ TEST_F(VersionSwapTest, CleanProbationKeepsNewVersion) {
 TEST_F(VersionSwapTest, RcuReadersFinishOnTheVersionTheyStarted) {
   BuildVersionDir("v1", 20, "old");
   BuildVersionDir("v2", 20, "new");
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
 
   // An in-flight request pinned the old version...
@@ -256,13 +256,13 @@ TEST_F(VersionSwapTest, LoadVersionBuildsEmbeddingService) {
 }
 
 TEST_F(VersionSwapTest, NullAndMissingCandidatesAreInvalid) {
-  VersionManager mgr;
+  VersionManager mgr(VersionManager::Options{});
   EXPECT_FALSE(mgr.Activate(nullptr).ok());
   EXPECT_FALSE(mgr.SwapTo(nullptr).ok());
   BuildVersionDir("v1", 5, "a");
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   // Swapping with no prior Activate is the other way around:
-  VersionManager fresh;
+  VersionManager fresh(VersionManager::Options{});
   BuildVersionDir("v2", 5, "b");
   Status s = fresh.SwapTo(Load("v2"));
   ASSERT_FALSE(s.ok());
