@@ -49,6 +49,29 @@ Status FsyncPath(const std::string& path, int open_flags) {
   return Status::OK();
 }
 
+Status SyncFile(const std::string& path) {
+  return FsyncPath(path, O_RDONLY);
+}
+
+Status SyncDir(const std::string& path) {
+  return FsyncPath(path, O_RDONLY | O_DIRECTORY);
+}
+
+/// Renames `from` to `to`, replacing `to` if present. Fault point:
+/// `file.rename`.
+Status RenameFile(const std::string& from, const std::string& to) {
+  if (Faults().armed()) {
+    SAGA_RETURN_IF_ERROR(Faults().InjectOp("file.rename"));
+  }
+  std::error_code ec;
+  fs::rename(from, to, ec);
+  if (ec) {
+    return Status::IOError("rename " + from + " -> " + to + ": " +
+                           ec.message());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::string> ReadFileToString(const std::string& path) {
@@ -109,33 +132,7 @@ Status WriteStringToFile(const std::string& path, std::string_view data,
       return sync;
     }
   }
-  if (Faults().armed()) {
-    SAGA_RETURN_IF_ERROR(Faults().InjectOp("file.rename"));
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("rename " + tmp + " -> " + path + ": " +
-                           ec.message());
-  }
-  if (durable) {
-    if (Faults().armed()) {
-      // Crash window between the rename and the directory fsync: the
-      // rename is in the page cache but not yet on the platter.
-      SAGA_RETURN_IF_ERROR(Faults().InjectOp("file.dirsync"));
-    }
-    const std::string parent = fs::path(path).parent_path().string();
-    if (!parent.empty()) SAGA_RETURN_IF_ERROR(SyncDir(parent));
-  }
-  return Status::OK();
-}
-
-Status SyncFile(const std::string& path) {
-  return FsyncPath(path, O_RDONLY);
-}
-
-Status SyncDir(const std::string& path) {
-  return FsyncPath(path, O_RDONLY | O_DIRECTORY);
+  return durable ? RenameFileDurable(tmp, path) : RenameFile(tmp, path);
 }
 
 bool FileExists(const std::string& path) {
@@ -170,22 +167,11 @@ Status RemoveFileIfExists(const std::string& path) {
   return Status::OK();
 }
 
-Status RenameFile(const std::string& from, const std::string& to) {
-  if (Faults().armed()) {
-    SAGA_RETURN_IF_ERROR(Faults().InjectOp("file.rename"));
-  }
-  std::error_code ec;
-  fs::rename(from, to, ec);
-  if (ec) {
-    return Status::IOError("rename " + from + " -> " + to + ": " +
-                           ec.message());
-  }
-  return Status::OK();
-}
-
 Status RenameFileDurable(const std::string& from, const std::string& to) {
   SAGA_RETURN_IF_ERROR(RenameFile(from, to));
   if (Faults().armed()) {
+    // Crash window between the rename and the directory fsync: the
+    // rename is in the page cache but not yet on the platter.
     SAGA_RETURN_IF_ERROR(Faults().InjectOp("file.dirsync"));
   }
   const std::string parent = fs::path(to).parent_path().string();

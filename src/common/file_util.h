@@ -22,12 +22,6 @@ Result<std::string> ReadFileToString(const std::string& path);
 Status WriteStringToFile(const std::string& path, std::string_view data,
                          bool durable = false);
 
-/// fsync(2) on an existing file (no-op success on platforms without it).
-Status SyncFile(const std::string& path);
-
-/// fsync(2) on a directory, making completed renames/creates durable.
-Status SyncDir(const std::string& path);
-
 bool FileExists(const std::string& path);
 
 Result<uint64_t> FileSize(const std::string& path);
@@ -37,14 +31,10 @@ Status CreateDirIfMissing(const std::string& path);
 /// Removes a file; OK if it does not exist.
 Status RemoveFileIfExists(const std::string& path);
 
-/// Renames `from` to `to`, replacing `to` if present. Fault point:
-/// `file.rename`.
-Status RenameFile(const std::string& from, const std::string& to);
-
-/// RenameFile + fsync of `to`'s parent directory, so the rename itself
-/// survives power loss (a plain rename lives only in the dirty
-/// directory page until the next sync). Fault points: `file.rename`,
-/// `file.dirsync` (between the two steps).
+/// Renames `from` to `to`, replacing `to` if present, then fsyncs `to`'s
+/// parent directory, so the rename itself survives power loss (a plain
+/// rename lives only in the dirty directory page until the next sync).
+/// Fault points: `file.rename`, `file.dirsync` (between the two steps).
 Status RenameFileDurable(const std::string& from, const std::string& to);
 
 /// Copies `from` to `to` atomically (tmp + rename; durable when asked).

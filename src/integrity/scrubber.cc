@@ -23,10 +23,8 @@ int64_t NowUnixMs() {
 Scrubber::Scrubber(std::string store_dir, Options options)
     : store_dir_(std::move(store_dir)), options_(options) {}
 
-void Scrubber::ScrubFile(
-    const std::string& name,
-    const std::function<Status(const std::string&)>& verify,
-    bool repairable) {
+void Scrubber::ScrubFile(const std::string& name, const Check& verify,
+                         OnRot on_rot, const Check& verify_copy) {
   const std::string path = JoinPath(store_dir_, name);
   if (!FileExists(path)) return;
   const Status why = verify(path);
@@ -55,28 +53,18 @@ void Scrubber::ScrubFile(
     SAGA_COUNTER("integrity.corruption.detected").Add();
   }
   SAGA_LOG(Warning) << "scrub found corrupt file " << path << ": " << why;
+  if (on_rot == OnRot::kReport) return;
 
-  if (!repairable) {
-    // A damaged WAL tail is normal crash debris: recovery truncates it
-    // and loses only unacknowledged records. Restoring an *older* WAL
-    // over it would lose acknowledged ones — report, never "repair".
-    return;
-  }
-
-  if (options_.snapshots != nullptr) {
-    auto from = options_.snapshots->RepairFile(name, path);
+  if (on_rot == OnRot::kRepair && options_.snapshots != nullptr) {
+    auto from = options_.snapshots->RepairFile(name, verify_copy);
     if (from.ok()) {
-      // Trust but verify: the repaired bytes must pass the same check
-      // that just failed.
-      if (verify(path).ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.repaired;
-        stats_.last_verified_unix_ms[name] = NowUnixMs();
-        return;
-      }
-      SAGA_LOG(Error) << "repair of " << path << " from snapshot " << *from
-                      << " did not verify; quarantining";
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.repaired;
+      stats_.last_verified_unix_ms[name] = NowUnixMs();
+      return;
     }
+    SAGA_LOG(Error) << "no snapshot copy of " << path << " put in place ("
+                    << from.status() << "); quarantining";
   }
 
   if (storage::QuarantineFile(path).ok()) {
@@ -95,12 +83,18 @@ Status Scrubber::RunOnce() {
     auto verify = [&f](const std::string& p) {
       return storage::VerifyLiveFile(p, f.kind);
     };
+    auto verify_copy = [&](const std::string& p) {
+      return storage::VerifyRepairCopy(p, f.kind, store_dir_);
+    };
+    // An older WAL copy would drop or resurrect acked writes, and replay
+    // already truncates a damaged tail: WAL rot is only reported.
     ScrubFile(f.name, verify,
-              f.kind != storage::LiveFileKind::kWal &&
-                  f.kind != storage::LiveFileKind::kWalSegment);
+              storage::IsWal(f.kind) ? OnRot::kReport : OnRot::kRepair,
+              verify_copy);
   }
+  // No snapshot holds the shard: it is checked and quarantined only.
   ScrubFile(embedding::EmbeddingStore::kShardFileName,
-            &embedding::EmbeddingStore::Verify, /*repairable=*/true);
+            &embedding::EmbeddingStore::Verify, OnRot::kQuarantine);
 
   {
     std::lock_guard<std::mutex> lock(mu_);

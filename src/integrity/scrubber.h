@@ -16,9 +16,11 @@ namespace saga::integrity {
 /// — every file storage::LiveFiles lists (tables, MANIFEST, sealed WAL
 /// segments, the active WAL) and the embedding shard
 /// (EmbeddingStore::kShardFileName) when the directory has one —
-/// re-verifying each end to end, repairing rotted files from the newest
-/// good snapshot, and quarantining what it cannot repair (loud failure
-/// beats silent rot). WAL damage is reported, never repaired.
+/// re-verifying each end to end. A rotted table or MANIFEST is replaced
+/// by the newest good snapshot copy that passes
+/// storage::VerifyRepairCopy, and quarantined when there is none (loud
+/// failure beats silent rot). The shard, which no snapshot holds, is
+/// quarantined; WAL damage is only reported.
 ///
 /// Metrics: bumps `integrity.scrub.*` counters and the
 /// `integrity.corruption.detected/repaired/quarantined` family (the
@@ -55,12 +57,18 @@ class Scrubber {
   Stats stats() const;
 
  private:
+  using Check = std::function<Status(const std::string&)>;
+
+  /// What a pass does with a file that fails its check: count it only,
+  /// rename it aside, or replace it with a snapshot copy that passes
+  /// `verify_copy` (SnapshotManager::RepairFile) and rename it aside
+  /// when there is none.
+  enum class OnRot { kReport, kQuarantine, kRepair };
+
   /// Checks `<store_dir>/name` with `verify` (kDataLoss or kCorruption
-  /// means rot), then repairs or quarantines it unless it is not
-  /// `repairable`, in which case rot is only reported.
-  void ScrubFile(const std::string& name,
-                 const std::function<Status(const std::string&)>& verify,
-                 bool repairable);
+  /// means rot) and handles rot as `on_rot` says.
+  void ScrubFile(const std::string& name, const Check& verify, OnRot on_rot,
+                 const Check& verify_copy = nullptr);
 
   std::string store_dir_;
   Options options_;

@@ -17,6 +17,8 @@ namespace {
 constexpr char kSnapManifestName[] = "SNAPMANIFEST";
 constexpr char kSnapHeader[] = "saga-snapshot-v1";
 constexpr char kStagingPrefix[] = ".tmp_";
+/// Where RepairFile's copy waits beside the file it would replace.
+constexpr char kStagedSuffix[] = ".repair";
 
 /// A plain file name, not hidden: staging directories start with a dot.
 bool ValidName(std::string_view name) {
@@ -85,8 +87,11 @@ Result<SnapshotInfo> SnapshotManager::Create(const std::string& name) {
                              ? HardLinkOrCopyFile(src, dst)
                              : CopyFile(src, dst, /*durable=*/true));
     // Check and digest the snapshot copy, not the source: what we
-    // certify is what Restore will read back.
-    SAGA_RETURN_IF_ERROR(storage::VerifyLiveFile(dst, f.kind));
+    // certify is what Restore will read back. A torn WAL tail is crash
+    // debris that replay truncates, so a WAL is copied as it is.
+    if (!storage::IsWal(f.kind)) {
+      SAGA_RETURN_IF_ERROR(storage::VerifyLiveFile(dst, f.kind));
+    }
     SAGA_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(dst));
     const Digest d = DigestOf(bytes);
     lines.push_back(f.name + " " + std::to_string(d.size) + " " +
@@ -161,9 +166,7 @@ Status SnapshotManager::Restore(const std::string& name) {
   SAGA_ASSIGN_OR_RETURN(std::vector<storage::LiveFile> live,
                         storage::LiveFiles(store_dir_));
   for (const storage::LiveFile& f : live) {
-    const bool wal = f.kind == storage::LiveFileKind::kWal ||
-                     f.kind == storage::LiveFileKind::kWalSegment;
-    if (wal && held.count(f.name) == 0) {
+    if (storage::IsWal(f.kind) && held.count(f.name) == 0) {
       SAGA_RETURN_IF_ERROR(RemoveFileIfExists(JoinPath(store_dir_, f.name)));
     }
   }
@@ -182,10 +185,11 @@ Status SnapshotManager::Restore(const std::string& name) {
   return Status::OK();
 }
 
-Result<std::string> SnapshotManager::RepairFile(const std::string& file_name,
-                                                const std::string& dest_path) {
-  const std::string dest =
-      dest_path.empty() ? JoinPath(store_dir_, file_name) : dest_path;
+Result<std::string> SnapshotManager::RepairFile(
+    const std::string& file_name,
+    const std::function<Status(const std::string&)>& check) {
+  const std::string dest = JoinPath(store_dir_, file_name);
+  const std::string staged = dest + kStagedSuffix;
   SAGA_ASSIGN_OR_RETURN(std::vector<std::string> names, List());
   // Newest snapshot first (names sort lexicographically; timestamped
   // names make that creation order).
@@ -200,7 +204,15 @@ Result<std::string> SnapshotManager::RepairFile(const std::string& file_name,
       if (!bytes.ok() || DigestOf(*bytes) != e.digest) {
         continue;  // this copy rotted too; keep looking
       }
-      SAGA_RETURN_IF_ERROR(WriteStringToFile(dest, *bytes, /*durable=*/true));
+      SAGA_RETURN_IF_ERROR(WriteStringToFile(staged, *bytes, /*durable=*/true));
+      Status put = check(staged);
+      if (put.ok()) put = RenameFileDurable(staged, dest);
+      // A failed directory sync after the rename still leaves the copy
+      // in place.
+      if (!put.ok() && FileExists(staged)) {
+        (void)RemoveFileIfExists(staged);
+        return put;
+      }
       SAGA_COUNTER("integrity.corruption.repaired").Add();
       SAGA_LOG(Info) << "repaired " << dest << " from snapshot " << name;
       return name;

@@ -2,6 +2,7 @@
 #define SAGA_INTEGRITY_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,8 +57,9 @@ class SnapshotManager {
 
   /// Snapshots the store's current committed state (its live files).
   /// AlreadyExists if `name` is taken; kCorruption or kDataLoss
-  /// when a copied live file fails storage::VerifyLiveFile (never
-  /// snapshot a corrupt truth).
+  /// when a copied table or MANIFEST fails storage::VerifyLiveFile
+  /// (never snapshot a corrupt truth). WAL files are copied as they
+  /// are: replay truncates a torn tail.
   Result<SnapshotInfo> Create(const std::string& name);
 
   /// Snapshot names, sorted (staging debris excluded).
@@ -75,12 +77,15 @@ class SnapshotManager {
   /// the snapshot are left for recovery to quarantine as orphans.
   Status Restore(const std::string& name);
 
-  /// Repairs one file from the newest snapshot holding a CRC-matching
-  /// copy: copies it (atomic, durable) to `dest_path` — default
-  /// `<store_dir>/<file_name>` — and returns the snapshot used.
-  /// NotFound when no snapshot has a good copy.
-  Result<std::string> RepairFile(const std::string& file_name,
-                                 const std::string& dest_path = "");
+  /// Replaces `<store_dir>/<file_name>` with the copy in the newest
+  /// snapshot holding a CRC-matching one and returns that snapshot. A
+  /// copy can be older than the file (a MANIFEST from before a flush), so
+  /// it is staged beside the file as `<file_name>.repair` and renamed
+  /// over it only when it passes `check` there. NotFound when no
+  /// snapshot has a good copy; `check`'s error when the copy fails it.
+  Result<std::string> RepairFile(
+      const std::string& file_name,
+      const std::function<Status(const std::string&)>& check);
 
   Result<SnapshotInfo> Info(const std::string& name) const;
 

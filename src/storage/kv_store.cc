@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
@@ -60,16 +61,10 @@ std::optional<uint64_t> ParseWalSegSeq(std::string_view name) {
   return ParseSeq(name, kWalSegPrefix, kWalSegSuffix);
 }
 
-std::string BaseName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// `dir`'s committed table names in commit order; an error when the
-/// MANIFEST is absent or does not decode.
-Result<std::vector<std::string>> ReadManifest(const std::string& dir) {
-  SAGA_ASSIGN_OR_RETURN(std::string data,
-                        ReadFileToString(JoinPath(dir, kManifestName)));
+/// The MANIFEST at `path`'s table names in commit order; an error when
+/// it is absent or does not decode.
+Result<std::vector<std::string>> ReadManifest(const std::string& path) {
+  SAGA_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
   return DecodeManifest(data);
 }
 
@@ -119,7 +114,7 @@ Result<std::vector<std::string>> DecodeManifest(std::string_view data) {
 
 Result<std::vector<LiveFile>> LiveFiles(const std::string& dir) {
   SAGA_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir));
-  auto manifest = ReadManifest(dir);
+  auto manifest = ReadManifest(JoinPath(dir, kManifestName));
   return ListLive(dir, names, manifest.ok() ? &*manifest : nullptr);
 }
 
@@ -130,30 +125,28 @@ Status VerifyLiveFile(const std::string& path, LiveFileKind kind) {
                             SSTableReader::Open(path, ReadVerifyMode::kAlways));
       return reader->VerifyChecksums();
     }
-    case LiveFileKind::kManifest: {
-      SAGA_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-      SAGA_ASSIGN_OR_RETURN(std::vector<std::string> tables,
-                            DecodeManifest(data));
-      // A MANIFEST that leaves out a table on disk (a copy from before a
-      // flush or compaction) would have the next open quarantine that
-      // table as an orphan.
-      const std::set<std::string> named(tables.begin(), tables.end());
-      SAGA_ASSIGN_OR_RETURN(
-          std::vector<std::string> names,
-          ListDir(path.substr(0, path.find_last_of('/'))));
-      for (const std::string& name : names) {
-        if (ParseSstSeq(name) && named.count(name) == 0) {
-          return Status::Corruption(path + " leaves out table " + name);
-        }
-      }
-      return Status::OK();
-    }
+    case LiveFileKind::kManifest:
+      return ReadManifest(path).status();
     case LiveFileKind::kWalSegment:
     case LiveFileKind::kWal: {
       SAGA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWalRecordsDetailed(path));
       if (wal.clean) return Status::OK();
       return Status::Corruption("wal tail damaged: " + path + " (" +
                                 std::to_string(wal.bytes_dropped) + " bytes)");
+    }
+  }
+  return Status::OK();
+}
+
+Status VerifyRepairCopy(const std::string& copy, LiveFileKind kind,
+                        const std::string& dir) {
+  if (kind != LiveFileKind::kManifest) return VerifyLiveFile(copy, kind);
+  SAGA_ASSIGN_OR_RETURN(std::vector<std::string> tables, ReadManifest(copy));
+  const std::set<std::string> named(tables.begin(), tables.end());
+  SAGA_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir));
+  for (const std::string& name : names) {
+    if (ParseSstSeq(name) && named.count(name) == 0) {
+      return Status::Corruption(copy + " leaves out table " + name);
     }
   }
   return Status::OK();
@@ -234,7 +227,9 @@ Status KvStore::WriteManifest(
     const std::vector<std::shared_ptr<SSTableReader>>& tables) {
   std::vector<std::string> names;
   names.reserve(tables.size());
-  for (const auto& sst : tables) names.push_back(BaseName(sst->path()));
+  for (const auto& sst : tables) {
+    names.push_back(std::filesystem::path(sst->path()).filename());
+  }
   const std::string payload = EncodeTextFrame(kManifestHeader, names);
   return retry_.Run(
       "kv.manifest",
@@ -297,7 +292,7 @@ Status KvStore::Recover() {
   // table. A torn/corrupt manifest is treated as absent.
   std::optional<std::vector<std::string>> manifest;
   if (FileExists(ManifestPath())) {
-    if (auto read = ReadManifest(dir_); read.ok()) {
+    if (auto read = ReadManifest(ManifestPath()); read.ok()) {
       manifest = std::move(*read);
     } else {
       SAGA_LOG(Warning) << "corrupt MANIFEST in " << dir_ << " ("
@@ -306,16 +301,15 @@ Status KvStore::Recover() {
   }
   rs.manifest_found = manifest.has_value();
 
-  // The tables to load and the sealed WAL segments to replay (a crash
-  // while background maintenance was behind), as LiveFiles lists them.
+  // The tables to load and the WAL files to replay (sealed segments are
+  // left by a crash while background maintenance was behind), as
+  // LiveFiles lists them.
   std::vector<std::string> live;
-  std::vector<std::pair<uint64_t, std::string>> wal_segments;
+  std::vector<LiveFile> wal_files;
   for (LiveFile& f :
        ListLive(dir_, files, manifest.has_value() ? &*manifest : nullptr)) {
     if (f.kind == LiveFileKind::kTable) live.push_back(std::move(f.name));
-    if (f.kind == LiveFileKind::kWalSegment) {
-      wal_segments.emplace_back(*ParseWalSegSeq(f.name), std::move(f.name));
-    }
+    if (IsWal(f.kind)) wal_files.push_back(std::move(f));
   }
   if (manifest.has_value()) {
     for (const auto& name : *manifest) {
@@ -385,18 +379,25 @@ Status KvStore::Recover() {
   }
 
   if (options_.use_wal) {
-    // Replay sealed segments in seq order, then the active log. The
-    // stop-at-damage contract spans files: a damaged record anywhere
-    // drops everything after it (later segments included), and the
-    // files are repaired so future appends never land behind damage.
+    // Replay the WAL files in LiveFiles order: sealed segments by seq,
+    // then the active log. The stop-at-damage contract spans files: a
+    // damaged record anywhere drops everything after it, later files
+    // included. The damaged file is cut before the log reopens for
+    // append; otherwise new records land behind the bad bytes and every
+    // future replay stops short of them (silent loss of acked writes).
     bool damaged = false;
-    for (const auto& [seq, name] : wal_segments) {
-      const std::string path = JoinPath(dir_, name);
+    for (const LiveFile& f : wal_files) {
+      const std::string path = JoinPath(dir_, f.name);
+      const bool segment = f.kind == LiveFileKind::kWalSegment;
+      uint64_t size = 0;
+      if (auto fs = FileSize(path); fs.ok()) size = *fs;
       if (damaged) {
-        uint64_t size = 0;
-        if (auto fs = FileSize(path); fs.ok()) size = *fs;
         rs.wal_bytes_dropped += size;
-        (void)RemoveFileIfExists(path);
+        if (segment) {
+          (void)RemoveFileIfExists(path);
+        } else {
+          SAGA_RETURN_IF_ERROR(TruncateFile(path, 0));
+        }
         continue;
       }
       SAGA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWalRecordsDetailed(path));
@@ -404,34 +405,13 @@ Status KvStore::Recover() {
       const uint64_t keep_bytes = ReplayWal(wal, &stopped);
       if (stopped) {
         damaged = true;
+        size = keep_bytes;
         SAGA_RETURN_IF_ERROR(TruncateFile(path, keep_bytes));
       }
-      uint64_t size = keep_bytes;
-      if (!stopped) {
-        if (auto fs = FileSize(path); fs.ok()) size = *fs;
-      }
-      wal_segments_.push_back(WalSegment{seq, path, size});
-      ++rs.wal_segments_replayed;
-    }
-    if (damaged) {
-      // Nothing past the damage is trusted, the active log included.
-      if (FileExists(WalPath())) {
-        if (auto fs = FileSize(WalPath()); fs.ok()) {
-          rs.wal_bytes_dropped += *fs;
-        }
-        SAGA_RETURN_IF_ERROR(TruncateFile(WalPath(), 0));
-      }
-    } else {
-      SAGA_ASSIGN_OR_RETURN(WalReadResult wal,
-                            ReadWalRecordsDetailed(WalPath()));
-      bool stopped = false;
-      const uint64_t keep_bytes = ReplayWal(wal, &stopped);
-      if (stopped && FileExists(WalPath())) {
-        // Cut the torn/undecodable tail before reopening for append;
-        // otherwise new records land behind the bad bytes and every
-        // future replay stops short of them (silent loss of acked
-        // writes).
-        SAGA_RETURN_IF_ERROR(TruncateFile(WalPath(), keep_bytes));
+      if (segment) {
+        wal_segments_.push_back(
+            WalSegment{*ParseWalSegSeq(f.name), path, size});
+        ++rs.wal_segments_replayed;
       }
     }
     SAGA_COUNTER("storage.kv.wal_records_dropped")

@@ -348,10 +348,24 @@ struct LiveFile {
 /// the sealed WAL segments in seq order and the active WAL.
 Result<std::vector<LiveFile>> LiveFiles(const std::string& dir);
 
+/// A sealed segment or the active WAL. Replay truncates a damaged WAL
+/// tail, so a WAL is never refused for one nor replaced from a copy.
+inline bool IsWal(LiveFileKind kind) {
+  return kind == LiveFileKind::kWalSegment || kind == LiveFileKind::kWal;
+}
+
 /// The end-to-end check of one live file, kDataLoss or kCorruption on
-/// rot: every block CRC of a table; a MANIFEST that decodes and names
-/// every table in its directory; a WAL that replays to its last byte.
+/// rot: every block CRC of a table; a MANIFEST that decodes; a WAL that
+/// replays to its last byte.
 Status VerifyLiveFile(const std::string& path, LiveFileKind kind);
+
+/// The check a copy from elsewhere (a snapshot's) at `copy` must pass
+/// before it replaces the live file of `kind` in `dir`: VerifyLiveFile,
+/// and for a MANIFEST, naming every table in `dir`. A MANIFEST copy from
+/// before a flush or compaction leaves a newer table out, and the next
+/// open would quarantine that table as an orphan.
+Status VerifyRepairCopy(const std::string& copy, LiveFileKind kind,
+                        const std::string& dir);
 
 /// A MANIFEST's table names in commit order. Corruption unless `data`
 /// is a MANIFEST frame naming only `sst_<seq>.sst` files.

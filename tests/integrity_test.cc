@@ -402,8 +402,11 @@ TEST_F(IntegrityTest, RepairFileRestoresByteIdenticalCopy) {
   ASSERT_TRUE(rotted.ok());
   ASSERT_NE(*rotted, *original);
 
+  auto table_ok = [](const std::string& path) {
+    return storage::VerifyLiveFile(path, storage::LiveFileKind::kTable);
+  };
   const int64_t before = CounterValue("integrity.corruption.repaired");
-  auto used = snaps.RepairFile(tables[0]);
+  auto used = snaps.RepairFile(tables[0], table_ok);
   ASSERT_TRUE(used.ok()) << used.status();
   EXPECT_EQ(*used, "s1");
   auto repaired = ReadFileToString(victim);
@@ -412,7 +415,7 @@ TEST_F(IntegrityTest, RepairFileRestoresByteIdenticalCopy) {
   EXPECT_GT(CounterValue("integrity.corruption.repaired"), before);
 
   // No snapshot holds this name -> NotFound, loudly.
-  auto missing = snaps.RepairFile("sst_9999999.sst");
+  auto missing = snaps.RepairFile("sst_9999999.sst", table_ok);
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound());
 }
@@ -613,7 +616,10 @@ TEST_F(IntegrityTest, ScrubberRefusesAStaleManifestCopy) {
     ASSERT_TRUE((*store)->Put(Key(20), "later").ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
-  FlipBit(JoinPath(dir_, "MANIFEST"), 20);
+  const std::string manifest = JoinPath(dir_, "MANIFEST");
+  FlipBit(manifest, 20);
+  auto rotted = ReadFileToString(manifest);
+  ASSERT_TRUE(rotted.ok());
 
   // The snapshot's MANIFEST leaves out the newer table, which the next
   // open would quarantine as an orphan: quarantine the MANIFEST instead
@@ -624,10 +630,81 @@ TEST_F(IntegrityTest, ScrubberRefusesAStaleManifestCopy) {
   ASSERT_TRUE(scrub.RunOnce().ok());
   EXPECT_EQ(scrub.stats().repaired, 0u);
   EXPECT_EQ(scrub.stats().quarantined, 1u);
+  // The quarantine holds the store's own bytes, not the stale copy.
+  EXPECT_EQ(ReadFileToString(manifest + ".quarantined").value_or(""),
+            *rotted);
+  EXPECT_FALSE(FileExists(manifest + ".repair"));
   auto store = KvStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 20; ++i) EXPECT_TRUE((*store)->Get(Key(i)).ok());
   EXPECT_EQ((*store)->Get(Key(20)).value(), "later");
+}
+
+TEST_F(IntegrityTest, ScrubberNeverPutsAStaleManifestInPlace) {
+  BuildStore(dir_, 20, 0);
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("old").ok());
+  {
+    auto store = KvStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put(Key(20), "later").ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  const std::string manifest = JoinPath(dir_, "MANIFEST");
+  FlipBit(manifest, 20);
+  auto rotted = ReadFileToString(manifest);
+  ASSERT_TRUE(rotted.ok());
+
+  Scrubber::Options o;
+  o.snapshots = &snaps;
+  Scrubber scrub(dir_, o);
+  {
+    // The first rename stages the snapshot's copy; every later one
+    // fails, the quarantine's included, as if the pass crashed first.
+    FaultSpec spec;
+    spec.fail_nth = 2;
+    spec.repeat = true;
+    ScopedFault fail_rename("file.rename", spec);
+    ASSERT_TRUE(scrub.RunOnce().ok());
+  }
+  EXPECT_EQ(scrub.stats().repaired, 0u);
+  EXPECT_EQ(scrub.stats().quarantined, 0u);
+  EXPECT_EQ(ReadFileToString(manifest).value_or(""), *rotted);
+  EXPECT_FALSE(FileExists(manifest + ".repair"));
+
+  // The rotted MANIFEST does not decode, so recovery scans the
+  // directory and keeps the post-snapshot table.
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ((*store)->recovery_stats().orphans_quarantined, 0u);
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE((*store)->Get(Key(i)).ok());
+  EXPECT_EQ((*store)->Get(Key(20)).value_or(""), "later");
+}
+
+TEST_F(IntegrityTest, ScrubberKeepsAManifestBesideAnOrphanTable) {
+  BuildStore(dir_, 20, 0);
+  const std::string manifest = JoinPath(dir_, "MANIFEST");
+  auto original = ReadFileToString(manifest);
+  ASSERT_TRUE(original.ok());
+  // A table renamed into place by a flush that crashed before its
+  // MANIFEST write.
+  const std::vector<std::string> tables = LiveTables(dir_);
+  ASSERT_EQ(tables.size(), 1u);
+  ASSERT_TRUE(CopyFile(JoinPath(dir_, tables[0]),
+                       JoinPath(dir_, "sst_00000007.sst"), false)
+                  .ok());
+
+  Scrubber scrub(dir_, Scrubber::Options{});
+  ASSERT_TRUE(scrub.RunOnce().ok());
+  EXPECT_EQ(scrub.stats().corrupt_found, 0u);
+  EXPECT_EQ(scrub.stats().quarantined, 0u);
+  EXPECT_EQ(ReadFileToString(manifest).value_or(""), *original);
+
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EXPECT_TRUE((*store)->recovery_stats().manifest_found);
+  EXPECT_EQ((*store)->recovery_stats().orphans_quarantined, 1u);
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE((*store)->Get(Key(i)).ok());
 }
 
 TEST_F(IntegrityTest, RestoreKeepsAckedWritesInSealedSegments) {
@@ -672,6 +749,38 @@ TEST_F(IntegrityTest, RestoreDropsPostSnapshotSealedSegments) {
   // Every post-snapshot write, the unacked one that sealed included.
   for (int i = 100; i <= 100 + static_cast<int>(later.size()); ++i) {
     EXPECT_TRUE((*store)->Get(Key(i)).status().IsNotFound()) << Key(i);
+  }
+}
+
+TEST_F(IntegrityTest, SnapshotOfATornWalRestoresEveryAckedWrite) {
+  BuildStore(dir_, 10, 8, "t");  // 8 acked writes live only in the WAL
+  // The store crashed mid-append: a record header's first bytes follow
+  // the last acked record, and the store has not been reopened.
+  const std::string wal = JoinPath(dir_, "wal.log");
+  auto bytes = ReadFileToString(wal);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_TRUE(WriteStringToFile(wal, *bytes + std::string("\x5a\x01\x02", 3))
+                  .ok());
+  ASSERT_FALSE(storage::VerifyLiveFile(wal, storage::LiveFileKind::kWal).ok());
+
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("torn").ok());
+  ASSERT_TRUE(snaps.Verify("torn").ok());
+  {
+    auto store = KvStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < 18; ++i) {
+      ASSERT_TRUE((*store)->Put(Key(i), "after").ok());
+    }
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  ASSERT_TRUE(snaps.Restore("torn").ok());
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 18; ++i) {
+    auto got = (*store)->Get(Key(i));
+    ASSERT_TRUE(got.ok()) << Key(i) << ": " << got.status();
+    EXPECT_EQ(*got, "t" + std::to_string(i));
   }
 }
 
