@@ -8,9 +8,8 @@
 // "tracing is free when off" contract), the tracing-on span within a
 // pinned ratio of the off cost, SAGA_STAGE within a pinned ratio of
 // the primitives it replaces (ScopedLatency with tracing off; a
-// ScopedSpan plus a ScopedLatency with tracing on), and
-// History::Capture within an absolute per-snapshot budget. Exits
-// non-zero on violation.
+// ScopedSpan plus a ScopedLatency with tracing on). Exits non-zero on
+// violation.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/history.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "common/trace_sampler.h"
@@ -58,7 +56,6 @@ constexpr double kMaxSpanOffAbsNs = 50.0;
 constexpr double kMaxSpanOnVsOffRatio = 500.0;  // alloc + clock + collect
 constexpr double kMaxSpanOnAbsNs = 20'000.0;
 constexpr double kMaxCounterAbsNs = 100.0;
-constexpr double kMaxCaptureAbsNs = 5'000'000.0;  // 5 ms per snapshot
 // SAGA_STAGE vs the primitives it replaces, measured in one process:
 // about 4x the measured ratios (1.05 off, 0.68 on), the headroom of the
 // tightest gate above (sampler-routed spans: 500x, measured 98-120x).
@@ -188,20 +185,6 @@ int main(int argc, char** argv) {
   }
   obs::SetTracingEnabled(false);
 
-  // History::Capture snapshots the whole registry (this process has
-  // the bench metrics registered) — the `top` / SLO-watchdog cadence
-  // path, expected to run at ~1 Hz, budgeted in ms not ns.
-  double capture_ns = 0;
-  {
-    obs::History history(128);
-    constexpr int64_t kCaptures = 1000;
-    Stopwatch sw;
-    for (int64_t i = 0; i < kCaptures; ++i) history.Capture();
-    capture_ns = NsPerOp(sw, kCaptures);
-    t.AddRow({"History::Capture (full registry)", "enabled",
-              Fmt(capture_ns / 1000.0, 2) + " us"});
-  }
-
   // Contended counter: all cores hammering one counter exercises the
   // shard padding.
   {
@@ -235,7 +218,6 @@ int main(int argc, char** argv) {
     Gate("ScopedSpan sampled vs off (ratio)", span_sampled_ns,
          std::min(kMaxSpanOnVsOffRatio * std::max(span_off_ns, 1.0),
                   kMaxSpanOnAbsNs));
-    Gate("History::Capture (abs ns)", capture_ns, kMaxCaptureAbsNs);
     Gate("SAGA_STAGE off vs ScopedLatency (ratio)", stage_off_ns,
          kMaxStageOffVsLatencyRatio * latency_ns);
     Gate("SAGA_STAGE on vs span + latency (ratio)", stage_on_ns,

@@ -8,8 +8,8 @@
 namespace saga::obs {
 
 /// One titled block of key/value rows in `saga_cli stats --health`,
-/// rendered identically for every subsystem (SLO verdicts,
-/// replication, integrity, breakers): rows are stable-sorted by key so
+/// rendered identically for every subsystem (serving, integrity,
+/// replication, storage, resources): rows are stable-sorted by key so
 /// text and JSON come out in the same deterministic order regardless
 /// of which subsystem built the section or in what order it added
 /// rows. Values are typed at Row() time so the JSON stays typed

@@ -148,18 +148,6 @@ Exemplar LatencyHistogram::exemplar() const {
   return out;
 }
 
-LatencyDist LatencyDist::DeltaSince(const LatencyDist& older) const {
-  LatencyDist out;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    // Clamp instead of wrapping: after a ResetAll the newer capture is
-    // smaller, and the honest answer is "what we have seen since".
-    out.buckets[i] =
-        buckets[i] >= older.buckets[i] ? buckets[i] - older.buckets[i]
-                                       : buckets[i];
-  }
-  return out;
-}
-
 void LatencyHistogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   sum_ns_.store(0, std::memory_order_relaxed);
@@ -228,21 +216,6 @@ std::vector<std::pair<std::string, double>> Registry::GaugesWithPrefix(
     if (name.compare(0, prefix.size(), prefix) == 0) {
       out.emplace_back(name, g->Value());
     }
-  }
-  return out;
-}
-
-std::vector<LatencySnapshot> Registry::LatencySnapshotsWithPrefix(
-    std::string_view prefix) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LatencySnapshot> out;
-  for (const auto& [name, h] : latencies_) {
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    LatencySnapshot snap;
-    snap.name = name;
-    snap.dist.buckets = h->SnapshotBuckets();
-    snap.exemplar = h->exemplar();
-    out.push_back(std::move(snap));
   }
   return out;
 }

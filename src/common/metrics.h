@@ -177,8 +177,8 @@ class LatencyHistogram {
   /// Inclusive lower bound in ns of bucket `idx`.
   static uint64_t BucketLowerNs(int idx);
   /// Bucket-midpoint percentile over a standalone bucket array — the
-  /// shared math behind PercentileNs and obs::History window
-  /// percentiles (which subtract snapshots before calling this).
+  /// shared math behind PercentileNs and percentiles of bucket deltas
+  /// taken between two SnapshotBuckets calls.
   static double PercentileFromBuckets(
       const std::array<uint64_t, kNumBuckets>& buckets, double p);
 
@@ -207,34 +207,6 @@ class LatencyHistogram {
   std::atomic<uint64_t> exemplar_hi_{0};
   std::atomic<uint64_t> exemplar_lo_{0};
   mutable std::atomic<bool> exemplar_lock_{false};
-};
-
-/// Plain-value distribution snapshot: bucket counts at one point in
-/// time. Subtractable (History computes per-window distributions as
-/// clamped bucket deltas between two captures) and percentile-capable
-/// via LatencyHistogram::PercentileFromBuckets.
-struct LatencyDist {
-  std::array<uint64_t, LatencyHistogram::kNumBuckets> buckets{};
-
-  uint64_t count() const {
-    uint64_t n = 0;
-    for (uint64_t c : buckets) n += c;
-    return n;
-  }
-  double PercentileNs(double p) const {
-    return LatencyHistogram::PercentileFromBuckets(buckets, p);
-  }
-  /// this - older, clamped at zero per bucket (reset-tolerant: a
-  /// counter that went backwards contributes its new value, not a
-  /// huge unsigned wraparound).
-  LatencyDist DeltaSince(const LatencyDist& older) const;
-};
-
-/// One named latency metric captured whole: distribution + exemplar.
-struct LatencySnapshot {
-  std::string name;
-  LatencyDist dist;
-  Exemplar exemplar;
 };
 
 /// RAII latency sample: records elapsed ns into a histogram on scope
@@ -316,11 +288,6 @@ class Registry {
   std::vector<std::pair<std::string, int64_t>> CountersWithPrefix(
       std::string_view prefix) const;
   std::vector<std::pair<std::string, double>> GaugesWithPrefix(
-      std::string_view prefix) const;
-  /// Full latency snapshots (buckets + sum + exemplar) for metrics
-  /// whose name starts with `prefix`, sorted by name. "" = all; feeds
-  /// obs::History captures and the exemplar view in stats dumps.
-  std::vector<LatencySnapshot> LatencySnapshotsWithPrefix(
       std::string_view prefix) const;
 
   /// Prometheus-style text exposition: counters, gauges, and histogram

@@ -17,8 +17,9 @@ namespace {
 constexpr char kSnapManifestName[] = "SNAPMANIFEST";
 constexpr char kSnapHeader[] = "saga-snapshot-v1";
 constexpr char kStagingPrefix[] = ".tmp_";
-/// Where RepairFile's copy waits beside the file it would replace.
-constexpr char kStagedSuffix[] = ".repair";
+/// Where RepairFile's copy waits beside the file it would replace. It
+/// ends in ".tmp", so KvStore recovery sweeps a copy a crash left.
+constexpr char kStagedSuffix[] = ".repair.tmp";
 
 /// A plain file name, not hidden: staging directories start with a dot.
 bool ValidName(std::string_view name) {

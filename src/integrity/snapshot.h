@@ -80,9 +80,10 @@ class SnapshotManager {
   /// Replaces `<store_dir>/<file_name>` with the copy in the newest
   /// snapshot holding a CRC-matching one and returns that snapshot. A
   /// copy can be older than the file (a MANIFEST from before a flush), so
-  /// it is staged beside the file as `<file_name>.repair` and renamed
-  /// over it only when it passes `check` there. NotFound when no
-  /// snapshot has a good copy; `check`'s error when the copy fails it.
+  /// it is staged beside the file as `<file_name>.repair.tmp` (which
+  /// KvStore recovery sweeps after a crash) and renamed over it only
+  /// when it passes `check` there. NotFound when no snapshot has a good
+  /// copy; `check`'s error when the copy fails it.
   Result<std::string> RepairFile(
       const std::string& file_name,
       const std::function<Status(const std::string&)>& check);

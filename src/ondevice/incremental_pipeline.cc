@@ -179,6 +179,19 @@ std::string IncrementalPipeline::Checkpoint() const {
   return out;
 }
 
+namespace {
+/// Reads an element count of a checkpoint. Each element takes at least
+/// one byte, so a count beyond the bytes left is corrupt, and sizing a
+/// container by it could throw.
+Status GetCount(BinaryReader& r, uint64_t* n) {
+  SAGA_RETURN_IF_ERROR(r.GetVarint64(n));
+  if (*n > r.remaining()) {
+    return Status::Corruption("pipeline checkpoint count exceeds input");
+  }
+  return Status::OK();
+}
+}  // namespace
+
 Result<IncrementalPipeline> IncrementalPipeline::Restore(
     const std::vector<SourceRecord>* records, std::string_view checkpoint) {
   IncrementalPipeline p(records);
@@ -198,12 +211,12 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
   p.ingest_pos_ = static_cast<uint32_t>(v);
 
   uint64_t n = 0;
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&n));
+  SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   for (uint64_t i = 0; i < n; ++i) {
     std::string key;
     SAGA_RETURN_IF_ERROR(r.GetString(&key));
     uint64_t m = 0;
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&m));
+    SAGA_RETURN_IF_ERROR(GetCount(r, &m));
     std::vector<uint32_t>& posting = p.postings_[key];
     posting.resize(m);
     for (uint64_t j = 0; j < m; ++j) {
@@ -211,14 +224,14 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
       posting[j] = static_cast<uint32_t>(v);
     }
   }
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&n));
+  SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   p.block_keys_.resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     SAGA_RETURN_IF_ERROR(r.GetString(&p.block_keys_[i]));
   }
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
   p.block_pos_ = v;
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&n));
+  SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t a = 0;
     uint64_t b = 0;
@@ -227,7 +240,7 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
     p.candidate_pairs_.emplace(static_cast<uint32_t>(a),
                                static_cast<uint32_t>(b));
   }
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&n));
+  SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   p.pair_list_.resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t a = 0;
@@ -238,7 +251,7 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
   }
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
   p.pair_pos_ = v;
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&n));
+  SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   p.matches_.resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t a = 0;
@@ -247,7 +260,7 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
     SAGA_RETURN_IF_ERROR(r.GetVarint64(&b));
     p.matches_[i] = {static_cast<uint32_t>(a), static_cast<uint32_t>(b)};
   }
-  SAGA_RETURN_IF_ERROR(r.GetVarint64(&n));
+  SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   p.clusters_.resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));

@@ -420,6 +420,30 @@ TEST_F(IntegrityTest, RepairFileRestoresByteIdenticalCopy) {
   EXPECT_TRUE(missing.status().IsNotFound());
 }
 
+TEST_F(IntegrityTest, RepairCopyLeftByACrashIsSweptOnOpen) {
+  BuildStore(dir_, 50, 0);
+  SnapshotManager snaps(dir_);
+  ASSERT_TRUE(snaps.Create("s1").ok());
+  const std::vector<std::string> tables = LiveTables(dir_);
+  ASSERT_FALSE(tables.empty());
+  FlipBit(JoinPath(dir_, tables[0]), 100);
+
+  std::string staged;
+  auto record_and_check = [&staged](const std::string& path) {
+    staged = path;
+    return storage::VerifyLiveFile(path, storage::LiveFileKind::kTable);
+  };
+  ASSERT_TRUE(snaps.RepairFile(tables[0], record_and_check).ok());
+  ASSERT_FALSE(staged.empty());
+  // A crash between staging and the rename leaves the copy behind.
+  ASSERT_TRUE(WriteStringToFile(staged, "staged copy").ok());
+
+  auto store = KvStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ((*store)->recovery_stats().tmp_files_removed, 1u);
+  EXPECT_FALSE(FileExists(staged)) << staged << " survived the reopen";
+}
+
 // ---------------------------------------------------------------------------
 // Scrubber
 

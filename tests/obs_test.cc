@@ -13,16 +13,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/fault_injection.h"
-#include "common/file_util.h"
 #include "common/health_section.h"
-#include "common/history.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/request_context.h"
-#include "common/slo.h"
 #include "common/trace.h"
-#include "storage/kv_store.h"
 
 namespace saga {
 namespace {
@@ -387,131 +381,6 @@ TEST_F(ObsTest, HistogramSnapshotConcurrentReadsAreSafe) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-}
-
-// ---------- History ----------
-
-TEST_F(ObsTest, HistoryRingWrapsAndWindowClamps) {
-  obs::History h(4);
-  obs::Counter& c = SAGA_COUNTER("test.history.ops");
-  for (int i = 1; i <= 10; ++i) {
-    c.Add(i);
-    h.CaptureAt(int64_t{i} * 1000, uint64_t{static_cast<uint64_t>(i)} *
-                                       1'000'000'000ull);
-  }
-  // Only the newest `capacity` snapshots (7..10) survive the
-  // wraparound: their 3 intervals added 8, 9 and 10, and a huge window
-  // clamps to the ring.
-  EXPECT_EQ(h.size(), 4u);
-  EXPECT_EQ(h.DeltaOver("test.history.ops", 3), 27);
-  EXPECT_EQ(h.DeltaOver("test.history.ops", 100), 27);
-  EXPECT_DOUBLE_EQ(h.RatePerSec("test.history.ops", 3), 9.0);
-  // One interval: just the newest pair.
-  EXPECT_EQ(h.DeltaOver("test.history.ops", 1), 10);
-}
-
-TEST_F(ObsTest, HistoryRateSurvivesCounterReset) {
-  obs::History h(8);
-  obs::Counter& c = SAGA_COUNTER("test.history.reset");
-  c.Add(10);
-  h.CaptureAt(1000, 1'000'000'000ull);
-  c.Add(5);
-  h.CaptureAt(2000, 2'000'000'000ull);
-  // A registry reset between captures must degrade to "seen since
-  // reset", not wrap around as a giant unsigned delta.
-  obs::Registry::Global().ResetAll();
-  c.Add(2);
-  h.CaptureAt(3000, 3'000'000'000ull);
-  EXPECT_EQ(h.DeltaOver("test.history.reset", 2), 7);  // 5 + 2
-  EXPECT_DOUBLE_EQ(h.RatePerSec("test.history.reset", 2), 3.5);
-}
-
-TEST_F(ObsTest, HistoryWindowPercentilesFromPairDeltas) {
-  obs::History h(8);
-  obs::LatencyHistogram& lat = SAGA_LATENCY("test.history.lat_ns");
-  h.CaptureAt(1000, 1'000'000'000ull);
-  for (int i = 0; i < 100; ++i) lat.Record(1000);
-  h.CaptureAt(2000, 2'000'000'000ull);
-  for (int i = 0; i < 100; ++i) lat.Record(1'000'000);
-  h.CaptureAt(3000, 3'000'000'000ull);
-  // Newest interval only: the slow batch.
-  EXPECT_EQ(h.CountOverWindow("test.history.lat_ns", 1), 100u);
-  EXPECT_NEAR(h.PercentileOverWindowNs("test.history.lat_ns", 50, 1), 1e6,
-              0.25 * 1e6);
-  // Both intervals: mixed distribution, count adds up.
-  EXPECT_EQ(h.CountOverWindow("test.history.lat_ns", 2), 200u);
-  const std::string report = h.Report();
-  EXPECT_NE(report.find("test.history.lat_ns"), std::string::npos);
-}
-
-// ---------- SLO watchdog ----------
-
-TEST_F(ObsTest, SloAvailabilityBurnAndGaugeExport) {
-  obs::History h(8);
-  obs::Counter& good = SAGA_COUNTER("test.slo.good");
-  obs::Counter& bad = SAGA_COUNTER("test.slo.bad");
-  h.CaptureAt(1000, 1'000'000'000ull);
-  good.Add(90);
-  bad.Add(10);
-  h.CaptureAt(2000, 2'000'000'000ull);
-
-  obs::SloSpec spec;
-  spec.name = "test_write";
-  spec.good_counter = "test.slo.good";
-  spec.error_counter = "test.slo.bad";
-  spec.availability_target = 0.999;
-  const obs::SloWatchdog watchdog({spec});
-  const auto verdicts = watchdog.Evaluate(h, 4);
-  ASSERT_EQ(verdicts.size(), 1u);
-  // 10% errors against a 0.1% budget: burning 100x.
-  EXPECT_NEAR(verdicts[0].availability_burn, 100.0, 1.0);
-  EXPECT_FALSE(verdicts[0].ok);
-  EXPECT_EQ(verdicts[0].error_delta, 10);
-  // Exported as the machine-readable alert surface.
-  EXPECT_GT(obs::Registry::Global()
-                .gauge("obs.slo.test_write_availability_burn")
-                .Value(),
-            1.0);
-  EXPECT_DOUBLE_EQ(
-      obs::Registry::Global().gauge("obs.slo.test_write_ok").Value(), 0.0);
-}
-
-TEST_F(ObsTest, SloDelayInjectionFlipsBurnGaugeWithinOneWindow) {
-  // Acceptance scenario: a kDelay fault on kv.read must flip the
-  // obs.slo.kv_read_* gauges within one history window.
-  auto dir = MakeTempDir("saga_slo_test");
-  ASSERT_TRUE(dir.ok());
-  auto store = storage::KvStore::Open(*dir);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("k", "v").ok());
-
-  obs::History h(8);
-  h.Capture();
-  Faults().InjectDelay("kv.read", 20.0);  // 4x the 5ms p99 target
-  for (int i = 0; i < 4; ++i) {
-    RequestContext ctx;
-    EXPECT_TRUE((*store)->Get("k", ctx).ok());
-  }
-  Faults().DisarmAll();
-  h.Capture();
-
-  const obs::SloWatchdog watchdog(obs::DefaultPlatformSlos());
-  const auto verdicts = watchdog.Evaluate(h, 4);
-  bool found = false;
-  for (const auto& v : verdicts) {
-    if (v.name != "kv_read") continue;
-    found = true;
-    EXPECT_GT(v.latency_burn, 1.0);
-    EXPECT_FALSE(v.ok);
-    EXPECT_GT(v.window_p99_ms, 5.0);
-  }
-  EXPECT_TRUE(found);
-  EXPECT_GT(
-      obs::Registry::Global().gauge("obs.slo.kv_read_latency_burn").Value(),
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      obs::Registry::Global().gauge("obs.slo.kv_read_ok").Value(), 0.0);
-  (void)RemoveDirRecursively(*dir);
 }
 
 // ---------- HealthSection ----------

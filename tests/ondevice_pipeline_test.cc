@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/file_util.h"
+#include "common/serialization.h"
 #include "ondevice/device_data_generator.h"
 #include "ondevice/incremental_pipeline.h"
 #include "ondevice/matcher.h"
@@ -141,6 +142,37 @@ TEST(CheckpointTest, CheckpointSurvivesKvStore) {
 TEST(CheckpointTest, GarbageCheckpointRejected) {
   DeviceDataset data = MakeData();
   EXPECT_FALSE(IncrementalPipeline::Restore(&data.records, "garbage").ok());
+}
+
+TEST(CheckpointTest, HugePostingCountIsCorruption) {
+  DeviceDataset data = MakeData();
+  std::string checkpoint;
+  BinaryWriter w(&checkpoint);
+  w.PutU8(static_cast<uint8_t>(IncrementalPipeline::Stage::kIngest));
+  w.PutVarint64(0);  // steps executed
+  w.PutVarint64(0);  // peak state bytes
+  w.PutVarint64(0);  // ingest position
+  w.PutVarint64(1);  // one posting list...
+  w.PutString("k");
+  w.PutVarint64(uint64_t{1} << 40);  // ...claiming 2^40 entries
+  ASSERT_EQ(checkpoint.size(), 13u);
+  auto restored = IncrementalPipeline::Restore(&data.records, checkpoint);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsCorruption()) << restored.status();
+}
+
+TEST(CheckpointTest, EveryTruncatedCheckpointIsRejected) {
+  DeviceDataset data = MakeData();
+  IncrementalPipeline pipeline(&data.records);
+  pipeline.RunSteps(data.records.size() / 2);
+  ASSERT_EQ(StageOf(pipeline), IncrementalPipeline::Stage::kIngest);
+  const std::string checkpoint = pipeline.Checkpoint();
+  for (size_t len = 0; len < checkpoint.size(); ++len) {
+    // A throw fails the test as well as an OK would.
+    auto restored = IncrementalPipeline::Restore(
+        &data.records, std::string_view(checkpoint).substr(0, len));
+    EXPECT_FALSE(restored.ok()) << "prefix of " << len << " bytes";
+  }
 }
 
 TEST(IncrementalPipelineTest, StateMemoryIsTrackedAndBounded) {

@@ -2,8 +2,8 @@
 //
 //   saga_cli generate <out.kg> [num_persons]   build a synthetic KG
 //   saga_cli stats <kg> [--obs] [--json]        size + coverage report
-//                 [--health] [--history]        (+ observability dump,
-//                                               health sections, series)
+//                 [--health]                    (+ observability dump,
+//                                               health sections)
 //   saga_cli entity <kg> <name>                 entity record + facts
 //   saga_cli ask <kg> <query...>                question answering
 //   saga_cli annotate <kg> <text...>            semantic annotation
@@ -18,7 +18,6 @@
 //            [--kill-leader] [--seed N]         (WAL shipping + election)
 //   saga_cli trace dump [writes] [--seed N]     traced quorum writes ->
 //            [--out FILE]                       Chrome trace JSON
-//   saga_cli top <kg> [refreshes]               live rates/latency view
 //   saga_cli faults list                        dump every registered
 //                                               fault point (+ armed)
 //   saga_cli resource <store> [--budget N]      disk-budget inspection /
@@ -26,22 +25,18 @@
 //                                               fill->degrade->reclaim
 //                                               cycle against the store
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <string>
-#include <thread>
 
 #include "annotation/annotator.h"
 #include "annotation/query_answering.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/health_section.h"
-#include "common/history.h"
 #include "common/metrics.h"
 #include "common/request_context.h"
-#include "common/slo.h"
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "common/trace_sampler.h"
@@ -65,8 +60,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  saga_cli generate <out.kg> [num_persons]\n"
-               "  saga_cli stats <kg> [--obs] [--json] [--health] "
-               "[--history]\n"
+               "  saga_cli stats <kg> [--obs] [--json] [--health]\n"
                "  saga_cli entity <kg> <name>\n"
                "  saga_cli ask <kg> <query...>\n"
                "  saga_cli annotate <kg> <text...>\n"
@@ -77,7 +71,6 @@ int Usage() {
                "  saga_cli replicate [n] [writes] [--kill-leader] "
                "[--seed N]\n"
                "  saga_cli trace dump [writes] [--seed N] [--out FILE]\n"
-               "  saga_cli top <kg> [refreshes]\n"
                "  saga_cli faults list\n"
                "  saga_cli resource <store> [--budget N] [--floor N] "
                "[--demo]\n");
@@ -120,9 +113,9 @@ int CmdGenerate(int argc, char** argv) {
 
 // --------------------------------------------------------------------
 // Health sections. Every subsystem view is built as an
-// obs::HealthSection, so SLO verdicts, serving/overload state,
-// integrity and replication all render through the one sorted,
-// stable-ordered text/JSON path.
+// obs::HealthSection, so serving/overload state, integrity,
+// replication, storage and resources all render through the one
+// sorted, stable-ordered text/JSON path.
 
 /// Overload-safety surface of this process: breaker states
 /// (serving.breaker.*) plus admission shed counts and in-flight vs.
@@ -305,34 +298,8 @@ obs::HealthSection BuildResourceSection() {
   return section;
 }
 
-/// SLO verdict section: burn rates of the built-in platform SLOs over
-/// the most recent GlobalHistory window (also exported as obs.slo.*
-/// gauges by Evaluate).
-obs::HealthSection BuildSloSection(size_t window) {
-  obs::HealthSection section("slo");
-  obs::History& history = obs::GlobalHistory();
-  if (history.size() < 2) {
-    section.Note("need >= 2 history snapshots for burn rates");
-    return section;
-  }
-  const obs::SloWatchdog watchdog(obs::DefaultPlatformSlos());
-  for (const obs::SloVerdict& v : watchdog.Evaluate(history, window)) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s (avail burn %.2f, latency burn %.2f, window p99 "
-                  "%.2fms, %lld ok / %lld err)",
-                  v.ok ? "OK" : "BURNING", v.availability_burn,
-                  v.latency_burn, v.window_p99_ms,
-                  static_cast<long long>(v.good_delta),
-                  static_cast<long long>(v.error_delta));
-    section.Row(v.name, std::string(buf));
-  }
-  return section;
-}
-
 std::vector<obs::HealthSection> BuildHealthSections() {
   std::vector<obs::HealthSection> sections;
-  sections.push_back(BuildSloSection(12));
   sections.push_back(BuildServingSection());
   sections.push_back(BuildIntegritySection());
   sections.push_back(BuildReplicationSection());
@@ -613,57 +580,6 @@ int CmdTrace(int argc, char** argv) {
   return acked == writes ? 0 : 1;
 }
 
-/// One refresh of the `top` workload: a few QA asks so the serving
-/// histograms and counters move between captures.
-void TopWorkload(annotation::QueryAnswerer& answerer, int round) {
-  static const char* kQueries[] = {
-      "who is the spouse of Person_1?",
-      "where was Person_2 born?",
-      "who is the employer of Person_3?",
-      "who is the author of Work_1?",
-  };
-  constexpr int kNum = sizeof(kQueries) / sizeof(kQueries[0]);
-  for (int i = 0; i < kNum; ++i) {
-    (void)answerer.Ask(kQueries[(round + i) % kNum], RequestContext());
-  }
-}
-
-/// `saga_cli top <kg> [refreshes]` — live rates / latency view: runs a
-/// small QA workload against the KG, captures the registry into the
-/// global history each refresh, and prints the per-interval rate and
-/// p99 series plus the SLO verdicts — `top` for the serving tier.
-int CmdTop(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  int refreshes = 5;
-  if (argc >= 4) refreshes = std::atoi(argv[3]);
-  if (refreshes < 1) return Usage();
-  obs::SetTracingEnabled(true);
-
-  auto kg = LoadKg(argv[2]);
-  if (!kg.ok()) {
-    std::fprintf(stderr, "%s\n", kg.status().ToString().c_str());
-    return 1;
-  }
-  annotation::QueryAnswerer answerer(&*kg, nullptr);
-  obs::History& history = obs::GlobalHistory();
-  history.Capture();  // baseline so refresh 1 already has an interval
-  const obs::SloWatchdog watchdog(obs::DefaultPlatformSlos());
-  for (int round = 0; round < refreshes; ++round) {
-    TopWorkload(answerer, round);
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    history.Capture();
-    std::printf("--- refresh %d/%d ---\n%s", round + 1, refreshes,
-                history.Report(1).c_str());
-    for (const obs::SloVerdict& v : watchdog.Evaluate(history, 12)) {
-      std::printf("slo %-24s %s (avail burn %.2f, latency burn %.2f)\n",
-                  v.name.c_str(), v.ok ? "OK" : "BURNING",
-                  v.availability_burn, v.latency_burn);
-    }
-    std::printf("\n");
-  }
-  return 0;
-}
-
 int CmdSnapshot(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string sub = argv[2];
@@ -751,31 +667,25 @@ int CmdScrub(int argc, char** argv) {
   return stats.corrupt_found > stats.repaired ? 1 : 0;
 }
 
-/// `saga_cli stats <kg> [--obs] [--json] [--health] [--history]` — KG
+/// `saga_cli stats <kg> [--obs] [--json] [--health]` — KG
 /// size/coverage report. --obs additionally traces the run and prints
 /// the platform-wide observability surface (span breakdown +
 /// Prometheus metrics); --json prints the metric dump (and --health)
 /// as JSON instead; --health appends the uniform subsystem health
-/// sections (SLO verdicts, breakers/admission, integrity,
-/// replication); --history appends the snapshot-ring rate/percentile
-/// series from the global history.
+/// sections (breakers/admission, integrity, replication, storage,
+/// resources).
 int CmdStats(int argc, char** argv) {
   if (argc < 3) return Usage();
   bool show_obs = false;
   bool json = false;
   bool health = false;
-  bool show_history = false;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--obs") == 0) show_obs = true;
     if (std::strcmp(argv[i], "--json") == 0) json = true;
     if (std::strcmp(argv[i], "--health") == 0) health = true;
-    if (std::strcmp(argv[i], "--history") == 0) show_history = true;
   }
   if (json && !health) show_obs = true;
-  obs::SetTracingEnabled(show_obs || health || show_history);
-  // History commands need at least two snapshots to show an interval;
-  // the first one is taken before the workload runs.
-  if (health || show_history) obs::GlobalHistory().Capture();
+  obs::SetTracingEnabled(show_obs);
 
   Result<kg::KnowledgeGraph> kg = [&] {
     obs::ScopedSpan span("cli.stats.load_kg");
@@ -816,7 +726,6 @@ int CmdStats(int argc, char** argv) {
                   obs::DumpAll(obs::DumpFormat::kPrometheus).c_str());
     }
   }
-  if (health || show_history) obs::GlobalHistory().Capture();
   if (health) {
     const auto sections = BuildHealthSections();
     if (json) {
@@ -824,10 +733,6 @@ int CmdStats(int argc, char** argv) {
     } else {
       std::printf("\n%s", obs::RenderHealthText(sections).c_str());
     }
-  }
-  if (show_history) {
-    std::printf("\n--- history (rates / p99 per interval) ---\n%s",
-                obs::GlobalHistory().Report().c_str());
   }
   return 0;
 }
@@ -970,7 +875,6 @@ int Main(int argc, char** argv) {
   if (cmd == "scrub") return CmdScrub(argc, argv);
   if (cmd == "replicate") return CmdReplicate(argc, argv);
   if (cmd == "trace") return CmdTrace(argc, argv);
-  if (cmd == "top") return CmdTop(argc, argv);
   if (cmd == "faults") return CmdFaults(argc, argv);
   if (cmd == "resource") return CmdResource(argc, argv);
   return Usage();
