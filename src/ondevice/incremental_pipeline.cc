@@ -190,6 +190,18 @@ Status GetCount(BinaryReader& r, uint64_t* n) {
   }
   return Status::OK();
 }
+
+/// Reads a record index of a checkpoint; one at or past `n_records`
+/// would index past the records the caller re-supplied.
+Status GetRecordId(BinaryReader& r, size_t n_records, uint32_t* id) {
+  uint64_t v = 0;
+  SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
+  if (v >= n_records) {
+    return Status::Corruption("pipeline checkpoint record id out of range");
+  }
+  *id = static_cast<uint32_t>(v);
+  return Status::OK();
+}
 }  // namespace
 
 Result<IncrementalPipeline> IncrementalPipeline::Restore(
@@ -208,6 +220,11 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
   p.peak_state_bytes_ = v;
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
+  // StepIngest reads records[ingest_pos_] while the stage is kIngest.
+  const size_t n_records = records->size();
+  if (v > n_records || (p.stage_ == Stage::kIngest && v == n_records)) {
+    return Status::Corruption("pipeline checkpoint ingest position");
+  }
   p.ingest_pos_ = static_cast<uint32_t>(v);
 
   uint64_t n = 0;
@@ -220,8 +237,7 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
     std::vector<uint32_t>& posting = p.postings_[key];
     posting.resize(m);
     for (uint64_t j = 0; j < m; ++j) {
-      SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
-      posting[j] = static_cast<uint32_t>(v);
+      SAGA_RETURN_IF_ERROR(GetRecordId(r, n_records, &posting[j]));
     }
   }
   SAGA_RETURN_IF_ERROR(GetCount(r, &n));
@@ -233,38 +249,37 @@ Result<IncrementalPipeline> IncrementalPipeline::Restore(
   p.block_pos_ = v;
   SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t a = 0;
-    uint64_t b = 0;
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&a));
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&b));
-    p.candidate_pairs_.emplace(static_cast<uint32_t>(a),
-                               static_cast<uint32_t>(b));
+    CandidatePair pair;
+    SAGA_RETURN_IF_ERROR(GetRecordId(r, n_records, &pair.first));
+    SAGA_RETURN_IF_ERROR(GetRecordId(r, n_records, &pair.second));
+    p.candidate_pairs_.insert(pair);
   }
   SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   p.pair_list_.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t a = 0;
-    uint64_t b = 0;
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&a));
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&b));
-    p.pair_list_[i] = {static_cast<uint32_t>(a), static_cast<uint32_t>(b)};
+  for (auto& [a, b] : p.pair_list_) {
+    SAGA_RETURN_IF_ERROR(GetRecordId(r, n_records, &a));
+    SAGA_RETURN_IF_ERROR(GetRecordId(r, n_records, &b));
   }
   SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
   p.pair_pos_ = v;
   SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   p.matches_.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t a = 0;
-    uint64_t b = 0;
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&a));
-    SAGA_RETURN_IF_ERROR(r.GetVarint64(&b));
-    p.matches_[i] = {static_cast<uint32_t>(a), static_cast<uint32_t>(b)};
+  for (auto& [a, b] : p.matches_) {
+    SAGA_RETURN_IF_ERROR(GetRecordId(r, n_records, &a));
+    SAGA_RETURN_IF_ERROR(GetRecordId(r, n_records, &b));
   }
   SAGA_RETURN_IF_ERROR(GetCount(r, &n));
   p.clusters_.resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     SAGA_RETURN_IF_ERROR(r.GetVarint64(&v));
     p.clusters_[i] = static_cast<uint32_t>(v);
+  }
+  // FuseClusters reads one cluster per record once the stage is kDone.
+  if (p.clusters_.size() != (p.stage_ == Stage::kDone ? n_records : 0)) {
+    return Status::Corruption("pipeline checkpoint cluster count");
+  }
+  if (!r.AtEnd()) {
+    return Status::Corruption("trailing bytes after pipeline checkpoint");
   }
   return p;
 }

@@ -657,7 +657,10 @@ TEST_F(IntegrityTest, ScrubberRefusesAStaleManifestCopy) {
   // The quarantine holds the store's own bytes, not the stale copy.
   EXPECT_EQ(ReadFileToString(manifest + ".quarantined").value_or(""),
             *rotted);
-  EXPECT_FALSE(FileExists(manifest + ".repair"));
+  // RepairFile removes its staged copy (and WriteStringToFile's own
+  // temp file) itself, before any reopen could sweep them.
+  EXPECT_FALSE(FileExists(manifest + ".repair.tmp"));
+  EXPECT_FALSE(FileExists(manifest + ".repair.tmp.tmp"));
   auto store = KvStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 20; ++i) EXPECT_TRUE((*store)->Get(Key(i)).ok());
@@ -694,7 +697,10 @@ TEST_F(IntegrityTest, ScrubberNeverPutsAStaleManifestInPlace) {
   EXPECT_EQ(scrub.stats().repaired, 0u);
   EXPECT_EQ(scrub.stats().quarantined, 0u);
   EXPECT_EQ(ReadFileToString(manifest).value_or(""), *rotted);
-  EXPECT_FALSE(FileExists(manifest + ".repair"));
+  // RepairFile removes its staged copy (and WriteStringToFile's own
+  // temp file) itself, before any reopen could sweep them.
+  EXPECT_FALSE(FileExists(manifest + ".repair.tmp"));
+  EXPECT_FALSE(FileExists(manifest + ".repair.tmp.tmp"));
 
   // The rotted MANIFEST does not decode, so recovery scans the
   // directory and keeps the post-snapshot table.

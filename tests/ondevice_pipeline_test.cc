@@ -161,6 +161,44 @@ TEST(CheckpointTest, HugePostingCountIsCorruption) {
   EXPECT_TRUE(restored.status().IsCorruption()) << restored.status();
 }
 
+TEST(CheckpointTest, IngestPositionPastTheRecordsIsCorruption) {
+  DeviceDataset data = MakeData();
+  std::string checkpoint;
+  BinaryWriter w(&checkpoint);
+  w.PutU8(static_cast<uint8_t>(IncrementalPipeline::Stage::kIngest));
+  w.PutVarint64(0);                    // steps executed
+  w.PutVarint64(0);                    // peak state bytes
+  w.PutVarint64(data.records.size());  // ingest position: one past the end
+  for (int field = 0; field < 8; ++field) w.PutVarint64(0);  // empty state
+  auto restored = IncrementalPipeline::Restore(&data.records, checkpoint);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsCorruption()) << restored.status();
+}
+
+TEST(CheckpointTest, CheckpointOfMoreRecordsIsCorruption) {
+  DeviceDataset data = MakeData();
+  IncrementalPipeline pipeline(&data.records);
+  while (!pipeline.done()) pipeline.RunSteps(1000);
+  const std::string checkpoint = pipeline.Checkpoint();
+  ASSERT_TRUE(IncrementalPipeline::Restore(&data.records, checkpoint).ok());
+  // Its record ids and cluster count no longer fit a shorter input.
+  const std::vector<SourceRecord> fewer(
+      data.records.begin(), data.records.begin() + data.records.size() / 2);
+  auto restored = IncrementalPipeline::Restore(&fewer, checkpoint);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsCorruption()) << restored.status();
+}
+
+TEST(CheckpointTest, TrailingBytesAreCorruption) {
+  DeviceDataset data = MakeData();
+  IncrementalPipeline pipeline(&data.records);
+  pipeline.RunSteps(data.records.size() / 2);
+  auto restored =
+      IncrementalPipeline::Restore(&data.records, pipeline.Checkpoint() + "x");
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsCorruption()) << restored.status();
+}
+
 TEST(CheckpointTest, EveryTruncatedCheckpointIsRejected) {
   DeviceDataset data = MakeData();
   IncrementalPipeline pipeline(&data.records);
