@@ -21,7 +21,6 @@
 #include "bench_util.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "common/trace_sampler.h"
 
 namespace {
 
@@ -57,8 +56,7 @@ constexpr double kMaxSpanOnVsOffRatio = 500.0;  // alloc + clock + collect
 constexpr double kMaxSpanOnAbsNs = 20'000.0;
 constexpr double kMaxCounterAbsNs = 100.0;
 // SAGA_STAGE vs the primitives it replaces, measured in one process:
-// about 4x the measured ratios (1.05 off, 0.68 on), the headroom of the
-// tightest gate above (sampler-routed spans: 500x, measured 98-120x).
+// about 4x the measured ratios (1.05 off, 0.68 on).
 constexpr double kMaxStageOffVsLatencyRatio = 4.0;
 constexpr double kMaxStageOnVsPairRatio = 2.75;
 
@@ -166,23 +164,6 @@ int main(int argc, char** argv) {
       kStageIters, [] { auto stage = SAGA_STAGE("bench.obs.stage"); });
   t.AddRow({"SAGA_STAGE (alloc + collect)", "tracing on",
             Fmt(stage_on_ns, 2)});
-  // Spans routed into the tail sampler (serving configuration with
-  // sampling on): the fast healthy majority is decided and dropped.
-  double span_sampled_ns = 0;
-  {
-    obs::TraceSampler::Options opts;
-    opts.min_samples_for_slow = 1u << 30;  // drop everything
-    obs::EnableTailSampling(opts);
-    constexpr int64_t kSpanIters = 1'000'000;
-    Stopwatch sw;
-    for (int64_t i = 0; i < kSpanIters; ++i) {
-      obs::ScopedSpan span("bench.obs.span");
-    }
-    span_sampled_ns = NsPerOp(sw, kSpanIters);
-    t.AddRow({"ScopedSpan (tail sampler drop)", "tracing on",
-              Fmt(span_sampled_ns, 2)});
-    obs::DisableTailSampling();
-  }
   obs::SetTracingEnabled(false);
 
   // Contended counter: all cores hammering one counter exercises the
@@ -213,9 +194,6 @@ int main(int argc, char** argv) {
          std::max(kMaxSpanOffVsCounterRatio * counter_on_ns,
                   kMaxSpanOffAbsNs));
     Gate("ScopedSpan on vs off (ratio)", span_on_ns,
-         std::min(kMaxSpanOnVsOffRatio * std::max(span_off_ns, 1.0),
-                  kMaxSpanOnAbsNs));
-    Gate("ScopedSpan sampled vs off (ratio)", span_sampled_ns,
          std::min(kMaxSpanOnVsOffRatio * std::max(span_off_ns, 1.0),
                   kMaxSpanOnAbsNs));
     Gate("SAGA_STAGE off vs ScopedLatency (ratio)", stage_off_ns,

@@ -9,67 +9,36 @@
 
 namespace saga::obs {
 
-namespace {
-
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
 HealthSection::HealthSection(std::string title) : title_(std::move(title)) {}
 
-HealthSection& HealthSection::Add(std::string key, std::string text_value,
-                                  std::string json_value) {
-  rows_.push_back(
-      {std::move(key), std::move(text_value), std::move(json_value)});
+HealthSection& HealthSection::Add(std::string key, std::string value) {
+  rows_.push_back({std::move(key), std::move(value)});
   return *this;
 }
 
 HealthSection& HealthSection::Row(std::string key, const std::string& value) {
-  return Add(std::move(key), value, JsonQuote(value));
+  return Add(std::move(key), value);
 }
 
 HealthSection& HealthSection::Row(std::string key, const char* value) {
-  return Row(std::move(key), std::string(value));
+  return Add(std::move(key), value);
 }
 
 HealthSection& HealthSection::Row(std::string key, int64_t value) {
-  const std::string s = std::to_string(value);
-  return Add(std::move(key), s, s);
+  return Add(std::move(key), std::to_string(value));
 }
 
 HealthSection& HealthSection::Row(std::string key, uint64_t value) {
-  const std::string s = std::to_string(value);
-  return Add(std::move(key), s, s);
+  return Add(std::move(key), std::to_string(value));
 }
 
 HealthSection& HealthSection::Row(std::string key, double value,
                                   int precision) {
-  const std::string s = FormatDouble(value, precision);
-  return Add(std::move(key), s, s);
+  return Add(std::move(key), FormatDouble(value, precision));
 }
 
 HealthSection& HealthSection::Row(std::string key, bool value) {
-  return Add(std::move(key), value ? "yes" : "no",
-             value ? "true" : "false");
+  return Add(std::move(key), value ? "yes" : "no");
 }
 
 HealthSection& HealthSection::RowUnixMs(std::string key, int64_t unix_ms) {
@@ -85,7 +54,7 @@ HealthSection& HealthSection::RowUnixMs(std::string key, int64_t unix_ms) {
       text = std::to_string(unix_ms) + "ms";
     }
   }
-  return Add(std::move(key), std::move(text), std::to_string(unix_ms));
+  return Add(std::move(key), std::move(text));
 }
 
 HealthSection& HealthSection::Note(std::string note) {
@@ -113,45 +82,12 @@ std::string HealthSection::Text() const {
   for (const RowEntry& row : rows) {
     std::snprintf(buf, sizeof(buf), "  %-*s %s\n",
                   static_cast<int>(key_width + 1),
-                  (row.key + ":").c_str(), row.text_value.c_str());
+                  (row.key + ":").c_str(), row.value.c_str());
     out += buf;
   }
   for (const std::string& note : notes_) {
     out += "  " + note + "\n";
   }
-  return out;
-}
-
-std::string HealthSection::Json() const {
-  std::string out = JsonQuote(title_) + ":{";
-  bool first = true;
-  for (const RowEntry& row : SortedRows()) {
-    if (!first) out += ",";
-    first = false;
-    out += JsonQuote(row.key) + ":" + row.json_value;
-  }
-  out += "}";
-  return out;
-}
-
-std::string RenderHealthText(const std::vector<HealthSection>& sections) {
-  std::string out;
-  for (const HealthSection& section : sections) {
-    if (!out.empty()) out += "\n";
-    out += section.Text();
-  }
-  return out;
-}
-
-std::string RenderHealthJson(const std::vector<HealthSection>& sections) {
-  std::string out = "{";
-  bool first = true;
-  for (const HealthSection& section : sections) {
-    if (!first) out += ",";
-    first = false;
-    out += section.Json();
-  }
-  out += "}";
   return out;
 }
 

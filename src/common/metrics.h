@@ -128,9 +128,10 @@ class Gauge {
 };
 
 /// High-water latency sample with the trace that produced it: links a
-/// histogram's tail directly to a dumpable trace (`saga_cli trace
-/// dump`). Trace ids are zero when the sample was recorded outside a
-/// sampled trace.
+/// histogram's tail to the trace id a Chrome trace dump
+/// (`obs::DumpChromeTraceJson`, `saga_cli trace dump`) carries on
+/// every span of that trace. Trace ids are zero when the sample was
+/// recorded outside a trace.
 struct Exemplar {
   uint64_t ns = 0;
   uint64_t trace_id_hi = 0;
@@ -284,7 +285,8 @@ class Registry {
 
   /// Registered counters / gauges whose name starts with `prefix`, with
   /// their current values, sorted by name. Powers targeted stats views
-  /// (saga_cli stats --health) without parsing the full text dump.
+  /// (the replication section of `saga_cli replicate`) without parsing
+  /// the full text dump.
   std::vector<std::pair<std::string, int64_t>> CountersWithPrefix(
       std::string_view prefix) const;
   std::vector<std::pair<std::string, double>> GaugesWithPrefix(

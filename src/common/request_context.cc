@@ -8,7 +8,7 @@ namespace saga {
 
 Status RequestContext::Check(std::string_view where) const {
   if (!deadline_.expired()) return Status::OK();
-  // Mark the open span so the tail sampler retains this trace.
+  // Mark the open span so the trace names where the deadline ran out.
   obs::MarkSpanError(StatusCode::kDeadlineExceeded);
   char buf[160];
   std::snprintf(buf, sizeof(buf), "deadline exceeded in %.*s (%.2fms overdue)",

@@ -26,8 +26,6 @@ TraceStore& Store() {
   return *store;
 }
 
-std::atomic<internal::FragmentSink> g_fragment_sink{nullptr};
-
 /// Open spans of the current thread, outermost first. Raw pointers:
 /// ownership sits with the parent's children vector (or with the
 /// ScopedSpan for segment roots) until completion.
@@ -53,15 +51,21 @@ uint64_t ProcessStartNs() {
 }
 
 void CollectFragment(std::unique_ptr<SpanNode> fragment) {
-  const bool trace_complete = fragment->parent_span_id == 0;
-  if (internal::FragmentSink sink =
-          g_fragment_sink.load(std::memory_order_acquire)) {
-    sink(std::move(fragment), trace_complete);
-    return;
-  }
   TraceStore& store = Store();
   std::lock_guard<std::mutex> lock(store.mu);
   store.roots.push_back(std::move(fragment));
+}
+
+uint64_t NewId() {
+  // SplitMix64 over a process-global counter, salted per thread. Not
+  // cryptographic — ids only need to be unique within a trace horizon.
+  static std::atomic<uint64_t> g_counter{0x9E3779B97F4A7C15ull};
+  uint64_t z = g_counter.fetch_add(0x9E3779B97F4A7C15ull,
+                                   std::memory_order_relaxed) +
+               (static_cast<uint64_t>(internal::ThreadId()) << 32);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return (z ^ (z >> 31)) | 1;  // never 0: 0 means "no id"
 }
 
 }  // namespace
@@ -95,26 +99,6 @@ std::string TraceContext::TraceIdHex() const {
 
 TraceContext CurrentTraceContext() { return t_ctx; }
 
-namespace internal {
-
-uint64_t NewId() {
-  // SplitMix64 over a process-global counter, salted per thread. Not
-  // cryptographic — ids only need to be unique within a trace horizon.
-  static std::atomic<uint64_t> g_counter{0x9E3779B97F4A7C15ull};
-  uint64_t z = g_counter.fetch_add(0x9E3779B97F4A7C15ull,
-                                   std::memory_order_relaxed) +
-               (static_cast<uint64_t>(ThreadId()) << 32);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return (z ^ (z >> 31)) | 1;  // never 0: 0 means "no id"
-}
-
-void SetFragmentSink(FragmentSink sink) {
-  g_fragment_sink.store(sink, std::memory_order_release);
-}
-
-}  // namespace internal
-
 ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx) {
   if (!TracingEnabled()) return;
   active_ = true;
@@ -138,21 +122,19 @@ ScopedSpan::ScopedSpan(std::string_view name) {
 
 bool ScopedSpan::Open(std::string_view name) {
   if (!TracingEnabled()) return false;
-  if (t_ctx.valid() && !t_ctx.sampled) return false;  // head-unsampled
   auto node = std::make_unique<SpanNode>();
   node->name = std::string(name);
   node->thread_id = internal::ThreadId();
   if (!t_ctx.valid()) {
     // No ambient context: this span initiates a new trace.
-    t_ctx.trace_id_hi = internal::NewId();
-    t_ctx.trace_id_lo = internal::NewId();
+    t_ctx.trace_id_hi = NewId();
+    t_ctx.trace_id_lo = NewId();
     t_ctx.span_id = 0;
-    t_ctx.sampled = true;
     started_trace_ = true;
   }
   node->trace_id_hi = t_ctx.trace_id_hi;
   node->trace_id_lo = t_ctx.trace_id_lo;
-  node->span_id = internal::NewId();
+  node->span_id = NewId();
   node->parent_span_id = t_ctx.span_id;
   prev_parent_span_id_ = t_ctx.span_id;
   t_ctx.span_id = node->span_id;
@@ -215,9 +197,8 @@ void Accumulate(const SpanNode& node,
       node.duration_ns > child_ns ? node.duration_ns - child_ns : 0;
 }
 
-}  // namespace
-
-namespace internal {
+/// Appends the Chrome trace_event objects of one fragment and its
+/// descendants.
 void AppendChromeEvents(const SpanNode& node, bool* first, std::string* out) {
   if (!*first) *out += ",";
   *first = false;
@@ -240,7 +221,8 @@ void AppendChromeEvents(const SpanNode& node, bool* first, std::string* out) {
     AppendChromeEvents(*child, first, out);
   }
 }
-}  // namespace internal
+
+}  // namespace
 
 std::vector<SpanStats> AggregateSpans() {
   std::map<std::string, SpanStats> by_name;
@@ -293,6 +275,16 @@ void ClearTraces() {
   TraceStore& store = Store();
   std::lock_guard<std::mutex> lock(store.mu);
   store.roots.clear();
+}
+
+std::string DumpChromeTraceJson() {
+  std::string out = "{\"traceEvents\":[";
+  bool first = true;
+  VisitCollectedTraces([&](const SpanNode& fragment) {
+    AppendChromeEvents(fragment, &first, &out);
+  });
+  out += "]}";
+  return out;
 }
 
 }  // namespace saga::obs

@@ -40,10 +40,6 @@ struct TraceContext {
   /// Innermost open span — the parent for new spans. 0 at the trace
   /// root (the span that initiated the trace has no parent).
   uint64_t span_id = 0;
-  /// Head-sampling verdict carried with the trace. Spans of an
-  /// unsampled trace are not recorded at all (the tail sampler only
-  /// ever sees sampled traces).
-  bool sampled = true;
 
   bool valid() const { return (trace_id_hi | trace_id_lo) != 0; }
   /// 32 lowercase hex chars, e.g. for Chrome trace args and exemplars.
@@ -81,8 +77,7 @@ class ScopedTraceContext {
 };
 
 /// One completed timed region. Trees (fragments) are owned by the
-/// global trace store — or the tail sampler, when one is installed —
-/// once their fragment root finishes.
+/// global trace store once their fragment root finishes.
 struct SpanNode {
   std::string name;
   uint64_t start_ns = 0;
@@ -96,8 +91,8 @@ struct SpanNode {
   /// 0 for the span that initiated the trace.
   uint64_t parent_span_id = 0;
   /// StatusCode of the first error marked on this span (0 = OK); set
-  /// by MarkSpanError from deadline checks and failure paths, read by
-  /// the tail sampler's retention policy.
+  /// by MarkSpanError from deadline checks and failure paths, exported
+  /// as the span's `error` arg by DumpChromeTraceJson.
   uint32_t error_code = 0;
   std::vector<std::unique_ptr<SpanNode>> children;
 };
@@ -105,9 +100,8 @@ struct SpanNode {
 /// RAII tracing span. Spans started while another span is open in the
 /// same segment of the same thread nest under it; when a segment-root
 /// span closes, its finished fragment moves into the process-global
-/// trace store (or the installed TraceSampler), where the export
-/// functions below read it. The span that finds no ambient context
-/// starts a new trace.
+/// trace store, where the export functions below read it. The span
+/// that finds no ambient context starts a new trace.
 ///
 /// Span names follow the metric scheme: `subsystem.component.stage`.
 class ScopedSpan {
@@ -122,8 +116,8 @@ class ScopedSpan {
   /// ScopedStage opens and closes its span with its own clock reads.
   friend class ScopedStage;
   ScopedSpan() = default;
-  /// Opens span `name` unless tracing is off or the ambient trace is
-  /// head-unsampled; the caller stamps `node_->start_ns`.
+  /// Opens span `name` unless tracing is off; the caller stamps
+  /// `node_->start_ns`.
   bool Open(std::string_view name);
   /// Closes the open span at `end_ns` (a MonotonicNowNs() reading).
   void Close(uint64_t end_ns);
@@ -137,8 +131,9 @@ class ScopedSpan {
 /// Marks the innermost open span of this thread as failed with `code`.
 /// No-op when no span is open, when tracing is off, or (the Status
 /// overload) when the status is OK. Wired into RequestContext::Check
-/// and the serving failure paths so errored requests are retained by
-/// the tail sampler without per-call-site plumbing.
+/// and the serving failure paths so a failed request's trace names the
+/// span that failed (the `error` arg of DumpChromeTraceJson) without
+/// per-call-site plumbing. The first error marked on a span wins.
 void MarkSpanError(StatusCode code);
 void MarkSpanError(const Status& status);
 
@@ -165,19 +160,12 @@ void VisitCollectedTraces(const std::function<void(const SpanNode&)>& fn);
 /// Drops all collected span trees (not in-flight spans).
 void ClearTraces();
 
-namespace internal {
-/// Hook for the tail sampler: when set, completed fragments are routed
-/// to it instead of the aggregate store. `trace_complete` is true when
-/// the finishing fragment is the trace-initiating one.
-using FragmentSink = void (*)(std::unique_ptr<SpanNode> fragment,
-                              bool trace_complete);
-void SetFragmentSink(FragmentSink sink);
-/// Fresh random-ish ids (SplitMix over a global counter + thread id).
-uint64_t NewId();
-/// Appends the Chrome trace_event objects of one fragment and its
-/// descendants (the tail sampler's dump).
-void AppendChromeEvents(const SpanNode& node, bool* first, std::string* out);
-}  // namespace internal
+/// Every span of every collected fragment as one Chrome trace_event
+/// JSON document (`{"traceEvents":[...]}`, loadable in chrome://tracing
+/// or Perfetto). Each event carries its trace_id, span_id,
+/// parent_span_id and error code as args, so fragments recorded on
+/// pool workers or remote replicas stitch back into their trace.
+std::string DumpChromeTraceJson();
 
 }  // namespace saga::obs
 

@@ -12,6 +12,41 @@ namespace {
 constexpr uint32_t kSnapshotMagic = 0x5341474Bu;  // "SAGK"
 /// Version 2 moved the magic into the CRC'd binary frame.
 constexpr uint32_t kSnapshotVersion = 2;
+
+/// Corruption unless every id a decoded snapshot holds names something
+/// it decoded: each entity's types, and each triple's subject,
+/// predicate, entity object and source. Readers index by these ids
+/// unchecked (IsInstanceOf, catalog().record()).
+Status CheckIds(const KnowledgeGraph& kg) {
+  const size_t num_types = kg.ontology().num_types();
+  const size_t num_entities = kg.num_entities();
+  for (size_t e = 0; e < num_entities; ++e) {
+    for (TypeId t : kg.catalog().record(EntityId(e)).types) {
+      if (t.value() >= num_types) {
+        return Status::Corruption("entity type id out of range");
+      }
+    }
+  }
+  const size_t num_predicates = kg.ontology().num_predicates();
+  const size_t num_sources = kg.num_sources();
+  Status status;
+  kg.triples().ForEach([&](TripleIdx, const Triple& t) {
+    if (!status.ok()) return;
+    if (t.subject.value() >= num_entities) {
+      status = Status::Corruption("triple subject id out of range");
+    } else if (t.predicate.value() >= num_predicates) {
+      status = Status::Corruption("triple predicate id out of range");
+    } else if (t.object.is_entity() &&
+               t.object.entity().value() >= num_entities) {
+      status = Status::Corruption("triple object id out of range");
+    } else if (t.provenance.source.valid() &&
+               t.provenance.source.value() >= num_sources) {
+      status = Status::Corruption("triple source id out of range");
+    }
+  });
+  return status;
+}
+
 }  // namespace
 
 SourceId KnowledgeGraph::AddSource(std::string_view name, double quality) {
@@ -118,6 +153,7 @@ Result<KnowledgeGraph> KnowledgeGraph::Load(const std::string& path) {
   if (!r.AtEnd()) {
     return Status::Corruption("bytes after the KG snapshot in " + path);
   }
+  SAGA_RETURN_IF_ERROR(CheckIds(kg));
   return kg;
 }
 

@@ -67,9 +67,15 @@ Status Ontology::Deserialize(BinaryReader* r, Ontology* out) {
     uint64_t parent_plus1 = 0;
     SAGA_RETURN_IF_ERROR(r->GetString(&name));
     SAGA_RETURN_IF_ERROR(r->GetVarint64(&parent_plus1));
+    // A parent precedes its child, so the subtype walk ends.
+    if (parent_plus1 > i) {
+      return Status::Corruption("type parent at or past its own index");
+    }
     TypeId parent =
         parent_plus1 == 0 ? TypeId::Invalid() : TypeId(parent_plus1 - 1);
-    out->AddType(name, parent);
+    if (out->AddType(name, parent) != TypeId(i)) {
+      return Status::Corruption("duplicate type name");
+    }
   }
   uint64_t num_preds = 0;
   SAGA_RETURN_IF_ERROR(r->GetVarint64(&num_preds));
@@ -92,8 +98,13 @@ Status Ontology::Deserialize(BinaryReader* r, Ontology* out) {
     if (range_kind > static_cast<uint8_t>(Value::Kind::kBool)) {
       return Status::Corruption("bad predicate range kind");
     }
+    if (domain_plus1 > num_types || range_plus1 > num_types) {
+      return Status::Corruption("predicate type id out of range");
+    }
     meta.range_kind = static_cast<Value::Kind>(range_kind);
-    out->AddPredicate(std::move(meta));
+    if (out->AddPredicate(std::move(meta)) != PredicateId(i)) {
+      return Status::Corruption("duplicate predicate name");
+    }
   }
   return Status::OK();
 }

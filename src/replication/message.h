@@ -94,7 +94,6 @@ struct Message {
   uint64_t trace_id_hi = 0;
   uint64_t trace_id_lo = 0;
   uint64_t parent_span_id = 0;
-  bool trace_sampled = true;
 };
 
 }  // namespace saga::replication

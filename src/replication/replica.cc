@@ -25,7 +25,6 @@ void StampTrace(Message& m) {
   m.trace_id_hi = ctx.trace_id_hi;
   m.trace_id_lo = ctx.trace_id_lo;
   m.parent_span_id = ctx.span_id;
-  m.trace_sampled = ctx.sampled;
 }
 
 std::string_view HandlerSpanName(MessageType type) {
@@ -237,7 +236,6 @@ void Replica::HandleMessage(const Message& m, double now_ms) {
   ctx.trace_id_hi = m.trace_id_hi;
   ctx.trace_id_lo = m.trace_id_lo;
   ctx.span_id = m.parent_span_id;
-  ctx.sampled = m.trace_sampled;
   if (obs::TracingEnabled() && ctx.valid()) {
     // Adopt the sender's context as a fresh segment: in the simulated
     // transport this handler runs on the *sender's* OS thread, and

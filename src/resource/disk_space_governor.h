@@ -56,7 +56,7 @@ namespace saga::resource {
 ///
 /// Thread-safe. Metrics: resource.governor.* gauges/counters and
 /// resource.reclaim.*; BuildHealthSection() renders the same numbers
-/// for `saga_cli stats --health`.
+/// for `saga_cli resource` and `bench_resource`.
 class DiskSpaceGovernor {
  public:
   struct Options {

@@ -478,6 +478,96 @@ TEST(KnowledgeGraphTest, LoadRejectsOversizedTypeCount) {
   EXPECT_TRUE(RemoveDirRecursively(*dir).ok());
 }
 
+/// The ids a crafted KG snapshot payload refers by. The defaults name
+/// only what the payload holds.
+struct CraftedIds {
+  uint64_t type_parent_plus1 = 1;  // of the second type
+  uint64_t domain_plus1 = 2;       // of the one predicate
+  uint64_t entity_type = 1;        // of both entities
+  uint64_t subject = 0;            // of the one triple
+  uint64_t predicate = 0;
+  uint64_t object = 1;
+  uint64_t source_plus1 = 1;
+};
+
+/// One KG snapshot payload: two types, one predicate, two entities,
+/// one source and one triple, referring to each other by `ids`.
+std::string CraftedKgPayload(const CraftedIds& ids = {}) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutFixed32(2);  // snapshot version
+  w.PutVarint64(2);  // ontology types
+  w.PutString("thing");
+  w.PutVarint64(0);
+  w.PutString("person");
+  w.PutVarint64(ids.type_parent_plus1);
+  w.PutVarint64(1);  // ontology predicates
+  w.PutString("knows");
+  w.PutVarint64(ids.domain_plus1);
+  w.PutU8(static_cast<uint8_t>(Value::Kind::kEntity));
+  w.PutVarint64(2);  // range: person
+  w.PutBool(false);
+  w.PutBool(true);
+  w.PutString("knows");
+  w.PutVarint64(2);  // catalog entities
+  for (const char* name : {"Alice", "Bob"}) {
+    w.PutString(name);
+    w.PutString("");
+    w.PutDouble(0.5);
+    w.PutVarint64(1);  // one type
+    w.PutVarint64(ids.entity_type);
+    w.PutVarint64(0);  // no aliases
+  }
+  w.PutVarint64(1);  // triples
+  w.PutVarint64(ids.subject);
+  w.PutVarint64(ids.predicate);
+  Value::Entity(EntityId(ids.object)).Serialize(&w);
+  w.PutVarint64(ids.source_plus1);
+  w.PutDouble(1.0);
+  w.PutVarint64Signed(7);
+  w.PutVarint64(1);  // sources
+  w.PutString("wiki");
+  w.PutDouble(1.0);
+  w.PutVarint64Signed(7);  // logical clock
+  return buf;
+}
+
+TEST(KnowledgeGraphTest, LoadRejectsDanglingIds) {
+  auto dir = MakeTempDir("saga_kg_dangling");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = JoinPath(*dir, "kg.kg");
+  auto load = [&path](const std::string& payload) {
+    EXPECT_TRUE(
+        WriteStringToFile(path, EncodeBinaryFrame(0x5341474Bu, payload)).ok());
+    return KnowledgeGraph::Load(path);
+  };
+  // The well-formed payload loads, so each case below fails on its id.
+  auto clean = load(CraftedKgPayload());
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_TRUE(clean->IsInstanceOf(EntityId(0), TypeId(0)));
+
+  struct Case {
+    const char* what;
+    std::string payload;
+  };
+  const Case cases[] = {
+      {"type parent is itself", CraftedKgPayload({.type_parent_plus1 = 2})},
+      {"type parent past itself", CraftedKgPayload({.type_parent_plus1 = 3})},
+      {"predicate domain", CraftedKgPayload({.domain_plus1 = 3})},
+      {"entity type", CraftedKgPayload({.entity_type = 2})},
+      {"subject", CraftedKgPayload({.subject = 2})},
+      {"predicate", CraftedKgPayload({.predicate = 1})},
+      {"entity object", CraftedKgPayload({.object = 2})},
+      {"source", CraftedKgPayload({.source_plus1 = 2})},
+  };
+  for (const Case& c : cases) {
+    auto loaded = load(c.payload);
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << c.what << ": " << loaded.status();
+  }
+  EXPECT_TRUE(RemoveDirRecursively(*dir).ok());
+}
+
 TEST(KnowledgeGraphTest, LoadFailsOnEveryBitFlip) {
   auto dir = MakeTempDir("saga_kg_flip");
   ASSERT_TRUE(dir.ok());

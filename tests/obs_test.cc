@@ -385,7 +385,7 @@ TEST_F(ObsTest, HistogramSnapshotConcurrentReadsAreSafe) {
 
 // ---------- HealthSection ----------
 
-TEST_F(ObsTest, HealthSectionStableOrderTextAndJson) {
+TEST_F(ObsTest, HealthSectionStableOrderText) {
   obs::HealthSection section("demo");
   section.Row("zeta", int64_t{2});
   section.Row("alpha", "fine");
@@ -404,16 +404,11 @@ TEST_F(ObsTest, HealthSectionStableOrderTextAndJson) {
   EXPECT_LT(m, z);
   EXPECT_NE(text.find("== demo =="), std::string::npos);
   EXPECT_NE(text.find("a note"), std::string::npos);
-
-  const std::string json =
-      obs::RenderHealthJson({section, obs::HealthSection("empty")});
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  // Typed JSON: numbers and bools unquoted, strings quoted.
-  EXPECT_NE(json.find("\"alpha\":\"fine\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"zeta\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"flag\":true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"empty\":{}"), std::string::npos) << json;
+  // Keys align into one column; each value renders by its type.
+  EXPECT_NE(text.find("  alpha: fine\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  flag:  yes\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  mid:   0.50\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  zeta:  2\n"), std::string::npos) << text;
 }
 
 // ---------- Logging ----------

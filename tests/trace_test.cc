@@ -1,11 +1,13 @@
 // Tests for request-scoped distributed tracing: trace identity on span
 // nodes, segment fragmentation via ScopedTraceContext, cross-thread
 // re-parenting over ThreadPool, trace stitching across the replicated
-// write path, tail-based sampling retention, histogram exemplars, and
-// RequestContext trace capture. The concurrent cases are meant to run
-// under the `tsan` CMake preset as well as asan-ubsan.
+// write path, error marking and the Chrome export of the trace store,
+// histogram exemplars, and RequestContext trace capture. The concurrent
+// cases are meant to run under the `tsan` CMake preset as well as
+// asan-ubsan.
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,7 +19,6 @@
 #include "common/request_context.h"
 #include "common/threadpool.h"
 #include "common/trace.h"
-#include "common/trace_sampler.h"
 #include "replication/replica_group.h"
 
 namespace saga {
@@ -34,13 +35,11 @@ class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::SetEnabled(true);
-    obs::DisableTailSampling();
     obs::Registry::Global().ResetAll();
     obs::ClearTraces();
     obs::SetTracingEnabled(true);
   }
   void TearDown() override {
-    obs::DisableTailSampling();
     obs::SetTracingEnabled(false);
     obs::ClearTraces();
     obs::Registry::Global().ResetAll();
@@ -61,20 +60,18 @@ class TraceTest : public ::testing::Test {
     for (const auto& child : node.children) VisitNode(*child, fn);
   }
 
-  /// Synthetic trace-initiating fragment for deterministic sampler
-  /// verdict tests (real spans have wall-clock durations).
-  static std::unique_ptr<obs::SpanNode> MakeRoot(const std::string& name,
-                                                 uint64_t lo, uint64_t dur_ns,
-                                                 uint32_t error_code = 0) {
-    auto node = std::make_unique<obs::SpanNode>();
-    node->name = name;
-    node->trace_id_hi = 0xFEED;
-    node->trace_id_lo = lo;
-    node->span_id = obs::internal::NewId();
-    node->parent_span_id = 0;
-    node->duration_ns = dur_ns;
-    node->error_code = error_code;
-    return node;
+  using TraceKey = std::pair<uint64_t, uint64_t>;
+
+  /// Collected fragments grouped by trace id. The pointers stay valid
+  /// until the next ClearTraces (the store owns the fragments), which
+  /// no test calls while it holds them.
+  static std::map<TraceKey, std::vector<const obs::SpanNode*>> TracesById() {
+    std::map<TraceKey, std::vector<const obs::SpanNode*>> traces;
+    obs::VisitCollectedTraces([&traces](const obs::SpanNode& fragment) {
+      traces[{fragment.trace_id_hi, fragment.trace_id_lo}].push_back(
+          &fragment);
+    });
+    return traces;
   }
 };
 
@@ -204,10 +201,6 @@ TEST_F(TraceTest, ThreadPoolWithoutAmbientTraceStartsOwnTraces) {
 // ---------- replication stitching ----------
 
 TEST_F(TraceTest, QuorumWriteStitchesIntoOneTrace) {
-  obs::TraceSampler::Options opts;
-  opts.keep_all = true;
-  obs::TraceSampler& sampler = obs::EnableTailSampling(opts);
-
   replication::ReplicaGroup::Options gopts;
   gopts.num_replicas = 3;
   gopts.seed = 0x5EED;
@@ -215,56 +208,60 @@ TEST_F(TraceTest, QuorumWriteStitchesIntoOneTrace) {
   ASSERT_TRUE(group.ok());
   ASSERT_TRUE((*group)->Put("k", "v").ok());
 
-  // Exactly one client write -> exactly one completed trace, holding
-  // the client root, the leader append, and every follower-side
-  // handler fragment delivered over the simulated transport.
-  ASSERT_EQ(sampler.stats().traces_decided, 1u);
-  ASSERT_EQ(sampler.NumRetained(), 1u);
-  sampler.VisitRetained([](const obs::RetainedTrace& trace) {
-    EXPECT_EQ(trace.root_name, "replication.group.write");
-    EXPECT_GE(trace.fragments.size(), 3u)
-        << "client + >=1 follower append + >=1 ack fragment";
+  // Exactly one client write -> exactly one trace, holding the client
+  // root, the leader append, and every follower-side handler fragment
+  // delivered over the simulated transport.
+  const auto traces = TracesById();
+  ASSERT_EQ(traces.size(), 1u);
+  const auto& [key, fragments] = *traces.begin();
+  EXPECT_GE(fragments.size(), 3u)
+      << "client + >=1 follower append + >=1 ack fragment";
 
-    std::set<uint64_t> span_ids;
-    std::set<std::string> names;
-    for (const auto& frag : trace.fragments) {
-      VisitNode(*frag, [&](const obs::SpanNode& node) {
-        EXPECT_EQ(node.trace_id_hi, trace.trace_id_hi);
-        EXPECT_EQ(node.trace_id_lo, trace.trace_id_lo);
-        span_ids.insert(node.span_id);
-        names.insert(node.name);
-      });
+  std::set<uint64_t> span_ids;
+  std::set<std::string> names;
+  int roots = 0;
+  for (const obs::SpanNode* frag : fragments) {
+    if (frag->parent_span_id == 0) {
+      ++roots;
+      EXPECT_EQ(frag->name, "replication.group.write");
     }
-    EXPECT_TRUE(names.count("replication.group.write"));
-    EXPECT_TRUE(names.count("replication.replica.leader_append"));
-    EXPECT_TRUE(names.count("replication.replica.handle_append"));
-    EXPECT_TRUE(names.count("replication.replica.handle_append_ack"));
-    // Stitching is complete: every fragment's parent id resolves to a
-    // span recorded somewhere in the same trace (no orphans).
-    for (const auto& frag : trace.fragments) {
-      if (frag->parent_span_id == 0) continue;  // the client root
-      EXPECT_TRUE(span_ids.count(frag->parent_span_id))
-          << frag->name << " parent not found in trace";
-    }
-  });
+    VisitNode(*frag, [&](const obs::SpanNode& node) {
+      EXPECT_EQ(node.trace_id_hi, key.first);
+      EXPECT_EQ(node.trace_id_lo, key.second);
+      span_ids.insert(node.span_id);
+      names.insert(node.name);
+    });
+  }
+  EXPECT_EQ(roots, 1);
+  EXPECT_TRUE(names.count("replication.group.write"));
+  EXPECT_TRUE(names.count("replication.replica.leader_append"));
+  EXPECT_TRUE(names.count("replication.replica.handle_append"));
+  EXPECT_TRUE(names.count("replication.replica.handle_append_ack"));
+  // Stitching is complete: every fragment's parent id resolves to a
+  // span recorded somewhere in the same trace (no orphans).
+  for (const obs::SpanNode* frag : fragments) {
+    if (frag->parent_span_id == 0) continue;  // the client root
+    EXPECT_TRUE(span_ids.count(frag->parent_span_id))
+        << frag->name << " parent not found in trace";
+  }
 
   // The dump is loadable Chrome trace JSON carrying the linkage args.
-  const std::string json = sampler.DumpChromeTraceJson();
+  const std::string json = obs::DumpChromeTraceJson();
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"name\":\"replication.group.write\""),
             std::string::npos);
   EXPECT_NE(json.find("\"name\":\"replication.replica.handle_append_ack\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"trace_id\":\""), std::string::npos);
+  obs::TraceContext id;
+  id.trace_id_hi = key.first;
+  id.trace_id_lo = key.second;
+  EXPECT_NE(json.find("\"trace_id\":\"" + id.TraceIdHex() + "\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"parent_span_id\":\""), std::string::npos);
 }
 
 TEST_F(TraceTest, UntracedHeartbeatsMintNoTraces) {
-  obs::TraceSampler::Options opts;
-  opts.keep_all = true;
-  obs::TraceSampler& sampler = obs::EnableTailSampling(opts);
-
   replication::ReplicaGroup::Options gopts;
   gopts.num_replicas = 3;
   gopts.seed = 0x5EED;
@@ -272,115 +269,46 @@ TEST_F(TraceTest, UntracedHeartbeatsMintNoTraces) {
   ASSERT_TRUE(group.ok());
   // Heartbeats, elections, ship-to-all — all without a client span.
   (*group)->Step(500);
-  EXPECT_EQ(sampler.stats().traces_decided, 0u);
-  EXPECT_EQ(sampler.NumRetained(), 0u);
+  EXPECT_EQ(CollectedTraces(), 0u);
+  EXPECT_EQ(obs::DumpChromeTraceJson(), "{\"traceEvents\":[]}");
 }
 
-// ---------- tail sampling retention ----------
+// ---------- error marking ----------
 
-TEST_F(TraceTest, SamplerRetainsErroredTraces) {
-  obs::TraceSampler::Options opts;
-  opts.min_samples_for_slow = 1u << 30;  // nothing is ever "slow" here
-  obs::TraceSampler& sampler = obs::EnableTailSampling(opts);
-
+TEST_F(TraceTest, MarkSpanErrorStampsInnermostSpanFirstErrorWins) {
   {
-    obs::ScopedSpan root("test.sampler.err");
-    obs::ScopedSpan child("test.sampler.err_child");
-    obs::MarkSpanError(StatusCode::kUnavailable);
+    obs::ScopedSpan root("test.error.root");
+    {
+      obs::ScopedSpan child("test.error.child");
+      obs::MarkSpanError(StatusCode::kUnavailable);
+      obs::MarkSpanError(StatusCode::kDeadlineExceeded);  // not the first
+      obs::MarkSpanError(Status::OK());                   // no-op
+    }
+    obs::MarkSpanError(StatusCode::kOk);  // no-op
   }
-  {
-    obs::ScopedSpan root("test.sampler.clean");
-  }
-  {
-    // kNotFound is a routine outcome, not a retained error class.
-    obs::ScopedSpan root("test.sampler.notfound");
-    obs::MarkSpanError(StatusCode::kNotFound);
-  }
-  const auto stats = sampler.stats();
-  EXPECT_EQ(stats.traces_decided, 3u);
-  EXPECT_EQ(stats.retained_error, 1u);
-  EXPECT_EQ(stats.dropped, 2u);
-  ASSERT_EQ(sampler.NumRetained(), 1u);
-  sampler.VisitRetained([](const obs::RetainedTrace& trace) {
-    EXPECT_TRUE(trace.errored);
-    EXPECT_FALSE(trace.slow);
-    EXPECT_EQ(trace.root_name, "test.sampler.err");
+  ASSERT_EQ(CollectedTraces(), 1u);
+  obs::VisitCollectedTraces([](const obs::SpanNode& root) {
+    EXPECT_EQ(root.name, "test.error.root");
+    EXPECT_EQ(root.error_code, 0u) << "the root was not the open span";
+    ASSERT_EQ(root.children.size(), 1u);
+    EXPECT_EQ(root.children[0]->error_code,
+              static_cast<uint32_t>(StatusCode::kUnavailable));
   });
+  const std::string error_arg =
+      "\"error\":" +
+      std::to_string(static_cast<uint32_t>(StatusCode::kUnavailable));
+  EXPECT_NE(obs::DumpChromeTraceJson().find(error_arg), std::string::npos);
 }
 
-TEST_F(TraceTest, SamplerSlowVerdictAgainstPriorRoots) {
-  obs::TraceSampler::Options opts;
-  opts.min_samples_for_slow = 8;
-  obs::TraceSampler sampler(opts);
-
-  // 32 baseline roots teach the rolling distribution: one at 2ms first,
-  // so the p99 sits above the other 31 at 1ms and none of them is slow.
-  uint64_t lo = 1;
-  sampler.Offer(MakeRoot("test.sampler.op", lo++, 2'000'000), true);
-  for (int i = 1; i < 32; ++i) {
-    sampler.Offer(MakeRoot("test.sampler.op", lo++, 1'000'000), true);
-  }
-  // A fast root stays dropped; a 100x outlier is retained as slow.
-  sampler.Offer(MakeRoot("test.sampler.op", lo++, 10'000), true);
-  sampler.Offer(MakeRoot("test.sampler.op", lo++, 100'000'000), true);
-
-  const auto stats = sampler.stats();
-  EXPECT_EQ(stats.traces_decided, 34u);
-  EXPECT_EQ(stats.retained_slow, 1u);
-  EXPECT_EQ(stats.retained_error, 0u);
-  ASSERT_EQ(sampler.NumRetained(), 1u);
-  sampler.VisitRetained([](const obs::RetainedTrace& trace) {
-    EXPECT_TRUE(trace.slow);
-    EXPECT_EQ(trace.root_duration_ns, 100'000'000u);
-  });
-
-  // Distinct root names keep distinct baselines: a different op at the
-  // same duration has no samples yet, so it cannot be judged slow.
-  sampler.Offer(MakeRoot("test.sampler.other_op", lo++, 100'000'000), true);
-  EXPECT_EQ(sampler.stats().retained_slow, 1u);
-}
-
-TEST_F(TraceTest, SamplerLateFragmentsCountedAndDropped) {
-  obs::TraceSampler::Options opts;
-  opts.min_samples_for_slow = 1u << 30;
-  obs::TraceSampler sampler(opts);
-  // Decide trace 7, then offer a non-complete fragment for it.
-  sampler.Offer(MakeRoot("test.sampler.op", 7, 1000), true);
-  auto late = MakeRoot("test.sampler.late", 7, 500);
-  late->parent_span_id = 42;
-  sampler.Offer(std::move(late), false);
-  const auto stats = sampler.stats();
-  EXPECT_EQ(stats.late_fragments, 1u);
-  EXPECT_EQ(stats.traces_decided, 1u);
-}
-
-TEST_F(TraceTest, SamplerPendingEvictionBounded) {
-  obs::TraceSampler sampler(obs::TraceSampler::Options{});
-  // Never-completing traces past the bound: the leak guard evicts the
-  // oldest.
-  constexpr uint64_t kTraces = obs::TraceSampler::kMaxPendingTraces + 4;
-  for (uint64_t lo = 1; lo <= kTraces; ++lo) {
-    auto frag = MakeRoot("test.sampler.pending", lo, 1000);
-    frag->parent_span_id = 42;  // not trace-initiating
-    sampler.Offer(std::move(frag), false);
-  }
-  EXPECT_GE(sampler.stats().evicted_pending, 4u);
-}
-
-TEST_F(TraceTest, SamplerConcurrentWritersConsistent) {
-  obs::TraceSampler::Options opts;
-  opts.min_samples_for_slow = 1u << 30;
-  opts.capacity = 4096;
-  obs::TraceSampler& sampler = obs::EnableTailSampling(opts);
-
+TEST_F(TraceTest, ConcurrentRootsEachLandInStore) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
       for (int i = 0; i < kPerThread; ++i) {
-        obs::ScopedSpan root("test.sampler.mt");
-        obs::ScopedSpan child("test.sampler.mt_child");
+        obs::ScopedSpan root("test.store.mt");
+        obs::ScopedSpan child("test.store.mt_child");
         if ((t + i) % 4 == 0) {
           obs::MarkSpanError(StatusCode::kDeadlineExceeded);
         }
@@ -389,12 +317,24 @@ TEST_F(TraceTest, SamplerConcurrentWritersConsistent) {
   }
   for (auto& th : threads) th.join();
 
-  const auto stats = sampler.stats();
-  EXPECT_EQ(stats.traces_decided, uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(stats.retained_error, uint64_t{kThreads} * kPerThread / 4);
-  EXPECT_EQ(stats.dropped,
-            uint64_t{kThreads} * kPerThread - stats.retained_error);
-  EXPECT_EQ(sampler.NumRetained(), stats.retained_error);
+  // Every root became its own trace: N*M fragments, each a trace root
+  // with a distinct trace id and span id, none lost or merged.
+  std::set<TraceKey> trace_ids;
+  std::set<uint64_t> span_ids;
+  size_t roots = 0, errored = 0;
+  obs::VisitCollectedTraces([&](const obs::SpanNode& root) {
+    EXPECT_EQ(root.name, "test.store.mt");
+    if (root.parent_span_id == 0) ++roots;
+    trace_ids.insert({root.trace_id_hi, root.trace_id_lo});
+    span_ids.insert(root.span_id);
+    ASSERT_EQ(root.children.size(), 1u);
+    if (root.children[0]->error_code != 0) ++errored;
+  });
+  constexpr size_t kRoots = size_t{kThreads} * kPerThread;
+  EXPECT_EQ(roots, kRoots);
+  EXPECT_EQ(trace_ids.size(), kRoots);
+  EXPECT_EQ(span_ids.size(), kRoots);
+  EXPECT_EQ(errored, kRoots / 4);
 }
 
 // ---------- exemplars ----------
@@ -439,23 +379,21 @@ TEST_F(TraceTest, ExemplarWithoutTraceStillRecordsLatency) {
 
 // ---------- RequestContext integration ----------
 
-TEST_F(TraceTest, ExpiredDeadlineMarksSpanAndSamplerRetains) {
-  obs::TraceSampler::Options opts;
-  opts.min_samples_for_slow = 1u << 30;
-  obs::TraceSampler& sampler = obs::EnableTailSampling(opts);
+TEST_F(TraceTest, ExpiredDeadlineMarksSpan) {
   {
     obs::ScopedSpan root("test.reqctx.deadline");
     RequestContext ctx(Deadline::AfterMillis(-1.0));
     EXPECT_TRUE(ctx.Check("test").IsDeadlineExceeded());
   }
-  ASSERT_EQ(sampler.NumRetained(), 1u);
-  sampler.VisitRetained([](const obs::RetainedTrace& trace) {
-    EXPECT_TRUE(trace.errored);
-    EXPECT_EQ(trace.root_name, "test.reqctx.deadline");
-    EXPECT_EQ(trace.fragments.size(), 1u);
-    EXPECT_EQ(trace.fragments[0]->error_code,
-              static_cast<uint32_t>(StatusCode::kDeadlineExceeded));
-  });
+  const auto traces = TracesById();
+  ASSERT_EQ(traces.size(), 1u);
+  const std::vector<const obs::SpanNode*>& fragments =
+      traces.begin()->second;
+  ASSERT_EQ(fragments.size(), 1u);
+  EXPECT_EQ(fragments[0]->name, "test.reqctx.deadline");
+  EXPECT_EQ(fragments[0]->parent_span_id, 0u);
+  EXPECT_EQ(fragments[0]->error_code,
+            static_cast<uint32_t>(StatusCode::kDeadlineExceeded));
 }
 
 }  // namespace

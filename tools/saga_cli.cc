@@ -2,8 +2,7 @@
 //
 //   saga_cli generate <out.kg> [num_persons]   build a synthetic KG
 //   saga_cli stats <kg> [--obs] [--json]        size + coverage report
-//                 [--health]                    (+ observability dump,
-//                                               health sections)
+//                                               (+ observability dump)
 //   saga_cli entity <kg> <name>                 entity record + facts
 //   saga_cli ask <kg> <query...>                question answering
 //   saga_cli annotate <kg> <text...>            semantic annotation
@@ -39,7 +38,6 @@
 #include "common/request_context.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "common/trace_sampler.h"
 #include "embedding/embedding_store.h"
 #include "graph_engine/view.h"
 #include "integrity/scrubber.h"
@@ -60,7 +58,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  saga_cli generate <out.kg> [num_persons]\n"
-               "  saga_cli stats <kg> [--obs] [--json] [--health]\n"
+               "  saga_cli stats <kg> [--obs] [--json]\n"
                "  saga_cli entity <kg> <name>\n"
                "  saga_cli ask <kg> <query...>\n"
                "  saga_cli annotate <kg> <text...>\n"
@@ -111,127 +109,6 @@ int CmdGenerate(int argc, char** argv) {
   return 0;
 }
 
-// --------------------------------------------------------------------
-// Health sections. Every subsystem view is built as an
-// obs::HealthSection, so serving/overload state, integrity,
-// replication, storage and resources all render through the one
-// sorted, stable-ordered text/JSON path.
-
-/// Overload-safety surface of this process: breaker states
-/// (serving.breaker.*) plus admission shed counts and in-flight vs.
-/// configured limits (serving.admission.*).
-obs::HealthSection BuildServingSection() {
-  obs::HealthSection section("serving");
-  const auto gauges =
-      obs::Registry::Global().GaugesWithPrefix("serving.breaker.");
-  bool any_breaker = false;
-  for (const auto& [name, value] : gauges) {
-    // Breaker state gauges end in `_state` (0 closed / 1 open / 2
-    // half-open); the matching `_opened` / `_rejected` counters ride
-    // along below.
-    const std::string suffix = "_state";
-    if (name.size() < suffix.size() ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-            0) {
-      continue;
-    }
-    any_breaker = true;
-    const int state = static_cast<int>(value);
-    const char* state_name = state == 0   ? "closed"
-                             : state == 1 ? "open"
-                             : state == 2 ? "half-open"
-                                          : "?";
-    section.Row(name.substr(0, name.size() - suffix.size()), state_name);
-  }
-  if (!any_breaker) section.Note("breakers: none registered");
-  for (const auto& [name, value] :
-       obs::Registry::Global().CountersWithPrefix("serving.breaker.")) {
-    section.Row(name, value);
-  }
-  // Read-routing counters: stale_skips are followers passed over for
-  // lag, stale_fallbacks are last-resort reads served from a
-  // beyond-bound follower because no leader was healthy.
-  for (const auto& [name, value] :
-       obs::Registry::Global().CountersWithPrefix("serving.replica_router.")) {
-    section.Row(name, value);
-  }
-  const auto admitted =
-      obs::Registry::Global().CountersWithPrefix("serving.admission.");
-  if (admitted.empty()) {
-    section.Note("admission: no controller active");
-    return section;
-  }
-  for (const auto& [name, value] : admitted) section.Row(name, value);
-  for (const auto& [name, value] :
-       obs::Registry::Global().GaugesWithPrefix("serving.admission.")) {
-    section.Row(name, value, 0);
-  }
-  return section;
-}
-
-/// Storage background-maintenance surface: immutable-memtable backlog
-/// and L0 table count (the two write-stall gates), flush/compaction/
-/// rotation counters, stall sheds and background failures. Live in a
-/// process hosting a KvStore with background_maintenance on.
-obs::HealthSection BuildStorageSection() {
-  obs::HealthSection section("storage");
-  const auto gauges =
-      obs::Registry::Global().GaugesWithPrefix("storage.kv.bg.");
-  if (gauges.empty()) {
-    section.Note("no background-maintenance KV store in this process");
-    return section;
-  }
-  double imm = 0;
-  for (const auto& [name, value] : gauges) {
-    if (name == "storage.kv.bg.imm_memtables") imm = value;
-    section.Row(name, value, 0);
-  }
-  uint64_t stall_rejects = 0, failures = 0;
-  for (const auto& [name, value] :
-       obs::Registry::Global().CountersWithPrefix("storage.kv.bg.")) {
-    if (name == "storage.kv.bg.stall_rejects") stall_rejects = value;
-    if (name == "storage.kv.bg.failures") failures = value;
-    section.Row(name, value);
-  }
-  if (failures > 0) {
-    section.Note("background maintenance has failed; check store "
-                 "background_error()");
-  } else if (imm > 0 || stall_rejects > 0) {
-    section.Note("maintenance backlog present (writes stall-shed once "
-                 "the gates are exceeded)");
-  } else {
-    section.Note("maintenance keeping up (no backlog, no stalls)");
-  }
-  return section;
-}
-
-/// Integrity & versioned-deployment surface: corruption counters
-/// (detected/repaired/quarantined), scrubber progress, version-swap
-/// history. Live in a serving process; zero in a fresh CLI process
-/// unless a command (scrub, snapshot verify) ran first.
-obs::HealthSection BuildIntegritySection() {
-  obs::HealthSection section("integrity");
-  const auto counters =
-      obs::Registry::Global().CountersWithPrefix("integrity.");
-  if (counters.empty()) {
-    section.Note("no scrubber/verification activity recorded");
-  }
-  for (const auto& [name, value] : counters) section.Row(name, value);
-  for (const auto& [name, value] :
-       obs::Registry::Global().GaugesWithPrefix("integrity.")) {
-    if (name == "integrity.scrub.last_pass_unix_ms") {
-      section.RowUnixMs(name, static_cast<int64_t>(value));
-    } else {
-      section.Row(name, value, 0);
-    }
-  }
-  for (const auto& [name, value] :
-       obs::Registry::Global().CountersWithPrefix("version.")) {
-    section.Row(name, value);
-  }
-  return section;
-}
-
 /// Replication surface: role/epoch/commit gauges, per-replica health
 /// and lag, failovers, transport delivery counters. Live in a process
 /// hosting a ReplicaGroup (`saga_cli replicate` for a demo).
@@ -271,41 +148,6 @@ obs::HealthSection BuildReplicationSection() {
     section.Row(name, value);
   }
   return section;
-}
-
-/// Resource surface: disk-budget gauges (free/budget/reserved bytes,
-/// degraded state) and denial/reclaim counters. Live in a process
-/// hosting a DiskSpaceGovernor (`saga_cli resource <store> --demo`
-/// for a demo).
-obs::HealthSection BuildResourceSection() {
-  obs::HealthSection section("resource");
-  const auto gauges = obs::Registry::Global().GaugesWithPrefix("resource.");
-  if (gauges.empty()) {
-    section.Note("no disk-space governor active in this process");
-    return section;
-  }
-  for (const auto& [name, value] : gauges) {
-    if (name == "resource.governor.degraded") {
-      section.Row(name, value > 0 ? "read-only degraded" : "writable");
-      continue;
-    }
-    section.Row(name, value, 0);
-  }
-  for (const auto& [name, value] :
-       obs::Registry::Global().CountersWithPrefix("resource.")) {
-    section.Row(name, value);
-  }
-  return section;
-}
-
-std::vector<obs::HealthSection> BuildHealthSections() {
-  std::vector<obs::HealthSection> sections;
-  sections.push_back(BuildServingSection());
-  sections.push_back(BuildIntegritySection());
-  sections.push_back(BuildReplicationSection());
-  sections.push_back(BuildStorageSection());
-  sections.push_back(BuildResourceSection());
-  return sections;
 }
 
 /// `saga_cli faults list` — the registered fault-point catalog (name,
@@ -508,12 +350,11 @@ int CmdReplicate(int argc, char** argv) {
 }
 
 /// `saga_cli trace dump [writes] [--seed N] [--out FILE]` — run a
-/// handful of traced quorum writes against a seeded 3-replica group
-/// with tail sampling in keep-all mode, then dump every retained trace
-/// (client write span, leader append, shipped appends and follower
-/// acks stitched by trace id across the simulated transport) as Chrome
-/// trace_event JSON — stdout by default, or --out FILE for loading
-/// into chrome://tracing / Perfetto.
+/// handful of traced quorum writes against a seeded 3-replica group,
+/// then dump every collected trace (client write span, leader append,
+/// shipped appends and follower acks stitched by trace id across the
+/// simulated transport) as Chrome trace_event JSON — stdout by
+/// default, or --out FILE for loading into chrome://tracing / Perfetto.
 int CmdTrace(int argc, char** argv) {
   if (argc < 3 || std::strcmp(argv[2], "dump") != 0) return Usage();
   int writes = 8;
@@ -533,10 +374,7 @@ int CmdTrace(int argc, char** argv) {
   if (writes < 1) return Usage();
 
   obs::SetTracingEnabled(true);
-  obs::TraceSampler::Options sampler_opts;
-  sampler_opts.keep_all = true;  // a demo dump wants every trace
-  sampler_opts.capacity = static_cast<size_t>(writes) + 8;
-  obs::EnableTailSampling(sampler_opts);
+  obs::ClearTraces();
 
   replication::ReplicaGroup::Options opts;
   opts.num_replicas = 3;
@@ -552,20 +390,21 @@ int CmdTrace(int argc, char** argv) {
     if ((*group)->Put(key, "value-" + std::to_string(i)).ok()) ++acked;
   }
 
-  obs::TraceSampler* sampler = obs::GlobalTraceSampler();
-  const std::string json =
-      sampler ? sampler->DumpChromeTraceJson() : "{\"traceEvents\":[]}";
-  const auto stats =
-      sampler ? sampler->stats() : obs::TraceSampler::Stats{};
-  obs::DisableTailSampling();
+  const std::string json = obs::DumpChromeTraceJson();
+  // A trace is the fragments sharing one id; its root fragment is the
+  // one with no parent span.
+  size_t traces = 0, fragments = 0;
+  obs::VisitCollectedTraces([&](const obs::SpanNode& fragment) {
+    ++fragments;
+    if (fragment.parent_span_id == 0) ++traces;
+  });
 
   // The summary goes to stderr so stdout stays valid JSON.
   std::fprintf(stderr,
-               "traced %d/%d quorum-acked writes (seed %llu): %llu traces "
-               "decided, %zu retained\n",
-               acked, writes, static_cast<unsigned long long>(seed),
-               static_cast<unsigned long long>(stats.traces_decided),
-               sampler ? sampler->NumRetained() : size_t{0});
+               "traced %d/%d quorum-acked writes (seed %llu): %zu traces "
+               "in %zu fragments\n",
+               acked, writes, static_cast<unsigned long long>(seed), traces,
+               fragments);
   if (out_path.empty()) {
     std::printf("%s\n", json.c_str());
   } else {
@@ -667,24 +506,19 @@ int CmdScrub(int argc, char** argv) {
   return stats.corrupt_found > stats.repaired ? 1 : 0;
 }
 
-/// `saga_cli stats <kg> [--obs] [--json] [--health]` — KG
-/// size/coverage report. --obs additionally traces the run and prints
-/// the platform-wide observability surface (span breakdown +
-/// Prometheus metrics); --json prints the metric dump (and --health)
-/// as JSON instead; --health appends the uniform subsystem health
-/// sections (breakers/admission, integrity, replication, storage,
-/// resources).
+/// `saga_cli stats <kg> [--obs] [--json]` — KG size/coverage report.
+/// --obs additionally traces the run and prints the platform-wide
+/// observability surface (span breakdown + Prometheus metrics); --json
+/// prints the metric dump as JSON instead.
 int CmdStats(int argc, char** argv) {
   if (argc < 3) return Usage();
   bool show_obs = false;
   bool json = false;
-  bool health = false;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--obs") == 0) show_obs = true;
     if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--health") == 0) health = true;
   }
-  if (json && !health) show_obs = true;
+  if (json) show_obs = true;
   obs::SetTracingEnabled(show_obs);
 
   Result<kg::KnowledgeGraph> kg = [&] {
@@ -717,21 +551,13 @@ int CmdStats(int argc, char** argv) {
     }
   }
   if (show_obs) {
-    if (json && !health) {
+    if (json) {
       std::printf("\n%s\n", obs::DumpAll(obs::DumpFormat::kJson).c_str());
     } else {
       std::printf("\n--- observability: span breakdown ---\n%s",
                   obs::SpanReport().c_str());
       std::printf("\n--- observability: metrics ---\n%s",
                   obs::DumpAll(obs::DumpFormat::kPrometheus).c_str());
-    }
-  }
-  if (health) {
-    const auto sections = BuildHealthSections();
-    if (json) {
-      std::printf("%s\n", obs::RenderHealthJson(sections).c_str());
-    } else {
-      std::printf("\n%s", obs::RenderHealthText(sections).c_str());
     }
   }
   return 0;
