@@ -233,13 +233,17 @@ int main() {
                "half-open probe closed the breaker"});
   }
   t3.Print();
-  const auto bstats = breaker->stats();
-  std::printf("breaker: opened=%llu rejected=%llu failures=%llu "
-              "successes=%llu\n",
-              static_cast<unsigned long long>(bstats.opened),
-              static_cast<unsigned long long>(bstats.rejected),
-              static_cast<unsigned long long>(bstats.failures),
-              static_cast<unsigned long long>(bstats.successes));
+  auto& reg = obs::Registry::Global();
+  std::printf("breaker: opened=%lld rejected=%lld failures=%lld "
+              "successes=%lld\n",
+              static_cast<long long>(
+                  reg.counter("serving.breaker.ann_opened").Value()),
+              static_cast<long long>(
+                  reg.counter("serving.breaker.ann_rejected").Value()),
+              static_cast<long long>(
+                  reg.counter("serving.breaker.ann_failures").Value()),
+              static_cast<long long>(
+                  reg.counter("serving.breaker.ann_successes").Value()));
 
   // Hedged reads under the same fault: 8 clients against 2 hedge
   // workers that each stall 20ms per primary.
@@ -252,7 +256,6 @@ int main() {
       stack.service->store(), &stack.gen.kg, hopts);
   const size_t queue_limit = serving::EmbeddingService::kHedgeThreads *
                              serving::EmbeddingService::kHedgeQueuePerThread;
-  auto& reg = obs::Registry::Global();
   const int64_t shed_before = reg.counter("serving.hedge.shed").Value();
   const int64_t skipped_before =
       reg.counter("serving.hedge.primary_skipped").Value();

@@ -96,7 +96,9 @@ void BenchLossyNetwork() {
   std::printf("\n=== acked writes under a lossy network (3 replicas) ===\n");
   Table table({"drop", "reorder", "acked/200", "logical ms/write (p99)",
                "transport drops"});
+  obs::Counter& dropped = SAGA_COUNTER("replication.transport.dropped");
   for (double loss : {0.0, 0.05, 0.15, 0.30}) {
+    const int64_t dropped_before = dropped.Value();
     auto group =
         NewGroup(3, 0x70C5 + static_cast<uint64_t>(loss * 100), loss, loss);
     group->StepUntil([&] { return group->LeaderId() >= 0; }, 3000);
@@ -113,7 +115,7 @@ void BenchLossyNetwork() {
     table.AddRow({Fmt(loss, 2), Fmt(loss, 2),
                   std::to_string(acked),
                   Fmt(logical_ms.Percentile(99), 2),
-                  std::to_string(group->transport().stats().dropped)});
+                  std::to_string(dropped.Value() - dropped_before)});
   }
   table.Print();
 }

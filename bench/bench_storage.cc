@@ -99,16 +99,20 @@ void BM_KvGetMissBloomEffect(benchmark::State& state) {
     }
     (void)store.value()->Flush();
   }
+  obs::Counter& skips = SAGA_COUNTER("storage.kv.bloom_skips");
+  obs::Counter& probes = SAGA_COUNTER("storage.kv.sstable_probes");
+  const int64_t skips_before = skips.Value();
+  const int64_t probes_before = probes.Value();
   Rng rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         store.value()->Get("absent:" + std::to_string(rng.NextUint64())));
   }
   state.SetItemsProcessed(state.iterations());
-  const auto& stats = store.value()->stats();
+  const int64_t skipped = skips.Value() - skips_before;
   state.counters["bloom_skip_ratio"] =
-      static_cast<double>(stats.bloom_skips) /
-      std::max<uint64_t>(1, stats.bloom_skips + stats.sstable_probes);
+      static_cast<double>(skipped) /
+      std::max<int64_t>(1, skipped + probes.Value() - probes_before);
   (void)RemoveDirRecursively(*dir);
 }
 BENCHMARK(BM_KvGetMissBloomEffect);
@@ -256,8 +260,10 @@ int RunMixedGate() {
 
   // ---- Phase 2: reads while background maintenance churns ----------
   Section("phase 2: reads under background flush + compaction");
-  const uint64_t flushes_before = (*store)->stats().flushes;
-  const uint64_t compactions_before = (*store)->stats().compactions;
+  obs::Counter& flush_count = SAGA_COUNTER("storage.kv.bg.flushes");
+  obs::Counter& compaction_count = SAGA_COUNTER("storage.kv.bg.compactions");
+  const int64_t flushes_before = flush_count.Value();
+  const int64_t compactions_before = compaction_count.Value();
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> writes_acked{0};
   std::atomic<uint64_t> write_sheds{0};
@@ -292,9 +298,8 @@ int RunMixedGate() {
 
   Histogram mixed;
   for (const auto& h : per_thread) mixed.Merge(h);
-  const uint64_t flushes = (*store)->stats().flushes - flushes_before;
-  const uint64_t compactions =
-      (*store)->stats().compactions - compactions_before;
+  const int64_t flushes = flush_count.Value() - flushes_before;
+  const int64_t compactions = compaction_count.Value() - compactions_before;
   const double quiescent_p99 = quiescent.Percentile(99);
   const double mixed_p99 = mixed.Percentile(99);
   const double ratio = quiescent_p99 > 0 ? mixed_p99 / quiescent_p99 : 0;

@@ -30,6 +30,7 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/request_context.h"
 #include "common/rng.h"
 #include "embedding/embedding_store.h"
@@ -283,12 +284,17 @@ int main() {
   Table t4({"metric", "value"});
   t4.AddRow({"live version after spike", mgr.current_id()});
   t4.AddRow({"rollback latency (10 outcomes)", Fmt(rollback_ms, 3) + " ms"});
-  const auto ms = mgr.stats();
+  // The one VersionManager in this process owns the version.swap.*
+  // counters.
   t4.AddRow({"swaps attempted / committed / rejected / rolled back",
-             std::to_string(ms.attempts) + " / " +
-                 std::to_string(ms.committed) + " / " +
-                 std::to_string(ms.rejected) + " / " +
-                 std::to_string(ms.rollbacks)});
+             std::to_string(SAGA_COUNTER("version.swap.attempts").Value()) +
+                 " / " +
+                 std::to_string(SAGA_COUNTER("version.swap.committed").Value()) +
+                 " / " +
+                 std::to_string(SAGA_COUNTER("version.swap.rejected").Value()) +
+                 " / " +
+                 std::to_string(
+                     SAGA_COUNTER("version.swap.rollbacks").Value())});
   t4.Print();
 
   // ---- Phase 5: scrub the live version -----------------------------

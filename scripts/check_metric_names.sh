@@ -4,7 +4,8 @@
 # SAGA_LATENCY / SAGA_STAGE / obs::ScopedSpan, or as a string literal to
 # Registry::Global().counter / gauge / latency, must have exactly three
 # lower_snake_case segments, `subsystem.component.metric`, and latency
-# histogram names must end in `_ns`.
+# histogram names must end in `_ns`. Names read outside src/ must be
+# registered by src/ (see the last check).
 #
 # Usage: scripts/check_metric_names.sh [repo-root]
 set -u
@@ -82,6 +83,47 @@ while IFS= read -r hit; do
 done < <(grep -rnoE 'CircuitBreaker( [a-zA-Z_]+)?>?\("[^"]+"' \
     --include='*.cc' --include='*.h' src tests bench tools 2>/dev/null |
   sed -E 's/CircuitBreaker( [a-zA-Z_]+)?>?\("([^"]+)"/\2/')
+
+# Reads must name a registered metric. Registry::counter() registers a
+# name on lookup, so a misspelled read in a test returns 0 and passes an
+# EXPECT_EQ(delta, 0). Every counter, gauge or latency name that tests/,
+# bench/, tools/ or servebench/ reads through SAGA_COUNTER / SAGA_GAUGE /
+# SAGA_LATENCY or a `.counter("…")`-style registry call (Registry::Global()
+# or an alias such as `reg`) must be registered by src/: a literal given to
+# those macros or registry calls, a SAGA_STAGE name plus `_ns`, or a
+# circuit-breaker stem (constructed anywhere) plus one of its suffixes.
+# Names under the `test.` and `bench.` stems belong to the test or bench
+# that writes them.
+registered="$(
+  {
+    grep -rhoE '(SAGA_(COUNTER|GAUGE|LATENCY)|(counter|gauge|latency))\("[^"]+"' \
+        --include='*.cc' --include='*.h' src 2>/dev/null |
+      sed -E 's/.*\("([^"]+)"/\1/'
+    grep -rhoE 'SAGA_STAGE\("[^"]+"' --include='*.cc' --include='*.h' src \
+        2>/dev/null | sed -E 's/.*\("([^"]+)"/\1_ns/'
+    grep -rhoE 'CircuitBreaker( [a-zA-Z_]+)?>?\("[^"]+"' \
+        --include='*.cc' --include='*.h' src tests bench tools 2>/dev/null |
+      sed -E 's/.*\("([^"]+)"/\1/' |
+      while IFS= read -r stem; do
+        for suffix in state opened rejected failures successes; do
+          echo "${stem}_${suffix}"
+        done
+      done
+  } | sort -u
+)"
+while IFS= read -r hit; do
+  [ -n "$hit" ] || continue
+  name="${hit##*:}"
+  loc="${hit%:*}"
+  case "$name" in test.* | bench.*) continue ;; esac
+  if ! grep -qxF -- "$name" <<<"$registered"; then
+    echo "UNREGISTERED  ${loc}: \"${name}\" — no src/ code registers it"
+    status=1
+  fi
+done < <(grep -rnoE \
+    '(SAGA_(COUNTER|GAUGE|LATENCY)|(\.|->)(counter|gauge|latency))\("[^"]+"' \
+    --include='*.cc' --include='*.h' tests bench tools servebench 2>/dev/null |
+  sed -E 's/:[^:]*\("([^"]+)"$/:\1/')
 
 if [ "$status" -eq 0 ]; then
   echo "check_metric_names: OK (all obs names follow subsystem.component.metric)"

@@ -24,7 +24,10 @@ CircuitBreaker::CircuitBreaker(std::string metric_stem, Options options)
       options_(std::move(options)),
       state_gauge_(obs::Registry::Global().gauge(stem_ + "_state")),
       opened_counter_(obs::Registry::Global().counter(stem_ + "_opened")),
-      rejected_counter_(obs::Registry::Global().counter(stem_ + "_rejected")) {
+      rejected_counter_(obs::Registry::Global().counter(stem_ + "_rejected")),
+      failures_counter_(obs::Registry::Global().counter(stem_ + "_failures")),
+      successes_counter_(
+          obs::Registry::Global().counter(stem_ + "_successes")) {
   state_gauge_.Set(static_cast<double>(State::kClosed));
 }
 
@@ -52,7 +55,6 @@ void CircuitBreaker::TransitionLocked(State next, uint64_t now) {
   switch (next) {
     case State::kOpen:
       opened_at_ns_ = now;
-      ++stats_.opened;
       opened_counter_.Add();
       break;
     case State::kHalfOpen:
@@ -73,14 +75,12 @@ Status CircuitBreaker::Allow() {
     if (now - opened_at_ns_ >= open_ns) {
       TransitionLocked(State::kHalfOpen, now);
     } else {
-      ++stats_.rejected;
       rejected_counter_.Add();
       return Status::Unavailable("circuit breaker " + stem_ + " is open");
     }
   }
   if (state_ == State::kHalfOpen) {
     if (half_open_in_flight_ >= kHalfOpenMaxProbes) {
-      ++stats_.rejected;
       rejected_counter_.Add();
       return Status::Unavailable("circuit breaker " + stem_ +
                                  " half-open probe limit reached");
@@ -92,7 +92,7 @@ Status CircuitBreaker::Allow() {
 
 void CircuitBreaker::RecordSuccess() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.successes;
+  successes_counter_.Add();
   switch (state_) {
     case State::kHalfOpen:
       half_open_in_flight_ = std::max(0, half_open_in_flight_ - 1);
@@ -108,7 +108,7 @@ void CircuitBreaker::RecordSuccess() {
 
 void CircuitBreaker::RecordFailure() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.failures;
+  failures_counter_.Add();
   const uint64_t now = NowNs();
   switch (state_) {
     case State::kHalfOpen:
@@ -135,11 +135,6 @@ void CircuitBreaker::RecordNoOutcome() {
 CircuitBreaker::State CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;
-}
-
-CircuitBreaker::Stats CircuitBreaker::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace saga

@@ -13,20 +13,22 @@
 namespace saga {
 
 /// Classic closed / open / half-open circuit breaker guarding a
-/// dependency (ANN index, KvStore reads). While closed, calls flow and
-/// consecutive failures are counted; at `failure_threshold` the breaker
-/// opens and Allow() fails fast with Status::Unavailable — callers fall
-/// back (exact search, cache miss) instead of piling onto a struggling
-/// dependency. After `open_ms` of cool-down the breaker lets one
-/// half-open probe through at a time; a probe success closes it again,
-/// a probe failure re-opens it and restarts the cool-down.
+/// dependency (the ANN index of EmbeddingService). While closed, calls
+/// flow and consecutive failures are counted; at `failure_threshold`
+/// the breaker opens and Allow() fails fast with Status::Unavailable —
+/// the caller falls back (exact search) instead of piling onto a
+/// struggling dependency. After `open_ms` of cool-down the breaker lets
+/// one half-open probe through at a time; a probe success closes it
+/// again, a probe failure re-opens it and restarts the cool-down.
 ///
-/// Observability: the breaker registers three process-global metrics
+/// Observability: the breaker registers five process-global metrics
 /// derived from its metric stem (which must follow the
 /// `subsystem.breaker.name` scheme, e.g. "serving.breaker.ann"):
-///   <stem>_state     gauge    0 closed / 1 open / 2 half-open
-///   <stem>_opened    counter  times the breaker tripped
-///   <stem>_rejected  counter  calls fast-failed while open
+///   <stem>_state      gauge    0 closed / 1 open / 2 half-open
+///   <stem>_opened     counter  times the breaker tripped
+///   <stem>_rejected   counter  calls fast-failed while open
+///   <stem>_failures   counter  recorded failures
+///   <stem>_successes  counter  recorded successes
 ///
 /// Thread-safe: all state behind one mutex; the expected call pattern
 /// (Allow, run the op, RecordSuccess/RecordFailure) never holds the
@@ -76,14 +78,6 @@ class CircuitBreaker {
   /// Internal) is a failure.
   static bool IsFailure(const Status& s);
 
-  struct Stats {
-    uint64_t opened = 0;        // transitions into kOpen
-    uint64_t rejected = 0;      // fast-failed calls while open
-    uint64_t failures = 0;      // recorded failures
-    uint64_t successes = 0;     // recorded successes
-  };
-  Stats stats() const;
-
  private:
   uint64_t NowNs() const;
   /// Transitions with mu_ held; updates the state gauge.
@@ -94,13 +88,14 @@ class CircuitBreaker {
   obs::Gauge& state_gauge_;
   obs::Counter& opened_counter_;
   obs::Counter& rejected_counter_;
+  obs::Counter& failures_counter_;
+  obs::Counter& successes_counter_;
 
   mutable std::mutex mu_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
   int half_open_in_flight_ = 0;
   uint64_t opened_at_ns_ = 0;
-  Stats stats_;
 };
 
 }  // namespace saga

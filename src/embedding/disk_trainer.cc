@@ -184,7 +184,7 @@ Result<TrainedEmbeddings> DiskTrainer::Train(
     for (const auto& [pi, pj] : schedule) {
       SAGA_ASSIGN_OR_RETURN(
           std::vector<graph_engine::ViewEdge> bucket,
-          graph_engine::EdgePartitioner::LoadBucket(bucket_dir, pi, pj));
+          partitioner.LoadBucket(bucket_dir, pi, pj));
       if (bucket.empty()) continue;
       SAGA_RETURN_IF_ERROR(buffer.EnsureResident(pi));
       SAGA_RETURN_IF_ERROR(buffer.EnsureResident(pj));

@@ -14,7 +14,7 @@ std::string BucketPath(const std::string& dir, int pi, int pj) {
 
 EdgePartitioner::EdgePartitioner(const GraphView& view, int num_partitions,
                                  Rng* rng)
-    : num_partitions_(num_partitions) {
+    : num_partitions_(num_partitions), num_relations_(view.num_relations()) {
   const size_t n = view.num_entities();
   assignment_.resize(n);
   members_.assign(num_partitions, {});
@@ -55,7 +55,7 @@ Status EdgePartitioner::WriteBuckets(const std::vector<ViewEdge>& edges,
 }
 
 Result<std::vector<ViewEdge>> EdgePartitioner::LoadBucket(
-    const std::string& dir, int pi, int pj) {
+    const std::string& dir, int pi, int pj) const {
   SAGA_ASSIGN_OR_RETURN(std::string data,
                         ReadFileToString(BucketPath(dir, pi, pj)));
   BinaryReader r(data);
@@ -67,6 +67,14 @@ Result<std::vector<ViewEdge>> EdgePartitioner::LoadBucket(
     SAGA_RETURN_IF_ERROR(r.GetVarint64(&s));
     SAGA_RETURN_IF_ERROR(r.GetVarint64(&rel));
     SAGA_RETURN_IF_ERROR(r.GetVarint64(&d));
+    if (s >= assignment_.size() || assignment_[s] != pi ||
+        d >= assignment_.size() || assignment_[d] != pj ||
+        rel >= num_relations_) {
+      return Status::Corruption(
+          "bucket " + std::to_string(pi) + "_" + std::to_string(pj) +
+          " holds edge " + std::to_string(s) + " -" + std::to_string(rel) +
+          "-> " + std::to_string(d) + " outside its partitions or relations");
+    }
     edges.push_back(ViewEdge{static_cast<uint32_t>(s),
                              static_cast<uint32_t>(rel),
                              static_cast<uint32_t>(d)});

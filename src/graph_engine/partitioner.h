@@ -39,8 +39,10 @@ class EdgePartitioner {
   /// without materializing the full edge list.
   Status WriteBuckets(const std::vector<ViewEdge>& edges,
                       const std::string& dir) const;
-  static Result<std::vector<ViewEdge>> LoadBucket(const std::string& dir,
-                                                  int pi, int pj);
+  /// Corruption when an edge's src is not in partition `pi`, its dst
+  /// not in `pj`, or its relation not in the view.
+  Result<std::vector<ViewEdge>> LoadBucket(const std::string& dir, int pi,
+                                           int pj) const;
 
   /// Bucket visit order minimizing partition swaps: consecutive buckets
   /// share at least one partition when possible (Hilbert-like zigzag).
@@ -48,6 +50,7 @@ class EdgePartitioner {
 
  private:
   int num_partitions_;
+  size_t num_relations_;
   std::vector<int> assignment_;
   std::vector<std::vector<uint32_t>> members_;
 };

@@ -259,7 +259,6 @@ void ReplicaGroup::TrackFailover() {
   const uint64_t e = replicas_[lid]->epoch();
   if (last_leader_ >= 0 &&
       (lid != last_leader_ || e != last_leader_epoch_)) {
-    ++failovers_;
     SAGA_COUNTER("replication.group.failovers").Add();
     SAGA_GAUGE("replication.group.last_failover_unix_ms").Set(WallUnixMs());
   }

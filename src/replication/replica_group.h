@@ -105,11 +105,8 @@ class ReplicaGroup {
   uint64_t CommitSeq() const;
   /// Committed records `replica_id` trails the group commit by.
   uint64_t LagOf(int replica_id) const;
-  uint64_t failovers() const { return failovers_; }
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   Replica& replica(int i) { return *replicas_[i]; }
-  SimTransport& transport() { return transport_; }
-  const serving::ReplicaRouter& router() const { return router_; }
 
   /// Router-facing snapshot of per-replica state.
   std::vector<serving::ReplicaRouter::ReplicaView> Views() const;
@@ -134,7 +131,6 @@ class ReplicaGroup {
   serving::ReplicaRouter router_;
   int last_leader_ = -1;
   uint64_t last_leader_epoch_ = 0;
-  uint64_t failovers_ = 0;
 };
 
 }  // namespace saga::replication

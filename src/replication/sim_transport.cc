@@ -28,10 +28,8 @@ void SimTransport::Enqueue(const Message& m, double deliver_at_ms) {
 }
 
 void SimTransport::Send(const Message& m, double now_ms) {
-  ++stats_.sent;
   SAGA_COUNTER("replication.transport.sent").Add();
   if (Partitioned(m.from, m.to)) {
-    ++stats_.partitioned;
     SAGA_COUNTER("replication.transport.partitioned").Add();
     return;
   }
@@ -43,7 +41,6 @@ void SimTransport::Send(const Message& m, double now_ms) {
 
   // Layer 1: per-link probabilistic faults from the transport's seed.
   if (drop_p_ > 0 && rng_.Bernoulli(drop_p_)) {
-    ++stats_.dropped;
     SAGA_COUNTER("replication.transport.dropped").Add();
     return;
   }
@@ -58,7 +55,6 @@ void SimTransport::Send(const Message& m, double now_ms) {
       case TransportFaultAction::kNone:
         break;
       case TransportFaultAction::kDrop:
-        ++stats_.dropped;
         SAGA_COUNTER("replication.transport.dropped").Add();
         return;
       case TransportFaultAction::kDuplicate:
@@ -77,12 +73,10 @@ void SimTransport::Send(const Message& m, double now_ms) {
     // Land after traffic sent later on the same link: push delivery
     // past the base delay by a seeded spread.
     deliver_at += rng_.UniformDouble(0, kReorderSpreadMs);
-    ++stats_.reordered;
     SAGA_COUNTER("replication.transport.reordered").Add();
   }
   Enqueue(m, deliver_at);
   if (duplicate) {
-    ++stats_.duplicated;
     SAGA_COUNTER("replication.transport.duplicated").Add();
     Enqueue(m, deliver_at + rng_.UniformDouble(0, kReorderSpreadMs));
   }
@@ -112,7 +106,6 @@ size_t SimTransport::DeliverDue(double now_ms) {
   for (const InFlight& f : due) {
     // A cut made after the send still swallows in-flight frames.
     if (Partitioned(f.msg.from, f.msg.to)) {
-      ++stats_.partitioned;
       SAGA_COUNTER("replication.transport.partitioned").Add();
       continue;
     }
@@ -120,7 +113,6 @@ size_t SimTransport::DeliverDue(double now_ms) {
     if (it == handlers_.end() || !it->second) continue;
     it->second(f.msg);
     ++delivered;
-    ++stats_.delivered;
     SAGA_COUNTER("replication.transport.delivered").Add();
   }
   return delivered;

@@ -41,17 +41,12 @@ namespace saga::replication {
 /// those messages are queued with fresh delivery times and land on a
 /// later pump, never inside the same delivery instant — replies can
 /// not outrun the message they answer.
+///
+/// Counters: `replication.transport.sent`, `.delivered`, `.dropped`
+/// (probabilistic and injector drops), `.duplicated`, `.reordered` and
+/// `.partitioned` (drops at a structural cut).
 class SimTransport {
  public:
-  struct Stats {
-    uint64_t sent = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped = 0;      // probabilistic + injector drops
-    uint64_t duplicated = 0;
-    uint64_t reordered = 0;
-    uint64_t partitioned = 0;  // drops caused by a structural cut
-  };
-
   using Handler = std::function<void(const Message&)>;
 
   /// `seed` drives the probabilistic faults; all are off until
@@ -87,8 +82,6 @@ class SimTransport {
   void SetFaultProfile(double drop_p, double duplicate_p, double reorder_p,
                        double jitter_ms);
 
-  const Stats& stats() const { return stats_; }
-
  private:
   struct InFlight {
     double deliver_at_ms = 0;
@@ -110,7 +103,6 @@ class SimTransport {
   std::vector<InFlight> queue_;
   std::set<std::pair<int, int>> cuts_;
   uint64_t next_tie_ = 0;
-  Stats stats_;
 };
 
 }  // namespace saga::replication

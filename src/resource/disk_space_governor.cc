@@ -74,7 +74,6 @@ Result<DiskSpaceGovernor::Reservation> DiskSpaceGovernor::Reserve(
   const bool deny = (cls == ReservationClass::kWrite && degraded_) ||
                     free < bytes || free - bytes < floor;
   if (deny) {
-    ++denials_;
     SAGA_COUNTER("resource.governor.denials").Add();
     if (cls == ReservationClass::kWrite) {
       EnterDegradedLocked("reservation denied");
@@ -110,7 +109,6 @@ void DiskSpaceGovernor::OnBytesFreed(uint64_t bytes) {
   if (options_.budget_bytes > 0) {
     used_ = used_ > bytes ? used_ - bytes : 0;
   }
-  reclaimed_ += bytes;
   SAGA_COUNTER("resource.reclaim.bytes_freed")
       .Add(static_cast<int64_t>(bytes));
   MaybeExitDegradedLocked();
@@ -136,7 +134,6 @@ void DiskSpaceGovernor::EnterDegradedLocked(const std::string& why) {
   (void)why;
   if (degraded_) return;
   degraded_ = true;
-  ++degraded_entries_;
   SAGA_COUNTER("resource.governor.degraded_entries").Add();
   SAGA_GAUGE("resource.governor.degraded").Set(1.0);
 }
@@ -166,11 +163,6 @@ uint64_t DiskSpaceGovernor::budget_bytes() const {
 uint64_t DiskSpaceGovernor::used_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return used_;
-}
-
-uint64_t DiskSpaceGovernor::denials() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return denials_;
 }
 
 uint64_t DiskSpaceGovernor::ExitThresholdBytes() const {
@@ -232,9 +224,11 @@ obs::HealthSection DiskSpaceGovernor::BuildHealthSection() const {
       .Row("emergency_floor_bytes", options_.emergency_floor_bytes)
       .Row("exit_threshold_bytes", ExitThresholdBytes())
       .Row("degraded", degraded_)
-      .Row("degraded_entries", degraded_entries_)
-      .Row("denials", denials_)
-      .Row("reclaimed_bytes", reclaimed_)
+      .Row("degraded_entries",
+           SAGA_COUNTER("resource.governor.degraded_entries").Value())
+      .Row("denials", SAGA_COUNTER("resource.governor.denials").Value())
+      .Row("reclaim_bytes_freed",
+           SAGA_COUNTER("resource.reclaim.bytes_freed").Value())
       .Row("reclaim_tasks", static_cast<uint64_t>(tasks_.size()));
   if (degraded_) {
     section.Note(

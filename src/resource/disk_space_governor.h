@@ -56,7 +56,8 @@ namespace saga::resource {
 ///
 /// Thread-safe. Metrics: resource.governor.* gauges/counters and
 /// resource.reclaim.*; BuildHealthSection() renders the same numbers
-/// for `saga_cli resource` and `bench_resource`.
+/// for `saga_cli resource` and `bench_resource` (its denial, degraded
+/// entry and reclaimed-byte rows are the process-wide counters).
 class DiskSpaceGovernor {
  public:
   struct Options {
@@ -138,7 +139,6 @@ class DiskSpaceGovernor {
   uint64_t FreeBytes() const;
   uint64_t budget_bytes() const;
   uint64_t used_bytes() const;
-  uint64_t denials() const;
 
   /// Returns `emergency_floor_bytes * kExitHeadroomFactor`:
   /// the free-space level at which degraded mode exits.
@@ -179,9 +179,6 @@ class DiskSpaceGovernor {
   mutable std::mutex mu_;
   uint64_t used_ = 0;      // simulated mode only
   uint64_t reserved_ = 0;  // outstanding reservations
-  uint64_t reclaimed_ = 0;
-  uint64_t denials_ = 0;
-  uint64_t degraded_entries_ = 0;
   bool degraded_ = false;
   std::vector<ReclaimTask> tasks_;
 };

@@ -5,7 +5,6 @@
 
 #include "ann/brute_force_index.h"
 #include "ann/ivf_index.h"
-#include "ann/quantized_index.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -64,9 +63,6 @@ std::unique_ptr<ann::VectorIndex> EmbeddingService::MakeIndex(
       ivf.nprobe = kIvfNprobe;
       return std::make_unique<ann::IvfIndex>(store_.rows(), kMetric, ivf);
     }
-    case IndexKind::kQuantized:
-      return std::make_unique<ann::QuantizedBruteForceIndex>(
-          store_.rows(), kMetric);
     case IndexKind::kExact:
       break;
   }

@@ -20,13 +20,13 @@ namespace saga::serving {
 /// The embedding service of Figure 1: vectorized entity representations
 /// with similarity calculation and efficient k-NN retrieval.
 ///
-/// Robustness: if the configured accelerated index (IVF / quantized)
+/// Robustness: if the configured accelerated index (IVF)
 /// repeatedly fails to build, the service degrades gracefully to exact
 /// brute-force search instead of refusing to serve — correct answers,
 /// reduced throughput. The degradation is observable via the
 /// `serving.embedding.degraded_builds` counter.
 ///
-/// Overload safety (accelerated IVF / quantized indexes only):
+/// Overload safety (the accelerated IVF index only):
 /// - A circuit breaker guards the accelerated index: injected or real
 ///   search failures, and searches slower than `breaker_slow_call_ms`,
 ///   count as failures; once tripped, searches fall back to the exact
@@ -41,12 +41,9 @@ class EmbeddingService {
   enum class IndexKind {
     kExact,
     kIvf,
-    /// int8-quantized exact index: 4x smaller, slightly lossy (the
-    /// on-device / compressed serving tier).
-    kQuantized,
   };
 
-  /// Hedged-read policy for accelerated (IVF / quantized) searches.
+  /// Hedged-read policy for accelerated (IVF) searches.
   struct HedgeOptions {
     bool enabled = false;
     /// Fixed hedge timer; <= 0 derives the timer from the live p99 of

@@ -14,7 +14,7 @@ int ReplicaRouter::PickRead(const std::vector<ReplicaView>& replicas) {
     if (r.is_leader && r.healthy) leader = r.id;
     if (r.is_leader) continue;
     // Unhealthy followers are simply not candidates — neither eligible
-    // nor a fallback, and not a "stale" skip (that tally tracks the
+    // nor a fallback, and not a "stale" skip (that counter tracks the
     // staleness bound doing its job, not dead replicas).
     if (!r.healthy) continue;
     // Any healthy follower, however far behind, beats failing the read
@@ -24,24 +24,20 @@ int ReplicaRouter::PickRead(const std::vector<ReplicaView>& replicas) {
       fallback_lag = r.lag_records;
     }
     if (r.lag_records > kMaxStalenessRecords) {
-      ++stats_.stale_skips;
       SAGA_COUNTER("serving.replica_router.stale_skips").Add();
       continue;
     }
     eligible.push_back(r.id);
   }
   if (!eligible.empty()) {
-    ++stats_.follower_reads;
     SAGA_COUNTER("serving.replica_router.follower_reads").Add();
     return eligible[rr_++ % eligible.size()];
   }
   if (leader >= 0) {
-    ++stats_.leader_reads;
     SAGA_COUNTER("serving.replica_router.leader_reads").Add();
     return leader;
   }
   if (fallback >= 0) {
-    ++stats_.stale_fallbacks;
     SAGA_COUNTER("serving.replica_router.stale_fallbacks").Add();
     return fallback;
   }

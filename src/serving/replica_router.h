@@ -26,9 +26,13 @@ namespace saga::serving {
 /// time, and never from a divergent (uncommitted) tail, since lag is
 /// measured in committed records. Last resort only — leader down AND
 /// no follower inside the bound — the router degrades to the
-/// least-stale healthy follower (counted as a `stale_fallback`) rather
-/// than failing the read: availability over freshness, but only once
-/// freshness is unattainable.
+/// least-stale healthy follower rather than failing the read:
+/// availability over freshness, but only once freshness is unattainable.
+///
+/// Each decision counts in `serving.replica_router.*`: `follower_reads`,
+/// `leader_reads`, `stale_fallbacks` (reads served past the bound) and
+/// `stale_skips` (healthy followers passed over for lag; unhealthy
+/// replicas are not candidates and are not counted).
 class ReplicaRouter {
  public:
   struct ReplicaView {
@@ -43,28 +47,13 @@ class ReplicaRouter {
   /// Max committed-record lag a follower may have and still serve.
   static constexpr uint64_t kMaxStalenessRecords = 64;
 
-  struct Stats {
-    uint64_t follower_reads = 0;
-    uint64_t leader_reads = 0;
-    /// Healthy followers skipped because their lag exceeded the
-    /// staleness bound (unhealthy replicas are not counted — they are
-    /// not candidates at all).
-    uint64_t stale_skips = 0;
-    /// Reads served by a beyond-bound follower because no healthy
-    /// leader and no in-bound follower existed.
-    uint64_t stale_fallbacks = 0;
-  };
-
   /// Picks the replica id to serve a read: round-robin over eligible
   /// followers, else the leader, else the least-stale healthy follower
   /// (stale fallback), else -1 (no one can serve — caller surfaces
   /// Unavailable).
   int PickRead(const std::vector<ReplicaView>& replicas);
 
-  const Stats& stats() const { return stats_; }
-
  private:
-  Stats stats_;
   uint64_t rr_ = 0;
 };
 

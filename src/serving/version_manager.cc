@@ -114,12 +114,7 @@ Status VersionManager::SwapTo(std::shared_ptr<ServingVersion> candidate) {
     return Status::InvalidArgument("null candidate");
   }
   SAGA_COUNTER("version.swap.attempts").Add();
-  std::shared_ptr<const ServingVersion> live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.attempts;
-    live = current_;
-  }
+  const std::shared_ptr<const ServingVersion> live = Current();
   if (live == nullptr) {
     return Status::FailedPrecondition("no live version; use Activate");
   }
@@ -128,10 +123,6 @@ Status VersionManager::SwapTo(std::shared_ptr<ServingVersion> candidate) {
   Status valid = Validate(*candidate, live.get());
   if (!valid.ok()) {
     SAGA_COUNTER("version.swap.rejected").Add();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
-    }
     SAGA_LOG(Error) << "rejecting candidate " << candidate->id << ": "
                     << valid;
     return valid;
@@ -149,8 +140,9 @@ Status VersionManager::SwapTo(std::shared_ptr<ServingVersion> candidate) {
   in_probation_ = true;
   probation_seen_ = 0;
   probation_failed_ = 0;
+  const int64_t committed = SAGA_COUNTER("version.swap.committed").Value();
   SAGA_GAUGE("version.serving.age_swaps")
-      .Set(static_cast<double>(stats_.committed + 1));
+      .Set(static_cast<double>(committed + 1));
   SAGA_LOG(Info) << "swapped serving version " << previous_->id << " -> "
                  << current_->id << " (probation)";
   return Status::OK();
@@ -158,7 +150,6 @@ Status VersionManager::SwapTo(std::shared_ptr<ServingVersion> candidate) {
 
 void VersionManager::RollbackLocked() {
   SAGA_COUNTER("version.swap.rollbacks").Add();
-  ++stats_.rollbacks;
   SAGA_LOG(Error) << "rolling back serving version " << current_->id
                   << " -> " << previous_->id << " (probation error rate "
                   << probation_failed_ << "/" << probation_seen_ << ")";
@@ -173,7 +164,6 @@ void VersionManager::RecordRequestOutcome(bool ok) {
   ++probation_seen_;
   if (!ok) {
     ++probation_failed_;
-    ++stats_.probation_errors;
     SAGA_COUNTER("version.swap.probation_errors").Add();
   }
   // Early rollback: check the rate at every outcome once a minimum
@@ -188,8 +178,6 @@ void VersionManager::RecordRequestOutcome(bool ok) {
   if (probation_seen_ >= kProbationRequests) {
     in_probation_ = false;
     previous_ = nullptr;  // commit: old version may now be reclaimed
-    ++stats_.committed;
-    ++stats_.probation_successes;
     SAGA_COUNTER("version.swap.committed").Add();
     SAGA_LOG(Info) << "serving version " << current_->id
                    << " committed after probation";
@@ -209,11 +197,6 @@ std::shared_ptr<const ServingVersion> VersionManager::Current() const {
 std::string VersionManager::current_id() const {
   std::lock_guard<std::mutex> lock(mu_);
   return current_ == nullptr ? "" : current_->id;
-}
-
-VersionManager::Stats VersionManager::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace saga::serving

@@ -55,7 +55,8 @@ struct ServingVersion {
 ///
 /// Metrics: `version.swap.attempts/.committed/.rejected/.rollbacks`
 /// counters, `version.swap.probation_errors` counter and
-/// `version.serving.age_swaps` gauge (bumps per successful flip).
+/// `version.serving.age_swaps` gauge (committed swaps + 1, set at each
+/// flip).
 class VersionManager {
  public:
   struct ValidationOptions {
@@ -75,15 +76,6 @@ class VersionManager {
   /// automatic rollback, checked once this many outcomes are in.
   static constexpr double kRollbackErrorRate = 0.5;
   static constexpr uint64_t kRollbackMinOutcomes = 10;
-
-  struct Stats {
-    uint64_t attempts = 0;
-    uint64_t committed = 0;
-    uint64_t rejected = 0;
-    uint64_t rollbacks = 0;
-    uint64_t probation_errors = 0;
-    uint64_t probation_successes = 0;
-  };
 
   explicit VersionManager(Options options);
 
@@ -115,8 +107,6 @@ class VersionManager {
   void RecordRequestOutcome(bool ok);
   bool InProbation() const;
 
-  Stats stats() const;
-
  private:
   Status Validate(const ServingVersion& candidate,
                   const ServingVersion* live);
@@ -127,7 +117,6 @@ class VersionManager {
   mutable std::mutex mu_;
   std::shared_ptr<const ServingVersion> current_;
   std::shared_ptr<const ServingVersion> previous_;
-  Stats stats_;
   bool in_probation_ = false;
   uint64_t probation_seen_ = 0;
   uint64_t probation_failed_ = 0;

@@ -268,13 +268,13 @@ uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
     ++replayed;
     keep_bytes += kWalRecordHeaderBytes + rec.size();
   }
-  recovery_stats_.wal_records_replayed += replayed;
-  recovery_stats_.wal_records_dropped += wal.records.size() - replayed;
+  recovery_.wal_records_replayed += replayed;
+  recovery_.wal_records_dropped += wal.records.size() - replayed;
   uint64_t bytes_dropped = wal.bytes_dropped;
   for (size_t i = replayed; i < wal.records.size(); ++i) {
     bytes_dropped += kWalRecordHeaderBytes + wal.records[i].size();
   }
-  recovery_stats_.wal_bytes_dropped += bytes_dropped;
+  recovery_.wal_bytes_dropped += bytes_dropped;
   if (replayed < wal.records.size() || bytes_dropped > 0) {
     SAGA_LOG(Warning) << "WAL replay in " << dir_ << " dropped "
                       << (wal.records.size() - replayed) << " records and "
@@ -284,7 +284,7 @@ uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
 }
 
 Status KvStore::Recover() {
-  RecoveryStats& rs = recovery_stats_;
+  RecoveryStats& rs = recovery_;
   SAGA_ASSIGN_OR_RETURN(std::vector<std::string> files, ListDir(dir_));
 
   // The manifest is the committed table set; absent (fresh dir or
@@ -497,7 +497,6 @@ Status KvStore::CheckWriteStall() {
   // Shed before the WAL append so a stalled write is never partially
   // applied, and make sure the drain that unblocks us is in flight.
   ScheduleMaintenance();
-  stats_.stall_rejects.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("storage.kv.bg.stall_rejects").Add();
   return Status::ResourceExhausted("kv write stall: " +
                                    std::to_string(imm_count) +
@@ -556,7 +555,6 @@ Status KvStore::Put(std::string_view key, std::string_view value) {
     std::unique_lock<std::shared_mutex> ml(mem_mu_);
     mem_->Put(key, value);
   }
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("storage.kv.write_ok").Add();
   if (mem_->ApproximateBytes() < options_.memtable_max_bytes) {
     return Status::OK();
@@ -610,7 +608,6 @@ Result<std::string> KvStore::Get(std::string_view key) {
 Result<std::string> KvStore::Get(std::string_view key,
                                  const RequestContext& ctx) {
   auto stage = SAGA_STAGE("storage.kv.get");
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
   SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.get"));
   if (Faults().armed()) {
     // `kv.read` models a slow or failing storage device / replica;
@@ -642,10 +639,10 @@ Result<std::string> KvStore::Get(std::string_view key,
   for (auto it = sv->tables.rbegin(); it != sv->tables.rend(); ++it) {
     SAGA_RETURN_IF_ERROR(ctx.Check("storage.kv.probe"));
     if ((*it)->DefinitelyMissing(key)) {
-      stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
+      SAGA_COUNTER("storage.kv.bloom_skips").Add();
       continue;
     }
-    stats_.sstable_probes.fetch_add(1, std::memory_order_relaxed);
+    SAGA_COUNTER("storage.kv.sstable_probes").Add();
     // Checked probe: a CRC-failing block surfaces as kDataLoss here
     // instead of reading as a miss and falling through to an older
     // (stale) version of the key in a deeper table.
@@ -808,9 +805,6 @@ Status KvStore::FlushOneImmLocked() {
     (void)RemoveFileIfExists(path);
     return ms;
   }
-  stats_.bytes_flushed.fetch_add((*built)->file_bytes(),
-                                 std::memory_order_relaxed);
-  stats_.flushes.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("storage.kv.bg.flushes").Add();
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -963,7 +957,6 @@ Status KvStore::CompactAllLocked() {
   if (options_.governor != nullptr && bytes_freed > 0) {
     options_.governor->OnBytesFreed(bytes_freed);
   }
-  stats_.compactions.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("storage.kv.bg.compactions").Add();
   return Status::OK();
 }

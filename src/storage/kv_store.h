@@ -87,21 +87,6 @@ class KvStore {
     int max_immutable_memtables = 4;
   };
 
-  /// Monotonic operation tallies. Fields are atomics because readers
-  /// (gets, bloom_skips, sstable_probes) bump them concurrently from
-  /// many threads; loads are implicit via the conversion operator.
-  struct Stats {
-    std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> gets{0};
-    std::atomic<uint64_t> bloom_skips{0};     // SSTable probes avoided by bloom
-    std::atomic<uint64_t> sstable_probes{0};  // SSTable Get() calls made
-    std::atomic<uint64_t> flushes{0};
-    std::atomic<uint64_t> compactions{0};
-    std::atomic<uint64_t> bytes_flushed{0};
-    /// Writes shed by the write-stall backpressure gate.
-    std::atomic<uint64_t> stall_rejects{0};
-  };
-
   /// What Recover() found and repaired. Anything nonzero besides
   /// `sstables_loaded` / `wal_records_replayed` means the store healed
   /// itself from a crash or corruption.
@@ -194,8 +179,7 @@ class KvStore {
   Status background_error() const;
 
   size_t num_sstables() const;
-  const Stats& stats() const { return stats_; }
-  const RecoveryStats& recovery_stats() const { return recovery_stats_; }
+  const RecoveryStats& recovery_stats() const { return recovery_; }
 
  private:
   /// A sealed memtable plus the newest WAL segment covering it; the
@@ -288,13 +272,12 @@ class KvStore {
   /// Replays intact, decodable put records into the active memtable and
   /// returns the on-disk byte length of that replayed prefix (so
   /// Recover can truncate a damaged log before appending behind the
-  /// damage). Accumulates into recovery_stats_ across multiple logs.
+  /// damage). Accumulates into recovery_ across multiple logs.
   uint64_t ReplayWal(const WalReadResult& wal, bool* stopped_early);
 
   std::string dir_;
   Options options_;
-  Stats stats_;
-  RecoveryStats recovery_stats_;
+  RecoveryStats recovery_;
   RetryPolicy retry_;
 
   /// Serializes writers end-to-end (stall gate, WAL append, memtable

@@ -434,35 +434,31 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
                          &gen.kg);
   ASSERT_EQ(degraded.Value(), exact_before);
 
-  for (EmbeddingService::IndexKind kind :
-       {EmbeddingService::IndexKind::kIvf,
-        EmbeddingService::IndexKind::kQuantized}) {
-    obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
-    const int64_t degraded_before = degraded.Value();
-    const int64_t retries_before = retries.Value();
-    EmbeddingService::Options opts;
-    opts.index = kind;
-    FaultSpec spec;
-    spec.fail_nth = 0;  // every build attempt fails
-    spec.repeat = true;
-    ScopedFault fault("serving.index_build", spec);
-    EmbeddingService service(
-        embedding::EmbeddingStore::FromTrained(emb, view), &gen.kg, opts);
-    EXPECT_EQ(degraded.Value() - degraded_before, 1);
-    EXPECT_GE(retries.Value() - retries_before, 1);
+  obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
+  const int64_t degraded_before = degraded.Value();
+  const int64_t retries_before = retries.Value();
+  EmbeddingService::Options opts;
+  opts.index = EmbeddingService::IndexKind::kIvf;
+  FaultSpec spec;
+  spec.fail_nth = 0;  // every build attempt fails
+  spec.repeat = true;
+  ScopedFault fault("serving.index_build", spec);
+  EmbeddingService service(
+      embedding::EmbeddingStore::FromTrained(emb, view), &gen.kg, opts);
+  EXPECT_EQ(degraded.Value() - degraded_before, 1);
+  EXPECT_GE(retries.Value() - retries_before, 1);
 
-    const kg::EntityId a = view.global_entity(1);
-    const RequestContext ctx;
-    auto degraded_hits =
-        service.TopKNeighbors(a, 5, kg::TypeId::Invalid(), ctx);
-    auto exact_hits = exact.TopKNeighbors(a, 5, kg::TypeId::Invalid(), ctx);
-    ASSERT_TRUE(degraded_hits.ok());
-    ASSERT_TRUE(exact_hits.ok());
-    ASSERT_EQ(degraded_hits->size(), exact_hits->size());
-    for (size_t i = 0; i < exact_hits->size(); ++i) {
-      EXPECT_EQ((*degraded_hits)[i].first, (*exact_hits)[i].first);
-      EXPECT_NEAR((*degraded_hits)[i].second, (*exact_hits)[i].second, 1e-9);
-    }
+  const kg::EntityId a = view.global_entity(1);
+  const RequestContext ctx;
+  auto degraded_hits =
+      service.TopKNeighbors(a, 5, kg::TypeId::Invalid(), ctx);
+  auto exact_hits = exact.TopKNeighbors(a, 5, kg::TypeId::Invalid(), ctx);
+  ASSERT_TRUE(degraded_hits.ok());
+  ASSERT_TRUE(exact_hits.ok());
+  ASSERT_EQ(degraded_hits->size(), exact_hits->size());
+  for (size_t i = 0; i < exact_hits->size(); ++i) {
+    EXPECT_EQ((*degraded_hits)[i].first, (*exact_hits)[i].first);
+    EXPECT_NEAR((*degraded_hits)[i].second, (*exact_hits)[i].second, 1e-9);
   }
   Faults().DisarmAll();
 }

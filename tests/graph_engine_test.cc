@@ -7,6 +7,7 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/request_context.h"
+#include "common/serialization.h"
 #include "graph_engine/partitioner.h"
 #include "graph_engine/ppr.h"
 #include "graph_engine/query.h"
@@ -310,7 +311,7 @@ TEST(PartitionerTest, DiskBucketsPartitionAllEdges) {
   size_t total = 0;
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      auto bucket = EdgePartitioner::LoadBucket(*dir, i, j);
+      auto bucket = part.LoadBucket(*dir, i, j);
       ASSERT_TRUE(bucket.ok());
       for (const ViewEdge& e : *bucket) {
         EXPECT_EQ(part.partition_of(e.src), i);
@@ -320,6 +321,46 @@ TEST(PartitionerTest, DiskBucketsPartitionAllEdges) {
     }
   }
   EXPECT_EQ(total, view.edges().size());
+  (void)RemoveDirRecursively(*dir);
+}
+
+// A bucket edge whose ids fall outside the bucket's partitions or the
+// view's relations is Corruption, not an index into the trainer's rows.
+TEST(PartitionerTest, LoadBucketRejectsIdsOutsideItsPartitions) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  Rng rng(5);
+  EdgePartitioner part(view, 3, &rng);
+  auto dir = MakeTempDir("saga_bad_buckets");
+  ASSERT_TRUE(dir.ok());
+  ASSERT_TRUE(part.WriteBuckets(view.edges(), *dir).ok());
+  const uint32_t in0 = part.partition_members(0)[0];
+  const uint32_t in1 = part.partition_members(1)[0];
+  const uint64_t past_entities = view.num_entities();
+  const uint64_t past_relations = view.num_relations();
+  const std::string bucket = JoinPath(*dir, "bucket_0_1.bin");
+  struct Edge {
+    uint64_t src, rel, dst;
+  };
+  for (const Edge& bad : {Edge{in1, 0, in1},               // src not in 0
+                          Edge{in0, 0, in0},               // dst not in 1
+                          Edge{past_entities, 0, in1},     // src past view
+                          Edge{in0, 0, past_entities},     // dst past view
+                          Edge{in0, past_relations, in1},  // no relation
+                          Edge{in0, 1ull << 40, in1}}) {
+    std::string data;
+    BinaryWriter w(&data);
+    w.PutVarint64(in0);  // one good edge first
+    w.PutVarint64(0);
+    w.PutVarint64(in1);
+    w.PutVarint64(bad.src);
+    w.PutVarint64(bad.rel);
+    w.PutVarint64(bad.dst);
+    ASSERT_TRUE(WriteStringToFile(bucket, data).ok());
+    auto loaded = part.LoadBucket(*dir, 0, 1);
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << bad.src << " " << bad.rel << " " << bad.dst;
+  }
   (void)RemoveDirRecursively(*dir);
 }
 

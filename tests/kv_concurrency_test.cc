@@ -24,6 +24,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "counter_delta.h"
 #include "embedding/embedding_store.h"
 #include "serving/kv_cache.h"
 #include "storage/kv_store.h"
@@ -70,6 +71,8 @@ TEST_F(KvConcurrencyTest, ReadsServeConsistentlyDuringBackgroundMaintenance) {
   opts.memtable_max_bytes = 4 << 10;  // seal every few dozen writes
   opts.background_maintenance = true;
   opts.auto_compact_trigger = 2;
+  const CounterDelta flushes(SAGA_COUNTER("storage.kv.bg.flushes"));
+  const CounterDelta compactions(SAGA_COUNTER("storage.kv.bg.compactions"));
   auto store = KvStore::Open(*dir, opts);
   ASSERT_TRUE(store.ok()) << store.status();
 
@@ -141,7 +144,7 @@ TEST_F(KvConcurrencyTest, ReadsServeConsistentlyDuringBackgroundMaintenance) {
   (*store)->WaitForMaintenance();
   EXPECT_TRUE((*store)->background_error().ok())
       << (*store)->background_error();
-  EXPECT_GT((*store)->stats().flushes + (*store)->stats().compactions, 0u);
+  EXPECT_GT(flushes() + compactions(), 0);
   // Final state: every key at its last acked version.
   ASSERT_TRUE((*store)->Flush().ok());
   for (int k = 0; k < kKeys; ++k) {
@@ -162,6 +165,8 @@ TEST_F(KvConcurrencyTest, WriteStallShedsWhenMaintenanceFallsBehind) {
   opts.memtable_max_bytes = 512;
   opts.background_maintenance = true;
   opts.max_immutable_memtables = 2;
+  const CounterDelta stall_rejects(
+      SAGA_COUNTER("storage.kv.bg.stall_rejects"));
   auto store = KvStore::Open(*dir, opts);
   ASSERT_TRUE(store.ok()) << store.status();
 
@@ -189,7 +194,7 @@ TEST_F(KvConcurrencyTest, WriteStallShedsWhenMaintenanceFallsBehind) {
   EXPECT_FALSE(shed.IsStorageExhausted()) << "stall must shed plain "
                                              "kResourceExhausted, not the "
                                              "degraded-storage origin";
-  EXPECT_GE((*store)->stats().stall_rejects, 1u);
+  EXPECT_GE(stall_rejects(), 1);
   // Backlog bounded: at most the gate, +1 for the in-flight seal race.
   EXPECT_LE(ImmMemtables(), 3u);
   (*store)->WaitForMaintenance();

@@ -18,6 +18,7 @@
 #include "common/metrics.h"
 #include "common/request_context.h"
 #include "common/threadpool.h"
+#include "counter_delta.h"
 #include "embedding/trainer.h"
 #include "graph_engine/ppr.h"
 #include "graph_engine/view.h"
@@ -194,6 +195,11 @@ TEST_F(OverloadTest, BreakerStateMachine) {
   opts.open_ms = 50.0;
   opts.now_ns = clock.Fn();
   CircuitBreaker breaker("serving.breaker.unit", opts);
+  const CounterDelta opened(SAGA_COUNTER("serving.breaker.unit_opened"));
+  const CounterDelta rejected(SAGA_COUNTER("serving.breaker.unit_rejected"));
+  const CounterDelta failures(SAGA_COUNTER("serving.breaker.unit_failures"));
+  const CounterDelta successes(
+      SAGA_COUNTER("serving.breaker.unit_successes"));
 
   // Closed: failures below threshold keep it closed; a success resets
   // the consecutive count.
@@ -209,7 +215,7 @@ TEST_F(OverloadTest, BreakerStateMachine) {
 
   // Open: reject until the cool-down elapses.
   EXPECT_TRUE(breaker.Allow().IsUnavailable());
-  EXPECT_GE(breaker.stats().rejected, 1u);
+  EXPECT_EQ(rejected(), 1);
   clock.AdvanceMillis(60.0);
 
   // Half-open: one probe at a time (the second concurrent Allow is
@@ -217,6 +223,7 @@ TEST_F(OverloadTest, BreakerStateMachine) {
   EXPECT_TRUE(breaker.Allow().ok());
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
   EXPECT_TRUE(breaker.Allow().IsUnavailable());
+  EXPECT_EQ(rejected(), 2);
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 
@@ -228,7 +235,9 @@ TEST_F(OverloadTest, BreakerStateMachine) {
   EXPECT_TRUE(breaker.Allow().ok());
   breaker.RecordFailure();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_GE(breaker.stats().opened, 2u);
+  EXPECT_EQ(opened(), 3);
+  EXPECT_EQ(failures(), 9);
+  EXPECT_EQ(successes(), 2);
 }
 
 TEST_F(OverloadTest, BreakerFailureClassification) {
@@ -442,11 +451,15 @@ TEST_F(OverloadTest, HedgedPrimaryRecordsItsOwnOutcome) {
         opts);
     ASSERT_TRUE(NoDegradedBuild());
     const CircuitBreaker& breaker = *service.ann_breaker();
-    obs::Counter& skipped = SAGA_COUNTER("serving.hedge.primary_skipped");
+    const CounterDelta successes(
+        SAGA_COUNTER("serving.breaker.ann_successes"));
+    const CounterDelta failures(SAGA_COUNTER("serving.breaker.ann_failures"));
+    const CounterDelta rejected(SAGA_COUNTER("serving.breaker.ann_rejected"));
+    const CounterDelta skipped(
+        SAGA_COUNTER("serving.hedge.primary_skipped"));
     Faults().InjectDelay("ann.search", 20.0);
     const int64_t fired_before = fired.Value();
     const int64_t bypassed_before = bypassed.Value();
-    const int64_t skipped_before = skipped.Value();
     constexpr uint64_t kSearches = 12;
     for (uint64_t i = 1; i <= kSearches; ++i) {
       ASSERT_TRUE(
@@ -455,10 +468,8 @@ TEST_F(OverloadTest, HedgedPrimaryRecordsItsOwnOutcome) {
       // woke after the backup answered, is skipped) before the next
       // starts.
       ASSERT_TRUE(EventuallyTrue([&] {
-        const CircuitBreaker::Stats s = breaker.stats();
-        return s.successes + s.failures + s.rejected +
-                   static_cast<uint64_t>(skipped.Value() - skipped_before) >=
-               i;
+        return static_cast<uint64_t>(successes() + failures() + rejected() +
+                                     skipped()) >= i;
       }));
     }
     EXPECT_GT(fired.Value() - fired_before, 0);
@@ -540,15 +551,16 @@ TEST_F(OverloadTest, ShedHalfOpenProbeDoesNotWedgeTheBreaker) {
   // probe waiting for an outcome or a skip.
   ASSERT_TRUE(EventuallyTrue([&] { return service.HedgeQueueDepth() == 0; }));
   Faults().DisarmAll();
-  obs::Counter& skipped = SAGA_COUNTER("serving.hedge.primary_skipped");
+  const CounterDelta successes(SAGA_COUNTER("serving.breaker.ann_successes"));
+  const CounterDelta failures(SAGA_COUNTER("serving.breaker.ann_failures"));
+  const CounterDelta rejected(SAGA_COUNTER("serving.breaker.ann_rejected"));
+  const CounterDelta skipped(SAGA_COUNTER("serving.hedge.primary_skipped"));
   auto outcomes = [&] {
-    const CircuitBreaker::Stats s = breaker.stats();
-    return s.successes + s.failures + s.rejected +
-           static_cast<uint64_t>(skipped.Value());
+    return successes() + failures() + rejected() + skipped();
   };
   for (int i = 0;
        i < 50 && breaker.state() != CircuitBreaker::State::kClosed; ++i) {
-    const uint64_t seen = outcomes();
+    const int64_t seen = outcomes();
     clock.AdvanceMillis(150.0);
     search();
     ASSERT_TRUE(EventuallyTrue([&] { return outcomes() > seen; }));
@@ -576,6 +588,7 @@ TEST_F(OverloadTest, SkippedPrimariesLeaveTheBreakerClosed) {
   const CircuitBreaker& breaker = *service.ann_breaker();
   const kg::EntityId probe = f.view.global_entity(0);
   const RequestContext ctx = RequestContext::WithTimeoutMillis(60'000.0);
+  const CounterDelta failures(SAGA_COUNTER("serving.breaker.ann_failures"));
   obs::Counter& skipped = SAGA_COUNTER("serving.hedge.primary_skipped");
   obs::Counter& bypassed = SAGA_COUNTER("serving.breaker.fallbacks");
   const int64_t skipped_before = skipped.Value();
@@ -599,7 +612,7 @@ TEST_F(OverloadTest, SkippedPrimariesLeaveTheBreakerClosed) {
       [&] { return skipped.Value() - skipped_before == kQueued; }));
   Faults().DisarmAll();
 
-  EXPECT_EQ(breaker.stats().failures, 0u);
+  EXPECT_EQ(failures(), 0);
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   ASSERT_TRUE(service.TopKNeighbors(probe, 5, kg::TypeId::Invalid(), ctx).ok());
   EXPECT_EQ(bypassed.Value() - bypassed_before, 0);

@@ -13,6 +13,7 @@
 #include "common/file_util.h"
 #include "common/request_context.h"
 #include "common/rng.h"
+#include "counter_delta.h"
 #include "embedding_rows.h"
 #include "graph_engine/view.h"
 #include "kg/kg_generator.h"
@@ -221,28 +222,6 @@ TEST(QuantizedIndexTest, TopKOverlapsFloatIndex) {
   EXPECT_GT(recall_sum / queries, 0.85);
 }
 
-TEST(QuantizedIndexTest, ServesThroughEmbeddingService) {
-  kg::KgGeneratorConfig config;
-  config.num_persons = 80;
-  kg::GeneratedKg gen = kg::GenerateKg(config);
-  std::vector<std::pair<kg::EntityId, std::vector<float>>> rows;
-  Rng rng(3);
-  for (size_t i = 0; i < gen.kg.num_entities(); ++i) {
-    std::vector<float> v(16);
-    for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-    rows.emplace_back(kg::EntityId(i), std::move(v));
-  }
-  embedding::EmbeddingStore store =
-      embedding::test_shard::StoreFromRows(std::move(rows)).value();
-  serving::EmbeddingService::Options opts;
-  opts.index = serving::EmbeddingService::IndexKind::kQuantized;
-  serving::EmbeddingService service(std::move(store), &gen.kg, opts);
-  auto hits = service.TopKNeighbors(kg::EntityId(5), 4, kg::TypeId::Invalid(),
-                                    RequestContext());
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 4u);
-}
-
 // ---------- Trending gaps ----------
 
 TEST(TrendingGapsTest, DetectsSurgingUnansweredQueries) {
@@ -346,6 +325,7 @@ TEST(KvStoreAutoCompactTest, BoundsTableCountWithoutDataLoss) {
   storage::KvStore::Options opts;
   opts.memtable_max_bytes = 1024;
   opts.auto_compact_trigger = 3;
+  const CounterDelta compactions(SAGA_COUNTER("storage.kv.bg.compactions"));
   auto store = storage::KvStore::Open(*dir, opts);
   ASSERT_TRUE(store.ok());
   const std::string value(120, 'v');
@@ -353,7 +333,7 @@ TEST(KvStoreAutoCompactTest, BoundsTableCountWithoutDataLoss) {
     ASSERT_TRUE((*store)->Put("k" + std::to_string(i % 80), value).ok());
   }
   EXPECT_LE((*store)->num_sstables(), 4u);
-  EXPECT_GT((*store)->stats().compactions, 0u);
+  EXPECT_GT(compactions(), 0);
   for (int i = 0; i < 80; ++i) {
     EXPECT_TRUE((*store)->Get("k" + std::to_string(i)).ok()) << i;
   }

@@ -33,6 +33,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "counter_delta.h"
 #include "replication/log.h"
 #include "replication/replica.h"
 #include "replication/replica_group.h"
@@ -87,6 +88,7 @@ int CountLeaders(ReplicaGroup& g) {
 }
 
 TEST_F(ReplicationTest, ElectsExactlyOneLeader) {
+  const CounterDelta failovers(SAGA_COUNTER("replication.group.failovers"));
   auto group = MustCreate(MemoryGroupOptions(101));
   ASSERT_TRUE(group->StepUntil([&] { return group->LeaderId() >= 0; }, 2000));
   EXPECT_EQ(CountLeaders(*group), 1);
@@ -96,7 +98,7 @@ TEST_F(ReplicationTest, ElectsExactlyOneLeader) {
   const uint64_t epoch_before = group->epoch();
   group->Step(500);
   EXPECT_EQ(group->epoch(), epoch_before);
-  EXPECT_EQ(group->failovers(), 0u);
+  EXPECT_EQ(failovers(), 0);
 }
 
 TEST_F(ReplicationTest, AckedPutIsReadableEverywhereOnceLagDrains) {
@@ -122,6 +124,7 @@ TEST_F(ReplicationTest, AckedPutIsReadableEverywhereOnceLagDrains) {
 }
 
 TEST_F(ReplicationTest, FailoverPromotesCaughtUpFollowerAndKeepsWrites) {
+  const CounterDelta failovers(SAGA_COUNTER("replication.group.failovers"));
   auto group = MustCreate(MemoryGroupOptions(103));
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
@@ -138,7 +141,7 @@ TEST_F(ReplicationTest, FailoverPromotesCaughtUpFollowerAndKeepsWrites) {
       },
       5000));
   EXPECT_GT(group->epoch(), old_epoch);
-  EXPECT_GE(group->failovers(), 1u);
+  EXPECT_GE(failovers(), 1);
   // Let the new leader commit its no-op: the commit index regresses
   // transiently across a leader death (only the dead leader knew the
   // final index) and re-covers the log once the no-op commits.
@@ -230,11 +233,14 @@ TEST_F(ReplicationTest, PartitionedFollowerCatchesUpAfterHeal) {
       break;
     }
   }
+  const CounterDelta partitioned(
+      SAGA_COUNTER("replication.transport.partitioned"));
   group->PartitionNode(follower);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(group->Put("p" + std::to_string(i), "x").ok());
   }
   EXPECT_GT(group->LagOf(follower), 0u);
+  EXPECT_GT(partitioned(), 0) << "no message hit the cut";
   group->HealAll();
   ASSERT_TRUE(
       group->StepUntil([&] { return group->LagOf(follower) == 0; }, 5000));
@@ -247,6 +253,14 @@ TEST_F(ReplicationTest, PartitionedFollowerCatchesUpAfterHeal) {
 
 TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
   constexpr uint64_t kBound = serving::ReplicaRouter::kMaxStalenessRecords;
+  const CounterDelta follower_reads(
+      SAGA_COUNTER("serving.replica_router.follower_reads"));
+  const CounterDelta leader_reads(
+      SAGA_COUNTER("serving.replica_router.leader_reads"));
+  const CounterDelta stale_skips(
+      SAGA_COUNTER("serving.replica_router.stale_skips"));
+  const CounterDelta stale_fallbacks(
+      SAGA_COUNTER("serving.replica_router.stale_fallbacks"));
   serving::ReplicaRouter router;
   std::vector<serving::ReplicaRouter::ReplicaView> views = {
       {/*id=*/0, /*is_leader=*/true, /*healthy=*/true, /*lag=*/0},
@@ -257,12 +271,12 @@ TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
   // bound (a stale skip), follower 2 is suspected (not a candidate at
   // all, so not counted as stale).
   for (int i = 0; i < 8; ++i) EXPECT_EQ(router.PickRead(views), 0);
-  EXPECT_EQ(router.stats().leader_reads, 8u);
-  EXPECT_EQ(router.stats().stale_skips, 8u);
+  EXPECT_EQ(leader_reads(), 8);
+  EXPECT_EQ(stale_skips(), 8);
 
   views[1].lag_records = kBound;  // exactly at the bound: eligible
   EXPECT_EQ(router.PickRead(views), 1);
-  EXPECT_EQ(router.stats().follower_reads, 1u);
+  EXPECT_EQ(follower_reads(), 1);
 
   // Leader down, follower 1 beyond the bound but healthy: availability
   // wins — the least-stale healthy follower serves, counted as a
@@ -271,7 +285,7 @@ TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
   views[0].is_leader = false;
   views[1].lag_records = kBound + 1;
   EXPECT_EQ(router.PickRead(views), 1);
-  EXPECT_EQ(router.stats().stale_fallbacks, 1u);
+  EXPECT_EQ(stale_fallbacks(), 1);
 
   // Nobody healthy at all: now the router refuses to serve.
   views[1].healthy = false;
@@ -338,15 +352,26 @@ TEST_F(ReplicationTest, InjectedTransportDropsDelayAndDuplicate) {
     spec.fail_nth = 0;
     spec.repeat = true;
     ScopedFault fault("transport.send", spec);
+    const CounterDelta sent(SAGA_COUNTER("replication.transport.sent"));
+    const CounterDelta delivered(
+        SAGA_COUNTER("replication.transport.delivered"));
+    const CounterDelta dropped(SAGA_COUNTER("replication.transport.dropped"));
+    const CounterDelta duplicated(
+        SAGA_COUNTER("replication.transport.duplicated"));
+    const CounterDelta reordered(
+        SAGA_COUNTER("replication.transport.reordered"));
     auto group = MustCreate(MemoryGroupOptions(108 + salt));
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(group->Put("f" + std::to_string(i), "v").ok())
           << "no progress with injected fault kind "
           << static_cast<int>(kind);
     }
-    const auto& stats = group->transport().stats();
-    EXPECT_GT(stats.sent, 0u);
-    EXPECT_GT(stats.delivered, 0u);
+    EXPECT_GT(sent(), 0);
+    EXPECT_GT(delivered(), 0);
+    // Each armed kind shows in its own counter, and only there.
+    EXPECT_EQ(dropped() > 0, kind == FaultKind::kDrop);
+    EXPECT_EQ(duplicated() > 0, kind == FaultKind::kDuplicate);
+    EXPECT_EQ(reordered() > 0, kind == FaultKind::kReorder);
   }
 }
 
@@ -439,11 +464,13 @@ void RunChaosRound(uint64_t seed, bool wal_backed, const std::string& dir) {
     // the bound).
     serving::ReplicaRouter probe;
     const auto views = group->Views();
+    const CounterDelta fallbacks(
+        SAGA_COUNTER("serving.replica_router.stale_fallbacks"));
     const int picked = probe.PickRead(views);
     if (picked >= 0) {
       const auto& v = views[static_cast<size_t>(picked)];
       EXPECT_TRUE(v.healthy);
-      if (!v.is_leader && probe.stats().stale_fallbacks == 0) {
+      if (!v.is_leader && fallbacks() == 0) {
         EXPECT_LE(v.lag_records,
                   serving::ReplicaRouter::kMaxStalenessRecords)
             << "router served a follower past the staleness bound";

@@ -44,6 +44,7 @@
 #include "common/retry.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "counter_delta.h"
 #include "replication/replica_group.h"
 #include "resource/disk_space_governor.h"
 #include "storage/kv_store.h"
@@ -114,12 +115,13 @@ TEST_F(ResourceTest, ReserveCommitReleaseAccounting) {
 TEST_F(ResourceTest, EmergencyFloorBlocksWriteButNotReclaim) {
   // kWrite must leave the floor intact; kReclaim may spend it, because
   // compaction output is how space gets reclaimed at all.
+  const CounterDelta denials(SAGA_COUNTER("resource.governor.denials"));
   DiskSpaceGovernor write_gov("/nonexistent", SimulatedBudget(1000, 400));
   auto denied = write_gov.Reserve(700, ReservationClass::kWrite);
   EXPECT_FALSE(denied.ok());
   EXPECT_TRUE(denied.status().IsStorageExhausted());
   EXPECT_TRUE(write_gov.degraded());
-  EXPECT_EQ(write_gov.denials(), 1u);
+  EXPECT_EQ(denials(), 1);
 
   DiskSpaceGovernor reclaim_gov("/nonexistent", SimulatedBudget(1000, 400));
   auto allowed = reclaim_gov.Reserve(700, ReservationClass::kReclaim);
@@ -187,6 +189,7 @@ TEST_F(ResourceTest, ReclaimRunsTasksInOrderAndStopsOnceRecovered) {
   gov.NoteExhausted("organic fill");
   ASSERT_TRUE(gov.degraded());
 
+  const CounterDelta freed(SAGA_COUNTER("resource.reclaim.bytes_freed"));
   std::vector<int> order;
   gov.RegisterReclaimTask("unit.dry", [&]() -> Result<uint64_t> {
     order.push_back(1);
@@ -202,6 +205,7 @@ TEST_F(ResourceTest, ReclaimRunsTasksInOrderAndStopsOnceRecovered) {
   });
 
   EXPECT_EQ(gov.RunReclaim(), 500u);
+  EXPECT_EQ(freed(), 500);
   EXPECT_FALSE(gov.degraded());
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);

@@ -13,6 +13,8 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
+#include "common/metrics.h"
+#include "counter_delta.h"
 #include "embedding/embedding_store.h"
 #include "embedding_rows.h"
 #include "serving/version_manager.h"
@@ -81,6 +83,9 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
   BuildVersionDir("v1", 100, "old");
   BuildVersionDir("v2", 100, "new");
 
+  const CounterDelta attempts(SAGA_COUNTER("version.swap.attempts"));
+  const CounterDelta committed(SAGA_COUNTER("version.swap.committed"));
+  const CounterDelta rollbacks(SAGA_COUNTER("version.swap.rollbacks"));
   VersionManager mgr(VersionManager::Options{});
   std::shared_ptr<ServingVersion> v1 = Load("v1");
   const std::weak_ptr<ServingVersion> old = v1;
@@ -92,6 +97,11 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
   EXPECT_EQ(mgr.current_id(), "v2");
   EXPECT_FALSE(old.expired());  // kept for rollback during probation
   EXPECT_TRUE(mgr.InProbation());
+  EXPECT_EQ(attempts(), 1);
+  // The flip counts itself ahead of its commit.
+  EXPECT_EQ(SAGA_GAUGE("version.serving.age_swaps").Value(),
+            static_cast<double>(SAGA_COUNTER("version.swap.committed").Value() +
+                                1));
 
   // New requests see the new version and answer from it.
   auto cur = mgr.Current();
@@ -107,10 +117,8 @@ TEST_F(VersionSwapTest, ActivateThenSwapCommitsAfterProbation) {
   mgr.RecordRequestOutcome(true);
   EXPECT_FALSE(mgr.InProbation());
   EXPECT_TRUE(old.expired());  // old version released at commit
-  auto s = mgr.stats();
-  EXPECT_EQ(s.committed, 1u);
-  EXPECT_EQ(s.rollbacks, 0u);
-  EXPECT_EQ(s.probation_successes, 1u);
+  EXPECT_EQ(committed(), 1);
+  EXPECT_EQ(rollbacks(), 0);
 }
 
 TEST_F(VersionSwapTest, ActivateRefusesSecondBaseline) {
@@ -129,6 +137,7 @@ TEST_F(VersionSwapTest, SwapRejectsCatalogShrink) {
 
   VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
+  const CounterDelta rejected(SAGA_COUNTER("version.swap.rejected"));
   Status s = mgr.SwapTo(Load("v2"));
   ASSERT_FALSE(s.ok());
   EXPECT_FALSE(s.IsDataLoss());  // deploy-time bug, not rot
@@ -138,7 +147,7 @@ TEST_F(VersionSwapTest, SwapRejectsCatalogShrink) {
   auto got = mgr.Current()->kv->Get(Key(50));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, "old50");
-  EXPECT_EQ(mgr.stats().rejected, 1u);
+  EXPECT_EQ(rejected(), 1);
 }
 
 TEST_F(VersionSwapTest, SwapRejectsSampledQueryRegression) {
@@ -173,11 +182,12 @@ TEST_F(VersionSwapTest, SwapRejectsRottedCandidateAsDataLoss) {
   // The candidate's bytes rot between load and deploy: the checksum
   // pass inside validation catches it and the flip never happens.
   ScopedFault rot("sstable.read_block", FaultSpec{FaultKind::kCorrupt});
+  const CounterDelta rejected(SAGA_COUNTER("version.swap.rejected"));
   Status s = mgr.SwapTo(candidate);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsDataLoss()) << s;
   EXPECT_EQ(mgr.current_id(), "v1");
-  EXPECT_EQ(mgr.stats().rejected, 1u);
+  EXPECT_EQ(rejected(), 1);
 }
 
 TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
@@ -190,6 +200,9 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
   const std::weak_ptr<ServingVersion> candidate = v2;
   ASSERT_TRUE(mgr.SwapTo(std::move(v2)).ok());
   ASSERT_TRUE(mgr.InProbation());
+  const CounterDelta rollbacks(SAGA_COUNTER("version.swap.rollbacks"));
+  const CounterDelta committed(SAGA_COUNTER("version.swap.committed"));
+  const CounterDelta errors(SAGA_COUNTER("version.swap.probation_errors"));
 
   // Seven of the first ten outcomes fail — past the 50% threshold.
   for (int i = 0; i < 10; ++i) mgr.RecordRequestOutcome(i >= 7);
@@ -197,10 +210,9 @@ TEST_F(VersionSwapTest, ProbationErrorSpikeRollsBack) {
   EXPECT_FALSE(mgr.InProbation());
   EXPECT_EQ(mgr.current_id(), "v1");  // rolled back
   EXPECT_TRUE(candidate.expired());
-  auto s = mgr.stats();
-  EXPECT_EQ(s.rollbacks, 1u);
-  EXPECT_EQ(s.committed, 0u);
-  EXPECT_GT(s.probation_errors, 0u);
+  EXPECT_EQ(rollbacks(), 1);
+  EXPECT_EQ(committed(), 0);
+  EXPECT_EQ(errors(), 7);
 
   // The restored baseline still answers.
   auto got = mgr.Current()->kv->Get(Key(7));
@@ -214,6 +226,8 @@ TEST_F(VersionSwapTest, CleanProbationKeepsNewVersion) {
   VersionManager mgr(VersionManager::Options{});
   ASSERT_TRUE(mgr.Activate(Load("v1")).ok());
   ASSERT_TRUE(mgr.SwapTo(Load("v2")).ok());
+  const CounterDelta rollbacks(SAGA_COUNTER("version.swap.rollbacks"));
+  const CounterDelta committed(SAGA_COUNTER("version.swap.committed"));
   // A few scattered errors below the threshold must not trigger
   // rollback.
   for (uint64_t i = 0; i < VersionManager::kProbationRequests; ++i) {
@@ -221,8 +235,8 @@ TEST_F(VersionSwapTest, CleanProbationKeepsNewVersion) {
   }
   EXPECT_FALSE(mgr.InProbation());
   EXPECT_EQ(mgr.current_id(), "v2");
-  EXPECT_EQ(mgr.stats().rollbacks, 0u);
-  EXPECT_EQ(mgr.stats().committed, 1u);
+  EXPECT_EQ(rollbacks(), 0);
+  EXPECT_EQ(committed(), 1);
 }
 
 TEST_F(VersionSwapTest, RcuReadersFinishOnTheVersionTheyStarted) {

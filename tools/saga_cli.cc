@@ -24,10 +24,13 @@
 //                                               fill->degrade->reclaim
 //                                               cycle against the store
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "annotation/annotator.h"
 #include "annotation/query_answering.h"
@@ -73,6 +76,15 @@ int Usage() {
                "  saga_cli resource <store> [--budget N] [--floor N] "
                "[--demo]\n");
   return 2;
+}
+
+/// The `--` flags subcommand `cmd` reads; Main rejects any other.
+std::vector<std::string_view> FlagsOf(std::string_view cmd) {
+  if (cmd == "stats") return {"--obs", "--json"};
+  if (cmd == "replicate") return {"--kill-leader", "--seed"};
+  if (cmd == "trace") return {"--seed", "--out"};
+  if (cmd == "resource") return {"--budget", "--floor", "--demo"};
+  return {};
 }
 
 std::string JoinArgs(int argc, char** argv, int from) {
@@ -315,11 +327,19 @@ int CmdReplicate(int argc, char** argv) {
     const std::string value = "value-" + std::to_string(i);
     if ((*group)->Put(key, value).ok()) ++acked;
   }
+  // Read without registering: the replication section below lists
+  // only the counters this run registered, and a run without a failover
+  // registers none.
+  int64_t failovers = 0;
+  for (const auto& [name, value] : obs::Registry::Global().CountersWithPrefix(
+           "replication.group.failovers")) {
+    failovers += value;
+  }
   std::printf("acked writes: %d/%d   leader: replica %d   epoch: %llu   "
-              "failovers: %llu\n",
+              "failovers: %lld\n",
               acked, writes, (*group)->LeaderId(),
               static_cast<unsigned long long>((*group)->epoch()),
-              static_cast<unsigned long long>((*group)->failovers()));
+              static_cast<long long>(failovers));
 
   // Drain follower lag, then read everything back through the router.
   (*group)->StepUntil(
@@ -339,12 +359,15 @@ int CmdReplicate(int argc, char** argv) {
   }
   std::printf("readable after %s: %d/%d acked\n",
               kill_leader ? "failover" : "replication", readable, acked);
-  const auto& rstats = (*group)->router().stats();
-  std::printf("read routing: %llu follower / %llu leader / %llu stale "
-              "skips\n",
-              static_cast<unsigned long long>(rstats.follower_reads),
-              static_cast<unsigned long long>(rstats.leader_reads),
-              static_cast<unsigned long long>(rstats.stale_skips));
+  // This process runs one group, so the process-wide counters are its.
+  std::printf(
+      "read routing: %lld follower / %lld leader / %lld stale skips\n",
+      static_cast<long long>(
+          SAGA_COUNTER("serving.replica_router.follower_reads").Value()),
+      static_cast<long long>(
+          SAGA_COUNTER("serving.replica_router.leader_reads").Value()),
+      static_cast<long long>(
+          SAGA_COUNTER("serving.replica_router.stale_skips").Value()));
   std::printf("\n%s", BuildReplicationSection().Text().c_str());
   return readable == acked ? 0 : 1;
 }
@@ -691,6 +714,15 @@ int CmdRelated(int argc, char** argv) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
+  const std::vector<std::string_view> flags = FlagsOf(cmd);
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--") &&
+        std::find(flags.begin(), flags.end(), arg) == flags.end()) {
+      std::fprintf(stderr, "unknown flag %s for %s\n", argv[i], cmd.c_str());
+      return Usage();
+    }
+  }
   if (cmd == "generate") return CmdGenerate(argc, argv);
   if (cmd == "stats") return CmdStats(argc, argv);
   if (cmd == "entity") return CmdEntity(argc, argv);
