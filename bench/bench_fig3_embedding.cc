@@ -43,7 +43,6 @@ void BenchViewFiltering(const kg::GeneratedKg& gen) {
     graph_engine::ViewDefinition def;
   };
   graph_engine::ViewDefinition raw;
-  raw.entity_edges_only = true;
   raw.embedding_relevant_only = false;
   graph_engine::ViewDefinition relevant;
   graph_engine::ViewDefinition clean;
@@ -330,13 +329,10 @@ void BenchReasoningQueries(const kg::GeneratedKg& gen) {
   }
   // Reasoning model: Query2Box-style boxes trained on path queries.
   {
-    embedding::BoxTrainingConfig bc;
-    bc.dim = 32;
-    bc.epochs = 16;
     Stopwatch sw;
     embedding::BoxReasoningModel model(view.num_entities(),
-                                       view.num_relations(), bc);
-    (void)model.Train(train);
+                                       view.num_relations());
+    (void)model.Train(train, /*epochs=*/16);
     const double train_s = sw.ElapsedSeconds();
     table.AddRow({"box reasoning (Query2Box-style)",
                   Fmt(model.EvaluateHitsAtK(test, view, 10)),

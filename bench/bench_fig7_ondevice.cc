@@ -242,9 +242,7 @@ void BenchPrivateRetrieval() {
 int main() {
   saga::bench::ObsSession obs_session;
   std::printf("F7: on-device personal knowledge (paper Figure 7 / §5)\n");
-  saga::ondevice::DeviceDataConfig config;
-  config.num_persons = 400;
-  const auto data = saga::ondevice::GenerateDeviceData(config);
+  const auto data = saga::ondevice::GenerateDeviceData(/*num_persons=*/400);
   std::printf("device dataset: %zu records across 3 sources for %zu "
               "persons\n",
               data.records.size(), data.num_persons);

@@ -17,9 +17,7 @@ int main() {
   using namespace saga;
   using namespace saga::ondevice;
 
-  DeviceDataConfig config;
-  config.num_persons = 150;
-  DeviceDataset data = GenerateDeviceData(config);
+  DeviceDataset data = GenerateDeviceData(/*num_persons=*/150);
   std::printf("Device sources: %zu raw records for %zu true persons\n",
               data.records.size(), data.num_persons);
 
@@ -61,12 +59,10 @@ int main() {
   DeviceConfig laptop;
   laptop.id = "laptop";
   laptop.compute_power = 10;
-  laptop.has_source[0] = laptop.has_source[2] = true;  // contacts+calendar
   laptop.sync_enabled[0] = laptop.sync_enabled[1] = true;  // not calendar
   DeviceConfig phone;
   phone.id = "phone";
   phone.compute_power = 3;
-  phone.has_source[1] = true;  // messages
   phone.sync_enabled[0] = phone.sync_enabled[1] = true;
   DeviceConfig watch;
   watch.id = "watch";

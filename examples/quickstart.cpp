@@ -87,7 +87,7 @@ int main() {
 
   // 6. Verify a fact.
   serving::FactVerifier verifier(&view, &emb);
-  embedding::NegativeSampler sampler(view, true);
+  embedding::NegativeSampler sampler(view);
   std::vector<graph_engine::ViewEdge> pos(view.edges().begin(),
                                           view.edges().begin() + 200);
   std::vector<graph_engine::ViewEdge> neg;

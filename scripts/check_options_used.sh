@@ -1,30 +1,36 @@
 #!/usr/bin/env bash
 # Lint option fields against the rule documented in DESIGN.md
 # ("Options"): an option exists only while production sets it. Every
-# non-string field of a `struct ...Options` under src/ must be assigned
-# by production code, in src/, tools/, bench/ or servebench/; tests/
-# and examples/ do not count. A field only tests set is a constant in
-# every production binary: make it a named constexpr next to its reader.
+# non-string field of a `struct ...Options`, a `struct ...Config` or
+# `struct ViewDefinition` under src/ must be assigned by production
+# code, in src/, tools/, bench/ or servebench/; tests/ and examples/ do
+# not count. A field only tests set is a constant in every production
+# binary: make it a named constexpr next to its reader.
 #
-# An assignment is `recv.field = x`, `recv->field op= x`, or a
-# designated initializer `Type{.field = x}` / `Type v{.field = x}`. It
-# counts for a field only when its receiver resolves to the field's own
-# struct: the receiver's type is read from the nearest earlier
-# declaration of the variable in the same file (`auto` follows its
-# initializer: an `...Options{}` temporary or another receiver's
-# field), and a chain such as `opts.retry.max_attempts` follows the
-# nested Options fields, setting `retry` and `max_attempts` both. A
-# write through a data member (`options_.field = x`, any object whose
-# name ends in `_`) is a component changing its own copy and does not
-# count. Neither does assigning a field the value of its own default
-# initializer (`x.bits = 10` where the struct says `int bits = 10`):
-# the field is then the same constant in every production binary. A
-# production assignment that names an option field but whose receiver
-# the lint cannot resolve fails the lint with its file:line: declare
-# the receiver with its type. String fields (names and paths) are
-# deployment settings and are not checked. Neither are std::function
-# fields; the one left, CircuitBreaker::Options::now_ns, is the fake
-# clock the breaker tests substitute.
+# An assignment is `recv.field = x`, `recv->field op= x`, an element
+# write `recv.field[i] = x`, or a designated initializer
+# `Type{.field = x}` / `Type v{.field = x}`. It counts for a field only
+# when its receiver resolves to the field's own struct: the receiver's
+# type is read from the nearest earlier declaration of the variable in
+# the same file (`auto` follows its initializer: a checked struct's
+# `{}` temporary or another receiver's field), and a chain such as
+# `opts.retry.max_attempts` follows the nested struct fields, setting
+# `retry` and `max_attempts` both. A write through a data member
+# (`options_.field = x`, any object whose name ends in `_`) is a
+# component changing its own copy and does not count. Neither does
+# assigning a field the value of its own default initializer
+# (`x.bits = 10` where the struct says `int bits = 10`): the field is
+# then the same constant in every production binary. A production
+# assignment that names a checked field but whose receiver the lint
+# cannot resolve fails the lint with its file:line: declare the
+# receiver with its type. String fields (names and paths) are
+# deployment settings and are not checked, though a write to one on a
+# resolved receiver is no failure. Neither are std::function fields;
+# the one left, CircuitBreaker::Options::now_ns, is the fake clock the
+# breaker tests substitute.
+#
+# scripts/testdata/options_lint is a small repo root the lint must fail
+# on with exactly one UNUSED OPTION line (CI runs it).
 #
 # Usage: scripts/check_options_used.sh [repo-root]
 set -u
@@ -109,11 +115,13 @@ def rhs(text, start):
     return text[start:]
 
 
-# ---- Options structs: key "Owner::Name" (or "Name" at namespace scope).
+# ---- Checked structs: key "Owner::Name" (or "Name" at namespace scope).
 FIELD = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_:<>, *&]*[A-Za-z0-9_>*&])\s+([a-z_][a-z0-9_]*)"
     r"\s*(=.*|\{.*\})?;\s*$")
-structs = {}  # key -> {field: (type, file, line)}
+CHECKED = re.compile(r"Options$|Config$|^ViewDefinition$")
+structs = {}  # key -> {field: (type, file, line, default)}
+unchecked = {}  # key -> names of its string fields
 for path in files(["src"]):
     if not path.endswith(".h"):
         continue
@@ -125,14 +133,16 @@ for path in files(["src"]):
             owner = [s for s, _ in scopes]
             key = "::".join(owner[-1:] + [m.group(1)])
             scopes.append((m.group(1), depth))
-            if m.group(1).endswith("Options") and current is None:
+            if CHECKED.search(m.group(1)) and current is None:
                 current = (key, depth)
                 structs[key] = {}
+                unchecked[key] = set()
         elif current is not None and depth == current[1] + 1:
             f = FIELD.match(line)
-            if (f and not re.match(r"\s*(static|using|typedef|return|friend)\s",
-                                    line)
-                    and "std::string " not in line):
+            if f and "std::string " in line:
+                unchecked[current[0]].add(f.group(2))
+            elif (f and not re.match(
+                    r"\s*(static|using|typedef|return|friend)\s", line)):
                 init = (f.group(3) or "").strip()
                 init = init[1:] if init.startswith("=") else init[1:-1]
                 structs[current[0]][f.group(2)] = (f.group(1).split()[-1]
@@ -150,7 +160,7 @@ for key in structs:
 
 
 def struct_key(type_name, context):
-    """Key of the Options struct a type string names ("?" when it is
+    """Key of the checked struct a type string names ("?" when it is
     ambiguous), or None; an unqualified name shared by several structs
     resolves to the one owned by `context`, a class or file stem."""
     parts = re.sub(r"<.*", "", CV.sub("", type_name.strip())).split("::")
@@ -191,7 +201,7 @@ def decl_type(text, var, end):
     if t != "auto":
         return t
     # auto: follow the initializer, `std::make_shared<T>(...)` (or
-    # make_unique), an `...Options{}` temporary, or another receiver's
+    # make_unique), a checked struct's `{}` temporary, or another receiver's
     # field. Any other call may be a function, so it stays unresolved.
     rest = text[m.end():m.end() + 200]
     init = re.match(r"\s*std::make_(?:shared|unique)<([\w:]+)>\s*\(", rest)
@@ -224,7 +234,7 @@ def mark(key, members, where, assigned_value=None):
     """Marks each field along `members`, starting at struct `key`; the
     last one only when `assigned_value` is not its default."""
     for i, member in enumerate(members):
-        if key is None:
+        if key is None or member in unchecked.get(key, ()):
             return
         if key == "?" or member not in structs[key]:
             unresolved.append((where, ".".join(members)))
@@ -238,7 +248,7 @@ def mark(key, members, where, assigned_value=None):
 
 ASSIGN = re.compile(
     r"(?<![\w.>])([A-Za-z_]\w*|[\])])((?:\s*(?:\.|->)\s*[A-Za-z_]\w*)+)"
-    r"\s*((?:[-+*/%|&^]|<<|>>)?)=(?!=)")
+    r"((?:\s*\[[^][;]*\])*)\s*((?:[-+*/%|&^]|<<|>>)?)=(?!=)")
 DESIGNATED = re.compile(r"([{,])\s*\.([a-z_]\w*)\s*=(?!=)")
 for path in files(PRODUCTION):
     text = strip(open(path).read())
@@ -257,13 +267,15 @@ for path in files(PRODUCTION):
             continue
         key = struct_key(t, stem)
         if key is None:
-            # Not an Options struct. Only a chain through one of its
+            # Not a checked struct. Only a chain through one of its
             # members could still reach an option.
             if len(members) > 1:
                 unresolved.append((where, base + "." + ".".join(members)))
             continue
+        # An element write or a compound assignment sets no whole value
+        # to compare with the default.
         mark(key, members, where,
-             None if m.group(3) else value(rhs(text, m.end())))
+             None if m.group(3) or m.group(4) else value(rhs(text, m.end())))
     for m in DESIGNATED.finditer(text):
         if m.group(2) not in option_names:
             continue
@@ -304,7 +316,7 @@ for where, what in unresolved:
           "declare the receiver with its type" % (where, what))
     status = 1
 if status == 0:
-    print("check_options_used: OK (%d option fields, each assigned by a "
-          "production caller)" % count)
+    print("check_options_used: OK (%d option and config fields, each "
+          "assigned by a production caller)" % count)
 sys.exit(status)
 EOF

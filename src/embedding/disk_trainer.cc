@@ -167,7 +167,7 @@ Result<TrainedEmbeddings> DiskTrainer::Train(
   relations.RandomInit(&rng, scale);
 
   const std::unique_ptr<KgeModel> model = MakeModel(config_.model);
-  NegativeSampler sampler(view, config_.filtered_negatives);
+  NegativeSampler sampler(view);
   const auto schedule =
       graph_engine::EdgePartitioner::BucketSchedule(kNumPartitions);
 
@@ -177,7 +177,7 @@ Result<TrainedEmbeddings> DiskTrainer::Train(
   out.train_edges = all_edges;
   out.holdout_edges = std::move(holdout_edges);
 
-  std::vector<graph_engine::ViewEdge> negatives(config_.num_negatives);
+  std::vector<graph_engine::ViewEdge> negatives(kNumNegatives);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     double epoch_loss = 0.0;
     size_t steps = 0;
@@ -193,7 +193,7 @@ Result<TrainedEmbeddings> DiskTrainer::Train(
       const auto& pool_tail = partitioner.partition_members(pj);
       bool corrupt_tail = true;
       for (const auto& pos : bucket) {
-        for (int k = 0; k < config_.num_negatives; ++k) {
+        for (int k = 0; k < kNumNegatives; ++k) {
           negatives[k] = sampler.CorruptFromPool(
               pos, corrupt_tail, corrupt_tail ? pool_tail : pool_head, &rng);
           corrupt_tail = !corrupt_tail;

@@ -12,7 +12,7 @@ double EvaluateVerificationAuc(
     const std::vector<graph_engine::ViewEdge>& test, Rng* rng) {
   if (test.empty()) return 0.5;
   const std::unique_ptr<KgeModel> model = MakeModel(emb.model);
-  NegativeSampler sampler(view, /*filtered=*/true);
+  NegativeSampler sampler(view);
   std::vector<std::pair<double, bool>> scored;
   scored.reserve(test.size() * 2);
   bool corrupt_tail = true;

@@ -2,14 +2,11 @@
 
 namespace saga::embedding {
 
-NegativeSampler::NegativeSampler(const graph_engine::GraphView& view,
-                                 bool filtered)
-    : num_entities_(view.num_entities()), filtered_(filtered) {
-  if (filtered_) {
-    true_edges_.reserve(view.edges().size() * 2);
-    for (const auto& e : view.edges()) {
-      true_edges_.insert(Key(e.src, e.relation, e.dst));
-    }
+NegativeSampler::NegativeSampler(const graph_engine::GraphView& view)
+    : num_entities_(view.num_entities()) {
+  true_edges_.reserve(view.edges().size() * 2);
+  for (const auto& e : view.edges()) {
+    true_edges_.insert(Key(e.src, e.relation, e.dst));
   }
 }
 
@@ -24,7 +21,7 @@ graph_engine::ViewEdge NegativeSampler::Corrupt(
     } else {
       neg.src = candidate;
     }
-    if (!filtered_ || !IsTrueEdge(neg.src, neg.relation, neg.dst)) break;
+    if (!IsTrueEdge(neg.src, neg.relation, neg.dst)) break;
   }
   return neg;
 }
@@ -41,7 +38,7 @@ graph_engine::ViewEdge NegativeSampler::CorruptFromPool(
     } else {
       neg.src = candidate;
     }
-    if (!filtered_ || !IsTrueEdge(neg.src, neg.relation, neg.dst)) break;
+    if (!IsTrueEdge(neg.src, neg.relation, neg.dst)) break;
   }
   return neg;
 }

@@ -12,13 +12,12 @@
 namespace saga::embedding {
 
 /// Uniform corruption sampler for contrastive training: replaces the
-/// head or tail of a positive edge with a random entity. With
-/// `filtered`, corruptions that happen to be true edges are rejected
-/// (resampled) so the model is not penalized for scoring real facts
-/// high.
+/// head or tail of a positive edge with a random entity. Corruptions
+/// that happen to be true edges are rejected (resampled) so the model
+/// is not penalized for scoring real facts high.
 class NegativeSampler {
  public:
-  NegativeSampler(const graph_engine::GraphView& view, bool filtered);
+  explicit NegativeSampler(const graph_engine::GraphView& view);
 
   /// Produces a corrupted copy of `edge`. `corrupt_tail` alternates at
   /// the call site.
@@ -41,7 +40,6 @@ class NegativeSampler {
   }
 
   size_t num_entities_;
-  bool filtered_;
   std::unordered_set<uint64_t> true_edges_;
 };
 

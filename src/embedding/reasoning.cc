@@ -11,6 +11,13 @@ namespace saga::embedding {
 
 namespace {
 
+constexpr int kBoxDim = 32;
+constexpr double kBoxLearningRate = 0.3;
+constexpr int kBoxNegatives = 10;
+/// Weight of the inside-the-box distance term (alpha in Query2Box).
+constexpr double kInsideWeight = 0.2;
+constexpr uint64_t kBoxSeed = 7;
+
 /// relation -> (src -> dst list) directed adjacency of a view.
 std::map<uint32_t, std::map<uint32_t, std::vector<uint32_t>>>
 RelationAdjacency(const graph_engine::GraphView& view) {
@@ -85,15 +92,13 @@ std::vector<uint32_t> TrueAnswers(const graph_engine::GraphView& view,
 }
 
 BoxReasoningModel::BoxReasoningModel(size_t num_entities,
-                                     size_t num_relations,
-                                     BoxTrainingConfig config)
-    : config_(config),
-      num_entities_(num_entities),
-      entity_points_(num_entities, config.dim),
-      relation_centers_(std::max<size_t>(1, num_relations), config.dim),
-      relation_offsets_(std::max<size_t>(1, num_relations), config.dim),
-      rng_(config.seed) {
-  const double scale = 1.0 / std::sqrt(static_cast<double>(config.dim));
+                                     size_t num_relations)
+    : num_entities_(num_entities),
+      entity_points_(num_entities, kBoxDim),
+      relation_centers_(std::max<size_t>(1, num_relations), kBoxDim),
+      relation_offsets_(std::max<size_t>(1, num_relations), kBoxDim),
+      rng_(kBoxSeed) {
+  const double scale = 1.0 / std::sqrt(static_cast<double>(kBoxDim));
   entity_points_.RandomInit(&rng_, scale);
   relation_centers_.RandomInit(&rng_, scale);
   relation_offsets_.RandomInit(&rng_, scale);
@@ -102,7 +107,7 @@ BoxReasoningModel::BoxReasoningModel(size_t num_entities,
 void BoxReasoningModel::ComputeBox(const PathQuery& query,
                                    std::vector<float>* center,
                                    std::vector<float>* offset) const {
-  const int dim = config_.dim;
+  constexpr int dim = kBoxDim;
   center->assign(entity_points_.Row(query.anchor),
                  entity_points_.Row(query.anchor) + dim);
   offset->assign(dim, 0.0f);
@@ -120,12 +125,12 @@ double BoxReasoningModel::ScoreBox(const float* center, const float* offset,
                                    const float* answer) const {
   double outside = 0.0;
   double inside = 0.0;
-  for (int i = 0; i < config_.dim; ++i) {
+  for (int i = 0; i < kBoxDim; ++i) {
     const double d = std::abs(static_cast<double>(answer[i]) - center[i]);
     outside += std::max(0.0, d - offset[i]);
     inside += std::min(d, static_cast<double>(offset[i]));
   }
-  return -(outside + config_.inside_weight * inside);
+  return -(outside + kInsideWeight * inside);
 }
 
 double BoxReasoningModel::Score(const PathQuery& query,
@@ -138,7 +143,7 @@ double BoxReasoningModel::Score(const PathQuery& query,
 
 double BoxReasoningModel::Step(const PathQuery& query, uint32_t answer,
                                bool positive) {
-  const int dim = config_.dim;
+  constexpr int dim = kBoxDim;
   std::vector<float> center;
   std::vector<float> offset;
   ComputeBox(query, &center, &offset);
@@ -161,9 +166,9 @@ double BoxReasoningModel::Step(const PathQuery& query, uint32_t answer,
     if (d > offset[i]) {
       dscore_dd = -1.0;                       // outside term active
       goffset[i] = static_cast<float>(
-          dscore * (1.0 - config_.inside_weight));  // growing box helps
+          dscore * (1.0 - kInsideWeight));  // growing box helps
     } else {
-      dscore_dd = -config_.inside_weight;     // inside term active
+      dscore_dd = -kInsideWeight;  // inside term active
       // inside = min(d, o) = d here: no offset gradient.
     }
     ganswer[i] = static_cast<float>(dscore * dscore_dd * sign);
@@ -171,14 +176,14 @@ double BoxReasoningModel::Step(const PathQuery& query, uint32_t answer,
   }
 
   entity_points_.ApplyGradient(answer, ganswer.data(),
-                               config_.learning_rate);
+                               kBoxLearningRate);
   // Anchor point receives the center gradient.
   entity_points_.ApplyGradient(query.anchor, gcenter.data(),
-                               config_.learning_rate);
+                               kBoxLearningRate);
   // Relations: centers share gcenter; offsets via softplus chain rule.
   for (uint32_t rel : query.relations) {
     relation_centers_.ApplyGradient(rel, gcenter.data(),
-                                    config_.learning_rate);
+                                    kBoxLearningRate);
     std::vector<float> grel_offset(dim, 0.0f);
     const float* ro = relation_offsets_.Row(rel);
     for (int i = 0; i < dim; ++i) {
@@ -191,23 +196,23 @@ double BoxReasoningModel::Step(const PathQuery& query, uint32_t answer,
           static_cast<float>(goffset[i] * Sigmoid(ro[i]));
     }
     relation_offsets_.ApplyGradient(rel, grel_offset.data(),
-                                    config_.learning_rate);
+                                    kBoxLearningRate);
   }
   return loss;
 }
 
 std::vector<double> BoxReasoningModel::Train(
-    const std::vector<PathQuerySample>& samples) {
+    const std::vector<PathQuerySample>& samples, int epochs) {
   std::vector<double> losses;
   std::vector<size_t> order(samples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+  for (int epoch = 0; epoch < epochs; ++epoch) {
     rng_.Shuffle(&order);
     double epoch_loss = 0.0;
     for (size_t idx : order) {
       const PathQuerySample& s = samples[idx];
       epoch_loss += Step(s.query, s.answer, true);
-      for (int k = 0; k < config_.num_negatives; ++k) {
+      for (int k = 0; k < kBoxNegatives; ++k) {
         epoch_loss += Step(
             s.query, static_cast<uint32_t>(rng_.Uniform(num_entities_)),
             false);

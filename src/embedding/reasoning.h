@@ -37,29 +37,20 @@ std::vector<PathQuerySample> SamplePathQueries(
 std::vector<uint32_t> TrueAnswers(const graph_engine::GraphView& view,
                                   const PathQuery& query);
 
-struct BoxTrainingConfig {
-  int dim = 32;
-  int epochs = 10;
-  double learning_rate = 0.3;
-  int num_negatives = 10;
-  /// Weight of the inside-the-box distance term (alpha in Query2Box):
-  /// pulls answers toward box centers without collapsing the box.
-  double inside_weight = 0.2;
-  uint64_t seed = 7;
-};
-
 /// Query2Box-style reasoning embeddings: entities are points; each
 /// relation translates the query box's center and grows its offsets;
 /// plausible answers fall inside the final box. Score =
-/// -(dist_outside + inside_weight * dist_inside), L1 geometry.
+/// -(dist_outside + inside_weight * dist_inside), L1 geometry, where
+/// inside_weight (alpha in Query2Box) pulls answers toward box centers
+/// without collapsing the box.
 class BoxReasoningModel {
  public:
-  BoxReasoningModel(size_t num_entities, size_t num_relations,
-                    BoxTrainingConfig config);
+  BoxReasoningModel(size_t num_entities, size_t num_relations);
 
-  /// Trains with uniform negative answers + logistic loss (Adagrad).
-  /// Returns mean loss per epoch.
-  std::vector<double> Train(const std::vector<PathQuerySample>& samples);
+  /// Trains `epochs` passes with uniform negative answers + logistic
+  /// loss (Adagrad). Returns mean loss per epoch.
+  std::vector<double> Train(const std::vector<PathQuerySample>& samples,
+                            int epochs);
 
   double Score(const PathQuery& query, uint32_t answer) const;
 
@@ -80,7 +71,6 @@ class BoxReasoningModel {
   /// One SGD step on (query, answer, label); returns the loss.
   double Step(const PathQuery& query, uint32_t answer, bool positive);
 
-  BoxTrainingConfig config_;
   size_t num_entities_;
   EmbeddingTable entity_points_;
   EmbeddingTable relation_centers_;

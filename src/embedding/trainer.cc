@@ -38,9 +38,9 @@ double TrainStep(const KgeModel& model, const TrainingConfig& config,
   double loss = Softplus(-s_pos);
   model.AccumulateGrad(h, r, t, dim, -Sigmoid(-s_pos), gh.data(), gr.data(),
                        gt.data());
-  entities->ApplyGradient(pos.src, gh.data(), config.learning_rate);
-  relations->ApplyGradient(pos.relation, gr.data(), config.learning_rate);
-  entities->ApplyGradient(pos.dst, gt.data(), config.learning_rate);
+  entities->ApplyGradient(pos.src, gh.data(), kLearningRate);
+  relations->ApplyGradient(pos.relation, gr.data(), kLearningRate);
+  entities->ApplyGradient(pos.dst, gt.data(), kLearningRate);
 
   // Negatives: loss = softplus(s) ; dloss/ds = sigmoid(s).
   for (const auto& neg : negatives) {
@@ -54,9 +54,9 @@ double TrainStep(const KgeModel& model, const TrainingConfig& config,
     loss += Softplus(s_neg);
     model.AccumulateGrad(nh, nr, nt, dim, Sigmoid(s_neg), gh.data(),
                          gr.data(), gt.data());
-    entities->ApplyGradient(neg.src, gh.data(), config.learning_rate);
-    relations->ApplyGradient(neg.relation, gr.data(), config.learning_rate);
-    entities->ApplyGradient(neg.dst, gt.data(), config.learning_rate);
+    entities->ApplyGradient(neg.src, gh.data(), kLearningRate);
+    relations->ApplyGradient(neg.relation, gr.data(), kLearningRate);
+    entities->ApplyGradient(neg.dst, gt.data(), kLearningRate);
   }
 
   if (model.wants_entity_renorm()) {
@@ -129,17 +129,17 @@ TrainedEmbeddings InMemoryTrainer::TrainEdgesFrom(
   out.train_edges = train;
 
   const std::unique_ptr<KgeModel> model = MakeModel(config_.model);
-  NegativeSampler sampler(view, config_.filtered_negatives);
+  NegativeSampler sampler(view);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     auto epoch_stage = SAGA_STAGE("embedding.trainer.epoch");
     rng.Shuffle(&train);
     double epoch_loss = 0.0;
     bool corrupt_tail = true;
-    std::vector<graph_engine::ViewEdge> negatives(config_.num_negatives);
+    std::vector<graph_engine::ViewEdge> negatives(kNumNegatives);
     TableEntityStore store(&out.entities);
     for (const auto& pos : train) {
-      for (int k = 0; k < config_.num_negatives; ++k) {
+      for (int k = 0; k < kNumNegatives; ++k) {
         negatives[k] = sampler.Corrupt(pos, corrupt_tail, &rng);
         corrupt_tail = !corrupt_tail;
       }

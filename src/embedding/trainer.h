@@ -12,15 +12,17 @@
 
 namespace saga::embedding {
 
+/// Adagrad base step of both trainers; 0.3 with 10 negatives per edge
+/// is a robust setting for the synthetic workloads.
+inline constexpr double kLearningRate = 0.3;
+/// Corrupted edges each positive edge trains against (filtered: a
+/// corruption that is a true edge is resampled).
+inline constexpr int kNumNegatives = 10;
+
 struct TrainingConfig {
   ModelKind model = ModelKind::kDistMult;
   int dim = 32;
   int epochs = 10;
-  /// Adagrad base step; 0.3 with ~10 negatives is a robust setting for
-  /// the synthetic workloads (swept in bench_fig3).
-  double learning_rate = 0.3;
-  int num_negatives = 10;
-  bool filtered_negatives = true;
   uint64_t seed = 7;
   /// Fraction of edges held out for evaluation (never trained on).
   double holdout_fraction = 0.0;

@@ -1,26 +1,14 @@
 #include "graph_engine/view.h"
 
-#include <algorithm>
-
 namespace saga::graph_engine {
 
 bool GraphView::TriplePasses(const kg::KnowledgeGraph& kg,
                              const kg::Triple& t) const {
-  if (def_.entity_edges_only && !t.object.is_entity()) return false;
+  // Literals never embed: a view holds entity->entity edges only.
+  if (!t.object.is_entity()) return false;
   if (t.provenance.confidence < def_.min_confidence) return false;
-  const kg::PredicateMeta& meta = kg.ontology().predicate(t.predicate);
-  if (def_.embedding_relevant_only && !meta.embedding_relevant) return false;
-  if (!def_.include_predicates.empty() &&
-      std::find(def_.include_predicates.begin(),
-                def_.include_predicates.end(),
-                t.predicate) == def_.include_predicates.end()) {
-    return false;
-  }
-  return def_.subject_types.empty() ||
-         std::any_of(def_.subject_types.begin(), def_.subject_types.end(),
-                     [&](kg::TypeId required) {
-                       return kg.IsInstanceOf(t.subject, required);
-                     });
+  return !def_.embedding_relevant_only ||
+         kg.ontology().predicate(t.predicate).embedding_relevant;
 }
 
 uint32_t GraphView::InternEntity(kg::EntityId e) {

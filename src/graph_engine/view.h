@@ -12,10 +12,9 @@ namespace saga::graph_engine {
 
 /// Declarative filter producing a training-ready projection of the KG
 /// (§2: "the graph engine generates a view of the KG by filtering out
-/// non-relevant facts and possible noise").
+/// non-relevant facts and possible noise"). Every view keeps
+/// entity->entity edges only: literals never embed.
 struct ViewDefinition {
-  /// Keep only entity->entity edges (literals never embed).
-  bool entity_edges_only = true;
   /// Keep only predicates flagged embedding_relevant in the ontology.
   bool embedding_relevant_only = true;
   /// Drop predicates whose live-triple count falls below this after the
@@ -23,11 +22,6 @@ struct ViewDefinition {
   uint64_t min_predicate_frequency = 0;
   /// Drop facts whose provenance confidence is below this.
   double min_confidence = 0.0;
-  /// If non-empty, keep only these predicates.
-  std::vector<kg::PredicateId> include_predicates;
-  /// If non-empty, keep only subjects having one of these types
-  /// (subtyping respected).
-  std::vector<kg::TypeId> subject_types;
 };
 
 /// One edge of a materialized view in *local* dense id space.

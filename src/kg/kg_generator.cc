@@ -208,8 +208,9 @@ GeneratedKg GenerateKg(const KgGeneratorConfig& config) {
   constexpr double kCommunityAffinity = 0.85;
 
   // ---- Places ----
+  constexpr int kNumCountries = 10;
   std::vector<EntityId> countries;
-  for (int i = 0; i < config.num_countries; ++i) {
+  for (int i = 0; i < kNumCountries; ++i) {
     std::string name = std::string(kCountryStems[i % kCountryStems.size()]);
     name += (i < static_cast<int>(kCountryStems.size())) ? "nia" : "land";
     if (i >= static_cast<int>(kCountryStems.size())) {
@@ -254,22 +255,25 @@ GeneratedKg GenerateKg(const KgGeneratorConfig& config) {
   };
 
   // ---- Occupations & genres ----
+  constexpr int kNumOccupations = 16;
+  constexpr int kNumGenres = 12;
   std::vector<EntityId> occupations;
-  for (int i = 0; i < config.num_occupations; ++i) {
+  for (int i = 0; i < kNumOccupations; ++i) {
     occupations.push_back(cat.AddEntity(
         kOccupationNames[i % kOccupationNames.size()], {h.occupation_type},
         0.0, "An occupation."));
   }
   std::vector<EntityId> genres;
-  for (int i = 0; i < config.num_genres; ++i) {
+  for (int i = 0; i < kNumGenres; ++i) {
     genres.push_back(cat.AddEntity(kGenreNames[i % kGenreNames.size()],
                                    {h.genre_type}, 0.0, "A genre."));
   }
 
   // ---- Universities ----
+  constexpr int kNumUniversities = 20;
   std::vector<EntityId> universities;
   std::vector<size_t> university_community;
-  for (int i = 0; i < config.num_universities; ++i) {
+  for (int i = 0; i < kNumUniversities; ++i) {
     const size_t city_idx = rng.Uniform(cities.size());
     const std::string& city_name = cat.name(cities[city_idx]);
     std::string name = "University of " + city_name;
@@ -521,6 +525,9 @@ GeneratedKg GenerateKg(const KgGeneratorConfig& config) {
   }
 
   // ---- Functional literal facts with withheld / stale injection ----
+  // Fraction of functional facts stored with an outdated value; the
+  // fresh value is recorded as ground truth (staleness experiments).
+  constexpr double kStaleFactFraction = 0.05;
   auto add_functional = [&](EntityId s, PredicateId p, Value true_value,
                             Value stale_value) {
     GroundTruthFact fact{s, p, true_value, true};
@@ -528,7 +535,7 @@ GeneratedKg GenerateKg(const KgGeneratorConfig& config) {
     if (u < config.withheld_fact_fraction) {
       fact.in_kg = false;
       out.withheld_facts.push_back(fact);
-    } else if (u < config.withheld_fact_fraction + config.stale_fact_fraction) {
+    } else if (u < config.withheld_fact_fraction + kStaleFactFraction) {
       const TripleIdx idx =
           kg.AddFact(s, p, stale_value, src_feeds, 0.9, /*timestamp=*/1);
       out.stale_facts.push_back(StaleFact{idx, true_value});
@@ -566,8 +573,10 @@ GeneratedKg GenerateKg(const KgGeneratorConfig& config) {
   }
 
   // ---- Noise edges (open-domain junk the embedding view must survive) --
+  // Wrong entity edges injected, as a fraction of the triples so far.
+  constexpr double kNoiseFactFraction = 0.02;
   const size_t num_noise = static_cast<size_t>(
-      static_cast<double>(kg.num_triples()) * config.noise_fact_fraction);
+      static_cast<double>(kg.num_triples()) * kNoiseFactFraction);
   const std::array<PredicateId, 4> noise_preds = {h.acted_in, h.spouse,
                                                   h.member_of, h.plays_for};
   for (size_t i = 0; i < num_noise; ++i) {

@@ -71,10 +71,6 @@ struct KgGeneratorConfig {
   int num_teams = 24;
   int num_bands = 40;
   int num_cities = 50;
-  int num_countries = 10;
-  int num_universities = 20;
-  int num_occupations = 16;
-  int num_genres = 12;
 
   /// Fraction of persons deliberately given a full name already used by
   /// another person of a *different* profession — the "Michael Jordan"
@@ -85,16 +81,6 @@ struct KgGeneratorConfig {
   /// the generator but withheld from the KG: the coverage gaps ODKE must
   /// find and fill.
   double withheld_fact_fraction = 0.15;
-
-  /// Fraction of functional facts stored with an outdated value; the
-  /// fresh value is recorded as ground truth (staleness experiments).
-  double stale_fact_fraction = 0.05;
-
-  /// Fraction of extra wrong entity-edges injected (open-domain noise).
-  double noise_fact_fraction = 0.02;
-
-  /// Popularity skew: entity popularity ~ Zipf(s).
-  double popularity_zipf = 1.05;
 };
 
 /// A fact the generator knows to be true. `in_kg` tells whether it was

@@ -43,12 +43,26 @@ std::string FormatPhone(Rng* rng, const std::string& digits) {
   }
 }
 
+constexpr uint64_t kSeed = 99;
+// Probability a person appears in each source.
+constexpr double kContactsRate = 0.9;
+constexpr double kMessagesRate = 0.7;
+constexpr double kCalendarRate = 0.5;
+// Extra duplicate records per person per source (format variants).
+constexpr double kDuplicateRate = 0.25;
+// Probability a non-contact record uses a short/variant name
+// ("Tim" instead of "Timothy Chen").
+constexpr double kNameVariantRate = 0.5;
+// Fraction of persons deliberately sharing a first name with
+// someone else but distinct topics (the two-Tims scenario).
+constexpr double kSharedFirstNameRate = 0.1;
+
 }  // namespace
 
-DeviceDataset GenerateDeviceData(const DeviceDataConfig& config) {
-  Rng rng(config.seed);
+DeviceDataset GenerateDeviceData(int num_persons) {
+  Rng rng(kSeed);
   DeviceDataset out;
-  out.num_persons = static_cast<size_t>(config.num_persons);
+  out.num_persons = static_cast<size_t>(num_persons);
 
   struct Person {
     std::string first;
@@ -59,9 +73,9 @@ DeviceDataset GenerateDeviceData(const DeviceDataConfig& config) {
   };
   std::vector<Person> persons;
   persons.reserve(out.num_persons);
-  for (int i = 0; i < config.num_persons; ++i) {
+  for (int i = 0; i < num_persons; ++i) {
     Person p;
-    if (i > 0 && rng.Bernoulli(config.shared_first_name_rate)) {
+    if (i > 0 && rng.Bernoulli(kSharedFirstNameRate)) {
       // Share a first name with an earlier person, different last name.
       p.first = persons[rng.Uniform(persons.size())].first;
     } else {
@@ -142,24 +156,24 @@ DeviceDataset GenerateDeviceData(const DeviceDataConfig& config) {
   };
 
   for (uint32_t i = 0; i < out.num_persons; ++i) {
-    if (rng.Bernoulli(config.contacts_rate)) {
+    if (rng.Bernoulli(kContactsRate)) {
       add_record(SourceKind::kContacts, i, false);
-      if (rng.Bernoulli(config.duplicate_rate)) {
+      if (rng.Bernoulli(kDuplicateRate)) {
         add_record(SourceKind::kContacts, i,
-                   rng.Bernoulli(config.name_variant_rate));
+                   rng.Bernoulli(kNameVariantRate));
       }
     }
-    if (rng.Bernoulli(config.messages_rate)) {
+    if (rng.Bernoulli(kMessagesRate)) {
       add_record(SourceKind::kMessages, i,
-                 rng.Bernoulli(config.name_variant_rate));
-      if (rng.Bernoulli(config.duplicate_rate)) {
+                 rng.Bernoulli(kNameVariantRate));
+      if (rng.Bernoulli(kDuplicateRate)) {
         add_record(SourceKind::kMessages, i,
-                   rng.Bernoulli(config.name_variant_rate));
+                   rng.Bernoulli(kNameVariantRate));
       }
     }
-    if (rng.Bernoulli(config.calendar_rate)) {
+    if (rng.Bernoulli(kCalendarRate)) {
       add_record(SourceKind::kCalendar, i,
-                 rng.Bernoulli(config.name_variant_rate));
+                 rng.Bernoulli(kNameVariantRate));
     }
   }
   return out;

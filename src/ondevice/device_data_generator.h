@@ -9,23 +9,6 @@
 
 namespace saga::ondevice {
 
-struct DeviceDataConfig {
-  uint64_t seed = 99;
-  int num_persons = 120;
-  /// Probability a person appears in each source.
-  double contacts_rate = 0.9;
-  double messages_rate = 0.7;
-  double calendar_rate = 0.5;
-  /// Extra duplicate records per person per source (format variants).
-  double duplicate_rate = 0.25;
-  /// Probability a non-contact record uses a short/variant name
-  /// ("Tim" instead of "Timothy Chen").
-  double name_variant_rate = 0.5;
-  /// Fraction of persons deliberately sharing a first name with
-  /// someone else but distinct topics (the two-Tims scenario).
-  double shared_first_name_rate = 0.1;
-};
-
 /// The synthetic "user data ecosystem": raw records from all sources
 /// plus, for evaluation only, the true person behind each record.
 struct DeviceDataset {
@@ -40,10 +23,10 @@ struct DeviceDataset {
   std::vector<std::string> person_names;
 };
 
-/// Generates overlapping multi-source person records with format
-/// variation, duplicates, and name ambiguity (§5 "Personal KG
-/// Construction" motivating example).
-DeviceDataset GenerateDeviceData(const DeviceDataConfig& config);
+/// Generates overlapping multi-source records for `num_persons`
+/// persons with format variation, duplicates, and name ambiguity (§5
+/// "Personal KG Construction" motivating example).
+DeviceDataset GenerateDeviceData(int num_persons);
 
 }  // namespace saga::ondevice
 

@@ -10,13 +10,12 @@
 
 namespace saga::ondevice {
 
-/// Per-device configuration: which sources it hosts, which it syncs,
-/// and how much compute it has (laptop vs watch; §5 Sync).
+/// Per-device configuration: which sources it syncs and how much
+/// compute it has (laptop vs watch; §5 Sync). Which records originate
+/// on a device is whatever its owner adds with AddLocalRecord.
 struct DeviceConfig {
   std::string id;
   double compute_power = 1.0;
-  /// Sources whose records originate on this device.
-  std::array<bool, kNumSourceKinds> has_source{};
   /// Per-source sync preference: share + accept records of this source.
   std::array<bool, kNumSourceKinds> sync_enabled{};
 };

@@ -100,16 +100,17 @@ Result<StoredVector> EmbeddingKvCache::Decode(std::string_view bytes) {
   }
   StoredVector out;
   out.length = length;
-  out.sparse.index.resize(n);
+  std::vector<uint16_t>& index = out.sparse.index;
+  index.resize(n);
   out.sparse.value.resize(n);
   const auto* p = reinterpret_cast<const unsigned char*>(bytes.data()) +
                   kHeaderBytes;
   for (size_t k = 0; k < n; ++k) {
     const uint32_t i = p[2 * k] | (uint32_t{p[2 * k + 1]} << 8);
-    if (i >= length || (k > 0 && i <= out.sparse.index[k - 1])) {
+    if (i >= length || (k > 0 && i <= index[k - 1])) {
       return Status::Corruption("cached vector: index out of order or range");
     }
-    out.sparse.index[k] = static_cast<uint16_t>(i);
+    index[k] = static_cast<uint16_t>(i);
   }
   SAGA_RETURN_IF_ERROR(r.Skip(size_t{n} * sizeof(uint16_t)));
   for (size_t k = 0; k < n; ++k) {

@@ -517,7 +517,7 @@ Status KvStore::EnsureWalUsable() {
     SAGA_LOG(Warning) << "rebuilding fsync-poisoned WAL in " << dir_;
     if (!mem_->empty()) {
       SAGA_RETURN_IF_ERROR(SealActiveMemtableLocked());
-      return DrainMaintenance();
+      return DrainMaintenance(/*background=*/false);
     }
     // Nothing acked is in the active log (acked records live in sealed
     // segments or tables), so truncate-in-place is safe.
@@ -572,7 +572,7 @@ Status KvStore::Put(std::string_view key, std::string_view value) {
     return Status::OK();
   }
   SAGA_RETURN_IF_ERROR(SealActiveMemtableLocked());
-  return DrainMaintenance();
+  return DrainMaintenance(/*background=*/false);
 }
 
 Status KvStore::SealActiveMemtableLocked() {
@@ -719,10 +719,10 @@ Status KvStore::Flush() {
     std::lock_guard<std::mutex> wl(write_mu_);
     SAGA_RETURN_IF_ERROR(SealActiveMemtableLocked());
   }
-  return DrainMaintenance();
+  return DrainMaintenance(/*background=*/false);
 }
 
-Status KvStore::DrainMaintenance() {
+Status KvStore::DrainMaintenance(bool background) {
   std::lock_guard<std::mutex> ml(maint_mu_);
   for (;;) {
     bool pending = false;
@@ -732,6 +732,7 @@ Status KvStore::DrainMaintenance() {
     }
     if (!pending) break;
     SAGA_RETURN_IF_ERROR(FlushOneImmLocked());
+    if (background) SAGA_COUNTER("storage.kv.bg.flushes").Add();
   }
   if (options_.auto_compact_trigger > 0) {
     size_t tables = 0;
@@ -741,6 +742,7 @@ Status KvStore::DrainMaintenance() {
     }
     if (static_cast<int>(tables) > options_.auto_compact_trigger) {
       SAGA_RETURN_IF_ERROR(CompactAllLocked());
+      if (background) SAGA_COUNTER("storage.kv.bg.compactions").Add();
     }
   }
   return Status::OK();
@@ -805,7 +807,6 @@ Status KvStore::FlushOneImmLocked() {
     (void)RemoveFileIfExists(path);
     return ms;
   }
-  SAGA_COUNTER("storage.kv.bg.flushes").Add();
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     auto nsv = std::make_shared<Superversion>(*sv_);
@@ -957,7 +958,6 @@ Status KvStore::CompactAllLocked() {
   if (options_.governor != nullptr && bytes_freed > 0) {
     options_.governor->OnBytesFreed(bytes_freed);
   }
-  SAGA_COUNTER("storage.kv.bg.compactions").Add();
   return Status::OK();
 }
 
@@ -974,7 +974,7 @@ void KvStore::RunBackgroundMaintenance() {
   bg_scheduled_.store(false, std::memory_order_release);
   if (shutting_down_.load(std::memory_order_acquire)) return;
   obs::ScopedLatency timer(SAGA_LATENCY("storage.kv.bg.run_ns"));
-  Status s = DrainMaintenance();
+  Status s = DrainMaintenance(/*background=*/true);
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     bg_error_ = s;

@@ -25,7 +25,7 @@ namespace saga::storage {
 /// Log-structured KV store: WAL + memtable + a stack of SSTables with
 /// bloom filters and full compaction. Serves as (a) the low-latency
 /// embedding cache behind the semantic-annotation reranker (§3.2) and
-/// (b) the spill/checkpoint target for on-device construction (§5).
+/// (b) the key-value store of each serving version (VersionManager).
 ///
 /// Crash safety: every SSTable is built in a temp file and atomically
 /// renamed in; the set of live tables is committed in a small CRC'd
@@ -55,7 +55,8 @@ class KvStore {
  public:
   struct Options {
     /// Flush the memtable to an SSTable once it exceeds this budget.
-    /// The on-device pipeline tunes this down to run in tens of KiB.
+    /// saga_cli and bench_resource tune it down to tens of KiB so a
+    /// short run crosses many flushes.
     size_t memtable_max_bytes = 4 << 20;
     /// Disable to trade durability for ingest speed (bulk loads).
     bool use_wal = true;
@@ -77,8 +78,10 @@ class KvStore {
     /// Move flush and compaction off the write path onto a dedicated
     /// maintenance thread: Put seals the full memtable and schedules
     /// work instead of flushing inline. Off by default — single-thread
-    /// embedded users (on-device pipeline, ODKE spill) keep the
-    /// synchronous contract where a returned Put already flushed.
+    /// users (saga_cli, bench_resource, VersionManager, bench_swap)
+    /// keep the synchronous contract where a returned Put already
+    /// flushed. Only work on the maintenance thread counts in
+    /// storage.kv.bg.flushes and storage.kv.bg.compactions.
     bool background_maintenance = false;
     /// Write-stall gate: with background maintenance on, a Put that
     /// would seal while this many memtables are already sealed and
@@ -241,8 +244,10 @@ class KvStore {
   /// installs a fresh active memtable. Caller holds write_mu_.
   Status SealActiveMemtableLocked();
   /// Flushes sealed memtables oldest-first until none remain, then
-  /// auto-compacts if over trigger. Serialized by maint_mu_.
-  Status DrainMaintenance();
+  /// auto-compacts if over trigger. Serialized by maint_mu_. Only a
+  /// drain on the maintenance thread (`background`) counts its work in
+  /// storage.kv.bg.flushes and storage.kv.bg.compactions.
+  Status DrainMaintenance(bool background);
   /// Flushes the single oldest sealed memtable (build + manifest
   /// commit + superversion publish + covered-segment deletion).
   /// Caller holds maint_mu_.

@@ -139,14 +139,19 @@ WebCorpus GenerateCorpus(const kg::GeneratedKg& gen,
   };
 
   // ---- Entity (biography) pages ----
+  // Biography-style pages per person entity (popular entities get
+  // several, across domains of varying quality).
+  constexpr double kEntityPageRate = 1.0;
+  constexpr int kMaxPagesPerEntity = 3;
+  // Probability a page omits its infobox (text-only evidence).
+  constexpr double kNoInfoboxRate = 0.3;
   for (const auto& rec : cat.records()) {
     const bool is_person = cat.HasType(rec.id, h.person);
     if (!is_person) continue;
-    if (!rng.Bernoulli(config.entity_page_rate)) continue;
+    if (!rng.Bernoulli(kEntityPageRate)) continue;
     const int num_pages =
         1 + static_cast<int>(rng.Uniform(static_cast<uint64_t>(
-                std::max(1.0, rec.popularity *
-                                  config.max_pages_per_entity))));
+                std::max(1.0, rec.popularity * kMaxPagesPerEntity))));
     for (int page = 0; page < num_pages; ++page) {
       const DomainInfo& domain =
           page == 0 ? kDomains[rng.Uniform(2)]  // first page: high quality
@@ -247,7 +252,7 @@ WebCorpus GenerateCorpus(const kg::GeneratedKg& gen,
         b.Mention(rec.id, rec.canonical_name);
         b.Text(" was born on " + RenderDateLong(rendered.date_value()) +
                ". ");
-        if (!rng.Bernoulli(config.no_infobox_rate)) {
+        if (!rng.Bernoulli(kNoInfoboxRate)) {
           doc.infobox.emplace_back("born", rendered.date_value().ToString());
         }
       }
@@ -261,12 +266,12 @@ WebCorpus GenerateCorpus(const kg::GeneratedKg& gen,
         b.Mention(rec.id, rec.canonical_name);
         b.Text(" is " + std::to_string(rendered.int_value()) +
                " cm tall. ");
-        if (!rng.Bernoulli(config.no_infobox_rate)) {
+        if (!rng.Bernoulli(kNoInfoboxRate)) {
           doc.infobox.emplace_back("height_cm",
                                    std::to_string(rendered.int_value()));
         }
       }
-      if (!doc.infobox.empty() || !rng.Bernoulli(config.no_infobox_rate)) {
+      if (!doc.infobox.empty() || !rng.Bernoulli(kNoInfoboxRate)) {
         doc.infobox.emplace_back("name", rec.canonical_name);
       }
 

@@ -26,18 +26,12 @@ class WebCorpus {
 
 struct CorpusGeneratorConfig {
   uint64_t seed = 123;
-  /// Biography-style page per person entity (popular entities get
-  /// several, across domains of varying quality).
-  double entity_page_rate = 1.0;
-  int max_pages_per_entity = 3;
   int num_news_pages = 400;
   int num_noise_pages = 100;
   /// Probability an entity page states a wrong value for a fact. For
   /// ambiguous names the wrong value is preferentially the namesake's
   /// true value (the Fig-6 "Michelle Williams" confusion).
   double wrong_fact_rate = 0.08;
-  /// Probability a page omits its infobox (text-only evidence).
-  double no_infobox_rate = 0.3;
 };
 
 /// Renders a synthetic Web from the KG + ground truth: evidence for

@@ -200,7 +200,7 @@ TEST(NegativeSamplerTest, CorruptsRequestedSlot) {
   kg::GeneratedKg gen = MakeKg();
   auto view = graph_engine::GraphView::Build(gen.kg,
                                              graph_engine::ViewDefinition());
-  NegativeSampler sampler(view, /*filtered=*/false);
+  NegativeSampler sampler(view);
   Rng rng(7);
   const graph_engine::ViewEdge pos = view.edges()[0];
   for (int i = 0; i < 20; ++i) {
@@ -216,7 +216,7 @@ TEST(NegativeSamplerTest, FilteredRejectsTrueEdges) {
   kg::GeneratedKg gen = MakeKg();
   auto view = graph_engine::GraphView::Build(gen.kg,
                                              graph_engine::ViewDefinition());
-  NegativeSampler sampler(view, /*filtered=*/true);
+  NegativeSampler sampler(view);
   Rng rng(7);
   int true_hits = 0;
   for (const auto& pos : view.edges()) {
@@ -231,7 +231,7 @@ TEST(NegativeSamplerTest, PoolCorruptionStaysInPool) {
   kg::GeneratedKg gen = MakeKg();
   auto view = graph_engine::GraphView::Build(gen.kg,
                                              graph_engine::ViewDefinition());
-  NegativeSampler sampler(view, false);
+  NegativeSampler sampler(view);
   Rng rng(9);
   const std::vector<uint32_t> pool = {1, 2, 3};
   const graph_engine::ViewEdge pos = view.edges()[0];

@@ -86,33 +86,6 @@ TEST(GraphViewTest, MinConfidenceDropsNoise) {
   EXPECT_LT(without_noise.edges().size(), with_noise.edges().size());
 }
 
-TEST(GraphViewTest, IncludePredicatesRestricts) {
-  kg::GeneratedKg gen = MakeKg();
-  ViewDefinition def;
-  def.include_predicates = {gen.schema.acted_in};
-  GraphView view = GraphView::Build(gen.kg, def);
-  EXPECT_EQ(view.num_relations(), 1u);
-  EXPECT_GT(view.edges().size(), 0u);
-}
-
-TEST(GraphViewTest, SubjectTypeFilterRespectsSubtyping) {
-  kg::GeneratedKg gen = MakeKg();
-  ViewDefinition def;
-  def.subject_types = {gen.schema.person};  // includes Athlete etc.
-  GraphView view = GraphView::Build(gen.kg, def);
-  EXPECT_GT(view.edges().size(), 0u);
-  for (const ViewEdge& e : view.edges()) {
-    const kg::EntityId subject = view.global_entity(e.src);
-    bool is_person = false;
-    for (kg::TypeId t : gen.kg.catalog().record(subject).types) {
-      if (gen.kg.ontology().IsSubtypeOf(t, gen.schema.person)) {
-        is_person = true;
-      }
-    }
-    EXPECT_TRUE(is_person);
-  }
-}
-
 TEST(GraphViewTest, MinPredicateFrequencyDropsRarePredicates) {
   kg::GeneratedKg gen = MakeKg();
   ViewDefinition def;

@@ -133,7 +133,7 @@ TEST(PlatformIntegrationTest, FullPipelineGrowsAndServesTheKg) {
 
   // ---- Stage 5: fact verification serves the grown KG (Fig 2) ----
   serving::FactVerifier verifier(&view, &emb);
-  embedding::NegativeSampler sampler(view, true);
+  embedding::NegativeSampler sampler(view);
   std::vector<graph_engine::ViewEdge> pos(view.edges().begin(),
                                           view.edges().begin() + 100);
   std::vector<graph_engine::ViewEdge> neg;

@@ -572,18 +572,25 @@ TEST(KnowledgeGraphTest, LoadFailsOnEveryBitFlip) {
   auto dir = MakeTempDir("saga_kg_flip");
   ASSERT_TRUE(dir.ok());
   const std::string path = JoinPath(*dir, "kg.kg");
-  KgGeneratorConfig config;
-  config.num_persons = 4;
-  config.num_movies = 2;
-  config.num_songs = 1;
-  config.num_teams = 1;
-  config.num_bands = 1;
-  config.num_cities = 2;
-  config.num_countries = 1;
-  config.num_universities = 1;
-  config.num_occupations = 1;
-  config.num_genres = 1;
-  ASSERT_TRUE(GenerateKg(config).kg.Save(path).ok());
+  // A tiny KG built by hand on the generator's schema: typed entities
+  // with an alias, a fact of every value kind, two sources.
+  KnowledgeGraph kg;
+  const SchemaHandles h = InstallStandardSchema(&kg);
+  const SourceId curated = kg.AddSource("curated", 0.95);
+  const SourceId feeds = kg.AddSource("licensed_feeds", 0.8);
+  EntityCatalog& cat = kg.catalog();
+  const EntityId ava = cat.AddEntity("Ava Chen", {h.actor}, 0.9, "An actor.");
+  cat.AddAlias(ava, "Ava");
+  const EntityId movie = cat.AddEntity("Silent Horizon", {h.movie}, 0.4);
+  const EntityId city = cat.AddEntity("Oakton", {h.city}, 0.0, "A city.");
+  kg.AddFact(ava, h.acted_in, Value::Entity(movie), curated);
+  kg.AddFact(ava, h.born_in, Value::Entity(city), curated);
+  kg.AddFact(ava, h.date_of_birth, Value::OfDate(Date::FromYmd(1979, 7, 23)),
+             curated);
+  kg.AddFact(ava, h.height_cm, Value::Int(170), feeds, 0.9, 1);
+  kg.AddFact(ava, h.net_worth, Value::Double(2.5e6), feeds, 0.5);
+  kg.AddFact(ava, h.library_id, Value::String("NLID100001"), feeds);
+  ASSERT_TRUE(kg.Save(path).ok());
   auto clean = ReadFileToString(path);
   ASSERT_TRUE(clean.ok());
   ASSERT_TRUE(KnowledgeGraph::Load(path).ok());

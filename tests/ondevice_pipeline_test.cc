@@ -10,12 +10,7 @@
 namespace saga::ondevice {
 namespace {
 
-DeviceDataset MakeData(uint64_t seed = 99) {
-  DeviceDataConfig config;
-  config.seed = seed;
-  config.num_persons = 60;
-  return GenerateDeviceData(config);
-}
+DeviceDataset MakeData() { return GenerateDeviceData(/*num_persons=*/60); }
 
 /// The stage a pipeline is in: its checkpoint opens with the stage byte.
 IncrementalPipeline::Stage StageOf(const IncrementalPipeline& pipeline) {

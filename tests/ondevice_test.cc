@@ -13,12 +13,7 @@
 namespace saga::ondevice {
 namespace {
 
-DeviceDataset MakeData(uint64_t seed = 99) {
-  DeviceDataConfig config;
-  config.seed = seed;
-  config.num_persons = 80;
-  return GenerateDeviceData(config);
-}
+DeviceDataset MakeData() { return GenerateDeviceData(/*num_persons=*/80); }
 
 // ---------- Phones / records ----------
 

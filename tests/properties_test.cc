@@ -13,7 +13,6 @@
 #include "common/file_util.h"
 #include "common/request_context.h"
 #include "common/rng.h"
-#include "counter_delta.h"
 #include "embedding_rows.h"
 #include "graph_engine/view.h"
 #include "kg/kg_generator.h"
@@ -325,15 +324,14 @@ TEST(KvStoreAutoCompactTest, BoundsTableCountWithoutDataLoss) {
   storage::KvStore::Options opts;
   opts.memtable_max_bytes = 1024;
   opts.auto_compact_trigger = 3;
-  const CounterDelta compactions(SAGA_COUNTER("storage.kv.bg.compactions"));
   auto store = storage::KvStore::Open(*dir, opts);
   ASSERT_TRUE(store.ok());
   const std::string value(120, 'v');
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE((*store)->Put("k" + std::to_string(i % 80), value).ok());
   }
+  // Without compaction the 300 writes would leave dozens of tables.
   EXPECT_LE((*store)->num_sstables(), 4u);
-  EXPECT_GT(compactions(), 0);
   for (int i = 0; i < 80; ++i) {
     EXPECT_TRUE((*store)->Get("k" + std::to_string(i)).ok()) << i;
   }

@@ -72,10 +72,7 @@ TEST(BoxModelTest, ScoreIsHighestInsideTheBox) {
   // of the time is not guaranteed pre-training, so instead check the
   // scoring function's monotonicity directly via Score on a trained
   // tiny instance below. Here: deterministic construction sanity.
-  BoxTrainingConfig config;
-  config.dim = 8;
-  config.epochs = 0;
-  BoxReasoningModel model(10, 3, config);
+  BoxReasoningModel model(10, 3);
   PathQuery q;
   q.anchor = 0;
   q.relations = {1};
@@ -99,16 +96,12 @@ TEST(BoxModelTest, TrainingReducesLossAndBeatsUntrained) {
                                     samples.end());
   if (test.size() > 40) test.resize(40);
 
-  BoxTrainingConfig config;
-  config.dim = 24;
-  config.epochs = 8;
   BoxReasoningModel untrained(f.view.num_entities(),
-                              f.view.num_relations(), config);
+                              f.view.num_relations());
   const double before = untrained.EvaluateHitsAtK(test, f.view, 10);
 
-  BoxReasoningModel model(f.view.num_entities(), f.view.num_relations(),
-                          config);
-  const auto losses = model.Train(train);
+  BoxReasoningModel model(f.view.num_entities(), f.view.num_relations());
+  const auto losses = model.Train(train, /*epochs=*/8);
   ASSERT_EQ(losses.size(), 8u);
   EXPECT_LT(losses.back(), losses.front());
 
@@ -134,12 +127,8 @@ TEST(BoxModelTest, MultiHopBeatsRandomGuessing) {
                                     two_hop_plus.end());
   if (test.size() > 30) test.resize(30);
 
-  BoxTrainingConfig config;
-  config.dim = 24;
-  config.epochs = 8;
-  BoxReasoningModel model(f.view.num_entities(), f.view.num_relations(),
-                          config);
-  (void)model.Train(train);
+  BoxReasoningModel model(f.view.num_entities(), f.view.num_relations());
+  (void)model.Train(train, /*epochs=*/8);
   const double hits = model.EvaluateHitsAtK(test, f.view, 10);
   // Random guessing: ~ 10 / num_entities.
   const double random_baseline =

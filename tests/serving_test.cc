@@ -611,7 +611,7 @@ TEST(FactVerifierTest, CalibratedThresholdSeparates) {
   Fixture f = Fixture::Make();
   FactVerifier verifier(&f.view, &f.emb);
   // Positives: true edges; negatives: corrupted.
-  embedding::NegativeSampler sampler(f.view, true);
+  embedding::NegativeSampler sampler(f.view);
   Rng rng(3);
   std::vector<graph_engine::ViewEdge> pos(f.view.edges().begin(),
                                           f.view.edges().begin() + 200);

@@ -16,8 +16,6 @@ std::vector<Device> MakeFleet(const DeviceDataset& data) {
   DeviceConfig laptop_cfg;
   laptop_cfg.id = "laptop";
   laptop_cfg.compute_power = 10.0;
-  laptop_cfg.has_source[static_cast<int>(SourceKind::kContacts)] = true;
-  laptop_cfg.has_source[static_cast<int>(SourceKind::kCalendar)] = true;
   laptop_cfg.sync_enabled[static_cast<int>(SourceKind::kContacts)] = true;
   laptop_cfg.sync_enabled[static_cast<int>(SourceKind::kMessages)] = true;
   // calendar NOT synced.
@@ -25,7 +23,6 @@ std::vector<Device> MakeFleet(const DeviceDataset& data) {
   DeviceConfig phone_cfg;
   phone_cfg.id = "phone";
   phone_cfg.compute_power = 3.0;
-  phone_cfg.has_source[static_cast<int>(SourceKind::kMessages)] = true;
   phone_cfg.sync_enabled[static_cast<int>(SourceKind::kContacts)] = true;
   phone_cfg.sync_enabled[static_cast<int>(SourceKind::kMessages)] = true;
 
@@ -54,11 +51,7 @@ std::vector<Device> MakeFleet(const DeviceDataset& data) {
   return devices;
 }
 
-DeviceDataset MakeData() {
-  DeviceDataConfig config;
-  config.num_persons = 50;
-  return GenerateDeviceData(config);
-}
+DeviceDataset MakeData() { return GenerateDeviceData(/*num_persons=*/50); }
 
 TEST(SyncTest, SyncedSourcesConverge) {
   DeviceDataset data = MakeData();
